@@ -28,7 +28,9 @@ print(f"  endpoint blocks at floor 2: { {k: ctx.endpoint.count(k) for k in range
 
 lam = F(1, 4)
 rep = Representation(5, lam)
-print(f"\nAll scalars are exact pairs a + b*sqrt({lam}); tau = lam/(1+lam)^2 = {rep.tau()}")
+e1 = rep.tl("E", 1)
+print(f"\nOperators are (A + sqrt({lam})*B)/d with integer A, B and d; E_1 has d = {e1.d}")
+print(f"and {len(e1.A)} + {len(e1.B)} nonzero entries in A and B; tau = lam/(1+lam)^2 = {rep.tau()}")
 
 base = verify_relation_suite(5, lam, rep)
 print(f"relation suite at N=5: {len(base.checks)} checks, ok = {base.ok}")

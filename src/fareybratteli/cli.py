@@ -8,6 +8,7 @@ for fixed flags.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -19,6 +20,16 @@ def _fraction(text: str) -> Fraction:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
 
 
@@ -96,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel.add_argument("--json", action="store_true", help="dump the full report as JSON")
 
     p_zeta = sub.add_parser("zeta", help="truncated totient Dirichlet series")
-    p_zeta.add_argument("--s", type=float, required=True)
+    p_zeta.add_argument("--s", type=_finite_float, required=True)
     p_zeta.add_argument("--qmax", type=int, required=True)
 
     return parser

@@ -326,8 +326,11 @@ def partition_function(s: float, qmax: int) -> float:
     """Truncated Dirichlet series sum_{q=1}^{qmax} phi(q) * q**(-s).
 
     Converges to zeta(s-1)/zeta(s) for s > 2; the truncation tail is
-    O(qmax**(2-s)) since phi(q) <= q.  Rejects s <= 2 (divergent).
+    O(qmax**(2-s)) since phi(q) <= q.  Rejects s <= 2 (divergent) and
+    non-finite s.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     if s <= 2:
         raise ValueError("series diverges for s <= 2")
     if qmax < 1:

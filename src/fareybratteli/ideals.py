@@ -438,7 +438,14 @@ def levelset_to_json(ls: LevelSet) -> str:
 
 def levelset_from_json(text: str) -> LevelSet:
     payload = json.loads(text)
-    ls = LevelSet(payload["depth"], tuple(tuple(idx) for idx in payload["retained"]))
+    if not isinstance(payload, dict):
+        raise ValueError("a level set must be a JSON object")
+    try:
+        ls = LevelSet(payload["depth"], tuple(tuple(idx) for idx in payload["retained"]))
+    except KeyError as exc:
+        raise ValueError(f"a level set needs the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed level set: {exc}") from None
     if "labels" in payload:
         want = [[str(x) for x in floor] for floor in ls.labels()]
         if payload["labels"] != want:

@@ -8,11 +8,17 @@ rerouting the head of a path, so operators are sparse matrices indexed by
 path pairs with a common endpoint; every operator built here stays inside
 those endpoint blocks and the block sizes reproduce the tree denominators.
 
-Scalars live in Q(sqrt(lam)) for a fixed positive rational lam, stored as
-exact pairs a + b*sqrt(lam); every identity verified in this module is
-decided exactly, with no tolerances.  For square lam the pair arithmetic is
-the formal quotient ring, and collapsing b into a via the rational root is
-provided as a consistency check.
+Scalars live in Q(sqrt(lam)) for a fixed positive rational lam = p/q.  An
+operator is stored in split integer form (A + x*B)/d: x = sqrt(lam) stays
+formal, A and B are sparse matrices of plain ints and d is one positive
+common denominator, kept canonical so that equality is dict equality.
+Products are integer sparse matmuls; x*x = p/q is folded in by the integer
+factors p and q, and the B terms are skipped when both factors are
+rational, as every generator is.  Every identity verified in this module
+is decided exactly, with no tolerances.  Scalars appear only at the
+boundary (entries, witnesses, traces), as the text ``a+b*sqrt(lam)``.  For
+square lam the pair arithmetic is still the formal quotient ring, and
+``embed_root`` folds B into A via the rational root as a consistency check.
 
 The three suite runners return machine-readable reports:
 
@@ -40,13 +46,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, Iterable
 
 __all__ = [
     "Check",
     "PathContext",
-    "QuadScalar",
     "Report",
     "Representation",
     "SparseOperator",
@@ -121,85 +126,37 @@ def sqrt_fraction(x: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class QuadScalar:
-    """a + b*sqrt(lam) with exact rational components."""
-
-    a: Fraction
-    b: Fraction
-    lam: Fraction
-
-    @staticmethod
-    def of(value, lam: Fraction) -> "QuadScalar":
-        return QuadScalar(Fraction(value), Fraction(0), lam)
-
-    @staticmethod
-    def root(lam: Fraction, scale=1) -> "QuadScalar":
-        """scale * sqrt(lam)."""
-        return QuadScalar(Fraction(0), Fraction(scale), lam)
-
-    def _match(self, other: "QuadScalar") -> None:
-        if self.lam != other.lam:
-            raise ValueError(f"mixed scalar rings: sqrt({self.lam}) vs sqrt({other.lam})")
-
-    def __add__(self, other: "QuadScalar") -> "QuadScalar":
-        self._match(other)
-        return QuadScalar(self.a + other.a, self.b + other.b, self.lam)
-
-    def __sub__(self, other: "QuadScalar") -> "QuadScalar":
-        self._match(other)
-        return QuadScalar(self.a - other.a, self.b - other.b, self.lam)
-
-    def __neg__(self) -> "QuadScalar":
-        return QuadScalar(-self.a, -self.b, self.lam)
-
-    def __mul__(self, other: "QuadScalar") -> "QuadScalar":
-        self._match(other)
-        if not self.b:
-            if not other.b:  # both rational: one multiply instead of five
-                return QuadScalar(self.a * other.a, self.b, self.lam)
-            return QuadScalar(self.a * other.a, self.a * other.b, self.lam)
-        if not other.b:
-            return QuadScalar(self.a * other.a, self.b * other.a, self.lam)
-        return QuadScalar(
-            self.a * other.a + self.b * other.b * self.lam,
-            self.a * other.b + self.b * other.a,
-            self.lam,
-        )
-
-    def conjugate(self) -> "QuadScalar":
-        return QuadScalar(self.a, -self.b, self.lam)
-
-    def inverse(self) -> "QuadScalar":
-        norm = self.a * self.a - self.b * self.b * self.lam
-        if norm == 0:
-            raise ZeroDivisionError(f"{self} is not invertible in the pair ring")
-        return QuadScalar(self.a / norm, -self.b / norm, self.lam)
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
-    def __str__(self) -> str:
-        return f"{self.a}+{self.b}*sqrt({self.lam})"
+Entries = dict[tuple[int, int], int]
 
 
 class SparseOperator:
     """Sparse matrix over Q(sqrt(lam)) indexed by floor-N paths.
 
-    Entries couple only paths with the same endpoint; this block structure
-    is asserted whenever entries are created.
+    The value is (A + x*B) / d with x = sqrt(lam) kept formal: ``A`` and
+    ``B`` map (i, j) to nonzero ints and ``d`` is a positive int.  The form
+    is canonical (no zero entries, gcd(d, every entry) == 1), so equal
+    operators have equal fields.  Entries couple only paths with the same
+    endpoint; this block structure is checked whenever an operator is built.
     """
 
-    __slots__ = ("ctx", "lam", "entries")
+    __slots__ = ("ctx", "lam", "A", "B", "d")
 
-    def __init__(self, ctx: PathContext, lam: Fraction, entries: dict[tuple[int, int], QuadScalar]):
-        self.ctx = ctx
-        self.lam = lam
-        self.entries = {key: val for key, val in entries.items() if val}
+    def __init__(self, ctx: PathContext, lam: Fraction, A: Entries, B: Entries | None = None, d: int = 1):
+        if d <= 0:
+            raise ValueError(f"denominator must be positive, got {d}")
+        A = {key: val for key, val in A.items() if val}
+        B = {key: val for key, val in B.items() if val} if B else {}
+        g = gcd(d, *A.values(), *B.values())
+        if g != 1:
+            d //= g
+            A = {key: val // g for key, val in A.items()}
+            B = {key: val // g for key, val in B.items()}
         endpoint = ctx.endpoint
-        for i, j in self.entries:
-            if endpoint[i] != endpoint[j]:
-                raise ValueError(f"entry ({i}, {j}) leaves the endpoint blocks")
+        for part in (A, B):
+            for i, j in part:
+                if endpoint[i] != endpoint[j]:
+                    raise ValueError(f"entry ({i}, {j}) leaves the endpoint blocks")
+        self.ctx, self.lam, self.A, self.B, self.d = ctx, lam, A, B, d
 
     # -- constructors ------------------------------------------------------
 
@@ -209,13 +166,11 @@ class SparseOperator:
 
     @staticmethod
     def identity(ctx: PathContext, lam: Fraction) -> "SparseOperator":
-        one = QuadScalar.of(1, lam)
-        return SparseOperator(ctx, lam, {(i, i): one for i in range(ctx.dim)})
+        return SparseOperator(ctx, lam, {(i, i): 1 for i in range(ctx.dim)})
 
     @staticmethod
     def diagonal(ctx: PathContext, lam: Fraction, keep: Callable[[Path], bool]) -> "SparseOperator":
-        one = QuadScalar.of(1, lam)
-        return SparseOperator(ctx, lam, {(i, i): one for i, p in enumerate(ctx.paths) if keep(p)})
+        return SparseOperator(ctx, lam, {(i, i): 1 for i, p in enumerate(ctx.paths) if keep(p)})
 
     # -- ring operations ----------------------------------------------------
 
@@ -223,132 +178,190 @@ class SparseOperator:
         if self.ctx is not other.ctx or self.lam != other.lam:
             raise ValueError("operators live in different representations")
 
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
+    def _combine(self, other: "SparseOperator", sign: int) -> "SparseOperator":
+        """self + sign*other over the least common denominator."""
         self._match(other)
-        out = dict(self.entries)
-        for key, val in other.entries.items():
-            cur = out.get(key)
-            out[key] = val if cur is None else cur + val
-        return SparseOperator(self.ctx, self.lam, out)
+        g = gcd(self.d, other.d)
+        mine, theirs = other.d // g, sign * (self.d // g)
+        parts = []
+        for left, right in ((self.A, other.A), (self.B, other.B)):
+            out = dict(left) if mine == 1 else {key: mine * val for key, val in left.items()}
+            for key, val in right.items():
+                out[key] = out.get(key, 0) + theirs * val
+            parts.append(out)
+        return SparseOperator(self.ctx, self.lam, parts[0], parts[1], self.d * mine)
+
+    def __add__(self, other: "SparseOperator") -> "SparseOperator":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "SparseOperator":
-        return SparseOperator(self.ctx, self.lam, {k: -v for k, v in self.entries.items()})
+        return self.scale(-1)
 
     def __mul__(self, other: "SparseOperator") -> "SparseOperator":
         self._match(other)
-        rows_of_other: dict[int, list[tuple[int, QuadScalar]]] = {}
-        for (j, k), val in other.entries.items():
-            rows_of_other.setdefault(j, []).append((k, val))
-        out: dict[tuple[int, int], QuadScalar] = {}
-        for (i, j), a in self.entries.items():
-            hits = rows_of_other.get(j)
-            if not hits:
-                continue
-            for k, b in hits:
-                key = (i, k)
-                prod = a * b
-                cur = out.get(key)
-                out[key] = prod if cur is None else cur + prod
-        return SparseOperator(self.ctx, self.lam, out)
+        d = self.d * other.d
+        if not (self.B or other.B):
+            return SparseOperator(self.ctx, self.lam, _matmul({}, self.A, other.A, 1), None, d)
+        # (A1 + x B1)(A2 + x B2) = A1 A2 + (p/q) B1 B2 + x (A1 B2 + B1 A2), lam = p/q
+        p, q = self.lam.numerator, self.lam.denominator
+        A = _matmul(_matmul({}, self.A, other.A, q), self.B, other.B, p)
+        B = _matmul(_matmul({}, self.A, other.B, q), self.B, other.A, q)
+        return SparseOperator(self.ctx, self.lam, A, B, d * q)
 
-    def scale(self, value) -> "SparseOperator":
-        s = value if isinstance(value, QuadScalar) else QuadScalar.of(value, self.lam)
-        return SparseOperator(self.ctx, self.lam, {k: s * v for k, v in self.entries.items()})
+    def scale(self, value, root: bool = False) -> "SparseOperator":
+        """Multiply by a rational value, or by value*sqrt(lam) when ``root``."""
+        c = Fraction(value)
+        n, m = c.numerator, c.denominator
+        if not root:
+            A = {key: n * val for key, val in self.A.items()}
+            B = {key: n * val for key, val in self.B.items()}
+            return SparseOperator(self.ctx, self.lam, A, B, self.d * m)
+        # x (A + x B) = (p/q) B + x A
+        p, q = self.lam.numerator, self.lam.denominator
+        A = {key: n * p * val for key, val in self.B.items()}
+        B = {key: n * q * val for key, val in self.A.items()}
+        return SparseOperator(self.ctx, self.lam, A, B, self.d * m * q)
 
     def adjoint(self) -> "SparseOperator":
         # entries lie in Q(sqrt(lam)) inside the reals, so * is plain
         # transposition; the Galois map sqrt(lam) -> -sqrt(lam) plays no role
-        return SparseOperator(self.ctx, self.lam, {(j, i): v for (i, j), v in self.entries.items()})
+        A = {(j, i): val for (i, j), val in self.A.items()}
+        B = {(j, i): val for (i, j), val in self.B.items()}
+        return SparseOperator(self.ctx, self.lam, A, B, self.d)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SparseOperator)
             and self.ctx is other.ctx
             and self.lam == other.lam
-            and self.entries == other.entries
+            and self.d == other.d
+            and self.A == other.A
+            and self.B == other.B
         )
 
     def __hash__(self) -> int:  # operators are de-facto immutable
-        return hash((id(self.ctx), self.lam, frozenset(self.entries.items())))
+        return hash((id(self.ctx), self.lam, self.d, frozenset(self.A.items()), frozenset(self.B.items())))
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not (self.A or self.B)
 
     def is_projection(self) -> bool:
         return self == self.adjoint() and self * self == self
 
-    def commutes_with(self, other: "SparseOperator") -> bool:
-        return (self * other - other * self).is_zero()
+    # -- scalars at the boundary -------------------------------------------
 
-    def trace(self) -> QuadScalar:
-        total = QuadScalar.of(0, self.lam)
-        for (i, j), v in self.entries.items():
-            if i == j:
-                total = total + v
-        return total
+    def _text(self, a: int, b: int) -> str:
+        return f"{Fraction(a, self.d)}+{Fraction(b, self.d)}*sqrt({self.lam})"
+
+    def support(self) -> set[tuple[int, int]]:
+        return self.A.keys() | self.B.keys()
+
+    @property
+    def entries(self) -> dict[tuple[int, int], str]:
+        """Nonzero entries as exact text ``a+b*sqrt(lam)``."""
+        return {key: self._text(self.A.get(key, 0), self.B.get(key, 0)) for key in self.support()}
+
+    def trace(self) -> str:
+        a = sum(val for (i, j), val in self.A.items() if i == j)
+        b = sum(val for (i, j), val in self.B.items() if i == j)
+        return self._text(a, b)
+
+    def witness(self) -> dict | None:
+        """Row, column and value of the least nonzero entry, or None."""
+        if self.is_zero():
+            return None
+        row, col = min(self.support())
+        return {"row": row, "col": col, "value": self._text(self.A.get((row, col), 0), self.B.get((row, col), 0))}
 
     def first_entry_of_difference(self, other: "SparseOperator") -> dict | None:
-        diff = self - other
-        if diff.is_zero():
-            return None
-        row, col = min(diff.entries)
-        return {"row": row, "col": col, "value": str(diff.entries[(row, col)])}
+        return None if self == other else (self - other).witness()
+
+    def with_negated_entry(self, key: tuple[int, int]) -> "SparseOperator":
+        """Copy with the entry at ``key`` negated (unchanged where it is 0)."""
+        A, B = dict(self.A), dict(self.B)
+        for part in (A, B):
+            if key in part:
+                part[key] = -part[key]
+        return SparseOperator(self.ctx, self.lam, A, B, self.d)
 
     def embed_root(self) -> "SparseOperator":
         """For square lam, fold b*sqrt(lam) into the rational component."""
         root = sqrt_fraction(self.lam)
         if root is None:
             raise ValueError(f"{self.lam} is not a perfect square")
-        out = {k: QuadScalar(v.a + v.b * root, Fraction(0), self.lam) for k, v in self.entries.items()}
-        return SparseOperator(self.ctx, self.lam, out)
+        n, m = root.numerator, root.denominator
+        A = {key: m * val for key, val in self.A.items()}
+        for key, val in self.B.items():
+            A[key] = A.get(key, 0) + n * val
+        return SparseOperator(self.ctx, self.lam, A, None, self.d * m)
 
     def rank(self) -> int:
-        """Exact rank by Gaussian elimination (rational route for square lam)."""
-        root = sqrt_fraction(self.lam)
-        if root is not None:
-            rows = [dict() for _ in range(self.ctx.dim)]
-            for (i, j), v in self.entries.items():
-                val = v.a + v.b * root
-                if val:
-                    rows[i][j] = val
-            return _rank_of_rows(rows, lambda x: 1 / x)
-        rows = [dict() for _ in range(self.ctx.dim)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return _rank_of_rows(rows, lambda x: x.inverse())
+        """Exact rank by Gaussian elimination over Q.
+
+        For square lam the root is folded in first.  Otherwise Q(sqrt(lam))
+        is a quadratic field, and the rank is half the rational rank of the
+        real form [[q A, p B], [q B, q A]] with lam = p/q."""
+        if sqrt_fraction(self.lam) is not None:
+            return _rational_rank(self.embed_root().A)
+        p, q, n = self.lam.numerator, self.lam.denominator, self.ctx.dim
+        real = {}
+        for (i, j), val in self.A.items():
+            real[(i, j)] = real[(i + n, j + n)] = q * val
+        for (i, j), val in self.B.items():
+            real[(i, j + n)] = p * val
+            real[(i + n, j)] = q * val
+        return _rational_rank(real) // 2
 
 
-def _rank_of_rows(rows: list[dict], invert) -> int:
+def _matmul(out: Entries, left: Entries, right: Entries, factor: int) -> Entries:
+    """Accumulate factor * left @ right into out and return it."""
+    if not (left and right):
+        return out
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for (j, k), val in right.items():
+        rows.setdefault(j, []).append((k, val))
+    get = out.get
+    for (i, j), a in left.items():
+        hits = rows.get(j)
+        if hits:
+            a *= factor
+            for k, b in hits:
+                key = (i, k)
+                out[key] = get(key, 0) + a * b
+    return out
+
+
+def _rational_rank(entries: Entries) -> int:
     rank = 0
-    rows = [r for r in rows if r]
-    while rows:
-        row = rows.pop()
-        if not row:
-            continue
+    rows: dict[int, dict[int, Fraction]] = {}
+    for (i, j), val in entries.items():
+        rows.setdefault(i, {})[j] = Fraction(val)
+    pending = list(rows.values())
+    while pending:
+        row = pending.pop()
         rank += 1
         pivot = min(row)
-        inv = invert(row[pivot])
+        inv = 1 / row[pivot]
         reduced = {c: inv * v for c, v in row.items()}
         remaining = []
-        for other in rows:
+        for other in pending:
             if pivot in other:
                 factor = other[pivot]
                 new = dict(other)
                 for c, v in reduced.items():
-                    cur = new.get(c)
-                    val = (cur - factor * v) if cur is not None else -factor * v
+                    val = new.get(c, 0) - factor * v
                     if val:
                         new[c] = val
-                    elif c in new:
-                        del new[c]
+                    else:
+                        new.pop(c, None)
                 if new:
                     remaining.append(new)
             else:
                 remaining.append(other)
-        rows = remaining
+        pending = remaining
     return rank
 
 
@@ -359,11 +372,10 @@ def path_matrix_unit(ctx: PathContext, lam: Fraction, head: Path, tail_head: Pat
     r = len(head) - 1
     if len(tail_head) != len(head) or head[-1] != tail_head[-1]:
         raise ValueError("matrix units need equal-floor prefixes with a common endpoint")
-    one = QuadScalar.of(1, lam)
     entries = {}
     for j, p in enumerate(ctx.paths):
         if p[: r + 1] == tail_head:
-            entries[(ctx.index[head + p[r + 1 :]], j)] = one
+            entries[(ctx.index[head + p[r + 1 :]], j)] = 1
     return SparseOperator(ctx, lam, entries)
 
 
@@ -407,13 +419,12 @@ class Representation:
         """Diamond flip at floor n: sources sit on the straight edge with the
         floor-(n+1) coordinate at 4*xi_{n-1} + sign; targets move xi_n to
         2*xi_{n-1} + sign.  sign +1 builds v_n, sign -1 builds w_n."""
-        one = QuadScalar.of(1, self.lam)
         entries = {}
         for j, p in enumerate(self.ctx.paths):
             base = _xi(p, n - 1)
             if p[n] == 2 * base and p[n + 1] == 4 * base + sign:
                 target = p[:n] + (2 * base + sign,) + p[n + 1 :]
-                entries[(self.ctx.index[target], j)] = one
+                entries[(self.ctx.index[target], j)] = 1
         return SparseOperator(self.ctx, self.lam, entries)
 
     # -- access --------------------------------------------------------------
@@ -440,12 +451,11 @@ class Representation:
         key = (kind, n)
         if key not in self._tl:
             u = self.gen("v" if kind == "E" else "w", n)
-            root = QuadScalar.root(self.lam, Fraction(1, 1 + self.lam))
             unit = Fraction(1, 1 + self.lam)
             self._tl[key] = (
                 (u.adjoint() * u).scale(unit)
-                + u.scale(root)
-                + u.adjoint().scale(root)
+                + u.scale(unit, root=True)
+                + u.adjoint().scale(unit, root=True)
                 + (u * u.adjoint()).scale(unit * self.lam)
             )
         return self._tl[key]
@@ -457,11 +467,9 @@ class Representation:
         mutated._gens = dict(self._gens)
         mutated._tl = {}
         victim = self.gen(kind, n)
-        if entry not in victim.entries:
+        if entry not in victim.support():
             raise ValueError(f"{kind}_{n} has no entry at {entry}")
-        new_entries = dict(victim.entries)
-        new_entries[entry] = -new_entries[entry]
-        mutated._gens[(kind, n)] = SparseOperator(self.ctx, self.lam, new_entries)
+        mutated._gens[(kind, n)] = victim.with_negated_entry(entry)
         return mutated
 
 
@@ -507,10 +515,8 @@ class Check:
 
     @staticmethod
     def vanishes(equation: str, indices: dict, op: SparseOperator) -> "Check":
-        if op.is_zero():
-            return Check(equation, indices, "pass")
-        row, col = min(op.entries)
-        return Check(equation, indices, "fail", {"row": row, "col": col, "value": str(op.entries[(row, col)])})
+        witness = op.witness()
+        return Check(equation, indices, "pass" if witness is None else "fail", witness)
 
     @staticmethod
     def nonzero(equation: str, indices: dict, op: SparseOperator) -> "Check":
@@ -747,7 +753,11 @@ def yang_baxter_check(floor: int, lam=Fraction(1), pairs: Iterable[tuple] | None
     with three distinct values per axis decides the operator identity (a
     nonzero bivariate polynomial of per-variable degree 2 cannot vanish on
     such a grid).  The default grid is {0, 1, 2} x {0, 1, 2}.
+
+    Needs floor >= 2 so that a pair v_n, v_n+1 exists.
     """
+    if floor < 2:
+        raise ValueError("the Yang-Baxter check needs floor >= 2")
     rep = rep or _representation(floor, Fraction(lam))
     if pairs is None:
         pairs = [(s, t) for s in (0, 1, 2) for t in (0, 1, 2)]
@@ -867,10 +877,9 @@ def verify_braiding_suite(floor: int, lam, rep: Representation | None = None) ->
     for n in range(rep.floor - 1):
         v_lo, v_hi = rep.gen("v", n), rep.gen("v", n + 1)
         e_lo, e_hi = rep.tl("E", n), rep.tl("E", n + 1)
-        root = QuadScalar.root(lam, unit)
-        left_factor = v_lo.adjoint() * v_lo + v_lo.scale(QuadScalar.root(lam))
-        right_factor = v_hi + (v_hi * v_hi.adjoint()).scale(QuadScalar.root(lam))
-        add(Check.equality("6.15", {"n": n}, e_lo * e_hi, (left_factor * right_factor).scale(root)))
+        left_factor = v_lo.adjoint() * v_lo + v_lo.scale(1, root=True)
+        right_factor = v_hi + (v_hi * v_hi.adjoint()).scale(1, root=True)
+        add(Check.equality("6.15", {"n": n}, e_lo * e_hi, (left_factor * right_factor).scale(unit, root=True)))
         add(Check.equality("6.16", {"n": n}, e_hi * e_lo, (e_lo * e_hi).adjoint()))
 
     # dominance: tau E_n - E_n E_m E_n is tau times an exact projection
@@ -907,7 +916,7 @@ def random_sign_mutation(rep: Representation, rng: random.Random) -> tuple[Repre
     kinds += [("v", n) for n in range(rep.floor)]
     kinds += [("w", n) for n in range(1, rep.floor)]
     kind, n = kinds[rng.randrange(len(kinds))]
-    entries = sorted(rep.gen(kind, n).entries)
+    entries = sorted(rep.gen(kind, n).support())
     entry = entries[rng.randrange(len(entries))]
     info = {"kind": kind, "n": n, "row": entry[0], "col": entry[1]}
     return rep.with_sign_flip(kind, n, entry), info

@@ -241,12 +241,19 @@ def candidate_from_json(text: str) -> TraceCandidate:
     """Accepts {"kind":"geometric","ratio":"1/4"} or
     {"kind":"table","entries":[[n,k,"p/q"],...],"default":"0"}."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("a trace candidate must be a JSON object")
     kind = payload.get("kind")
-    if kind == "geometric":
-        return geometric_candidate(Fraction(payload["ratio"]))
-    if kind == "table":
-        entries = {(int(n), int(k)): Fraction(value) for n, k, value in payload.get("entries", [])}
-        return table_candidate(entries, Fraction(payload.get("default", "0")))
+    try:
+        if kind == "geometric":
+            return geometric_candidate(Fraction(payload["ratio"]))
+        if kind == "table":
+            entries = {(int(n), int(k)): Fraction(value) for n, k, value in payload.get("entries", [])}
+            return table_candidate(entries, Fraction(payload.get("default", "0")))
+    except KeyError as exc:
+        raise ValueError(f"{kind} trace candidate needs the key {exc}") from None
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed {kind} trace candidate: {exc}") from None
     raise ValueError(f"unknown candidate kind {kind!r}")
 
 

@@ -144,3 +144,40 @@ def test_out_of_range_arguments_are_usage_errors(capsys):
     assert code == 2 and "too large" in err
     code, _, err = run(capsys, "trace", "check", "--spec", "/nonexistent.json", "--depth", "5")
     assert code == 2
+
+
+def test_yang_baxter_below_floor_2_is_usage_error(capsys):
+    for floor in ("0", "1"):
+        code, out, err = run(capsys, "relations", "--floor", floor, "--suite", "yb")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "floor >= 2" in err
+    code, out, _ = run(capsys, "relations", "--floor", "2", "--suite", "yb")
+    assert (code, out.strip()) == (0, "6.4: 9/9 pass")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{"kind": "geometric"}', "needs the key 'ratio'"),
+        ('{"kind": "geometric", "ratio": [1, 4]}', "malformed geometric"),
+        ('{"kind": "table", "entries": [[0, 1]]}', "malformed table"),
+        ('{"kind": "table", "entries": 5}', "malformed table"),
+        ('{"kind": "table", "default": "1/0"}', "malformed table"),
+        ('["geometric"]', "JSON object"),
+        ("{", "Expecting"),
+    ],
+)
+def test_trace_check_malformed_spec_is_usage_error(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    code, out, err = run(capsys, "trace", "check", "--spec", str(path), "--depth", "5")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "three"])
+def test_zeta_rejects_non_finite_s(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--s", value, "--qmax", "10"])
+    assert exc.value.code == 2
+    assert "--s" in capsys.readouterr().err

@@ -307,6 +307,12 @@ def test_partition_function_single_term():
     assert partition_function(4, 1) == 1.0
 
 
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf")])
+def test_partition_function_rejects_non_finite_s(s):
+    with pytest.raises(ValueError, match="finite"):
+        partition_function(s, 10)
+
+
 def test_partition_function_matches_zeta_ratio():
     want = zeta_series(2, 10000) / zeta_series(3, 10000)
     got = partition_function(3, 10**5)

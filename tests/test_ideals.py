@@ -448,3 +448,19 @@ def test_dot_export():
     assert '"v0_0" -> "v1_0"' in dot
     with pytest.raises(ValueError):
         levelset_to_dot(quotient_levels(IdealSpec(F(1, 3)), 11))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"retained": [[0, 1]]}', "needs the key 'depth'"),
+        ('{"depth": 0}', "needs the key 'retained'"),
+        ('{"depth": 0, "retained": 7}', "malformed level set"),
+        ('{"depth": 0, "retained": [3]}', "malformed level set"),
+        ('{"depth": "0", "retained": [[0, 1]]}', "malformed level set"),
+        ("[0]", "JSON object"),
+    ],
+)
+def test_json_rejects_missing_or_ill_typed_keys(text, message):
+    with pytest.raises(ValueError, match=message):
+        levelset_from_json(text)

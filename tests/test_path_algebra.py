@@ -6,11 +6,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from quad_reference import QuadScalar, ReferenceOperator
 
+from fareybratteli import path_algebra
 from fareybratteli.core import row
 from fareybratteli.path_algebra import (
     PathContext,
-    QuadScalar,
     Representation,
     SparseOperator,
     enumerate_paths,
@@ -92,13 +95,109 @@ def test_sqrt_fraction():
 
 
 # ---------------------------------------------------------------------------
+# split integer operators against the QuadScalar reference
+
+
+ORACLE_LAMBDAS = (F(1), F(1, 4), F(2), F(9), F(2, 3))
+SMALL_LAMBDAS = ORACLE_LAMBDAS + (F(4), F(1, 2))
+
+
+def reference_reports(monkeypatch, floor, lam, mutant_seeds):
+    """Suite reports for the representation and its seeded sign-flip
+    mutants, once with the integer operators and once with
+    ``ReferenceOperator`` patched in for ``SparseOperator``."""
+
+    def reports():
+        rep = Representation(floor, lam)
+        out = [run_all_suites(floor, lam, rep).to_json()]
+        for seed in mutant_seeds:
+            mutated, info = random_sign_mutation(rep, random.Random(seed))
+            out.append((info, run_all_suites(floor, lam, mutated).to_json()))
+        return out
+
+    fast = reports()
+    with monkeypatch.context() as patch:
+        patch.setattr(path_algebra, "SparseOperator", ReferenceOperator)
+        slow = reports()
+    return fast, slow
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMBDAS, ids=str)
+def test_suites_match_quad_reference_at_floor_4_with_mutants(monkeypatch, lam):
+    # seeds 2, 5 and 6 flip a diagonal entry of e_2, a caught entry of w_2
+    # and an invisible entry of w_1: failing checks, with their witness
+    # strings, are compared as well as passing ones
+    fast, slow = reference_reports(monkeypatch, 4, lam, (2, 5, 6))
+    assert fast == slow
+    assert ['"witness"' in text for _, text in fast[1:]] == [True, True, False]
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMBDAS, ids=str)
+def test_suites_match_quad_reference_at_floor_5(monkeypatch, lam):
+    fast, slow = reference_reports(monkeypatch, 5, lam, ())
+    assert fast == slow
+
+
+def block_operator_data(ctx):
+    keys = [(i, j) for i in range(ctx.dim) for j in range(ctx.dim) if ctx.endpoint[i] == ctx.endpoint[j]]
+    part = st.dictionaries(st.sampled_from(keys), st.integers(-4, 4), max_size=10)
+    return st.tuples(part, part, st.integers(1, 6))
+
+
+SMALL_CTX = path_context(2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lam=st.sampled_from(SMALL_LAMBDAS),
+    x=block_operator_data(SMALL_CTX),
+    y=block_operator_data(SMALL_CTX),
+    c=st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    root=st.booleans(),
+    k=st.integers(2, 5),
+)
+def test_split_operator_arithmetic_matches_quad_reference(lam, x, y, c, root, k):
+    fx, fy = SparseOperator(SMALL_CTX, lam, *x), SparseOperator(SMALL_CTX, lam, *y)
+    rx, ry = ReferenceOperator(SMALL_CTX, lam, *x), ReferenceOperator(SMALL_CTX, lam, *y)
+    pairs = [
+        (fx, rx),
+        (fx + fy, rx + ry),
+        (fx - fy, rx - ry),
+        (fx * fy, rx * ry),
+        (-fx, -rx),
+        (fx.scale(c, root), rx.scale(c, root)),
+        (fx.adjoint(), rx.adjoint()),
+    ]
+    for fast, slow in pairs:
+        assert fast.entries == slow.entries
+        assert fast.is_zero() == slow.is_zero()
+    assert (fx == fy) == (rx == ry)
+    assert fx.first_entry_of_difference(fy) == rx.first_entry_of_difference(ry)
+    # canonical form: the same value written over k*d is the same operator
+    A, B, d = x
+    scaled = SparseOperator(SMALL_CTX, lam, {key: k * v for key, v in A.items()}, {key: k * v for key, v in B.items()}, k * d)
+    assert scaled == fx and hash(scaled) == hash(fx)
+    assert (fx - scaled).is_zero()
+
+
+def test_scalars_only_appear_as_text_at_the_boundary():
+    rep = Representation(3, F(2))
+    e1 = rep.tl("E", 1)
+    assert e1.B and all(type(v) is int for v in (*e1.A.values(), *e1.B.values(), e1.d))
+    entry = min(e1.support())
+    assert e1.witness() == {"row": entry[0], "col": entry[1], "value": e1.entries[entry]}
+    with pytest.raises(ValueError):
+        SparseOperator(rep.ctx, rep.lam, {}, None, 0)
+
+
+# ---------------------------------------------------------------------------
 # generators
 
 
 def test_diagonal_generator_examples():
     # f0 selects paths through the right floor-0 vertex; 5 of 10 at floor 2
     f0 = generator("f", 0, 2)
-    assert f0.trace() == QuadScalar.of(5, ONE)
+    assert f0.trace() == "5+0*sqrt(1)"
     for n in range(1, 3):
         total = generator("e", n, 2) + generator("f", n, 2) + generator("g", n, 2)
         assert total == SparseOperator.identity(path_context(2), ONE)
@@ -117,7 +216,8 @@ def test_v0_swaps_the_single_diamond_at_floor_1():
     ctx = path_context(1)
     src = ctx.index[(0, 1)]
     dst = ctx.index[(1, 1)]
-    assert v0.entries == {(dst, src): QuadScalar.of(1, ONE)}
+    assert v0.entries == {(dst, src): "1+0*sqrt(1)"}
+    assert (v0.A, v0.B, v0.d) == ({(dst, src): 1}, {}, 1)
 
 
 def test_flip_supports():
@@ -136,9 +236,11 @@ def test_block_structure_enforced():
     ctx = path_context(1)
     lam = ONE
     # (0,0) ends at 0 while (1,1) ends at 1: entry leaves the blocks
-    bad = {(ctx.index[(0, 0)], ctx.index[(1, 1)]): QuadScalar.of(1, lam)}
+    bad = {(ctx.index[(0, 0)], ctx.index[(1, 1)]): 1}
     with pytest.raises(ValueError):
         SparseOperator(ctx, lam, bad)
+    with pytest.raises(ValueError):
+        SparseOperator(ctx, lam, {}, bad)
 
 
 def test_block_sizes_match_denominators():
@@ -194,6 +296,12 @@ def test_tl_projection_rank_matches_support():
     # non-square field constant goes through the quadratic elimination
     e0_irr = tl_projection("E", 0, 2, F(2))
     assert e0_irr.rank() == 3
+    # a projection's rank is its trace, for square and non-square lam alike
+    for lam in (F(2), F(2, 3), F(9)):
+        rep = Representation(3, lam)
+        for kind, n in (("E", 0), ("E", 2), ("F", 1)):
+            p = rep.tl(kind, n)
+            assert p.trace() == f"{p.rank()}+0*sqrt({lam})"
 
 
 def test_lambda_must_be_positive():
@@ -208,7 +316,8 @@ def test_square_lambda_embeds_into_rationals():
         rep = Representation(3, lam)
         e1 = rep.tl("E", 1)
         embedded = e1.embed_root()
-        assert all(v.b == 0 for v in embedded.entries.values())
+        assert e1.B and not embedded.B
+        assert all(v.endswith(f"+0*sqrt({lam})") for v in embedded.entries.values())
         assert embedded * embedded == embedded
         v1, w1 = rep.gen("v", 1), rep.gen("w", 1)
         assert (v1 * w1.adjoint()).embed_root() == v1.embed_root() * w1.adjoint().embed_root()
