@@ -114,13 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_row(args) -> int:
-    values = core.row(args.floor)
+    nums, dens = core.row_ints(args.floor)
     if args.numerators:
-        print(" ".join(str(x.numerator) for x in values))
+        print(" ".join(map(str, nums)))
     elif args.denominators:
-        print(" ".join(str(x.denominator) for x in values))
+        print(" ".join(map(str, dens)))
     else:
-        print(" ".join(str(x) for x in values))
+        labels = list(map("{}/{}".format, nums, dens))
+        # only the endpoints 0/1 and 1/1 have denominator 1; print them as str(Fraction) does
+        labels[0], labels[-1] = "0", "1"
+        print(" ".join(labels))
     return 0
 
 
@@ -207,14 +210,14 @@ def _cmd_trace(args) -> int:
 
 def _cmd_paths(args) -> int:
     ctx = path_algebra.path_context(args.floor)
-    expected = core.row(args.floor)
+    _, block_sizes = core.row_ints(args.floor)
     print(f"total {ctx.dim}")
     failed = ctx.dim != 3**args.floor + 1
     counts: dict[int, int] = {}
     for endpoint in ctx.endpoint:
         counts[endpoint] = counts.get(endpoint, 0) + 1
     for k in range(2**args.floor + 1):
-        got, want = counts.get(k, 0), expected[k].denominator
+        got, want = counts.get(k, 0), block_sizes[k]
         marker = "" if got == want else "  MISMATCH"
         failed = failed or got != want
         print(f"endpoint {k}: {got} paths (block size {want}){marker}")

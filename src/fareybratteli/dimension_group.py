@@ -107,6 +107,8 @@ class SymLaurent:
 
 RHO = SymLaurent({-1: 1, 0: 1, 1: 1})
 
+MAX_LIFT_LEVEL = 20  # a level-n vector holds 2**n coefficients
+
 
 @lru_cache(maxsize=None)
 def rho_n(n: int) -> SymLaurent:
@@ -150,9 +152,11 @@ def beta_step(p: LevelPoly) -> LevelPoly:
 
 
 def beta_lift(p: LevelPoly, n: int) -> LevelPoly:
-    """Iterate beta_step until level n."""
+    """Iterate beta_step until level n (at most MAX_LIFT_LEVEL)."""
     if n < p.level:
         raise ValueError(f"cannot lift level {p.level} down to {n}")
+    if n > MAX_LIFT_LEVEL:
+        raise ValueError(f"a level-{n} vector holds 2**{n} coefficients; lifts are guarded at level {MAX_LIFT_LEVEL}")
     out = p
     for _ in range(n - p.level):
         out = beta_step(out)

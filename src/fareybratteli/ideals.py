@@ -20,8 +20,9 @@ shifted pairs or collapse onto their middle child.
 
 Comparisons of an irrational stream against rationals use exact convergent
 intervals only; no floating point anywhere.  Level sets are immutable and
-every function here is pure (a CFStream memoises the digits it has read,
-but never rewrites them), so concurrent use is safe.
+every function here is pure, except that a CFStream pulls digits from its
+iterator and memoises them: a stream is not safe to share between threads
+(a generator advanced from two threads raises).
 """
 
 from __future__ import annotations
@@ -348,7 +349,8 @@ def parents_of(x: Fraction) -> ParentPair:
     p_left = (p * p_bar - 1) // q
     left = Fraction(p_left, q_left)
     right = Fraction(p - p_left, q - q_left)
-    assert mediant(left, right) == x
+    if mediant(left, right) != x:
+        raise RuntimeError(f"parents {left} and {right} of {x} do not have it as their mediant")
     return ParentPair(left, right)
 
 

@@ -14,6 +14,13 @@ optional exact tail oracle for the mass beyond a floor; without the oracle
 only the truncated necessary condition can be checked and the report says
 so.  Candidate evaluators must be deterministic and side-effect free.
 
+``check_trace`` evaluates phi once per vertex and builds every truncated
+branch mass in one bottom-up pass from sums along the left and right move
+chains; ``neighbor_set`` lists a branch set explicitly and is what the
+table candidates' tails use.  Vertices are located from their labels by
+``core.vertex_of_label``, which works on integer numerators and
+denominators.
+
 From a valid weight the full family of diagram values alpha is rebuilt
 floor by floor: odd indices read phi, even indices subtract the adjacent
 odd values from the vertex one floor up.  All arithmetic is exact.
@@ -24,9 +31,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional
 
-from .core import CF, cf_decode, cf_encode, cf_normalize, label
+from .core import CF, cf_decode, cf_encode, cf_normalize, label, vertex_of_label
 
 __all__ = [
     "STAR",
@@ -130,13 +138,7 @@ def vertex_of_cf(terms: CF) -> Vertex:
     t = cf_normalize(terms)
     if not t:
         return STAR
-    x = cf_decode(t)
-    n = sum(t) - 1
-    from .core import question_mark
-
-    k = question_mark(x) * 2**n
-    assert k.denominator == 1 and k.numerator % 2 == 1
-    return (n, k.numerator)
+    return vertex_of_label(cf_decode(t))
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +201,28 @@ def zero_candidate() -> TraceCandidate:
 
 
 def geometric_candidate(ratio: Fraction) -> TraceCandidate:
-    """phi(n, k) = ratio**(n+1), with closed-form geometric tails."""
+    """phi(n, k) = ratio**(n+1), with closed-form geometric tails.
+
+    Each candidate memoises the powers and tails of the floors asked for,
+    so a check computes each once; any floor can be asked for.
+    """
     if not 0 < ratio < 1:
         raise ValueError("ratio must lie in (0, 1)")
 
+    @cache
+    def power(e: int) -> Fraction:
+        return ratio**e
+
+    @cache
+    def branch_tail(start: int, per_floor: int) -> Fraction:
+        return per_floor * power(start + 2) / (1 - ratio)
+
     def phi(v: Vertex) -> Fraction:
-        return Fraction(1) if v == STAR else ratio ** (v[0] + 1)
+        return Fraction(1) if v == STAR else power(v[0] + 1)
 
     def tail(v: Vertex, depth: int) -> Fraction:
         # branch members sit one per floor (STAR, (0,1)) or two per floor
-        start = max(depth, v[0])
-        per_floor = 1 if v in (STAR, (0, 1)) else 2
-        return per_floor * ratio ** (start + 2) / (1 - ratio)
+        return branch_tail(max(depth, v[0]), 1 if v in (STAR, (0, 1)) else 2)
 
     return TraceCandidate(phi, tail)
 
@@ -231,6 +243,8 @@ def table_candidate(entries: dict[Vertex, Fraction], default: Fraction = Fractio
         return TraceCandidate(phi, None)
 
     def tail(v: Vertex, depth: int) -> Fraction:
+        if depth >= max_floor:
+            return Fraction(0)
         rest = [w for w in neighbor_set(v, max_floor) if w[0] > depth]
         return sum((phi(w) for w in rest), Fraction(0))
 
@@ -275,24 +289,58 @@ def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
     With a tail oracle the branch mass is exact and the verdict definitive;
     otherwise only the truncated sum is compared and a pass means merely
     "no violation visible at this depth".
+
+    One bottom-up pass: phi is evaluated once on every vertex of floors
+    <= depth, and the chain sums L(v) = phi(v) + L(left(v)) and
+    R(v) = phi(v) + R(right(v)) give the truncated branch masses
+    mass(v) = R(left(v)) + L(right(v)); at STAR the mass is L((0, 1)), at
+    (0, 1) it is R((1, 1)).  Exact zeros are never added.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must lie in 1..{MAX_DEPTH}")
-    if candidate.phi(STAR) != 1:
+    root = candidate.phi(STAR)
+    if root != 1:
         raise ValueError("a trace candidate must have weight exactly 1 at the root")
+    # per floor n >= 1, position j holds the odd vertex (n, 2j + 1); floor 0 holds (0, 1)
+    values = [[candidate.phi((n, k)) for k in range(1, 2**n + 1, 2)] for n in range(depth + 1)]
+    masses: list[list[Fraction]] = [[] for _ in range(depth)]
+    lefts = rights = values[depth]  # chain sums L and R of the floor below
+    for n in range(depth - 1, 0, -1):
+        here = values[n]
+        masses[n] = [_add(rights[2 * j], lefts[2 * j + 1]) for j in range(len(here))]
+        lefts = [_add(x, lefts[2 * j]) for j, x in enumerate(here)]
+        rights = [_add(x, rights[2 * j + 1]) for j, x in enumerate(here)]
+    masses[0] = [rights[0]]  # (0, 1) has no right move
+    star_mass = _add(values[0][0], lefts[0])  # L((0, 1))
+
     rows = []
     first: Vertex | None = None
-    for v in tree_vertices(depth - 1):
-        value = candidate.phi(v)
+    for v, value, mass in _rows(root, star_mass, values, masses):
         if value < 0:
             raise ValueError(f"negative weight at {v}")
-        mass = sum((candidate.phi(w) for w in neighbor_set(v, depth)), Fraction(0))
         if candidate.tail is not None:
-            mass += candidate.tail(v, depth)
+            mass = _add(mass, candidate.tail(v, depth))
         rows.append((v, value, mass))
         if value < mass and first is None:
             first = v
     return TraceReport(first is None, candidate.tail is not None, first, tuple(rows))
+
+
+def _add(x: Fraction, y: Fraction) -> Fraction:
+    """x + y, without the Fraction arithmetic when either is zero."""
+    if not x:
+        return y
+    if not y:
+        return x
+    return x + y
+
+
+def _rows(root: Fraction, star_mass: Fraction, values, masses):
+    """(vertex, phi, truncated mass) in ``tree_vertices`` order."""
+    yield STAR, root, star_mass
+    for n, (here, mass) in enumerate(zip(values, masses)):
+        for j, (value, m) in enumerate(zip(here, mass)):
+            yield (n, 2 * j + 1), value, m
 
 
 def alpha_from_phi(candidate: TraceCandidate, depth: int) -> dict[Vertex, Fraction]:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fareybratteli import core, dimension_group
 from fareybratteli.cli import main
 
 
@@ -181,3 +182,22 @@ def test_zeta_rejects_non_finite_s(capsys, value):
         main(["zeta", "--s", value, "--qmax", "10"])
     assert exc.value.code == 2
     assert "--s" in capsys.readouterr().err
+
+
+def _never_called(*args):
+    raise AssertionError("allocation reached past the size guard")
+
+
+def test_size_guards_reject_before_allocating(capsys, monkeypatch):
+    monkeypatch.setattr(dimension_group, "beta_step", _never_called)
+    monkeypatch.setattr(core, "totient_sieve", _never_called)
+    monkeypatch.setattr(core, "_refine", _never_called)
+    for argv, message in [
+        (["k0", "lift", "0:1", "--to", str(dimension_group.MAX_LIFT_LEVEL + 1)], "guarded at level"),
+        (["k0", "lift", "0:1", "--to", "1000000"], "guarded at level"),
+        (["zeta", "--s", "3", "--qmax", str(core.MAX_ZETA_QMAX + 1)], "qmax must lie in"),
+        (["row", "--floor", str(core.MAX_ROW_FLOOR + 1)], "too large"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and message in err

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tree_reference
+from fareybratteli import core
 from fareybratteli.core import (
     MAT_A,
     MAT_B,
@@ -28,9 +30,11 @@ from fareybratteli.core import (
     question_mark,
     question_mark_inv,
     row,
+    row_ints,
     totient_fiber,
     totient_sieve,
     verify_matrix_words,
+    vertex_of_label,
     vertex_to_matrix,
 )
 
@@ -113,6 +117,41 @@ def test_label_matches_rows():
     for n in range(9):
         for k, x in enumerate(row(n)):
             assert label(n, k) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 80).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n))))
+def test_label_matches_fraction_walk(vertex):
+    assert label(*vertex) == tree_reference.label(*vertex)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 12))
+def test_row_matches_fraction_mediants(n):
+    expected = tree_reference.row(n)
+    assert row(n) == expected
+    assert row_ints(n) == ([x.numerator for x in expected], [x.denominator for x in expected])
+
+
+def test_vertex_of_label_inverts_label_on_odd_vertices():
+    for n in range(11):
+        for k in range(1, 2**n + 1, 2):
+            assert vertex_of_label(label(n, k)) == (n, k)
+
+
+@pytest.mark.parametrize("x", [F(0), F(-1, 2), F(3, 2), F(2)])
+def test_vertex_of_label_rejects_values_outside_the_odd_labels(x):
+    with pytest.raises(ValueError, match="outside"):
+        vertex_of_label(x)
+
+
+def test_vertex_of_label_mismatch_is_an_exception(monkeypatch):
+    # a real exception, not an assert that python -O would drop
+    monkeypatch.setattr(core, "label", lambda n, k: F(0))
+    with pytest.raises(RuntimeError, match="first appearance"):
+        vertex_of_label(F(2, 5))
+    with pytest.raises(RuntimeError):
+        totient_fiber(5)
 
 
 def test_label_errors():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fareybratteli import ideals
 from fareybratteli.core import cf_convergents, height, label
 from fareybratteli.ideals import (
     CFStream,
@@ -343,6 +344,13 @@ def test_parents_examples():
     assert (pair.left, pair.right) == (F(2, 5), F(1, 2))
     with pytest.raises(ValueError):
         parents_of(F(0))
+
+
+def test_parents_mismatch_is_an_exception(monkeypatch):
+    # a real exception, not an assert that python -O would drop
+    monkeypatch.setattr(ideals, "mediant", lambda x, y: F(0))
+    with pytest.raises(RuntimeError, match="mediant"):
+        parents_of(F(2, 5))
 
 
 def test_parents_heights_drop():

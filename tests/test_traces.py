@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import tree_reference
 from fareybratteli.core import cf_decode, cf_encode, height, label
 from fareybratteli.traces import (
     STAR,
+    TraceCandidate,
     alpha_from_phi,
     candidate_from_json,
     cf_of_vertex,
@@ -143,6 +145,44 @@ def test_geometric_half_is_rejected_at_the_first_two_branch_vertex():
         if v in (STAR, (0, 1)):
             continue
         assert mass == 2 * value
+
+
+def _table(ratio, zeroed=None):
+    entries = {(n, k): ratio ** (n + 1) for n in range(6) for k in range(1, 2**n + 1, 2)}
+    entries.pop(zeroed, None)
+    return table_candidate(entries, F(0))
+
+
+ONE_PASS_CANDIDATES = {
+    **{f"geometric {r}": geometric_candidate(r) for r in (F(1, 4), F(3, 10), F(1, 3), F(2, 5), F(3, 7))},
+    "table valid": _table(F(1, 4)),
+    "table zeroed": _table(F(2, 7), zeroed=(2, 1)),
+    "zero": zero_candidate(),
+    "no tail": TraceCandidate(geometric_candidate(F(1, 5)).phi, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PASS_CANDIDATES))
+def test_one_pass_check_matches_branch_set_sums(name):
+    candidate = ONE_PASS_CANDIDATES[name]
+    for depth in range(1, 11):
+        assert check_trace(candidate, depth) == tree_reference.check_trace(candidate, depth), depth
+
+
+def test_check_trace_calls_phi_once_per_vertex():
+    calls = []
+    geometric = geometric_candidate(F(1, 4))
+    counted = TraceCandidate(lambda v: calls.append(v) or geometric.phi(v), geometric.tail)
+    check_trace(counted, 6)
+    assert sorted(calls) == sorted(tree_vertices(6))
+
+
+def test_geometric_phi_answers_any_floor():
+    candidate = geometric_candidate(F(2, 7))
+    for n in (200, 3, 0, 57, 3):
+        assert candidate.phi((n, 1)) == F(2, 7) ** (n + 1)
+    assert candidate.tail((1, 1), 300) == 2 * F(2, 7) ** 302 / (1 - F(2, 7))
+    assert candidate.tail(STAR, 4) == F(2, 7) ** 6 / (1 - F(2, 7))
 
 
 def test_check_trace_requires_unit_root():
