@@ -36,7 +36,7 @@ base = verify_relation_suite(5, lam, rep)
 print(f"relation suite at N=5: {len(base.checks)} checks, ok = {base.ok}")
 
 yb = yang_baxter_check(5, lam, rep=rep)
-print(f"Yang-Baxter grid (degree-2 polynomial identity, so the 3x3 grid is a proof): ok = {yb.ok}")
+print(f"Yang-Baxter (LHS - RHS = st(a^2 - b^2) + st(s+t)(aba - bab), both coefficients checked): ok = {yb.ok}")
 
 braid = verify_braiding_suite(5, lam, rep)
 print(f"braiding suite (projections, triples, dominance): {len(braid.checks)} checks, ok = {braid.ok}")

@@ -8,6 +8,7 @@ for fixed flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -111,6 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeta.add_argument("--qmax", type=int, required=True)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused for the rest
+    of the process; parsing leaves no state on it."""
+    return build_parser()
 
 
 def _cmd_row(args) -> int:
@@ -249,7 +257,7 @@ def _cmd_relations(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "row":

@@ -28,6 +28,7 @@ iterator and memoises them: a stream is not safe to share between threads
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -263,14 +264,31 @@ def is_directed(ls: LevelSet) -> bool:
     on every floor strictly below the horizon.
     """
     for n in range(ls.depth):
-        here = set(ls.retained[n])
-        next_floor = set(ls.retained[n + 1])
-        for k in range(2**n + 1):
-            if k in here:
-                continue
-            if all(c in next_floor for c in children(n, k)):
+        below = ls.retained[n + 1]
+        last = 2**n
+        for k in _omitted(ls.retained[n], 0, len(ls.retained[n]), 0, last + 1):
+            # children 2k-1, 2k, 2k+1, clipped to the floor 0..2**(n+1)
+            if _has(below, 2 * k) and (k == 0 or _has(below, 2 * k - 1)) and (k == last or _has(below, 2 * k + 1)):
                 return False
     return True
+
+
+def _omitted(kept: tuple[int, ...], lo: int, hi: int, start: int, stop: int) -> list[int]:
+    """The values of range(start, stop) missing from the sorted kept[lo:hi],
+    which lies inside that range.  A slice as long as its range misses
+    nothing, so only the gaps are visited: O(gaps * log(len(kept)))."""
+    if hi - lo == stop - start:
+        return []
+    if lo == hi:
+        return list(range(start, stop))
+    mid = (lo + hi) // 2
+    pivot = kept[mid]
+    return _omitted(kept, lo, mid, start, pivot) + _omitted(kept, mid + 1, hi, pivot + 1, stop)
+
+
+def _has(kept: tuple[int, ...], k: int) -> bool:
+    i = bisect_left(kept, k)
+    return i < len(kept) and kept[i] == k
 
 
 # ---------------------------------------------------------------------------

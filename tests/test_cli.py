@@ -1,11 +1,16 @@
 """Command-line surface: flags, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fareybratteli import core, dimension_group
-from fareybratteli.cli import main
+import fareybratteli
+from fareybratteli import cli, core, dimension_group
+from fareybratteli.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -201,3 +206,40 @@ def test_size_guards_reject_before_allocating(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and message in err
+
+
+def fresh_python(*args):
+    """Run a new interpreter on the package: (exit code, stdout, stderr)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(fareybratteli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    sequence = [
+        ["ideal", "--theta", "2/5", "--depth", "3", "--format", "dot", "--variant", "plus"],
+        ["ideal", "--theta", "1/3", "--depth", "4"],
+        ["relations", "--floor", "4", "--lambda", "2", "--suite", "yb", "--json"],
+        ["row"],
+        ["row", "--floor", "3", "--numerators"],
+        ["row", "--floor", "3"],
+    ]
+    try:
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == fresh_python("-m", "fareybratteli.cli", *argv), argv
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_importing_the_cli_builds_no_parser():
+    code, out, _ = fresh_python("-c", "import fareybratteli.cli as c; print(c._parser.cache_info().currsize)")
+    assert (code, out.strip()) == (0, "0")

@@ -4,7 +4,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tree_reference
 from fareybratteli import ideals
 from fareybratteli.core import cf_convergents, height, label
 from fareybratteli.ideals import (
@@ -472,3 +475,23 @@ def test_dot_export():
 def test_json_rejects_missing_or_ill_typed_keys(text, message):
     with pytest.raises(ValueError, match=message):
         levelset_from_json(text)
+
+
+@st.composite
+def level_sets(draw):
+    """Random level sets to depth 8: each floor keeps a few indices or all
+    but a few, so omitted vertices with fully retained children occur."""
+    depth = draw(st.integers(0, 8))
+    floors = []
+    for n in range(depth + 1):
+        picked = draw(st.sets(st.integers(0, 2**n), max_size=8))
+        if draw(st.booleans()):
+            picked = set(range(2**n + 1)) - picked
+        floors.append(tuple(sorted(picked)))
+    return LevelSet(depth, tuple(floors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_sets())
+def test_is_directed_matches_reference(ls):
+    assert is_directed(ls) == tree_reference.is_directed(ls)

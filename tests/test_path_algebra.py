@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from quad_reference import QuadScalar, ReferenceOperator
+from suite_reference import patch_reference
+from suite_reference import yang_baxter_check as reference_yang_baxter_check
 
 from fareybratteli import path_algebra
 from fareybratteli.core import row
@@ -180,6 +182,24 @@ def test_split_operator_arithmetic_matches_quad_reference(lam, x, y, c, root, k)
     assert (fx - scaled).is_zero()
 
 
+def test_cached_row_index_changes_no_equality_hash_or_product():
+    rep = Representation(4, F(2))
+    e1, one = rep.tl("E", 1), rep.identity()
+    fresh = SparseOperator(rep.ctx, rep.lam, dict(e1.A), dict(e1.B), e1.d)
+    assert one * e1 == e1 and e1 * e1 == e1  # indexes e1 as a right factor
+    assert e1._row_index is not None and fresh._row_index is None
+    assert e1 == fresh and hash(e1) == hash(fresh)
+    flipped = e1.with_negated_entry(min(e1.support()))
+    assert flipped._row_index is None
+    rebuilt = SparseOperator(rep.ctx, rep.lam, dict(flipped.A), dict(flipped.B), flipped.d)
+    assert one * flipped == flipped == rebuilt and hash(flipped) == hash(rebuilt)
+    assert e1 * flipped == e1 * rebuilt != e1
+    # the original keeps its own index and products
+    assert one * e1 == e1 and e1 * e1 == e1 and e1 != flipped
+    for derived in (e1.scale(3), e1.scale(1, root=True), e1 + fresh, e1.adjoint()):
+        assert derived._row_index is None
+
+
 def test_scalars_only_appear_as_text_at_the_boundary():
     rep = Representation(3, F(2))
     e1 = rep.tl("E", 1)
@@ -332,6 +352,61 @@ def test_square_lambda_embeds_into_rationals():
 def test_relation_suite_passes():
     report = verify_relation_suite(5, F(1))
     assert report.ok, report.failures()[:5]
+
+
+# ---------------------------------------------------------------------------
+# work-cutting steps of the suites against their slow references
+
+
+def reports_with_reference(monkeypatch, floor, lam, reps):
+    """Suite reports for each representation, once as the suites run and
+    once with ``suite_reference`` patched in."""
+
+    def reports():
+        return [run_all_suites(floor, lam, rep).to_json() for rep in reps]
+
+    fast = reports()
+    with monkeypatch.context() as patch:
+        patch_reference(patch)
+        slow = reports()
+    return fast, slow
+
+
+def test_every_isometry_flip_at_floor_4_matches_suite_reference(monkeypatch):
+    lam = F(2)
+    rep = Representation(4, lam)
+    mutants = [rep]
+    for kind, n in [("v", n) for n in range(4)] + [("w", n) for n in range(1, 4)]:
+        mutants += [rep.with_sign_flip(kind, n, entry) for entry in sorted(rep.gen(kind, n).support())]
+    fast, slow = reports_with_reference(monkeypatch, 4, lam, mutants)
+    assert fast == slow
+    assert len(fast) == 82 and any('"fail"' in text for text in fast)
+
+
+@pytest.mark.parametrize("lam", (F(1, 4), F(2), F(2, 3)), ids=str)
+def test_seeded_mutants_at_floor_5_match_suite_reference(monkeypatch, lam):
+    rep = Representation(5, lam)
+    mutants = [random_sign_mutation(rep, random.Random(seed))[0] for seed in range(10)]
+    fast, slow = reports_with_reference(monkeypatch, 5, lam, mutants)
+    assert fast == slow
+    assert any('"witness"' in text for text in fast)
+
+
+def test_yang_baxter_expansion_matches_grid_for_custom_pairs():
+    rep = Representation(5, F(2, 3))
+    pairs = [(F(1, 2), -3), (0, 5), (-1, 1), (F(7, 3), F(-2, 5)), ("3/4", 2)]
+    mutated = random_sign_mutation(rep, random.Random(3))[0]
+    # sign flips keep a^2 and aba - bab zero; with E_1, E_2 in place of
+    # v_1, v_2 neither coefficient vanishes and 6.4 fails at n = 0, 1, 2
+    broken = rep.with_sign_flip("v", 1, min(rep.gen("v", 1).support()))
+    broken._gens[("v", 1)], broken._gens[("v", 2)] = rep.tl("E", 1), rep.tl("E", 2)
+    for subject in (rep, mutated, broken):
+        fast = yang_baxter_check(5, F(2, 3), pairs=pairs, rep=subject)
+        slow = reference_yang_baxter_check(5, F(2, 3), pairs=pairs, rep=subject)
+        assert fast.to_json() == slow.to_json()
+    assert fast.failures() and all(c.witness for c in fast.failures())
+    # points with s*t == 0 pass whatever the generators are
+    assert all(c.status == "pass" for c in fast.checks if c.indices["s"] == "0")
 
 
 def test_suites_need_enough_floors():

@@ -2,8 +2,9 @@
 
 ``label`` walks the Stern-Brocot interval with a ``Fraction`` mediant per
 floor, ``row`` builds each floor from the previous one with ``Fraction``
-mediants, and ``check_trace`` sums phi over the explicit branch set of
-every vertex.  The fast integer walks and the one-pass checker in the
+mediants, ``check_trace`` sums phi over the explicit branch set of every
+vertex, and ``is_directed`` asks ``children`` for every omitted vertex.  The
+fast integer walks, the one-pass checker and the inline closure test in the
 package must agree with them exactly.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from fareybratteli.ideals import LevelSet, children
 from fareybratteli.traces import MAX_DEPTH, STAR, TraceCandidate, TraceReport, neighbor_set, tree_vertices
 
 
@@ -62,3 +64,15 @@ def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
         if value < mass and first is None:
             first = v
     return TraceReport(first is None, candidate.tail is not None, first, tuple(rows))
+
+
+def is_directed(ls: LevelSet) -> bool:
+    for n in range(ls.depth):
+        here = set(ls.retained[n])
+        next_floor = set(ls.retained[n + 1])
+        for k in range(2**n + 1):
+            if k in here:
+                continue
+            if all(c in next_floor for c in children(n, k)):
+                return False
+    return True
