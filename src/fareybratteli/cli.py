@@ -194,6 +194,8 @@ def _cmd_k0(args) -> int:
     if args.operation == "lift":
         print(_poly_text(dimension_group.beta_lift(args.poly, args.to)))
         return 0
+    if not 0 <= args.max_level <= dimension_group.MAX_UNIT_LEVEL:
+        raise ValueError(f"--max-level must lie in 0..{dimension_group.MAX_UNIT_LEVEL}")
     failed = False
     for n in range(args.max_level + 1):
         ok = dimension_group.verify_unit_decomposition(n)

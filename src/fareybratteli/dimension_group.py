@@ -54,8 +54,10 @@ class LevelPoly:
     def __post_init__(self) -> None:
         if self.level < 0:
             raise ValueError("level must be >= 0")
-        if len(self.coeffs) != 2**self.level:
-            raise ValueError(f"level {self.level} needs exactly {2**self.level} coefficients")
+        # compared through the bit length, so a huge level never builds 2**level
+        size = len(self.coeffs)
+        if size & (size - 1) or size.bit_length() - 1 != self.level:
+            raise ValueError(f"level {self.level} needs exactly 2**{self.level} coefficients")
 
 
 class SymLaurent:
@@ -108,6 +110,7 @@ class SymLaurent:
 RHO = SymLaurent({-1: 1, 0: 1, 1: 1})
 
 MAX_LIFT_LEVEL = 20  # a level-n vector holds 2**n coefficients
+MAX_UNIT_LEVEL = 14  # rho_n has 2**(n+1) - 1 terms and q_prime_row(n) 2**n entries
 
 
 @lru_cache(maxsize=None)
@@ -115,8 +118,8 @@ def rho_n(n: int) -> SymLaurent:
     """Product of rho(X**(2**k)) over 0 <= k < n; rho_0 is the constant 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > 14:
-        raise ValueError("rho_n materialises 2**(n+1) - 1 terms; guarded at n <= 14")
+    if n > MAX_UNIT_LEVEL:
+        raise ValueError(f"rho_n materialises 2**(n+1) - 1 terms; guarded at n <= {MAX_UNIT_LEVEL}")
     if n == 0:
         return SymLaurent({0: 1})
     return rho_n(n - 1) * RHO.substitute_power(2 ** (n - 1))
@@ -195,8 +198,8 @@ def q_prime_row(n: int) -> tuple[int, ...]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > 14:
-        raise ValueError("row materialisation guarded at n <= 14")
+    if n > MAX_UNIT_LEVEL:
+        raise ValueError(f"row materialisation guarded at n <= {MAX_UNIT_LEVEL}")
     if n == 0:
         return (1,)
     prev = q_prime_row(n - 1)

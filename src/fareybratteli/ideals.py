@@ -14,7 +14,10 @@ quotient diagram for a given target value theta:
 The ideal side is the floorwise complement.  Ideal sides of a diagram are
 characterised by two finite checks: every child of a retained vertex is
 retained (hereditary), and a vertex all of whose children are retained is
-itself retained (directed).  Quotient sides are characterised by the
+itself retained (directed).  Both checks walk only the gaps of each
+floor, found by bisection in the sorted retained indices: an omitted vertex
+may have no retained parent, and may not have all of its children
+retained.  Quotient sides are characterised by the
 admissibility automaton: singletons double, pairs move to one of the two
 shifted pairs or collapse onto their middle child.
 
@@ -247,11 +250,16 @@ def ideal_levels(spec: IdealSpec, depth: int) -> LevelSet:
 
 
 def is_hereditary(ls: LevelSet) -> bool:
-    """Every child (within depth) of a retained vertex is retained."""
+    """Every child (within depth) of a retained vertex is retained.
+
+    Checked from below, on the gaps only: an omitted index j of floor n+1
+    must have no retained parent, where the parents are j // 2 and, for odd
+    j, also (j + 1) // 2.
+    """
     for n in range(ls.depth):
-        next_floor = set(ls.retained[n + 1])
-        for k in ls.retained[n]:
-            if any(c not in next_floor for c in children(n, k)):
+        kept, below = ls.retained[n], ls.retained[n + 1]
+        for j in _omitted(below, 0, len(below), 0, 2 ** (n + 1) + 1):
+            if _has(kept, j >> 1) or (j & 1 and _has(kept, (j + 1) >> 1)):
                 return False
     return True
 

@@ -15,13 +15,14 @@ common denominator, kept canonical so that equality is dict equality.
 Products are integer sparse matmuls; x*x = p/q is folded in by the integer
 factors p and q, and the B terms are skipped when both factors are
 rational, as every generator is.  An operator keeps the row index of its A
-and B parts once it has been a right factor, so the generators and E/F
-projections that every suite multiplies by are indexed once.  Every
-identity verified in this module is decided exactly, with no tolerances.
-Scalars appear only at the boundary (entries, witnesses, traces), as the
-text ``a+b*sqrt(lam)``.  For square lam the pair arithmetic is still the
-formal quotient ring, and ``embed_root`` folds B into A via the rational
-root as a consistency check.
+and B parts once it has been a right factor, and its adjoint once it has
+been asked for (linked both ways, weakly back), so the generators and E/F
+projections that every suite multiplies by and transposes are indexed
+once.  Every identity verified in this module is decided exactly, with no
+tolerances.  Scalars appear only at the boundary (entries, witnesses,
+traces), as the text ``a+b*sqrt(lam)``.  For square lam the pair
+arithmetic is still the formal quotient ring, and ``embed_root`` folds B
+into A via the rational root as a consistency check.
 
 The three suite runners return machine-readable reports:
 
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import json
 import random
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -147,7 +149,7 @@ class SparseOperator:
     endpoint; this block structure is checked whenever an operator is built.
     """
 
-    __slots__ = ("ctx", "lam", "A", "B", "d", "_row_index")
+    __slots__ = ("ctx", "lam", "A", "B", "d", "_row_index", "_adjoint", "__weakref__")
 
     def __init__(self, ctx: PathContext, lam: Fraction, A: Entries, B: Entries | None = None, d: int = 1):
         if d <= 0:
@@ -166,6 +168,7 @@ class SparseOperator:
                     raise ValueError(f"entry ({i}, {j}) leaves the endpoint blocks")
         self.ctx, self.lam, self.A, self.B, self.d = ctx, lam, A, B, d
         self._row_index: tuple[Rows, Rows] | None = None
+        self._adjoint: SparseOperator | weakref.ref | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -243,11 +246,24 @@ class SparseOperator:
         return SparseOperator(self.ctx, self.lam, A, B, self.d * m * q)
 
     def adjoint(self) -> "SparseOperator":
+        """The transpose, built on first use and linked both ways, so
+        ``op.adjoint().adjoint() is op`` while op lives; equality and
+        hashing never look at the link, and every operator built from this
+        one starts without."""
         # entries lie in Q(sqrt(lam)) inside the reals, so * is plain
         # transposition; the Galois map sqrt(lam) -> -sqrt(lam) plays no role
-        A = {(j, i): val for (i, j), val in self.A.items()}
-        B = {(j, i): val for (i, j), val in self.B.items()}
-        return SparseOperator(self.ctx, self.lam, A, B, self.d)
+        star = self._adjoint
+        if type(star) is weakref.ref:
+            star = star()
+        if star is None:
+            A = {(j, i): val for (i, j), val in self.A.items()}
+            B = {(j, i): val for (i, j), val in self.B.items()}
+            star = SparseOperator(self.ctx, self.lam, A, B, self.d)
+            # the link back is weak: a strong pair is a reference cycle, which
+            # only the cyclic collector frees, and temporaries' pairs piled up
+            # to 2.4 MB more peak RSS over the suites at floors 4-6
+            star._adjoint, self._adjoint = weakref.ref(self), star
+        return star
 
     def __eq__(self, other: object) -> bool:
         return (

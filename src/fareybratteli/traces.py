@@ -17,13 +17,19 @@ so.  Candidate evaluators must be deterministic and side-effect free.
 ``check_trace`` evaluates phi once per vertex and builds every truncated
 branch mass in one bottom-up pass from sums along the left and right move
 chains; ``neighbor_set`` lists a branch set explicitly and is what the
-table candidates' tails use.  Vertices are located from their labels by
-``core.vertex_of_label``, which works on integer numerators and
-denominators.
+table candidates' tails use.  The chain sums run on (numerator,
+denominator) int pairs: two pairs combine over the lcm of their
+denominators, in one ``math.lcm`` call and without reduction, each
+reported mass becomes one ``Fraction``, and phi is compared with its mass
+by cross-multiplication.  No common denominator is shared across vertices,
+so a table of many distinct denominators costs what a geometric one does.
+Vertices are located from their labels by ``core.vertex_of_label``, which
+works on integer numerators and denominators.
 
 From a valid weight the full family of diagram values alpha is rebuilt
 floor by floor: odd indices read phi, even indices subtract the adjacent
-odd values from the vertex one floor up.  All arithmetic is exact.
+odd values from the vertex one floor up, as int pairs over one lcm, read
+back from the ``Fraction`` values already stored.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import Callable, Optional
 
 from .core import CF, cf_decode, cf_encode, cf_normalize, label, vertex_of_label
@@ -61,6 +68,8 @@ Vertex = tuple[int, int]
 STAR: Vertex = (-1, 0)
 
 MAX_DEPTH = 20
+
+_ZERO = Fraction(0)
 
 
 def _check_tree_vertex(v: Vertex) -> None:
@@ -244,7 +253,7 @@ def table_candidate(entries: dict[Vertex, Fraction], default: Fraction = Fractio
 
     def tail(v: Vertex, depth: int) -> Fraction:
         if depth >= max_floor:
-            return Fraction(0)
+            return _ZERO
         rest = [w for w in neighbor_set(v, max_floor) if w[0] > depth]
         return sum((phi(w) for w in rest), Fraction(0))
 
@@ -294,7 +303,8 @@ def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
     <= depth, and the chain sums L(v) = phi(v) + L(left(v)) and
     R(v) = phi(v) + R(right(v)) give the truncated branch masses
     mass(v) = R(left(v)) + L(right(v)); at STAR the mass is L((0, 1)), at
-    (0, 1) it is R((1, 1)).  Exact zeros are never added.
+    (0, 1) it is R((1, 1)).  The sums run on (numerator, denominator) int
+    pairs (see ``_add``); each reported mass becomes one ``Fraction``.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must lie in 1..{MAX_DEPTH}")
@@ -303,39 +313,48 @@ def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
         raise ValueError("a trace candidate must have weight exactly 1 at the root")
     # per floor n >= 1, position j holds the odd vertex (n, 2j + 1); floor 0 holds (0, 1)
     values = [[candidate.phi((n, k)) for k in range(1, 2**n + 1, 2)] for n in range(depth + 1)]
-    masses: list[list[Fraction]] = [[] for _ in range(depth)]
-    lefts = rights = values[depth]  # chain sums L and R of the floor below
+    pairs = [[(x.numerator, x.denominator) for x in here] for here in values]
+    masses: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
+    lefts = rights = pairs[depth]  # chain sums L and R of the floor below
     for n in range(depth - 1, 0, -1):
-        here = values[n]
-        masses[n] = [_add(rights[2 * j], lefts[2 * j + 1]) for j in range(len(here))]
-        lefts = [_add(x, lefts[2 * j]) for j, x in enumerate(here)]
-        rights = [_add(x, rights[2 * j + 1]) for j, x in enumerate(here)]
+        here = pairs[n]
+        masses[n] = list(map(_add, rights[0::2], lefts[1::2]))
+        lefts = list(map(_add, here, lefts[0::2]))
+        rights = list(map(_add, here, rights[1::2]))
     masses[0] = [rights[0]]  # (0, 1) has no right move
-    star_mass = _add(values[0][0], lefts[0])  # L((0, 1))
+    star_mass = _add(pairs[0][0], lefts[0])  # L((0, 1))
 
     rows = []
     first: Vertex | None = None
-    for v, value, mass in _rows(root, star_mass, values, masses):
-        if value < 0:
+    for v, value, (num, den) in _rows(root, star_mass, values, masses):
+        if value.numerator < 0:
             raise ValueError(f"negative weight at {v}")
         if candidate.tail is not None:
-            mass = _add(mass, candidate.tail(v, depth))
-        rows.append((v, value, mass))
-        if value < mass and first is None:
+            rest = candidate.tail(v, depth)
+            num, den = _add((num, den), (rest.numerator, rest.denominator))
+        rows.append((v, value, Fraction(num, den) if num else _ZERO))  # zero masses share one Fraction
+        # value < mass, cross-multiplied over the positive denominators
+        if first is None and value.numerator * den < num * value.denominator:
             first = v
     return TraceReport(first is None, candidate.tail is not None, first, tuple(rows))
 
 
-def _add(x: Fraction, y: Fraction) -> Fraction:
-    """x + y, without the Fraction arithmetic when either is zero."""
-    if not x:
+def _add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """Sum of two (numerator, denominator) pairs over the lcm of the
+    denominators, unreduced; an exact zero is never added."""
+    xn, xd = x
+    yn, yd = y
+    if not xn:
         return y
-    if not y:
+    if not yn:
         return x
-    return x + y
+    if xd == yd:
+        return xn + yn, xd
+    d = lcm(xd, yd)
+    return xn * (d // xd) + yn * (d // yd), d
 
 
-def _rows(root: Fraction, star_mass: Fraction, values, masses):
+def _rows(root: Fraction, star_mass: tuple[int, int], values, masses):
     """(vertex, phi, truncated mass) in ``tree_vertices`` order."""
     yield STAR, root, star_mass
     for n, (here, mass) in enumerate(zip(values, masses)):
@@ -347,9 +366,11 @@ def alpha_from_phi(candidate: TraceCandidate, depth: int) -> dict[Vertex, Fracti
     """Rebuild the diagram weights on every vertex down to the given floor.
 
     Odd indices read phi; the even index 2m at floor n+1 receives the value
-    at (n, m) minus its adjacent odd values one floor down.  The result
-    satisfies the three-term recursion exactly by construction; a negative
-    value (reported with its vertex) means the candidate is not a trace.
+    at (n, m) minus its adjacent odd values one floor down, subtracted as
+    (numerator, denominator) int pairs over one lcm and stored as one
+    ``Fraction``.  The result satisfies the three-term recursion exactly by
+    construction; a negative value (reported with its vertex) means the
+    candidate is not a trace.
     """
     if not 0 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must lie in 0..{MAX_DEPTH}")
@@ -358,22 +379,35 @@ def alpha_from_phi(candidate: TraceCandidate, depth: int) -> dict[Vertex, Fracti
     alpha: dict[Vertex, Fraction] = {STAR: Fraction(1)}
 
     def put(v: Vertex, value: Fraction) -> None:
-        if value < 0:
+        if value.numerator < 0:
             raise ValueError(f"negative reconstructed weight {value} at {v}")
         alpha[v] = value
 
-    if depth >= 0:
-        put((0, 1), candidate.phi((0, 1)))
-        put((0, 0), alpha[STAR] - alpha[(0, 1)])
+    put((0, 1), candidate.phi((0, 1)))
+    put((0, 0), alpha[STAR] - alpha[(0, 1)])
+    floor = [alpha[(0, 0)], alpha[(0, 1)]]  # the values of floor n by index
     for n in range(depth):
-        for k in range(1, 2 ** (n + 1) + 1, 2):
-            put((n + 1, k), candidate.phi((n + 1, k)))
-        for m in range(2**n + 1):
-            k = 2 * m
-            value = alpha[(n, m)]
-            if k > 0:
-                value -= alpha[(n + 1, k - 1)]
-            if k < 2 ** (n + 1):
-                value -= alpha[(n + 1, k + 1)]
+        top = 2 ** (n + 1)
+        odd = []
+        for k in range(1, top + 1, 2):
+            value = candidate.phi((n + 1, k))
             put((n + 1, k), value)
+            odd.append(value)
+        nxt = [None] * (top + 1)
+        nxt[1::2] = odd
+        # the even index 2m sits between odd[m - 1] and odd[m]; a missing
+        # neighbour at either end counts as the pair 0/1
+        ln, ld = 0, 1
+        for m, above in enumerate(floor):
+            if m < len(odd):
+                rn, rd = odd[m].numerator, odd[m].denominator
+            else:
+                rn, rd = 0, 1
+            an, ad = above.numerator, above.denominator
+            d = lcm(ad, ld, rd)
+            value = Fraction(an * (d // ad) - ln * (d // ld) - rn * (d // rd), d)
+            put((n + 1, 2 * m), value)
+            nxt[2 * m] = value
+            ln, ld = rn, rd
+        floor = nxt
     return alpha

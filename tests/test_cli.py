@@ -1,5 +1,7 @@
 """Command-line surface: flags, formats, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fareybratteli
 from fareybratteli import cli, core, dimension_group
@@ -83,6 +87,14 @@ def test_k0_commands(capsys):
     code, out, _ = run(capsys, "k0", "identity", "--max-level", "5")
     assert code == 0
     assert out.count("pass") == 6
+
+
+@pytest.mark.parametrize("level", ["30", "-1", str(dimension_group.MAX_UNIT_LEVEL + 1)])
+def test_k0_identity_rejects_levels_outside_the_guard_before_any_work(capsys, monkeypatch, level):
+    monkeypatch.setattr(dimension_group, "verify_unit_decomposition", _never_called)
+    code, out, err = run(capsys, "k0", "identity", "--max-level", level)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and f"0..{dimension_group.MAX_UNIT_LEVEL}" in err
 
 
 def test_gen(capsys):
@@ -243,3 +255,112 @@ def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
 def test_importing_the_cli_builds_no_parser():
     code, out, _ = fresh_python("-c", "import fareybratteli.cli as c; print(c._parser.cache_info().currsize)")
     assert (code, out.strip()) == (0, "0")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every argv gets an answer, a usage error or a failed check
+
+
+# out of range or malformed for most flags; every in-range size in the pools
+# below stays small (floors <= 4, depths <= 8, qmax <= 10**4)
+BAD = ["-1", "0", "x", "nan", "1/0", str(10**9), "", "cf:"]
+SPECS = {
+    "geometric.json": '{"kind": "geometric", "ratio": "1/4"}',
+    "half.json": '{"kind": "geometric", "ratio": "1/2"}',
+    "table.json": '{"kind": "table", "entries": [[0, 1, "1/3"], [1, 1, "1/9"]], "default": "0"}',
+    "untailed.json": '{"kind": "table", "entries": [], "default": "1/5"}',
+    "broken.json": '{"kind": "geometric", "ratio": "1/0"',
+}
+
+
+def _pool(*good):
+    return [str(value) for value in good]
+
+
+POLYS = _pool("0:1", "1:0,1", "2:0,0,0,1", "1:1,-1", "2:1,2", "1000000000:1", "1:")
+# (subcommand words, positional pools, {flag: pool, or None for a switch})
+COMMANDS = [
+    (["row"], [], {"--floor": _pool(0, 1, 2, 4), "--numerators": None, "--denominators": None}),
+    (["qmark", "eval"], [_pool("2/5", "1/3", "1", "3/2", "-1/2")], {}),
+    (["qmark", "inv"], [_pool("3/8", "1/2", "1/3", "1", "1/1024")], {}),
+    (
+        ["ideal"],
+        [],
+        {
+            "--theta": _pool("1/3", "2/5", "1", "3/2", "cf:1,2,2,1,1,2", "cf:2,2,2,2,2", "cf:1,-2"),
+            "--variant": _pool("plain", "plus", "minus"),
+            "--depth": _pool(1, 4, 8),
+            "--format": _pool("json", "dot"),
+        },
+    ),
+    (["k0", "add"], [POLYS, POLYS], {}),
+    (["k0", "pos"], [POLYS], {}),
+    (["k0", "lift"], [POLYS], {"--to": _pool(1, 2, 4)}),
+    (["k0", "identity"], [], {"--max-level": _pool(1, 4)}),
+    (["gen"], [], {"--terms": _pool(1, 8, 64)}),
+    (["trace", "check"], [], {"--spec": _pool(*SPECS, "missing.json"), "--depth": _pool(1, 4, 8)}),
+    (["paths"], [], {"--floor": _pool(1, 3, 4)}),
+    (
+        ["relations"],
+        [],
+        {
+            "--floor": _pool(2, 4),
+            "--lambda": _pool("1", "1/4", "2", "-2"),
+            "--suite": _pool("base", "yb", "braiding", "all"),
+            "--json": None,
+        },
+    ),
+    (["zeta"], [], {"--s": _pool("3", "2.5", "2", "inf"), "--qmax": _pool(1, 97, 10**4)}),
+]
+
+
+@st.composite
+def argvs(draw):
+    """An argv of one subcommand.  Half of them are clean: every positional
+    and flag given, each with a value from its own pool, which is mostly
+    valid; the rest drop flags or values and mix in the bad ones."""
+    words, positionals, flags = draw(st.sampled_from(COMMANDS))
+    clean = draw(st.booleans())
+
+    def value(pool):
+        return draw(st.sampled_from(pool if clean else pool + BAD))
+
+    argv = list(words)
+    for pool in positionals:
+        if clean or draw(st.integers(0, 3)):
+            argv.append(value(pool))
+    for flag, pool in flags.items():
+        if pool is None:
+            if draw(st.booleans()):
+                argv.append(flag)
+        elif clean or draw(st.integers(0, 7)):
+            argv.append(flag)
+            if clean or draw(st.integers(0, 7)):
+                argv.append(value(pool))
+    if not clean and not draw(st.integers(0, 7)):
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "-h"])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("specs")
+    for name, text in SPECS.items():
+        (path / name).write_text(text, encoding="utf-8")
+    return path
+
+
+@settings(max_examples=250, deadline=None)
+@given(argv=argvs())
+def test_cli_fuzz_exits_cleanly(spec_dir, argv):
+    argv = [str(spec_dir / a) if a.endswith(".json") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert err.getvalue(), argv

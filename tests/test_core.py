@@ -1,5 +1,6 @@
 """Tree labels, continued fractions, question mark, Farey map, matrix words."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -332,6 +333,27 @@ def test_totient_sieve_matches_trial_factorisation():
     sieve = totient_sieve(200)
     for q in range(1, 201):
         assert sieve[q] == euler_phi(q)
+
+
+def test_totient_sieve_matches_prime_sieve_oracle():
+    for n in range(-1, 2001):
+        assert totient_sieve(n) == tree_reference.totient_sieve(n), n
+    assert type(totient_sieve(10)) is list
+
+
+def test_totient_sieve_matches_trial_factorisation_up_to_a_million():
+    sieve = totient_sieve(10**6)
+    rng = random.Random(5)
+    for q in [10**6, 999983, 2**19, 3**12, 720720] + rng.sample(range(1, 10**6), 15):
+        assert sieve[q] == euler_phi(q), q
+
+
+@pytest.mark.parametrize("qmax", [1, 2, 997, 10**5])
+@pytest.mark.parametrize("s", [2.5, 3, 4.25])
+def test_partition_function_matches_oracle_sum_bit_for_bit(s, qmax):
+    got = partition_function(s, qmax)
+    assert type(got) is float
+    assert got == tree_reference.partition_function(s, qmax)
 
 
 def zeta_series(s: float, terms: int) -> float:

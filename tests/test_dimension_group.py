@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fareybratteli.core import row
 from fareybratteli.dimension_group import (
+    MAX_UNIT_LEVEL,
     LevelPoly,
     SymLaurent,
     add_classes,
@@ -118,6 +119,13 @@ def test_positivity_lift_invariant_random():
             assert is_positive_class(beta_lift(p, level + extra)) == verdict
 
 
+def test_unit_level_guard():
+    for build in (rho_n, q_prime_row):
+        build(MAX_UNIT_LEVEL)
+        with pytest.raises(ValueError, match=f"n <= {MAX_UNIT_LEVEL}"):
+            build(MAX_UNIT_LEVEL + 1)
+
+
 def test_q_prime_rows_match_printed_tuples():
     assert q_prime_row(3) == (1, 3, 2, 3, 1, 2, 1, 1)
     assert q_prime_row(4) == (1, 4, 3, 5, 2, 5, 3, 4, 1, 3, 2, 3, 1, 2, 1, 1)
@@ -171,6 +179,12 @@ def test_eval_phi():
 def test_level_poly_validation_and_json():
     with pytest.raises(ValueError):
         LevelPoly(1, (1,))
+    for level, coeffs in ((0, ()), (2, (1, 2, 3)), (1, (1, 2, 3, 4))):
+        with pytest.raises(ValueError, match=f"2\\*\\*{level} coefficients"):
+            LevelPoly(level, coeffs)
+    # the size is checked through bit lengths, so a huge level builds no 2**level
+    with pytest.raises(ValueError, match="2\\*\\*1000000000000 coefficients"):
+        LevelPoly(10**12, (1,))
     p = LevelPoly(2, (1, -2, 0, 3))
     assert level_poly_from_json(level_poly_to_json(p)) == p
 

@@ -495,3 +495,42 @@ def level_sets(draw):
 @given(level_sets())
 def test_is_directed_matches_reference(ls):
     assert is_directed(ls) == tree_reference.is_directed(ls)
+
+
+@st.composite
+def closed_level_sets(draw):
+    """Random level sets to depth 8 closed under children, so hereditary;
+    with one retained index then dropped from a floor below the top, the
+    result is usually not."""
+    depth = draw(st.integers(0, 8))
+    floors = [set(draw(st.sets(st.integers(0, 2**n), max_size=4))) for n in range(depth + 1)]
+    for n in range(depth):
+        floors[n + 1].update(c for k in floors[n] for c in children(n, k))
+    closed = LevelSet(depth, tuple(tuple(sorted(f)) for f in floors))
+    candidates = [(n, k) for n in range(1, depth + 1) for k in floors[n]]
+    if candidates and draw(st.booleans()):
+        n, k = draw(st.sampled_from(candidates))
+        floors[n].discard(k)
+    return closed, LevelSet(depth, tuple(tuple(sorted(f)) for f in floors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_level_sets(), level_sets())
+def test_is_hereditary_matches_reference(pair, ls):
+    closed, dropped = pair
+    assert is_hereditary(closed) and tree_reference.is_hereditary(closed)
+    assert is_hereditary(dropped) == tree_reference.is_hereditary(dropped)
+    assert is_hereditary(ls) == tree_reference.is_hereditary(ls)
+
+
+def test_is_hereditary_catches_a_dropped_child_of_each_parity():
+    side = ideal_levels(IdealSpec(stream(1, 2, 3)), 8)
+    assert is_hereditary(side)
+    # an ideal side retains 2k and 2k +- 1 below every retained k; drop one of each
+    n = 6
+    k = side.retained[n][len(side.retained[n]) // 2]
+    for child in children(n, k):
+        floors = list(side.retained)
+        floors[n + 1] = tuple(j for j in floors[n + 1] if j != child)
+        broken = LevelSet(side.depth, tuple(floors))
+        assert not is_hereditary(broken) and not tree_reference.is_hereditary(broken), child

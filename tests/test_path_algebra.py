@@ -1,7 +1,9 @@
 """Path model, generators, relation suites, and mutation sensitivity."""
 
+import gc
 import json
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -198,6 +200,36 @@ def test_cached_row_index_changes_no_equality_hash_or_product():
     assert one * e1 == e1 and e1 * e1 == e1 and e1 != flipped
     for derived in (e1.scale(3), e1.scale(1, root=True), e1 + fresh, e1.adjoint()):
         assert derived._row_index is None
+
+
+def test_cached_adjoint_is_linked_both_ways_and_changes_no_equality_hash_or_product():
+    rep = Representation(4, F(2))
+    v = rep.gen("v", 1)
+    fresh = SparseOperator(rep.ctx, rep.lam, dict(v.A), dict(v.B), v.d)
+    star = v.adjoint()
+    assert v.adjoint() is star and star.adjoint() is v
+    assert star == fresh.adjoint() and star != v
+    assert fresh._adjoint is not None and SparseOperator(rep.ctx, rep.lam, dict(v.A))._adjoint is None
+    # equality, hashing and products ignore the link
+    bare = SparseOperator(rep.ctx, rep.lam, dict(v.A), dict(v.B), v.d)
+    assert bare._adjoint is None and v == bare and hash(v) == hash(bare)
+    assert star * v == bare.adjoint() * bare and v * star == bare * bare.adjoint()
+    # every operator built from a linked one starts without a link
+    flipped = v.with_negated_entry(min(v.support()))
+    for derived in (flipped, v.scale(3), v.scale(1, root=True), v + star, v - star, v * star):
+        assert derived._adjoint is None
+    assert flipped.adjoint() != star and flipped.adjoint().adjoint() is flipped
+    # the link back is weak: a transpose does not keep its original alive
+    gc.disable()
+    try:
+        temporary = v * star
+        alive = weakref.ref(temporary)
+        kept = temporary.adjoint()
+        del temporary
+        assert alive() is None
+        assert kept.adjoint() == v * star and kept.adjoint().adjoint() is kept
+    finally:
+        gc.enable()
 
 
 def test_scalars_only_appear_as_text_at_the_boundary():

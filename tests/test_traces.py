@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 import tree_reference
-from fareybratteli.core import cf_decode, cf_encode, height, label
+from fareybratteli.core import cf_decode, cf_encode, height, label, totient_sieve
 from fareybratteli.traces import (
     STAR,
     TraceCandidate,
+    TraceReport,
     alpha_from_phi,
     candidate_from_json,
     cf_of_vertex,
@@ -153,20 +154,72 @@ def _table(ratio, zeroed=None):
     return table_candidate(entries, F(0))
 
 
+def _many_denominator_table():
+    """Floors 0..11 near the geometric 1/4 weights, each of the 4095
+    vertices with its own prime factor in the denominator."""
+    phi = totient_sieve(40000)
+    primes = iter([p for p in range(2, 40001) if phi[p] == p - 1])
+    entries = {}
+    for n in range(12):
+        for k in range(1, 2**n + 1, 2):
+            entries[(n, k)] = F(1, 4 ** (n + 1)) - F(1, next(primes) * 4 ** (n + 2))
+    return table_candidate(entries, F(0))
+
+
+def _with_negative_phi(at):
+    geometric = geometric_candidate(F(1, 4))
+    return TraceCandidate(lambda v: F(-1, 9) if v == at else geometric.phi(v), geometric.tail)
+
+
 ONE_PASS_CANDIDATES = {
-    **{f"geometric {r}": geometric_candidate(r) for r in (F(1, 4), F(3, 10), F(1, 3), F(2, 5), F(3, 7))},
+    **{f"geometric {r}": geometric_candidate(r) for r in (F(1, 4), F(2, 7), F(3, 10), F(1, 3), F(2, 5), F(3, 7))},
     "table valid": _table(F(1, 4)),
     "table zeroed": _table(F(2, 7), zeroed=(2, 1)),
+    "table many denominators": _many_denominator_table(),
     "zero": zero_candidate(),
     "no tail": TraceCandidate(geometric_candidate(F(1, 5)).phi, None),
+    "negative phi": _with_negative_phi((3, 5)),
 }
+
+
+def _outcome(fn, *args):
+    """The result, with a dict as its item list so that order counts, or
+    the message of the ValueError raised."""
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return list(result.items()) if isinstance(result, dict) else result
 
 
 @pytest.mark.parametrize("name", sorted(ONE_PASS_CANDIDATES))
 def test_one_pass_check_matches_branch_set_sums(name):
     candidate = ONE_PASS_CANDIDATES[name]
-    for depth in range(1, 11):
-        assert check_trace(candidate, depth) == tree_reference.check_trace(candidate, depth), depth
+    for depth in range(1, 13):
+        got = _outcome(check_trace, candidate, depth)
+        assert got == _outcome(tree_reference.check_trace, candidate, depth), depth
+        if isinstance(got, TraceReport):
+            assert all(type(value) is F and type(mass) is F for _, value, mass in got.rows)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PASS_CANDIDATES))
+def test_alpha_pair_kernel_matches_fraction_reference(name):
+    candidate = ONE_PASS_CANDIDATES[name]
+    for depth in range(13):
+        got = _outcome(alpha_from_phi, candidate, depth)
+        assert got == _outcome(tree_reference.alpha_from_phi, candidate, depth), depth
+        assert got[0] == "ValueError" or all(type(value) is F for _, value in got)
+
+
+def test_negative_weights_are_reported_with_their_vertex():
+    candidate = _with_negative_phi((3, 5))
+    with pytest.raises(ValueError, match=r"negative weight at \(3, 5\)"):
+        check_trace(candidate, 6)
+    with pytest.raises(ValueError, match=r"negative reconstructed weight -1/9 at \(3, 5\)"):
+        alpha_from_phi(candidate, 6)
+    # a geometric ratio above 1/3 drives an even index negative first
+    with pytest.raises(ValueError, match=r"negative reconstructed weight -99/2401 at \(3, 4\)"):
+        alpha_from_phi(geometric_candidate(F(3, 7)), 6)
 
 
 def test_check_trace_calls_phi_once_per_vertex():

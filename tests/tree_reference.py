@@ -2,10 +2,15 @@
 
 ``label`` walks the Stern-Brocot interval with a ``Fraction`` mediant per
 floor, ``row`` builds each floor from the previous one with ``Fraction``
-mediants, ``check_trace`` sums phi over the explicit branch set of every
-vertex, and ``is_directed`` asks ``children`` for every omitted vertex.  The
-fast integer walks, the one-pass checker and the inline closure test in the
-package must agree with them exactly.
+mediants, ``totient_sieve`` runs the prime sieve that subtracts phi[m] // p
+at every multiple m of every prime p (``partition_function`` sums over it
+with a generator), ``check_trace`` sums phi over the
+explicit branch set of every vertex in ``Fraction`` arithmetic,
+``alpha_from_phi`` subtracts ``Fraction`` values looked up by vertex, and
+``is_hereditary`` / ``is_directed`` ask ``children`` for every retained /
+omitted vertex.  The fast integer walks, the smallest-prime-factor sieve,
+the pair kernels of the one-pass checker and the gap walks in the package
+must agree with them exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from fareybratteli.ideals import LevelSet, children
-from fareybratteli.traces import MAX_DEPTH, STAR, TraceCandidate, TraceReport, neighbor_set, tree_vertices
+from fareybratteli.traces import MAX_DEPTH, STAR, TraceCandidate, TraceReport, Vertex, neighbor_set, tree_vertices
 
 
 def mediant(x: Fraction, y: Fraction) -> Fraction:
@@ -46,6 +51,22 @@ def row(n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def totient_sieve(qmax: int) -> list[int]:
+    phi = list(range(qmax + 1))
+    for p in range(2, qmax + 1):
+        if phi[p] == p:  # p prime
+            for m in range(p, qmax + 1, p):
+                phi[m] -= phi[m] // p
+    if qmax >= 0:
+        phi[0] = 0
+    return phi
+
+
+def partition_function(s: float, qmax: int) -> float:
+    phi = totient_sieve(qmax)
+    return sum(phi[q] * q**-s for q in range(1, qmax + 1))
+
+
 def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must lie in 1..{MAX_DEPTH}")
@@ -76,3 +97,40 @@ def is_directed(ls: LevelSet) -> bool:
             if all(c in next_floor for c in children(n, k)):
                 return False
     return True
+
+
+def is_hereditary(ls: LevelSet) -> bool:
+    for n in range(ls.depth):
+        next_floor = set(ls.retained[n + 1])
+        for k in ls.retained[n]:
+            if any(c not in next_floor for c in children(n, k)):
+                return False
+    return True
+
+
+def alpha_from_phi(candidate: TraceCandidate, depth: int) -> dict[Vertex, Fraction]:
+    if not 0 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must lie in 0..{MAX_DEPTH}")
+    if candidate.phi(STAR) != 1:
+        raise ValueError("a trace candidate must have weight exactly 1 at the root")
+    alpha: dict[Vertex, Fraction] = {STAR: Fraction(1)}
+
+    def put(v: Vertex, value: Fraction) -> None:
+        if value < 0:
+            raise ValueError(f"negative reconstructed weight {value} at {v}")
+        alpha[v] = value
+
+    put((0, 1), candidate.phi((0, 1)))
+    put((0, 0), alpha[STAR] - alpha[(0, 1)])
+    for n in range(depth):
+        for k in range(1, 2 ** (n + 1) + 1, 2):
+            put((n + 1, k), candidate.phi((n + 1, k)))
+        for m in range(2**n + 1):
+            k = 2 * m
+            value = alpha[(n, m)]
+            if k > 0:
+                value -= alpha[(n + 1, k - 1)]
+            if k < 2 ** (n + 1):
+                value -= alpha[(n + 1, k + 1)]
+            put((n + 1, k), value)
+    return alpha
