@@ -41,6 +41,10 @@ print(f"Yang-Baxter (LHS - RHS = st(a^2 - b^2) + st(s+t)(aba - bab), both coeffi
 braid = verify_braiding_suite(5, lam, rep)
 print(f"braiding suite (projections, triples, dominance): {len(braid.checks)} checks, ok = {braid.ok}")
 
+print("\nEach generator lives at its home floor (n for e/f/g_n, n+1 for v/w_n and E/F_n);")
+print("the tail embedding X -> X (x) 1 carries a floor-M identity to floor N, so each")
+print(f"check is decided at the highest home floor among its operators: {base.decided_at()}")
+
 print("\nMutation testing: a sign flip in a diagonal generator always trips (R1).")
 entry = sorted(rep.gen("g", 2).entries)[0]
 broken = rep.with_sign_flip("g", 2, entry)

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 from . import core, dimension_group, ideals, path_algebra, traces
@@ -106,6 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel.add_argument("--lambda", dest="lam", type=_fraction, default=Fraction(1))
     p_rel.add_argument("--suite", choices=("base", "yb", "braiding", "all"), default="all")
     p_rel.add_argument("--json", action="store_true", help="dump the full report as JSON")
+    p_rel.add_argument(
+        "--stats",
+        action="store_true",
+        help="write one JSON object to stderr: per section, checks, failures, seconds and checks decided per floor",
+    )
 
     p_zeta = sub.add_parser("zeta", help="truncated totient Dirichlet series")
     p_zeta.add_argument("--s", type=_finite_float, required=True)
@@ -236,14 +243,24 @@ def _cmd_paths(args) -> int:
 
 def _cmd_relations(args) -> int:
     rep = path_algebra.Representation(args.floor, args.lam)
-    if args.suite == "base":
-        report = path_algebra.verify_relation_suite(args.floor, args.lam, rep)
-    elif args.suite == "yb":
-        report = path_algebra.yang_baxter_check(args.floor, args.lam, rep=rep)
-    elif args.suite == "braiding":
-        report = path_algebra.verify_braiding_suite(args.floor, args.lam, rep)
-    else:
-        report = path_algebra.run_all_suites(args.floor, args.lam, rep)
+    sections = {
+        "base": lambda: path_algebra.verify_relation_suite(args.floor, args.lam, rep),
+        "yb": lambda: path_algebra.yang_baxter_check(args.floor, args.lam, rep=rep),
+        "braiding": lambda: path_algebra.verify_braiding_suite(args.floor, args.lam, rep),
+    }
+    report, stats = path_algebra.Report(), {}
+    for name in sections if args.suite == "all" else (args.suite,):
+        start = time.perf_counter()
+        section = sections[name]()
+        stats[name] = {
+            "checks": len(section.checks),
+            "failures": len(section.failures()),
+            "seconds": round(time.perf_counter() - start, 6),
+            "decided_at_floor": section.decided_at(),
+        }
+        report.extend(section)
+    if args.stats:
+        print(json.dumps(stats), file=sys.stderr)
     if args.json:
         print(report.to_json())
     else:

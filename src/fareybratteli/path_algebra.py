@@ -29,9 +29,10 @@ The three suite runners return machine-readable reports:
 - ``verify_relation_suite``: the idempotent family (R1), the support and
   intertwining laws of the diamond flips (R2)-(R4), the vanishing products,
   the nonzero-product whitelist, far-floor commutation, the braid
-  triples, and the partition of unity by matrix units, summed in one pass
-  over the paths.  The support laws (1 - x)y = 0 are formed as y - xy,
-  as are the dominance residues, so no product meets the dense identity.
+  triples, and the partition of unity by the floor-r matrix units,
+  summed at floor r, their home floor.  The support laws (1 - x)y = 0 are
+  formed as y - xy, as are the dominance residues, so no product meets
+  the dense identity.
 - ``yang_baxter_check``: R_n(s) = 1 + s*v_n.  In any ring the difference
   of the two sides is st(a^2 - b^2) + st(s+t)(aba - bab) with a = v_n and
   b = v_{n+1}, so the two coefficient operators are built once per n and
@@ -42,6 +43,24 @@ The three suite runners return machine-readable reports:
   identities, the eight vanishing mixed products, the product expansions,
   and positive-semidefinite dominance established by exhibiting
   tau*E_n - E_n E_m E_n as tau times an exact self-adjoint idempotent.
+
+Floors and the tail embedding.  A floor-M path is the head of every floor-N
+path that extends it, and X -> X (x) 1 on path tails (``lift``) is the
+canonical embedding iota of the floor-M model into the floor-N model: the
+floor-N entry (x + t, y + t) carries X's entry (x, y) for every tail t
+continuing from their common endpoint.  iota is a unital, injective
+*-homomorphism, so an identity among operators defined at floor M holds at
+floor N exactly when it holds at floor M.  Each generator is therefore
+built once at its home floor, the lowest floor that holds it (n for e_n,
+f_n and g_n; n + 1 for v_n, w_n and the projections E_n, F_n built from
+them), and arithmetic across floors lifts the lower operand through iota,
+memoised per target floor.  Each suite check is decided at the highest
+home floor among its operators; a failing check reads its witness at
+floor N, through iota, so witnesses name the same floor-N rows and columns
+as a floor-N evaluation would.  The public accessors (``gen``, ``tl``,
+``generator``, ``flip_isometry``, ``tl_projection``) return floor-N
+operators.  A mutant's flipped generator lives at floor N, so the checks
+that read it are decided there.
 
 Generators for a given (N, lam) are built once per ``Representation`` and
 shared read-only; suite checks are independent of one another.
@@ -54,7 +73,7 @@ import random
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, isqrt
 from typing import Callable, Iterable
 
@@ -68,7 +87,6 @@ __all__ = [
     "flip_isometry",
     "generator",
     "path_context",
-    "path_matrix_unit",
     "random_sign_mutation",
     "run_all_suites",
     "sqrt_fraction",
@@ -125,6 +143,25 @@ class PathContext:
         self.dim = len(self.paths)
 
 
+@lru_cache(maxsize=None)
+def _extensions(low: PathContext, high: PathContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per floor-M path, the index of its first floor-N extension and the
+    number of its extensions.  Paths sort lexicographically, so the
+    extensions of one path are consecutive and ordered by their tails, and
+    the tails continuing from one endpoint are the same for every path that
+    ends there: the k-th extensions of two paths with a common endpoint
+    share their tail."""
+    head = low.floor + 1
+    starts, counts = [0] * low.dim, [0] * low.dim
+    index = low.index
+    for j, p in enumerate(high.paths):
+        i = index[p[:head]]
+        if not counts[i]:
+            starts[i] = j
+        counts[i] += 1
+    return tuple(starts), tuple(counts)
+
+
 def sqrt_fraction(x: Fraction) -> Fraction | None:
     """Exact rational square root, or None if x is not a perfect square."""
     if x < 0:
@@ -140,16 +177,19 @@ Rows = dict[int, tuple[tuple[int, int], ...]]
 
 
 class SparseOperator:
-    """Sparse matrix over Q(sqrt(lam)) indexed by floor-N paths.
+    """Sparse matrix over Q(sqrt(lam)) indexed by the paths of one floor.
 
     The value is (A + x*B) / d with x = sqrt(lam) kept formal: ``A`` and
     ``B`` map (i, j) to nonzero ints and ``d`` is a positive int.  The form
     is canonical (no zero entries, gcd(d, every entry) == 1), so equal
     operators have equal fields.  Entries couple only paths with the same
     endpoint; this block structure is checked whenever an operator is built.
+    Sums and products of operators at different floors lift the lower one
+    through the tail embedding (``lift``); equality stays strict, within
+    one path context.
     """
 
-    __slots__ = ("ctx", "lam", "A", "B", "d", "_row_index", "_adjoint", "__weakref__")
+    __slots__ = ("ctx", "lam", "A", "B", "d", "_row_index", "_adjoint", "_lifts", "__weakref__")
 
     def __init__(self, ctx: PathContext, lam: Fraction, A: Entries, B: Entries | None = None, d: int = 1):
         if d <= 0:
@@ -169,6 +209,7 @@ class SparseOperator:
         self.ctx, self.lam, self.A, self.B, self.d = ctx, lam, A, B, d
         self._row_index: tuple[Rows, Rows] | None = None
         self._adjoint: SparseOperator | weakref.ref | None = None
+        self._lifts: dict[PathContext, SparseOperator] | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -186,22 +227,48 @@ class SparseOperator:
 
     # -- ring operations ----------------------------------------------------
 
-    def _match(self, other: "SparseOperator") -> None:
-        if self.ctx is not other.ctx or self.lam != other.lam:
+    def lift(self, ctx: PathContext) -> "SparseOperator":
+        """The tail embedding X -> X (x) 1 into the floor of ``ctx``: the
+        entry (x, y) is copied to (x + t, y + t) for every tail t that
+        continues from the common endpoint of x and y.  Linear in the
+        output's nonzeros, built on first use per target floor and kept;
+        equality, hashing and products never look at the kept lifts."""
+        if ctx is self.ctx:
+            return self
+        if ctx.floor <= self.ctx.floor:
+            raise ValueError(f"no tail embedding of floor {self.ctx.floor} into this floor-{ctx.floor} context")
+        if self._lifts is None:
+            self._lifts = {}
+        out = self._lifts.get(ctx)
+        if out is None:
+            starts, counts = _extensions(self.ctx, ctx)
+            A, B = (
+                {(starts[i] + k, starts[j] + k): val for (i, j), val in part.items() for k in range(counts[j])}
+                for part in (self.A, self.B)
+            )
+            out = self._lifts[ctx] = SparseOperator(ctx, self.lam, A, B, self.d)
+        return out
+
+    def _common(self, other: "SparseOperator") -> tuple["SparseOperator", "SparseOperator"]:
+        """Both operands at the higher of their floors, the lower one lifted."""
+        if self.lam != other.lam:
             raise ValueError("operators live in different representations")
+        if self.ctx.floor < other.ctx.floor:
+            return self.lift(other.ctx), other
+        return self, other.lift(self.ctx)
 
     def _combine(self, other: "SparseOperator", sign: int) -> "SparseOperator":
         """self + sign*other over the least common denominator."""
-        self._match(other)
-        g = gcd(self.d, other.d)
-        mine, theirs = other.d // g, sign * (self.d // g)
+        x, y = self._common(other)
+        g = gcd(x.d, y.d)
+        mine, theirs = y.d // g, sign * (x.d // g)
         parts = []
-        for left, right in ((self.A, other.A), (self.B, other.B)):
+        for left, right in ((x.A, y.A), (x.B, y.B)):
             out = dict(left) if mine == 1 else {key: mine * val for key, val in left.items()}
             for key, val in right.items():
                 out[key] = out.get(key, 0) + theirs * val
             parts.append(out)
-        return SparseOperator(self.ctx, self.lam, parts[0], parts[1], self.d * mine)
+        return SparseOperator(x.ctx, x.lam, parts[0], parts[1], x.d * mine)
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         return self._combine(other, 1)
@@ -220,16 +287,16 @@ class SparseOperator:
         return self._row_index
 
     def __mul__(self, other: "SparseOperator") -> "SparseOperator":
-        self._match(other)
-        d = self.d * other.d
-        rows_a, rows_b = other._rows()
-        if not (self.B or other.B):
-            return SparseOperator(self.ctx, self.lam, _matmul({}, self.A, rows_a, 1), None, d)
+        x, y = self._common(other)
+        d = x.d * y.d
+        rows_a, rows_b = y._rows()
+        if not (x.B or y.B):
+            return SparseOperator(x.ctx, x.lam, _matmul({}, x.A, rows_a, 1), None, d)
         # (A1 + x B1)(A2 + x B2) = A1 A2 + (p/q) B1 B2 + x (A1 B2 + B1 A2), lam = p/q
-        p, q = self.lam.numerator, self.lam.denominator
-        A = _matmul(_matmul({}, self.A, rows_a, q), self.B, rows_b, p)
-        B = _matmul(_matmul({}, self.A, rows_b, q), self.B, rows_a, q)
-        return SparseOperator(self.ctx, self.lam, A, B, d * q)
+        p, q = x.lam.numerator, x.lam.denominator
+        A = _matmul(_matmul({}, x.A, rows_a, q), x.B, rows_b, p)
+        B = _matmul(_matmul({}, x.A, rows_b, q), x.B, rows_a, q)
+        return SparseOperator(x.ctx, x.lam, A, B, d * q)
 
     def scale(self, value, root: bool = False) -> "SparseOperator":
         """Multiply by a rational value, or by value*sqrt(lam) when ``root``."""
@@ -302,15 +369,20 @@ class SparseOperator:
         b = sum(val for (i, j), val in self.B.items() if i == j)
         return self._text(a, b)
 
-    def witness(self) -> dict | None:
-        """Row, column and value of the least nonzero entry, or None."""
+    def witness(self, top: PathContext | None = None) -> dict | None:
+        """Row, column and value of the least nonzero entry, or None; with
+        ``top``, of the operator lifted to that floor."""
         if self.is_zero():
             return None
-        row, col = min(self.support())
-        return {"row": row, "col": col, "value": self._text(self.A.get((row, col), 0), self.B.get((row, col), 0))}
+        op = self if top is None else self.lift(top)
+        row, col = min(op.support())
+        return {"row": row, "col": col, "value": op._text(op.A.get((row, col), 0), op.B.get((row, col), 0))}
 
-    def first_entry_of_difference(self, other: "SparseOperator") -> dict | None:
-        return None if self == other else (self - other).witness()
+    def first_entry_of_difference(self, other: "SparseOperator", top: PathContext | None = None) -> dict | None:
+        """None when the two are equal at their common floor, else the
+        witness of their difference (at floor ``top`` when given)."""
+        left, right = self._common(other)
+        return None if left == right else (left - right).witness(top)
 
     def with_negated_entry(self, key: tuple[int, int]) -> "SparseOperator":
         """Copy with the entry at ``key`` negated (unchanged where it is 0)."""
@@ -404,30 +476,71 @@ def _rational_rank(entries: Entries) -> int:
     return rank
 
 
-def path_matrix_unit(ctx: PathContext, lam: Fraction, head: Path, tail_head: Path) -> SparseOperator:
-    """The embedded matrix unit T(head, tail_head): reroutes every floor-N
-    path starting with ``tail_head`` onto ``head``; both prefixes must end
-    at the same vertex."""
-    r = len(head) - 1
-    if len(tail_head) != len(head) or head[-1] != tail_head[-1]:
-        raise ValueError("matrix units need equal-floor prefixes with a common endpoint")
+# ---------------------------------------------------------------------------
+# generators
+
+
+def _edge_projection(ctx: PathContext, lam: Fraction, n: int, offset: int) -> SparseOperator:
+    """e_n, f_n or g_n (offset -1, +1, 0): the paths whose edge into floor n
+    leaves xi_{n-1} towards 2*xi_{n-1} + offset."""
+    return SparseOperator.diagonal(ctx, lam, lambda p: _xi(p, n) == 2 * _xi(p, n - 1) + offset)
+
+
+def _flip(ctx: PathContext, lam: Fraction, n: int, sign: int) -> SparseOperator:
+    """Diamond flip at floor n: sources sit on the straight edge with the
+    floor-(n+1) coordinate at 4*xi_{n-1} + sign; targets move xi_n to
+    2*xi_{n-1} + sign.  sign +1 builds v_n, sign -1 builds w_n."""
     entries = {}
     for j, p in enumerate(ctx.paths):
-        if p[: r + 1] == tail_head:
-            entries[(ctx.index[head + p[r + 1 :]], j)] = 1
+        base = _xi(p, n - 1)
+        if p[n] == 2 * base and p[n + 1] == 4 * base + sign:
+            target = p[:n] + (2 * base + sign,) + p[n + 1 :]
+            entries[(ctx.index[target], j)] = 1
     return SparseOperator(ctx, lam, entries)
 
 
-# ---------------------------------------------------------------------------
-# generators
+# The generator index ranges, one row per kind: (kind, lowest index, reach,
+# builder, its sign).  At floor N the indices run from the lowest one to
+# N - reach; kind_n reads the path down to floor n + reach, its home floor.
+_GENERATORS = (
+    ("e", 1, 0, _edge_projection, -1),
+    ("f", 0, 0, _edge_projection, +1),
+    ("g", 0, 0, _edge_projection, 0),
+    ("v", 0, 1, _flip, +1),
+    ("w", 1, 1, _flip, -1),
+)
+
+
+def _generator_keys(floor: int, kinds: str = "efgvw") -> list[tuple[str, int]]:
+    """(kind, n) of every generator of the given kinds at floor N, in the
+    order of the table and then of n."""
+    return [(kind, n) for kind, low, reach, _, _ in _GENERATORS if kind in kinds for n in range(low, floor - reach + 1)]
+
+
+def _projection_keys(floor: int) -> list[tuple[str, int]]:
+    """E_n for every v_n, then F_n for every w_n."""
+    return [("E" if kind == "v" else "F", n) for kind, n in _generator_keys(floor, "vw")]
+
+
+def _projection(u: SparseOperator, lam: Fraction) -> SparseOperator:
+    """E_n from u = v_n, or F_n from u = w_n, at the floor of u."""
+    unit = Fraction(1, 1 + lam)
+    return (
+        (u.adjoint() * u).scale(unit)
+        + u.scale(unit, root=True)
+        + u.adjoint().scale(unit, root=True)
+        + (u * u.adjoint()).scale(unit * lam)
+    )
 
 
 class Representation:
     """All generators of the floor-N model over Q(sqrt(lam)), built once.
 
-    Valid index ranges at floor N: e_1..e_N, f_0..f_N, g_0..g_N (diagonal
-    edge-class projections), the diamond flips v_0..v_{N-1} and w_1..w_{N-1},
-    and the derived projections E_0..E_{N-1}, F_1..F_{N-1}.
+    Valid index ranges at floor N (``_GENERATORS``): e_1..e_N, f_0..f_N,
+    g_0..g_N (diagonal edge-class projections), the diamond flips
+    v_0..v_{N-1} and w_1..w_{N-1}, and the derived projections
+    E_0..E_{N-1}, F_1..F_{N-1}.  Each is kept at its home floor and lifted
+    to floor N by the public accessors.
     """
 
     def __init__(self, floor: int, lam: Fraction):
@@ -437,45 +550,36 @@ class Representation:
         self.floor = floor
         self.lam = lam
         self.ctx = path_context(floor)
+        # each generator at its home floor, or at floor N once a mutant flips it
         self._gens: dict[tuple[str, int], SparseOperator] = {}
         self._tl: dict[tuple[str, int], SparseOperator] = {}
-        for n in range(1, floor + 1):
-            self._gens[("e", n)] = self._edge_projection(n, -1)
-        for n in range(floor + 1):
-            self._gens[("f", n)] = self._edge_projection(n, +1)
-            self._gens[("g", n)] = self._edge_projection(n, 0)
-        for n in range(floor):
-            self._gens[("v", n)] = self._flip(n, +1)
-        for n in range(1, floor):
-            self._gens[("w", n)] = self._flip(n, -1)
-
-    def _edge_projection(self, n: int, offset: int) -> SparseOperator:
-        return SparseOperator.diagonal(
-            self.ctx, self.lam, lambda p: _xi(p, n) == 2 * _xi(p, n - 1) + offset
-        )
-
-    def _flip(self, n: int, sign: int) -> SparseOperator:
-        """Diamond flip at floor n: sources sit on the straight edge with the
-        floor-(n+1) coordinate at 4*xi_{n-1} + sign; targets move xi_n to
-        2*xi_{n-1} + sign.  sign +1 builds v_n, sign -1 builds w_n."""
-        entries = {}
-        for j, p in enumerate(self.ctx.paths):
-            base = _xi(p, n - 1)
-            if p[n] == 2 * base and p[n + 1] == 4 * base + sign:
-                target = p[:n] + (2 * base + sign,) + p[n + 1 :]
-                entries[(self.ctx.index[target], j)] = 1
-        return SparseOperator(self.ctx, self.lam, entries)
+        for kind, low, reach, build, sign in _GENERATORS:
+            for n in range(low, floor - reach + 1):
+                self._gens[(kind, n)] = build(path_context(n + reach), lam, n, sign)
 
     # -- access --------------------------------------------------------------
 
     def has(self, kind: str, n: int) -> bool:
         return (kind, n) in self._gens
 
-    def gen(self, kind: str, n: int) -> SparseOperator:
+    def _home(self, kind: str, n: int) -> SparseOperator:
+        """Generator kind_n, or the projection E_n / F_n, at its home floor:
+        the one accessor through which the suites read operators."""
+        if kind in ("E", "F"):
+            key = (kind, n)
+            if key not in self._tl:
+                self._tl[key] = _projection(self._home("v" if kind == "E" else "w", n), self.lam)
+            return self._tl[key]
         try:
             return self._gens[(kind, n)]
         except KeyError:
             raise ValueError(f"{kind}_{n} is not defined at floor {self.floor}") from None
+
+    def gen(self, kind: str, n: int) -> SparseOperator:
+        """Generator kind_n (e, f, g, v or w) at floor N."""
+        if kind in ("E", "F"):
+            raise ValueError(f"{kind}_{n} is not defined at floor {self.floor}")
+        return self._home(kind, n).lift(self.ctx)
 
     def identity(self) -> SparseOperator:
         return SparseOperator.identity(self.ctx, self.lam)
@@ -484,31 +588,24 @@ class Representation:
         return self.lam / (1 + self.lam) ** 2
 
     def tl(self, kind: str, n: int) -> SparseOperator:
-        """E_n (from v_n) or F_n (from w_n)."""
+        """E_n (from v_n) or F_n (from w_n) at floor N."""
         if kind not in ("E", "F"):
             raise ValueError(f"unknown projection kind {kind!r}")
-        key = (kind, n)
-        if key not in self._tl:
-            u = self.gen("v" if kind == "E" else "w", n)
-            unit = Fraction(1, 1 + self.lam)
-            self._tl[key] = (
-                (u.adjoint() * u).scale(unit)
-                + u.scale(unit, root=True)
-                + u.adjoint().scale(unit, root=True)
-                + (u * u.adjoint()).scale(unit * self.lam)
-            )
-        return self._tl[key]
+        return self._home(kind, n).lift(self.ctx)
 
     def with_sign_flip(self, kind: str, n: int, entry: tuple[int, int]) -> "Representation":
-        """Copy of the representation with one generator entry negated."""
-        mutated = object.__new__(Representation)
-        mutated.floor, mutated.lam, mutated.ctx = self.floor, self.lam, self.ctx
-        mutated._gens = dict(self._gens)
-        mutated._tl = {}
+        """Copy of the representation with one floor-N generator entry
+        negated; the flipped generator lives at floor N, and every E/F whose
+        v/w is unchanged is shared with this representation."""
         victim = self.gen(kind, n)
         if entry not in victim.support():
             raise ValueError(f"{kind}_{n} has no entry at {entry}")
+        mutated = object.__new__(Representation)
+        mutated.floor, mutated.lam, mutated.ctx = self.floor, self.lam, self.ctx
+        mutated._gens = dict(self._gens)
         mutated._gens[(kind, n)] = victim.with_negated_entry(entry)
+        stale = {"v": ("E", n), "w": ("F", n)}.get(kind)
+        mutated._tl = {key: self._home(*key) for key in _projection_keys(self.floor) if key != stale}
         return mutated
 
 
@@ -542,26 +639,37 @@ def tl_projection(kind: str, n: int, floor: int, lam) -> SparseOperator:
 
 @dataclass(frozen=True)
 class Check:
+    """One decided identity.  ``floor`` is where it was decided: the highest
+    floor among its operators.  A failure's witness is read at floor ``top``
+    when one is given, so that it names floor-N rows and columns."""
+
     equation: str
     indices: dict
     status: str
     witness: dict | None = None
+    floor: int | None = field(default=None, compare=False)
 
     @staticmethod
-    def equality(equation: str, indices: dict, left: SparseOperator, right: SparseOperator) -> "Check":
-        witness = left.first_entry_of_difference(right)
-        return Check(equation, indices, "pass" if witness is None else "fail", witness)
+    def equality(equation: str, indices: dict, left: SparseOperator, right: SparseOperator,
+                 top: PathContext | None = None) -> "Check":
+        witness = left.first_entry_of_difference(right, top)
+        floor = max(left.ctx.floor, right.ctx.floor)
+        return Check(equation, indices, "pass" if witness is None else "fail", witness, floor)
 
     @staticmethod
-    def vanishes(equation: str, indices: dict, op: SparseOperator) -> "Check":
-        witness = op.witness()
-        return Check(equation, indices, "pass" if witness is None else "fail", witness)
+    def vanishes(equation: str, indices: dict, op: SparseOperator, top: PathContext | None = None) -> "Check":
+        witness = op.witness(top)
+        return Check(equation, indices, "pass" if witness is None else "fail", witness, op.ctx.floor)
 
     @staticmethod
     def nonzero(equation: str, indices: dict, op: SparseOperator) -> "Check":
         if op.is_zero():
-            return Check(equation, indices, "fail", {"row": -1, "col": -1, "value": "0"})
-        return Check(equation, indices, "pass")
+            return Check(equation, indices, "fail", {"row": -1, "col": -1, "value": "0"}, op.ctx.floor)
+        return Check(equation, indices, "pass", None, op.ctx.floor)
+
+    @staticmethod
+    def projection(equation: str, indices: dict, op: SparseOperator) -> "Check":
+        return Check(equation, indices, "pass" if op.is_projection() else "fail", None, op.ctx.floor)
 
 
 @dataclass
@@ -578,6 +686,13 @@ class Report:
     def extend(self, other: "Report") -> None:
         self.checks.extend(other.checks)
 
+    def decided_at(self) -> dict[int, int]:
+        """How many checks were decided at each floor."""
+        counts: dict[int, int] = {}
+        for c in self.checks:
+            counts[c.floor] = counts.get(c.floor, 0) + 1
+        return dict(sorted(counts.items()))
+
     def to_json(self) -> str:
         payload = []
         for c in self.checks:
@@ -592,20 +707,15 @@ class Report:
 # suites
 
 
-def _diagonal_family(rep: Representation) -> list[tuple[str, int, SparseOperator]]:
-    out = []
-    for n in range(1, rep.floor + 1):
-        out.append(("e", n, rep.gen("e", n)))
-    for n in range(rep.floor + 1):
-        out.append(("f", n, rep.gen("f", n)))
-        out.append(("g", n, rep.gen("g", n)))
-    return out
+def _readers(rep: Representation):
+    """What every suite reads through: operators at their home floors, and
+    equality and vanishing checks whose failures name floor-N witnesses."""
+    return rep._home, partial(Check.equality, top=rep.ctx), partial(Check.vanishes, top=rep.ctx)
 
 
-def _isometry_family(rep: Representation) -> list[tuple[str, int, SparseOperator]]:
-    out = [("v", n, rep.gen("v", n)) for n in range(rep.floor)]
-    out += [("w", n, rep.gen("w", n)) for n in range(1, rep.floor)]
-    return out
+def _family(rep: Representation, kinds: str) -> list[tuple[str, int, SparseOperator]]:
+    """(kind, n, operator at its home floor) for the generators of the given kinds."""
+    return [(kind, n, rep._home(kind, n)) for kind, n in _generator_keys(rep.floor, kinds)]
 
 
 def verify_relation_suite(floor: int, lam, rep: Representation | None = None) -> Report:
@@ -617,81 +727,82 @@ def verify_relation_suite(floor: int, lam, rep: Representation | None = None) ->
     if floor < 4:
         raise ValueError("the relation suite needs floor >= 4")
     rep = rep or _representation(floor, Fraction(lam))
-    one = rep.identity()
+    home, equality, vanishes = _readers(rep)
+    one = SparseOperator.identity(path_context(0), rep.lam)  # lifts to what it meets
     report = Report()
     add = report.checks.append
 
-    # (R1): self-adjoint idempotents summing to 1, mutually commuting
-    diag = _diagonal_family(rep)
+    # (R1): self-adjoint idempotents summing to 1, mutually commuting; the
+    # e's first, then f_n and g_n side by side
+    diag = sorted(_family(rep, "efg"), key=lambda item: (item[0] != "e", item[1]))
     for kind, n, p in diag:
-        status = "pass" if p.is_projection() else "fail"
-        add(Check("R1", {"kind": kind, "n": n}, status))
+        add(Check.projection("R1", {"kind": kind, "n": n}, p))
     for n in range(rep.floor + 1):
-        total = rep.gen("f", n) + rep.gen("g", n)
+        total = home("f", n) + home("g", n)
         if n >= 1:
-            total = total + rep.gen("e", n)
-        add(Check.equality("R1", {"sum_at": n}, total, one))
+            total = total + home("e", n)
+        add(equality("R1", {"sum_at": n}, total, one))
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             k1, n1, p1 = diag[i]
             k2, n2, p2 = diag[j]
             add(
-                Check.vanishes(
+                vanishes(
                     "R1", {"commutator": f"{k1}{n1},{k2}{n2}"}, p1 * p2 - p2 * p1
                 )
             )
 
     # (R2): support laws
     for n in range(rep.floor):
-        v = rep.gen("v", n)
-        f, g = rep.gen("f", n), rep.gen("g", n)
-        e1, f1 = rep.gen("e", n + 1), rep.gen("f", n + 1)
-        add(Check.vanishes("R2", {"family": "v", "n": n, "law": "(1-f_n)v_n"}, _one_minus_times(f, v)))
-        add(Check.vanishes("R2", {"family": "v", "n": n, "law": "(1-e_n+1)v_n"}, _one_minus_times(e1, v)))
-        add(Check.vanishes("R2", {"family": "v", "n": n, "law": "v_n(1-g_n)"}, _times_one_minus(v, g)))
-        add(Check.vanishes("R2", {"family": "v", "n": n, "law": "v_n(1-f_n+1)"}, _times_one_minus(v, f1)))
+        v = home("v", n)
+        f, g = home("f", n), home("g", n)
+        e1, f1 = home("e", n + 1), home("f", n + 1)
+        add(vanishes("R2", {"family": "v", "n": n, "law": "(1-f_n)v_n"}, _one_minus_times(f, v)))
+        add(vanishes("R2", {"family": "v", "n": n, "law": "(1-e_n+1)v_n"}, _one_minus_times(e1, v)))
+        add(vanishes("R2", {"family": "v", "n": n, "law": "v_n(1-g_n)"}, _times_one_minus(v, g)))
+        add(vanishes("R2", {"family": "v", "n": n, "law": "v_n(1-f_n+1)"}, _times_one_minus(v, f1)))
     for n in range(1, rep.floor):
-        w = rep.gen("w", n)
-        e, g = rep.gen("e", n), rep.gen("g", n)
-        e1, f1 = rep.gen("e", n + 1), rep.gen("f", n + 1)
-        add(Check.vanishes("R2", {"family": "w", "n": n, "law": "(1-e_n)w_n"}, _one_minus_times(e, w)))
-        add(Check.vanishes("R2", {"family": "w", "n": n, "law": "(1-f_n+1)w_n"}, _one_minus_times(f1, w)))
-        add(Check.vanishes("R2", {"family": "w", "n": n, "law": "w_n(1-g_n)"}, _times_one_minus(w, g)))
-        add(Check.vanishes("R2", {"family": "w", "n": n, "law": "w_n(1-e_n+1)"}, _times_one_minus(w, e1)))
+        w = home("w", n)
+        e, g = home("e", n), home("g", n)
+        e1, f1 = home("e", n + 1), home("f", n + 1)
+        add(vanishes("R2", {"family": "w", "n": n, "law": "(1-e_n)w_n"}, _one_minus_times(e, w)))
+        add(vanishes("R2", {"family": "w", "n": n, "law": "(1-f_n+1)w_n"}, _one_minus_times(f1, w)))
+        add(vanishes("R2", {"family": "w", "n": n, "law": "w_n(1-g_n)"}, _times_one_minus(w, g)))
+        add(vanishes("R2", {"family": "w", "n": n, "law": "w_n(1-e_n+1)"}, _times_one_minus(w, e1)))
 
     # (R3): intertwining
     for n in range(rep.floor):
-        v = rep.gen("v", n)
-        add(Check.equality("R3", {"family": "v", "n": n, "law": "v g = f v"}, v * rep.gen("g", n), rep.gen("f", n) * v))
+        v = home("v", n)
+        add(equality("R3", {"family": "v", "n": n, "law": "v g = f v"}, v * home("g", n), home("f", n) * v))
         add(
-            Check.equality(
-                "R3", {"family": "v", "n": n, "law": "v f' = e' v"}, v * rep.gen("f", n + 1), rep.gen("e", n + 1) * v
+            equality(
+                "R3", {"family": "v", "n": n, "law": "v f' = e' v"}, v * home("f", n + 1), home("e", n + 1) * v
             )
         )
     for n in range(1, rep.floor):
-        w = rep.gen("w", n)
-        add(Check.equality("R3", {"family": "w", "n": n, "law": "w g = e w"}, w * rep.gen("g", n), rep.gen("e", n) * w))
+        w = home("w", n)
+        add(equality("R3", {"family": "w", "n": n, "law": "w g = e w"}, w * home("g", n), home("e", n) * w))
         add(
-            Check.equality(
-                "R3", {"family": "w", "n": n, "law": "w e' = f' w"}, w * rep.gen("e", n + 1), rep.gen("f", n + 1) * w
+            equality(
+                "R3", {"family": "w", "n": n, "law": "w e' = f' w"}, w * home("e", n + 1), home("f", n + 1) * w
             )
         )
 
     # (R4): initial and final supports
     for n in range(rep.floor):
-        v = rep.gen("v", n)
-        add(Check.equality("R4", {"family": "v", "n": n, "law": "v*v"}, v.adjoint() * v, rep.gen("g", n) * rep.gen("f", n + 1)))
-        add(Check.equality("R4", {"family": "v", "n": n, "law": "vv*"}, v * v.adjoint(), rep.gen("f", n) * rep.gen("e", n + 1)))
+        v = home("v", n)
+        add(equality("R4", {"family": "v", "n": n, "law": "v*v"}, v.adjoint() * v, home("g", n) * home("f", n + 1)))
+        add(equality("R4", {"family": "v", "n": n, "law": "vv*"}, v * v.adjoint(), home("f", n) * home("e", n + 1)))
     for n in range(1, rep.floor):
-        w = rep.gen("w", n)
-        add(Check.equality("R4", {"family": "w", "n": n, "law": "w*w"}, w.adjoint() * w, rep.gen("g", n) * rep.gen("e", n + 1)))
-        add(Check.equality("R4", {"family": "w", "n": n, "law": "ww*"}, w * w.adjoint(), rep.gen("e", n) * rep.gen("f", n + 1)))
+        w = home("w", n)
+        add(equality("R4", {"family": "w", "n": n, "law": "w*w"}, w.adjoint() * w, home("g", n) * home("e", n + 1)))
+        add(equality("R4", {"family": "w", "n": n, "law": "ww*"}, w * w.adjoint(), home("e", n) * home("f", n + 1)))
 
     # vanishing products between adjacent and equal indices
     def op(kind: str, n: int, star: bool) -> SparseOperator | None:
         if not rep.has(kind, n):
             return None
-        base = rep.gen(kind, n)
+        base = home(kind, n)
         return base.adjoint() if star else base
 
     vanishing = []
@@ -728,7 +839,7 @@ def verify_relation_suite(floor: int, lam, rep: Representation | None = None) ->
         a, b = op(k1, n1, s1), op(k2, n2, s2)
         if a is None or b is None:
             continue
-        add(Check.vanishes("6.1", {"law": law, "n": min(n1, n2)}, a * b))
+        add(vanishes("6.1", {"law": law, "n": min(n1, n2)}, a * b))
 
     # the nonzero-product whitelist among adjacent-index isometries
     whitelist = {("v", False, "v", False), ("w", False, "w", False), ("w", True, "v", False), ("v", True, "w", False)}
@@ -744,17 +855,17 @@ def verify_relation_suite(floor: int, lam, rep: Representation | None = None) ->
                         if (k1, s1, k2, s2) in whitelist:
                             add(Check.nonzero("whitelist", {"product": name, "n": n}, a * b))
                         else:
-                            add(Check.vanishes("whitelist", {"product": name, "n": n}, a * b))
+                            add(vanishes("whitelist", {"product": name, "n": n}, a * b))
 
     # locality: operators two or more floors apart commute
-    isos = _isometry_family(rep)
+    isos = _family(rep, "vw")
     for k1, n1, a in isos:
         for k2, n2, b in isos:
             if n2 - n1 >= 2:
                 for s1, x in (("", a), ("*", a.adjoint())):
                     for s2, y in (("", b), ("*", b.adjoint())):
                         add(
-                            Check.vanishes(
+                            vanishes(
                                 "locality",
                                 {"commutator": f"{k1}{s1}{n1},{k2}{s2}{n2}"},
                                 x * y - y * x,
@@ -762,20 +873,20 @@ def verify_relation_suite(floor: int, lam, rep: Representation | None = None) ->
                         )
         for kind, r, p in diag:
             if r <= n1 - 1 or r >= n1 + 2:
-                add(Check.vanishes("locality", {"commutator": f"{k1}{n1},{kind}{r}"}, a * p - p * a))
+                add(vanishes("locality", {"commutator": f"{k1}{n1},{kind}{r}"}, a * p - p * a))
 
     # braid triples (both sides vanish) and the 6.3 list
     for kind in ("v", "w"):
         lowest = 0 if kind == "v" else 1
         for n in range(lowest, rep.floor - 1):
-            a, b = rep.gen(kind, n), rep.gen(kind, n + 1)
-            add(Check.equality("braid", {"family": kind, "n": n}, a * b * a, b * a * b))
-            add(Check.vanishes("6.3", {"family": kind, "law": "x_n x_n+1 x_n", "n": n}, a * b * a))
-            add(Check.vanishes("6.3", {"family": kind, "law": "x_n+1 x_n x_n+1", "n": n}, b * a * b))
+            a, b = home(kind, n), home(kind, n + 1)
+            add(equality("braid", {"family": kind, "n": n}, a * b * a, b * a * b))
+            add(vanishes("6.3", {"family": kind, "law": "x_n x_n+1 x_n", "n": n}, a * b * a))
+            add(vanishes("6.3", {"family": kind, "law": "x_n+1 x_n x_n+1", "n": n}, b * a * b))
 
     # partition of unity by the embedded floor-r matrix units
     for r in range(rep.floor):
-        add(Check.equality("unit-partition", {"r": r}, _unit_partition(rep, r), one))
+        add(equality("unit-partition", {"r": r}, _unit_partition(rep, r), one))
 
     return report
 
@@ -792,17 +903,15 @@ def _times_one_minus(y: SparseOperator, x: SparseOperator) -> SparseOperator:
 
 def _unit_partition(rep: Representation, r: int) -> SparseOperator:
     """The sum of the diagonal matrix units T(x, x) over the floor-r
-    prefixes x, in one pass: T(x, x) keeps exactly the paths through x, so
-    each bucket of paths sharing a prefix adds its diagonal units to one
-    entries dict."""
-    buckets: dict[Path, list[int]] = {}
-    for j, p in enumerate(rep.ctx.paths):
-        buckets.setdefault(p[: r + 1], []).append(j)
+    prefixes x, built at floor r, the home of the floor-r units: there each
+    prefix is a whole path and T(x, x) its diagonal unit, which the tail
+    embedding carries to the floor-N unit keeping the paths through x."""
+    ctx = path_context(r)
     entries: Entries = {}
-    for members in buckets.values():
-        for j in members:
-            entries[(j, j)] = entries.get((j, j), 0) + 1
-    return SparseOperator(rep.ctx, rep.lam, entries)
+    for x in ctx.paths:
+        i = ctx.index[x]
+        entries[(i, i)] = entries.get((i, i), 0) + 1
+    return SparseOperator(ctx, rep.lam, entries)
 
 
 def yang_baxter_check(floor: int, lam=Fraction(1), pairs: Iterable[tuple] | None = None, rep: Representation | None = None) -> Report:
@@ -827,15 +936,16 @@ def yang_baxter_check(floor: int, lam=Fraction(1), pairs: Iterable[tuple] | None
     if pairs is None:
         pairs = [(s, t) for s in (0, 1, 2) for t in (0, 1, 2)]
     pairs = [(Fraction(s), Fraction(t)) for s, t in pairs]
+    home, _, vanishes = _readers(rep)
     report = Report()
     for n in range(rep.floor - 1):
-        a, b = rep.gen("v", n), rep.gen("v", n + 1)
+        a, b = home("v", n), home("v", n + 1)
         ab = a * b
         square = a * a - b * b
         cube = ab * a - b * ab
         for s, t in pairs:
             difference = square.scale(s * t) + cube.scale(s * t * (s + t))
-            report.checks.append(Check.vanishes("6.4", {"n": n, "s": str(s), "t": str(t)}, difference))
+            report.checks.append(vanishes("6.4", {"n": n, "s": str(s), "t": str(t)}, difference))
     return report
 
 
@@ -849,107 +959,105 @@ def verify_braiding_suite(floor: int, lam, rep: Representation | None = None) ->
     if floor < 4:
         raise ValueError("the braiding suite needs floor >= 4")
     rep = rep or _representation(floor, Fraction(lam))
+    home, equality, vanishes = _readers(rep)
     lam = rep.lam
     tau = rep.tau()
     report = Report()
     add = report.checks.append
 
-    projections = [("E", n) for n in range(rep.floor)] + [("F", n) for n in range(1, rep.floor)]
+    projections = _projection_keys(rep.floor)
     for kind, n in projections:
-        p = rep.tl(kind, n)
-        add(Check("6.5" if kind == "E" else "6.6", {"kind": kind, "n": n, "law": "projection"},
-                  "pass" if p.is_projection() else "fail"))
+        add(Check.projection("6.5" if kind == "E" else "6.6", {"kind": kind, "n": n, "law": "projection"},
+                             home(kind, n)))
 
     # 6.7: E_n and F_n are orthogonal
     for n in range(1, rep.floor):
-        e_proj, f_proj = rep.tl("E", n), rep.tl("F", n)
-        add(Check.vanishes("6.7", {"n": n, "law": "E F"}, e_proj * f_proj))
-        add(Check.vanishes("6.7", {"n": n, "law": "F E"}, f_proj * e_proj))
+        e_proj, f_proj = home("E", n), home("F", n)
+        add(vanishes("6.7", {"n": n, "law": "E F"}, e_proj * f_proj))
+        add(vanishes("6.7", {"n": n, "law": "F E"}, f_proj * e_proj))
 
     # 6.8: commutation at distance >= 2
     for k1, n1 in projections:
         for k2, n2 in projections:
             if n2 - n1 >= 2:
-                a, b = rep.tl(k1, n1), rep.tl(k2, n2)
-                add(Check.vanishes("6.8", {"commutator": f"{k1}{n1},{k2}{n2}"}, a * b - b * a))
+                a, b = home(k1, n1), home(k2, n2)
+                add(vanishes("6.8", {"commutator": f"{k1}{n1},{k2}{n2}"}, a * b - b * a))
 
     # 6.9 - 6.12: triple products with exact right-hand sides
     for n in range(rep.floor - 1):
-        e_lo, e_hi = rep.tl("E", n), rep.tl("E", n + 1)
+        e_lo, e_hi = home("E", n), home("E", n + 1)
         if n + 2 <= rep.floor:
-            add(Check.equality("6.9", {"n": n, "law": "E_n E_n+1 E_n"},
-                               e_lo * e_hi * e_lo, (e_lo * rep.gen("e", n + 2)).scale(tau)))
-        add(Check.equality("6.9", {"n": n, "law": "E_n+1 E_n E_n+1"},
-                           e_hi * e_lo * e_hi, (e_hi * rep.gen("g", n)).scale(tau)))
+            add(equality("6.9", {"n": n, "law": "E_n E_n+1 E_n"},
+                         e_lo * e_hi * e_lo, (e_lo * home("e", n + 2)).scale(tau)))
+        add(equality("6.9", {"n": n, "law": "E_n+1 E_n E_n+1"},
+                     e_hi * e_lo * e_hi, (e_hi * home("g", n)).scale(tau)))
     for n in range(1, rep.floor - 1):
-        f_lo, f_hi = rep.tl("F", n), rep.tl("F", n + 1)
+        f_lo, f_hi = home("F", n), home("F", n + 1)
         if n + 2 <= rep.floor:
-            add(Check.equality("6.10", {"n": n, "law": "F_n F_n+1 F_n"},
-                               f_lo * f_hi * f_lo, (f_lo * rep.gen("f", n + 2)).scale(tau)))
-        add(Check.equality("6.10", {"n": n, "law": "F_n+1 F_n F_n+1"},
-                           f_hi * f_lo * f_hi, (f_hi * rep.gen("g", n)).scale(tau)))
+            add(equality("6.10", {"n": n, "law": "F_n F_n+1 F_n"},
+                         f_lo * f_hi * f_lo, (f_lo * home("f", n + 2)).scale(tau)))
+        add(equality("6.10", {"n": n, "law": "F_n+1 F_n F_n+1"},
+                     f_hi * f_lo * f_hi, (f_hi * home("g", n)).scale(tau)))
     for n in range(rep.floor - 1):
-        e_lo = rep.tl("E", n)
-        f_hi = rep.tl("F", n + 1)
+        e_lo = home("E", n)
+        f_hi = home("F", n + 1)
         if n + 2 <= rep.floor:
-            add(Check.equality("6.11", {"n": n, "law": "E_n F_n+1 E_n"},
-                               e_lo * f_hi * e_lo, (e_lo * rep.gen("f", n + 2)).scale(lam * tau)))
+            add(equality("6.11", {"n": n, "law": "E_n F_n+1 E_n"},
+                         e_lo * f_hi * e_lo, (e_lo * home("f", n + 2)).scale(lam * tau)))
         if n >= 1 and n + 2 <= rep.floor:
-            f_lo, e_hi = rep.tl("F", n), rep.tl("E", n + 1)
-            add(Check.equality("6.11", {"n": n, "law": "F_n E_n+1 F_n"},
-                               f_lo * e_hi * f_lo, (f_lo * rep.gen("e", n + 2)).scale(lam * tau)))
+            f_lo, e_hi = home("F", n), home("E", n + 1)
+            add(equality("6.11", {"n": n, "law": "F_n E_n+1 F_n"},
+                         f_lo * e_hi * f_lo, (f_lo * home("e", n + 2)).scale(lam * tau)))
     for n in range(1, rep.floor - 1):
-        e_hi, f_lo = rep.tl("E", n + 1), rep.tl("F", n)
-        add(Check.equality("6.12", {"n": n, "law": "E_n+1 F_n E_n+1"},
-                           e_hi * f_lo * e_hi, (e_hi * rep.gen("e", n)).scale(lam * tau)))
+        e_hi, f_lo = home("E", n + 1), home("F", n)
+        add(equality("6.12", {"n": n, "law": "E_n+1 F_n E_n+1"},
+                     e_hi * f_lo * e_hi, (e_hi * home("e", n)).scale(lam * tau)))
     for n in range(rep.floor - 1):
-        f_hi, e_lo = rep.tl("F", n + 1), rep.tl("E", n)
-        add(Check.equality("6.12", {"n": n, "law": "F_n+1 E_n F_n+1"},
-                           f_hi * e_lo * f_hi, (f_hi * rep.gen("f", n)).scale(lam * tau)))
+        f_hi, e_lo = home("F", n + 1), home("E", n)
+        add(equality("6.12", {"n": n, "law": "F_n+1 E_n F_n+1"},
+                     f_hi * e_lo * f_hi, (f_hi * home("f", n)).scale(lam * tau)))
 
     # 6.13 / 6.14: vanishing mixed products
     for n in range(1, rep.floor - 1):
-        e_lo, e_hi = rep.tl("E", n), rep.tl("E", n + 1)
-        f_lo, f_hi = rep.tl("F", n), rep.tl("F", n + 1)
+        e_lo, e_hi = home("E", n), home("E", n + 1)
+        f_lo, f_hi = home("F", n), home("F", n + 1)
         for law, prod in (
             ("E_n E_n+1 F_n", e_lo * e_hi * f_lo),
             ("E_n F_n+1 F_n", e_lo * f_hi * f_lo),
             ("E_n+1 E_n F_n+1", e_hi * e_lo * f_hi),
             ("E_n+1 F_n F_n+1", e_hi * f_lo * f_hi),
         ):
-            add(Check.vanishes("6.13", {"n": n, "law": law}, prod))
+            add(vanishes("6.13", {"n": n, "law": law}, prod))
         for law, prod in (
             ("F_n E_n+1 E_n", f_lo * e_hi * e_lo),
             ("F_n F_n+1 E_n", f_lo * f_hi * e_lo),
             ("F_n+1 E_n E_n+1", f_hi * e_lo * e_hi),
             ("F_n+1 F_n E_n+1", f_hi * f_lo * e_hi),
         ):
-            add(Check.vanishes("6.14", {"n": n, "law": law}, prod))
+            add(vanishes("6.14", {"n": n, "law": law}, prod))
 
     # 6.15 / 6.16: the two-factor expansions of E_n E_n+1 and E_n+1 E_n
     unit = Fraction(1, (1 + lam) ** 2)
     for n in range(rep.floor - 1):
-        v_lo, v_hi = rep.gen("v", n), rep.gen("v", n + 1)
-        e_lo, e_hi = rep.tl("E", n), rep.tl("E", n + 1)
+        v_lo, v_hi = home("v", n), home("v", n + 1)
+        e_lo, e_hi = home("E", n), home("E", n + 1)
         left_factor = v_lo.adjoint() * v_lo + v_lo.scale(1, root=True)
         right_factor = v_hi + (v_hi * v_hi.adjoint()).scale(1, root=True)
-        add(Check.equality("6.15", {"n": n}, e_lo * e_hi, (left_factor * right_factor).scale(unit, root=True)))
-        add(Check.equality("6.16", {"n": n}, e_hi * e_lo, (e_lo * e_hi).adjoint()))
+        add(equality("6.15", {"n": n}, e_lo * e_hi, (left_factor * right_factor).scale(unit, root=True)))
+        add(equality("6.16", {"n": n}, e_hi * e_lo, (e_lo * e_hi).adjoint()))
 
     # dominance: tau E_n - E_n E_m E_n is tau times an exact projection
     for n in range(rep.floor - 1):
-        e_lo, e_hi = rep.tl("E", n), rep.tl("E", n + 1)
+        e_lo, e_hi = home("E", n), home("E", n + 1)
         if n + 2 <= rep.floor:
-            residue = _times_one_minus(e_lo, rep.gen("e", n + 2))
-            ok = residue.is_projection()
-            add(Check("dominance", {"n": n, "law": "E_n(1-e_n+2) projection"}, "pass" if ok else "fail"))
-            add(Check.equality("dominance", {"n": n, "law": "tau E_n - E_n E_n+1 E_n"},
-                               e_lo.scale(tau) - e_lo * e_hi * e_lo, residue.scale(tau)))
-        residue = _times_one_minus(e_hi, rep.gen("g", n))
-        ok = residue.is_projection()
-        add(Check("dominance", {"n": n, "law": "E_n+1(1-g_n) projection"}, "pass" if ok else "fail"))
-        add(Check.equality("dominance", {"n": n, "law": "tau E_n+1 - E_n+1 E_n E_n+1"},
-                           e_hi.scale(tau) - e_hi * e_lo * e_hi, residue.scale(tau)))
+            residue = _times_one_minus(e_lo, home("e", n + 2))
+            add(Check.projection("dominance", {"n": n, "law": "E_n(1-e_n+2) projection"}, residue))
+            add(equality("dominance", {"n": n, "law": "tau E_n - E_n E_n+1 E_n"},
+                         e_lo.scale(tau) - e_lo * e_hi * e_lo, residue.scale(tau)))
+        residue = _times_one_minus(e_hi, home("g", n))
+        add(Check.projection("dominance", {"n": n, "law": "E_n+1(1-g_n) projection"}, residue))
+        add(equality("dominance", {"n": n, "law": "tau E_n+1 - E_n+1 E_n E_n+1"},
+                     e_hi.scale(tau) - e_hi * e_lo * e_hi, residue.scale(tau)))
 
     return report
 
@@ -964,11 +1072,7 @@ def run_all_suites(floor: int, lam, rep: Representation | None = None) -> Report
 
 def random_sign_mutation(rep: Representation, rng: random.Random) -> tuple[Representation, dict]:
     """Flip the sign of one uniformly chosen nonzero entry of one generator."""
-    kinds = [("e", n) for n in range(1, rep.floor + 1)]
-    kinds += [("f", n) for n in range(rep.floor + 1)]
-    kinds += [("g", n) for n in range(rep.floor + 1)]
-    kinds += [("v", n) for n in range(rep.floor)]
-    kinds += [("w", n) for n in range(1, rep.floor)]
+    kinds = _generator_keys(rep.floor)
     kind, n = kinds[rng.randrange(len(kinds))]
     entries = sorted(rep.gen(kind, n).support())
     entry = entries[rng.randrange(len(entries))]

@@ -68,6 +68,9 @@ Vertex = tuple[int, int]
 STAR: Vertex = (-1, 0)
 
 MAX_DEPTH = 20
+# deepest floor a table entry may sit on: a tail oracle walks each branch
+# down to the deepest entry, which must stay a bounded walk
+MAX_TABLE_FLOOR = MAX_DEPTH + 20
 
 _ZERO = Fraction(0)
 
@@ -76,7 +79,8 @@ def _check_tree_vertex(v: Vertex) -> None:
     n, k = v
     if v == STAR:
         return
-    if n < 0 or k % 2 == 0 or not 0 <= k <= 2**n:
+    # odd k <= 2**n, read off bit lengths so that no 2**n is built
+    if n < 0 or k <= 0 or k % 2 == 0 or k.bit_length() > max(n, 1):
         raise ValueError(f"{v} is not a vertex of the memoryless tree")
 
 
@@ -237,8 +241,11 @@ def geometric_candidate(ratio: Fraction) -> TraceCandidate:
 
 
 def table_candidate(entries: dict[Vertex, Fraction], default: Fraction = Fraction(0)) -> TraceCandidate:
-    """Finite table with a default; exact tails exist only for default 0."""
+    """Finite table with a default; exact tails exist only for default 0.
+    Entries lie on floors 0..MAX_TABLE_FLOOR."""
     for v in entries:
+        if v[0] > MAX_TABLE_FLOOR:
+            raise ValueError(f"table entry {v} lies deeper than floor {MAX_TABLE_FLOOR}")
         _check_tree_vertex(v)
     table = dict(entries)
     max_floor = max((v[0] for v in table), default=-1)

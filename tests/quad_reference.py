@@ -4,7 +4,10 @@
 ``ReferenceOperator`` a sparse matrix of such pairs with the public
 interface of ``path_algebra.SparseOperator``.  Patched in for
 ``SparseOperator``, it reruns every suite entry by entry, so its reports
-must match the integer operators' byte for byte.
+must match the integer operators' byte for byte.  Its tail embedding
+``lift`` follows the definition path by path: the floor-N entry at
+(x + t, y + t) carries the floor-M entry at (x, y), for each floor-N path
+y + t.
 """
 
 from __future__ import annotations
@@ -108,12 +111,34 @@ class ReferenceOperator:
     def diagonal(cls, ctx, lam, keep):
         return cls(ctx, lam, {(i, i): 1 for i, p in enumerate(ctx.paths) if keep(p)})
 
+    def lift(self, ctx):
+        if ctx is self.ctx:
+            return self
+        if ctx.floor <= self.ctx.floor:
+            raise ValueError("lifts go to a higher floor")
+        head = self.ctx.floor + 1
+        below: dict[int, list] = {}  # floor-M path index -> floor-N paths extending it
+        for p in ctx.paths:
+            below.setdefault(self.ctx.index[p[:head]], []).append(p)
+        out = {}
+        for (i, j), val in self.quads.items():
+            x = self.ctx.paths[i]
+            for p in below[j]:
+                out[(ctx.index[x + p[head:]], ctx.index[p])] = val
+        return self._of(ctx, self.lam, out)
+
+    def _common(self, other):
+        if self.ctx.floor < other.ctx.floor:
+            return self.lift(other.ctx), other
+        return self, other.lift(self.ctx)
+
     def __add__(self, other):
-        out = dict(self.quads)
-        for key, val in other.quads.items():
+        x, y = self._common(other)
+        out = dict(x.quads)
+        for key, val in y.quads.items():
             cur = out.get(key)
             out[key] = val if cur is None else cur + val
-        return self._of(self.ctx, self.lam, out)
+        return self._of(x.ctx, self.lam, out)
 
     def __neg__(self):
         return self._of(self.ctx, self.lam, {key: -val for key, val in self.quads.items()})
@@ -122,15 +147,16 @@ class ReferenceOperator:
         return self + (-other)
 
     def __mul__(self, other):
+        x, y = self._common(other)
         rows: dict[int, list] = {}
-        for (j, k), val in other.quads.items():
+        for (j, k), val in y.quads.items():
             rows.setdefault(j, []).append((k, val))
         out: dict = {}
-        for (i, j), a in self.quads.items():
+        for (i, j), a in x.quads.items():
             for k, b in rows.get(j, ()):
                 cur = out.get((i, k))
                 out[(i, k)] = a * b if cur is None else cur + a * b
-        return self._of(self.ctx, self.lam, out)
+        return self._of(x.ctx, self.lam, out)
 
     def scale(self, value, root: bool = False):
         s = QuadScalar.root(self.lam, value) if root else QuadScalar.of(value, self.lam)
@@ -140,7 +166,7 @@ class ReferenceOperator:
         return self._of(self.ctx, self.lam, {(j, i): val for (i, j), val in self.quads.items()})
 
     def __eq__(self, other):
-        return isinstance(other, ReferenceOperator) and self.quads == other.quads
+        return isinstance(other, ReferenceOperator) and self.ctx is other.ctx and self.quads == other.quads
 
     def is_zero(self) -> bool:
         return not self.quads
@@ -155,14 +181,15 @@ class ReferenceOperator:
     def entries(self) -> dict:
         return {key: str(val) for key, val in self.quads.items()}
 
-    def witness(self):
+    def witness(self, top=None):
         if not self.quads:
             return None
-        row, col = min(self.quads)
-        return {"row": row, "col": col, "value": str(self.quads[(row, col)])}
+        op = self if top is None else self.lift(top)
+        row, col = min(op.quads)
+        return {"row": row, "col": col, "value": str(op.quads[(row, col)])}
 
-    def first_entry_of_difference(self, other):
-        return (self - other).witness()
+    def first_entry_of_difference(self, other, top=None):
+        return (self - other).witness(top)
 
     def with_negated_entry(self, key):
         out = dict(self.quads)

@@ -142,6 +142,36 @@ def test_relations_full_suite_exit_code(capsys):
     assert "R1:" in out and "6.9:" in out and "FAIL" not in out
 
 
+def test_relations_stats_go_to_stderr_only(capsys):
+    argv = ("relations", "--floor", "5", "--lambda", "2/3")
+    plain = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--stats")
+    assert (code, out, plain[2]) == (plain[0], plain[1], "")
+    assert err.count("\n") == 1
+    stats = json.loads(err)
+    assert list(stats) == ["base", "yb", "braiding"]
+    total = 0
+    for section in stats.values():
+        assert set(section) == {"checks", "failures", "seconds", "decided_at_floor"}
+        assert section["failures"] == 0 and section["seconds"] >= 0
+        assert sum(section["decided_at_floor"].values()) == section["checks"]
+        assert {int(f) for f in section["decided_at_floor"]} <= set(range(6))
+        total += section["checks"]
+    assert total == sum(int(line.split()[1].split("/")[1]) for line in out.splitlines())
+    # one section, with the JSON report on stdout
+    code, out, err = run(capsys, "relations", "--floor", "4", "--suite", "yb", "--json", "--stats")
+    stats = json.loads(err)
+    assert code == 0 and list(stats) == ["yb"] and stats["yb"]["checks"] == len(json.loads(out)) == 27
+    assert stats["yb"]["decided_at_floor"] == {"2": 9, "3": 9, "4": 9}
+
+
+@pytest.mark.parametrize("lam", ["1/4", "2"])
+def test_relations_floor_8_match_the_golden_summary(capsys, lam):
+    golden = (Path(__file__).parent / "golden_floor8.txt").read_text(encoding="utf-8")
+    code, out, _ = run(capsys, "relations", "--floor", "8", "--lambda", lam)
+    assert (code, out) == (0, golden)
+
+
 def test_zeta(capsys):
     code, out, _ = run(capsys, "zeta", "--s", "4", "--qmax", "1")
     assert (code, out.strip()) == (0, "1.0")
@@ -181,6 +211,8 @@ def test_yang_baxter_below_floor_2_is_usage_error(capsys):
         ('{"kind": "table", "entries": [[0, 1]]}', "malformed table"),
         ('{"kind": "table", "entries": 5}', "malformed table"),
         ('{"kind": "table", "default": "1/0"}', "malformed table"),
+        ('{"kind": "table", "entries": [[100000000, 1, "1/2"]]}', "deeper than floor 40"),
+        ('{"kind": "table", "entries": [[41, 1, "1/2"]]}', "deeper than floor 40"),
         ('["geometric"]', "JSON object"),
         ("{", "Expecting"),
     ],
@@ -270,6 +302,7 @@ SPECS = {
     "table.json": '{"kind": "table", "entries": [[0, 1, "1/3"], [1, 1, "1/9"]], "default": "0"}',
     "untailed.json": '{"kind": "table", "entries": [], "default": "1/5"}',
     "broken.json": '{"kind": "geometric", "ratio": "1/0"',
+    "deep.json": '{"kind": "table", "entries": [[1000000000, 1, "1/2"]], "default": "0"}',
 }
 
 
@@ -308,6 +341,7 @@ COMMANDS = [
             "--lambda": _pool("1", "1/4", "2", "-2"),
             "--suite": _pool("base", "yb", "braiding", "all"),
             "--json": None,
+            "--stats": None,
         },
     ),
     (["zeta"], [], {"--s": _pool("3", "2.5", "2", "inf"), "--qmax": _pool(1, 97, 10**4)}),

@@ -1,5 +1,6 @@
 """Path model, generators, relation suites, and mutation sensitivity."""
 
+import copy
 import gc
 import json
 import random
@@ -11,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from quad_reference import QuadScalar, ReferenceOperator
-from suite_reference import patch_reference
+from suite_reference import (
+    direct_generator,
+    patch_floor_n,
+    patch_reference,
+    path_matrix_unit,
+    projection,
+    reference_generator_keys,
+)
 from suite_reference import yang_baxter_check as reference_yang_baxter_check
 
 from fareybratteli import path_algebra
@@ -24,7 +32,6 @@ from fareybratteli.path_algebra import (
     flip_isometry,
     generator,
     path_context,
-    path_matrix_unit,
     random_sign_mutation,
     run_all_suites,
     sqrt_fraction,
@@ -390,27 +397,30 @@ def test_relation_suite_passes():
 # work-cutting steps of the suites against their slow references
 
 
-def reports_with_reference(monkeypatch, floor, lam, reps):
+def reports_with_reference(monkeypatch, floor, lam, reps, install=patch_reference):
     """Suite reports for each representation, once as the suites run and
-    once with ``suite_reference`` patched in."""
+    once with a reference from ``suite_reference`` installed."""
 
     def reports():
         return [run_all_suites(floor, lam, rep).to_json() for rep in reps]
 
     fast = reports()
     with monkeypatch.context() as patch:
-        patch_reference(patch)
+        install(patch)
         slow = reports()
     return fast, slow
 
 
+def every_isometry_flip(rep):
+    mutants = [rep]
+    for kind, n in [("v", n) for n in range(rep.floor)] + [("w", n) for n in range(1, rep.floor)]:
+        mutants += [rep.with_sign_flip(kind, n, entry) for entry in sorted(rep.gen(kind, n).support())]
+    return mutants
+
+
 def test_every_isometry_flip_at_floor_4_matches_suite_reference(monkeypatch):
     lam = F(2)
-    rep = Representation(4, lam)
-    mutants = [rep]
-    for kind, n in [("v", n) for n in range(4)] + [("w", n) for n in range(1, 4)]:
-        mutants += [rep.with_sign_flip(kind, n, entry) for entry in sorted(rep.gen(kind, n).support())]
-    fast, slow = reports_with_reference(monkeypatch, 4, lam, mutants)
+    fast, slow = reports_with_reference(monkeypatch, 4, lam, every_isometry_flip(Representation(4, lam)))
     assert fast == slow
     assert len(fast) == 82 and any('"fail"' in text for text in fast)
 
@@ -422,6 +432,131 @@ def test_seeded_mutants_at_floor_5_match_suite_reference(monkeypatch, lam):
     fast, slow = reports_with_reference(monkeypatch, 5, lam, mutants)
     assert fast == slow
     assert any('"witness"' in text for text in fast)
+
+
+# ---------------------------------------------------------------------------
+# home floors and the tail embedding against floor-N evaluation
+
+
+@pytest.mark.parametrize("lam", (F(1), F(1, 4), F(2), F(2, 3)), ids=str)
+def test_home_floor_operators_lift_to_their_floor_n_builds(lam):
+    for floor in range(8):
+        rep = Representation(floor, lam)
+        keys = reference_generator_keys(floor)
+        # the index table: the draw order of seeded mutants and the stored keys
+        assert path_algebra._generator_keys(floor) == keys == list(rep._gens)
+        for kind, n in keys:
+            home = rep._home(kind, n)
+            assert home.ctx.floor == (n + 1 if kind in "vw" else n)
+            direct = direct_generator(rep.ctx, lam, kind, n)
+            assert home.lift(rep.ctx) == direct == rep.gen(kind, n)
+            if kind in "vw":
+                tl = "E" if kind == "v" else "F"
+                assert rep._home(tl, n).ctx is home.ctx
+                assert rep._home(tl, n).lift(rep.ctx) == projection(direct, lam) == rep.tl(tl, n)
+
+
+LOW_CTX, HIGH_CTX = path_context(2), path_context(4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lam=st.sampled_from(SMALL_LAMBDAS),
+    x=block_operator_data(LOW_CTX),
+    y=block_operator_data(LOW_CTX),
+    z=block_operator_data(HIGH_CTX),
+    c=st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    root=st.booleans(),
+)
+def test_tail_embedding_is_an_injective_unital_star_homomorphism(lam, x, y, z, c, root):
+    fx, fy, fz = SparseOperator(LOW_CTX, lam, *x), SparseOperator(LOW_CTX, lam, *y), SparseOperator(HIGH_CTX, lam, *z)
+
+    def lift(op):
+        return op.lift(HIGH_CTX)
+
+    assert lift(SparseOperator.identity(LOW_CTX, lam)) == SparseOperator.identity(HIGH_CTX, lam)
+    assert lift(fx + fy) == lift(fx) + lift(fy)
+    assert lift(fx - fy) == lift(fx) - lift(fy)
+    assert lift(fx * fy) == lift(fx) * lift(fy)
+    assert lift(fx.scale(c, root)) == lift(fx).scale(c, root)
+    assert lift(fx.adjoint()) == lift(fx).adjoint()
+    assert lift(fx).is_zero() == fx.is_zero()
+    assert (lift(fx) == lift(fy)) == (fx == fy)
+    # mixed floors lift the lower operand; equality stays within one floor
+    assert fx * fz == lift(fx) * fz and fz * fx == fz * lift(fx)
+    assert fx + fz == lift(fx) + fz and fz - fx == fz - lift(fx)
+    assert fx != lift(fx)
+    # witnesses read at floor 4 are those of the lifted operators, and the
+    # lift agrees with the path-by-path definition
+    reference = ReferenceOperator(LOW_CTX, lam, *x).lift(HIGH_CTX)
+    assert lift(fx).entries == reference.entries
+    assert fx.witness(HIGH_CTX) == lift(fx).witness() == reference.witness()
+    assert fx.first_entry_of_difference(fy, HIGH_CTX) == (lift(fx) - lift(fy)).witness()
+    assert fx.first_entry_of_difference(fz) == (lift(fx) - fz).witness()
+    # the lift is kept, and ignored by equality and hashing
+    assert lift(fx) is lift(fx)
+    assert fx == SparseOperator(LOW_CTX, lam, *x) and hash(fx) == hash(SparseOperator(LOW_CTX, lam, *x))
+
+
+def test_lift_refuses_lower_or_foreign_floors():
+    op = SparseOperator.identity(path_context(3), ONE)
+    with pytest.raises(ValueError):
+        op.lift(path_context(2))
+    with pytest.raises(ValueError):
+        op + SparseOperator.identity(PathContext(3), ONE)
+
+
+HOME_ORACLE_CASES = [(4, lam) for lam in ORACLE_LAMBDAS] + [(5, lam) for lam in ORACLE_LAMBDAS] + [(6, F(2, 3))]
+
+
+@pytest.mark.parametrize("floor, lam", HOME_ORACLE_CASES, ids=str)
+def test_home_floor_suites_match_floor_n_evaluation(monkeypatch, floor, lam):
+    rep = Representation(floor, lam)
+    reps = [rep] + [random_sign_mutation(rep, random.Random(seed))[0] for seed in range(6)]
+    fast, slow = reports_with_reference(monkeypatch, floor, lam, reps, patch_floor_n)
+    assert fast == slow
+    assert '"fail"' not in fast[0] and any('"witness"' in text for text in fast[1:])
+
+
+def test_home_floor_flips_name_floor_n_witnesses(monkeypatch):
+    # a flip made at a generator's home floor fails checks decided below
+    # floor N; their witnesses, lifted to floor N, must be the floor-N ones
+    lam = F(2, 3)
+    rep = Representation(4, lam)
+    mutants = []
+    for kind, n in reference_generator_keys(4):
+        home = rep._home(kind, n)
+        mutated = copy.copy(rep)
+        mutated._gens, mutated._tl = dict(rep._gens), {}
+        mutated._gens[(kind, n)] = home.with_negated_entry(max(home.support()))
+        mutants.append(mutated)
+    fast, slow = reports_with_reference(monkeypatch, 4, lam, mutants, patch_floor_n)
+    assert fast == slow
+    lifted = [c for m in mutants for c in run_all_suites(4, lam, m).failures() if c.witness and c.floor < 4]
+    assert len(lifted) > 20
+
+
+def test_every_isometry_flip_at_floor_4_matches_floor_n_evaluation(monkeypatch):
+    lam = F(1, 4)
+    fast, slow = reports_with_reference(monkeypatch, 4, lam, every_isometry_flip(Representation(4, lam)), patch_floor_n)
+    assert fast == slow
+    assert len(fast) == 82 and any('"witness"' in text for text in fast)
+
+
+def test_checks_are_decided_at_the_highest_home_floor():
+    rep = Representation(5, F(2))
+    report = run_all_suites(5, F(2), rep)
+    floors = report.decided_at()
+    assert set(floors) == set(range(6)) and floors[5] < len(report.checks) / 2
+    by_name = {(c.equation, json.dumps(c.indices)): c.floor for c in report.checks}
+    assert by_name[("R3", json.dumps({"family": "v", "n": 1, "law": "v g = f v"}))] == 2
+    assert by_name[("locality", json.dumps({"commutator": "v0,w3"}))] == 4
+    # a mutant's flipped generator lives at floor N, and so do the checks on it
+    mutated = rep.with_sign_flip("v", 1, min(rep.gen("v", 1).support()))
+    assert mutated._home("v", 1).ctx is rep.ctx and mutated._home("E", 1).ctx is rep.ctx
+    assert all(mutated._home(kind, n) is rep._home(kind, n) for kind, n in path_algebra._projection_keys(5) if (kind, n) != ("E", 1))
+    flipped = {(c.equation, json.dumps(c.indices)): c.floor for c in run_all_suites(5, F(2), mutated).checks}
+    assert flipped[("R3", json.dumps({"family": "v", "n": 1, "law": "v g = f v"}))] == 5
 
 
 def test_yang_baxter_expansion_matches_grid_for_custom_pairs():

@@ -1,10 +1,12 @@
 """Memoryless-tree moves, branch sets, and the trace condition."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import tree_reference
+from fareybratteli import traces
 from fareybratteli.core import cf_decode, cf_encode, height, label, totient_sieve
 from fareybratteli.traces import (
     STAR,
@@ -327,6 +329,31 @@ def test_table_tail_oracle_sees_beyond_the_horizon():
     # weights along the whole chain above the deep entries repair it
     repaired = table_candidate({(0, 1): F(1, 4), (1, 1): F(1, 8), **entries}, F(0))
     assert check_trace(repaired, 3).valid
+
+
+def test_table_entry_floors_are_guarded_before_any_walk_or_power(monkeypatch):
+    # an entry at floor 10**9 once built 2**(10**9), a 125 MB int, and every
+    # tail walked its branch down to that floor: the walk is patched to
+    # fail, and the allocations are traced
+    def fail(*args):
+        raise AssertionError("reached past the floor guard")
+
+    monkeypatch.setattr(traces, "neighbor_set", fail)
+    tracemalloc.start()
+    try:
+        for floor in (traces.MAX_TABLE_FLOOR + 1, 10**9):
+            with pytest.raises(ValueError, match=f"deeper than floor {traces.MAX_TABLE_FLOOR}"):
+                candidate_from_json(f'{{"kind": "table", "entries": [[{floor}, 1, "1/2"]]}}')
+        # vertex checks read bit lengths, so a deep vertex builds no 2**n either
+        assert move_left((10**9, 2**40 + 1)) == (10**9 + 1, 2**41 + 1)
+        with pytest.raises(ValueError):
+            move_left((10**9, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    deepest = table_candidate({(traces.MAX_TABLE_FLOOR, 1): F(1, 2)}, F(0))
+    assert deepest.phi((traces.MAX_TABLE_FLOOR, 1)) == F(1, 2)
 
 
 def test_candidate_json_unknown_kind():
