@@ -349,7 +349,9 @@ class SparseOperator:
         return not (self.A or self.B)
 
     def is_projection(self) -> bool:
-        return self == self.adjoint() and self * self == self
+        """Self-adjoint and idempotent.  Self-adjointness is read off the
+        entries, so no transposed copy is built or kept."""
+        return _symmetric(self.A) and _symmetric(self.B) and self * self == self
 
     # -- scalars at the boundary -------------------------------------------
 
@@ -419,6 +421,11 @@ class SparseOperator:
             real[(i, j + n)] = p * val
             real[(i + n, j)] = q * val
         return _rational_rank(real) // 2
+
+
+def _symmetric(entries: Entries) -> bool:
+    get = entries.get
+    return all(get((j, i)) == val for (i, j), val in entries.items())
 
 
 def _row_index(entries: Entries) -> Rows:

@@ -184,6 +184,8 @@ def test_split_operator_arithmetic_matches_quad_reference(lam, x, y, c, root, k)
         assert fast.is_zero() == slow.is_zero()
     assert (fx == fy) == (rx == ry)
     assert fx.first_entry_of_difference(fy) == rx.first_entry_of_difference(ry)
+    assert fx.is_projection() == rx.is_projection()
+    assert (fx + fx.adjoint()).is_projection() == (rx + rx.adjoint()).is_projection()
     # canonical form: the same value written over k*d is the same operator
     A, B, d = x
     scaled = SparseOperator(SMALL_CTX, lam, {key: k * v for key, v in A.items()}, {key: k * v for key, v in B.items()}, k * d)
@@ -345,6 +347,8 @@ def test_tl_projections_are_exact_projections():
             assert rep.tl("E", n).is_projection()
         for n in range(1, 4):
             assert rep.tl("F", n).is_projection()
+            # self-adjointness is read off the entries: no transposed copy is kept
+            assert rep.tl("F", n)._adjoint is None
             assert (rep.tl("E", n) * rep.tl("F", n)).is_zero()
 
 
