@@ -507,8 +507,8 @@ def _flip(ctx: PathContext, lam: Fraction, n: int, sign: int) -> SparseOperator:
 
 
 # The generator index ranges, one row per kind: (kind, lowest index, reach,
-# builder, its sign).  At floor N the indices run from the lowest one to
-# N - reach; kind_n reads the path down to floor n + reach, its home floor.
+# build function, its sign).  At floor N the indices run from the lowest one
+# to N - reach; kind_n reads the path down to floor n + reach, its home floor.
 _GENERATORS = (
     ("e", 1, 0, _edge_projection, -1),
     ("f", 0, 0, _edge_projection, +1),
