@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel.add_argument(
         "--stats",
         action="store_true",
-        help="write one JSON object to stderr: per section, checks, failures, seconds and checks decided per floor",
+        help="write one JSON object to stderr: per section, checks, failures, seconds, checks decided per floor, "
+        "operator products and the most nonzero entries in one product",
     )
 
     p_zeta = sub.add_parser("zeta", help="truncated totient Dirichlet series")
@@ -257,6 +258,8 @@ def _cmd_relations(args) -> int:
             "failures": len(section.failures()),
             "seconds": round(time.perf_counter() - start, 6),
             "decided_at_floor": section.decided_at(),
+            "products": section.products,
+            "largest_product": section.largest_product,
         }
         report.extend(section)
     if args.stats:

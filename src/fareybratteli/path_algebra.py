@@ -3,67 +3,44 @@
 A path is the tuple of horizontal coordinates (xi_0, ..., xi_N) of a
 monotone walk from the augmentation root (whose coordinate is fixed at 0)
 down to floor N; consecutive coordinates satisfy |2*xi_n - xi_{n+1}| <= 1.
-Matrix units T(xi, eta) act on the free module over the path set by
-rerouting the head of a path, so operators are sparse matrices indexed by
-path pairs with a common endpoint; every operator built here stays inside
-those endpoint blocks and the block sizes reproduce the tree denominators.
+Matrix units T(xi, eta) reroute the head of a path, so operators are sparse
+matrices on path pairs with a common endpoint; the endpoint block sizes
+reproduce the tree denominators.
 
-Scalars live in Q(sqrt(lam)) for a fixed positive rational lam = p/q.  An
-operator is stored in split integer form (A + x*B)/d: x = sqrt(lam) stays
-formal, A and B are sparse matrices of plain ints and d is one positive
-common denominator, kept canonical so that equality is dict equality.
-Products are integer sparse matmuls; x*x = p/q is folded in by the integer
-factors p and q, and the B terms are skipped when both factors are
-rational, as every generator is.  An operator keeps the row index of its A
-and B parts once it has been a right factor, and its adjoint once it has
-been asked for (linked both ways, weakly back), so the generators and E/F
-projections that every suite multiplies by and transposes are indexed
-once.  Every identity verified in this module is decided exactly, with no
-tolerances.  Scalars appear only at the boundary (entries, witnesses,
-traces), as the text ``a+b*sqrt(lam)``.  For square lam the pair
-arithmetic is still the formal quotient ring, and ``embed_root`` folds B
-into A via the rational root as a consistency check.
+Scalars live in Q(sqrt(lam)), lam = p/q.  An operator is stored in split
+integer form (A + x*B)/d, x = sqrt(lam) formal, A and B sparse int matrices,
+d a positive common denominator, canonical so that equality is dict
+equality.  Products are integer sparse matmuls with x*x = p/q folded in.
+Every identity is decided exactly; scalars appear only at the boundary
+(entries, witnesses, traces) as the text ``a+b*sqrt(lam)``.
 
-The three suite runners return machine-readable reports:
+Floors.  X -> X (x) 1 on path tails (``lift``) is the canonical unital,
+injective *-embedding iota of the floor-M model into the floor-N model, so
+an identity among floor-M operators holds at floor N exactly when it holds
+at floor M.  Each generator is built once at its home floor (n for e_n, f_n,
+g_n; n + 1 for v_n, w_n and the E_n, F_n built from them); arithmetic lifts
+the lower operand, each check is decided at the highest home floor among
+its operators, and a failing one reads its witness at floor N.
 
-- ``verify_relation_suite``: the idempotent family (R1), the support and
-  intertwining laws of the diamond flips (R2)-(R4), the vanishing products,
-  the nonzero-product whitelist, far-floor commutation, the braid
-  triples, and the partition of unity by the floor-r matrix units,
-  summed at floor r, their home floor.  The support laws (1 - x)y = 0 are
-  formed as y - xy, as are the dominance residues, so no product meets
-  the dense identity.
-- ``yang_baxter_check``: R_n(s) = 1 + s*v_n.  In any ring the difference
-  of the two sides is st(a^2 - b^2) + st(s+t)(aba - bab) with a = v_n and
-  b = v_{n+1}, so the two coefficient operators are built once per n and
-  decide the identity for all s and t; the grid only names the points
-  reported.
-- ``verify_braiding_suite``: projection properties of E_n/F_n, their
-  orthogonality, commutation at distance >= 2, the eight triple-product
-  identities, the eight vanishing mixed products, the product expansions,
-  and positive-semidefinite dominance established by exhibiting
-  tau*E_n - E_n E_m E_n as tau times an exact self-adjoint idempotent.
+The suites are data: ``verify_relation_suite``, ``yang_baxter_check`` and
+``verify_braiding_suite`` are each a table of rows built once per floor:
+equation id, indices, kind of check (equality, vanishes, nonzero,
+projection) and operand nodes.  A node is a hashable tuple: a letter
+(kind, n) is a generator or E/F at its home floor; ("*", x) is an adjoint,
+("·", x, y) a product, ("[]", x, y) the commutator xy - yx,
+("+", ((scalar, x), ...)) a linear combination, ("1-·", x, y) and
+("·1-", y, x) the support laws (1 - x) y and y (1 - x), formed as y - xy
+and y - yx, ("1",) the identity and ("U", r) the partition of unity by the
+floor-r matrix units.  A scalar (c, i, j) is c sqrt(lam)^i / (1 + lam)^j,
+so a table serves every lam.  One evaluator decides the rows through
+``Representation._home``; a node that several rows share (E_n E_n+1 in 6.9,
+6.13, 6.15, 6.16 and dominance) is built once per evaluation.
 
-Floors and the tail embedding.  A floor-M path is the head of every floor-N
-path that extends it, and X -> X (x) 1 on path tails (``lift``) is the
-canonical embedding iota of the floor-M model into the floor-N model: the
-floor-N entry (x + t, y + t) carries X's entry (x, y) for every tail t
-continuing from their common endpoint.  iota is a unital, injective
-*-homomorphism, so an identity among operators defined at floor M holds at
-floor N exactly when it holds at floor M.  Each generator is therefore
-built once at its home floor, the lowest floor that holds it (n for e_n,
-f_n and g_n; n + 1 for v_n, w_n and the projections E_n, F_n built from
-them), and arithmetic across floors lifts the lower operand through iota,
-memoised per target floor.  Each suite check is decided at the highest
-home floor among its operators; a failing check reads its witness at
-floor N, through iota, so witnesses name the same floor-N rows and columns
-as a floor-N evaluation would.  The public accessors (``gen``, ``tl``,
-``generator``, ``flip_isometry``, ``tl_projection``) return floor-N
-operators.  A mutant's flipped generator lives at floor N, so the checks
-that read it are decided there.
-
-Generators for a given (N, lam) are built once per ``Representation`` and
-shared read-only; suite checks are independent of one another.
+A mutant reuses its parent's verdicts.  ``with_sign_flip`` records the
+parent and the changed keys: the flipped generator, and E_n or F_n for a
+flip of v_n or w_n.  A mutant re-decides the rows whose read set (the
+letters of their operands) meets its changed keys and takes every other
+check from its parent, which decides such a row once and keeps it.
 """
 
 from __future__ import annotations
@@ -74,8 +51,9 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import combinations, product
 from math import gcd, isqrt
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "Check",
@@ -145,12 +123,10 @@ class PathContext:
 
 @lru_cache(maxsize=None)
 def _extensions(low: PathContext, high: PathContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per floor-M path, the index of its first floor-N extension and the
-    number of its extensions.  Paths sort lexicographically, so the
-    extensions of one path are consecutive and ordered by their tails, and
-    the tails continuing from one endpoint are the same for every path that
-    ends there: the k-th extensions of two paths with a common endpoint
-    share their tail."""
+    """Per floor-M path, the index of its first floor-N extension and their
+    number.  Paths sort lexicographically, so the extensions of one path are
+    consecutive and ordered by their tails, and the k-th extensions of two
+    paths with a common endpoint share their tail."""
     head = low.floor + 1
     starts, counts = [0] * low.dim, [0] * low.dim
     index = low.index
@@ -196,7 +172,7 @@ class SparseOperator:
             raise ValueError(f"denominator must be positive, got {d}")
         A = {key: val for key, val in A.items() if val}
         B = {key: val for key, val in B.items() if val} if B else {}
-        g = gcd(d, *A.values(), *B.values())
+        g = gcd(d, *A.values(), *B.values()) if d != 1 else 1
         if g != 1:
             d //= g
             A = {key: val // g for key, val in A.items()}
@@ -228,11 +204,9 @@ class SparseOperator:
     # -- ring operations ----------------------------------------------------
 
     def lift(self, ctx: PathContext) -> "SparseOperator":
-        """The tail embedding X -> X (x) 1 into the floor of ``ctx``: the
-        entry (x, y) is copied to (x + t, y + t) for every tail t that
-        continues from the common endpoint of x and y.  Linear in the
-        output's nonzeros, built on first use per target floor and kept;
-        equality, hashing and products never look at the kept lifts."""
+        """The tail embedding X -> X (x) 1 into the floor of ``ctx``: entry
+        (x, y) goes to (x + t, y + t) for every tail t from the common endpoint
+        of x and y.  Built on first use per floor and kept, outside equality."""
         if ctx is self.ctx:
             return self
         if ctx.floor <= self.ctx.floor:
@@ -251,7 +225,7 @@ class SparseOperator:
 
     def _common(self, other: "SparseOperator") -> tuple["SparseOperator", "SparseOperator"]:
         """Both operands at the higher of their floors, the lower one lifted."""
-        if self.lam != other.lam:
+        if self.lam is not other.lam and self.lam != other.lam:
             raise ValueError("operators live in different representations")
         if self.ctx.floor < other.ctx.floor:
             return self.lift(other.ctx), other
@@ -280,8 +254,7 @@ class SparseOperator:
         return self.scale(-1)
 
     def _rows(self) -> tuple[Rows, Rows]:
-        """Row indexes {row: ((col, val), ...)} of A and B, built on first
-        use as a right factor; equality and hashing never look at them."""
+        """Row indexes {row: ((col, val), ...)} of A and B, built on first use."""
         if self._row_index is None:
             self._row_index = (_row_index(self.A), _row_index(self.B))
         return self._row_index
@@ -313,12 +286,9 @@ class SparseOperator:
         return SparseOperator(self.ctx, self.lam, A, B, self.d * m * q)
 
     def adjoint(self) -> "SparseOperator":
-        """The transpose, built on first use and linked both ways, so
-        ``op.adjoint().adjoint() is op`` while op lives; equality and
-        hashing never look at the link, and every operator built from this
-        one starts without."""
-        # entries lie in Q(sqrt(lam)) inside the reals, so * is plain
-        # transposition; the Galois map sqrt(lam) -> -sqrt(lam) plays no role
+        """The transpose (entries are real, so * is plain transposition), built
+        on first use and linked both ways: ``op.adjoint().adjoint() is op``
+        while op lives; equality and hashing never look at the link."""
         star = self._adjoint
         if type(star) is weakref.ref:
             star = star()
@@ -349,8 +319,7 @@ class SparseOperator:
         return not (self.A or self.B)
 
     def is_projection(self) -> bool:
-        """Self-adjoint and idempotent.  Self-adjointness is read off the
-        entries, so no transposed copy is built or kept."""
+        """Self-adjoint (read off the entries, no transpose kept) and idempotent."""
         return _symmetric(self.A) and _symmetric(self.B) and self * self == self
 
     # -- scalars at the boundary -------------------------------------------
@@ -360,6 +329,10 @@ class SparseOperator:
 
     def support(self) -> set[tuple[int, int]]:
         return self.A.keys() | self.B.keys()
+
+    def max_nonzeros(self, other: int) -> int:
+        """max(other, nonzero entries), counted only if the parts could exceed it."""
+        return other if len(self.A) + len(self.B) <= other else max(other, len(self.support()))
 
     @property
     def entries(self) -> dict[tuple[int, int], str]:
@@ -372,8 +345,7 @@ class SparseOperator:
         return self._text(a, b)
 
     def witness(self, top: PathContext | None = None) -> dict | None:
-        """Row, column and value of the least nonzero entry, or None; with
-        ``top``, of the operator lifted to that floor."""
+        """Row, column and value of the least nonzero entry (lifted to ``top``), or None."""
         if self.is_zero():
             return None
         op = self if top is None else self.lift(top)
@@ -381,8 +353,7 @@ class SparseOperator:
         return {"row": row, "col": col, "value": op._text(op.A.get((row, col), 0), op.B.get((row, col), 0))}
 
     def first_entry_of_difference(self, other: "SparseOperator", top: PathContext | None = None) -> dict | None:
-        """None when the two are equal at their common floor, else the
-        witness of their difference (at floor ``top`` when given)."""
+        """None when equal at their common floor, else their difference's witness."""
         left, right = self._common(other)
         return None if left == right else (left - right).witness(top)
 
@@ -437,8 +408,7 @@ def _row_index(entries: Entries) -> Rows:
 
 
 def _matmul(out: Entries, left: Entries, rows: Rows, factor: int) -> Entries:
-    """Accumulate factor * left @ right into out and return it, with the
-    right factor given by its row index."""
+    """Accumulate factor * left @ right, the right one given by its row index."""
     if not (left and rows):
         return out
     get = out.get
@@ -519,8 +489,7 @@ _GENERATORS = (
 
 
 def _generator_keys(floor: int, kinds: str = "efgvw") -> list[tuple[str, int]]:
-    """(kind, n) of every generator of the given kinds at floor N, in the
-    order of the table and then of n."""
+    """(kind, n) of the generators of the given kinds at floor N, in table order."""
     return [(kind, n) for kind, low, reach, _, _ in _GENERATORS if kind in kinds for n in range(low, floor - reach + 1)]
 
 
@@ -541,14 +510,10 @@ def _projection(u: SparseOperator, lam: Fraction) -> SparseOperator:
 
 
 class Representation:
-    """All generators of the floor-N model over Q(sqrt(lam)), built once.
-
-    Valid index ranges at floor N (``_GENERATORS``): e_1..e_N, f_0..f_N,
-    g_0..g_N (diagonal edge-class projections), the diamond flips
-    v_0..v_{N-1} and w_1..w_{N-1}, and the derived projections
-    E_0..E_{N-1}, F_1..F_{N-1}.  Each is kept at its home floor and lifted
-    to floor N by the public accessors.
-    """
+    """All generators of the floor-N model over Q(sqrt(lam)), built once at
+    their home floors: e_1..e_N, f_0..f_N, g_0..g_N (edge-class projections),
+    v_0..v_{N-1}, w_1..w_{N-1} (diamond flips) and the derived projections
+    E_0..E_{N-1}, F_1..F_{N-1}; the public accessors lift them to floor N."""
 
     def __init__(self, floor: int, lam: Fraction):
         lam = Fraction(lam)
@@ -560,6 +525,10 @@ class Representation:
         # each generator at its home floor, or at floor N once a mutant flips it
         self._gens: dict[tuple[str, int], SparseOperator] = {}
         self._tl: dict[tuple[str, int], SparseOperator] = {}
+        # a mutant's parent and changed keys; the checks kept here for mutants
+        self._parent: Representation | None = None
+        self._changed: frozenset[tuple[str, int]] = frozenset()
+        self._verdicts: dict[_Row, Check] = {}
         for kind, low, reach, build, sign in _GENERATORS:
             for n in range(low, floor - reach + 1):
                 self._gens[(kind, n)] = build(path_context(n + reach), lam, n, sign)
@@ -570,8 +539,7 @@ class Representation:
         return (kind, n) in self._gens
 
     def _home(self, kind: str, n: int) -> SparseOperator:
-        """Generator kind_n, or the projection E_n / F_n, at its home floor:
-        the one accessor through which the suites read operators."""
+        """Generator kind_n or projection E_n / F_n at its home floor, for the suites."""
         if kind in ("E", "F"):
             key = (kind, n)
             if key not in self._tl:
@@ -601,9 +569,9 @@ class Representation:
         return self._home(kind, n).lift(self.ctx)
 
     def with_sign_flip(self, kind: str, n: int, entry: tuple[int, int]) -> "Representation":
-        """Copy of the representation with one floor-N generator entry
-        negated; the flipped generator lives at floor N, and every E/F whose
-        v/w is unchanged is shared with this representation."""
+        """Copy with one floor-N generator entry negated, sharing every E/F whose
+        v/w is unchanged.  It records this representation as its parent and the
+        keys the flip changed: the generator, and E_n or F_n for v_n or w_n."""
         victim = self.gen(kind, n)
         if entry not in victim.support():
             raise ValueError(f"{kind}_{n} has no entry at {entry}")
@@ -613,6 +581,8 @@ class Representation:
         mutated._gens[(kind, n)] = victim.with_negated_entry(entry)
         stale = {"v": ("E", n), "w": ("F", n)}.get(kind)
         mutated._tl = {key: self._home(*key) for key in _projection_keys(self.floor) if key != stale}
+        mutated._parent, mutated._verdicts = self, {}
+        mutated._changed = frozenset({(kind, n), stale} - {None})
         return mutated
 
 
@@ -646,9 +616,8 @@ def tl_projection(kind: str, n: int, floor: int, lam) -> SparseOperator:
 
 @dataclass(frozen=True)
 class Check:
-    """One decided identity.  ``floor`` is where it was decided: the highest
-    floor among its operators.  A failure's witness is read at floor ``top``
-    when one is given, so that it names floor-N rows and columns."""
+    """One decided identity, decided at ``floor``, the highest floor among its
+    operators; a failure's witness is read at floor ``top`` when one is given."""
 
     equation: str
     indices: dict
@@ -681,7 +650,11 @@ class Check:
 
 @dataclass
 class Report:
+    """Checks in suite order, the word products multiplied out, the most nonzeros in one."""
+
     checks: list[Check] = field(default_factory=list)
+    products: int = field(default=0, compare=False)
+    largest_product: int = field(default=0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -692,6 +665,8 @@ class Report:
 
     def extend(self, other: "Report") -> None:
         self.checks.extend(other.checks)
+        self.products += other.products
+        self.largest_product = max(self.largest_product, other.largest_product)
 
     def decided_at(self) -> dict[int, int]:
         """How many checks were decided at each floor."""
@@ -711,366 +686,390 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
+# the relation table: nodes, scalars and rows as the module docstring says
+
+ONE, MINUS, ROOT = (1, 0, 0), (-1, 0, 0), (1, 1, 0)
+TAU, LAM_TAU, ROOT_UNIT2 = (1, 2, 2), (1, 4, 2), (1, 1, 2)  # tau, lam*tau, sqrt(lam)/(1+lam)^2
+_IDENTITY, _LETTERS = ("1",), frozenset("efgvwEF")
+
+
+def _children(node: tuple) -> tuple:
+    tag = node[0]
+    return tuple(x for _, x in node[1]) if tag == "+" else node[1:] if tag in ("·", "*", "[]", "1-·", "·1-") else ()
+
+
+class _Row:
+    """One check of a suite.  ``expires`` holds the ids of the shared nodes it
+    reads last in its table; rows compare by identity, as keys of the verdicts."""
+
+    __slots__ = ("equation", "indices", "kind", "operands", "expires", "_reads")
+
+    def __init__(self, equation: str, indices: dict, kind: str, *operands: tuple):
+        self.equation, self.indices, self.kind, self.operands = equation, indices, kind, operands
+        self.expires: tuple = ()
+        self._reads: frozenset | None = None
+
+    @property
+    def reads(self) -> frozenset:
+        """The letters of the operands, collected on first use."""
+        if self._reads is None:
+            reads, stack = set(), list(self.operands)
+            while stack:
+                node = stack.pop()
+                reads.add(node) if node[0] in _LETTERS else stack.extend(_children(node))
+            self._reads = frozenset(reads)
+        return self._reads
+
+
+@lru_cache(maxsize=None)
+def _letter(kind: str, n: int, star: bool = False) -> tuple:
+    return ("*", _letter(kind, n)) if star else (kind, n)
+
+
+@lru_cache(maxsize=None)
+def _mul(*factors: tuple) -> tuple:
+    """The product nested from the left, built once: equal words are one node."""
+    return factors[0] if len(factors) == 1 else ("·", _mul(*factors[:-1]), factors[-1])
+
+
+def _lin(*terms: tuple) -> tuple:
+    return ("+", terms)
+
+
+@lru_cache(maxsize=64)
+def _scalar(scalar: tuple, lam: Fraction) -> tuple[Fraction, bool]:
+    """(value, root) of the scalar (c, i, j) = c sqrt(lam)^i / (1 + lam)^j."""
+    c, i, j = scalar
+    return Fraction(c) * lam ** (i // 2) / (1 + lam) ** j, i % 2 == 1
+
+
+@lru_cache(maxsize=None)
+def _letters(text: str) -> tuple[tuple[str, int, bool], ...]:
+    """(kind, offset from n, starred) per letter of ``v_n+1* v_n`` or ``w*_n+1``."""
+    out = []
+    for token in text.split():
+        head, _, tail = token.partition("_n")
+        out.append((head[0], int(tail.rstrip("*") or 0), token.endswith("*") or head.endswith("*")))
+    return tuple(out)
+
+
+def _word(text: str, n: int) -> tuple:
+    return _mul(*(_letter(kind, n + d, star) for kind, d, star in _letters(text)))
+
+
+def _defined(floor: int) -> Callable[[str, int], bool]:
+    """Whether every letter of a word exists at floor N, for index n."""
+    keys = set(_generator_keys(floor)) | set(_projection_keys(floor))
+    return lambda text, n: all((kind, n + d) in keys for kind, d, _ in _letters(text))
+
+
+def _support_law(text: str, n: int) -> tuple:
+    """``(1-x_n)y_n`` or ``y_n(1-x_n)`` as a node."""
+    if text.startswith("(1-"):
+        x, y = text[3:].split(")")
+        return ("1-·", _word(x, n), _word(y, n))
+    y, x = text[:-1].split("(1-")
+    return ("·1-", _word(y, n), _word(x, n))
+
+
+# (R2) support laws; (R3) intertwining, (R4) initial and final supports as (law, word, word)
+_R2 = ("(1-f_n)v_n", "(1-e_n+1)v_n", "v_n(1-g_n)", "v_n(1-f_n+1)",
+       "(1-e_n)w_n", "(1-f_n+1)w_n", "w_n(1-g_n)", "w_n(1-e_n+1)")
+_R3 = (("v g = f v", "v_n g_n", "f_n v_n"), ("v f' = e' v", "v_n f_n+1", "e_n+1 v_n"),
+       ("w g = e w", "w_n g_n", "e_n w_n"), ("w e' = f' w", "w_n e_n+1", "f_n+1 w_n"))
+_R4 = (("v*v", "v_n* v_n", "g_n f_n+1"), ("vv*", "v_n v_n*", "f_n e_n+1"),
+       ("w*w", "w_n* w_n", "g_n e_n+1"), ("ww*", "w_n w_n*", "e_n f_n+1"))
+# 6.1: vanishing adjacent and equal-index products; v_n* w_n-1 is NOT zero (its
+# adjoint is the whitelisted w_n-1* v_n), but the doubly-starred neighbours vanish
+_VANISHING = ("v_n+1 v_n", "v_n v_n", "v_n+1 v_n*", "v_n-1 v_n*", "v_n+1* v_n", "v_n-1* v_n",
+              "w_n+1 w_n", "w_n w_n", "w_n+1 w_n*", "w_n-1 w_n*", "w_n+1* w_n", "w_n-1* w_n",
+              "v_n w_n", "v_n+1 w_n", "v_n-1 w_n", "w_n v_n", "w_n+1 v_n", "w_n-1 v_n",
+              "v_n w_n*", "v_n+1 w_n*", "v_n-1 w_n*", "v_n* w_n", "v_n* w_n+1*", "v_n* w_n-1*")
+_WHITELIST = ("v_n v_n+1", "w_n w_n+1", "w*_n v_n+1", "v*_n w_n+1")  # the nonzero adjacent products
+# 6.9-6.12: (equation, word, scalar, word) for word == scalar * word, groups each over n
+_TRIPLES = ((("6.9", "E_n E_n+1 E_n", TAU, "E_n e_n+2"), ("6.9", "E_n+1 E_n E_n+1", TAU, "E_n+1 g_n")),
+            (("6.10", "F_n F_n+1 F_n", TAU, "F_n f_n+2"), ("6.10", "F_n+1 F_n F_n+1", TAU, "F_n+1 g_n")),
+            (("6.11", "E_n F_n+1 E_n", LAM_TAU, "E_n f_n+2"), ("6.11", "F_n E_n+1 F_n", LAM_TAU, "F_n e_n+2")),
+            (("6.12", "E_n+1 F_n E_n+1", LAM_TAU, "E_n+1 e_n"),), (("6.12", "F_n+1 E_n F_n+1", LAM_TAU, "F_n+1 f_n"),))
+# 6.13 and 6.14: vanishing mixed products, for 1 <= n <= N-2
+_MIXED = (("6.13", ("E_n E_n+1 F_n", "E_n F_n+1 F_n", "E_n+1 E_n F_n+1", "E_n+1 F_n F_n+1")),
+          ("6.14", ("F_n E_n+1 E_n", "F_n F_n+1 E_n", "F_n+1 E_n E_n+1", "F_n+1 F_n E_n+1")))
+
+
+def _table(rows: list[_Row]) -> tuple[tuple[_Row, ...], frozenset]:
+    """The rows, and the ids of the nodes that occur more than once (equal words
+    are one node), each to expire at its last row.  A kept node's children are
+    needed, and counted, once."""
+    seen: dict[int, list] = {}
+    for row in rows:
+        stack = list(row.operands)
+        while stack:
+            node = stack.pop()
+            if node[0] in _LETTERS:
+                continue
+            hit = seen.get(id(node))
+            if hit is None:
+                seen[id(node)] = [1, row]
+                stack += _children(node)
+            else:
+                hit[0], hit[1] = hit[0] + 1, row
+    shared = frozenset(key for key, (count, _) in seen.items() if count > 1)
+    for key in shared:
+        seen[key][1].expires += (key,)
+    return tuple(rows), shared
+
+
+@lru_cache(maxsize=1)
+def _relation_table(floor: int) -> tuple[tuple[_Row, ...], frozenset]:
+    defined = _defined(floor)
+    rows: list[_Row] = []
+    add = rows.append
+    # (R1): self-adjoint idempotents summing to 1, mutually commuting; the
+    # e's first, then f_n and g_n side by side
+    diag = sorted(_generator_keys(floor, "efg"), key=lambda key: (key[0] != "e", key[1]))
+    for kind, n in diag:
+        add(_Row("R1", {"kind": kind, "n": n}, "projection", _letter(kind, n)))
+    for n in range(floor + 1):
+        total = _lin(*((ONE, _letter(k, n)) for k in ("fge" if n else "fg")))
+        add(_Row("R1", {"sum_at": n}, "equality", total, _IDENTITY))
+    for (k1, n1), (k2, n2) in combinations(diag, 2):
+        add(_Row("R1", {"commutator": f"{k1}{n1},{k2}{n2}"}, "vanishes", ("[]", _letter(k1, n1), _letter(k2, n2))))
+    for family, n, law in product("vw", range(floor), _R2):
+        if family + "_n" in law and defined(family + "_n", n):
+            add(_Row("R2", {"family": family, "n": n, "law": law}, "vanishes", _support_law(law, n)))
+    for equation, laws in (("R3", _R3), ("R4", _R4)):
+        for family, n, (law, left, right) in product("vw", range(floor), laws):
+            if left.startswith(family) and defined(left, n):
+                add(_Row(equation, {"family": family, "n": n, "law": law}, "equality", _word(left, n), _word(right, n)))
+    for n, law in product(range(floor), _VANISHING):
+        if defined(law, n):
+            low = n + min(d for _, d, _ in _letters(law))
+            add(_Row("6.1", {"law": law, "n": low}, "vanishes", _word(law, n)))
+    for n, k1, k2 in product(range(floor), ("v", "v*", "w", "w*"), ("v", "v*", "w", "w*")):
+        name = f"{k1}_n {k2}_n+1"
+        if defined(name, n):
+            kind = "nonzero" if name in _WHITELIST else "vanishes"
+            add(_Row("whitelist", {"product": name, "n": n}, kind, _word(name, n)))
+    # locality: operators two or more floors apart commute
+    isos = _generator_keys(floor, "vw")
+    for k1, n1 in isos:
+        for k2, n2 in isos:
+            if n2 - n1 >= 2:
+                # [x, y*] = -[x*, y]* and [x*, y*] = -[x, y]*: an adjoint in place of two products
+                x, xs, y = _letter(k1, n1), _letter(k1, n1, True), _letter(k2, n2)
+                plain, starred = ("[]", x, y), ("[]", xs, y)
+                nodes = (plain, _lin((MINUS, ("*", starred))), starred, _lin((MINUS, ("*", plain))))
+                for (s1, s2), node in zip(product(("", "*"), ("", "*")), nodes):
+                    add(_Row("locality", {"commutator": f"{k1}{s1}{n1},{k2}{s2}{n2}"}, "vanishes", node))
+        for kind, r in diag:
+            if r <= n1 - 1 or r >= n1 + 2:
+                node = ("[]", _letter(k1, n1), _letter(kind, r))
+                add(_Row("locality", {"commutator": f"{k1}{n1},{kind}{r}"}, "vanishes", node))
+    # braid triples (both sides vanish) and the 6.3 list
+    for kind, n in product("vw", range(floor)):
+        if defined(f"{kind}_n {kind}_n+1", n):
+            low, high = _word(f"{kind}_n {kind}_n+1 {kind}_n", n), _word(f"{kind}_n+1 {kind}_n {kind}_n+1", n)
+            add(_Row("braid", {"family": kind, "n": n}, "equality", low, high))
+            add(_Row("6.3", {"family": kind, "law": "x_n x_n+1 x_n", "n": n}, "vanishes", low))
+            add(_Row("6.3", {"family": kind, "law": "x_n+1 x_n x_n+1", "n": n}, "vanishes", high))
+    # partition of unity by the embedded floor-r matrix units
+    for r in range(floor):
+        add(_Row("unit-partition", {"r": r}, "equality", ("U", r), _IDENTITY))
+    return _table(rows)
+
+
+@lru_cache(maxsize=1)
+def _yang_baxter_table(floor: int, pairs: tuple[tuple[Fraction, Fraction], ...]) -> tuple[tuple[_Row, ...], frozenset]:
+    """6.4 at each grid point, as ``yang_baxter_check`` explains; keyed by the grid."""
+    rows = []
+    for n in range(floor - 1):
+        a, b = _letter("v", n), _letter("v", n + 1)
+        ab = _mul(a, b)
+        square = _lin((ONE, _mul(a, a)), (MINUS, _mul(b, b)))
+        cube = _lin((ONE, _mul(ab, a)), (MINUS, _mul(b, ab)))
+        for s, t in pairs:
+            difference = _lin(((s * t, 0, 0), square), ((s * t * (s + t), 0, 0), cube))
+            rows.append(_Row("6.4", {"n": n, "s": str(s), "t": str(t)}, "vanishes", difference))
+    return _table(rows)
+
+
+@lru_cache(maxsize=1)
+def _braiding_table(floor: int) -> tuple[tuple[_Row, ...], frozenset]:
+    defined = _defined(floor)
+    rows: list[_Row] = []
+    add = rows.append
+    projections = _projection_keys(floor)
+    for kind, n in projections:
+        indices = {"kind": kind, "n": n, "law": "projection"}
+        add(_Row("6.5" if kind == "E" else "6.6", indices, "projection", _letter(kind, n)))
+    # 6.7: E_n and F_n are orthogonal
+    for n, word in product(range(1, floor), ("E_n F_n", "F_n E_n")):
+        add(_Row("6.7", {"n": n, "law": word.replace("_n", "")}, "vanishes", _word(word, n)))
+    # 6.8: commutation at distance >= 2
+    for (k1, n1), (k2, n2) in product(projections, projections):
+        if n2 - n1 >= 2:
+            add(_Row("6.8", {"commutator": f"{k1}{n1},{k2}{n2}"}, "vanishes", ("[]", _letter(k1, n1), _letter(k2, n2))))
+    # 6.9 - 6.12: triple products with exact right-hand sides
+    for group in _TRIPLES:
+        for n, (equation, law, scalar, word) in product(range(floor), group):
+            if defined(law, n) and defined(word, n):
+                add(_Row(equation, {"n": n, "law": law}, "equality", _word(law, n), _lin((scalar, _word(word, n)))))
+    # 6.13 / 6.14: vanishing mixed products
+    for n, (equation, laws) in product(range(1, floor - 1), _MIXED):
+        for law in laws:
+            add(_Row(equation, {"n": n, "law": law}, "vanishes", _word(law, n)))
+    # 6.15 / 6.16: the two-factor expansions of E_n E_n+1 and E_n+1 E_n
+    for n in range(floor - 1):
+        low, high = _letter("v", n), _letter("v", n + 1)
+        left = _lin((ONE, _word("v_n* v_n", n)), (ROOT, low))
+        right = _lin((ONE, high), (ROOT, _word("v_n+1 v_n+1*", n)))
+        add(_Row("6.15", {"n": n}, "equality", _word("E_n E_n+1", n), _lin((ROOT_UNIT2, _mul(left, right)))))
+        add(_Row("6.16", {"n": n}, "equality", _word("E_n+1 E_n", n), ("*", _word("E_n E_n+1", n))))
+    # dominance: tau E_n - E_n E_m E_n is tau times an exact projection
+    for n in range(floor - 1):
+        for residue, triple in (("E_n(1-e_n+2)", "E_n E_n+1 E_n"), ("E_n+1(1-g_n)", "E_n+1 E_n E_n+1")):
+            node, outer = _support_law(residue, n), triple.split()[0]
+            add(_Row("dominance", {"n": n, "law": f"{residue} projection"}, "projection", node))
+            add(_Row("dominance", {"n": n, "law": f"tau {outer} - {triple}"}, "equality",
+                     _lin((TAU, _word(outer, n)), (MINUS, _word(triple, n))), _lin((TAU, node))))
+    return _table(rows)
+
+
+def _evaluate(rep: Representation, rows: Sequence[_Row], shared: frozenset, report: Report) -> list[Check]:
+    """Decide the rows on rep, counting products into ``report``.  Letters are
+    read once; a ``shared`` node is built once and kept until its last row."""
+    lam, home, cache = rep.lam, rep._home, {}
+
+    def value(node: tuple) -> SparseOperator:
+        tag = node[0]
+        if tag in _LETTERS:
+            op = cache[id(node)] = home(*node)
+            return op
+        # children go through the cache before a call: letters and shared nodes hit it
+        if tag == "·":
+            x, y = node[1], node[2]
+            op = (cache.get(id(x)) or value(x)) * (cache.get(id(y)) or value(y))
+            report.products += 1
+            report.largest_product = op.max_nonzeros(report.largest_product)
+        elif tag == "[]":
+            x, y = (cache.get(id(node[1])) or value(node[1])), (cache.get(id(node[2])) or value(node[2]))
+            xy, yx = x * y, y * x
+            op = xy - yx
+            report.products += 2
+            report.largest_product = yx.max_nonzeros(xy.max_nonzeros(report.largest_product))
+        elif tag == "*":
+            op = (cache.get(id(node[1])) or value(node[1])).adjoint()
+        elif tag == "+":
+            op = None
+            for scalar, x in node[1]:
+                term = cache.get(id(x)) or value(x)
+                if op is not None and (scalar is ONE or scalar is MINUS):
+                    op = op + term if scalar is ONE else op - term
+                    continue
+                term = term if scalar is ONE else term.scale(*_scalar(scalar, lam))
+                op = term if op is None else op + term
+        elif tag in ("1-·", "·1-"):
+            law = _one_minus_times if tag == "1-·" else _times_one_minus
+            op = law(*(cache.get(id(x)) or value(x) for x in node[1:]))
+        elif tag == "1":
+            op = SparseOperator.identity(path_context(0), lam)  # lifts to what it meets
+        else:
+            op = _unit_partition(rep, node[1])
+        if id(node) in shared:
+            cache[id(node)] = op
+        return op
+
+    decide = {"equality": partial(Check.equality, top=rep.ctx), "vanishes": partial(Check.vanishes, top=rep.ctx),
+              "nonzero": Check.nonzero, "projection": Check.projection}
+    checks = []
+    for row in rows:
+        ops = [cache.get(id(x)) or value(x) for x in row.operands]
+        checks.append(decide[row.kind](row.equation, dict(row.indices), *ops))
+        for key in row.expires:
+            cache.pop(key, None)
+    return checks
+
+
+def _decide(rep: Representation, rows: Sequence[_Row], shared: frozenset, report: Report) -> list[Check]:
+    """The check of every row on rep, in order: a mutant re-decides the rows
+    that read a changed key and takes the others from its parent's verdicts."""
+    parent = rep._parent
+    if parent is None:
+        return _evaluate(rep, rows, shared, report)
+    changed, known = rep._changed, parent._verdicts
+    fresh = [row for row in rows if not changed.isdisjoint(row.reads)]
+    missing = [row for row in rows if row not in known and changed.isdisjoint(row.reads)]
+    if missing:
+        known.update(zip(missing, _decide(parent, missing, shared, report)))
+    decided = dict(zip(fresh, _evaluate(rep, fresh, shared, report)))
+    return [decided[row] if row in decided else known[row] for row in rows]
+
+
+def _suite(table: tuple[tuple[_Row, ...], frozenset], floor: int, lam, rep: Representation | None) -> Report:
+    """Run a table on the shared floor-N model, or on ``rep`` if it is that model."""
+    if rep is None:
+        rep = _representation(floor, Fraction(lam))
+    elif (rep.floor, rep.lam) != (floor, Fraction(lam)):
+        raise ValueError(f"rep is the floor-{rep.floor} model at lambda {rep.lam}, not floor {floor} at lambda {lam}")
+    report = Report()
+    report.checks = _decide(rep, *table, report)
+    return report
+
+
+# ---------------------------------------------------------------------------
 # suites
-
-
-def _readers(rep: Representation):
-    """What every suite reads through: operators at their home floors, and
-    equality and vanishing checks whose failures name floor-N witnesses."""
-    return rep._home, partial(Check.equality, top=rep.ctx), partial(Check.vanishes, top=rep.ctx)
-
-
-def _family(rep: Representation, kinds: str) -> list[tuple[str, int, SparseOperator]]:
-    """(kind, n, operator at its home floor) for the generators of the given kinds."""
-    return [(kind, n, rep._home(kind, n)) for kind, n in _generator_keys(rep.floor, kinds)]
 
 
 def verify_relation_suite(floor: int, lam, rep: Representation | None = None) -> Report:
     """(R1)-(R4), the vanishing products, the nonzero whitelist, far-floor
-    commutation (the locality of the model), the braid triples, and the
-    partition of unity by embedded matrix units.
-
-    Needs floor >= 4 so that every index family contributes instances."""
+    commutation (locality), the braid triples and the partition of unity by
+    embedded matrix units.  Needs floor >= 4 for every index family."""
     if floor < 4:
         raise ValueError("the relation suite needs floor >= 4")
-    rep = rep or _representation(floor, Fraction(lam))
-    home, equality, vanishes = _readers(rep)
-    one = SparseOperator.identity(path_context(0), rep.lam)  # lifts to what it meets
-    report = Report()
-    add = report.checks.append
-
-    # (R1): self-adjoint idempotents summing to 1, mutually commuting; the
-    # e's first, then f_n and g_n side by side
-    diag = sorted(_family(rep, "efg"), key=lambda item: (item[0] != "e", item[1]))
-    for kind, n, p in diag:
-        add(Check.projection("R1", {"kind": kind, "n": n}, p))
-    for n in range(rep.floor + 1):
-        total = home("f", n) + home("g", n)
-        if n >= 1:
-            total = total + home("e", n)
-        add(equality("R1", {"sum_at": n}, total, one))
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            k1, n1, p1 = diag[i]
-            k2, n2, p2 = diag[j]
-            add(
-                vanishes(
-                    "R1", {"commutator": f"{k1}{n1},{k2}{n2}"}, p1 * p2 - p2 * p1
-                )
-            )
-
-    # (R2): support laws
-    for n in range(rep.floor):
-        v = home("v", n)
-        f, g = home("f", n), home("g", n)
-        e1, f1 = home("e", n + 1), home("f", n + 1)
-        add(vanishes("R2", {"family": "v", "n": n, "law": "(1-f_n)v_n"}, _one_minus_times(f, v)))
-        add(vanishes("R2", {"family": "v", "n": n, "law": "(1-e_n+1)v_n"}, _one_minus_times(e1, v)))
-        add(vanishes("R2", {"family": "v", "n": n, "law": "v_n(1-g_n)"}, _times_one_minus(v, g)))
-        add(vanishes("R2", {"family": "v", "n": n, "law": "v_n(1-f_n+1)"}, _times_one_minus(v, f1)))
-    for n in range(1, rep.floor):
-        w = home("w", n)
-        e, g = home("e", n), home("g", n)
-        e1, f1 = home("e", n + 1), home("f", n + 1)
-        add(vanishes("R2", {"family": "w", "n": n, "law": "(1-e_n)w_n"}, _one_minus_times(e, w)))
-        add(vanishes("R2", {"family": "w", "n": n, "law": "(1-f_n+1)w_n"}, _one_minus_times(f1, w)))
-        add(vanishes("R2", {"family": "w", "n": n, "law": "w_n(1-g_n)"}, _times_one_minus(w, g)))
-        add(vanishes("R2", {"family": "w", "n": n, "law": "w_n(1-e_n+1)"}, _times_one_minus(w, e1)))
-
-    # (R3): intertwining
-    for n in range(rep.floor):
-        v = home("v", n)
-        add(equality("R3", {"family": "v", "n": n, "law": "v g = f v"}, v * home("g", n), home("f", n) * v))
-        add(
-            equality(
-                "R3", {"family": "v", "n": n, "law": "v f' = e' v"}, v * home("f", n + 1), home("e", n + 1) * v
-            )
-        )
-    for n in range(1, rep.floor):
-        w = home("w", n)
-        add(equality("R3", {"family": "w", "n": n, "law": "w g = e w"}, w * home("g", n), home("e", n) * w))
-        add(
-            equality(
-                "R3", {"family": "w", "n": n, "law": "w e' = f' w"}, w * home("e", n + 1), home("f", n + 1) * w
-            )
-        )
-
-    # (R4): initial and final supports
-    for n in range(rep.floor):
-        v = home("v", n)
-        add(equality("R4", {"family": "v", "n": n, "law": "v*v"}, v.adjoint() * v, home("g", n) * home("f", n + 1)))
-        add(equality("R4", {"family": "v", "n": n, "law": "vv*"}, v * v.adjoint(), home("f", n) * home("e", n + 1)))
-    for n in range(1, rep.floor):
-        w = home("w", n)
-        add(equality("R4", {"family": "w", "n": n, "law": "w*w"}, w.adjoint() * w, home("g", n) * home("e", n + 1)))
-        add(equality("R4", {"family": "w", "n": n, "law": "ww*"}, w * w.adjoint(), home("e", n) * home("f", n + 1)))
-
-    # vanishing products between adjacent and equal indices
-    def op(kind: str, n: int, star: bool) -> SparseOperator | None:
-        if not rep.has(kind, n):
-            return None
-        base = home(kind, n)
-        return base.adjoint() if star else base
-
-    vanishing = []
-    for n in range(rep.floor):
-        vanishing += [
-            ("v_n+1 v_n", ("v", n + 1, False), ("v", n, False)),
-            ("v_n v_n", ("v", n, False), ("v", n, False)),
-            ("v_n+1 v_n*", ("v", n + 1, False), ("v", n, True)),
-            ("v_n-1 v_n*", ("v", n - 1, False), ("v", n, True)),
-            ("v_n+1* v_n", ("v", n + 1, True), ("v", n, False)),
-            ("v_n-1* v_n", ("v", n - 1, True), ("v", n, False)),
-            ("w_n+1 w_n", ("w", n + 1, False), ("w", n, False)),
-            ("w_n w_n", ("w", n, False), ("w", n, False)),
-            ("w_n+1 w_n*", ("w", n + 1, False), ("w", n, True)),
-            ("w_n-1 w_n*", ("w", n - 1, False), ("w", n, True)),
-            ("w_n+1* w_n", ("w", n + 1, True), ("w", n, False)),
-            ("w_n-1* w_n", ("w", n - 1, True), ("w", n, False)),
-            ("v_n w_n", ("v", n, False), ("w", n, False)),
-            ("v_n+1 w_n", ("v", n + 1, False), ("w", n, False)),
-            ("v_n-1 w_n", ("v", n - 1, False), ("w", n, False)),
-            ("w_n v_n", ("w", n, False), ("v", n, False)),
-            ("w_n+1 v_n", ("w", n + 1, False), ("v", n, False)),
-            ("w_n-1 v_n", ("w", n - 1, False), ("v", n, False)),
-            ("v_n w_n*", ("v", n, False), ("w", n, True)),
-            ("v_n+1 w_n*", ("v", n + 1, False), ("w", n, True)),
-            ("v_n-1 w_n*", ("v", n - 1, False), ("w", n, True)),
-            ("v_n* w_n", ("v", n, True), ("w", n, False)),
-            # note: v_n* w_{n-1} is NOT zero (its adjoint is the whitelisted
-            # w_{n-1}* v_n); the doubly-starred neighbours do vanish
-            ("v_n* w_n+1*", ("v", n, True), ("w", n + 1, True)),
-            ("v_n* w_n-1*", ("v", n, True), ("w", n - 1, True)),
-        ]
-    for law, (k1, n1, s1), (k2, n2, s2) in vanishing:
-        a, b = op(k1, n1, s1), op(k2, n2, s2)
-        if a is None or b is None:
-            continue
-        add(vanishes("6.1", {"law": law, "n": min(n1, n2)}, a * b))
-
-    # the nonzero-product whitelist among adjacent-index isometries
-    whitelist = {("v", False, "v", False), ("w", False, "w", False), ("w", True, "v", False), ("v", True, "w", False)}
-    for n in range(rep.floor - 1):
-        for k1 in ("v", "w"):
-            for s1 in (False, True):
-                for k2 in ("v", "w"):
-                    for s2 in (False, True):
-                        a, b = op(k1, n, s1), op(k2, n + 1, s2)
-                        if a is None or b is None:
-                            continue
-                        name = f"{k1}{'*' if s1 else ''}_n {k2}{'*' if s2 else ''}_n+1"
-                        if (k1, s1, k2, s2) in whitelist:
-                            add(Check.nonzero("whitelist", {"product": name, "n": n}, a * b))
-                        else:
-                            add(vanishes("whitelist", {"product": name, "n": n}, a * b))
-
-    # locality: operators two or more floors apart commute
-    isos = _family(rep, "vw")
-    for k1, n1, a in isos:
-        for k2, n2, b in isos:
-            if n2 - n1 >= 2:
-                for s1, x in (("", a), ("*", a.adjoint())):
-                    for s2, y in (("", b), ("*", b.adjoint())):
-                        add(
-                            vanishes(
-                                "locality",
-                                {"commutator": f"{k1}{s1}{n1},{k2}{s2}{n2}"},
-                                x * y - y * x,
-                            )
-                        )
-        for kind, r, p in diag:
-            if r <= n1 - 1 or r >= n1 + 2:
-                add(vanishes("locality", {"commutator": f"{k1}{n1},{kind}{r}"}, a * p - p * a))
-
-    # braid triples (both sides vanish) and the 6.3 list
-    for kind in ("v", "w"):
-        lowest = 0 if kind == "v" else 1
-        for n in range(lowest, rep.floor - 1):
-            a, b = home(kind, n), home(kind, n + 1)
-            add(equality("braid", {"family": kind, "n": n}, a * b * a, b * a * b))
-            add(vanishes("6.3", {"family": kind, "law": "x_n x_n+1 x_n", "n": n}, a * b * a))
-            add(vanishes("6.3", {"family": kind, "law": "x_n+1 x_n x_n+1", "n": n}, b * a * b))
-
-    # partition of unity by the embedded floor-r matrix units
-    for r in range(rep.floor):
-        add(equality("unit-partition", {"r": r}, _unit_partition(rep, r), one))
-
-    return report
+    return _suite(_relation_table(floor), floor, lam, rep)
 
 
 def _one_minus_times(x: SparseOperator, y: SparseOperator) -> SparseOperator:
-    """(1 - x) y, written y - x y so that no product meets the identity."""
-    return y - x * y
+    return y - x * y  # (1 - x) y
 
 
 def _times_one_minus(y: SparseOperator, x: SparseOperator) -> SparseOperator:
-    """y (1 - x), written y - y x."""
-    return y - y * x
+    return y - y * x  # y (1 - x)
 
 
 def _unit_partition(rep: Representation, r: int) -> SparseOperator:
-    """The sum of the diagonal matrix units T(x, x) over the floor-r
-    prefixes x, built at floor r, the home of the floor-r units: there each
-    prefix is a whole path and T(x, x) its diagonal unit, which the tail
-    embedding carries to the floor-N unit keeping the paths through x."""
-    ctx = path_context(r)
-    entries: Entries = {}
-    for x in ctx.paths:
-        i = ctx.index[x]
-        entries[(i, i)] = entries.get((i, i), 0) + 1
-    return SparseOperator(ctx, rep.lam, entries)
+    """The sum of the diagonal matrix units T(x, x) over the floor-r prefixes
+    x, built at floor r, their home: there each prefix is a whole path, and
+    the units sum to the identity, which the tail embedding carries up."""
+    return SparseOperator.identity(path_context(r), rep.lam)
 
 
 def yang_baxter_check(floor: int, lam=Fraction(1), pairs: Iterable[tuple] | None = None, rep: Representation | None = None) -> Report:
-    """R_n(s) R_{n+1}(s+t) R_n(t) == R_{n+1}(t) R_n(s+t) R_{n+1}(s) with
-    R_n(s) = 1 + s*v_n, reported at each point (s, t) of a rational grid.
-
-    With a = v_n and b = v_{n+1}, expanding both sides in any ring leaves
-    LHS - RHS = st(a^2 - b^2) + st(s+t)(aba - bab): the constant, linear
-    and ab/ba terms cancel.  So the two coefficient operators are built
-    once per n, and each point's check is on that exact difference: its
-    status and witness are those of the two triple products compared
-    directly.  The identity holds for all s, t iff both coefficients
-    vanish; the default grid {0, 1, 2} x {0, 1, 2} decides that, since at
-    (1, 1) and (1, 2) the difference is (a^2 - b^2) + 2(aba - bab) and
-    2(a^2 - b^2) + 6(aba - bab).  The grid only names the points reported.
-
-    Needs floor >= 2 so that a pair v_n, v_n+1 exists.
-    """
+    """R_n(s) R_{n+1}(s+t) R_n(t) == R_{n+1}(t) R_n(s+t) R_{n+1}(s), with
+    R_n(s) = 1 + s*v_n, at each point (s, t) of a rational grid.  With a = v_n
+    and b = v_{n+1} the sides differ by st(a^2 - b^2) + st(s+t)(aba - bab) in
+    any ring, so the two coefficients are built once per n.  They vanish, and
+    the identity holds for all s, t, iff it holds at (1, 1) and (1, 2), which
+    the default grid {0, 1, 2}^2 contains.  Needs floor >= 2."""
     if floor < 2:
         raise ValueError("the Yang-Baxter check needs floor >= 2")
-    rep = rep or _representation(floor, Fraction(lam))
     if pairs is None:
         pairs = [(s, t) for s in (0, 1, 2) for t in (0, 1, 2)]
-    pairs = [(Fraction(s), Fraction(t)) for s, t in pairs]
-    home, _, vanishes = _readers(rep)
-    report = Report()
-    for n in range(rep.floor - 1):
-        a, b = home("v", n), home("v", n + 1)
-        ab = a * b
-        square = a * a - b * b
-        cube = ab * a - b * ab
-        for s, t in pairs:
-            difference = square.scale(s * t) + cube.scale(s * t * (s + t))
-            report.checks.append(vanishes("6.4", {"n": n, "s": str(s), "t": str(t)}, difference))
-    return report
+    pairs = tuple((Fraction(s), Fraction(t)) for s, t in pairs)
+    return _suite(_yang_baxter_table(floor, pairs), floor, lam, rep)
 
 
 def verify_braiding_suite(floor: int, lam, rep: Representation | None = None) -> Report:
-    """Projection properties of E/F, orthogonality, distance-2 commutation,
-    the eight triple-product identities with exact right-hand sides, the
-    vanishing mixed products, the product expansions, and the dominance
-    tau*E_n - E_n E_m E_n == tau * (exact self-adjoint idempotent).
-
-    Needs floor >= 4 so that consecutive triples fit."""
+    """E/F projections, orthogonality, distance-2 commutation, the triple
+    products with exact right-hand sides, the vanishing mixed products, the
+    expansions of E_n E_n+1, and dominance: tau*E_n - E_n E_m E_n == tau *
+    (exact self-adjoint idempotent).  Needs floor >= 4 for the triples."""
     if floor < 4:
         raise ValueError("the braiding suite needs floor >= 4")
-    rep = rep or _representation(floor, Fraction(lam))
-    home, equality, vanishes = _readers(rep)
-    lam = rep.lam
-    tau = rep.tau()
-    report = Report()
-    add = report.checks.append
-
-    projections = _projection_keys(rep.floor)
-    for kind, n in projections:
-        add(Check.projection("6.5" if kind == "E" else "6.6", {"kind": kind, "n": n, "law": "projection"},
-                             home(kind, n)))
-
-    # 6.7: E_n and F_n are orthogonal
-    for n in range(1, rep.floor):
-        e_proj, f_proj = home("E", n), home("F", n)
-        add(vanishes("6.7", {"n": n, "law": "E F"}, e_proj * f_proj))
-        add(vanishes("6.7", {"n": n, "law": "F E"}, f_proj * e_proj))
-
-    # 6.8: commutation at distance >= 2
-    for k1, n1 in projections:
-        for k2, n2 in projections:
-            if n2 - n1 >= 2:
-                a, b = home(k1, n1), home(k2, n2)
-                add(vanishes("6.8", {"commutator": f"{k1}{n1},{k2}{n2}"}, a * b - b * a))
-
-    # 6.9 - 6.12: triple products with exact right-hand sides
-    for n in range(rep.floor - 1):
-        e_lo, e_hi = home("E", n), home("E", n + 1)
-        if n + 2 <= rep.floor:
-            add(equality("6.9", {"n": n, "law": "E_n E_n+1 E_n"},
-                         e_lo * e_hi * e_lo, (e_lo * home("e", n + 2)).scale(tau)))
-        add(equality("6.9", {"n": n, "law": "E_n+1 E_n E_n+1"},
-                     e_hi * e_lo * e_hi, (e_hi * home("g", n)).scale(tau)))
-    for n in range(1, rep.floor - 1):
-        f_lo, f_hi = home("F", n), home("F", n + 1)
-        if n + 2 <= rep.floor:
-            add(equality("6.10", {"n": n, "law": "F_n F_n+1 F_n"},
-                         f_lo * f_hi * f_lo, (f_lo * home("f", n + 2)).scale(tau)))
-        add(equality("6.10", {"n": n, "law": "F_n+1 F_n F_n+1"},
-                     f_hi * f_lo * f_hi, (f_hi * home("g", n)).scale(tau)))
-    for n in range(rep.floor - 1):
-        e_lo = home("E", n)
-        f_hi = home("F", n + 1)
-        if n + 2 <= rep.floor:
-            add(equality("6.11", {"n": n, "law": "E_n F_n+1 E_n"},
-                         e_lo * f_hi * e_lo, (e_lo * home("f", n + 2)).scale(lam * tau)))
-        if n >= 1 and n + 2 <= rep.floor:
-            f_lo, e_hi = home("F", n), home("E", n + 1)
-            add(equality("6.11", {"n": n, "law": "F_n E_n+1 F_n"},
-                         f_lo * e_hi * f_lo, (f_lo * home("e", n + 2)).scale(lam * tau)))
-    for n in range(1, rep.floor - 1):
-        e_hi, f_lo = home("E", n + 1), home("F", n)
-        add(equality("6.12", {"n": n, "law": "E_n+1 F_n E_n+1"},
-                     e_hi * f_lo * e_hi, (e_hi * home("e", n)).scale(lam * tau)))
-    for n in range(rep.floor - 1):
-        f_hi, e_lo = home("F", n + 1), home("E", n)
-        add(equality("6.12", {"n": n, "law": "F_n+1 E_n F_n+1"},
-                     f_hi * e_lo * f_hi, (f_hi * home("f", n)).scale(lam * tau)))
-
-    # 6.13 / 6.14: vanishing mixed products
-    for n in range(1, rep.floor - 1):
-        e_lo, e_hi = home("E", n), home("E", n + 1)
-        f_lo, f_hi = home("F", n), home("F", n + 1)
-        for law, prod in (
-            ("E_n E_n+1 F_n", e_lo * e_hi * f_lo),
-            ("E_n F_n+1 F_n", e_lo * f_hi * f_lo),
-            ("E_n+1 E_n F_n+1", e_hi * e_lo * f_hi),
-            ("E_n+1 F_n F_n+1", e_hi * f_lo * f_hi),
-        ):
-            add(vanishes("6.13", {"n": n, "law": law}, prod))
-        for law, prod in (
-            ("F_n E_n+1 E_n", f_lo * e_hi * e_lo),
-            ("F_n F_n+1 E_n", f_lo * f_hi * e_lo),
-            ("F_n+1 E_n E_n+1", f_hi * e_lo * e_hi),
-            ("F_n+1 F_n E_n+1", f_hi * f_lo * e_hi),
-        ):
-            add(vanishes("6.14", {"n": n, "law": law}, prod))
-
-    # 6.15 / 6.16: the two-factor expansions of E_n E_n+1 and E_n+1 E_n
-    unit = Fraction(1, (1 + lam) ** 2)
-    for n in range(rep.floor - 1):
-        v_lo, v_hi = home("v", n), home("v", n + 1)
-        e_lo, e_hi = home("E", n), home("E", n + 1)
-        left_factor = v_lo.adjoint() * v_lo + v_lo.scale(1, root=True)
-        right_factor = v_hi + (v_hi * v_hi.adjoint()).scale(1, root=True)
-        add(equality("6.15", {"n": n}, e_lo * e_hi, (left_factor * right_factor).scale(unit, root=True)))
-        add(equality("6.16", {"n": n}, e_hi * e_lo, (e_lo * e_hi).adjoint()))
-
-    # dominance: tau E_n - E_n E_m E_n is tau times an exact projection
-    for n in range(rep.floor - 1):
-        e_lo, e_hi = home("E", n), home("E", n + 1)
-        if n + 2 <= rep.floor:
-            residue = _times_one_minus(e_lo, home("e", n + 2))
-            add(Check.projection("dominance", {"n": n, "law": "E_n(1-e_n+2) projection"}, residue))
-            add(equality("dominance", {"n": n, "law": "tau E_n - E_n E_n+1 E_n"},
-                         e_lo.scale(tau) - e_lo * e_hi * e_lo, residue.scale(tau)))
-        residue = _times_one_minus(e_hi, home("g", n))
-        add(Check.projection("dominance", {"n": n, "law": "E_n+1(1-g_n) projection"}, residue))
-        add(equality("dominance", {"n": n, "law": "tau E_n+1 - E_n+1 E_n E_n+1"},
-                     e_hi.scale(tau) - e_hi * e_lo * e_hi, residue.scale(tau)))
-
-    return report
+    return _suite(_braiding_table(floor), floor, lam, rep)
 
 
 def run_all_suites(floor: int, lam, rep: Representation | None = None) -> Report:
-    rep = rep or _representation(floor, Fraction(lam))
     report = verify_relation_suite(floor, lam, rep)
     report.extend(yang_baxter_check(floor, lam, rep=rep))
     report.extend(verify_braiding_suite(floor, lam, rep))

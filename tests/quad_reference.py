@@ -174,6 +174,9 @@ class ReferenceOperator:
     def is_projection(self) -> bool:
         return self == self.adjoint() and self * self == self
 
+    def max_nonzeros(self, other: int) -> int:
+        return max(other, len(self.quads))
+
     def support(self) -> set:
         return set(self.quads)
 

@@ -17,10 +17,15 @@ and E/F built there from those (``projection``), so every check is decided
 at floor N.  Reports must again match byte for byte.  ``direct_generator``
 is the loop that built the generators on the floor-N paths before they
 moved to their home floors; the lifted home builds must equal it.
+
+A mutant re-decides only the rows that read its flip and takes the other
+checks from its parent.  ``unlinked`` copies a representation without that
+link, so that every row is decided on the copy: the two reports must match.
 """
 
 from __future__ import annotations
 
+import copy
 import weakref
 from fractions import Fraction
 
@@ -81,6 +86,15 @@ def patch_floor_n(patch) -> None:
         return cache[(kind, n)]
 
     patch.setattr(path_algebra.Representation, "_home", home)
+
+
+def unlinked(rep):
+    """A copy of ``rep`` with the same generators, its E/F built afresh and
+    no parent link, so the suites decide every row on it."""
+    twin = copy.copy(rep)
+    twin._gens, twin._tl, twin._verdicts = dict(rep._gens), {}, {}
+    twin._parent, twin._changed = None, frozenset()
+    return twin
 
 
 def path_matrix_unit(ctx, lam, head, tail_head):

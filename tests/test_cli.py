@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fareybratteli
-from fareybratteli import cli, core, dimension_group
+from fareybratteli import cli, core, dimension_group, path_algebra
 from fareybratteli.cli import build_parser, main
 
 
@@ -152,7 +153,8 @@ def test_relations_stats_go_to_stderr_only(capsys):
     assert list(stats) == ["base", "yb", "braiding"]
     total = 0
     for section in stats.values():
-        assert set(section) == {"checks", "failures", "seconds", "decided_at_floor"}
+        assert set(section) == {"checks", "failures", "seconds", "decided_at_floor", "products", "largest_product"}
+        assert section["products"] > 0 and 0 < section["largest_product"] <= 244  # paths at floor 5
         assert section["failures"] == 0 and section["seconds"] >= 0
         assert sum(section["decided_at_floor"].values()) == section["checks"]
         assert {int(f) for f in section["decided_at_floor"]} <= set(range(6))
@@ -163,6 +165,28 @@ def test_relations_stats_go_to_stderr_only(capsys):
     stats = json.loads(err)
     assert code == 0 and list(stats) == ["yb"] and stats["yb"]["checks"] == len(json.loads(out)) == 27
     assert stats["yb"]["decided_at_floor"] == {"2": 9, "3": 9, "4": 9}
+
+
+def test_relations_stats_count_the_products_of_the_words(capsys):
+    # 6.4 multiplies out ab, (ab)a and b(ab) once per n (a = v_n, b = v_n+1)
+    # and each v_n^2 once, however many grid points and indices share them
+    code, _, err = run(capsys, "relations", "--floor", "4", "--lambda", "2", "--suite", "yb", "--stats")
+    stats = json.loads(err)["yb"]
+    rep = path_algebra.Representation(4, Fraction(2))
+    products = [rep._home("v", n) * rep._home("v", n) for n in range(4)]
+    for n in range(3):
+        a, b = rep._home("v", n), rep._home("v", n + 1)
+        products += [a * b, a * b * a, b * (a * b)]
+    assert code == 0 and stats["products"] == len(products) == 13
+    assert stats["largest_product"] == max(len(p.support()) for p in products) > 0
+
+
+def test_relations_floor_6_json_matches_the_committed_report(capsys):
+    # tests/golden_floor6_lambda_2_3.json is the report as written before the
+    # suites became one relation table
+    golden = (Path(__file__).parent / "golden_floor6_lambda_2_3.json").read_text(encoding="utf-8")
+    code, out, _ = run(capsys, "relations", "--floor", "6", "--lambda", "2/3", "--json")
+    assert (code, out) == (0, golden)
 
 
 @pytest.mark.parametrize("lam", ["1/4", "2"])

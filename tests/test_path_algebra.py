@@ -1,12 +1,12 @@
 """Path model, generators, relation suites, and mutation sensitivity."""
 
-import copy
 import gc
 import json
 import random
 import weakref
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +19,7 @@ from suite_reference import (
     path_matrix_unit,
     projection,
     reference_generator_keys,
+    unlinked,
 )
 from suite_reference import yang_baxter_check as reference_yang_baxter_check
 
@@ -401,12 +402,14 @@ def test_relation_suite_passes():
 # work-cutting steps of the suites against their slow references
 
 
-def reports_with_reference(monkeypatch, floor, lam, reps, install=patch_reference):
-    """Suite reports for each representation, once as the suites run and
-    once with a reference from ``suite_reference`` installed."""
+def reports_with_reference(monkeypatch, floor, lam, make_reps, install=patch_reference):
+    """Suite reports for the representations ``make_reps()`` returns, once
+    as the suites run and once with a reference from ``suite_reference``
+    installed.  The reference side builds its representations and mutants
+    afresh, so that no verdict a parent kept on the fast side is reused."""
 
     def reports():
-        return [run_all_suites(floor, lam, rep).to_json() for rep in reps]
+        return [run_all_suites(floor, lam, rep).to_json() for rep in make_reps()]
 
     fast = reports()
     with monkeypatch.context() as patch:
@@ -422,20 +425,85 @@ def every_isometry_flip(rep):
     return mutants
 
 
+def seeded_mutants(rep, seeds):
+    return [random_sign_mutation(rep, random.Random(seed))[0] for seed in seeds]
+
+
 def test_every_isometry_flip_at_floor_4_matches_suite_reference(monkeypatch):
     lam = F(2)
-    fast, slow = reports_with_reference(monkeypatch, 4, lam, every_isometry_flip(Representation(4, lam)))
+    fast, slow = reports_with_reference(monkeypatch, 4, lam, lambda: every_isometry_flip(Representation(4, lam)))
     assert fast == slow
     assert len(fast) == 82 and any('"fail"' in text for text in fast)
 
 
 @pytest.mark.parametrize("lam", (F(1, 4), F(2), F(2, 3)), ids=str)
 def test_seeded_mutants_at_floor_5_match_suite_reference(monkeypatch, lam):
-    rep = Representation(5, lam)
-    mutants = [random_sign_mutation(rep, random.Random(seed))[0] for seed in range(10)]
-    fast, slow = reports_with_reference(monkeypatch, 5, lam, mutants)
+    fast, slow = reports_with_reference(monkeypatch, 5, lam, lambda: seeded_mutants(Representation(5, lam), range(10)))
     assert fast == slow
     assert any('"witness"' in text for text in fast)
+
+
+# ---------------------------------------------------------------------------
+# mutants re-decide only the rows that read their flip
+
+
+def assert_reuse_matches_unlinked(floor, lam, mutants):
+    """Each mutant's report, with its parent's verdicts reused, equals the
+    report of a copy with the same generators and no parent link."""
+    for mutated in mutants:
+        assert mutated._parent is not None
+        reused = run_all_suites(floor, lam, mutated).to_json()
+        assert reused == run_all_suites(floor, lam, unlinked(mutated)).to_json()
+
+
+def test_every_isometry_flip_at_floor_4_reuses_parent_verdicts_exactly():
+    rep = Representation(4, F(2))
+    mutants = every_isometry_flip(rep)[1:]
+    assert len(mutants) == 81
+    assert_reuse_matches_unlinked(4, F(2), mutants)
+    assert run_all_suites(4, F(2), rep).to_json() == run_all_suites(4, F(2), unlinked(rep)).to_json()
+
+
+@pytest.mark.parametrize("lam", (F(1, 4), F(2), F(2, 3)), ids=str)
+def test_seeded_mutants_at_floor_5_reuse_parent_verdicts_exactly(lam):
+    assert_reuse_matches_unlinked(5, lam, seeded_mutants(Representation(5, lam), range(10)))
+
+
+def test_mutants_of_mutants_reuse_verdicts_through_each_parent():
+    lam = F(2, 3)
+    rep = Representation(5, lam)
+    # a diagonal flip is always caught, so a grandchild that took the
+    # grandparent's verdicts for the rows reading it would pass them
+    child = rep.with_sign_flip("e", 2, min(rep.gen("e", 2).support()))
+    assert not run_all_suites(5, lam, unlinked(child)).ok
+    # again e_2 (the child's changed keys), an isometry and its projection, a far one
+    grandchildren = [
+        child.with_sign_flip("e", 2, max(rep.gen("e", 2).support())),
+        child.with_sign_flip("v", 1, min(rep.gen("v", 1).support())),
+        child.with_sign_flip("w", 3, min(rep.gen("w", 3).support())),
+    ]
+    assert grandchildren[0]._changed == {("e", 2)} and grandchildren[1]._changed == {("v", 1), ("E", 1)}
+    great = grandchildren[1].with_sign_flip("g", 4, min(rep.gen("g", 4).support()))
+    assert_reuse_matches_unlinked(5, lam, [great] + grandchildren + [child] + seeded_mutants(child, range(4)))
+
+
+def test_a_mutant_rereads_only_the_rows_of_its_flip():
+    lam = F(2)
+    rep = Representation(5, lam)
+    full = run_all_suites(5, lam, rep)
+    # the first mutant has the parent decide, once, the rows its flip leaves alone
+    first = rep.with_sign_flip("w", 3, min(rep.gen("w", 3).support()))
+    run_all_suites(5, lam, first)
+    assert 0 < len(rep._verdicts) < len(full.checks)
+    second = rep.with_sign_flip("w", 3, max(rep.gen("w", 3).support()))
+    report = run_all_suites(5, lam, second)
+    parents = {id(c) for c in rep._verdicts.values()}
+    reread = {(c.equation, json.dumps(c.indices)) for c in report.checks if id(c) not in parents}
+    assert 0 < len(reread) < len(full.checks) / 4
+    assert 0 < report.products < full.products / 4
+    assert ("R3", json.dumps({"family": "w", "n": 3, "law": "w g = e w"})) in reread
+    assert ("6.7", json.dumps({"n": 3, "law": "E F"})) in reread  # reads F_3
+    assert ("R3", json.dumps({"family": "v", "n": 1, "law": "v g = f v"})) not in reread
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +583,10 @@ HOME_ORACLE_CASES = [(4, lam) for lam in ORACLE_LAMBDAS] + [(5, lam) for lam in 
 
 @pytest.mark.parametrize("floor, lam", HOME_ORACLE_CASES, ids=str)
 def test_home_floor_suites_match_floor_n_evaluation(monkeypatch, floor, lam):
-    rep = Representation(floor, lam)
-    reps = [rep] + [random_sign_mutation(rep, random.Random(seed))[0] for seed in range(6)]
+    def reps():
+        rep = Representation(floor, lam)
+        return [rep] + seeded_mutants(rep, range(6))
+
     fast, slow = reports_with_reference(monkeypatch, floor, lam, reps, patch_floor_n)
     assert fast == slow
     assert '"fail"' not in fast[0] and any('"witness"' in text for text in fast[1:])
@@ -526,23 +596,26 @@ def test_home_floor_flips_name_floor_n_witnesses(monkeypatch):
     # a flip made at a generator's home floor fails checks decided below
     # floor N; their witnesses, lifted to floor N, must be the floor-N ones
     lam = F(2, 3)
-    rep = Representation(4, lam)
-    mutants = []
-    for kind, n in reference_generator_keys(4):
-        home = rep._home(kind, n)
-        mutated = copy.copy(rep)
-        mutated._gens, mutated._tl = dict(rep._gens), {}
-        mutated._gens[(kind, n)] = home.with_negated_entry(max(home.support()))
-        mutants.append(mutated)
+
+    def mutants():
+        rep = Representation(4, lam)
+        out = []
+        for kind, n in reference_generator_keys(4):
+            home = rep._gens[(kind, n)]  # at its home floor, also where _home is patched
+            mutated = unlinked(rep)
+            mutated._gens[(kind, n)] = home.with_negated_entry(max(home.support()))
+            out.append(mutated)
+        return out
+
     fast, slow = reports_with_reference(monkeypatch, 4, lam, mutants, patch_floor_n)
     assert fast == slow
-    lifted = [c for m in mutants for c in run_all_suites(4, lam, m).failures() if c.witness and c.floor < 4]
+    lifted = [c for m in mutants() for c in run_all_suites(4, lam, m).failures() if c.witness and c.floor < 4]
     assert len(lifted) > 20
 
 
 def test_every_isometry_flip_at_floor_4_matches_floor_n_evaluation(monkeypatch):
     lam = F(1, 4)
-    fast, slow = reports_with_reference(monkeypatch, 4, lam, every_isometry_flip(Representation(4, lam)), patch_floor_n)
+    fast, slow = reports_with_reference(monkeypatch, 4, lam, lambda: every_isometry_flip(Representation(4, lam)), patch_floor_n)
     assert fast == slow
     assert len(fast) == 82 and any('"witness"' in text for text in fast)
 
@@ -569,7 +642,7 @@ def test_yang_baxter_expansion_matches_grid_for_custom_pairs():
     mutated = random_sign_mutation(rep, random.Random(3))[0]
     # sign flips keep a^2 and aba - bab zero; with E_1, E_2 in place of
     # v_1, v_2 neither coefficient vanishes and 6.4 fails at n = 0, 1, 2
-    broken = rep.with_sign_flip("v", 1, min(rep.gen("v", 1).support()))
+    broken = unlinked(rep)
     broken._gens[("v", 1)], broken._gens[("v", 2)] = rep.tl("E", 1), rep.tl("E", 2)
     for subject in (rep, mutated, broken):
         fast = yang_baxter_check(5, F(2, 3), pairs=pairs, rep=subject)
@@ -585,6 +658,38 @@ def test_suites_need_enough_floors():
         verify_relation_suite(3, F(1))
     with pytest.raises(ValueError):
         verify_braiding_suite(3, F(1))
+
+
+@pytest.mark.parametrize("suite", [verify_relation_suite, yang_baxter_check, verify_braiding_suite, run_all_suites])
+def test_suites_refuse_a_representation_of_another_floor_or_lambda(suite):
+    # a rep used to override both arguments: floor 3 at lambda 2 for a floor-6
+    # lambda-1/4 call, or floor 2 below the suites' own floor-4 minimum
+    for floor, lam, (rep_floor, rep_lam) in ((6, F(1, 4), (3, F(2))), (5, 1, (2, F(2))), (5, F(2), (5, F(1))), (4, "2", (5, F(2)))):
+        message = rf"floor-{rep_floor} model at lambda {rep_lam}, not floor {floor} at lambda {lam}"
+        with pytest.raises(ValueError, match=message):
+            suite(floor, lam, rep=Representation(rep_floor, rep_lam))
+    assert suite(4, "2/3", rep=Representation(4, F(2, 3))).ok
+
+
+def test_suite_reports_match_the_frozen_floor_5_reports():
+    # tests/golden_suites_floor5.json holds the reports of the floor-5
+    # representation and of ten seeded mutants, as run before the suites
+    # became one relation table: each mutant as the checks that differ from
+    # the representation's report
+    frozen = json.loads((Path(__file__).parent / "golden_suites_floor5.json").read_text(encoding="utf-8"))
+    assert frozen["floor"] == 5 and list(frozen["lambdas"]) == ["1/4", "2/3"]
+    for text, data in frozen["lambdas"].items():
+        lam = F(text)
+        rep = Representation(5, lam)
+        assert len(data["mutants"]) == frozen["seeds"] == 10
+        for item in data["mutants"]:
+            mutated, info = random_sign_mutation(rep, random.Random(item["seed"]))
+            assert info == item["flip"]
+            expected = list(data["report"])
+            for index, check in item["differs"].items():
+                expected[int(index)] = check
+            assert run_all_suites(5, lam, mutated).to_json() == json.dumps(expected)
+        assert run_all_suites(5, lam, rep).to_json() == json.dumps(data["report"])
 
 
 def test_yang_baxter():
