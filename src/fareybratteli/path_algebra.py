@@ -25,16 +25,19 @@ its operators, and a failing one reads its witness at floor N.
 The suites are data: ``verify_relation_suite``, ``yang_baxter_check`` and
 ``verify_braiding_suite`` are each a table of rows built once per floor:
 equation id, indices, kind of check (equality, vanishes, nonzero,
-projection) and operand nodes.  A node is a hashable tuple: a letter
-(kind, n) is a generator or E/F at its home floor; ("*", x) is an adjoint,
-("·", x, y) a product, ("[]", x, y) the commutator xy - yx,
-("+", ((scalar, x), ...)) a linear combination, ("1-·", x, y) and
-("·1-", y, x) the support laws (1 - x) y and y (1 - x), formed as y - xy
-and y - yx, ("1",) the identity and ("U", r) the partition of unity by the
-floor-r matrix units.  A scalar (c, i, j) is c sqrt(lam)^i / (1 + lam)^j,
-so a table serves every lam.  One evaluator decides the rows through
-``Representation._home``; a node that several rows share (E_n E_n+1 in 6.9,
-6.13, 6.15, 6.16 and dominance) is built once per evaluation.
+projection) and operand nodes.  A node is a hashable tuple of one of five
+kinds, the *-ring the suites need: a letter (kind, n) is a generator or E/F
+at its home floor, ("*", x) an adjoint, ("·", x, y) a product,
+("+", ((scalar, x), ...)) a linear combination and ("1", r) the identity of
+floor r, which lifts to whatever it meets.  A commutator [x, y] is the
+combination xy - yx, and a support law (1 - x) y or y (1 - x) is y - xy or
+y - yx.  The floor-r matrix units T(x, x) sum to the floor-r identity, and
+the unital tail embedding carries it to every higher floor, so the
+unit-partition row of floor r compares ("1", r) with ("1", 0).  A scalar
+(c, i, j) is c sqrt(lam)^i / (1 + lam)^j, so a table serves every lam.  One
+evaluator decides the rows through ``Representation._home``; a node that
+several rows share (E_n E_n+1 in 6.9, 6.13, 6.15, 6.16 and dominance, or
+f_n v_n in R2 and R3) is built once per evaluation.
 
 A mutant reuses its parent's verdicts.  ``with_sign_flip`` records the
 parent and the changed keys: the flipped generator, and E_n or F_n for a
@@ -52,7 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, product
-from math import gcd, isqrt
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -67,7 +70,6 @@ __all__ = [
     "path_context",
     "random_sign_mutation",
     "run_all_suites",
-    "sqrt_fraction",
     "tl_projection",
     "verify_braiding_suite",
     "verify_relation_suite",
@@ -136,16 +138,6 @@ def _extensions(low: PathContext, high: PathContext) -> tuple[tuple[int, ...], t
             starts[i] = j
         counts[i] += 1
     return tuple(starts), tuple(counts)
-
-
-def sqrt_fraction(x: Fraction) -> Fraction | None:
-    """Exact rational square root, or None if x is not a perfect square."""
-    if x < 0:
-        return None
-    n, d = isqrt(x.numerator), isqrt(x.denominator)
-    if n * n == x.numerator and d * d == x.denominator:
-        return Fraction(n, d)
-    return None
 
 
 Entries = dict[tuple[int, int], int]
@@ -365,34 +357,6 @@ class SparseOperator:
                 part[key] = -part[key]
         return SparseOperator(self.ctx, self.lam, A, B, self.d)
 
-    def embed_root(self) -> "SparseOperator":
-        """For square lam, fold b*sqrt(lam) into the rational component."""
-        root = sqrt_fraction(self.lam)
-        if root is None:
-            raise ValueError(f"{self.lam} is not a perfect square")
-        n, m = root.numerator, root.denominator
-        A = {key: m * val for key, val in self.A.items()}
-        for key, val in self.B.items():
-            A[key] = A.get(key, 0) + n * val
-        return SparseOperator(self.ctx, self.lam, A, None, self.d * m)
-
-    def rank(self) -> int:
-        """Exact rank by Gaussian elimination over Q.
-
-        For square lam the root is folded in first.  Otherwise Q(sqrt(lam))
-        is a quadratic field, and the rank is half the rational rank of the
-        real form [[q A, p B], [q B, q A]] with lam = p/q."""
-        if sqrt_fraction(self.lam) is not None:
-            return _rational_rank(self.embed_root().A)
-        p, q, n = self.lam.numerator, self.lam.denominator, self.ctx.dim
-        real = {}
-        for (i, j), val in self.A.items():
-            real[(i, j)] = real[(i + n, j + n)] = q * val
-        for (i, j), val in self.B.items():
-            real[(i, j + n)] = p * val
-            real[(i + n, j)] = q * val
-        return _rational_rank(real) // 2
-
 
 def _symmetric(entries: Entries) -> bool:
     get = entries.get
@@ -420,37 +384,6 @@ def _matmul(out: Entries, left: Entries, rows: Rows, factor: int) -> Entries:
                 key = (i, k)
                 out[key] = get(key, 0) + a * b
     return out
-
-
-def _rational_rank(entries: Entries) -> int:
-    rank = 0
-    rows: dict[int, dict[int, Fraction]] = {}
-    for (i, j), val in entries.items():
-        rows.setdefault(i, {})[j] = Fraction(val)
-    pending = list(rows.values())
-    while pending:
-        row = pending.pop()
-        rank += 1
-        pivot = min(row)
-        inv = 1 / row[pivot]
-        reduced = {c: inv * v for c, v in row.items()}
-        remaining = []
-        for other in pending:
-            if pivot in other:
-                factor = other[pivot]
-                new = dict(other)
-                for c, v in reduced.items():
-                    val = new.get(c, 0) - factor * v
-                    if val:
-                        new[c] = val
-                    else:
-                        new.pop(c, None)
-                if new:
-                    remaining.append(new)
-            else:
-                remaining.append(other)
-        pending = remaining
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +442,14 @@ def _projection(u: SparseOperator, lam: Fraction) -> SparseOperator:
     )
 
 
+def _exact_lambda(lam) -> Fraction:
+    """lam as a Fraction.  A float is refused: 0.1 is the binary fraction
+    3602879701896397/36028797018963968, not the rational a caller meant."""
+    if isinstance(lam, float):
+        raise ValueError(f"lam must be exact (an int, a Fraction or a 'p/q' string), not the float {lam!r}")
+    return Fraction(lam)
+
+
 class Representation:
     """All generators of the floor-N model over Q(sqrt(lam)), built once at
     their home floors: e_1..e_N, f_0..f_N, g_0..g_N (edge-class projections),
@@ -516,7 +457,7 @@ class Representation:
     E_0..E_{N-1}, F_1..F_{N-1}; the public accessors lift them to floor N."""
 
     def __init__(self, floor: int, lam: Fraction):
-        lam = Fraction(lam)
+        lam = _exact_lambda(lam)
         if lam <= 0:
             raise ValueError("lam must be a positive rational")
         self.floor = floor
@@ -595,19 +536,19 @@ def generator(kind: str, n: int, floor: int, lam=Fraction(1)) -> SparseOperator:
     """Edge-class projection e/f/g at index n in the floor-N model."""
     if kind not in ("e", "f", "g"):
         raise ValueError(f"unknown generator kind {kind!r}")
-    return _representation(floor, Fraction(lam)).gen(kind, n)
+    return _representation(floor, _exact_lambda(lam)).gen(kind, n)
 
 
 def flip_isometry(kind: str, n: int, floor: int, lam=Fraction(1)) -> SparseOperator:
     """Diamond flip v/w at index n in the floor-N model."""
     if kind not in ("v", "w"):
         raise ValueError(f"unknown isometry kind {kind!r}")
-    return _representation(floor, Fraction(lam)).gen(kind, n)
+    return _representation(floor, _exact_lambda(lam)).gen(kind, n)
 
 
 def tl_projection(kind: str, n: int, floor: int, lam) -> SparseOperator:
     """Temperley-Lieb-type projection E_n or F_n over Q(sqrt(lam))."""
-    return _representation(floor, Fraction(lam)).tl(kind, n)
+    return _representation(floor, _exact_lambda(lam)).tl(kind, n)
 
 
 # ---------------------------------------------------------------------------
@@ -690,12 +631,12 @@ class Report:
 
 ONE, MINUS, ROOT = (1, 0, 0), (-1, 0, 0), (1, 1, 0)
 TAU, LAM_TAU, ROOT_UNIT2 = (1, 2, 2), (1, 4, 2), (1, 1, 2)  # tau, lam*tau, sqrt(lam)/(1+lam)^2
-_IDENTITY, _LETTERS = ("1",), frozenset("efgvwEF")
+_IDENTITY, _LETTERS = ("1", 0), frozenset("efgvwEF")
 
 
 def _children(node: tuple) -> tuple:
     tag = node[0]
-    return tuple(x for _, x in node[1]) if tag == "+" else node[1:] if tag in ("·", "*", "[]", "1-·", "·1-") else ()
+    return tuple(x for _, x in node[1]) if tag == "+" else node[1:] if tag in ("·", "*") else ()
 
 
 class _Row:
@@ -736,6 +677,10 @@ def _lin(*terms: tuple) -> tuple:
     return ("+", terms)
 
 
+def _commutator(x: tuple, y: tuple) -> tuple:
+    return _lin((ONE, _mul(x, y)), (MINUS, _mul(y, x)))
+
+
 @lru_cache(maxsize=64)
 def _scalar(scalar: tuple, lam: Fraction) -> tuple[Fraction, bool]:
     """(value, root) of the scalar (c, i, j) = c sqrt(lam)^i / (1 + lam)^j."""
@@ -764,12 +709,12 @@ def _defined(floor: int) -> Callable[[str, int], bool]:
 
 
 def _support_law(text: str, n: int) -> tuple:
-    """``(1-x_n)y_n`` or ``y_n(1-x_n)`` as a node."""
+    """``(1-x_n)y_n`` or ``y_n(1-x_n)`` as y - xy or y - yx."""
     if text.startswith("(1-"):
-        x, y = text[3:].split(")")
-        return ("1-·", _word(x, n), _word(y, n))
-    y, x = text[:-1].split("(1-")
-    return ("·1-", _word(y, n), _word(x, n))
+        x, y = (_word(w, n) for w in text[3:].split(")"))
+        return _lin((ONE, y), (MINUS, _mul(x, y)))
+    y, x = (_word(w, n) for w in text[:-1].split("(1-"))
+    return _lin((ONE, y), (MINUS, _mul(y, x)))
 
 
 # (R2) support laws; (R3) intertwining, (R4) initial and final supports as (law, word, word)
@@ -833,7 +778,7 @@ def _relation_table(floor: int) -> tuple[tuple[_Row, ...], frozenset]:
         total = _lin(*((ONE, _letter(k, n)) for k in ("fge" if n else "fg")))
         add(_Row("R1", {"sum_at": n}, "equality", total, _IDENTITY))
     for (k1, n1), (k2, n2) in combinations(diag, 2):
-        add(_Row("R1", {"commutator": f"{k1}{n1},{k2}{n2}"}, "vanishes", ("[]", _letter(k1, n1), _letter(k2, n2))))
+        add(_Row("R1", {"commutator": f"{k1}{n1},{k2}{n2}"}, "vanishes", _commutator(_letter(k1, n1), _letter(k2, n2))))
     for family, n, law in product("vw", range(floor), _R2):
         if family + "_n" in law and defined(family + "_n", n):
             add(_Row("R2", {"family": family, "n": n, "law": law}, "vanishes", _support_law(law, n)))
@@ -857,13 +802,13 @@ def _relation_table(floor: int) -> tuple[tuple[_Row, ...], frozenset]:
             if n2 - n1 >= 2:
                 # [x, y*] = -[x*, y]* and [x*, y*] = -[x, y]*: an adjoint in place of two products
                 x, xs, y = _letter(k1, n1), _letter(k1, n1, True), _letter(k2, n2)
-                plain, starred = ("[]", x, y), ("[]", xs, y)
+                plain, starred = _commutator(x, y), _commutator(xs, y)
                 nodes = (plain, _lin((MINUS, ("*", starred))), starred, _lin((MINUS, ("*", plain))))
                 for (s1, s2), node in zip(product(("", "*"), ("", "*")), nodes):
                     add(_Row("locality", {"commutator": f"{k1}{s1}{n1},{k2}{s2}{n2}"}, "vanishes", node))
         for kind, r in diag:
             if r <= n1 - 1 or r >= n1 + 2:
-                node = ("[]", _letter(k1, n1), _letter(kind, r))
+                node = _commutator(_letter(k1, n1), _letter(kind, r))
                 add(_Row("locality", {"commutator": f"{k1}{n1},{kind}{r}"}, "vanishes", node))
     # braid triples (both sides vanish) and the 6.3 list
     for kind, n in product("vw", range(floor)):
@@ -872,9 +817,9 @@ def _relation_table(floor: int) -> tuple[tuple[_Row, ...], frozenset]:
             add(_Row("braid", {"family": kind, "n": n}, "equality", low, high))
             add(_Row("6.3", {"family": kind, "law": "x_n x_n+1 x_n", "n": n}, "vanishes", low))
             add(_Row("6.3", {"family": kind, "law": "x_n+1 x_n x_n+1", "n": n}, "vanishes", high))
-    # partition of unity by the embedded floor-r matrix units
+    # partition of unity by the embedded floor-r matrix units: the floor-r identity
     for r in range(floor):
-        add(_Row("unit-partition", {"r": r}, "equality", ("U", r), _IDENTITY))
+        add(_Row("unit-partition", {"r": r}, "equality", ("1", r), _IDENTITY))
     return _table(rows)
 
 
@@ -908,7 +853,7 @@ def _braiding_table(floor: int) -> tuple[tuple[_Row, ...], frozenset]:
     # 6.8: commutation at distance >= 2
     for (k1, n1), (k2, n2) in product(projections, projections):
         if n2 - n1 >= 2:
-            add(_Row("6.8", {"commutator": f"{k1}{n1},{k2}{n2}"}, "vanishes", ("[]", _letter(k1, n1), _letter(k2, n2))))
+            add(_Row("6.8", {"commutator": f"{k1}{n1},{k2}{n2}"}, "vanishes", _commutator(_letter(k1, n1), _letter(k2, n2))))
     # 6.9 - 6.12: triple products with exact right-hand sides
     for group in _TRIPLES:
         for n, (equation, law, scalar, word) in product(range(floor), group):
@@ -951,12 +896,6 @@ def _evaluate(rep: Representation, rows: Sequence[_Row], shared: frozenset, repo
             op = (cache.get(id(x)) or value(x)) * (cache.get(id(y)) or value(y))
             report.products += 1
             report.largest_product = op.max_nonzeros(report.largest_product)
-        elif tag == "[]":
-            x, y = (cache.get(id(node[1])) or value(node[1])), (cache.get(id(node[2])) or value(node[2]))
-            xy, yx = x * y, y * x
-            op = xy - yx
-            report.products += 2
-            report.largest_product = yx.max_nonzeros(xy.max_nonzeros(report.largest_product))
         elif tag == "*":
             op = (cache.get(id(node[1])) or value(node[1])).adjoint()
         elif tag == "+":
@@ -968,13 +907,8 @@ def _evaluate(rep: Representation, rows: Sequence[_Row], shared: frozenset, repo
                     continue
                 term = term if scalar is ONE else term.scale(*_scalar(scalar, lam))
                 op = term if op is None else op + term
-        elif tag in ("1-·", "·1-"):
-            law = _one_minus_times if tag == "1-·" else _times_one_minus
-            op = law(*(cache.get(id(x)) or value(x) for x in node[1:]))
-        elif tag == "1":
-            op = SparseOperator.identity(path_context(0), lam)  # lifts to what it meets
-        else:
-            op = _unit_partition(rep, node[1])
+        else:  # ("1", r): the floor-r identity, which lifts to what it meets
+            op = SparseOperator.identity(path_context(node[1]), lam)
         if id(node) in shared:
             cache[id(node)] = op
         return op
@@ -1007,9 +941,10 @@ def _decide(rep: Representation, rows: Sequence[_Row], shared: frozenset, report
 
 def _suite(table: tuple[tuple[_Row, ...], frozenset], floor: int, lam, rep: Representation | None) -> Report:
     """Run a table on the shared floor-N model, or on ``rep`` if it is that model."""
+    lam = _exact_lambda(lam)
     if rep is None:
-        rep = _representation(floor, Fraction(lam))
-    elif (rep.floor, rep.lam) != (floor, Fraction(lam)):
+        rep = _representation(floor, lam)
+    elif (rep.floor, rep.lam) != (floor, lam):
         raise ValueError(f"rep is the floor-{rep.floor} model at lambda {rep.lam}, not floor {floor} at lambda {lam}")
     report = Report()
     report.checks = _decide(rep, *table, report)
@@ -1027,21 +962,6 @@ def verify_relation_suite(floor: int, lam, rep: Representation | None = None) ->
     if floor < 4:
         raise ValueError("the relation suite needs floor >= 4")
     return _suite(_relation_table(floor), floor, lam, rep)
-
-
-def _one_minus_times(x: SparseOperator, y: SparseOperator) -> SparseOperator:
-    return y - x * y  # (1 - x) y
-
-
-def _times_one_minus(y: SparseOperator, x: SparseOperator) -> SparseOperator:
-    return y - y * x  # y (1 - x)
-
-
-def _unit_partition(rep: Representation, r: int) -> SparseOperator:
-    """The sum of the diagonal matrix units T(x, x) over the floor-r prefixes
-    x, built at floor r, their home: there each prefix is a whole path, and
-    the units sum to the identity, which the tail embedding carries up."""
-    return SparseOperator.identity(path_context(r), rep.lam)
 
 
 def yang_baxter_check(floor: int, lam=Fraction(1), pairs: Iterable[tuple] | None = None, rep: Representation | None = None) -> Report:

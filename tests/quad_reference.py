@@ -8,12 +8,18 @@ must match the integer operators' byte for byte.  Its tail embedding
 ``lift`` follows the definition path by path: the floor-N entry at
 (x + t, y + t) carries the floor-M entry at (x, y), for each floor-N path
 y + t.
+
+``sqrt_fraction``, ``embed_root`` and ``rank`` read an operator's rank by
+Gaussian elimination over Q; the tests compare it with traces and supports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
+
+from fareybratteli.path_algebra import SparseOperator
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,3 +205,74 @@ class ReferenceOperator:
         if key in out:
             out[key] = -out[key]
         return self._of(self.ctx, self.lam, out)
+
+
+def sqrt_fraction(x: Fraction) -> Fraction | None:
+    """Exact rational square root, or None if x is not a perfect square."""
+    if x < 0:
+        return None
+    n, d = isqrt(x.numerator), isqrt(x.denominator)
+    if n * n == x.numerator and d * d == x.denominator:
+        return Fraction(n, d)
+    return None
+
+
+def embed_root(op: SparseOperator) -> SparseOperator:
+    """For square lam, fold b*sqrt(lam) into the rational component."""
+    root = sqrt_fraction(op.lam)
+    if root is None:
+        raise ValueError(f"{op.lam} is not a perfect square")
+    n, m = root.numerator, root.denominator
+    A = {key: m * val for key, val in op.A.items()}
+    for key, val in op.B.items():
+        A[key] = A.get(key, 0) + n * val
+    return SparseOperator(op.ctx, op.lam, A, None, op.d * m)
+
+
+def rank(op: SparseOperator) -> int:
+    """Exact rank by Gaussian elimination over Q.
+
+    For square lam the root is folded in first.  Otherwise Q(sqrt(lam))
+    is a quadratic field, and the rank is half the rational rank of the
+    real form [[q A, p B], [q B, q A]] with lam = p/q."""
+    if sqrt_fraction(op.lam) is not None:
+        return _rational_rank(embed_root(op).A)
+    p, q, n = op.lam.numerator, op.lam.denominator, op.ctx.dim
+    real = {}
+    for (i, j), val in op.A.items():
+        real[(i, j)] = real[(i + n, j + n)] = q * val
+    for (i, j), val in op.B.items():
+        real[(i, j + n)] = p * val
+        real[(i + n, j)] = q * val
+    return _rational_rank(real) // 2
+
+
+def _rational_rank(entries: dict) -> int:
+    rank = 0
+    rows: dict[int, dict[int, Fraction]] = {}
+    for (i, j), val in entries.items():
+        rows.setdefault(i, {})[j] = Fraction(val)
+    pending = list(rows.values())
+    while pending:
+        row = pending.pop()
+        rank += 1
+        pivot = min(row)
+        inv = 1 / row[pivot]
+        reduced = {c: inv * v for c, v in row.items()}
+        remaining = []
+        for other in pending:
+            if pivot in other:
+                factor = other[pivot]
+                new = dict(other)
+                for c, v in reduced.items():
+                    val = new.get(c, 0) - factor * v
+                    if val:
+                        new[c] = val
+                    else:
+                        new.pop(c, None)
+                if new:
+                    remaining.append(new)
+            else:
+                remaining.append(other)
+        pending = remaining
+    return rank

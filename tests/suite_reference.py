@@ -2,13 +2,15 @@
 
 - ``yang_baxter_check`` multiplies out both sides of 6.4 at every grid
   point, three near-identity factors each.
-- ``unit_partition`` adds up ``path_matrix_unit(x, x)`` over the floor-r
-  prefixes one operator at a time.
-- ``one_minus_times`` and ``times_one_minus`` form (1 - x) y and y (1 - x)
-  through the identity operator, as R2 and the dominance residues read.
+- ``support_law`` forms (1 - x) y and y (1 - x) through the identity
+  operator, as R2 and the dominance residues read, where the suites form
+  y - xy and y - yx.
 
-``patch_reference`` installs all four in ``path_algebra``; every report must
-then match the fast suites' byte for byte, witnesses included.
+``patch_reference`` installs both in ``path_algebra``; every report must
+then match the fast suites' byte for byte, witnesses included.  The
+unit-partition rows compare the floor-r identity with the identity; that
+the floor-r matrix units (``path_matrix_unit``) sum to it is tested
+directly.
 
 The suites read each operator at its home floor and decide each check at
 the highest home floor among its operators.  ``patch_floor_n`` hands them
@@ -28,6 +30,7 @@ from __future__ import annotations
 import copy
 import weakref
 from fractions import Fraction
+from functools import lru_cache
 
 from fareybratteli import path_algebra
 from fareybratteli.path_algebra import Check, Report
@@ -111,23 +114,18 @@ def path_matrix_unit(ctx, lam, head, tail_head):
     return path_algebra.SparseOperator(ctx, lam, entries)
 
 
-def _identity(op):
-    return type(op).identity(op.ctx, op.lam)
+def _one_minus(text, n):
+    one, minus = path_algebra.ONE, path_algebra.MINUS
+    return path_algebra._lin((one, path_algebra._IDENTITY), (minus, path_algebra._word(text, n)))
 
 
-def one_minus_times(x, y):
-    return (_identity(y) - x) * y
-
-
-def times_one_minus(y, x):
-    return y * (_identity(y) - x)
-
-
-def unit_partition(rep, r):
-    total = path_algebra.SparseOperator.zero(rep.ctx, rep.lam)
-    for prefix in sorted({p[: r + 1] for p in rep.ctx.paths}):
-        total = total + path_matrix_unit(rep.ctx, rep.lam, prefix, prefix)
-    return total
+def support_law(text, n):
+    """``(1-x_n)y_n`` or ``y_n(1-x_n)`` as a product with the node 1 - x."""
+    if text.startswith("(1-"):
+        x, y = text[3:].split(")")
+        return path_algebra._mul(_one_minus(x, n), path_algebra._word(y, n))
+    y, x = text[:-1].split("(1-")
+    return path_algebra._mul(path_algebra._word(y, n), _one_minus(x, n))
 
 
 def yang_baxter_check(floor, lam=Fraction(1), pairs=None, rep=None):
@@ -149,8 +147,11 @@ def yang_baxter_check(floor, lam=Fraction(1), pairs=None, rep=None):
 
 
 def patch_reference(patch) -> None:
-    """Install the references in ``path_algebra`` through a monkeypatch."""
+    """Install the references in ``path_algebra`` through a monkeypatch.  The
+    tables that read ``_support_law`` are cached per floor: the patch runs
+    them through empty caches of their own, so no table built before it is
+    read and none built under it outlives it."""
     patch.setattr(path_algebra, "yang_baxter_check", yang_baxter_check)
-    patch.setattr(path_algebra, "_unit_partition", unit_partition)
-    patch.setattr(path_algebra, "_one_minus_times", one_minus_times)
-    patch.setattr(path_algebra, "_times_one_minus", times_one_minus)
+    patch.setattr(path_algebra, "_support_law", support_law)
+    for name in ("_relation_table", "_braiding_table"):
+        patch.setattr(path_algebra, name, lru_cache(maxsize=1)(getattr(path_algebra, name).__wrapped__))

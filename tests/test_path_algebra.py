@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from quad_reference import QuadScalar, ReferenceOperator
+from quad_reference import QuadScalar, ReferenceOperator, embed_root, rank, sqrt_fraction
 from suite_reference import (
     direct_generator,
     patch_floor_n,
@@ -35,7 +35,6 @@ from fareybratteli.path_algebra import (
     path_context,
     random_sign_mutation,
     run_all_suites,
-    sqrt_fraction,
     tl_projection,
     verify_braiding_suite,
     verify_relation_suite,
@@ -331,6 +330,17 @@ def test_matrix_units():
         path_matrix_unit(ctx, lam, (0, 0), (0, 1))
 
 
+@pytest.mark.parametrize("floor", (4, 5))
+def test_matrix_units_of_every_lower_floor_sum_to_the_identity(floor):
+    # the unit-partition rows compare the floor-r identity with the identity
+    rep = Representation(floor, F(2, 3))
+    for r in range(floor):
+        total = SparseOperator.zero(rep.ctx, rep.lam)
+        for prefix in sorted({p[: r + 1] for p in rep.ctx.paths}):
+            total = total + path_matrix_unit(rep.ctx, rep.lam, prefix, prefix)
+        assert total == rep.identity()
+
+
 # ---------------------------------------------------------------------------
 # projections
 
@@ -356,16 +366,16 @@ def test_tl_projections_are_exact_projections():
 def test_tl_projection_rank_matches_support():
     e0 = tl_projection("E", 0, 2, F(1))
     v0 = flip_isometry("v", 0, 2, F(1))
-    assert e0.rank() == (v0.adjoint() * v0).rank() == 3
+    assert rank(e0) == rank(v0.adjoint() * v0) == 3
     # non-square field constant goes through the quadratic elimination
     e0_irr = tl_projection("E", 0, 2, F(2))
-    assert e0_irr.rank() == 3
+    assert rank(e0_irr) == 3
     # a projection's rank is its trace, for square and non-square lam alike
     for lam in (F(2), F(2, 3), F(9)):
         rep = Representation(3, lam)
         for kind, n in (("E", 0), ("E", 2), ("F", 1)):
             p = rep.tl(kind, n)
-            assert p.trace() == f"{p.rank()}+0*sqrt({lam})"
+            assert p.trace() == f"{rank(p)}+0*sqrt({lam})"
 
 
 def test_lambda_must_be_positive():
@@ -375,18 +385,36 @@ def test_lambda_must_be_positive():
         Representation(4, F(-1))
 
 
+@pytest.mark.parametrize("lam", (0.1, 0.25))
+def test_lambda_must_not_be_a_float(lam):
+    # 0.1 would run over lambda = 3602879701896397/36028797018963968
+    calls = [
+        lambda: Representation(4, lam),
+        lambda: generator("e", 1, 4, lam),
+        lambda: flip_isometry("v", 0, 4, lam),
+        lambda: tl_projection("E", 1, 4, lam),
+        lambda: verify_relation_suite(4, lam),
+        lambda: yang_baxter_check(4, lam),
+        lambda: verify_braiding_suite(4, lam, rep=Representation(4, F(1, 4))),
+        lambda: run_all_suites(4, lam),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="not the float"):
+            call()
+
+
 def test_square_lambda_embeds_into_rationals():
     for lam in (F(1), F(9), F(1, 4)):
         rep = Representation(3, lam)
         e1 = rep.tl("E", 1)
-        embedded = e1.embed_root()
+        embedded = embed_root(e1)
         assert e1.B and not embedded.B
         assert all(v.endswith(f"+0*sqrt({lam})") for v in embedded.entries.values())
         assert embedded * embedded == embedded
         v1, w1 = rep.gen("v", 1), rep.gen("w", 1)
-        assert (v1 * w1.adjoint()).embed_root() == v1.embed_root() * w1.adjoint().embed_root()
+        assert embed_root(v1 * w1.adjoint()) == embed_root(v1) * embed_root(w1.adjoint())
     with pytest.raises(ValueError):
-        Representation(3, F(2)).tl("E", 1).embed_root()
+        embed_root(Representation(3, F(2)).tl("E", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +424,23 @@ def test_square_lambda_embeds_into_rationals():
 def test_relation_suite_passes():
     report = verify_relation_suite(5, F(1))
     assert report.ok, report.failures()[:5]
+
+
+@pytest.mark.parametrize("floor", (4, 5))
+@pytest.mark.parametrize("suite, table", [(verify_relation_suite, "_relation_table"), (verify_braiding_suite, "_braiding_table")])
+def test_products_count_every_multiplication_of_a_suite(monkeypatch, floor, suite, table):
+    # every multiplication is a product node of the words, or the square
+    # that decides a projection row
+    rep = Representation(floor, F(2))
+    for key in path_algebra._projection_keys(floor):
+        rep._home(*key)
+    calls = []
+    multiply = SparseOperator.__mul__
+    monkeypatch.setattr(SparseOperator, "__mul__", lambda x, y: calls.append(1) or multiply(x, y))
+    report = suite(floor, F(2), rep)
+    rows, _ = getattr(path_algebra, table)(floor)
+    assert report.ok and report.products > 0
+    assert len(calls) == report.products + sum(row.kind == "projection" for row in rows)
 
 
 # ---------------------------------------------------------------------------
