@@ -323,16 +323,26 @@ def farey_inverse_orbit(n: int) -> list[Fraction]:
 def totient_sieve(qmax: int) -> list[int]:
     """phi(0..qmax) from a smallest-prime-factor table (phi[0] is set to 0).
 
-    The table is an ``array("i")`` filled by slice assignments, p from
-    isqrt(qmax) down to 2, so the smallest p dividing q writes last; primes
-    keep their own index.  One pass then sets phi(q) = phi(m) * p when p
-    divides m = q / p and phi(m) * (p - 1) otherwise, p the smallest prime
-    factor of q.
+    The table is an ``array("i")`` filled by slice assignments, for the
+    primes p from isqrt(qmax) down to 2, so the smallest prime dividing q
+    writes last; primes keep their own index.  A composite p would write
+    nothing that its smallest prime factor does not overwrite, so the
+    primes up to isqrt(qmax) are first marked in a small ``bytearray``
+    sieve.  One pass then sets phi(q) = phi(m) * p when p divides
+    m = q / p and phi(m) * (p - 1) otherwise, p the smallest prime factor
+    of q.
     """
     if qmax < 0:
         return []
+    root = math.isqrt(qmax)
+    prime = bytearray([1]) * (root + 1)
+    for p in range(2, math.isqrt(root) + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
     spf = array("i", range(qmax + 1))
-    for p in range(math.isqrt(qmax), 1, -1):
+    for p in range(root, 1, -1):
+        if not prime[p]:
+            continue
         start = p * p
         spf[start::p] = array("i", (p,)) * ((qmax - start) // p + 1)
     phi = [0] * (qmax + 1)

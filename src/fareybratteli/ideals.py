@@ -21,6 +21,13 @@ retained.  Quotient sides are characterised by the
 admissibility automaton: singletons double, pairs move to one of the two
 shifted pairs or collapse onto their middle child.
 
+The JSON export and ``LevelSet.labels`` take each label from the floor
+above, on int pairs: an even index copies its parent, an odd index between
+two retained neighbours is their mediant, and only the rest (floor 0, or a
+vertex whose parents were not retained) walk the tree with ``core.label``.
+The dot export, which draws every vertex, reads each floor from
+``core.row_ints``.
+
 Comparisons of an irrational stream against rationals use exact convergent
 intervals only; no floating point anywhere.  Level sets are immutable and
 every function here is pure, except that a CFStream pulls digits from its
@@ -36,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core import height, label, mediant
+from .core import height, label, mediant, row_ints
 
 __all__ = [
     "AdmissibilityReport",
@@ -174,7 +181,44 @@ class LevelSet:
                 raise ValueError(f"floor {n} index out of range")
 
     def labels(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(label(n, k) for k in idx) for n, idx in enumerate(self.retained))
+        """The label of every retained vertex, floor by floor (see ``_label_pairs``)."""
+        return tuple(tuple(Fraction(p, q) for p, q in floor) for floor in _label_pairs(self))
+
+
+def _label_pairs(ls: LevelSet) -> list[list[tuple[int, int]]]:
+    """Numerator and denominator of every retained label, floor by floor.
+
+    A label comes from the floor above where it can: an even index copies its
+    parent, and an odd index whose two neighbours one floor up are retained
+    is their mediant, in lowest terms since the neighbours are Farey
+    neighbours.  Any other index is labelled by ``label``.
+    """
+    out = []
+    above: dict[int, tuple[int, int]] = {}
+    for n, idx in enumerate(ls.retained):
+        here = {}
+        for k in idx:
+            m = k >> 1
+            if not k & 1 and m in above:
+                here[k] = above[m]
+            elif k & 1 and m in above and m + 1 in above:
+                (a, b), (c, d) = above[m], above[m + 1]
+                here[k] = (a + c, b + d)
+            else:
+                x = label(n, k)
+                here[k] = (x.numerator, x.denominator)
+        out.append(list(here.values()))
+        above = here
+    return out
+
+
+def _text(p: int, q: int) -> str:
+    """A label as ``str`` writes its ``Fraction``: 0 and 1 without a denominator."""
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+def _label_texts(ls: LevelSet) -> list[list[str]]:
+    return [[_text(p, q) for p, q in floor] for floor in _label_pairs(ls)]
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +503,7 @@ def levelset_to_json(ls: LevelSet) -> str:
     payload = {
         "depth": ls.depth,
         "retained": [list(idx) for idx in ls.retained],
-        "labels": [[str(x) for x in floor] for floor in ls.labels()],
+        "labels": _label_texts(ls),
     }
     return json.dumps(payload)
 
@@ -475,8 +519,7 @@ def levelset_from_json(text: str) -> LevelSet:
     except TypeError as exc:
         raise ValueError(f"malformed level set: {exc}") from None
     if "labels" in payload:
-        want = [[str(x) for x in floor] for floor in ls.labels()]
-        if payload["labels"] != want:
+        if payload["labels"] != _label_texts(ls):
             raise ValueError("labels in payload do not match the retained indices")
     return ls
 
@@ -494,9 +537,9 @@ def levelset_to_dot(quotient: LevelSet) -> str:
     for n, idx in enumerate(quotient.retained):
         keep = set(idx)
         lines.append("\t{ rank = same;")
-        for k in range(2**n + 1):
+        for k, text in enumerate(map(_text, *row_ints(n))):
             shape = "box, style=filled, fillcolor=lightgrey" if k in keep else "circle"
-            lines.append(f'\t\t"v{n}_{k}" [label="{label(n, k)}", shape={shape}];')
+            lines.append(f'\t\t"v{n}_{k}" [label="{text}", shape={shape}];')
         lines.append("\t}")
     for n in range(quotient.depth):
         for k in range(2**n + 1):

@@ -312,7 +312,18 @@ class SparseOperator:
 
     def is_projection(self) -> bool:
         """Self-adjoint (read off the entries, no transpose kept) and idempotent."""
-        return _symmetric(self.A) and _symmetric(self.B) and self * self == self
+        return self.projection_witness() is None
+
+    def projection_witness(self, top: PathContext | None = None) -> dict | None:
+        """None for a projection.  Otherwise the least nonzero entry (lifted
+        to ``top``) that differs from its transposed entry, or, for a
+        self-adjoint operator, the least nonzero entry of X^2 - X."""
+        if _symmetric(self.A) and _symmetric(self.B):
+            return (self * self).first_entry_of_difference(self, top)
+        op = self if top is None else self.lift(top)
+        at = lambda key: (op.A.get(key, 0), op.B.get(key, 0))  # noqa: E731
+        row, col = min(key for key in op.support() if at(key) != at(key[::-1]))
+        return {"row": row, "col": col, "value": op._text(*at((row, col)))}
 
     # -- scalars at the boundary -------------------------------------------
 
@@ -442,11 +453,11 @@ def _projection(u: SparseOperator, lam: Fraction) -> SparseOperator:
     )
 
 
-def _exact_lambda(lam) -> Fraction:
+def _exact(lam, name: str = "lam") -> Fraction:
     """lam as a Fraction.  A float is refused: 0.1 is the binary fraction
     3602879701896397/36028797018963968, not the rational a caller meant."""
     if isinstance(lam, float):
-        raise ValueError(f"lam must be exact (an int, a Fraction or a 'p/q' string), not the float {lam!r}")
+        raise ValueError(f"{name} must be exact (an int, a Fraction or a 'p/q' string), not the float {lam!r}")
     return Fraction(lam)
 
 
@@ -457,7 +468,7 @@ class Representation:
     E_0..E_{N-1}, F_1..F_{N-1}; the public accessors lift them to floor N."""
 
     def __init__(self, floor: int, lam: Fraction):
-        lam = _exact_lambda(lam)
+        lam = _exact(lam)
         if lam <= 0:
             raise ValueError("lam must be a positive rational")
         self.floor = floor
@@ -536,19 +547,19 @@ def generator(kind: str, n: int, floor: int, lam=Fraction(1)) -> SparseOperator:
     """Edge-class projection e/f/g at index n in the floor-N model."""
     if kind not in ("e", "f", "g"):
         raise ValueError(f"unknown generator kind {kind!r}")
-    return _representation(floor, _exact_lambda(lam)).gen(kind, n)
+    return _representation(floor, _exact(lam)).gen(kind, n)
 
 
 def flip_isometry(kind: str, n: int, floor: int, lam=Fraction(1)) -> SparseOperator:
     """Diamond flip v/w at index n in the floor-N model."""
     if kind not in ("v", "w"):
         raise ValueError(f"unknown isometry kind {kind!r}")
-    return _representation(floor, _exact_lambda(lam)).gen(kind, n)
+    return _representation(floor, _exact(lam)).gen(kind, n)
 
 
 def tl_projection(kind: str, n: int, floor: int, lam) -> SparseOperator:
     """Temperley-Lieb-type projection E_n or F_n over Q(sqrt(lam))."""
-    return _representation(floor, _exact_lambda(lam)).tl(kind, n)
+    return _representation(floor, _exact(lam)).tl(kind, n)
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +596,9 @@ class Check:
         return Check(equation, indices, "pass", None, op.ctx.floor)
 
     @staticmethod
-    def projection(equation: str, indices: dict, op: SparseOperator) -> "Check":
-        return Check(equation, indices, "pass" if op.is_projection() else "fail", None, op.ctx.floor)
+    def projection(equation: str, indices: dict, op: SparseOperator, top: PathContext | None = None) -> "Check":
+        witness = op.projection_witness(top)
+        return Check(equation, indices, "pass" if witness is None else "fail", witness, op.ctx.floor)
 
 
 @dataclass
@@ -914,7 +926,7 @@ def _evaluate(rep: Representation, rows: Sequence[_Row], shared: frozenset, repo
         return op
 
     decide = {"equality": partial(Check.equality, top=rep.ctx), "vanishes": partial(Check.vanishes, top=rep.ctx),
-              "nonzero": Check.nonzero, "projection": Check.projection}
+              "nonzero": Check.nonzero, "projection": partial(Check.projection, top=rep.ctx)}
     checks = []
     for row in rows:
         ops = [cache.get(id(x)) or value(x) for x in row.operands]
@@ -941,7 +953,7 @@ def _decide(rep: Representation, rows: Sequence[_Row], shared: frozenset, report
 
 def _suite(table: tuple[tuple[_Row, ...], frozenset], floor: int, lam, rep: Representation | None) -> Report:
     """Run a table on the shared floor-N model, or on ``rep`` if it is that model."""
-    lam = _exact_lambda(lam)
+    lam = _exact(lam)
     if rep is None:
         rep = _representation(floor, lam)
     elif (rep.floor, rep.lam) != (floor, lam):
@@ -975,7 +987,7 @@ def yang_baxter_check(floor: int, lam=Fraction(1), pairs: Iterable[tuple] | None
         raise ValueError("the Yang-Baxter check needs floor >= 2")
     if pairs is None:
         pairs = [(s, t) for s in (0, 1, 2) for t in (0, 1, 2)]
-    pairs = tuple((Fraction(s), Fraction(t)) for s, t in pairs)
+    pairs = tuple((_exact(s, "s"), _exact(t, "t")) for s, t in pairs)
     return _suite(_yang_baxter_table(floor, pairs), floor, lam, rep)
 
 

@@ -19,17 +19,23 @@ branch mass in one bottom-up pass from sums along the left and right move
 chains; ``neighbor_set`` lists a branch set explicitly and is what the
 table candidates' tails use.  The chain sums run on (numerator,
 denominator) int pairs: two pairs combine over the lcm of their
-denominators, in one ``math.lcm`` call and without reduction, each
-reported mass becomes one ``Fraction``, and phi is compared with its mass
-by cross-multiplication.  No common denominator is shared across vertices,
-so a table of many distinct denominators costs what a geometric one does.
+denominators, in one ``math.lcm`` call and without reduction, and phi is
+compared with its mass by cross-multiplication.  No common denominator is
+shared across vertices.
+
+That exact work is done floor by floor, once per distinct operand tuple
+of the floor rather than once per vertex (``_each``): equal weights share
+one sum, one comparison and one reported ``Fraction``.  A geometric
+candidate, with one weight per floor, so does a few big-integer steps per
+floor; a candidate whose weights all differ still does them per vertex.
 Vertices are located from their labels by ``core.vertex_of_label``, which
 works on integer numerators and denominators.
 
 From a valid weight the full family of diagram values alpha is rebuilt
 floor by floor: odd indices read phi, even indices subtract the adjacent
-odd values from the vertex one floor up, as int pairs over one lcm, read
-back from the ``Fraction`` values already stored.  All arithmetic is exact.
+odd values from the vertex one floor up, as int pairs over one lcm, once
+per distinct triple of the floor, so equal weights share one ``Fraction``.
+All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -39,7 +45,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from typing import Callable, Optional
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import CF, cf_decode, cf_encode, cf_normalize, label, vertex_of_label
 
@@ -73,6 +81,7 @@ MAX_DEPTH = 20
 MAX_TABLE_FLOOR = MAX_DEPTH + 20
 
 _ZERO = Fraction(0)
+_numerator = attrgetter("numerator")
 
 
 def _check_tree_vertex(v: Vertex) -> None:
@@ -311,39 +320,72 @@ def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
     R(v) = phi(v) + R(right(v)) give the truncated branch masses
     mass(v) = R(left(v)) + L(right(v)); at STAR the mass is L((0, 1)), at
     (0, 1) it is R((1, 1)).  The sums run on (numerator, denominator) int
-    pairs (see ``_add``); each reported mass becomes one ``Fraction``.
+    pairs (see ``_add``), once per distinct operand tuple of a floor (see
+    ``_each``); each distinct reported mass of a floor becomes one
+    ``Fraction``.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must lie in 1..{MAX_DEPTH}")
     root = candidate.phi(STAR)
     if root != 1:
         raise ValueError("a trace candidate must have weight exactly 1 at the root")
-    # per floor n >= 1, position j holds the odd vertex (n, 2j + 1); floor 0 holds (0, 1)
-    values = [[candidate.phi((n, k)) for k in range(1, 2**n + 1, 2)] for n in range(depth + 1)]
-    pairs = [[(x.numerator, x.denominator) for x in here] for here in values]
+    # per floor n, position j holds the odd vertex (n, 2j + 1); the vertices
+    # of floor depth carry no row, so only their values are kept
+    vertices = [list(_odd_vertices(n)) for n in range(depth)]
+    values = [list(map(candidate.phi, here)) for here in vertices]
+    values.append(list(map(candidate.phi, _odd_vertices(depth))))
+    pairs = list(map(_pairs, values))
     masses: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
     lefts = rights = pairs[depth]  # chain sums L and R of the floor below
     for n in range(depth - 1, 0, -1):
         here = pairs[n]
-        masses[n] = list(map(_add, rights[0::2], lefts[1::2]))
-        lefts = list(map(_add, here, lefts[0::2]))
-        rights = list(map(_add, here, rights[1::2]))
+        masses[n] = _each(_add, rights[0::2], lefts[1::2])
+        lefts = _each(_add, here, lefts[0::2])
+        rights = _each(_add, here, rights[1::2])
     masses[0] = [rights[0]]  # (0, 1) has no right move
     star_mass = _add(pairs[0][0], lefts[0])  # L((0, 1))
 
-    rows = []
+    rows: list[tuple[Vertex, Fraction, Fraction]] = []
     first: Vertex | None = None
-    for v, value, (num, den) in _rows(root, star_mass, values, masses):
-        if value.numerator < 0:
-            raise ValueError(f"negative weight at {v}")
-        if candidate.tail is not None:
-            rest = candidate.tail(v, depth)
-            num, den = _add((num, den), (rest.numerator, rest.denominator))
-        rows.append((v, value, Fraction(num, den) if num else _ZERO))  # zero masses share one Fraction
-        # value < mass, cross-multiplied over the positive denominators
-        if first is None and value.numerator * den < num * value.denominator:
-            first = v
+    # STAR first, then floors 0..depth-1, in ``tree_vertices`` order
+    floors = zip([[STAR]] + vertices, [[root]] + values, [[(1, 1)]] + pairs, [[star_mass]] + masses)
+    for here, value, pair, mass in floors:
+        negative = _first_negative(value)
+        if negative is not None:
+            raise ValueError(f"negative weight at {here[negative]}")
+        if candidate.tail is None:
+            rests = repeat((0, 1))
+        else:
+            rests = _pairs([candidate.tail(v, depth) for v in here])
+        verdicts = _each(_verdict, pair, mass, rests)
+        rows.extend(zip(here, value, map(itemgetter(0), verdicts)))
+        if first is None:
+            below = list(map(itemgetter(1), verdicts))
+            if True in below:
+                first = here[below.index(True)]
     return TraceReport(first is None, candidate.tail is not None, first, tuple(rows))
+
+
+def _odd_vertices(n: int) -> Iterator[Vertex]:
+    return zip(repeat(n), range(1, 2**n + 1, 2))
+
+
+def _pairs(values: Iterable[Fraction]) -> list[tuple[int, int]]:
+    return [(x.numerator, x.denominator) for x in values]
+
+
+def _each(fn: Callable, lead: list, *rest: Iterable) -> list:
+    """fn over the zipped columns, called once per distinct operand tuple.
+
+    Equal operands share one result, so a floor of equal weights does its
+    big-integer work once; the table lives for this call only.  When the
+    lead column repeats no value, no tuple repeats either, and fn is mapped
+    straight over the columns without a table."""
+    if len(set(lead)) == len(lead):
+        return list(map(fn, lead, *rest))
+    keys = list(zip(lead, *rest))
+    table = {key: fn(*key) for key in dict.fromkeys(keys)}
+    return list(map(table.__getitem__, keys))
 
 
 def _add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -361,12 +403,20 @@ def _add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return xn * (d // xd) + yn * (d // yd), d
 
 
-def _rows(root: Fraction, star_mass: tuple[int, int], values, masses):
-    """(vertex, phi, truncated mass) in ``tree_vertices`` order."""
-    yield STAR, root, star_mass
-    for n, (here, mass) in enumerate(zip(values, masses)):
-        for j, (value, m) in enumerate(zip(here, mass)):
-            yield (n, 2 * j + 1), value, m
+def _verdict(value: tuple[int, int], mass: tuple[int, int], rest: tuple[int, int]) -> tuple[Fraction, bool]:
+    """The reported mass, the truncated one plus the tail, as a ``Fraction``,
+    and whether the value lies below it (cross-multiplied over the positive
+    denominators)."""
+    num, den = _add(mass, rest)
+    # zero masses share one Fraction
+    return Fraction(num, den) if num else _ZERO, value[0] * den < num * value[1]
+
+
+def _difference(above: tuple[int, int], left: tuple[int, int], right: tuple[int, int]) -> Fraction:
+    """above - left - right over one lcm, as a ``Fraction``."""
+    (an, ad), (ln, ld), (rn, rd) = above, left, right
+    d = lcm(ad, ld, rd)
+    return Fraction(an * (d // ad) - ln * (d // ld) - rn * (d // rd), d)
 
 
 def alpha_from_phi(candidate: TraceCandidate, depth: int) -> dict[Vertex, Fraction]:
@@ -374,47 +424,45 @@ def alpha_from_phi(candidate: TraceCandidate, depth: int) -> dict[Vertex, Fracti
 
     Odd indices read phi; the even index 2m at floor n+1 receives the value
     at (n, m) minus its adjacent odd values one floor down, subtracted as
-    (numerator, denominator) int pairs over one lcm and stored as one
-    ``Fraction``.  The result satisfies the three-term recursion exactly by
-    construction; a negative value (reported with its vertex) means the
-    candidate is not a trace.
+    (numerator, denominator) int pairs over one lcm, once per distinct
+    operand triple of the floor (see ``_each``), and stored as one
+    ``Fraction`` per triple.  The result satisfies the three-term recursion
+    exactly by construction; a negative value (reported with its vertex)
+    means the candidate is not a trace.
     """
     if not 0 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must lie in 0..{MAX_DEPTH}")
     if candidate.phi(STAR) != 1:
         raise ValueError("a trace candidate must have weight exactly 1 at the root")
     alpha: dict[Vertex, Fraction] = {STAR: Fraction(1)}
-
-    def put(v: Vertex, value: Fraction) -> None:
-        if value.numerator < 0:
-            raise ValueError(f"negative reconstructed weight {value} at {v}")
-        alpha[v] = value
-
-    put((0, 1), candidate.phi((0, 1)))
-    put((0, 0), alpha[STAR] - alpha[(0, 1)])
-    floor = [alpha[(0, 0)], alpha[(0, 1)]]  # the values of floor n by index
-    for n in range(depth):
-        top = 2 ** (n + 1)
-        odd = []
-        for k in range(1, top + 1, 2):
-            value = candidate.phi((n + 1, k))
-            put((n + 1, k), value)
-            odd.append(value)
-        nxt = [None] * (top + 1)
-        nxt[1::2] = odd
-        # the even index 2m sits between odd[m - 1] and odd[m]; a missing
-        # neighbour at either end counts as the pair 0/1
-        ln, ld = 0, 1
-        for m, above in enumerate(floor):
-            if m < len(odd):
-                rn, rd = odd[m].numerator, odd[m].denominator
-            else:
-                rn, rd = 0, 1
-            an, ad = above.numerator, above.denominator
-            d = lcm(ad, ld, rd)
-            value = Fraction(an * (d // ad) - ln * (d // ld) - rn * (d // rd), d)
-            put((n + 1, 2 * m), value)
-            nxt[2 * m] = value
-            ln, ld = rn, rd
-        floor = nxt
+    floor = [alpha[STAR]]  # the values of the floor above by index; STAR sits above floor 0
+    for n in range(depth + 1):
+        odd_vertices = list(_odd_vertices(n))
+        odd = list(map(candidate.phi, odd_vertices))
+        _refuse_negative(odd, odd_vertices)
+        alpha.update(zip(odd_vertices, odd))
+        # the even index 2m sits below index m one floor up, between odd[m - 1]
+        # and odd[m]; a missing neighbour at either end counts as the pair 0/1
+        # (at floor 0 the zip stops at STAR: (0, 0) is 1 - phi((0, 1)))
+        odd_pairs = _pairs(odd)
+        even = _each(_difference, _pairs(floor), chain([(0, 1)], odd_pairs), chain(odd_pairs, [(0, 1)]))
+        del odd_pairs  # pairs live one floor at a time
+        even_vertices = list(zip(repeat(n), range(0, 2**n + 1, 2)))
+        _refuse_negative(even, even_vertices)
+        alpha.update(zip(even_vertices, even))
+        floor = [None] * (len(even) + len(odd))
+        floor[0::2], floor[1::2] = even, odd
     return alpha
+
+
+def _refuse_negative(values: list[Fraction], vertices: list[Vertex]) -> None:
+    negative = _first_negative(values)
+    if negative is not None:
+        raise ValueError(f"negative reconstructed weight {values[negative]} at {vertices[negative]}")
+
+
+def _first_negative(values: list[Fraction]) -> int | None:
+    """Position of the first negative value, or None."""
+    if min(map(_numerator, values)) >= 0:
+        return None
+    return next(j for j, x in enumerate(values) if x.numerator < 0)

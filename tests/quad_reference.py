@@ -180,6 +180,14 @@ class ReferenceOperator:
     def is_projection(self) -> bool:
         return self == self.adjoint() and self * self == self
 
+    def projection_witness(self, top=None):
+        op = self if top is None else self.lift(top)
+        skew = [key for key, val in op.quads.items() if op.quads.get(key[::-1]) != val]
+        if skew:
+            row, col = min(skew)
+            return {"row": row, "col": col, "value": str(op.quads[(row, col)])}
+        return (self * self).first_entry_of_difference(self, top)
+
     def max_nonzeros(self, other: int) -> int:
         return max(other, len(self.quads))
 

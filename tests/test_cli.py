@@ -196,6 +196,32 @@ def test_relations_floor_8_match_the_golden_summary(capsys, lam):
     assert (code, out) == (0, golden)
 
 
+# tests/golden_diagram holds these outputs as written before the trace
+# kernels shared work between equal values and the exports labelled each
+# floor from the one above; CI diffs the same commands against them
+DIAGRAM_GOLDENS = [
+    ("ideal_cf_depth60.json", ["ideal", "--theta", "cf:2,1,1,3,1,4,1,5,9,2,6,5,3,5,8,9", "--depth", "60"], 0),
+    *(
+        (f"ideal_97_355_{variant}_depth60.json", ["ideal", "--theta", "97/355", "--variant", variant, "--depth", "60"], 0)
+        for variant in ("plain", "plus", "minus")
+    ),
+    ("ideal_3_7_plus_depth10.dot", ["ideal", "--theta", "3/7", "--variant", "plus", "--depth", "10", "--format", "dot"], 0),
+    ("trace_geometric_1_4_depth16.txt", ["trace", "check", "--spec", "{quarter}", "--depth", "16"], 0),
+    ("trace_geometric_1_2_depth16.txt", ["trace", "check", "--spec", "{half}", "--depth", "16"], 1),
+]
+
+
+@pytest.mark.parametrize("name, argv, want", DIAGRAM_GOLDENS, ids=[name for name, _, _ in DIAGRAM_GOLDENS])
+def test_diagram_outputs_match_the_committed_goldens(capsys, tmp_path, name, argv, want):
+    specs = {"quarter": "1/4", "half": "1/2"}
+    for key, ratio in specs.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps({"kind": "geometric", "ratio": ratio}), encoding="utf-8")
+    argv = [arg.format(**{key: tmp_path / f"{key}.json" for key in specs}) for arg in argv]
+    golden = (Path(__file__).parent / "golden_diagram" / name).read_text(encoding="utf-8")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (want, golden)
+
+
 def test_zeta(capsys):
     code, out, _ = run(capsys, "zeta", "--s", "4", "--qmax", "1")
     assert (code, out.strip()) == (0, "1.0")

@@ -1,6 +1,7 @@
 """Quotient/ideal level sets, admissibility, and finite-depth topology checks."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -432,8 +433,6 @@ def test_json_round_trip():
     ls = quotient_levels(IdealSpec(F(1, 3), "plus"), 6)
     text = levelset_to_json(ls)
     assert levelset_from_json(text) == ls
-    import json
-
     payload = json.loads(text)
     assert payload["depth"] == 6
     assert payload["retained"][2] == [1, 2]
@@ -442,8 +441,6 @@ def test_json_round_trip():
 
 def test_json_rejects_inconsistent_labels():
     ls = quotient_levels(IdealSpec(F(1, 3)), 3)
-    import json
-
     payload = json.loads(levelset_to_json(ls))
     payload["labels"][2] = ["1/2"]
     with pytest.raises(ValueError):
@@ -478,10 +475,10 @@ def test_json_rejects_missing_or_ill_typed_keys(text, message):
 
 
 @st.composite
-def level_sets(draw):
+def level_sets(draw, max_depth=8):
     """Random level sets to depth 8: each floor keeps a few indices or all
     but a few, so omitted vertices with fully retained children occur."""
-    depth = draw(st.integers(0, 8))
+    depth = draw(st.integers(0, max_depth))
     floors = []
     for n in range(depth + 1):
         picked = draw(st.sets(st.integers(0, 2**n), max_size=8))
@@ -534,3 +531,46 @@ def test_is_hereditary_catches_a_dropped_child_of_each_parity():
         floors[n + 1] = tuple(j for j in floors[n + 1] if j != child)
         broken = LevelSet(side.depth, tuple(floors))
         assert not is_hereditary(broken) and not tree_reference.is_hereditary(broken), child
+
+
+def _walked_labels(ls):
+    return [[str(label(n, k)) for k in idx] for n, idx in enumerate(ls.retained)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_sets(max_depth=10))
+def test_exported_labels_of_any_level_set_match_the_label_walk(ls):
+    # all-but-a-few floors label most odd indices as mediants of the floor
+    # above; a-few floors fall back to label
+    want = _walked_labels(ls)
+    assert json.loads(levelset_to_json(ls))["labels"] == want
+    assert [[str(x) for x in floor] for floor in ls.labels()] == want
+    assert levelset_from_json(levelset_to_json(ls)) == ls
+
+
+@st.composite
+def quotient_specs(draw):
+    """Every quotient variant: plain, plus and minus at a rational theta
+    (the endpoints included), and plain at an irrational prefix deep
+    enough for depth 60."""
+    if draw(st.booleans()):
+        terms = draw(st.lists(st.integers(1, 9), min_size=1, max_size=70).filter(lambda t: sum(t) > 60))
+        return IdealSpec(CFStream(iter(terms)))
+    theta = draw(st.sampled_from([F(0), F(1)]) | st.fractions(0, 1, max_denominator=10**6))
+    variants = [v for v in ("plain", "plus", "minus") if (v, theta) not in (("plus", 1), ("minus", 0))]
+    return IdealSpec(theta, draw(st.sampled_from(variants)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(quotient_specs())
+def test_exported_labels_of_every_quotient_variant_match_the_label_walk(spec):
+    ls = quotient_levels(spec, 60)
+    assert json.loads(levelset_to_json(ls))["labels"] == _walked_labels(ls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(level_sets(), quotient_specs(), st.integers(0, 10))
+def test_dot_export_matches_the_label_reference(ls, spec, depth):
+    assert levelset_to_dot(ls) == tree_reference.levelset_to_dot(ls)
+    quotient = quotient_levels(spec, depth)
+    assert levelset_to_dot(quotient) == tree_reference.levelset_to_dot(quotient)

@@ -759,6 +759,38 @@ def test_report_json_shape():
     assert set(payload[0]["indices"]) == {"n", "s", "t"}
 
 
+def test_failing_projection_rows_name_a_witness():
+    rep = Representation(4, F(2))
+    mutated = rep.with_sign_flip("e", 2, min(rep.gen("e", 2).support()))
+    witnesses = {(c.equation, json.dumps(c.indices)): c.witness for c in run_all_suites(4, F(2), mutated).failures()}
+    # the flipped diagonal entry of e_2 is -1, where X^2 - X reads 1 - (-1)
+    assert witnesses[("R1", json.dumps({"kind": "e", "n": 2}))] == {"row": 14, "col": 14, "value": "2+0*sqrt(2)"}
+    # E_0(1 - e_2) is no longer self-adjoint: the least nonzero entry unlike its transpose
+    dominance = witnesses[("dominance", json.dumps({"n": 0, "law": "E_n(1-e_n+2) projection"}))]
+    assert dominance == {"row": 41, "col": 14, "value": "0+2/3*sqrt(2)"}
+    assert all(w is not None for w in witnesses.values())
+
+
+def test_projection_witness_reads_asymmetry_before_idempotence():
+    ctx = path_context(2)
+    lam = F(1)
+    assert SparseOperator(ctx, lam, {(0, 0): 1, (3, 3): 1}).projection_witness() is None
+    skew = SparseOperator(ctx, lam, {(0, 0): 1, (2, 1): 5})
+    assert skew.projection_witness() == {"row": 2, "col": 1, "value": "5+0*sqrt(1)"}
+    double = SparseOperator(ctx, lam, {(1, 1): 2})
+    assert double.projection_witness() == {"row": 1, "col": 1, "value": "2+0*sqrt(1)"}
+    assert not skew.is_projection() and not double.is_projection()
+
+
+def test_yang_baxter_grid_points_must_not_be_floats():
+    # (0.1, 0.2) would run at s = 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match="s must be exact"):
+        yang_baxter_check(4, F(1), pairs=[(0.1, F(1, 5))])
+    with pytest.raises(ValueError, match="t must be exact"):
+        yang_baxter_check(4, F(1), pairs=[(1, 0.2)])
+    assert yang_baxter_check(4, F(1), pairs=[("1/10", 2)]).ok
+
+
 def test_failed_check_carries_witness():
     rep = Representation(4, F(1))
     entry = sorted(rep.gen("g", 2).entries)[0]

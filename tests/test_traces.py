@@ -173,6 +173,22 @@ def _with_negative_phi(at):
     return TraceCandidate(lambda v: F(-1, 9) if v == at else geometric.phi(v), geometric.tail)
 
 
+def _all_distinct(negative_at=None):
+    """phi(n, k) = 4^-(n+1) - 1/((k+2) 4^(n+3)): no two vertices share a
+    weight, so no operand tuple of a floor repeats; optionally -1/9 at one
+    vertex."""
+
+    def phi(v):
+        if v == STAR:
+            return F(1)
+        if v == negative_at:
+            return F(-1, 9)
+        n, k = v
+        return F(1, 4 ** (n + 1)) - F(1, (k + 2) * 4 ** (n + 3))
+
+    return TraceCandidate(phi)
+
+
 ONE_PASS_CANDIDATES = {
     **{f"geometric {r}": geometric_candidate(r) for r in (F(1, 4), F(2, 7), F(3, 10), F(1, 3), F(2, 5), F(3, 7))},
     "table valid": _table(F(1, 4)),
@@ -181,6 +197,10 @@ ONE_PASS_CANDIDATES = {
     "zero": zero_candidate(),
     "no tail": TraceCandidate(geometric_candidate(F(1, 5)).phi, None),
     "negative phi": _with_negative_phi((3, 5)),
+    "all distinct": _all_distinct(),
+    # (4, 7) and (4, 9) sit at positions 3 and 4 of floor 4's odd vertices
+    "all distinct, negative at an odd position": _all_distinct((4, 7)),
+    "all distinct, negative at an even position": _all_distinct((4, 9)),
 }
 
 
@@ -224,12 +244,24 @@ def test_negative_weights_are_reported_with_their_vertex():
         alpha_from_phi(geometric_candidate(F(3, 7)), 6)
 
 
-def test_check_trace_calls_phi_once_per_vertex():
-    calls = []
+def _counting(calls):
     geometric = geometric_candidate(F(1, 4))
-    counted = TraceCandidate(lambda v: calls.append(v) or geometric.phi(v), geometric.tail)
-    check_trace(counted, 6)
-    assert sorted(calls) == sorted(tree_vertices(6))
+    return TraceCandidate(lambda v: calls.append(v) or geometric.phi(v), geometric.tail)
+
+
+def test_check_trace_calls_phi_once_per_vertex():
+    # the benchmark's traces.phi_calls counter relies on this
+    for depth in range(1, 13):
+        calls = []
+        check_trace(_counting(calls), depth)
+        assert sorted(calls) == sorted(tree_vertices(depth)), depth
+
+
+def test_alpha_from_phi_calls_phi_once_per_vertex():
+    for depth in range(1, 13):
+        calls = []
+        alpha_from_phi(_counting(calls), depth)
+        assert sorted(calls) == sorted(tree_vertices(depth)), depth
 
 
 def test_geometric_phi_answers_any_floor():

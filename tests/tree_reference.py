@@ -8,9 +8,10 @@ with a generator), ``check_trace`` sums phi over the
 explicit branch set of every vertex in ``Fraction`` arithmetic,
 ``alpha_from_phi`` subtracts ``Fraction`` values looked up by vertex, and
 ``is_hereditary`` / ``is_directed`` ask ``children`` for every retained /
-omitted vertex.  The fast integer walks, the smallest-prime-factor sieve,
-the pair kernels of the one-pass checker and the gap walks in the package
-must agree with them exactly.
+omitted vertex, and ``levelset_to_dot`` labels every vertex by ``label``.
+The fast integer walks, the smallest-prime-factor sieve, the pair kernels
+of the one-pass checker, the gap walks and the row-read dot export in the
+package must agree with them exactly.
 """
 
 from __future__ import annotations
@@ -134,3 +135,22 @@ def alpha_from_phi(candidate: TraceCandidate, depth: int) -> dict[Vertex, Fracti
                 value -= alpha[(n + 1, k + 1)]
             put((n + 1, k), value)
     return alpha
+
+
+def levelset_to_dot(quotient: LevelSet) -> str:
+    if quotient.depth > 10:
+        raise ValueError("dot export draws every vertex; use depth <= 10")
+    lines = ["digraph farey_bratteli {", "\trankdir=TB;", "\tnode [fontsize=10];"]
+    for n, idx in enumerate(quotient.retained):
+        keep = set(idx)
+        lines.append("\t{ rank = same;")
+        for k in range(2**n + 1):
+            shape = "box, style=filled, fillcolor=lightgrey" if k in keep else "circle"
+            lines.append(f'\t\t"v{n}_{k}" [label="{label(n, k)}", shape={shape}];')
+        lines.append("\t}")
+    for n in range(quotient.depth):
+        for k in range(2**n + 1):
+            for c in children(n, k):
+                lines.append(f'\t"v{n}_{k}" -> "v{n + 1}_{c}";')
+    lines.append("}")
+    return "\n".join(lines)
