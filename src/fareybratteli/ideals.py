@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core import height, label, mediant, row_ints
+from .core import label, mediant, row_ints
 
 __all__ = [
     "AdmissibilityReport",

@@ -453,12 +453,13 @@ def _projection(u: SparseOperator, lam: Fraction) -> SparseOperator:
     )
 
 
-def _exact(lam, name: str = "lam") -> Fraction:
-    """lam as a Fraction.  A float is refused: 0.1 is the binary fraction
-    3602879701896397/36028797018963968, not the rational a caller meant."""
-    if isinstance(lam, float):
-        raise ValueError(f"{name} must be exact (an int, a Fraction or a 'p/q' string), not the float {lam!r}")
-    return Fraction(lam)
+def _exact(value, name: str = "lam") -> Fraction:
+    """value (lambda, or a grid point s, t) as a Fraction.  A float is refused:
+    0.1 is the binary fraction 3602879701896397/36028797018963968, not the
+    rational a caller meant."""
+    if isinstance(value, float):
+        raise ValueError(f"{name} must be exact (an int, a Fraction or a 'p/q' string), not the float {value!r}")
+    return Fraction(value)
 
 
 class Representation:

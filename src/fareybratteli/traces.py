@@ -44,8 +44,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
 from itertools import chain, repeat
+from math import lcm
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -446,7 +446,7 @@ def alpha_from_phi(candidate: TraceCandidate, depth: int) -> dict[Vertex, Fracti
         # (at floor 0 the zip stops at STAR: (0, 0) is 1 - phi((0, 1)))
         odd_pairs = _pairs(odd)
         even = _each(_difference, _pairs(floor), chain([(0, 1)], odd_pairs), chain(odd_pairs, [(0, 1)]))
-        del odd_pairs  # pairs live one floor at a time
+        del odd_pairs  # no pair outlives its floor's subtraction, to keep the peak low
         even_vertices = list(zip(repeat(n), range(0, 2**n + 1, 2)))
         _refuse_negative(even, even_vertices)
         alpha.update(zip(even_vertices, even))

@@ -476,8 +476,8 @@ def test_json_rejects_missing_or_ill_typed_keys(text, message):
 
 @st.composite
 def level_sets(draw, max_depth=8):
-    """Random level sets to depth 8: each floor keeps a few indices or all
-    but a few, so omitted vertices with fully retained children occur."""
+    """Random level sets to depth max_depth: each floor keeps a few indices
+    or all but a few, so omitted vertices with fully retained children occur."""
     depth = draw(st.integers(0, max_depth))
     floors = []
     for n in range(depth + 1):

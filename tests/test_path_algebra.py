@@ -775,7 +775,7 @@ def test_projection_witness_reads_asymmetry_before_idempotence():
     ctx = path_context(2)
     lam = F(1)
     assert SparseOperator(ctx, lam, {(0, 0): 1, (3, 3): 1}).projection_witness() is None
-    skew = SparseOperator(ctx, lam, {(0, 0): 1, (2, 1): 5})
+    skew = SparseOperator(ctx, lam, {(0, 0): 1, (2, 1): 5, (7, 4): 3})
     assert skew.projection_witness() == {"row": 2, "col": 1, "value": "5+0*sqrt(1)"}
     double = SparseOperator(ctx, lam, {(1, 1): 2})
     assert double.projection_witness() == {"row": 1, "col": 1, "value": "2+0*sqrt(1)"}

@@ -173,16 +173,16 @@ def _with_negative_phi(at):
     return TraceCandidate(lambda v: F(-1, 9) if v == at else geometric.phi(v), geometric.tail)
 
 
-def _all_distinct(negative_at=None):
+def _all_distinct(*negative_at):
     """phi(n, k) = 4^-(n+1) - 1/((k+2) 4^(n+3)): no two vertices share a
-    weight, so no operand tuple of a floor repeats; optionally -1/9 at one
-    vertex."""
+    weight, so no operand tuple of a floor repeats; -1/9 and -1/10 at the
+    vertices given."""
 
     def phi(v):
         if v == STAR:
             return F(1)
-        if v == negative_at:
-            return F(-1, 9)
+        if v in negative_at:
+            return F(-1, 9 + negative_at.index(v))
         n, k = v
         return F(1, 4 ** (n + 1)) - F(1, (k + 2) * 4 ** (n + 3))
 
@@ -198,9 +198,12 @@ ONE_PASS_CANDIDATES = {
     "no tail": TraceCandidate(geometric_candidate(F(1, 5)).phi, None),
     "negative phi": _with_negative_phi((3, 5)),
     "all distinct": _all_distinct(),
-    # (4, 7) and (4, 9) sit at positions 3 and 4 of floor 4's odd vertices
+    # (4, 5), (4, 7) and (4, 9) sit at positions 2, 3 and 4 of floor 4's
+    # odd vertices; the first negative one must be reported
     "all distinct, negative at an odd position": _all_distinct((4, 7)),
     "all distinct, negative at an even position": _all_distinct((4, 9)),
+    "all distinct, negative at an odd, then an even position": _all_distinct((4, 7), (4, 9)),
+    "all distinct, negative at an even, then an odd position": _all_distinct((4, 5), (4, 7)),
 }
 
 
