@@ -10,7 +10,10 @@ reproduce the tree denominators.
 Scalars live in Q(sqrt(lam)), lam = p/q.  An operator is stored in split
 integer form (A + x*B)/d, x = sqrt(lam) formal, A and B sparse int matrices,
 d a positive common denominator, canonical so that equality is dict
-equality.  Products are integer sparse matmuls with x*x = p/q folded in.
+equality.  Products are integer sparse matmuls with x*x = p/q folded in,
+reading the right factor through row indexes kept on it; a row with one
+entry, as every row of the suites' right factors has, is indexed as its
+bare (col, val) pair.
 Every identity is decided exactly; scalars appear only at the boundary
 (entries, witnesses, traces) as the text ``a+b*sqrt(lam)``.
 
@@ -29,15 +32,17 @@ projection) and operand nodes.  A node is a hashable tuple of one of five
 kinds, the *-ring the suites need: a letter (kind, n) is a generator or E/F
 at its home floor, ("*", x) an adjoint, ("·", x, y) a product,
 ("+", ((scalar, x), ...)) a linear combination and ("1", r) the identity of
-floor r, which lifts to whatever it meets.  A commutator [x, y] is the
-combination xy - yx, and a support law (1 - x) y or y (1 - x) is y - xy or
-y - yx.  The floor-r matrix units T(x, x) sum to the floor-r identity, and
-the unital tail embedding carries it to every higher floor, so the
-unit-partition row of floor r compares ("1", r) with ("1", 0).  A scalar
-(c, i, j) is c sqrt(lam)^i / (1 + lam)^j, so a table serves every lam.  One
-evaluator decides the rows through ``Representation._home``; a node that
-several rows share (E_n E_n+1 in 6.9, 6.13, 6.15, 6.16 and dominance, or
-f_n v_n in R2 and R3) is built once per evaluation.
+floor r, which lifts to whatever it meets.  A commutation row (R1,
+locality, 6.8) is the equality xy = yx, a starred far-floor one compares
+the adjoints of products the unstarred rows form, and only a failing row
+forms xy - yx, for its witness.  A support law (1 - x) y or y (1 - x) is
+y - xy or y - yx.  The floor-r matrix units T(x, x) sum to the floor-r
+identity, and the unital tail embedding carries it to every higher floor,
+so the unit-partition row of floor r compares ("1", r) with ("1", 0).  A
+scalar (c, i, j) is c sqrt(lam)^i / (1 + lam)^j, so a table serves every
+lam.  One evaluator decides the rows through ``Representation._home``; a
+node that several rows share (E_n E_n+1 in 6.9, 6.13, 6.15, 6.16 and
+dominance, or f_n v_n in R2 and R3) is built once per evaluation.
 
 A mutant reuses its parent's verdicts.  ``with_sign_flip`` records the
 parent and the changed keys: the flipped generator, and E_n or F_n for a
@@ -141,7 +146,7 @@ def _extensions(low: PathContext, high: PathContext) -> tuple[tuple[int, ...], t
 
 
 Entries = dict[tuple[int, int], int]
-Rows = dict[int, tuple[tuple[int, int], ...]]
+Rows = dict[int, tuple]  # row -> (col, val), or (None, ((col, val), ...)) for several entries
 
 
 class SparseOperator:
@@ -246,7 +251,8 @@ class SparseOperator:
         return self.scale(-1)
 
     def _rows(self) -> tuple[Rows, Rows]:
-        """Row indexes {row: ((col, val), ...)} of A and B, built on first use."""
+        """Row indexes of A and B, built on first use: {row: (col, val)} for a
+        row with one entry, {row: (None, ((col, val), ...))} for several."""
         if self._row_index is None:
             self._row_index = (_row_index(self.A), _row_index(self.B))
         return self._row_index
@@ -375,25 +381,37 @@ def _symmetric(entries: Entries) -> bool:
 
 
 def _row_index(entries: Entries) -> Rows:
-    rows: dict[int, list[tuple[int, int]]] = {}
+    rows: Rows = {}
+    several: dict[int, list[tuple[int, int]]] = {}
     for (j, k), val in entries.items():
-        rows.setdefault(j, []).append((k, val))
+        if j in rows:
+            several.setdefault(j, [rows[j]]).append((k, val))
+        else:
+            rows[j] = (k, val)
     # tuples hold no spare capacity, and an index lives as long as its operator
-    return {j: tuple(hits) for j, hits in rows.items()}
+    for j, hits in several.items():
+        rows[j] = (None, tuple(hits))
+    return rows
 
 
 def _matmul(out: Entries, left: Entries, rows: Rows, factor: int) -> Entries:
     """Accumulate factor * left @ right, the right one given by its row index."""
     if not (left and rows):
         return out
-    get = out.get
+    get, hit_of = out.get, rows.get
     for (i, j), a in left.items():
-        hits = rows.get(j)
-        if hits:
-            a *= factor
-            for k, b in hits:
-                key = (i, k)
-                out[key] = get(key, 0) + a * b
+        hit = hit_of(j)
+        if hit is None:
+            continue
+        k, b = hit
+        if k is not None:  # the row's one entry
+            key = (i, k)
+            out[key] = get(key, 0) + a * factor * b
+            continue
+        a *= factor
+        for k, b in b:
+            key = (i, k)
+            out[key] = get(key, 0) + a * b
     return out
 
 
@@ -690,8 +708,11 @@ def _lin(*terms: tuple) -> tuple:
     return ("+", terms)
 
 
-def _commutator(x: tuple, y: tuple) -> tuple:
-    return _lin((ONE, _mul(x, y)), (MINUS, _mul(y, x)))
+def _commutes(x: tuple, y: tuple, adjoint: bool = False) -> tuple:
+    """Kind and operands of the row xy = yx, or with ``adjoint`` of (yx)* = (xy)*,
+    which is x*y* = y*x* read off the products that xy = yx forms."""
+    xy, yx = _mul(x, y), _mul(y, x)
+    return ("equality", ("*", yx), ("*", xy)) if adjoint else ("equality", xy, yx)
 
 
 @lru_cache(maxsize=64)
@@ -791,7 +812,7 @@ def _relation_table(floor: int) -> tuple[tuple[_Row, ...], frozenset]:
         total = _lin(*((ONE, _letter(k, n)) for k in ("fge" if n else "fg")))
         add(_Row("R1", {"sum_at": n}, "equality", total, _IDENTITY))
     for (k1, n1), (k2, n2) in combinations(diag, 2):
-        add(_Row("R1", {"commutator": f"{k1}{n1},{k2}{n2}"}, "vanishes", _commutator(_letter(k1, n1), _letter(k2, n2))))
+        add(_Row("R1", {"commutator": f"{k1}{n1},{k2}{n2}"}, *_commutes(_letter(k1, n1), _letter(k2, n2))))
     for family, n, law in product("vw", range(floor), _R2):
         if family + "_n" in law and defined(family + "_n", n):
             add(_Row("R2", {"family": family, "n": n, "law": law}, "vanishes", _support_law(law, n)))
@@ -813,16 +834,16 @@ def _relation_table(floor: int) -> tuple[tuple[_Row, ...], frozenset]:
     for k1, n1 in isos:
         for k2, n2 in isos:
             if n2 - n1 >= 2:
-                # [x, y*] = -[x*, y]* and [x*, y*] = -[x, y]*: an adjoint in place of two products
+                # x y* = y* x and x* y* = y* x* are the adjoints of y x* = x* y and y x = x y:
+                # adjoints in place of two products each
                 x, xs, y = _letter(k1, n1), _letter(k1, n1, True), _letter(k2, n2)
-                plain, starred = _commutator(x, y), _commutator(xs, y)
-                nodes = (plain, _lin((MINUS, ("*", starred))), starred, _lin((MINUS, ("*", plain))))
-                for (s1, s2), node in zip(product(("", "*"), ("", "*")), nodes):
-                    add(_Row("locality", {"commutator": f"{k1}{s1}{n1},{k2}{s2}{n2}"}, "vanishes", node))
+                checks = (_commutes(x, y), _commutes(xs, y, True), _commutes(xs, y), _commutes(x, y, True))
+                for (s1, s2), check in zip(product(("", "*"), ("", "*")), checks):
+                    add(_Row("locality", {"commutator": f"{k1}{s1}{n1},{k2}{s2}{n2}"}, *check))
         for kind, r in diag:
             if r <= n1 - 1 or r >= n1 + 2:
-                node = _commutator(_letter(k1, n1), _letter(kind, r))
-                add(_Row("locality", {"commutator": f"{k1}{n1},{kind}{r}"}, "vanishes", node))
+                check = _commutes(_letter(k1, n1), _letter(kind, r))
+                add(_Row("locality", {"commutator": f"{k1}{n1},{kind}{r}"}, *check))
     # braid triples (both sides vanish) and the 6.3 list
     for kind, n in product("vw", range(floor)):
         if defined(f"{kind}_n {kind}_n+1", n):
@@ -866,7 +887,7 @@ def _braiding_table(floor: int) -> tuple[tuple[_Row, ...], frozenset]:
     # 6.8: commutation at distance >= 2
     for (k1, n1), (k2, n2) in product(projections, projections):
         if n2 - n1 >= 2:
-            add(_Row("6.8", {"commutator": f"{k1}{n1},{k2}{n2}"}, "vanishes", _commutator(_letter(k1, n1), _letter(k2, n2))))
+            add(_Row("6.8", {"commutator": f"{k1}{n1},{k2}{n2}"}, *_commutes(_letter(k1, n1), _letter(k2, n2))))
     # 6.9 - 6.12: triple products with exact right-hand sides
     for group in _TRIPLES:
         for n, (equation, law, scalar, word) in product(range(floor), group):

@@ -321,8 +321,8 @@ def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
     mass(v) = R(left(v)) + L(right(v)); at STAR the mass is L((0, 1)), at
     (0, 1) it is R((1, 1)).  The sums run on (numerator, denominator) int
     pairs (see ``_add``), once per distinct operand tuple of a floor (see
-    ``_each``); each distinct reported mass of a floor becomes one
-    ``Fraction``.
+    ``_each``), from the deepest floor with a nonzero weight up; each
+    distinct reported mass of a floor becomes one ``Fraction``.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must lie in 1..{MAX_DEPTH}")
@@ -335,9 +335,12 @@ def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
     values = [list(map(candidate.phi, here)) for here in vertices]
     values.append(list(map(candidate.phi, _odd_vertices(depth))))
     pairs = list(map(_pairs, values))
-    masses: list[list[tuple[int, int]]] = [[] for _ in range(depth)]
-    lefts = rights = pairs[depth]  # chain sums L and R of the floor below
-    for n in range(depth - 1, 0, -1):
+    # the floors below the deepest nonzero weight hold zero pairs only, and so
+    # do their chain sums and masses: the pass starts at that weight's floor
+    low = next((n for n in range(depth, 0, -1) if any(map(itemgetter(0), pairs[n]))), 0)
+    masses = pairs[:depth]
+    lefts = rights = pairs[min(low + 1, depth)]  # chain sums L and R of the floor below
+    for n in range(min(low, depth - 1), 0, -1):
         here = pairs[n]
         masses[n] = _each(_add, rights[0::2], lefts[1::2])
         lefts = _each(_add, here, lefts[0::2])
@@ -371,7 +374,9 @@ def _odd_vertices(n: int) -> Iterator[Vertex]:
 
 
 def _pairs(values: Iterable[Fraction]) -> list[tuple[int, int]]:
-    return [(x.numerator, x.denominator) for x in values]
+    # as_integer_ratio reads both slots in one call, where the numerator and
+    # denominator properties are a Python call each
+    return list(map(Fraction.as_integer_ratio, values))
 
 
 def _each(fn: Callable, lead: list, *rest: Iterable) -> list:

@@ -5,9 +5,14 @@
 - ``support_law`` forms (1 - x) y and y (1 - x) through the identity
   operator, as R2 and the dominance residues read, where the suites form
   y - xy and y - yx.
+- ``commutes`` decides a commutation row (R1, locality, 6.8) as the
+  vanishing of the commutator xy - yx, and a starred far-floor variant as
+  the vanishing of the negated transpose -(xy - yx)*, where the suites
+  compare xy with yx, or (yx)* with (xy)*, and form the difference only
+  for a failing row's witness.
 
-``patch_reference`` installs both in ``path_algebra``; every report must
-then match the fast suites' byte for byte, witnesses included.  The
+``patch_reference`` installs all three in ``path_algebra``; every report
+must then match the fast suites' byte for byte, witnesses included.  The
 unit-partition rows compare the floor-r identity with the identity; that
 the floor-r matrix units (``path_matrix_unit``) sum to it is tested
 directly.
@@ -128,6 +133,14 @@ def support_law(text, n):
     return path_algebra._mul(path_algebra._word(y, n), _one_minus(x, n))
 
 
+def commutes(x, y, adjoint=False):
+    """Kind and operand of the row: xy - yx vanishes, or with ``adjoint``
+    -(xy - yx)* = x*y* - y*x* does."""
+    one, minus = path_algebra.ONE, path_algebra.MINUS
+    node = path_algebra._lin((one, path_algebra._mul(x, y)), (minus, path_algebra._mul(y, x)))
+    return ("vanishes", path_algebra._lin((minus, ("*", node)))) if adjoint else ("vanishes", node)
+
+
 def yang_baxter_check(floor, lam=Fraction(1), pairs=None, rep=None):
     if floor < 2:
         raise ValueError("the Yang-Baxter check needs floor >= 2")
@@ -148,10 +161,11 @@ def yang_baxter_check(floor, lam=Fraction(1), pairs=None, rep=None):
 
 def patch_reference(patch) -> None:
     """Install the references in ``path_algebra`` through a monkeypatch.  The
-    tables that read ``_support_law`` are cached per floor: the patch runs
-    them through empty caches of their own, so no table built before it is
-    read and none built under it outlives it."""
+    tables that read ``_support_law`` and ``_commutes`` are cached per floor:
+    the patch runs them through empty caches of their own, so no table built
+    before it is read and none built under it outlives it."""
     patch.setattr(path_algebra, "yang_baxter_check", yang_baxter_check)
     patch.setattr(path_algebra, "_support_law", support_law)
+    patch.setattr(path_algebra, "_commutes", commutes)
     for name in ("_relation_table", "_braiding_table"):
         patch.setattr(path_algebra, name, lru_cache(maxsize=1)(getattr(path_algebra, name).__wrapped__))

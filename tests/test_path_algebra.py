@@ -193,12 +193,29 @@ def test_split_operator_arithmetic_matches_quad_reference(lam, x, y, c, root, k)
     assert (fx - scaled).is_zero()
 
 
+def assert_row_index_holds(op):
+    """The cached row index reproduces A and B: a row with one entry is its
+    bare (col, val) pair, a row with several is (None, ((col, val), ...))."""
+    for part, rows in zip((op.A, op.B), op._row_index):
+        rebuilt = {}
+        for j, hit in rows.items():
+            if hit[0] is None:
+                assert len(hit[1]) >= 2
+                rebuilt.update(((j, k), val) for k, val in hit[1])
+            else:
+                k, val = hit
+                assert type(k) is int and type(val) is int
+                rebuilt[(j, k)] = val
+        assert rebuilt == part
+
+
 def test_cached_row_index_changes_no_equality_hash_or_product():
     rep = Representation(4, F(2))
     e1, one = rep.tl("E", 1), rep.identity()
     fresh = SparseOperator(rep.ctx, rep.lam, dict(e1.A), dict(e1.B), e1.d)
     assert one * e1 == e1 and e1 * e1 == e1  # indexes e1 as a right factor
     assert e1._row_index is not None and fresh._row_index is None
+    assert_row_index_holds(e1)
     assert e1 == fresh and hash(e1) == hash(fresh)
     flipped = e1.with_negated_entry(min(e1.support()))
     assert flipped._row_index is None
@@ -209,6 +226,65 @@ def test_cached_row_index_changes_no_equality_hash_or_product():
     assert one * e1 == e1 and e1 * e1 == e1 and e1 != flipped
     for derived in (e1.scale(3), e1.scale(1, root=True), e1 + fresh, e1.adjoint()):
         assert derived._row_index is None
+    # a right factor whose rows hold several entries goes through the same index
+    mixed = rep.gen("e", 1) + rep.gen("v", 0) + e1
+    assert mixed.B and mixed.d == 3 and one * mixed == mixed
+    assert_row_index_holds(mixed)
+    assert any(hit[0] is None for hit in mixed._row_index[0].values())
+    reference = ReferenceOperator(rep.ctx, rep.lam, dict(e1.A), dict(e1.B), e1.d)
+    assert (e1 * mixed).entries == (reference * ReferenceOperator(rep.ctx, rep.lam, mixed.A, mixed.B, mixed.d)).entries
+
+
+KERNEL_CTXS = (path_context(3), path_context(4))
+
+
+@st.composite
+def kernel_operator_data(draw, negate=None):
+    """(floor, A, B, d) of a split-form operator on floor 3 or 4 whose rows
+    may hold several entries; with ``negate`` (floor, A, B, d), that operator
+    negated on a drawn set of its entries, plus entries of its own."""
+    ctx = KERNEL_CTXS[draw(st.integers(0, 1))] if negate is None else KERNEL_CTXS[negate[0] - 3]
+    block = {}
+    for i, end in enumerate(ctx.endpoint):
+        block.setdefault(end, []).append(i)
+    parts = []
+    for _ in range(2):
+        part = {}
+        for i in draw(st.lists(st.integers(0, ctx.dim - 1), max_size=4)):
+            for j in draw(st.lists(st.sampled_from(block[ctx.endpoint[i]]), min_size=1, max_size=3)):
+                part[(i, j)] = draw(st.integers(-3, 3))
+        parts.append(part)
+    d = draw(st.integers(1, 4))
+    if negate is not None:
+        d = negate[3]
+        for mine, theirs in zip(parts, negate[1:3]):
+            mine.update({key: -val for key, val in theirs.items() if draw(st.booleans())})
+    elif draw(st.booleans()):
+        parts[1] = {}
+    return ctx.floor, parts[0], parts[1], d
+
+
+@st.composite
+def kernel_operand_pair(draw):
+    x = draw(kernel_operator_data())
+    y = draw(st.one_of(kernel_operator_data(), kernel_operator_data(negate=x)))
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=st.sampled_from(SMALL_LAMBDAS), operands=kernel_operand_pair())
+def test_row_index_kernel_matches_quad_reference(lam, operands):
+    # several entries per row, nonzero B parts, d != 1, operands on floors 3
+    # and 4 (the lower one lifts), and sums that cancel to zero in part or whole
+    (fx, fy), (rx, ry) = [
+        [cls(KERNEL_CTXS[floor - 3], lam, A, B, d) for floor, A, B, d in operands]
+        for cls in (SparseOperator, ReferenceOperator)
+    ]
+    for fast, slow in ((fx * fy, rx * ry), (fy * fx, ry * rx), (fx + fy, rx + ry), (fx - fy, rx - ry)):
+        assert fast.ctx is slow.ctx
+        assert fast.entries == slow.entries
+        assert fast.is_zero() == slow.is_zero()
+    assert_row_index_holds(fy.lift(fx.ctx) if fy.ctx.floor < fx.ctx.floor else fy)
 
 
 def test_cached_adjoint_is_linked_both_ways_and_changes_no_equality_hash_or_product():
@@ -483,9 +559,25 @@ def test_every_isometry_flip_at_floor_4_matches_suite_reference(monkeypatch):
 
 @pytest.mark.parametrize("lam", (F(1, 4), F(2), F(2, 3)), ids=str)
 def test_seeded_mutants_at_floor_5_match_suite_reference(monkeypatch, lam):
-    fast, slow = reports_with_reference(monkeypatch, 5, lam, lambda: seeded_mutants(Representation(5, lam), range(10)))
+    def reps():
+        rep = Representation(5, lam)
+        return [rep] + seeded_mutants(rep, range(10))
+
+    fast, slow = reports_with_reference(monkeypatch, 5, lam, reps)
     assert fast == slow
-    assert any('"witness"' in text for text in fast)
+    assert '"fail"' not in fast[0] and any('"witness"' in text for text in fast[1:])
+
+
+def test_commutation_rows_compare_products_and_the_reference_forms_commutators(monkeypatch):
+    def kinds():
+        rows = path_algebra._relation_table(5)[0] + path_algebra._braiding_table(5)[0]
+        return Counter(row.kind for row in rows if "commutator" in row.indices)
+
+    fast = kinds()
+    with monkeypatch.context() as patch:
+        patch_reference(patch)
+        assert kinds() == {"vanishes": fast["equality"]}
+    assert set(fast) == {"equality"} and kinds() == fast
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,7 @@ ONE_PASS_CANDIDATES = {
     "table valid": _table(F(1, 4)),
     "table zeroed": _table(F(2, 7), zeroed=(2, 1)),
     "table many denominators": _many_denominator_table(),
+    "table with zero floors between its entries": table_candidate({(0, 1): F(1, 4), (1, 1): F(1, 16), (4, 3): F(1, 64)}),
     "zero": zero_candidate(),
     "no tail": TraceCandidate(geometric_candidate(F(1, 5)).phi, None),
     "negative phi": _with_negative_phi((3, 5)),
