@@ -27,22 +27,45 @@ its operators, and a failing one reads its witness at floor N.
 
 The suites are data: ``verify_relation_suite``, ``yang_baxter_check`` and
 ``verify_braiding_suite`` are each a table of rows built once per floor:
-equation id, indices, kind of check (equality, vanishes, nonzero,
-projection) and operand nodes.  A node is a hashable tuple of one of five
+equation id, indices, kind of check (equality, commutes, vanishes,
+nonzero, projection) and operand nodes.  A node is a hashable tuple of one of five
 kinds, the *-ring the suites need: a letter (kind, n) is a generator or E/F
 at its home floor, ("*", x) an adjoint, ("·", x, y) a product,
 ("+", ((scalar, x), ...)) a linear combination and ("1", r) the identity of
 floor r, which lifts to whatever it meets.  A commutation row (R1,
-locality, 6.8) is the equality xy = yx, a starred far-floor one compares
-the adjoints of products the unstarred rows form, and only a failing row
-forms xy - yx, for its witness.  A support law (1 - x) y or y (1 - x) is
-y - xy or y - yx.  The floor-r matrix units T(x, x) sum to the floor-r
-identity, and the unital tail embedding carries it to every higher floor,
-so the unit-partition row of floor r compares ("1", r) with ("1", 0).  A
-scalar (c, i, j) is c sqrt(lam)^i / (1 + lam)^j, so a table serves every
-lam.  One evaluator decides the rows through ``Representation._home``; a
-node that several rows share (E_n E_n+1 in 6.9, 6.13, 6.15, 6.16 and
-dominance, or f_n v_n in R2 and R3) is built once per evaluation.
+locality, 6.8) passes without products when its two letters carry window
+certificates that are apart (below).  Otherwise it is the equality
+xy = yx, a starred far-floor one compares the adjoints of products the
+unstarred rows form, and only a failing row forms xy - yx, for its
+witness.  A support law (1 - x) y or y (1 - x) is y - xy or y - yx.  The
+floor-r matrix units T(x, x) sum to the floor-r identity, and the unital
+tail embedding carries it to every higher floor, so the unit-partition row
+of floor r compares ("1", r) with ("1", 0).  A scalar (c, i, j) is
+c sqrt(lam)^i / (1 + lam)^j, so a table serves every lam.  One evaluator
+decides the rows through ``Representation._home``; a node that several rows
+share (E_n E_n+1 in 6.9, 6.13, 6.15, 6.16 and dominance, or f_n v_n in R2
+and R3) is built once per evaluation.
+
+Window certificates.  Each kind writes and reads a window of coordinates
+(``_GENERATORS``): v_n, w_n, E_n and F_n write xi_n and read xi_{n-1..n+1};
+e_n, f_n and g_n write nothing and read xi_{n-1..n}.  X is window-local
+for (W, R), W inside R, when every entry (q, p) has q = p off W, its A and
+B values depend only on the key (p|R, q|W), and each key holds for every
+path of its R-class (counted against the class sizes of the floor).  Then
+X = sum c(a, b) T_{a->b}, with T_{a->b} setting W to b on each path p with
+p|R = a.  Lemma: if X and Y are window-local for (W_x, R_x) and (W_y, R_y)
+with W_x, R_y disjoint and W_y, R_x disjoint, then XY = YX.  Sketch:
+Y e_p = sum_b c_y(p|R_y, b) e_p[W_y:=b], and p[W_y:=b] lies in the
+R_x-class of p, so X applies the same keys and values to it as to p:
+XY e_p = sum_{b, b'} c_y(p|R_y, b) c_x(p|R_x, b') e_p[W_y:=b][W_x:=b'],
+symmetric in X and Y because the writes are disjoint and scalars commute.
+The tail embedding keeps a certificate (tails are neither read nor
+written, and each key covers every tail), and so does the adjoint (the key
+(q|R, p|W) of an entry of X* and (p|R, q|W) determine each other), so such
+a row passes at the higher floor of its letters.  Each certificate is
+checked once on the operator's exact entries and kept on it; a mutant's
+flipped generator is checked on its own entries, and a row it fails is
+multiplied out.
 
 A mutant reuses its parent's verdicts.  ``with_sign_flip`` records the
 parent and the changed keys: the flipped generator, and E_n or F_n for a
@@ -56,6 +79,7 @@ from __future__ import annotations
 import json
 import random
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -162,7 +186,7 @@ class SparseOperator:
     one path context.
     """
 
-    __slots__ = ("ctx", "lam", "A", "B", "d", "_row_index", "_adjoint", "_lifts", "__weakref__")
+    __slots__ = ("ctx", "lam", "A", "B", "d", "_row_index", "_adjoint", "_lifts", "_local", "__weakref__")
 
     def __init__(self, ctx: PathContext, lam: Fraction, A: Entries, B: Entries | None = None, d: int = 1):
         if d <= 0:
@@ -183,6 +207,7 @@ class SparseOperator:
         self._row_index: tuple[Rows, Rows] | None = None
         self._adjoint: SparseOperator | weakref.ref | None = None
         self._lifts: dict[PathContext, SparseOperator] | None = None
+        self._local: tuple | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -331,6 +356,17 @@ class SparseOperator:
         row, col = min(key for key in op.support() if at(key) != at(key[::-1]))
         return {"row": row, "col": col, "value": op._text(*at((row, col)))}
 
+    def is_window_local(self, writes: range, reads: range) -> bool:
+        """Whether the operator is sum c(a, b) T_{a->b} over a = p|reads and
+        b = q|writes (``writes`` inside ``reads``): every entry (q, p) has
+        q = p outside ``writes``, its A and B values depend on (a, b) alone,
+        and each key (a, b) holds for every path p with p|reads = a.
+        Checked on the entries on first use and kept, outside equality."""
+        kept = self._local
+        if kept is None or kept[0] != (writes, reads):
+            kept = self._local = ((writes, reads), _window_local(self, writes, reads))
+        return kept[1]
+
     # -- scalars at the boundary -------------------------------------------
 
     def _text(self, a: int, b: int) -> str:
@@ -378,6 +414,29 @@ class SparseOperator:
 def _symmetric(entries: Entries) -> bool:
     get = entries.get
     return all(get((j, i)) == val for (i, j), val in entries.items())
+
+
+def _window_local(op: SparseOperator, writes: range, reads: range) -> bool:
+    paths, A, B = op.ctx.paths, op.A, op.B
+    lo, hi, first, stop = writes.start, writes.stop, reads.start, reads.stop
+    keys: dict[tuple, list] = {}
+    for i, j in A.keys() | B.keys() if B else A:
+        q, p = paths[i], paths[j]
+        if p[:lo] != q[:lo] or p[hi:] != q[hi:]:
+            return False
+        value = (A.get((i, j), 0), B.get((i, j), 0))
+        hit = keys.setdefault((p[first:stop], q[lo:hi]), [value, 0])
+        if hit[0] != value:
+            return False
+        hit[1] += 1
+    sizes = _class_sizes(op.ctx, reads)
+    return all(count == sizes[a] for (a, _), (_, count) in keys.items())
+
+
+@lru_cache(maxsize=None)
+def _class_sizes(ctx: PathContext, reads: range) -> Counter:
+    """How many paths of the floor share each restriction p|reads."""
+    return Counter(p[reads.start : reads.stop] for p in ctx.paths)
 
 
 def _row_index(entries: Entries) -> Rows:
@@ -438,21 +497,39 @@ def _flip(ctx: PathContext, lam: Fraction, n: int, sign: int) -> SparseOperator:
     return SparseOperator(ctx, lam, entries)
 
 
-# The generator index ranges, one row per kind: (kind, lowest index, reach,
-# build function, its sign).  At floor N the indices run from the lowest one
-# to N - reach; kind_n reads the path down to floor n + reach, its home floor.
+# The generators, one row per kind: (kind, lowest index, reach, build
+# function, its sign, the offsets from n of the coordinates it writes and of
+# those it reads).  At floor N the indices run from the lowest one to
+# N - reach; kind_n reads the path down to floor n + reach, its home floor.
+# E_n and F_n have the window of v_n and w_n.
 _GENERATORS = (
-    ("e", 1, 0, _edge_projection, -1),
-    ("f", 0, 0, _edge_projection, +1),
-    ("g", 0, 0, _edge_projection, 0),
-    ("v", 0, 1, _flip, +1),
-    ("w", 1, 1, _flip, -1),
+    ("e", 1, 0, _edge_projection, -1, range(0), range(-1, 1)),
+    ("f", 0, 0, _edge_projection, +1, range(0), range(-1, 1)),
+    ("g", 0, 0, _edge_projection, 0, range(0), range(-1, 1)),
+    ("v", 0, 1, _flip, +1, range(0, 1), range(-1, 2)),
+    ("w", 1, 1, _flip, -1, range(0, 1), range(-1, 2)),
 )
+_WINDOWS = {row[0]: row[5:] for row in _GENERATORS}
+_WINDOWS.update(E=_WINDOWS["v"], F=_WINDOWS["w"])
 
 
 def _generator_keys(floor: int, kinds: str = "efgvw") -> list[tuple[str, int]]:
     """(kind, n) of the generators of the given kinds at floor N, in table order."""
-    return [(kind, n) for kind, low, reach, _, _ in _GENERATORS if kind in kinds for n in range(low, floor - reach + 1)]
+    return [(kind, n) for kind, low, reach, *_ in _GENERATORS if kind in kinds for n in range(low, floor - reach + 1)]
+
+
+@lru_cache(maxsize=None)
+def _window(kind: str, n: int) -> tuple[range, range]:
+    """The coordinates kind_n writes and reads; xi_{-1}, the root's fixed 0,
+    is left out."""
+    writes, reads = _WINDOWS[kind]
+    return range(n + writes.start, n + writes.stop), range(max(0, n + reads.start), n + reads.stop)
+
+
+def _apart(x: tuple[range, range], y: tuple[range, range]) -> bool:
+    """Neither window writes a coordinate the other reads."""
+    (wx, rx), (wy, ry) = x, y
+    return not any(c in ry for c in wx) and not any(c in rx for c in wy)
 
 
 def _projection_keys(floor: int) -> list[tuple[str, int]]:
@@ -500,7 +577,7 @@ class Representation:
         self._parent: Representation | None = None
         self._changed: frozenset[tuple[str, int]] = frozenset()
         self._verdicts: dict[_Row, Check] = {}
-        for kind, low, reach, build, sign in _GENERATORS:
+        for kind, low, reach, build, sign, *_ in _GENERATORS:
             for n in range(low, floor - reach + 1):
                 self._gens[(kind, n)] = build(path_context(n + reach), lam, n, sign)
 
@@ -710,9 +787,10 @@ def _lin(*terms: tuple) -> tuple:
 
 def _commutes(x: tuple, y: tuple, adjoint: bool = False) -> tuple:
     """Kind and operands of the row xy = yx, or with ``adjoint`` of (yx)* = (xy)*,
-    which is x*y* = y*x* read off the products that xy = yx forms."""
+    which is x*y* = y*x* read off the products that xy = yx forms.  The row
+    passes without them when its two letters are window-local and apart."""
     xy, yx = _mul(x, y), _mul(y, x)
-    return ("equality", ("*", yx), ("*", xy)) if adjoint else ("equality", xy, yx)
+    return ("commutes", ("*", yx), ("*", xy)) if adjoint else ("commutes", xy, yx)
 
 
 @lru_cache(maxsize=64)
@@ -947,12 +1025,24 @@ def _evaluate(rep: Representation, rows: Sequence[_Row], shared: frozenset, repo
             cache[id(node)] = op
         return op
 
-    decide = {"equality": partial(Check.equality, top=rep.ctx), "vanishes": partial(Check.vanishes, top=rep.ctx),
+    def local(row: _Row) -> Check | None:
+        """The pass of a commutation row whose letters are window-local and
+        apart, decided at the higher of their floors; None for any other."""
+        (x, wx), (y, wy) = ((home(*letter), _window(*letter)) for letter in row.reads)
+        if _apart(wx, wy) and x.is_window_local(*wx) and y.is_window_local(*wy):
+            return Check(row.equation, dict(row.indices), "pass", None, max(x.ctx.floor, y.ctx.floor))
+        return None
+
+    equality = partial(Check.equality, top=rep.ctx)
+    decide = {"equality": equality, "commutes": equality, "vanishes": partial(Check.vanishes, top=rep.ctx),
               "nonzero": Check.nonzero, "projection": partial(Check.projection, top=rep.ctx)}
     checks = []
     for row in rows:
-        ops = [cache.get(id(x)) or value(x) for x in row.operands]
-        checks.append(decide[row.kind](row.equation, dict(row.indices), *ops))
+        check = local(row) if row.kind == "commutes" else None
+        if check is None:
+            ops = [cache.get(id(x)) or value(x) for x in row.operands]
+            check = decide[row.kind](row.equation, dict(row.indices), *ops)
+        checks.append(check)
         for key in row.expires:
             cache.pop(key, None)
     return checks

@@ -276,19 +276,36 @@ def table_candidate(entries: dict[Vertex, Fraction], default: Fraction = Fractio
     return TraceCandidate(phi, tail)
 
 
+def _exact(value, name: str) -> Fraction:
+    """A JSON weight as a Fraction.  A float is refused: 0.1 would be the
+    binary fraction 3602879701896397/36028797018963968."""
+    if isinstance(value, (float, bool)):
+        raise ValueError(f"{name} must be exact (an int or a 'p/q' string), not {json.dumps(value)}")
+    return Fraction(value)
+
+
+def _index(value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"table indices must be ints, not {json.dumps(value)}")
+    return value
+
+
 def candidate_from_json(text: str) -> TraceCandidate:
     """Accepts {"kind":"geometric","ratio":"1/4"} or
-    {"kind":"table","entries":[[n,k,"p/q"],...],"default":"0"}."""
+    {"kind":"table","entries":[[n,k,"p/q"],...],"default":"0"}; weights are
+    ints or 'p/q' strings, never floats, and indices are ints."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("a trace candidate must be a JSON object")
     kind = payload.get("kind")
     try:
         if kind == "geometric":
-            return geometric_candidate(Fraction(payload["ratio"]))
+            return geometric_candidate(_exact(payload["ratio"], "ratio"))
         if kind == "table":
-            entries = {(int(n), int(k)): Fraction(value) for n, k, value in payload.get("entries", [])}
-            return table_candidate(entries, Fraction(payload.get("default", "0")))
+            entries = {
+                (_index(n), _index(k)): _exact(value, "a table value") for n, k, value in payload.get("entries", [])
+            }
+            return table_candidate(entries, _exact(payload.get("default", "0"), "default"))
     except KeyError as exc:
         raise ValueError(f"{kind} trace candidate needs the key {exc}") from None
     except (TypeError, ValueError, ZeroDivisionError) as exc:

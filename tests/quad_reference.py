@@ -7,7 +7,8 @@ interface of ``path_algebra.SparseOperator``.  Patched in for
 must match the integer operators' byte for byte.  Its tail embedding
 ``lift`` follows the definition path by path: the floor-N entry at
 (x + t, y + t) carries the floor-M entry at (x, y), for each floor-N path
-y + t.
+y + t.  Its window certificate ``is_window_local`` compares each group of
+entries with the whole class of paths it must cover.
 
 ``sqrt_fraction``, ``embed_root`` and ``rank`` read an operator's rank by
 Gaussian elimination over Q; the tests compare it with traces and supports.
@@ -190,6 +191,23 @@ class ReferenceOperator:
 
     def max_nonzeros(self, other: int) -> int:
         return max(other, len(self.quads))
+
+    def is_window_local(self, writes, reads) -> bool:
+        """The certificate read off its definition: entries grouped by
+        (p|reads, q|writes), each group one value, its columns the whole
+        class of paths p with that p|reads."""
+        paths = self.ctx.paths
+        outside = [c for c in range(self.ctx.floor + 1) if c not in writes]
+        values, columns = {}, {}
+        for (i, j), val in self.quads.items():
+            q, p = paths[i], paths[j]
+            if any(p[c] != q[c] for c in outside):
+                return False
+            key = (tuple(p[c] for c in reads), tuple(q[c] for c in writes))
+            if values.setdefault(key, val) != val:
+                return False
+            columns.setdefault(key, set()).add(p)
+        return all(cols == {p for p in paths if tuple(p[c] for c in reads) == a} for (a, _), cols in columns.items())
 
     def support(self) -> set:
         return set(self.quads)

@@ -8,8 +8,9 @@
 - ``commutes`` decides a commutation row (R1, locality, 6.8) as the
   vanishing of the commutator xy - yx, and a starred far-floor variant as
   the vanishing of the negated transpose -(xy - yx)*, where the suites
-  compare xy with yx, or (yx)* with (xy)*, and form the difference only
-  for a failing row's witness.
+  pass a row whose two letters carry window certificates that are apart,
+  and otherwise compare xy with yx, or (yx)* with (xy)*, and form the
+  difference only for a failing row's witness.
 
 ``patch_reference`` installs all three in ``path_algebra``; every report
 must then match the fast suites' byte for byte, witnesses included.  The

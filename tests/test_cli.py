@@ -189,6 +189,17 @@ def test_relations_floor_6_json_matches_the_committed_report(capsys):
     assert (code, out) == (0, golden)
 
 
+def test_relations_floor_7_stats_match_the_committed_counts(capsys):
+    # a commutation row decided by its products instead of its window
+    # certificates leaves every report as it is; only these counts move
+    golden = json.loads((Path(__file__).parent / "golden_floor7_stats.json").read_text(encoding="utf-8"))
+    code, _, err = run(capsys, "relations", "--floor", "7", "--lambda", "2/3", "--stats")
+    stats = json.loads(err)
+    for section in stats.values():
+        section.pop("seconds")
+    assert code == 0 and json.loads(json.dumps(stats)) == golden
+
+
 @pytest.mark.parametrize("lam", ["1/4", "2"])
 def test_relations_floor_8_match_the_golden_summary(capsys, lam):
     golden = (Path(__file__).parent / "golden_floor8.txt").read_text(encoding="utf-8")
@@ -273,6 +284,34 @@ def test_trace_check_malformed_spec_is_usage_error(tmp_path, capsys, spec, messa
     code, out, err = run(capsys, "trace", "check", "--spec", str(path), "--depth", "5")
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # 0.1 would be read as 3602879701896397/36028797018963968
+        ('{"kind": "geometric", "ratio": 0.1}', "ratio must be exact"),
+        ('{"kind": "table", "entries": [[0, 1, 0.1]]}', "a table value must be exact"),
+        ('{"kind": "table", "entries": [[0, 1, "1/2"]], "default": 0.1}', "default must be exact"),
+        # int() would truncate these to the index 0
+        ('{"kind": "table", "entries": [[0.0, 1, "1/2"]]}', "table indices must be ints, not 0.0"),
+        ('{"kind": "table", "entries": [[0, true, "1/2"]]}', "table indices must be ints, not true"),
+        ('{"kind": "table", "entries": [[0.5, 1, "1/2"]]}', "table indices must be ints, not 0.5"),
+    ],
+)
+def test_trace_check_refuses_float_weights_and_non_int_indices(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    code, out, err = run(capsys, "trace", "check", "--spec", str(path), "--depth", "5")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and message in err
+
+
+def test_trace_check_takes_int_and_text_weights(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text('{"kind": "table", "entries": [[0, 1, 1], [1, 1, "0"]], "default": 0}')
+    code, out, _ = run(capsys, "trace", "check", "--spec", str(path), "--depth", "5")
+    assert (code, out) == (0, "valid (exact, depth 5, 17 vertices)\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "three"])

@@ -576,8 +576,128 @@ def test_commutation_rows_compare_products_and_the_reference_forms_commutators(m
     fast = kinds()
     with monkeypatch.context() as patch:
         patch_reference(patch)
-        assert kinds() == {"vanishes": fast["equality"]}
-    assert set(fast) == {"equality"} and kinds() == fast
+        assert kinds() == {"vanishes": fast["commutes"]}
+    assert set(fast) == {"commutes"} and kinds() == fast
+
+
+# ---------------------------------------------------------------------------
+# window certificates: the commutation lemma and the rows it decides
+
+
+def draw_window(data, floor):
+    """Writes {m} or nothing, reads m and its neighbours; the last coordinate
+    is never written, so the endpoint blocks hold."""
+    m = data.draw(st.integers(0, floor - 1))
+    return range(m, m + data.draw(st.integers(0, 1))), range(max(0, m - 1), min(floor, m + 1) + 1)
+
+
+def window_local_data(data, ctx, writes, reads):
+    """(A, B, d) of a random sum of c(a, b) T_{a->b}: per class a of paths p
+    with p|reads = a, a random set of targets b, each with random A and B
+    values, on every path of the class."""
+    lo, hi = writes.start, writes.stop
+    classes: dict[tuple, list] = {}
+    for p in ctx.paths:
+        classes.setdefault(p[reads.start : reads.stop], []).append(p)
+    A, B = {}, {}
+    for members in classes.values():
+        for b in sorted({q[lo:hi] for q in ctx.paths}):
+            targets = [p[:lo] + b + p[hi:] for p in members]
+            if not all(q in ctx.index for q in targets) or not data.draw(st.booleans()):
+                continue
+            a_value, b_value = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+            for p, q in zip(members, targets):
+                A[(ctx.index[q], ctx.index[p])] = a_value
+                B[(ctx.index[q], ctx.index[p])] = b_value
+    return A, B, data.draw(st.integers(1, 4))
+
+
+def reference_local(op, writes, reads):
+    return ReferenceOperator(op.ctx, op.lam, op.A, op.B, op.d).is_window_local(writes, reads)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), floor=st.integers(2, 3), lam=st.sampled_from(SMALL_LAMBDAS))
+def test_window_local_operators_with_windows_apart_commute(data, floor, lam):
+    ctx = path_context(floor)
+    wx, wy = draw_window(data, floor), draw_window(data, floor)
+    x_data = window_local_data(data, ctx, *wx)
+    x, y = SparseOperator(ctx, lam, *x_data), SparseOperator(ctx, lam, *window_local_data(data, ctx, *wy))
+    assert x.is_window_local(*wx) and y.is_window_local(*wy) and reference_local(x, *wx)
+    # adjoints and lifts keep the window
+    assert x.adjoint().is_window_local(*wx) and x.lift(path_context(floor + 1)).is_window_local(*wx)
+    apart = path_algebra._apart(wx, wy)
+    if apart:
+        assert x * y == y * x
+    # flip one entry, drop one, or add one that changes a coordinate outside the writes
+    lo, hi = wx[0].start, wx[0].stop
+    outside = [
+        (i, j) for i, q in enumerate(ctx.paths) for j, p in enumerate(ctx.paths)
+        if ctx.endpoint[i] == ctx.endpoint[j] and (p[:lo] != q[:lo] or p[hi:] != q[hi:])
+    ]
+    how = data.draw(st.sampled_from(["outside"] + (["flip", "drop"] if x.support() else [])))
+    if how == "outside":
+        A, B, d = dict(x_data[0]), dict(x_data[1]), x_data[2]
+        key = data.draw(st.sampled_from(outside))
+        A[key] = data.draw(st.sampled_from([-2, -1, 1, 3]))
+        mutant = SparseOperator(ctx, lam, A, B, d)
+    elif how == "flip":
+        mutant = x.with_negated_entry(data.draw(st.sampled_from(sorted(x.support()))))
+    else:
+        key = data.draw(st.sampled_from(sorted(x.support())))
+        mutant = SparseOperator(ctx, lam, {k: v for k, v in x.A.items() if k != key},
+                                {k: v for k, v in x.B.items() if k != key}, x.d)
+    local = mutant.is_window_local(*wx)
+    assert local == reference_local(mutant, *wx)
+    if how == "outside":
+        assert not local
+    if local and apart:
+        assert mutant * y == y * mutant
+
+
+def test_window_certificate_is_kept_on_the_operator(monkeypatch):
+    rep = Representation(4, F(2, 3))
+    v = rep._home("v", 1)
+    window = path_algebra._window("v", 1)
+    assert v.is_window_local(*window)
+    monkeypatch.setattr(path_algebra, "_window_local", lambda *args: pytest.fail("certificate checked twice"))
+    assert v.is_window_local(*window)
+    # equality, hashing and the operators built from it ignore the kept certificate
+    twin = SparseOperator(v.ctx, v.lam, dict(v.A), dict(v.B), v.d)
+    assert twin == v and hash(twin) == hash(v) and twin._local is None and v.adjoint()._local is None
+
+
+def commutation_rows(floor):
+    rows = path_algebra._relation_table(floor)[0] + path_algebra._braiding_table(floor)[0]
+    return [row for row in rows if row.kind == "commutes"]
+
+
+@pytest.mark.parametrize("lam", (F(1), F(1, 4), F(9), F(2, 3)), ids=str)
+@pytest.mark.parametrize("floor", (4, 5, 6))
+def test_every_commutation_row_of_the_model_is_certified_and_agrees_with_products(monkeypatch, floor, lam):
+    rep = Representation(floor, lam)
+    rows = commutation_rows(floor)
+    for row in rows:
+        (x, wx), (y, wy) = ((rep._home(*letter), path_algebra._window(*letter)) for letter in row.reads)
+        assert path_algebra._apart(wx, wy) and x.is_window_local(*wx) and y.is_window_local(*wy), row.indices
+    report = run_all_suites(floor, lam, rep)
+    with monkeypatch.context() as patch:
+        patch.setattr(SparseOperator, "is_window_local", lambda op, writes, reads: False)
+        products = run_all_suites(floor, lam, Representation(floor, lam))
+    assert report.to_json() == products.to_json() and report.decided_at() == products.decided_at()
+    assert rows and report.ok and report.products < products.products
+
+
+def test_a_flipped_generator_loses_its_certificate_and_its_rows_multiply():
+    lam = F(2)
+    rep = Representation(5, lam)
+    mutated = rep.with_sign_flip("w", 2, min(rep.gen("w", 2).support()))
+    assert rep._home("w", 2).is_window_local(*path_algebra._window("w", 2))
+    assert not mutated._home("w", 2).is_window_local(*path_algebra._window("w", 2))
+    report = run_all_suites(5, lam, unlinked(mutated))
+    # locality catches the flip: its witness comes from the difference xy - yx
+    failed = [c for c in report.failures() if c.equation == "locality"]
+    assert failed and all(c.witness is not None for c in failed)
 
 
 # ---------------------------------------------------------------------------
@@ -624,10 +744,15 @@ def test_mutants_of_mutants_reuse_verdicts_through_each_parent():
     assert_reuse_matches_unlinked(5, lam, [great] + grandchildren + [child] + seeded_mutants(child, range(4)))
 
 
-def test_a_mutant_rereads_only_the_rows_of_its_flip():
+def test_a_mutant_rereads_only_the_rows_of_its_flip(monkeypatch):
     lam = F(2)
     rep = Representation(5, lam)
     full = run_all_suites(5, lam, rep)
+    # the products of a full run that multiplies out every commutation row too
+    with monkeypatch.context() as patch:
+        patch.setattr(SparseOperator, "is_window_local", lambda op, writes, reads: False)
+        products_only = run_all_suites(5, lam, Representation(5, lam))
+    assert products_only.to_json() == full.to_json() and products_only.products > full.products
     # the first mutant has the parent decide, once, the rows its flip leaves alone
     first = rep.with_sign_flip("w", 3, min(rep.gen("w", 3).support()))
     run_all_suites(5, lam, first)
@@ -637,7 +762,7 @@ def test_a_mutant_rereads_only_the_rows_of_its_flip():
     parents = {id(c) for c in rep._verdicts.values()}
     reread = {(c.equation, json.dumps(c.indices)) for c in report.checks if id(c) not in parents}
     assert 0 < len(reread) < len(full.checks) / 4
-    assert 0 < report.products < full.products / 4
+    assert 0 < report.products < products_only.products / 4
     assert ("R3", json.dumps({"family": "w", "n": 3, "law": "w g = e w"})) in reread
     assert ("6.7", json.dumps({"n": 3, "law": "E F"})) in reread  # reads F_3
     assert ("R3", json.dumps({"family": "v", "n": 1, "law": "v g = f v"})) not in reread
