@@ -13,7 +13,12 @@ d a positive common denominator, canonical so that equality is dict
 equality.  Products are integer sparse matmuls with x*x = p/q folded in,
 reading the right factor through row indexes kept on it; a row with one
 entry, as every row of the suites' right factors has, is indexed as its
-bare (col, val) pair.
+bare (col, val) pair.  A ring operation on canonical block operators gives
+a block operator, so sums, scalings and products go through the trusted
+``_derived`` (zeros dropped only when a scan finds one, then lowest terms)
+and lifts, adjoints and E/F through ``_canonical`` (their entries are
+canonical already); the endpoint-block check stays on every constructor that
+takes outside input.
 Every identity is decided exactly; scalars appear only at the boundary
 (entries, witnesses, traces) as the text ``a+b*sqrt(lam)``.
 
@@ -46,6 +51,14 @@ decides the rows through ``Representation._home``; a node that several rows
 share (E_n E_n+1 in 6.9, 6.13, 6.15, 6.16 and dominance, or f_n v_n in R2
 and R3) is built once per evaluation.
 
+E and F in closed form.  A flip u (v_n or w_n) is a signed partial
+permutation whose sources s and targets t are disjoint, so u*u and u u* are
+the diagonal projections on the sources and on the targets, and with
+lam = p/q, E = (u*u + x u + x u* + lam u u*) / (1 + lam) is A = q on each
+source's diagonal and p on each target's, B = q u(t, s) at (t, s) and
+(s, t), d = p + q: canonical, as gcd(p, q) = 1.  One pass over the entries
+of u replaces two products, four scalings and three sums.
+
 Window certificates.  Each kind writes and reads a window of coordinates
 (``_GENERATORS``): v_n, w_n, E_n and F_n write xi_n and read xi_{n-1..n+1};
 e_n, f_n and g_n write nothing and read xi_{n-1..n}.  X is window-local
@@ -62,10 +75,20 @@ symmetric in X and Y because the writes are disjoint and scalars commute.
 The tail embedding keeps a certificate (tails are neither read nor
 written, and each key covers every tail), and so does the adjoint (the key
 (q|R, p|W) of an entry of X* and (p|R, q|W) determine each other), so such
-a row passes at the higher floor of its letters.  Each certificate is
-checked once on the operator's exact entries and kept on it; a mutant's
-flipped generator is checked on its own entries, and a row it fails is
-multiplied out.
+a row passes at the higher floor of its letters.  Closure: the operators
+window-local for one (W, R) are closed under sums, scalars, adjoints and
+products (T_{a->b} T_{a'->b'} is T_{a'->b} when a'[W:=b'] = a and 0
+otherwise, as W lies inside R), so E_n and F_n, built from their flip by
+those operations, inherit its certificate for the same window without their
+entries being read.  Every other certificate is checked once on the
+operator's exact entries and kept on it; a mutant's flipped generator is
+checked on its own entries (and its E/F too, when it fails), and a row it
+fails is multiplied out.
+
+A linear combination evaluates only its nonzero terms and lifts the sum to
+the highest floor among all its terms, so a check's floor and witness do
+not change; on the unmutated model both 6.4 coefficients vanish, and no
+6.4 row scales or adds anything.
 
 A mutant reuses its parent's verdicts.  ``with_sign_flip`` records the
 parent and the changed keys: the flipped generator, and E_n or F_n for a
@@ -180,10 +203,13 @@ class SparseOperator:
     ``B`` map (i, j) to nonzero ints and ``d`` is a positive int.  The form
     is canonical (no zero entries, gcd(d, every entry) == 1), so equal
     operators have equal fields.  Entries couple only paths with the same
-    endpoint; this block structure is checked whenever an operator is built.
-    Sums and products of operators at different floors lift the lower one
-    through the tail embedding (``lift``); equality stays strict, within
-    one path context.
+    endpoint; this block structure is checked by every constructor that
+    takes outside input (``SparseOperator(...)``, ``zero``, ``identity``,
+    ``diagonal``, ``with_negated_entry``).  Ring operations, lifts, adjoints
+    and ``flip_projection`` keep it by construction and build their results
+    through the trusted ``_derived`` and ``_canonical``.  Sums and products
+    of operators at different floors lift the lower one through the tail
+    embedding (``lift``); equality stays strict, within one path context.
     """
 
     __slots__ = ("ctx", "lam", "A", "B", "d", "_row_index", "_adjoint", "_lifts", "_local", "__weakref__")
@@ -193,21 +219,40 @@ class SparseOperator:
             raise ValueError(f"denominator must be positive, got {d}")
         A = {key: val for key, val in A.items() if val}
         B = {key: val for key, val in B.items() if val} if B else {}
-        g = gcd(d, *A.values(), *B.values()) if d != 1 else 1
-        if g != 1:
-            d //= g
-            A = {key: val // g for key, val in A.items()}
-            B = {key: val // g for key, val in B.items()}
         endpoint = ctx.endpoint
         for part in (A, B):
             for i, j in part:
                 if endpoint[i] != endpoint[j]:
                     raise ValueError(f"entry ({i}, {j}) leaves the endpoint blocks")
+        self._set(ctx, lam, *_lowest_terms(A, B, d))
+
+    def _set(self, ctx: PathContext, lam: Fraction, A: Entries, B: Entries, d: int) -> None:
         self.ctx, self.lam, self.A, self.B, self.d = ctx, lam, A, B, d
         self._row_index: tuple[Rows, Rows] | None = None
         self._adjoint: SparseOperator | weakref.ref | None = None
         self._lifts: dict[PathContext, SparseOperator] | None = None
         self._local: tuple | None = None
+
+    @classmethod
+    def _canonical(cls, ctx: PathContext, lam: Fraction, A: Entries, B: Entries, d: int) -> "SparseOperator":
+        """The trusted constructor: A and B are fresh dicts of a canonical
+        block operator (a lift, an adjoint, E or F in closed form), taken as
+        they are."""
+        op = object.__new__(cls)
+        op._set(ctx, lam, A, B, d)
+        return op
+
+    @classmethod
+    def _derived(cls, ctx: PathContext, lam: Fraction, A: Entries, B: Entries, d: int) -> "SparseOperator":
+        """The trusted constructor for a ring operation (sum, scaling,
+        product) on block operators, whose result is block: fresh dicts with
+        d > 0, brought to lowest terms; the zero filter runs only when a scan
+        finds a zero."""
+        if 0 in A.values():
+            A = {key: val for key, val in A.items() if val}
+        if B and 0 in B.values():
+            B = {key: val for key, val in B.items() if val}
+        return cls._canonical(ctx, lam, *_lowest_terms(A, B, d))
 
     # -- constructors ------------------------------------------------------
 
@@ -242,7 +287,7 @@ class SparseOperator:
                 {(starts[i] + k, starts[j] + k): val for (i, j), val in part.items() for k in range(counts[j])}
                 for part in (self.A, self.B)
             )
-            out = self._lifts[ctx] = SparseOperator(ctx, self.lam, A, B, self.d)
+            out = self._lifts[ctx] = self._canonical(ctx, self.lam, A, B, self.d)
         return out
 
     def _common(self, other: "SparseOperator") -> tuple["SparseOperator", "SparseOperator"]:
@@ -264,7 +309,7 @@ class SparseOperator:
             for key, val in right.items():
                 out[key] = out.get(key, 0) + theirs * val
             parts.append(out)
-        return SparseOperator(x.ctx, x.lam, parts[0], parts[1], x.d * mine)
+        return x._derived(x.ctx, x.lam, parts[0], parts[1], x.d * mine)
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         return self._combine(other, 1)
@@ -287,12 +332,12 @@ class SparseOperator:
         d = x.d * y.d
         rows_a, rows_b = y._rows()
         if not (x.B or y.B):
-            return SparseOperator(x.ctx, x.lam, _matmul({}, x.A, rows_a, 1), None, d)
+            return x._derived(x.ctx, x.lam, _matmul({}, x.A, rows_a, 1), {}, d)
         # (A1 + x B1)(A2 + x B2) = A1 A2 + (p/q) B1 B2 + x (A1 B2 + B1 A2), lam = p/q
         p, q = x.lam.numerator, x.lam.denominator
         A = _matmul(_matmul({}, x.A, rows_a, q), x.B, rows_b, p)
         B = _matmul(_matmul({}, x.A, rows_b, q), x.B, rows_a, q)
-        return SparseOperator(x.ctx, x.lam, A, B, d * q)
+        return x._derived(x.ctx, x.lam, A, B, d * q)
 
     def scale(self, value, root: bool = False) -> "SparseOperator":
         """Multiply by a rational value, or by value*sqrt(lam) when ``root``."""
@@ -301,12 +346,12 @@ class SparseOperator:
         if not root:
             A = {key: n * val for key, val in self.A.items()}
             B = {key: n * val for key, val in self.B.items()}
-            return SparseOperator(self.ctx, self.lam, A, B, self.d * m)
+            return self._derived(self.ctx, self.lam, A, B, self.d * m)
         # x (A + x B) = (p/q) B + x A
         p, q = self.lam.numerator, self.lam.denominator
         A = {key: n * p * val for key, val in self.B.items()}
         B = {key: n * q * val for key, val in self.A.items()}
-        return SparseOperator(self.ctx, self.lam, A, B, self.d * m * q)
+        return self._derived(self.ctx, self.lam, A, B, self.d * m * q)
 
     def adjoint(self) -> "SparseOperator":
         """The transpose (entries are real, so * is plain transposition), built
@@ -318,7 +363,7 @@ class SparseOperator:
         if star is None:
             A = {(j, i): val for (i, j), val in self.A.items()}
             B = {(j, i): val for (i, j), val in self.B.items()}
-            star = SparseOperator(self.ctx, self.lam, A, B, self.d)
+            star = self._canonical(self.ctx, self.lam, A, B, self.d)
             # the link back is weak: a strong pair is a reference cycle, which
             # only the cyclic collector frees, and temporaries' pairs piled up
             # to 2.4 MB more peak RSS over the suites at floors 4-6
@@ -402,6 +447,29 @@ class SparseOperator:
         left, right = self._common(other)
         return None if left == right else (left - right).witness(top)
 
+    def flip_projection(self, window: tuple[range, range]) -> "SparseOperator":
+        """E_n from this flip u = v_n, or F_n from u = w_n, at the floor of u:
+        (u*u + x u + x u* + lam u u*) / (1 + lam) in closed form, one pass
+        over the entries of u.  With lam = p/q and u a signed partial
+        permutation whose sources and targets are disjoint, A holds q on
+        each source's diagonal and p on each target's, B holds q * u(t, s)
+        at (t, s) and (s, t), and d = p + q.  If u is certified for
+        ``window`` (checked now and kept), so is the result, by the closure
+        of window-local operators under the ring operations."""
+        if self.B or self.d != 1 or not set(self.A.values()) <= {1, -1}:
+            raise ValueError("E/F need a flip with entries 1 or -1, no sqrt(lam) part and d = 1")
+        if len({key for pair in self.A for key in pair}) != 2 * len(self.A):
+            raise ValueError("E/F need a flip whose sources and targets are distinct and disjoint")
+        p, q = self.lam.numerator, self.lam.denominator
+        A, B = {}, {}
+        for (t, s), val in self.A.items():
+            A[(s, s)], A[(t, t)] = q, p
+            B[(t, s)] = B[(s, t)] = q * val
+        op = self._canonical(self.ctx, self.lam, A, B, p + q if A else 1)
+        if self.is_window_local(*window):
+            op._local = (window, True)
+        return op
+
     def with_negated_entry(self, key: tuple[int, int]) -> "SparseOperator":
         """Copy with the entry at ``key`` negated (unchanged where it is 0)."""
         A, B = dict(self.A), dict(self.B)
@@ -409,6 +477,14 @@ class SparseOperator:
             if key in part:
                 part[key] = -part[key]
         return SparseOperator(self.ctx, self.lam, A, B, self.d)
+
+
+def _lowest_terms(A: Entries, B: Entries, d: int) -> tuple[Entries, Entries, int]:
+    """(A, B, d) over gcd(d, every entry), for zero-free A and B."""
+    g = gcd(d, *A.values(), *B.values()) if d != 1 else 1
+    if g == 1:
+        return A, B, d
+    return {key: val // g for key, val in A.items()}, {key: val // g for key, val in B.items()}, d // g
 
 
 def _symmetric(entries: Entries) -> bool:
@@ -532,20 +608,17 @@ def _apart(x: tuple[range, range], y: tuple[range, range]) -> bool:
     return not any(c in ry for c in wx) and not any(c in rx for c in wy)
 
 
+@lru_cache(maxsize=None)
+def _windows_apart(x: tuple, y: tuple) -> tuple | None:
+    """((x, window of x), (y, window of y)) for letters whose windows are
+    apart, else None."""
+    wx, wy = _window(*x), _window(*y)
+    return ((x, wx), (y, wy)) if _apart(wx, wy) else None
+
+
 def _projection_keys(floor: int) -> list[tuple[str, int]]:
     """E_n for every v_n, then F_n for every w_n."""
     return [("E" if kind == "v" else "F", n) for kind, n in _generator_keys(floor, "vw")]
-
-
-def _projection(u: SparseOperator, lam: Fraction) -> SparseOperator:
-    """E_n from u = v_n, or F_n from u = w_n, at the floor of u."""
-    unit = Fraction(1, 1 + lam)
-    return (
-        (u.adjoint() * u).scale(unit)
-        + u.scale(unit, root=True)
-        + u.adjoint().scale(unit, root=True)
-        + (u * u.adjoint()).scale(unit * lam)
-    )
 
 
 def _exact(value, name: str = "lam") -> Fraction:
@@ -590,9 +663,11 @@ class Representation:
         """Generator kind_n or projection E_n / F_n at its home floor, for the suites."""
         if kind in ("E", "F"):
             key = (kind, n)
-            if key not in self._tl:
-                self._tl[key] = _projection(self._home("v" if kind == "E" else "w", n), self.lam)
-            return self._tl[key]
+            op = self._tl.get(key)
+            if op is None:
+                flip = "v" if kind == "E" else "w"
+                op = self._tl[key] = self._home(flip, n).flip_projection(_window(flip, n))
+            return op
         try:
             return self._gens[(kind, n)]
         except KeyError:
@@ -749,14 +824,21 @@ def _children(node: tuple) -> tuple:
 
 class _Row:
     """One check of a suite.  ``expires`` holds the ids of the shared nodes it
-    reads last in its table; rows compare by identity, as keys of the verdicts."""
+    reads last in its table; rows compare by identity, as keys of the verdicts.
+    A commutation row whose two letters have windows apart holds them in
+    ``apart``, each with its window; any other row holds None."""
 
-    __slots__ = ("equation", "indices", "kind", "operands", "expires", "_reads")
+    __slots__ = ("equation", "indices", "kind", "operands", "expires", "apart", "_reads")
 
     def __init__(self, equation: str, indices: dict, kind: str, *operands: tuple):
         self.equation, self.indices, self.kind, self.operands = equation, indices, kind, operands
         self.expires: tuple = ()
         self._reads: frozenset | None = None
+        self.apart: tuple | None = None
+        if kind == "commutes":
+            # operands xy, yx or (yx)*, (xy)*; each factor is a letter or its adjoint
+            word = operands[0] if operands[0][0] == "·" else operands[0][1]
+            self.apart = _windows_apart(*(x[1] if x[0] == "*" else x for x in word[1:]))
 
     @property
     def reads(self) -> frozenset:
@@ -992,6 +1074,23 @@ def _braiding_table(floor: int) -> tuple[tuple[_Row, ...], frozenset]:
     return _table(rows)
 
 
+def _combination(terms: list[tuple[tuple, SparseOperator]], lam: Fraction) -> SparseOperator:
+    """The sum of scalar * term over the nonzero terms, lifted to the highest
+    floor among all the terms: a zero term adds nothing but that lift."""
+    op, top = None, terms[0][1].ctx
+    for scalar, term in terms:
+        if term.ctx.floor > top.floor:
+            top = term.ctx
+        if term.is_zero():
+            continue
+        if op is not None and (scalar is ONE or scalar is MINUS):
+            op = op + term if scalar is ONE else op - term
+            continue
+        term = term if scalar is ONE else term.scale(*_scalar(scalar, lam))
+        op = term if op is None else op + term
+    return SparseOperator.zero(top, lam) if op is None else op.lift(top)
+
+
 def _evaluate(rep: Representation, rows: Sequence[_Row], shared: frozenset, report: Report) -> list[Check]:
     """Decide the rows on rep, counting products into ``report``.  Letters are
     read once; a ``shared`` node is built once and kept until its last row."""
@@ -1011,14 +1110,7 @@ def _evaluate(rep: Representation, rows: Sequence[_Row], shared: frozenset, repo
         elif tag == "*":
             op = (cache.get(id(node[1])) or value(node[1])).adjoint()
         elif tag == "+":
-            op = None
-            for scalar, x in node[1]:
-                term = cache.get(id(x)) or value(x)
-                if op is not None and (scalar is ONE or scalar is MINUS):
-                    op = op + term if scalar is ONE else op - term
-                    continue
-                term = term if scalar is ONE else term.scale(*_scalar(scalar, lam))
-                op = term if op is None else op + term
+            op = _combination([(scalar, cache.get(id(x)) or value(x)) for scalar, x in node[1]], lam)
         else:  # ("1", r): the floor-r identity, which lifts to what it meets
             op = SparseOperator.identity(path_context(node[1]), lam)
         if id(node) in shared:
@@ -1026,10 +1118,11 @@ def _evaluate(rep: Representation, rows: Sequence[_Row], shared: frozenset, repo
         return op
 
     def local(row: _Row) -> Check | None:
-        """The pass of a commutation row whose letters are window-local and
-        apart, decided at the higher of their floors; None for any other."""
-        (x, wx), (y, wy) = ((home(*letter), _window(*letter)) for letter in row.reads)
-        if _apart(wx, wy) and x.is_window_local(*wx) and y.is_window_local(*wy):
+        """The pass of a commutation row whose letters, apart, are both
+        window-local, decided at the higher of their floors; else None."""
+        (a, wx), (b, wy) = row.apart
+        x, y = home(*a), home(*b)
+        if x.is_window_local(*wx) and y.is_window_local(*wy):
             return Check(row.equation, dict(row.indices), "pass", None, max(x.ctx.floor, y.ctx.floor))
         return None
 
@@ -1038,7 +1131,7 @@ def _evaluate(rep: Representation, rows: Sequence[_Row], shared: frozenset, repo
               "nonzero": Check.nonzero, "projection": partial(Check.projection, top=rep.ctx)}
     checks = []
     for row in rows:
-        check = local(row) if row.kind == "commutes" else None
+        check = local(row) if row.apart else None
         if check is None:
             ops = [cache.get(id(x)) or value(x) for x in row.operands]
             check = decide[row.kind](row.equation, dict(row.indices), *ops)

@@ -10,6 +10,10 @@ must match the integer operators' byte for byte.  Its tail embedding
 y + t.  Its window certificate ``is_window_local`` compares each group of
 entries with the whole class of paths it must cover.
 
+Its ``flip_projection`` builds E/F by the ring formula
+(``suite_reference.projection``), where the integer operators use the
+closed form.
+
 ``sqrt_fraction``, ``embed_root`` and ``rank`` read an operator's rank by
 Gaussian elimination over Q; the tests compare it with traces and supports.
 """
@@ -19,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+
+from suite_reference import projection
 
 from fareybratteli.path_algebra import SparseOperator
 
@@ -225,6 +231,11 @@ class ReferenceOperator:
 
     def first_entry_of_difference(self, other, top=None):
         return (self - other).witness(top)
+
+    def flip_projection(self, window):
+        """E or F built from this flip by ring operations (``window`` is not
+        read: the reference checks every certificate on its entries)."""
+        return projection(self, self.lam)
 
     def with_negated_entry(self, key):
         out = dict(self.quads)

@@ -11,12 +11,21 @@
   pass a row whose two letters carry window certificates that are apart,
   and otherwise compare xy with yx, or (yx)* with (xy)*, and form the
   difference only for a failing row's witness.
+- ``every_term`` evaluates a linear combination term by term, zero terms
+  included, where the suites skip the terms that are zero and lift the sum
+  to the highest floor among all the terms.
 
-``patch_reference`` installs all three in ``path_algebra``; every report
+``patch_reference`` installs the first three in ``path_algebra``, and a
+test installs ``every_term`` as ``path_algebra._combination``; every report
 must then match the fast suites' byte for byte, witnesses included.  The
 unit-partition rows compare the floor-r identity with the identity; that
 the floor-r matrix units (``path_matrix_unit``) sum to it is tested
 directly.
+
+``projection`` builds E_n or F_n from its flip by the ring formula, two
+products, four scalings and three sums; ``SparseOperator.flip_projection``
+writes the same operator down in closed form, and ``ReferenceOperator``
+builds it with this function.
 
 The suites read each operator at its home floor and decide each check at
 the highest home floor among its operators.  ``patch_floor_n`` hands them
@@ -75,6 +84,18 @@ def projection(u, lam):
     unit = Fraction(1, 1 + lam)
     star = u.adjoint()
     return (star * u).scale(unit) + u.scale(unit, root=True) + star.scale(unit, root=True) + (u * star).scale(unit * lam)
+
+
+def every_term(terms, lam):
+    """sum scalar * term over every term, in order."""
+    op = None
+    for scalar, term in terms:
+        if op is not None and scalar in (path_algebra.ONE, path_algebra.MINUS):
+            op = op + term if scalar == path_algebra.ONE else op - term
+            continue
+        term = term if scalar == path_algebra.ONE else term.scale(*path_algebra._scalar(scalar, lam))
+        op = term if op is None else op + term
+    return op
 
 
 def patch_floor_n(patch) -> None:

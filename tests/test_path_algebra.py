@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from quad_reference import QuadScalar, ReferenceOperator, embed_root, rank, sqrt_fraction
 from suite_reference import (
     direct_generator,
+    every_term,
     patch_floor_n,
     patch_reference,
     path_matrix_unit,
@@ -287,6 +288,100 @@ def test_row_index_kernel_matches_quad_reference(lam, operands):
     assert_row_index_holds(fy.lift(fx.ctx) if fy.ctx.floor < fx.ctx.floor else fy)
 
 
+TRUSTED_CTXS = (path_context(2), path_context(3))
+
+
+@st.composite
+def canonical_operand_pair(draw):
+    """Two canonical block operators on floor 2 or 3, built by the public
+    constructor with B parts and d up to 6; the second is either drawn on
+    its own or negates a drawn set of the first's entries over the same d,
+    so that their sum cancels there."""
+    ctx = TRUSTED_CTXS[draw(st.integers(0, 1))]
+    lam = draw(st.sampled_from(SMALL_LAMBDAS))
+    x = draw(block_operator_data(ctx))
+    if draw(st.booleans()):
+        y = draw(block_operator_data(ctx))
+    else:
+        own = draw(block_operator_data(ctx))
+        y = tuple({**mine, **{key: -val for key, val in theirs.items() if draw(st.booleans())}}
+                  for mine, theirs in zip(own[:2], x[:2])) + (x[2],)
+    return SparseOperator(ctx, lam, *x), SparseOperator(ctx, lam, *y)
+
+
+def raw_product(x, y):
+    """(A, B, d) of xy by the definition, nothing reduced:
+    (A1 + r B1)(A2 + r B2) = q A1 A2 + p B1 B2 + r q (A1 B2 + B1 A2) over q d1 d2."""
+    p, q = x.lam.numerator, x.lam.denominator
+    A, B = Counter(), Counter()
+    for left, right, part, factor in ((x.A, y.A, A, q), (x.B, y.B, A, p), (x.A, y.B, B, q), (x.B, y.A, B, q)):
+        for (i, j), a in left.items():
+            for (k, m), b in right.items():
+                if j == k:
+                    part[(i, m)] += factor * a * b
+    return dict(A), dict(B), q * x.d * y.d
+
+
+def raw_lift(x, ctx):
+    """(A, B, d) of the tail embedding, entry by entry: (x, y) goes to
+    (x + t, y + t) for every floor-N path y + t."""
+    head = x.ctx.floor + 1
+    parts = []
+    for part in (x.A, x.B):
+        out = {}
+        for (i, j), val in part.items():
+            for p in ctx.paths:
+                if p[:head] == x.ctx.paths[j]:
+                    out[(ctx.index[x.ctx.paths[i] + p[head:]], ctx.index[p])] = val
+        parts.append(out)
+    return parts[0], parts[1], x.d
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands=canonical_operand_pair(), c=st.fractions(min_value=-3, max_value=3, max_denominator=5),
+       root=st.booleans())
+def test_trusted_constructors_build_what_the_public_one_builds_from_the_raw_entries(operands, c, root):
+    # products, sums, scalings, lifts and adjoints skip the block check, and
+    # the zero filter unless a zero is there; each must equal the public
+    # constructor applied to the raw, unreduced entries of the operation
+    x, y = operands
+    ctx, lam = x.ctx, x.lam
+    p, q = lam.numerator, lam.denominator
+    n, m = c.numerator, c.denominator
+    up = path_context(ctx.floor + 1)
+    cases = [
+        (x * y, raw_product(x, y)),
+        (y * x, raw_product(y, x)),
+        (x + y, ({k: y.d * x.A.get(k, 0) + x.d * y.A.get(k, 0) for k in x.A.keys() | y.A.keys()},
+                 {k: y.d * x.B.get(k, 0) + x.d * y.B.get(k, 0) for k in x.B.keys() | y.B.keys()}, x.d * y.d)),
+        (x - x, ({k: 0 for k in x.A}, {k: 0 for k in x.B}, x.d * x.d)),
+        (x.scale(c, root), ({k: n * p * v for k, v in x.B.items()}, {k: n * q * v for k, v in x.A.items()}, x.d * m * q)
+         if root else ({k: n * v for k, v in x.A.items()}, {k: n * v for k, v in x.B.items()}, x.d * m)),
+        (x.lift(up), raw_lift(x, up)),
+        (x.adjoint(), ({(j, i): v for (i, j), v in x.A.items()}, {(j, i): v for (i, j), v in x.B.items()}, x.d)),
+    ]
+    for op, raw in cases:
+        public = SparseOperator(op.ctx, lam, *raw)
+        assert (op.ctx, op.A, op.B, op.d) == (public.ctx, public.A, public.B, public.d)
+        assert op == public and hash(op) == hash(public)
+        assert type(op) is SparseOperator and op._row_index is None and op._local is None
+    assert (x - x).is_zero() and (x - x).d == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), floor=st.integers(2, 3), d=st.integers(-3, 0))
+def test_the_public_constructor_refuses_off_block_entries_and_non_positive_denominators(data, floor, d):
+    ctx = path_context(floor)
+    off = [(i, j) for i in range(ctx.dim) for j in range(ctx.dim) if ctx.endpoint[i] != ctx.endpoint[j]]
+    key, val = data.draw(st.sampled_from(off)), data.draw(st.sampled_from([-2, -1, 1, 3]))
+    with pytest.raises(ValueError, match="leaves the endpoint blocks"):
+        SparseOperator(ctx, F(2), {key: val})
+    with pytest.raises(ValueError, match="leaves the endpoint blocks"):
+        SparseOperator(ctx, F(2), {}, {key: val}, 2)
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        SparseOperator(ctx, F(2), {}, None, d)
+
+
 def test_cached_adjoint_is_linked_both_ways_and_changes_no_equality_hash_or_product():
     rep = Representation(4, F(2))
     v = rep.gen("v", 1)
@@ -439,6 +534,64 @@ def test_tl_projections_are_exact_projections():
             assert (rep.tl("E", n) * rep.tl("F", n)).is_zero()
 
 
+def inherited_certificate(op, kind, n):
+    """Whether E_n or F_n kept a certificate before it was asked for, which
+    is the one inherited from its flip; asserts that it, like any verdict
+    read now, is the verdict of the entry check."""
+    window = path_algebra._window(kind, n)
+    kept = op._local
+    assert kept in (None, (window, True))
+    assert op.is_window_local(*window) == path_algebra._window_local(op, *window)
+    return kept is not None
+
+
+@pytest.mark.parametrize("lam", (F(1), F(1, 4), F(9), F(2, 3)), ids=str)
+def test_closed_form_projections_equal_the_ring_formula(lam):
+    for floor in range(7):
+        rep = Representation(floor, lam)
+        for kind, n in path_algebra._projection_keys(floor):
+            flip = "v" if kind == "E" else "w"
+            closed = rep._home(kind, n)
+            assert closed == projection(rep._home(flip, n), lam)
+            assert rep.tl(kind, n) == projection(rep.gen(flip, n), lam)
+            assert inherited_certificate(closed, kind, n)  # every flip of the model is certified
+
+
+@pytest.mark.parametrize("lam", (F(1), F(1, 4), F(9), F(2, 3)), ids=str)
+def test_closed_form_projections_of_every_flipped_isometry_at_floor_4(lam):
+    rep = Representation(4, lam)
+    inherited = []
+    for mutated in every_isometry_flip(rep)[1:]:
+        (flip, n), = [key for key in mutated._changed if key[0] in "vw"]
+        kind = "E" if flip == "v" else "F"
+        closed = mutated._home(kind, n)
+        assert closed is not rep._home(kind, n)
+        assert closed == projection(mutated._home(flip, n), lam)
+        inherited.append(inherited_certificate(closed, kind, n))
+    # most flips lose the certificate; a flip on a class of one path keeps it
+    assert len(inherited) == 81 and 0 < sum(inherited) < 81
+
+
+def test_closed_form_refuses_what_is_not_a_flip():
+    rep = Representation(3, F(2, 3))
+    v, window = rep.gen("v", 0), path_algebra._window("v", 0)
+    for bad in (v.scale(1, root=True), v.scale(F(1, 2)), v.scale(2), rep.tl("E", 0)):
+        with pytest.raises(ValueError, match="entries 1 or -1"):
+            bad.flip_projection(window)
+    # sources and targets must be distinct and disjoint: two entries of v in
+    # one endpoint block give a repeated target, a repeated source, and a
+    # chain whose first source is the second's target
+    entries = sorted(v.A)
+    (t1, s1), (t2, s2) = next((a, b) for a in entries for b in entries
+                              if a < b and v.ctx.endpoint[a[0]] == v.ctx.endpoint[b[0]])
+    made = [{(t1, s1): 1, (t1, s2): -1}, {(t1, s1): 1, (t2, s1): 1}, {(t1, s1): 1, (s1, s2): 1}]
+    for bad in [SparseOperator(v.ctx, v.lam, entries) for entries in made] + [v + v.adjoint(), v.adjoint() * v]:
+        with pytest.raises(ValueError, match="distinct and disjoint"):
+            bad.flip_projection(window)
+    assert v.flip_projection(window) == rep.tl("E", 0)
+    assert SparseOperator.zero(v.ctx, v.lam).flip_projection(window).is_zero()
+
+
 def test_tl_projection_rank_matches_support():
     e0 = tl_projection("E", 0, 2, F(1))
     v0 = flip_isometry("v", 0, 2, F(1))
@@ -580,6 +733,52 @@ def test_commutation_rows_compare_products_and_the_reference_forms_commutators(m
     assert set(fast) == {"commutes"} and kinds() == fast
 
 
+@pytest.mark.parametrize("lam", (F(2), F(1, 4), F(2, 3)), ids=str)
+@pytest.mark.parametrize("floor", (4, 5))
+def test_skipping_zero_terms_changes_no_report(monkeypatch, floor, lam):
+    def reports():
+        rep = Representation(floor, lam)
+        runs = [run_all_suites(floor, lam, subject) for subject in [rep] + seeded_mutants(rep, range(10))]
+        return [(run.to_json(), run.decided_at(), run.products) for run in runs]
+
+    fast = reports()
+    with monkeypatch.context() as patch:
+        patch.setattr(path_algebra, "_combination", every_term)
+        slow = reports()
+    assert fast == slow
+    assert '"fail"' not in fast[0][0] and any('"witness"' in text for text, _, _ in fast[1:])
+
+
+def test_a_sum_lifts_to_the_highest_floor_among_all_its_terms():
+    # the model's sums never meet a zero term above their other terms, so the
+    # lift of the skipped terms' floor is checked here on its own
+    rep = Representation(4, F(2, 3))
+    low, high = rep._home("e", 1), rep._home("v", 2)
+    zero_low, zero_high = (SparseOperator.zero(path_context(r), rep.lam) for r in (1, 3))
+    one, minus, tau = path_algebra.ONE, path_algebra.MINUS, path_algebra.TAU
+    cases = ([(one, low), (minus, zero_high)], [(tau, zero_low), (one, zero_high)], [(tau, zero_low)],
+             [(one, zero_high), (tau, low), (minus, high)], [(tau, low), (one, zero_low)])
+    for terms in cases:
+        fast, slow = path_algebra._combination(terms, rep.lam), every_term(terms, rep.lam)
+        assert fast.ctx is slow.ctx and fast == slow
+    assert path_algebra._combination(cases[0], rep.lam).ctx.floor == 3
+
+
+def test_yang_baxter_rows_of_the_model_scale_and_add_nothing(monkeypatch):
+    # both 6.4 coefficients vanish on the model, so every term is zero
+    rep = Representation(5, F(2, 3))
+    broken = unlinked(rep)
+    broken._gens[("v", 1)], broken._gens[("v", 2)] = rep.tl("E", 1), rep.tl("E", 2)
+    calls = []
+    for name in ("scale", "_combine"):
+        original = getattr(SparseOperator, name)
+        monkeypatch.setattr(SparseOperator, name, lambda *args, _run=original, **kwargs: calls.append(1) or _run(*args, **kwargs))
+    report = yang_baxter_check(5, F(2, 3), rep=rep)
+    assert report.ok and report.products > 0 and not calls
+    # with E_1, E_2 in place of v_1, v_2 the terms are not zero, and the sums are formed
+    assert not yang_baxter_check(5, F(2, 3), rep=broken).ok and calls
+
+
 # ---------------------------------------------------------------------------
 # window certificates: the commutation lemma and the rows it decides
 
@@ -686,6 +885,36 @@ def test_every_commutation_row_of_the_model_is_certified_and_agrees_with_product
         products = run_all_suites(floor, lam, Representation(floor, lam))
     assert report.to_json() == products.to_json() and report.decided_at() == products.decided_at()
     assert rows and report.ok and report.products < products.products
+
+
+def test_commutation_rows_carry_their_letters_and_read_only_kept_certificates(monkeypatch):
+    floor, lam = 5, F(2, 3)
+    for row in commutation_rows(floor):
+        (a, wa), (b, wb) = row.apart
+        assert {a, b} == row.reads and (wa, wb) == (path_algebra._window(*a), path_algebra._window(*b))
+    # a row whose letters are not apart holds None, and is multiplied out
+    near = path_algebra._Row("locality", {}, *path_algebra._commutes(("v", 1), ("e", 2)))
+    assert near.kind == "commutes" and near.apart is None
+    rep = Representation(floor, lam)
+    first = run_all_suites(floor, lam, rep)
+    with monkeypatch.context() as patch:
+        for name in ("_window", "_apart", "_window_local"):
+            patch.setattr(path_algebra, name, lambda *args: pytest.fail("a commutation row read more than its kept data"))
+        again = run_all_suites(floor, lam, rep)
+    assert again.to_json() == first.to_json() and again.products == first.products
+
+
+def test_projections_inherit_their_flips_certificate(monkeypatch):
+    # an unmutated run checks each generator's entries once, and no E/F's
+    floor, lam = 5, F(1, 4)
+    checked = []
+    original = path_algebra._window_local
+    monkeypatch.setattr(path_algebra, "_window_local", lambda op, *window: checked.append(op) or original(op, *window))
+    rep = Representation(floor, lam)
+    assert run_all_suites(floor, lam, rep).ok
+    assert sorted(map(id, checked)) == sorted(map(id, rep._gens.values()))
+    for kind, n in path_algebra._projection_keys(floor):
+        assert rep._home(kind, n)._local == (path_algebra._window(kind, n), True)
 
 
 def test_a_flipped_generator_loses_its_certificate_and_its_rows_multiply():
