@@ -20,10 +20,9 @@ from . import core, dimension_group, ideals, path_algebra, traces
 
 def _fraction(text: str) -> Fraction:
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
-    return value
+        return core.parse_fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _finite_float(text: str) -> float:
@@ -171,10 +170,9 @@ def _parse_theta(parser: argparse.ArgumentParser, text: str, depth: int):
             )
         return ideals.CFStream(iter(terms))
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        parser.error(f"not a fraction or cf: prefix: {text!r}")
-    return value
+        return core.parse_fraction(text)
+    except ValueError as exc:
+        parser.error(f"{exc} (--theta takes p/q or cf:a1,a2,...)")
 
 
 def _cmd_ideal(parser, args) -> int:

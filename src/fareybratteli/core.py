@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import math
 import operator
+import re
+import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,6 +59,7 @@ __all__ = [
     "matrix_m",
     "matrix_to_vertex",
     "mediant",
+    "parse_fraction",
     "partition_function",
     "question_mark",
     "question_mark_inv",
@@ -80,6 +83,37 @@ MAX_ROW_FLOOR = 20
 # partition_function(3, qmax) takes 0.7 s at 60 MB peak RSS for 10**6 and
 # 8.0 s at 440 MB for 10**7.
 MAX_ZETA_QMAX = 10**7
+# ?(x) has denominator 2**height, height = (sum of the CF terms of x) - 1, so
+# ?(1/1000000) would build a 2**999999 and print 301030 digits.  At this
+# height the answer, 2**-14000 at the most, still prints under Python's
+# default limit of 4300 digits for int-to-string conversion.
+MAX_QMARK_HEIGHT = 14000
+
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def parse_fraction(value, name: str = "value") -> Fraction:
+    """``value`` (an int, a Fraction, or text such as '3/4' or '1e-3') as a
+    Fraction, with ValueError for anything else.  A float or a bool is
+    refused: 0.1 is the binary fraction 3602879701896397/36028797018963968,
+    not the rational a caller meant.  Text whose decimal exponent lies above
+    Python's limit on the digits of an int string
+    (``sys.get_int_max_str_digits()``, 4300 by default) is refused before
+    parsing: Fraction("1e10000000") alone takes 11.3 s on one x86-64 core,
+    and a larger exponent allocates without bound."""
+    if isinstance(value, (float, bool)):
+        kind = type(value).__name__
+        raise ValueError(f"{name} must be exact (an int, a Fraction or a 'p/q' string), not the {kind} {value!r}")
+    if isinstance(value, str):
+        match = _EXPONENT.search(value)
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        digits = match.group(1).replace("_", "").lstrip("0") if match else ""
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise ValueError(f"the decimal exponent of {value!r} lies above {limit}, the limit on the digits of an int")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a fraction: {value!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +285,9 @@ def question_mark(x: Fraction | Sequence[int]) -> Fraction:
     sum_k (-1)**(k-1) / 2**((a1+...+ak) - 1) over the CF terms of x.
     """
     terms = cf_encode(x) if isinstance(x, Fraction) else cf_normalize(x)
+    height = sum(terms) - 1
+    if height > MAX_QMARK_HEIGHT:
+        raise ValueError(f"?(x) has height {height}, above MAX_QMARK_HEIGHT = {MAX_QMARK_HEIGHT}")
     total = Fraction(0)
     partial = 0
     for i, a in enumerate(terms):

@@ -140,10 +140,10 @@ class CFStream:
 class IdealSpec:
     """Target value plus variant selecting one of the primitive ideals.
 
-    ``theta`` is a Fraction in [0, 1] or a CFStream; ``variant`` is one of
-    'plain', 'plus', 'minus'.  'plus' does not exist for theta = 1, 'minus'
-    does not exist for theta = 0, and streams (irrationals) admit only
-    'plain'.
+    ``theta`` is a Fraction in [0, 1] (an int is converted) or a CFStream;
+    ``variant`` is one of 'plain', 'plus', 'minus'.  'plus' does not exist
+    for theta = 1, 'minus' does not exist for theta = 0, and streams
+    (irrationals) admit only 'plain'.
     """
 
     theta: Fraction | CFStream
@@ -156,6 +156,9 @@ class IdealSpec:
             if self.variant != "plain":
                 raise ValueError("irrational targets admit only the plain ideal")
             return
+        if isinstance(self.theta, bool) or not isinstance(self.theta, (int, Fraction)):
+            raise ValueError(f"theta must be a Fraction, an int or a CFStream, not {self.theta!r}")
+        object.__setattr__(self, "theta", Fraction(self.theta))  # the dataclass is frozen
         if not 0 <= self.theta <= 1:
             raise ValueError(f"theta {self.theta} outside [0, 1]")
         if self.variant == "plus" and self.theta == 1:

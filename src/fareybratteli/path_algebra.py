@@ -34,15 +34,15 @@ The suites are data: ``verify_relation_suite``, ``yang_baxter_check`` and
 ``verify_braiding_suite`` are each a table of rows built once per floor:
 equation id, indices, kind of check (equality, commutes, vanishes,
 nonzero, projection) and operand nodes.  A node is a hashable tuple of one of five
-kinds, the *-ring the suites need: a letter (kind, n) is a generator or E/F
-at its home floor, ("*", x) an adjoint, ("·", x, y) a product,
+kinds, the *-ring the suites need: a letter (kind, n) is a generator at
+its home floor, ("*", x) an adjoint, ("·", x, y) a product,
 ("+", ((scalar, x), ...)) a linear combination and ("1", r) the identity of
-floor r, which lifts to whatever it meets.  A commutation row (R1,
-locality, 6.8) passes without products when its two letters carry window
-certificates that are apart (below).  Otherwise it is the equality
-xy = yx, a starred far-floor one compares the adjoints of products the
-unstarred rows form, and only a failing row forms xy - yx, for its
-witness.  A support law (1 - x) y or y (1 - x) is y - xy or y - yx.  The
+floor r, which lifts to whatever it meets.  The commuting pairs (R1,
+locality, 6.8) are the letters whose windows are apart (below), and such a
+row passes without products when both carry their certificates.  Otherwise
+it is the equality xy = yx, a starred far-floor one compares the adjoints of
+products the unstarred rows form, and only a failing row forms xy - yx, for
+its witness.  A support law (1 - x) y or y (1 - x) is y - xy or y - yx.  The
 floor-r matrix units T(x, x) sum to the floor-r identity, and the unital
 tail embedding carries it to every higher floor, so the unit-partition row
 of floor r compares ("1", r) with ("1", 0).  A scalar (c, i, j) is
@@ -51,10 +51,11 @@ decides the rows through ``Representation._home``; a node that several rows
 share (E_n E_n+1 in 6.9, 6.13, 6.15, 6.16 and dominance, or f_n v_n in R2
 and R3) is built once per evaluation.
 
-E and F in closed form.  A flip u (v_n or w_n) is a signed partial
-permutation whose sources s and targets t are disjoint, so u*u and u u* are
-the diagonal projections on the sources and on the targets, and with
-lam = p/q, E = (u*u + x u + x u* + lam u u*) / (1 + lam) is A = q on each
+E and F are generators: table rows with the index range and window of
+their flip, each built from the stored flip in closed form.  A flip u (v_n
+or w_n) is a signed partial permutation whose sources s and targets t are
+disjoint, so u*u and u u* are the diagonal projections on the sources and
+on the targets, and with lam = p/q, E = (u*u + x u + x u* + lam u u*) / (1 + lam) is A = q on each
 source's diagonal and p on each target's, B = q u(t, s) at (t, s) and
 (s, t), d = p + q: canonical, as gcd(p, q) = 1.  One pass over the entries
 of u replaces two products, four scalings and three sums.
@@ -90,11 +91,12 @@ the highest floor among all its terms, so a check's floor and witness do
 not change; on the unmutated model both 6.4 coefficients vanish, and no
 6.4 row scales or adds anything.
 
-A mutant reuses its parent's verdicts.  ``with_sign_flip`` records the
-parent and the changed keys: the flipped generator, and E_n or F_n for a
-flip of v_n or w_n.  A mutant re-decides the rows whose read set (the
-letters of their operands) meets its changed keys and takes every other
-check from its parent, which decides such a row once and keeps it.
+A mutant reuses its parent's verdicts.  ``with_sign_flip`` rebuilds the
+E_n or F_n of a flipped v_n or w_n and records the parent and the changed
+keys, those of the flip and of what was rebuilt.  A mutant re-decides the
+rows whose read set (the letters of their operands) meets its changed keys
+and takes every other check from its parent, which decides such a row once
+and keeps it.
 """
 
 from __future__ import annotations
@@ -110,6 +112,8 @@ from itertools import combinations, product
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
+from .core import parse_fraction
+
 __all__ = [
     "Check",
     "PathContext",
@@ -117,18 +121,20 @@ __all__ = [
     "Representation",
     "SparseOperator",
     "enumerate_paths",
-    "flip_isometry",
     "generator",
     "path_context",
     "random_sign_mutation",
     "run_all_suites",
-    "tl_projection",
     "verify_braiding_suite",
     "verify_relation_suite",
     "yang_baxter_check",
 ]
 
 MAX_PATH_FLOOR = 9  # 3**N + 1 paths
+# most bits in the numerator or denominator of lam, which every product
+# carries.  Measured on one x86-64 core with Python 3.11, the floor-9 suites
+# take 0.86 s at lam = 1/4, 1.3 s at a 257-bit lam and 5.0 s at a 1025-bit one.
+MAX_LAMBDA_BITS = 256
 
 Path = tuple[int, ...]
 
@@ -140,8 +146,7 @@ def _xi(path: Path, n: int) -> int:
 
 def enumerate_paths(floor: int) -> tuple[Path, ...]:
     """All monotone paths from the root to the given floor, lexicographic."""
-    ctx = path_context(floor)
-    return ctx.paths
+    return path_context(floor).paths
 
 
 @lru_cache(maxsize=None)
@@ -215,6 +220,7 @@ class SparseOperator:
     __slots__ = ("ctx", "lam", "A", "B", "d", "_row_index", "_adjoint", "_lifts", "_local", "__weakref__")
 
     def __init__(self, ctx: PathContext, lam: Fraction, A: Entries, B: Entries | None = None, d: int = 1):
+        lam = _field_constant(lam)
         if d <= 0:
             raise ValueError(f"denominator must be positive, got {d}")
         A = {key: val for key, val in A.items() if val}
@@ -554,13 +560,13 @@ def _matmul(out: Entries, left: Entries, rows: Rows, factor: int) -> Entries:
 # generators
 
 
-def _edge_projection(ctx: PathContext, lam: Fraction, n: int, offset: int) -> SparseOperator:
+def _edge_projection(gens: dict, ctx: PathContext, lam: Fraction, n: int, offset: int) -> SparseOperator:
     """e_n, f_n or g_n (offset -1, +1, 0): the paths whose edge into floor n
     leaves xi_{n-1} towards 2*xi_{n-1} + offset."""
     return SparseOperator.diagonal(ctx, lam, lambda p: _xi(p, n) == 2 * _xi(p, n - 1) + offset)
 
 
-def _flip(ctx: PathContext, lam: Fraction, n: int, sign: int) -> SparseOperator:
+def _flip(gens: dict, ctx: PathContext, lam: Fraction, n: int, sign: int) -> SparseOperator:
     """Diamond flip at floor n: sources sit on the straight edge with the
     floor-(n+1) coordinate at 4*xi_{n-1} + sign; targets move xi_n to
     2*xi_{n-1} + sign.  sign +1 builds v_n, sign -1 builds w_n."""
@@ -573,20 +579,26 @@ def _flip(ctx: PathContext, lam: Fraction, n: int, sign: int) -> SparseOperator:
     return SparseOperator(ctx, lam, entries)
 
 
+def _flip_projection(gens: dict, ctx: PathContext, lam: Fraction, n: int, flip: str) -> SparseOperator:
+    """E_n from the stored v_n, or F_n from w_n, at the floor of the flip."""
+    return gens[(flip, n)].flip_projection(_window(flip, n))
+
+
 # The generators, one row per kind: (kind, lowest index, reach, build
-# function, its sign, the offsets from n of the coordinates it writes and of
-# those it reads).  At floor N the indices run from the lowest one to
-# N - reach; kind_n reads the path down to floor n + reach, its home floor.
-# E_n and F_n have the window of v_n and w_n.
+# function, its sign or source flip, the offsets from n of the coordinates it
+# writes and of those it reads).  At floor N the indices run from the lowest
+# one to N - reach; kind_n reads the path down to floor n + reach, its home
+# floor.  A build function gets the generators built before it: E/F read their flip.
 _GENERATORS = (
     ("e", 1, 0, _edge_projection, -1, range(0), range(-1, 1)),
     ("f", 0, 0, _edge_projection, +1, range(0), range(-1, 1)),
     ("g", 0, 0, _edge_projection, 0, range(0), range(-1, 1)),
     ("v", 0, 1, _flip, +1, range(0, 1), range(-1, 2)),
     ("w", 1, 1, _flip, -1, range(0, 1), range(-1, 2)),
+    ("E", 0, 1, _flip_projection, "v", range(0, 1), range(-1, 2)),
+    ("F", 1, 1, _flip_projection, "w", range(0, 1), range(-1, 2)),
 )
 _WINDOWS = {row[0]: row[5:] for row in _GENERATORS}
-_WINDOWS.update(E=_WINDOWS["v"], F=_WINDOWS["w"])
 
 
 def _generator_keys(floor: int, kinds: str = "efgvw") -> list[tuple[str, int]]:
@@ -616,43 +628,36 @@ def _windows_apart(x: tuple, y: tuple) -> tuple | None:
     return ((x, wx), (y, wy)) if _apart(wx, wy) else None
 
 
-def _projection_keys(floor: int) -> list[tuple[str, int]]:
-    """E_n for every v_n, then F_n for every w_n."""
-    return [("E" if kind == "v" else "F", n) for kind, n in _generator_keys(floor, "vw")]
-
-
-def _exact(value, name: str = "lam") -> Fraction:
-    """value (lambda, or a grid point s, t) as a Fraction.  A float is refused:
-    0.1 is the binary fraction 3602879701896397/36028797018963968, not the
-    rational a caller meant."""
-    if isinstance(value, float):
-        raise ValueError(f"{name} must be exact (an int, a Fraction or a 'p/q' string), not the float {value!r}")
-    return Fraction(value)
+def _field_constant(lam) -> Fraction:
+    """lam as a positive Fraction of at most MAX_LAMBDA_BITS bits above and below."""
+    lam = lam if type(lam) is Fraction else parse_fraction(lam, "lam")
+    if lam <= 0:
+        raise ValueError("lam must be a positive rational")
+    if max(lam.numerator.bit_length(), lam.denominator.bit_length()) > MAX_LAMBDA_BITS:
+        raise ValueError(f"lam has more than {MAX_LAMBDA_BITS} bits in its numerator or denominator")
+    return lam
 
 
 class Representation:
     """All generators of the floor-N model over Q(sqrt(lam)), built once at
-    their home floors: e_1..e_N, f_0..f_N, g_0..g_N (edge-class projections),
-    v_0..v_{N-1}, w_1..w_{N-1} (diamond flips) and the derived projections
-    E_0..E_{N-1}, F_1..F_{N-1}; the public accessors lift them to floor N."""
+    their home floors in table order: e_1..e_N, f_0..f_N, g_0..g_N (edge-class
+    projections), v_0..v_{N-1}, w_1..w_{N-1} (diamond flips), E_0..E_{N-1} and
+    F_1..F_{N-1} (from the flips); the public accessors lift them to floor N."""
 
     def __init__(self, floor: int, lam: Fraction):
-        lam = _exact(lam)
-        if lam <= 0:
-            raise ValueError("lam must be a positive rational")
+        lam = _field_constant(lam)
         self.floor = floor
         self.lam = lam
         self.ctx = path_context(floor)
         # each generator at its home floor, or at floor N once a mutant flips it
         self._gens: dict[tuple[str, int], SparseOperator] = {}
-        self._tl: dict[tuple[str, int], SparseOperator] = {}
         # a mutant's parent and changed keys; the checks kept here for mutants
         self._parent: Representation | None = None
         self._changed: frozenset[tuple[str, int]] = frozenset()
         self._verdicts: dict[_Row, Check] = {}
-        for kind, low, reach, build, sign, *_ in _GENERATORS:
+        for kind, low, reach, build, arg, *_ in _GENERATORS:
             for n in range(low, floor - reach + 1):
-                self._gens[(kind, n)] = build(path_context(n + reach), lam, n, sign)
+                self._gens[(kind, n)] = build(self._gens, path_context(n + reach), lam, n, arg)
 
     # -- access --------------------------------------------------------------
 
@@ -660,14 +665,7 @@ class Representation:
         return (kind, n) in self._gens
 
     def _home(self, kind: str, n: int) -> SparseOperator:
-        """Generator kind_n or projection E_n / F_n at its home floor, for the suites."""
-        if kind in ("E", "F"):
-            key = (kind, n)
-            op = self._tl.get(key)
-            if op is None:
-                flip = "v" if kind == "E" else "w"
-                op = self._tl[key] = self._home(flip, n).flip_projection(_window(flip, n))
-            return op
+        """Generator kind_n of any kind at its home floor, for the suites."""
         try:
             return self._gens[(kind, n)]
         except KeyError:
@@ -692,20 +690,22 @@ class Representation:
         return self._home(kind, n).lift(self.ctx)
 
     def with_sign_flip(self, kind: str, n: int, entry: tuple[int, int]) -> "Representation":
-        """Copy with one floor-N generator entry negated, sharing every E/F whose
-        v/w is unchanged.  It records this representation as its parent and the
-        keys the flip changed: the generator, and E_n or F_n for v_n or w_n."""
+        """Copy with one floor-N generator entry negated, sharing every other
+        operator.  A flipped v_n or w_n gets its E_n or F_n rebuilt from it.
+        The copy records this representation as its parent and the keys the
+        flip changed: the generator and the E_n or F_n rebuilt."""
         victim = self.gen(kind, n)
         if entry not in victim.support():
             raise ValueError(f"{kind}_{n} has no entry at {entry}")
         mutated = object.__new__(Representation)
         mutated.floor, mutated.lam, mutated.ctx = self.floor, self.lam, self.ctx
-        mutated._gens = dict(self._gens)
-        mutated._gens[(kind, n)] = victim.with_negated_entry(entry)
-        stale = {"v": ("E", n), "w": ("F", n)}.get(kind)
-        mutated._tl = {key: self._home(*key) for key in _projection_keys(self.floor) if key != stale}
+        gens = mutated._gens = dict(self._gens)
+        gens[(kind, n)] = victim.with_negated_entry(entry)
+        for derived, _, _, build, source, *_ in _GENERATORS:
+            if source == kind:
+                gens[(derived, n)] = build(gens, self.ctx, self.lam, n, source)
         mutated._parent, mutated._verdicts = self, {}
-        mutated._changed = frozenset({(kind, n), stale} - {None})
+        mutated._changed = frozenset(key for key, op in gens.items() if op is not self._gens[key])
         return mutated
 
 
@@ -715,22 +715,10 @@ def _representation(floor: int, lam: Fraction) -> Representation:
 
 
 def generator(kind: str, n: int, floor: int, lam=Fraction(1)) -> SparseOperator:
-    """Edge-class projection e/f/g at index n in the floor-N model."""
-    if kind not in ("e", "f", "g"):
-        raise ValueError(f"unknown generator kind {kind!r}")
-    return _representation(floor, _exact(lam)).gen(kind, n)
-
-
-def flip_isometry(kind: str, n: int, floor: int, lam=Fraction(1)) -> SparseOperator:
-    """Diamond flip v/w at index n in the floor-N model."""
-    if kind not in ("v", "w"):
-        raise ValueError(f"unknown isometry kind {kind!r}")
-    return _representation(floor, _exact(lam)).gen(kind, n)
-
-
-def tl_projection(kind: str, n: int, floor: int, lam) -> SparseOperator:
-    """Temperley-Lieb-type projection E_n or F_n over Q(sqrt(lam))."""
-    return _representation(floor, _exact(lam)).tl(kind, n)
+    """kind_n of the floor-N model, for any kind of the table: an edge-class
+    projection e, f or g, a diamond flip v or w, or a projection E or F."""
+    rep = _representation(floor, parse_fraction(lam, "lam"))
+    return rep._home(kind, n).lift(rep.ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +802,7 @@ class Report:
 
 ONE, MINUS, ROOT = (1, 0, 0), (-1, 0, 0), (1, 1, 0)
 TAU, LAM_TAU, ROOT_UNIT2 = (1, 2, 2), (1, 4, 2), (1, 1, 2)  # tau, lam*tau, sqrt(lam)/(1+lam)^2
-_IDENTITY, _LETTERS = ("1", 0), frozenset("efgvwEF")
+_IDENTITY, _LETTERS = ("1", 0), frozenset(_WINDOWS)
 
 
 def _children(node: tuple) -> tuple:
@@ -825,20 +813,16 @@ def _children(node: tuple) -> tuple:
 class _Row:
     """One check of a suite.  ``expires`` holds the ids of the shared nodes it
     reads last in its table; rows compare by identity, as keys of the verdicts.
-    A commutation row whose two letters have windows apart holds them in
-    ``apart``, each with its window; any other row holds None."""
+    A commutation row holds in ``apart`` what its builder found for its two
+    letters, ``_windows_apart`` of them; any other row holds None."""
 
     __slots__ = ("equation", "indices", "kind", "operands", "expires", "apart", "_reads")
 
-    def __init__(self, equation: str, indices: dict, kind: str, *operands: tuple):
+    def __init__(self, equation: str, indices: dict, kind: str, *operands: tuple, apart: tuple | None = None):
         self.equation, self.indices, self.kind, self.operands = equation, indices, kind, operands
         self.expires: tuple = ()
         self._reads: frozenset | None = None
-        self.apart: tuple | None = None
-        if kind == "commutes":
-            # operands xy, yx or (yx)*, (xy)*; each factor is a letter or its adjoint
-            word = operands[0] if operands[0][0] == "·" else operands[0][1]
-            self.apart = _windows_apart(*(x[1] if x[0] == "*" else x for x in word[1:]))
+        self.apart = apart if kind == "commutes" else None
 
     @property
     def reads(self) -> frozenset:
@@ -898,7 +882,7 @@ def _word(text: str, n: int) -> tuple:
 
 def _defined(floor: int) -> Callable[[str, int], bool]:
     """Whether every letter of a word exists at floor N, for index n."""
-    keys = set(_generator_keys(floor)) | set(_projection_keys(floor))
+    keys = set(_generator_keys(floor, _LETTERS))
     return lambda text, n: all((kind, n + d) in keys for kind, d, _ in _letters(text))
 
 
@@ -972,7 +956,8 @@ def _relation_table(floor: int) -> tuple[tuple[_Row, ...], frozenset]:
         total = _lin(*((ONE, _letter(k, n)) for k in ("fge" if n else "fg")))
         add(_Row("R1", {"sum_at": n}, "equality", total, _IDENTITY))
     for (k1, n1), (k2, n2) in combinations(diag, 2):
-        add(_Row("R1", {"commutator": f"{k1}{n1},{k2}{n2}"}, *_commutes(_letter(k1, n1), _letter(k2, n2))))
+        apart = _windows_apart((k1, n1), (k2, n2))  # e, f and g write nothing: every pair
+        add(_Row("R1", {"commutator": f"{k1}{n1},{k2}{n2}"}, *_commutes(_letter(k1, n1), _letter(k2, n2)), apart=apart))
     for family, n, law in product("vw", range(floor), _R2):
         if family + "_n" in law and defined(family + "_n", n):
             add(_Row("R2", {"family": family, "n": n, "law": law}, "vanishes", _support_law(law, n)))
@@ -989,21 +974,21 @@ def _relation_table(floor: int) -> tuple[tuple[_Row, ...], frozenset]:
         if defined(name, n):
             kind = "nonzero" if name in _WHITELIST else "vanishes"
             add(_Row("whitelist", {"product": name, "n": n}, kind, _word(name, n)))
-    # locality: operators two or more floors apart commute
+    # locality: operators whose windows are apart commute
     isos = _generator_keys(floor, "vw")
     for k1, n1 in isos:
         for k2, n2 in isos:
-            if n2 - n1 >= 2:
+            if n1 < n2 and (apart := _windows_apart((k1, n1), (k2, n2))):
                 # x y* = y* x and x* y* = y* x* are the adjoints of y x* = x* y and y x = x y:
                 # adjoints in place of two products each
                 x, xs, y = _letter(k1, n1), _letter(k1, n1, True), _letter(k2, n2)
                 checks = (_commutes(x, y), _commutes(xs, y, True), _commutes(xs, y), _commutes(x, y, True))
                 for (s1, s2), check in zip(product(("", "*"), ("", "*")), checks):
-                    add(_Row("locality", {"commutator": f"{k1}{s1}{n1},{k2}{s2}{n2}"}, *check))
+                    add(_Row("locality", {"commutator": f"{k1}{s1}{n1},{k2}{s2}{n2}"}, *check, apart=apart))
         for kind, r in diag:
-            if r <= n1 - 1 or r >= n1 + 2:
+            if apart := _windows_apart((k1, n1), (kind, r)):
                 check = _commutes(_letter(k1, n1), _letter(kind, r))
-                add(_Row("locality", {"commutator": f"{k1}{n1},{kind}{r}"}, *check))
+                add(_Row("locality", {"commutator": f"{k1}{n1},{kind}{r}"}, *check, apart=apart))
     # braid triples (both sides vanish) and the 6.3 list
     for kind, n in product("vw", range(floor)):
         if defined(f"{kind}_n {kind}_n+1", n):
@@ -1037,17 +1022,17 @@ def _braiding_table(floor: int) -> tuple[tuple[_Row, ...], frozenset]:
     defined = _defined(floor)
     rows: list[_Row] = []
     add = rows.append
-    projections = _projection_keys(floor)
+    projections = _generator_keys(floor, "EF")
     for kind, n in projections:
         indices = {"kind": kind, "n": n, "law": "projection"}
         add(_Row("6.5" if kind == "E" else "6.6", indices, "projection", _letter(kind, n)))
     # 6.7: E_n and F_n are orthogonal
     for n, word in product(range(1, floor), ("E_n F_n", "F_n E_n")):
         add(_Row("6.7", {"n": n, "law": word.replace("_n", "")}, "vanishes", _word(word, n)))
-    # 6.8: commutation at distance >= 2
+    # 6.8: commutation of projections whose windows are apart
     for (k1, n1), (k2, n2) in product(projections, projections):
-        if n2 - n1 >= 2:
-            add(_Row("6.8", {"commutator": f"{k1}{n1},{k2}{n2}"}, *_commutes(_letter(k1, n1), _letter(k2, n2))))
+        if n1 < n2 and (apart := _windows_apart((k1, n1), (k2, n2))):
+            add(_Row("6.8", {"commutator": f"{k1}{n1},{k2}{n2}"}, *_commutes(_letter(k1, n1), _letter(k2, n2)), apart=apart))
     # 6.9 - 6.12: triple products with exact right-hand sides
     for group in _TRIPLES:
         for n, (equation, law, scalar, word) in product(range(floor), group):
@@ -1158,7 +1143,7 @@ def _decide(rep: Representation, rows: Sequence[_Row], shared: frozenset, report
 
 def _suite(table: tuple[tuple[_Row, ...], frozenset], floor: int, lam, rep: Representation | None) -> Report:
     """Run a table on the shared floor-N model, or on ``rep`` if it is that model."""
-    lam = _exact(lam)
+    lam = parse_fraction(lam, "lam")
     if rep is None:
         rep = _representation(floor, lam)
     elif (rep.floor, rep.lam) != (floor, lam):
@@ -1192,7 +1177,7 @@ def yang_baxter_check(floor: int, lam=Fraction(1), pairs: Iterable[tuple] | None
         raise ValueError("the Yang-Baxter check needs floor >= 2")
     if pairs is None:
         pairs = [(s, t) for s in (0, 1, 2) for t in (0, 1, 2)]
-    pairs = tuple((_exact(s, "s"), _exact(t, "t")) for s, t in pairs)
+    pairs = tuple((parse_fraction(s, "s"), parse_fraction(t, "t")) for s, t in pairs)
     return _suite(_yang_baxter_table(floor, pairs), floor, lam, rep)
 
 

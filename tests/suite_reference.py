@@ -38,6 +38,8 @@ moved to their home floors; the lifted home builds must equal it.
 A mutant re-decides only the rows that read its flip and takes the other
 checks from its parent.  ``unlinked`` copies a representation without that
 link, so that every row is decided on the copy: the two reports must match.
+It rebuilds every E/F of the copy from the copy's flips by ``projection``,
+after replacing the generators it is given.
 """
 
 from __future__ import annotations
@@ -118,11 +120,16 @@ def patch_floor_n(patch) -> None:
     patch.setattr(path_algebra.Representation, "_home", home)
 
 
-def unlinked(rep):
-    """A copy of ``rep`` with the same generators, its E/F built afresh and
+def unlinked(rep, replace=None):
+    """A copy of ``rep`` with the same generators, those in ``replace``
+    ({(kind, n): operator}) replaced, its E/F built afresh from its flips and
     no parent link, so the suites decide every row on it."""
     twin = copy.copy(rep)
-    twin._gens, twin._tl, twin._verdicts = dict(rep._gens), {}, {}
+    twin._gens, twin._verdicts = dict(rep._gens), {}
+    twin._gens.update(replace or {})
+    for kind, n in list(twin._gens):
+        if kind in ("E", "F"):
+            twin._gens[(kind, n)] = projection(twin._gens[("v" if kind == "E" else "w", n)], rep.lam)
     twin._parent, twin._changed = None, frozenset()
     return twin
 

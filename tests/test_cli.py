@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -341,6 +342,74 @@ def test_size_guards_reject_before_allocating(capsys, monkeypatch):
         assert err.count("\n") == 1 and message in err
 
 
+def timed_run(capsys, *argv):
+    """(exit code, seconds, stdout, stderr) of one in-process run."""
+    start = time.perf_counter()
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    seconds = time.perf_counter() - start
+    captured = capsys.readouterr()
+    return code, seconds, captured.out, captured.err
+
+
+BIG = 2**256  # 257 bits, one more than MAX_LAMBDA_BITS and MAX_WEIGHT_BITS
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["qmark", "eval", "1e-30"], "has height 999999999999999999999999999999, above MAX_QMARK_HEIGHT = 14000"),
+        (["qmark", "eval", "1/1000000"], "has height 999999, above MAX_QMARK_HEIGHT"),
+        (["qmark", "eval", "1/14002"], "has height 14001, above MAX_QMARK_HEIGHT"),
+        (["relations", "--floor", "4", "--lambda", "1e10000000"], "decimal exponent of '1e10000000' lies above 4300"),
+        (["relations", "--floor", "4", "--lambda", "1e100000"], "decimal exponent of '1e100000' lies above 4300"),
+        (["relations", "--floor", "4", "--lambda", str(BIG)], "lam has more than 256 bits"),
+        (["relations", "--floor", "4", "--lambda", f"3/{BIG}"], "lam has more than 256 bits"),
+        (["relations", "--floor", "4", "--lambda", "1e4300"], "lam has more than 256 bits"),
+        (["ideal", "--theta", "1e-10000000", "--depth", "3"], "decimal exponent of '1e-10000000' lies above 4300"),
+        (["ideal", "--theta", "1E+1_0000", "--depth", "3"], "lies above 4300"),
+    ],
+)
+def test_oversized_numbers_are_refused_within_a_second(capsys, argv, message):
+    code, seconds, out, err = timed_run(capsys, *argv)
+    assert (code, out) == (2, "") and seconds < 1
+    assert message in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{"kind": "geometric", "ratio": "1e-100000"}', "decimal exponent of '1e-100000' lies above 4300"),
+        (f'{{"kind": "geometric", "ratio": "1/{BIG + 1}"}}', "ratio has more than 256 bits"),
+        (f'{{"kind": "table", "entries": [[0, 1, "{BIG}/{BIG + 1}"]]}}', "a table value has more than 256 bits"),
+        (f'{{"kind": "table", "entries": [], "default": "1/{BIG}"}}', "default has more than 256 bits"),
+    ],
+)
+def test_oversized_trace_weights_are_refused_within_a_second(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    code, seconds, out, err = timed_run(capsys, "trace", "check", "--spec", str(path), "--depth", "16")
+    assert (code, out) == (2, "") and seconds < 1
+    assert err.count("\n") == 1 and message in err
+
+
+def test_numbers_just_inside_the_bounds_answer(tmp_path, capsys):
+    # the most height, bits and exponent each bound lets through
+    code, _, out, _ = timed_run(capsys, "qmark", "eval", "1/14001")
+    assert (code, out) == (0, f"1/{2**14000}\n")
+    for lam in (str(BIG - 1), f"{BIG - 1}/{BIG - 2}"):
+        code, _, out, _ = timed_run(capsys, "relations", "--floor", "4", "--lambda", lam)
+        assert code == 0 and out.startswith("6.1: 64/64 pass")
+    code, _, out, _ = timed_run(capsys, "ideal", "--theta", "1e-4300", "--depth", "3")
+    assert code == 0 and json.loads(out)["retained"] == [[0, 1]] * 4
+    path = tmp_path / "spec.json"
+    path.write_text(f'{{"kind": "geometric", "ratio": "1/{BIG // 2 + 1}"}}')
+    code, _, out, _ = timed_run(capsys, "trace", "check", "--spec", str(path), "--depth", "4")
+    assert (code, out) == (0, "valid (exact, depth 4, 9 vertices)\n")
+
+
 def fresh_python(*args):
     """Run a new interpreter on the package: (exit code, stdout, stderr)."""
     env = {**os.environ, "PYTHONPATH": str(Path(fareybratteli.__file__).resolve().parents[1])}
@@ -392,6 +461,7 @@ SPECS = {
     "untailed.json": '{"kind": "table", "entries": [], "default": "1/5"}',
     "broken.json": '{"kind": "geometric", "ratio": "1/0"',
     "deep.json": '{"kind": "table", "entries": [[1000000000, 1, "1/2"]], "default": "0"}',
+    "tiny.json": '{"kind": "geometric", "ratio": "1e-100000"}',
 }
 
 
@@ -403,7 +473,7 @@ POLYS = _pool("0:1", "1:0,1", "2:0,0,0,1", "1:1,-1", "2:1,2", "1000000000:1", "1
 # (subcommand words, positional pools, {flag: pool, or None for a switch})
 COMMANDS = [
     (["row"], [], {"--floor": _pool(0, 1, 2, 4), "--numerators": None, "--denominators": None}),
-    (["qmark", "eval"], [_pool("2/5", "1/3", "1", "3/2", "-1/2")], {}),
+    (["qmark", "eval"], [_pool("2/5", "1/3", "1", "3/2", "-1/2", "1e-30", "1/1000000")], {}),
     (["qmark", "inv"], [_pool("3/8", "1/2", "1/3", "1", "1/1024")], {}),
     (
         ["ideal"],
@@ -427,7 +497,7 @@ COMMANDS = [
         [],
         {
             "--floor": _pool(2, 4),
-            "--lambda": _pool("1", "1/4", "2", "-2"),
+            "--lambda": _pool("1", "1/4", "2", "-2", "1e100000", "1e10000000"),
             "--suite": _pool("base", "yb", "braiding", "all"),
             "--json": None,
             "--stats": None,

@@ -433,3 +433,31 @@ def test_matrix_vertex_round_trip_deep():
 def test_matrix_to_vertex_rejects_non_gamma_plus():
     with pytest.raises(ValueError):
         matrix_to_vertex(Mat2(1, 1, 0, 1))  # det 1 but p' > q' fails 0<=p'<=q'... b<=d ok, a<=c fails
+
+
+def test_parse_fraction_refuses_oversized_exponents_inexact_values_and_junk(monkeypatch):
+    parse = core.parse_fraction
+    assert parse("3/4") == F(3, 4) and parse(" -1.5e-3 ") == F(-3, 2000) and parse(7) == 7 and parse(F(2, 3)) == F(2, 3)
+    assert parse("1e4300") == 10**4300 and parse("1e-0_4300") == F(1, 10**4300)  # at the default limit
+    for text in ("1e4301", "1e-4301", "1E+10000000", "2.5e1_0000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="decimal exponent"):
+            parse(text)
+    for text in ("x", "1/0", "", "nan", "1e"):
+        with pytest.raises(ValueError, match="not a fraction"):
+            parse(text)
+    for value in (0.5, True):
+        with pytest.raises(ValueError, match="lam must be exact"):
+            parse(value, "lam")
+    # the bound is Python's own limit on the digits of an int string
+    monkeypatch.setattr(core.sys, "get_int_max_str_digits", lambda: 5000)
+    assert parse("1e4301") == 10**4301
+    with pytest.raises(ValueError, match="lies above 5000"):
+        parse("1e5001")
+
+
+def test_question_mark_refuses_heights_above_its_bound():
+    assert question_mark(F(1, 14001)) == F(1, 2**14000)  # height 14000, the bound
+    assert question_mark((13998, 3)) == F(1, 2**13997) - F(1, 2**14000)
+    for x in (F(1, 14002), F(1, 10**30), (14000, 3), (7000, 7000, 2)):
+        with pytest.raises(ValueError, match="above MAX_QMARK_HEIGHT = 14000"):
+            question_mark(x)

@@ -574,3 +574,12 @@ def test_dot_export_matches_the_label_reference(ls, spec, depth):
     assert levelset_to_dot(ls) == tree_reference.levelset_to_dot(ls)
     quotient = quotient_levels(spec, depth)
     assert levelset_to_dot(quotient) == tree_reference.levelset_to_dot(quotient)
+
+
+def test_ideal_spec_converts_ints_and_refuses_other_types():
+    assert IdealSpec(0).theta == 0 and type(IdealSpec(1).theta) is F
+    assert quotient_levels(IdealSpec(0), 3) == quotient_levels(IdealSpec(F(0)), 3)
+    assert quotient_levels(IdealSpec(1, "minus"), 3) == quotient_levels(IdealSpec(F(1), "minus"), 3)
+    for bad in (0.1, 0.0, True, False, "1/2", None, [F(1, 2)]):
+        with pytest.raises(ValueError, match="theta must be a Fraction, an int or a CFStream"):
+            IdealSpec(bad)

@@ -6,6 +6,7 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -31,12 +32,10 @@ from fareybratteli.path_algebra import (
     Representation,
     SparseOperator,
     enumerate_paths,
-    flip_isometry,
     generator,
     path_context,
     random_sign_mutation,
     run_all_suites,
-    tl_projection,
     verify_braiding_suite,
     verify_relation_suite,
     yang_baxter_check,
@@ -443,8 +442,26 @@ def test_e0_does_not_exist():
         generator("q", 1, 3)
 
 
+@pytest.mark.parametrize("lam", (F(1), F(2, 3)), ids=str)
+def test_generator_returns_every_kind_of_the_table(lam):
+    floor = 4
+    rep = Representation(floor, lam)
+    keys = reference_generator_keys(floor)
+    keys += [("E", n) for n in range(floor)] + [("F", n) for n in range(1, floor)]
+    for kind, n in keys:
+        op = generator(kind, n, floor, lam)
+        assert op.ctx is rep.ctx
+        if kind in "EF":
+            assert op == projection(direct_generator(rep.ctx, lam, "v" if kind == "E" else "w", n), lam) == rep.tl(kind, n)
+        else:
+            assert op == direct_generator(rep.ctx, lam, kind, n) == rep.gen(kind, n)
+    for kind, n in (("q", 1), ("", 0), ("EF", 1), ("ef", 1), ("v", 4), ("w", 0), ("E", 4), ("E", -1), ("F", 0), ("F", 4)):
+        with pytest.raises(ValueError):
+            generator(kind, n, floor, lam)
+
+
 def test_v0_swaps_the_single_diamond_at_floor_1():
-    v0 = flip_isometry("v", 0, 1)
+    v0 = generator("v", 0, 1)
     ctx = path_context(1)
     src = ctx.index[(0, 1)]
     dst = ctx.index[(1, 1)]
@@ -454,14 +471,14 @@ def test_v0_swaps_the_single_diamond_at_floor_1():
 
 def test_flip_supports():
     for n in range(4):
-        v = flip_isometry("v", n, 5)
+        v = generator("v", n, 5)
         assert v.adjoint() * v == generator("g", n, 5) * generator("f", n + 1, 5)
         assert v * v.adjoint() == generator("f", n, 5) * generator("e", n + 1, 5)
     for n in range(1, 4):
-        w = flip_isometry("w", n, 5)
+        w = generator("w", n, 5)
         assert w.adjoint() * w == generator("g", n, 5) * generator("e", n + 1, 5)
         assert w * w.adjoint() == generator("e", n, 5) * generator("f", n + 1, 5)
-        assert (w * flip_isometry("v", n, 5)).is_zero()
+        assert (w * generator("v", n, 5)).is_zero()
 
 
 def test_block_structure_enforced():
@@ -549,9 +566,9 @@ def inherited_certificate(op, kind, n):
 def test_closed_form_projections_equal_the_ring_formula(lam):
     for floor in range(7):
         rep = Representation(floor, lam)
-        for kind, n in path_algebra._projection_keys(floor):
+        for kind, n in path_algebra._generator_keys(floor, "EF"):
             flip = "v" if kind == "E" else "w"
-            closed = rep._home(kind, n)
+            closed = rep._home(kind, n)  # built with the model
             assert closed == projection(rep._home(flip, n), lam)
             assert rep.tl(kind, n) == projection(rep.gen(flip, n), lam)
             assert inherited_certificate(closed, kind, n)  # every flip of the model is certified
@@ -593,11 +610,11 @@ def test_closed_form_refuses_what_is_not_a_flip():
 
 
 def test_tl_projection_rank_matches_support():
-    e0 = tl_projection("E", 0, 2, F(1))
-    v0 = flip_isometry("v", 0, 2, F(1))
+    e0 = generator("E", 0, 2, F(1))
+    v0 = generator("v", 0, 2, F(1))
     assert rank(e0) == rank(v0.adjoint() * v0) == 3
     # non-square field constant goes through the quadratic elimination
-    e0_irr = tl_projection("E", 0, 2, F(2))
+    e0_irr = generator("E", 0, 2, F(2))
     assert rank(e0_irr) == 3
     # a projection's rank is its trace, for square and non-square lam alike
     for lam in (F(2), F(2, 3), F(9)):
@@ -614,14 +631,26 @@ def test_lambda_must_be_positive():
         Representation(4, F(-1))
 
 
+def test_operators_check_lambda_like_the_representation():
+    ctx = path_context(1)
+    for bad, message in ((0.5, "not the float"), (True, "not the bool"), (F(-1), "positive"), (0, "positive"),
+                         (F(1, 2**256), "more than 256 bits"), (2**256, "more than 256 bits"), ("x", "not a fraction")):
+        with pytest.raises(ValueError, match=message):
+            SparseOperator(ctx, bad, {(0, 0): 1})
+        with pytest.raises(ValueError, match=message):
+            Representation(1, bad)
+    assert SparseOperator(ctx, "2/3", {(0, 0): 1}).lam == F(2, 3)
+    assert Representation(1, F(2**256 - 1, 2**255)).gen("v", 0).lam == F(2**256 - 1, 2**255)
+
+
 @pytest.mark.parametrize("lam", (0.1, 0.25))
 def test_lambda_must_not_be_a_float(lam):
     # 0.1 would run over lambda = 3602879701896397/36028797018963968
     calls = [
         lambda: Representation(4, lam),
         lambda: generator("e", 1, 4, lam),
-        lambda: flip_isometry("v", 0, 4, lam),
-        lambda: tl_projection("E", 1, 4, lam),
+        lambda: generator("v", 0, 4, lam),
+        lambda: generator("E", 1, 4, lam),
         lambda: verify_relation_suite(4, lam),
         lambda: yang_baxter_check(4, lam),
         lambda: verify_braiding_suite(4, lam, rep=Representation(4, F(1, 4))),
@@ -661,8 +690,6 @@ def test_products_count_every_multiplication_of_a_suite(monkeypatch, floor, suit
     # every multiplication is a product node of the words, or the square
     # that decides a projection row
     rep = Representation(floor, F(2))
-    for key in path_algebra._projection_keys(floor):
-        rep._home(*key)
     calls = []
     multiply = SparseOperator.__mul__
     monkeypatch.setattr(SparseOperator, "__mul__", lambda x, y: calls.append(1) or multiply(x, y))
@@ -767,8 +794,7 @@ def test_a_sum_lifts_to_the_highest_floor_among_all_its_terms():
 def test_yang_baxter_rows_of_the_model_scale_and_add_nothing(monkeypatch):
     # both 6.4 coefficients vanish on the model, so every term is zero
     rep = Representation(5, F(2, 3))
-    broken = unlinked(rep)
-    broken._gens[("v", 1)], broken._gens[("v", 2)] = rep.tl("E", 1), rep.tl("E", 2)
+    broken = unlinked(rep, {("v", 1): rep.tl("E", 1), ("v", 2): rep.tl("E", 2)})
     calls = []
     for name in ("scale", "_combine"):
         original = getattr(SparseOperator, name)
@@ -887,14 +913,54 @@ def test_every_commutation_row_of_the_model_is_certified_and_agrees_with_product
     assert rows and report.ok and report.products < products.products
 
 
+def oracle_commutation_rows(floor):
+    """(equation, commutator, first letter, second letter) of every
+    commutation row, in table order, by the distance rules that picked the
+    partners before the windows did: every pair of e/f/g for R1; for
+    locality the v/w pairs with n2 - n1 >= 2 (four rows each, one per
+    placement of the stars) and the v/w x e/f/g pairs with r <= n1 - 1 or
+    r >= n1 + 2; the E/F pairs with n2 - n1 >= 2 for 6.8."""
+    keys = reference_generator_keys(floor)
+    diag = sorted((key for key in keys if key[0] in "efg"), key=lambda key: (key[0] != "e", key[1]))
+    isos = [key for key in keys if key[0] in "vw"]
+    projections = [("E" if kind == "v" else "F", n) for kind, n in isos]
+    rows = [("R1", f"{k1}{n1},{k2}{n2}", (k1, n1), (k2, n2)) for (k1, n1), (k2, n2) in combinations(diag, 2)]
+    for k1, n1 in isos:
+        for k2, n2 in isos:
+            if n2 - n1 >= 2:
+                for s1, s2 in product(("", "*"), ("", "*")):
+                    rows.append(("locality", f"{k1}{s1}{n1},{k2}{s2}{n2}", (k1, n1), (k2, n2)))
+        for kind, r in diag:
+            if r <= n1 - 1 or r >= n1 + 2:
+                rows.append(("locality", f"{k1}{n1},{kind}{r}", (k1, n1), (kind, r)))
+    for (k1, n1), (k2, n2) in product(projections, projections):
+        if n2 - n1 >= 2:
+            rows.append(("6.8", f"{k1}{n1},{k2}{n2}", (k1, n1), (k2, n2)))
+    return rows
+
+
+@pytest.mark.parametrize("floor", range(4, 10))
+def test_commutation_rows_are_the_window_apart_pairs_of_the_distance_rules(floor):
+    rows = commutation_rows(floor)
+    expected = oracle_commutation_rows(floor)
+    assert [(row.equation, row.indices["commutator"]) for row in rows] == [(eq, name) for eq, name, _, _ in expected]
+    for row, (_, _, a, b) in zip(rows, expected):
+        assert row.reads == {a, b} and row.apart == path_algebra._windows_apart(a, b) is not None
+    # every other row of the tables holds no pair
+    tables = path_algebra._relation_table(floor)[0] + path_algebra._braiding_table(floor)[0]
+    assert sum(row.apart is not None for row in tables) == len(rows)
+
+
 def test_commutation_rows_carry_their_letters_and_read_only_kept_certificates(monkeypatch):
     floor, lam = 5, F(2, 3)
     for row in commutation_rows(floor):
         (a, wa), (b, wb) = row.apart
         assert {a, b} == row.reads and (wa, wb) == (path_algebra._window(*a), path_algebra._window(*b))
-    # a row whose letters are not apart holds None, and is multiplied out
-    near = path_algebra._Row("locality", {}, *path_algebra._commutes(("v", 1), ("e", 2)))
-    assert near.kind == "commutes" and near.apart is None
+    # letters whose windows meet are no partners; a row that is not a
+    # commutation holds no pair, whatever its builder passed
+    assert path_algebra._windows_apart(("v", 1), ("e", 2)) is None
+    pair = path_algebra._windows_apart(("v", 1), ("e", 3))
+    assert path_algebra._Row("locality", {}, "vanishes", ("v", 1), apart=pair).apart is None
     rep = Representation(floor, lam)
     first = run_all_suites(floor, lam, rep)
     with monkeypatch.context() as patch:
@@ -912,8 +978,8 @@ def test_projections_inherit_their_flips_certificate(monkeypatch):
     monkeypatch.setattr(path_algebra, "_window_local", lambda op, *window: checked.append(op) or original(op, *window))
     rep = Representation(floor, lam)
     assert run_all_suites(floor, lam, rep).ok
-    assert sorted(map(id, checked)) == sorted(map(id, rep._gens.values()))
-    for kind, n in path_algebra._projection_keys(floor):
+    assert sorted(map(id, checked)) == sorted(id(rep._gens[key]) for key in path_algebra._generator_keys(floor))
+    for kind, n in path_algebra._generator_keys(floor, "EF"):
         assert rep._home(kind, n)._local == (path_algebra._window(kind, n), True)
 
 
@@ -931,6 +997,22 @@ def test_a_flipped_generator_loses_its_certificate_and_its_rows_multiply():
 
 # ---------------------------------------------------------------------------
 # mutants re-decide only the rows that read their flip
+
+
+@pytest.mark.parametrize("lam", (F(1), F(2, 3)), ids=str)
+def test_a_flip_rebuilds_exactly_the_projection_of_its_flip(lam):
+    rep = Representation(5, lam)
+    for kind, n in path_algebra._generator_keys(5):
+        mutated = rep.with_sign_flip(kind, n, min(rep.gen(kind, n).support()))
+        rebuilt = {key for key, op in mutated._gens.items() if op is not rep._gens[key]}
+        projection_key = {"v": ("E", n), "w": ("F", n)}.get(kind)
+        assert rebuilt == mutated._changed == {(kind, n), projection_key} - {None}
+        if projection_key:
+            assert mutated._home(*projection_key) == projection(mutated._home(kind, n), lam)
+            assert mutated._home(*projection_key) != rep._home(*projection_key)
+    for kind in "EF":
+        with pytest.raises(ValueError, match="not defined"):
+            rep.with_sign_flip(kind, 1, (0, 0))
 
 
 def assert_reuse_matches_unlinked(floor, lam, mutants):
@@ -1007,7 +1089,8 @@ def test_home_floor_operators_lift_to_their_floor_n_builds(lam):
         rep = Representation(floor, lam)
         keys = reference_generator_keys(floor)
         # the index table: the draw order of seeded mutants and the stored keys
-        assert path_algebra._generator_keys(floor) == keys == list(rep._gens)
+        projections = [("E", n) for n in range(floor)] + [("F", n) for n in range(1, floor)]
+        assert path_algebra._generator_keys(floor) == keys and list(rep._gens) == keys + projections
         for kind, n in keys:
             home = rep._home(kind, n)
             assert home.ctx.floor == (n + 1 if kind in "vw" else n)
@@ -1093,9 +1176,7 @@ def test_home_floor_flips_name_floor_n_witnesses(monkeypatch):
         out = []
         for kind, n in reference_generator_keys(4):
             home = rep._gens[(kind, n)]  # at its home floor, also where _home is patched
-            mutated = unlinked(rep)
-            mutated._gens[(kind, n)] = home.with_negated_entry(max(home.support()))
-            out.append(mutated)
+            out.append(unlinked(rep, {(kind, n): home.with_negated_entry(max(home.support()))}))
         return out
 
     fast, slow = reports_with_reference(monkeypatch, 4, lam, mutants, patch_floor_n)
@@ -1122,7 +1203,7 @@ def test_checks_are_decided_at_the_highest_home_floor():
     # a mutant's flipped generator lives at floor N, and so do the checks on it
     mutated = rep.with_sign_flip("v", 1, min(rep.gen("v", 1).support()))
     assert mutated._home("v", 1).ctx is rep.ctx and mutated._home("E", 1).ctx is rep.ctx
-    assert all(mutated._home(kind, n) is rep._home(kind, n) for kind, n in path_algebra._projection_keys(5) if (kind, n) != ("E", 1))
+    assert all(mutated._home(kind, n) is rep._home(kind, n) for kind, n in path_algebra._generator_keys(5, "EF") if (kind, n) != ("E", 1))
     flipped = {(c.equation, json.dumps(c.indices)): c.floor for c in run_all_suites(5, F(2), mutated).checks}
     assert flipped[("R3", json.dumps({"family": "v", "n": 1, "law": "v g = f v"}))] == 5
 
@@ -1133,8 +1214,7 @@ def test_yang_baxter_expansion_matches_grid_for_custom_pairs():
     mutated = random_sign_mutation(rep, random.Random(3))[0]
     # sign flips keep a^2 and aba - bab zero; with E_1, E_2 in place of
     # v_1, v_2 neither coefficient vanishes and 6.4 fails at n = 0, 1, 2
-    broken = unlinked(rep)
-    broken._gens[("v", 1)], broken._gens[("v", 2)] = rep.tl("E", 1), rep.tl("E", 2)
+    broken = unlinked(rep, {("v", 1): rep.tl("E", 1), ("v", 2): rep.tl("E", 2)})
     for subject in (rep, mutated, broken):
         fast = yang_baxter_check(5, F(2, 3), pairs=pairs, rep=subject)
         slow = reference_yang_baxter_check(5, F(2, 3), pairs=pairs, rep=subject)
