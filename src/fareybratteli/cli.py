@@ -51,8 +51,16 @@ def _poly_text(p: dimension_group.LevelPoly) -> str:
     return f"{p.level}:{','.join(str(c) for c in p.coeffs)}"
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are one line, ``prog: error: message``,
+    with exit 2; its subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="farey-bratteli",
         description="exact checks on the Farey/Stern-Brocot diagram and its operator model",
     )

@@ -86,6 +86,34 @@ operator's exact entries and kept on it; a mutant's flipped generator is
 checked on its own entries (and its E/F too, when it fails), and a row it
 fails is multiplied out.
 
+Translates.  Write a path by its letters d_m = xi_m - 2 xi_{m-1} in
+{-1, 0, 1} (``PathContext.letters``).  The letters that may follow xi_{m-1}
+depend only on its state: bottom (0) allows 0 and +1, top (2^(m-1)) allows
+0 and -1, interior allows all three; an interior coordinate stays interior,
+and for m >= 1 a boundary one becomes interior on its nonzero letter.
+Every kind_n changes only d_n..d_{n+reach}, and its entries are a function
+of those letters alone (the state of xi_{n-1} decides which of them occur):
+e, f, g select d_n = -1, +1, 0, a flip moves (d_n, d_n+1) from (0, s) to
+(s, -s), and E/F are built from their flip.  Lemma: a row whose letters sit
+at indices L..M with L >= 2 has the verdict of its translate to lowest index
+2, decided at the translate's floor + (L - 2).
+Sketch: at floor M, a path is a prefix xi_0..xi_{L-1} followed by the window
+letters d_L..d_M, and the window letters allowed after a prefix depend only
+on the state of xi_{L-1}; so the model is the sum over prefixes of W_s, s
+that state, and every operand of the row is the sum of one window operator
+per state, the same one on every prefix of that state (the tail embedding
+adds the identity on the later letters).  An equality, vanishing, nonzero or
+projection verdict holds exactly when it holds on each W_s that occurs.  For
+L >= 2, xi_{L-1} is bottom, top or interior (0, 2^(L-1) >= 2, or between),
+all three occur, and the window operators do not depend on L: so a row at L
+and its translate at 2 have one verdict.  At L = 1, xi_0 in {0, 1} is never
+interior, and at L = 0 the prefix is empty, so rows there are decided
+directly.  ``_link`` pairs a row with its translate by its indices alone;
+``_evaluate`` passes a row whose translate passes and multiplies out one
+whose translate fails, for its own witness.  A mutant's generators are not
+translation invariant, so the rows it re-decides are multiplied out; the
+parent verdicts it reuses may come from translates.
+
 A linear combination evaluates only its nonzero terms and lifts the sum to
 the highest floor among all its terms, so a check's floor and witness do
 not change; on the unmutated model both 6.4 coefficients vanish, and no
@@ -139,11 +167,6 @@ MAX_LAMBDA_BITS = 256
 Path = tuple[int, ...]
 
 
-def _xi(path: Path, n: int) -> int:
-    """Coordinate at floor n, with the root floor fixed at 0."""
-    return 0 if n < 0 else path[n]
-
-
 def enumerate_paths(floor: int) -> tuple[Path, ...]:
     """All monotone paths from the root to the given floor, lexicographic."""
     return path_context(floor).paths
@@ -178,6 +201,16 @@ class PathContext:
         self.index = {p: i for i, p in enumerate(self.paths)}
         self.endpoint = tuple(p[-1] for p in self.paths)
         self.dim = len(self.paths)
+        self._letters: dict[int, tuple[int, ...]] = {}
+
+    def letters(self, m: int) -> tuple[int, ...]:
+        """The letter d_m = xi_m - 2 xi_{m-1} of every path, in path order
+        (xi_{-1} is the root's fixed 0); built on first use and kept."""
+        column = self._letters.get(m)
+        if column is None:
+            pairs = ((p[m], p[m - 1]) for p in self.paths) if m else ((p[0], 0) for p in self.paths)
+            column = self._letters[m] = tuple(x - 2 * y for x, y in pairs)
+        return column
 
 
 @lru_cache(maxsize=None)
@@ -561,22 +594,25 @@ def _matmul(out: Entries, left: Entries, rows: Rows, factor: int) -> Entries:
 
 
 def _edge_projection(gens: dict, ctx: PathContext, lam: Fraction, n: int, offset: int) -> SparseOperator:
-    """e_n, f_n or g_n (offset -1, +1, 0): the paths whose edge into floor n
-    leaves xi_{n-1} towards 2*xi_{n-1} + offset."""
-    return SparseOperator.diagonal(ctx, lam, lambda p: _xi(p, n) == 2 * _xi(p, n - 1) + offset)
+    """e_n, f_n or g_n (offset -1, +1, 0): the paths whose letter d_n, the
+    edge into floor n, is the offset."""
+    return SparseOperator(ctx, lam, {(i, i): 1 for i, d in enumerate(ctx.letters(n)) if d == offset})
 
 
 def _flip(gens: dict, ctx: PathContext, lam: Fraction, n: int, sign: int) -> SparseOperator:
-    """Diamond flip at floor n: sources sit on the straight edge with the
-    floor-(n+1) coordinate at 4*xi_{n-1} + sign; targets move xi_n to
-    2*xi_{n-1} + sign.  sign +1 builds v_n, sign -1 builds w_n."""
-    entries = {}
-    for j, p in enumerate(ctx.paths):
-        base = _xi(p, n - 1)
-        if p[n] == 2 * base and p[n + 1] == 4 * base + sign:
-            target = p[:n] + (2 * base + sign,) + p[n + 1 :]
-            entries[(ctx.index[target], j)] = 1
-    return SparseOperator(ctx, lam, entries)
+    """Diamond flip at floor n: it moves the letters (d_n, d_n+1) of a source
+    from (0, sign) to (sign, -sign), so xi_n from 2*xi_{n-1} to 2*xi_{n-1} +
+    sign, and keeps the rest of the path.  sign +1 builds v_n, sign -1 builds
+    w_n.  Sources and targets are in bijection, and a source and its target
+    differ only in xi_n, so lexicographic order pairs the k-th of each."""
+    sources, targets = [], []
+    source, target = (0, sign), (sign, -sign)
+    for j, pair in enumerate(zip(ctx.letters(n), ctx.letters(n + 1))):
+        if pair == source:
+            sources.append(j)
+        elif pair == target:
+            targets.append(j)
+    return SparseOperator(ctx, lam, dict.fromkeys(zip(targets, sources), 1))
 
 
 def _flip_projection(gens: dict, ctx: PathContext, lam: Fraction, n: int, flip: str) -> SparseOperator:
@@ -655,6 +691,8 @@ class Representation:
         self._parent: Representation | None = None
         self._changed: frozenset[tuple[str, int]] = frozenset()
         self._verdicts: dict[_Row, Check] = {}
+        # generators as built here: a row takes the verdict of its translate
+        self._invariant = True
         for kind, low, reach, build, arg, *_ in _GENERATORS:
             for n in range(low, floor - reach + 1):
                 self._gens[(kind, n)] = build(self._gens, path_context(n + reach), lam, n, arg)
@@ -704,7 +742,7 @@ class Representation:
         for derived, _, _, build, source, *_ in _GENERATORS:
             if source == kind:
                 gens[(derived, n)] = build(gens, self.ctx, self.lam, n, source)
-        mutated._parent, mutated._verdicts = self, {}
+        mutated._parent, mutated._verdicts, mutated._invariant = self, {}, False
         mutated._changed = frozenset(key for key, op in gens.items() if op is not self._gens[key])
         return mutated
 
@@ -814,15 +852,18 @@ class _Row:
     """One check of a suite.  ``expires`` holds the ids of the shared nodes it
     reads last in its table; rows compare by identity, as keys of the verdicts.
     A commutation row holds in ``apart`` what its builder found for its two
-    letters, ``_windows_apart`` of them; any other row holds None."""
+    letters, ``_windows_apart`` of them; any other row holds None.  A row
+    whose letters sit at index 3 or more holds in ``link`` its translate at
+    lowest index 2 and the shift (``_link``); any other row holds None."""
 
-    __slots__ = ("equation", "indices", "kind", "operands", "expires", "apart", "_reads")
+    __slots__ = ("equation", "indices", "kind", "operands", "expires", "apart", "link", "_reads")
 
     def __init__(self, equation: str, indices: dict, kind: str, *operands: tuple, apart: tuple | None = None):
         self.equation, self.indices, self.kind, self.operands = equation, indices, kind, operands
         self.expires: tuple = ()
         self._reads: frozenset | None = None
         self.apart = apart if kind == "commutes" else None
+        self.link: tuple[_Row, int] | None = None
 
     @property
     def reads(self) -> frozenset:
@@ -939,7 +980,30 @@ def _table(rows: list[_Row]) -> tuple[tuple[_Row, ...], frozenset]:
     shared = frozenset(key for key, (count, _) in seen.items() if count > 1)
     for key in shared:
         seen[key][1].expires += (key,)
+    _link(rows)
     return tuple(rows), shared
+
+
+def _link(rows: list[_Row]) -> None:
+    """Link each row whose lowest letter index (its index n, or sum_at) is 3
+    or more to its translate: the row of the same equation, kind and other
+    indices at lowest index 2, whose operands are its own shifted down (the
+    translation lemma).  Commutation rows name their letters otherwise and
+    are decided by window certificates; they are not linked."""
+    translates, linked = {}, []
+    for row in rows:
+        indices = row.indices
+        low = indices.get("n", indices.get("sum_at", 0))
+        if low >= 2:
+            key = (row.equation, row.kind, *(item for item in indices.items() if item[0] not in ("n", "sum_at")))
+            if low == 2:
+                translates[key] = row
+            else:
+                linked.append((row, key, low - 2))
+    for row, key, shift in linked:
+        translate = translates.get(key)
+        if translate is not None:
+            row.link = (translate, shift)
 
 
 @lru_cache(maxsize=1)
@@ -1078,8 +1142,11 @@ def _combination(terms: list[tuple[tuple, SparseOperator]], lam: Fraction) -> Sp
 
 def _evaluate(rep: Representation, rows: Sequence[_Row], shared: frozenset, report: Report) -> list[Check]:
     """Decide the rows on rep, counting products into ``report``.  Letters are
-    read once; a ``shared`` node is built once and kept until its last row."""
-    lam, home, cache = rep.lam, rep._home, {}
+    read once; a ``shared`` node is built once and kept until its last row.
+    On generators as ``Representation`` builds them, a linked row passes,
+    decided at its translate's floor plus the shift, when its translate
+    passes, and is multiplied out, for its own witness, when it fails."""
+    lam, home, cache, decided = rep.lam, rep._home, {}, {}
 
     def value(node: tuple) -> SparseOperator:
         tag = node[0]
@@ -1114,12 +1181,31 @@ def _evaluate(rep: Representation, rows: Sequence[_Row], shared: frozenset, repo
     equality = partial(Check.equality, top=rep.ctx)
     decide = {"equality": equality, "commutes": equality, "vanishes": partial(Check.vanishes, top=rep.ctx),
               "nonzero": Check.nonzero, "projection": partial(Check.projection, top=rep.ctx)}
-    checks = []
-    for row in rows:
+
+    def evaluate(row: _Row) -> Check:
         check = local(row) if row.apart else None
         if check is None:
             ops = [cache.get(id(x)) or value(x) for x in row.operands]
             check = decide[row.kind](row.equation, dict(row.indices), *ops)
+        return check
+
+    def translated(row: _Row) -> Check | None:
+        """The pass of a row whose translate passes, else None.  The
+        translate's check is taken from this call or from rep's kept
+        verdicts, or decided now, out of table order if it must be."""
+        translate, shift = row.link
+        known = decided.get(translate) or rep._verdicts.get(translate)
+        if known is None:
+            known = decided[translate] = evaluate(translate)
+        if known.status == "pass":
+            return Check(row.equation, dict(row.indices), "pass", None, known.floor + shift)
+        return None
+
+    checks = []
+    for row in rows:
+        check = translated(row) if row.link and rep._invariant else decided.get(row)
+        if check is None:
+            check = decided[row] = evaluate(row)
         checks.append(check)
         for key in row.expires:
             cache.pop(key, None)

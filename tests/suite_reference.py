@@ -35,6 +35,11 @@ at floor N.  Reports must again match byte for byte.  ``direct_generator``
 is the loop that built the generators on the floor-N paths before they
 moved to their home floors; the lifted home builds must equal it.
 
+A row whose letters sit at index 3 or more takes the verdict of its
+translate at index 2 when that passes; ``patch_unlinked_tables`` drops
+those links, so that every row is multiplied out, and reports and the
+floors of their checks must match.
+
 A mutant re-decides only the rows that read its flip and takes the other
 checks from its parent.  ``unlinked`` copies a representation without that
 link, so that every row is decided on the copy: the two reports must match.
@@ -123,15 +128,29 @@ def patch_floor_n(patch) -> None:
 def unlinked(rep, replace=None):
     """A copy of ``rep`` with the same generators, those in ``replace``
     ({(kind, n): operator}) replaced, its E/F built afresh from its flips and
-    no parent link, so the suites decide every row on it."""
+    no parent link, so the suites decide every row on it; the copy of a
+    mutant, or with generators replaced, takes no row's verdict from its
+    translate either."""
     twin = copy.copy(rep)
     twin._gens, twin._verdicts = dict(rep._gens), {}
     twin._gens.update(replace or {})
     for kind, n in list(twin._gens):
         if kind in ("E", "F"):
             twin._gens[(kind, n)] = projection(twin._gens[("v" if kind == "E" else "w", n)], rep.lam)
-    twin._parent, twin._changed = None, frozenset()
+    # a mutant's or replaced generators are not translation invariant: then
+    # no row takes its translate's verdict
+    invariant = rep._invariant and rep._parent is None and not replace
+    twin._parent, twin._changed, twin._invariant = None, frozenset(), invariant
     return twin
+
+
+def patch_unlinked_tables(patch) -> None:
+    """Drop every link from a row to its translate through a monkeypatch:
+    ``_link`` links nothing, and the cached tables are built afresh under the
+    patch, through empty caches of their own."""
+    patch.setattr(path_algebra, "_link", lambda rows: None)
+    for name in ("_relation_table", "_yang_baxter_table", "_braiding_table"):
+        patch.setattr(path_algebra, name, lru_cache(maxsize=1)(getattr(path_algebra, name).__wrapped__))
 
 
 def path_matrix_unit(ctx, lam, head, tail_head):

@@ -247,6 +247,27 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["relations", "--floor", "4", "--lambda", "1e100000"], "farey-bratteli relations: error: argument --lambda: "),
+        (["ideal", "--theta", "1e-10000000", "--depth", "3"], "farey-bratteli: error: the decimal exponent"),
+        (["qmark", "eval", "abc"], "farey-bratteli qmark eval: error: argument value: not a fraction"),
+        (["relations", "--lambda", "2"], "farey-bratteli relations: error: the following arguments are required: --floor"),
+    ],
+)
+def test_argument_refusals_write_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.count("\n") == 1 and captured.err.startswith(message)
+    # help still prints the usage block, to stdout
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith(f"usage: farey-bratteli {argv[0]} ")
+
+
 def test_out_of_range_arguments_are_usage_errors(capsys):
     code, _, err = run(capsys, "relations", "--floor", "3", "--lambda", "1")
     assert code == 2 and "floor" in err

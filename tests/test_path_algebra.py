@@ -18,6 +18,7 @@ from suite_reference import (
     every_term,
     patch_floor_n,
     patch_reference,
+    patch_unlinked_tables,
     path_matrix_unit,
     projection,
     reference_generator_keys,
@@ -688,7 +689,8 @@ def test_relation_suite_passes():
 @pytest.mark.parametrize("suite, table", [(verify_relation_suite, "_relation_table"), (verify_braiding_suite, "_braiding_table")])
 def test_products_count_every_multiplication_of_a_suite(monkeypatch, floor, suite, table):
     # every multiplication is a product node of the words, or the square
-    # that decides a projection row
+    # that decides a projection row; a row that takes its translate's
+    # verdict multiplies nothing
     rep = Representation(floor, F(2))
     calls = []
     multiply = SparseOperator.__mul__
@@ -696,7 +698,7 @@ def test_products_count_every_multiplication_of_a_suite(monkeypatch, floor, suit
     report = suite(floor, F(2), rep)
     rows, _ = getattr(path_algebra, table)(floor)
     assert report.ok and report.products > 0
-    assert len(calls) == report.products + sum(row.kind == "projection" for row in rows)
+    assert len(calls) == report.products + sum(row.kind == "projection" and row.link is None for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1077,6 +1079,165 @@ def test_a_mutant_rereads_only_the_rows_of_its_flip(monkeypatch):
     assert ("R3", json.dumps({"family": "w", "n": 3, "law": "w g = e w"})) in reread
     assert ("6.7", json.dumps({"n": 3, "law": "E F"})) in reread  # reads F_3
     assert ("R3", json.dumps({"family": "v", "n": 1, "law": "v g = f v"})) not in reread
+
+
+# ---------------------------------------------------------------------------
+# translates: a row at index 3 or more takes the verdict of its translate at 2
+
+
+STATES = ("bottom", "interior", "top")
+GRID = tuple((F(s), F(t)) for s in range(3) for t in range(3))  # yang_baxter_check's default
+
+
+def letter_classes(op, n):
+    """A generator kind_n at its home floor as a function of (state of
+    xi_{n-1}, column letters d_n..): {class: the set of (row letters, A, B,
+    d) of the column's entries}, checked to be one set per class, with
+    every entry keeping xi_0..xi_{n-1}."""
+    ctx = op.ctx
+    columns = [ctx.letters(m) for m in range(n, ctx.floor + 1)]
+    top = 2 ** (n - 1)
+    entries = {j: set() for j in range(ctx.dim)}
+    for i, j in op.support():
+        assert ctx.paths[i][:n] == ctx.paths[j][:n]
+        entries[j].add((tuple(column[i] for column in columns), op.A.get((i, j), 0), op.B.get((i, j), 0), op.d))
+    classes = {}
+    for j, column in entries.items():
+        x = ctx.paths[j][n - 1]
+        state = "bottom" if x == 0 else "top" if x == top else "interior"
+        assert classes.setdefault((state, *(c[j] for c in columns)), column) == column
+    return classes
+
+
+@pytest.mark.parametrize("lam", (F(1, 4), F(2, 3)), ids=str)
+def test_generators_at_index_2_or_more_are_one_window_operator(lam):
+    rep = Representation(path_algebra.MAX_PATH_FLOOR, lam)
+    for kind, low, reach, *_ in path_algebra._GENERATORS:
+        base = letter_classes(rep._home(kind, 2), 2)
+        assert {key[0] for key in base} == set(STATES), kind
+        for n in range(3, rep.floor - reach + 1):
+            assert letter_classes(rep._home(kind, n), n) == base, (kind, n)
+
+
+def test_letters_are_the_steps_of_each_path():
+    for floor in range(6):
+        ctx = path_context(floor)
+        for m in range(floor + 1):
+            assert ctx.letters(m) == tuple(p[m] - 2 * (p[m - 1] if m else 0) for p in ctx.paths)
+            assert set(ctx.letters(m)) <= {-1, 0, 1} and ctx.letters(m) is ctx.letters(m)
+
+
+@pytest.mark.parametrize("lam", (F(1), F(2, 3)), ids=str)
+def test_generators_from_letter_columns_equal_the_path_loop(lam):
+    rep = Representation(path_algebra.MAX_PATH_FLOOR, lam)
+    for kind, n in path_algebra._generator_keys(rep.floor):
+        home = rep._home(kind, n)
+        assert home == direct_generator(home.ctx, lam, kind, n), (kind, n)
+
+
+def suite_rows(floor):
+    """Every row of the three suites at their default grid, in report order."""
+    tables = (path_algebra._relation_table(floor), path_algebra._yang_baxter_table(floor, GRID), path_algebra._braiding_table(floor))
+    return [row for rows, _ in tables for row in rows]
+
+
+def shifted(node, k):
+    """The node with every letter index moved down by k."""
+    tag = node[0]
+    if tag in path_algebra._LETTERS:
+        return (tag, node[1] - k)
+    if tag == "+":
+        return ("+", tuple((scalar, shifted(x, k)) for scalar, x in node[1]))
+    return (tag, *(shifted(x, k) for x in node[1:])) if tag in ("·", "*") else node
+
+
+def lowest_letter(row):
+    return min(n for _, n in row.reads)
+
+
+@pytest.mark.parametrize("floor", range(4, 10))
+def test_every_link_points_to_the_translate_at_index_2(floor):
+    rows = suite_rows(floor)
+    links = [row for row in rows if row.link]
+    for row in links:
+        translate, shift = row.link
+        assert (translate.equation, translate.kind) == (row.equation, row.kind) and shift >= 1
+        assert lowest_letter(translate) == 2 and lowest_letter(row) == 2 + shift
+        assert tuple(shifted(x, shift) for x in row.operands) == translate.operands
+        assert translate.link is None
+    # every other row at index 3 or more is a commutation row, decided by
+    # window certificates
+    assert all(row.kind == "commutes" for row in rows if not row.link and row.reads and lowest_letter(row) >= 3)
+    assert links
+
+
+ORACLE_FLOORS = range(4, 9)
+
+
+def reports_and_unlinked(monkeypatch, floor, lam, make_rep=Representation):
+    """(report, report with every link dropped) of the suites on a fresh
+    representation each."""
+    report = run_all_suites(floor, lam, make_rep(floor, lam))
+    with monkeypatch.context() as patch:
+        patch_unlinked_tables(patch)
+        plain = run_all_suites(floor, lam, make_rep(floor, lam))
+    return report, plain
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMBDAS, ids=str)
+def test_translated_verdicts_equal_the_products(monkeypatch, lam):
+    totals = []
+    for floor in ORACLE_FLOORS:
+        report, plain = reports_and_unlinked(monkeypatch, floor, lam)
+        assert report.ok and report.to_json() == plain.to_json() and report.decided_at() == plain.decided_at()
+        assert [c.floor for c in report.checks] == [c.floor for c in plain.checks]
+        assert report.products < plain.products
+        totals.append(report.products)
+    # the products of the rows decided directly do not grow with the floor
+    assert len(set(totals)) == 1
+
+
+def test_translated_verdicts_equal_the_products_at_the_top_floor(monkeypatch):
+    report, plain = reports_and_unlinked(monkeypatch, path_algebra.MAX_PATH_FLOOR, F(2, 3))
+    assert report.ok and report.to_json() == plain.to_json() and report.decided_at() == plain.decided_at()
+
+
+def test_a_failing_translate_has_its_rows_multiplied_out(monkeypatch):
+    floor, lam = 6, F(2, 3)
+
+    def broken(floor, lam):
+        # an unparented representation whose e_2 and v_2 each lose one sign
+        rep = Representation(floor, lam)
+        for key in (("e", 2), ("v", 2)):
+            rep._gens[key] = rep._gens[key].with_negated_entry(min(rep._gens[key].support()))
+        return rep
+
+    decided = []
+    for name in ("equality", "vanishes", "nonzero", "projection"):
+        original = getattr(path_algebra.Check, name)
+
+        def spy(equation, indices, *args, _run=original, **kwargs):
+            decided.append((equation, json.dumps(indices)))
+            return _run(equation, indices, *args, **kwargs)
+
+        monkeypatch.setattr(path_algebra.Check, name, staticmethod(spy))
+    rep = broken(floor, lam)
+    report = run_all_suites(floor, lam, rep)
+    monkeypatch.undo()
+    rows, checks = suite_rows(floor), report.checks
+    assert len(rows) == len(checks)
+    name = {id(row): (row.equation, json.dumps(row.indices)) for row in rows}
+    status = {id(row): check.status for row, check in zip(rows, checks)}
+    behind = [row for row in rows if row.link and status[id(row.link[0])] == "fail"]
+    ahead = [row for row in rows if row.link and status[id(row.link[0])] == "pass"]
+    assert behind and ahead and not rep._verdicts
+    # the rows behind a failing translate are multiplied out, the others not
+    assert all(name[id(row)] in decided for row in behind)
+    assert not any(name[id(row)] in decided for row in ahead)
+    # and every check and witness is that of a run with the links dropped
+    _, plain = reports_and_unlinked(monkeypatch, floor, lam, broken)
+    assert report.to_json() == plain.to_json() and report.decided_at() == plain.decided_at()
+    assert not report.ok
 
 
 # ---------------------------------------------------------------------------
