@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -53,7 +54,14 @@ def _poly_text(p: dimension_group.LevelPoly) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors are one line, ``prog: error: message``,
-    with exit 2; its subcommand parsers are of this class too."""
+    with exit 2; its subcommand parsers are of this class too.  A negative
+    fraction such as -1/2 is a value, as argparse reads -0.5, so that it
+    reaches the value's own check rather than being taken for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's pattern for negative numbers, with -p/q added
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")

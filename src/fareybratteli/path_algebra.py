@@ -18,7 +18,8 @@ a block operator, so sums, scalings and products go through the trusted
 ``_derived`` (zeros dropped only when a scan finds one, then lowest terms)
 and lifts, adjoints and E/F through ``_canonical`` (their entries are
 canonical already); the endpoint-block check stays on every constructor that
-takes outside input.
+takes outside input.  An adjoint is a plain transpose, kept nowhere on its
+operator: an evaluation builds each starred node once (below).
 Every identity is decided exactly; scalars appear only at the boundary
 (entries, witnesses, traces) as the text ``a+b*sqrt(lam)``.
 
@@ -47,9 +48,10 @@ floor-r matrix units T(x, x) sum to the floor-r identity, and the unital
 tail embedding carries it to every higher floor, so the unit-partition row
 of floor r compares ("1", r) with ("1", 0).  A scalar (c, i, j) is
 c sqrt(lam)^i / (1 + lam)^j, so a table serves every lam.  One evaluator
-decides the rows through ``Representation._home``; a node that several rows
-share (E_n E_n+1 in 6.9, 6.13, 6.15, 6.16 and dominance, or f_n v_n in R2
-and R3) is built once per evaluation.
+decides the rows through ``Representation._home`` and keeps every node it
+builds, by id, until it returns: a node that several rows share (E_n E_n+1
+in 6.9, 6.13, 6.15, 6.16 and dominance, or f_n v_n in R2 and R3) is built
+once per evaluation.
 
 E and F are generators: table rows with the index range and window of
 their flip, each built from the stored flip in closed form.  A flip u (v_n
@@ -60,12 +62,13 @@ source's diagonal and p on each target's, B = q u(t, s) at (t, s) and
 (s, t), d = p + q: canonical, as gcd(p, q) = 1.  One pass over the entries
 of u replaces two products, four scalings and three sums.
 
-Window certificates.  Each kind writes and reads a window of coordinates
-(``_GENERATORS``): v_n, w_n, E_n and F_n write xi_n and read xi_{n-1..n+1};
-e_n, f_n and g_n write nothing and read xi_{n-1..n}.  X is window-local
-for (W, R), W inside R, when every entry (q, p) has q = p off W, its A and
-B values depend only on the key (p|R, q|W), and each key holds for every
-path of its R-class (counted against the class sizes of the floor).  Then
+Window certificates.  kind_n writes xi_n..xi_{n+reach-1} and reads
+xi_{n-1}..xi_{n+reach}, its reach from ``_GENERATORS`` (``_window``): v_n,
+w_n, E_n and F_n write xi_n and read xi_{n-1..n+1}; e_n, f_n and g_n write
+nothing and read xi_{n-1..n}.  X is window-local for (W, R), W inside R,
+when every entry (q, p) has q = p off W, its A and B values depend only on
+the key (p|R, q|W), and each key holds for every path of its R-class
+(counted against the class sizes of the floor).  Then
 X = sum c(a, b) T_{a->b}, with T_{a->b} setting W to b on each path p with
 p|R = a.  Lemma: if X and Y are window-local for (W_x, R_x) and (W_y, R_y)
 with W_x, R_y disjoint and W_y, R_x disjoint, then XY = YX.  Sketch:
@@ -131,12 +134,11 @@ from __future__ import annotations
 
 import json
 import random
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import accumulate, combinations, groupby, product
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
@@ -184,21 +186,12 @@ class PathContext:
         if not 0 <= floor <= MAX_PATH_FLOOR:
             raise ValueError(f"floor must lie in 0..{MAX_PATH_FLOOR}")
         self.floor = floor
-        paths: list[Path] = []
-        stack: list[Path] = [(1,), (0,)]
-        while stack:
-            p = stack.pop()
-            n = len(p) - 1
-            if n == floor:
-                paths.append(p)
-                continue
-            top = 2 ** (n + 1)
-            for c in (2 * p[-1] + 1, 2 * p[-1], 2 * p[-1] - 1):
-                if 0 <= c <= top:
-                    stack.append(p + (c,))
-        paths.sort()
-        self.paths = tuple(paths)
-        self.index = {p: i for i, p in enumerate(self.paths)}
+        self.paths: tuple[Path, ...] = ((0,), (1,))
+        if floor:
+            # each path of a lexicographic floor followed by its children in
+            # increasing order: lexicographic again
+            top, below = 2**floor, ((p, 2 * p[-1]) for p in path_context(floor - 1).paths)
+            self.paths = tuple(p + (c,) for p, x in below for c in (x - 1, x, x + 1) if 0 <= c <= top)
         self.endpoint = tuple(p[-1] for p in self.paths)
         self.dim = len(self.paths)
         self._letters: dict[int, tuple[int, ...]] = {}
@@ -217,17 +210,11 @@ class PathContext:
 def _extensions(low: PathContext, high: PathContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per floor-M path, the index of its first floor-N extension and their
     number.  Paths sort lexicographically, so the extensions of one path are
-    consecutive and ordered by their tails, and the k-th extensions of two
-    paths with a common endpoint share their tail."""
+    consecutive and ordered by their tails, every path has one, and the k-th
+    extensions of two paths with a common endpoint share their tail."""
     head = low.floor + 1
-    starts, counts = [0] * low.dim, [0] * low.dim
-    index = low.index
-    for j, p in enumerate(high.paths):
-        i = index[p[:head]]
-        if not counts[i]:
-            starts[i] = j
-        counts[i] += 1
-    return tuple(starts), tuple(counts)
+    counts = tuple(len(list(group)) for _, group in groupby(high.paths, lambda p: p[:head]))
+    return tuple(accumulate(counts[:-1], initial=0)), counts
 
 
 Entries = dict[tuple[int, int], int]
@@ -250,7 +237,7 @@ class SparseOperator:
     embedding (``lift``); equality stays strict, within one path context.
     """
 
-    __slots__ = ("ctx", "lam", "A", "B", "d", "_row_index", "_adjoint", "_lifts", "_local", "__weakref__")
+    __slots__ = ("ctx", "lam", "A", "B", "d", "_row_index", "_lifts", "_local")
 
     def __init__(self, ctx: PathContext, lam: Fraction, A: Entries, B: Entries | None = None, d: int = 1):
         lam = _field_constant(lam)
@@ -268,7 +255,6 @@ class SparseOperator:
     def _set(self, ctx: PathContext, lam: Fraction, A: Entries, B: Entries, d: int) -> None:
         self.ctx, self.lam, self.A, self.B, self.d = ctx, lam, A, B, d
         self._row_index: tuple[Rows, Rows] | None = None
-        self._adjoint: SparseOperator | weakref.ref | None = None
         self._lifts: dict[PathContext, SparseOperator] | None = None
         self._local: tuple | None = None
 
@@ -393,21 +379,10 @@ class SparseOperator:
         return self._derived(self.ctx, self.lam, A, B, self.d * m * q)
 
     def adjoint(self) -> "SparseOperator":
-        """The transpose (entries are real, so * is plain transposition), built
-        on first use and linked both ways: ``op.adjoint().adjoint() is op``
-        while op lives; equality and hashing never look at the link."""
-        star = self._adjoint
-        if type(star) is weakref.ref:
-            star = star()
-        if star is None:
-            A = {(j, i): val for (i, j), val in self.A.items()}
-            B = {(j, i): val for (i, j), val in self.B.items()}
-            star = self._canonical(self.ctx, self.lam, A, B, self.d)
-            # the link back is weak: a strong pair is a reference cycle, which
-            # only the cyclic collector frees, and temporaries' pairs piled up
-            # to 2.4 MB more peak RSS over the suites at floors 4-6
-            star._adjoint, self._adjoint = weakref.ref(self), star
-        return star
+        """The transpose: entries are real, so * is plain transposition."""
+        A = {(j, i): val for (i, j), val in self.A.items()}
+        B = {(j, i): val for (i, j), val in self.B.items()}
+        return self._canonical(self.ctx, self.lam, A, B, self.d)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -621,33 +596,31 @@ def _flip_projection(gens: dict, ctx: PathContext, lam: Fraction, n: int, flip: 
 
 
 # The generators, one row per kind: (kind, lowest index, reach, build
-# function, its sign or source flip, the offsets from n of the coordinates it
-# writes and of those it reads).  At floor N the indices run from the lowest
-# one to N - reach; kind_n reads the path down to floor n + reach, its home
-# floor.  A build function gets the generators built before it: E/F read their flip.
+# function, its sign or source flip).  At floor N the indices run from the
+# lowest one to N - reach; kind_n reads the path down to floor n + reach, its
+# home floor.  A build function gets the generators built before it: E/F read their flip.
 _GENERATORS = (
-    ("e", 1, 0, _edge_projection, -1, range(0), range(-1, 1)),
-    ("f", 0, 0, _edge_projection, +1, range(0), range(-1, 1)),
-    ("g", 0, 0, _edge_projection, 0, range(0), range(-1, 1)),
-    ("v", 0, 1, _flip, +1, range(0, 1), range(-1, 2)),
-    ("w", 1, 1, _flip, -1, range(0, 1), range(-1, 2)),
-    ("E", 0, 1, _flip_projection, "v", range(0, 1), range(-1, 2)),
-    ("F", 1, 1, _flip_projection, "w", range(0, 1), range(-1, 2)),
+    ("e", 1, 0, _edge_projection, -1),
+    ("f", 0, 0, _edge_projection, +1),
+    ("g", 0, 0, _edge_projection, 0),
+    ("v", 0, 1, _flip, +1),
+    ("w", 1, 1, _flip, -1),
+    ("E", 0, 1, _flip_projection, "v"),
+    ("F", 1, 1, _flip_projection, "w"),
 )
-_WINDOWS = {row[0]: row[5:] for row in _GENERATORS}
 
 
 def _generator_keys(floor: int, kinds: str = "efgvw") -> list[tuple[str, int]]:
     """(kind, n) of the generators of the given kinds at floor N, in table order."""
-    return [(kind, n) for kind, low, reach, *_ in _GENERATORS if kind in kinds for n in range(low, floor - reach + 1)]
+    return [(kind, n) for kind, low, reach, _, _ in _GENERATORS if kind in kinds for n in range(low, floor - reach + 1)]
 
 
 @lru_cache(maxsize=None)
 def _window(kind: str, n: int) -> tuple[range, range]:
-    """The coordinates kind_n writes and reads; xi_{-1}, the root's fixed 0,
-    is left out."""
-    writes, reads = _WINDOWS[kind]
-    return range(n + writes.start, n + writes.stop), range(max(0, n + reads.start), n + reads.stop)
+    """The coordinates kind_n writes, xi_n..xi_{n+reach-1}, and reads,
+    xi_{n-1}..xi_{n+reach}; xi_{-1}, the root's fixed 0, is left out."""
+    reach = next(reach for k, _, reach, _, _ in _GENERATORS if k == kind)
+    return range(n, n + reach), range(max(0, n - 1), n + reach + 1)
 
 
 def _apart(x: tuple[range, range], y: tuple[range, range]) -> bool:
@@ -693,7 +666,7 @@ class Representation:
         self._verdicts: dict[_Row, Check] = {}
         # generators as built here: a row takes the verdict of its translate
         self._invariant = True
-        for kind, low, reach, build, arg, *_ in _GENERATORS:
+        for kind, low, reach, build, arg in _GENERATORS:
             for n in range(low, floor - reach + 1):
                 self._gens[(kind, n)] = build(self._gens, path_context(n + reach), lam, n, arg)
 
@@ -739,7 +712,7 @@ class Representation:
         mutated.floor, mutated.lam, mutated.ctx = self.floor, self.lam, self.ctx
         gens = mutated._gens = dict(self._gens)
         gens[(kind, n)] = victim.with_negated_entry(entry)
-        for derived, _, _, build, source, *_ in _GENERATORS:
+        for derived, _, _, build, source in _GENERATORS:
             if source == kind:
                 gens[(derived, n)] = build(gens, self.ctx, self.lam, n, source)
         mutated._parent, mutated._verdicts, mutated._invariant = self, {}, False
@@ -840,7 +813,7 @@ class Report:
 
 ONE, MINUS, ROOT = (1, 0, 0), (-1, 0, 0), (1, 1, 0)
 TAU, LAM_TAU, ROOT_UNIT2 = (1, 2, 2), (1, 4, 2), (1, 1, 2)  # tau, lam*tau, sqrt(lam)/(1+lam)^2
-_IDENTITY, _LETTERS = ("1", 0), frozenset(_WINDOWS)
+_IDENTITY, _LETTERS = ("1", 0), frozenset(kind for kind, *_ in _GENERATORS)
 
 
 def _children(node: tuple) -> tuple:
@@ -849,18 +822,16 @@ def _children(node: tuple) -> tuple:
 
 
 class _Row:
-    """One check of a suite.  ``expires`` holds the ids of the shared nodes it
-    reads last in its table; rows compare by identity, as keys of the verdicts.
+    """One check of a suite; rows compare by identity, as keys of the verdicts.
     A commutation row holds in ``apart`` what its builder found for its two
     letters, ``_windows_apart`` of them; any other row holds None.  A row
     whose letters sit at index 3 or more holds in ``link`` its translate at
     lowest index 2 and the shift (``_link``); any other row holds None."""
 
-    __slots__ = ("equation", "indices", "kind", "operands", "expires", "apart", "link", "_reads")
+    __slots__ = ("equation", "indices", "kind", "operands", "apart", "link", "_reads")
 
     def __init__(self, equation: str, indices: dict, kind: str, *operands: tuple, apart: tuple | None = None):
         self.equation, self.indices, self.kind, self.operands = equation, indices, kind, operands
-        self.expires: tuple = ()
         self._reads: frozenset | None = None
         self.apart = apart if kind == "commutes" else None
         self.link: tuple[_Row, int] | None = None
@@ -960,30 +931,6 @@ _MIXED = (("6.13", ("E_n E_n+1 F_n", "E_n F_n+1 F_n", "E_n+1 E_n F_n+1", "E_n+1 
           ("6.14", ("F_n E_n+1 E_n", "F_n F_n+1 E_n", "F_n+1 E_n E_n+1", "F_n+1 F_n E_n+1")))
 
 
-def _table(rows: list[_Row]) -> tuple[tuple[_Row, ...], frozenset]:
-    """The rows, and the ids of the nodes that occur more than once (equal words
-    are one node), each to expire at its last row.  A kept node's children are
-    needed, and counted, once."""
-    seen: dict[int, list] = {}
-    for row in rows:
-        stack = list(row.operands)
-        while stack:
-            node = stack.pop()
-            if node[0] in _LETTERS:
-                continue
-            hit = seen.get(id(node))
-            if hit is None:
-                seen[id(node)] = [1, row]
-                stack += _children(node)
-            else:
-                hit[0], hit[1] = hit[0] + 1, row
-    shared = frozenset(key for key, (count, _) in seen.items() if count > 1)
-    for key in shared:
-        seen[key][1].expires += (key,)
-    _link(rows)
-    return tuple(rows), shared
-
-
 def _link(rows: list[_Row]) -> None:
     """Link each row whose lowest letter index (its index n, or sum_at) is 3
     or more to its translate: the row of the same equation, kind and other
@@ -1007,7 +954,7 @@ def _link(rows: list[_Row]) -> None:
 
 
 @lru_cache(maxsize=1)
-def _relation_table(floor: int) -> tuple[tuple[_Row, ...], frozenset]:
+def _relation_table(floor: int) -> tuple[_Row, ...]:
     defined = _defined(floor)
     rows: list[_Row] = []
     add = rows.append
@@ -1063,11 +1010,12 @@ def _relation_table(floor: int) -> tuple[tuple[_Row, ...], frozenset]:
     # partition of unity by the embedded floor-r matrix units: the floor-r identity
     for r in range(floor):
         add(_Row("unit-partition", {"r": r}, "equality", ("1", r), _IDENTITY))
-    return _table(rows)
+    _link(rows)
+    return tuple(rows)
 
 
 @lru_cache(maxsize=1)
-def _yang_baxter_table(floor: int, pairs: tuple[tuple[Fraction, Fraction], ...]) -> tuple[tuple[_Row, ...], frozenset]:
+def _yang_baxter_table(floor: int, pairs: tuple[tuple[Fraction, Fraction], ...]) -> tuple[_Row, ...]:
     """6.4 at each grid point, as ``yang_baxter_check`` explains; keyed by the grid."""
     rows = []
     for n in range(floor - 1):
@@ -1078,11 +1026,12 @@ def _yang_baxter_table(floor: int, pairs: tuple[tuple[Fraction, Fraction], ...])
         for s, t in pairs:
             difference = _lin(((s * t, 0, 0), square), ((s * t * (s + t), 0, 0), cube))
             rows.append(_Row("6.4", {"n": n, "s": str(s), "t": str(t)}, "vanishes", difference))
-    return _table(rows)
+    _link(rows)
+    return tuple(rows)
 
 
 @lru_cache(maxsize=1)
-def _braiding_table(floor: int) -> tuple[tuple[_Row, ...], frozenset]:
+def _braiding_table(floor: int) -> tuple[_Row, ...]:
     defined = _defined(floor)
     rows: list[_Row] = []
     add = rows.append
@@ -1120,7 +1069,8 @@ def _braiding_table(floor: int) -> tuple[tuple[_Row, ...], frozenset]:
             add(_Row("dominance", {"n": n, "law": f"{residue} projection"}, "projection", node))
             add(_Row("dominance", {"n": n, "law": f"tau {outer} - {triple}"}, "equality",
                      _lin((TAU, _word(outer, n)), (MINUS, _word(triple, n))), _lin((TAU, node))))
-    return _table(rows)
+    _link(rows)
+    return tuple(rows)
 
 
 def _combination(terms: list[tuple[tuple, SparseOperator]], lam: Fraction) -> SparseOperator:
@@ -1140,33 +1090,33 @@ def _combination(terms: list[tuple[tuple, SparseOperator]], lam: Fraction) -> Sp
     return SparseOperator.zero(top, lam) if op is None else op.lift(top)
 
 
-def _evaluate(rep: Representation, rows: Sequence[_Row], shared: frozenset, report: Report) -> list[Check]:
-    """Decide the rows on rep, counting products into ``report``.  Letters are
-    read once; a ``shared`` node is built once and kept until its last row.
+def _evaluate(rep: Representation, rows: Sequence[_Row], report: Report) -> list[Check]:
+    """Decide the rows on rep, counting products into ``report``.  Every node
+    is built once per call and kept, by id, for the rest of it: a node that
+    several rows read (equal words are one node) is looked up, not rebuilt.
     On generators as ``Representation`` builds them, a linked row passes,
     decided at its translate's floor plus the shift, when its translate
     passes, and is multiplied out, for its own witness, when it fails."""
     lam, home, cache, decided = rep.lam, rep._home, {}, {}
 
     def value(node: tuple) -> SparseOperator:
+        op = cache.get(id(node))
+        if op is not None:
+            return op
         tag = node[0]
         if tag in _LETTERS:
-            op = cache[id(node)] = home(*node)
-            return op
-        # children go through the cache before a call: letters and shared nodes hit it
-        if tag == "·":
-            x, y = node[1], node[2]
-            op = (cache.get(id(x)) or value(x)) * (cache.get(id(y)) or value(y))
+            op = home(*node)
+        elif tag == "·":
+            op = value(node[1]) * value(node[2])
             report.products += 1
             report.largest_product = op.max_nonzeros(report.largest_product)
         elif tag == "*":
-            op = (cache.get(id(node[1])) or value(node[1])).adjoint()
+            op = value(node[1]).adjoint()
         elif tag == "+":
-            op = _combination([(scalar, cache.get(id(x)) or value(x)) for scalar, x in node[1]], lam)
+            op = _combination([(scalar, value(x)) for scalar, x in node[1]], lam)
         else:  # ("1", r): the floor-r identity, which lifts to what it meets
             op = SparseOperator.identity(path_context(node[1]), lam)
-        if id(node) in shared:
-            cache[id(node)] = op
+        cache[id(node)] = op
         return op
 
     def local(row: _Row) -> Check | None:
@@ -1185,7 +1135,7 @@ def _evaluate(rep: Representation, rows: Sequence[_Row], shared: frozenset, repo
     def evaluate(row: _Row) -> Check:
         check = local(row) if row.apart else None
         if check is None:
-            ops = [cache.get(id(x)) or value(x) for x in row.operands]
+            ops = [value(x) for x in row.operands]
             check = decide[row.kind](row.equation, dict(row.indices), *ops)
         return check
 
@@ -1207,27 +1157,25 @@ def _evaluate(rep: Representation, rows: Sequence[_Row], shared: frozenset, repo
         if check is None:
             check = decided[row] = evaluate(row)
         checks.append(check)
-        for key in row.expires:
-            cache.pop(key, None)
     return checks
 
 
-def _decide(rep: Representation, rows: Sequence[_Row], shared: frozenset, report: Report) -> list[Check]:
+def _decide(rep: Representation, rows: Sequence[_Row], report: Report) -> list[Check]:
     """The check of every row on rep, in order: a mutant re-decides the rows
     that read a changed key and takes the others from its parent's verdicts."""
     parent = rep._parent
     if parent is None:
-        return _evaluate(rep, rows, shared, report)
+        return _evaluate(rep, rows, report)
     changed, known = rep._changed, parent._verdicts
     fresh = [row for row in rows if not changed.isdisjoint(row.reads)]
     missing = [row for row in rows if row not in known and changed.isdisjoint(row.reads)]
     if missing:
-        known.update(zip(missing, _decide(parent, missing, shared, report)))
-    decided = dict(zip(fresh, _evaluate(rep, fresh, shared, report)))
+        known.update(zip(missing, _decide(parent, missing, report)))
+    decided = dict(zip(fresh, _evaluate(rep, fresh, report)))
     return [decided[row] if row in decided else known[row] for row in rows]
 
 
-def _suite(table: tuple[tuple[_Row, ...], frozenset], floor: int, lam, rep: Representation | None) -> Report:
+def _suite(rows: tuple[_Row, ...], floor: int, lam, rep: Representation | None) -> Report:
     """Run a table on the shared floor-N model, or on ``rep`` if it is that model."""
     lam = parse_fraction(lam, "lam")
     if rep is None:
@@ -1235,7 +1183,7 @@ def _suite(table: tuple[tuple[_Row, ...], frozenset], floor: int, lam, rep: Repr
     elif (rep.floor, rep.lam) != (floor, lam):
         raise ValueError(f"rep is the floor-{rep.floor} model at lambda {rep.lam}, not floor {floor} at lambda {lam}")
     report = Report()
-    report.checks = _decide(rep, *table, report)
+    report.checks = _decide(rep, rows, report)
     return report
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from suite_reference import projection
+from suite_reference import path_index, projection
 
 from fareybratteli.path_algebra import SparseOperator
 
@@ -130,14 +130,15 @@ class ReferenceOperator:
         if ctx.floor <= self.ctx.floor:
             raise ValueError("lifts go to a higher floor")
         head = self.ctx.floor + 1
+        low, index = path_index(self.ctx), path_index(ctx)
         below: dict[int, list] = {}  # floor-M path index -> floor-N paths extending it
         for p in ctx.paths:
-            below.setdefault(self.ctx.index[p[:head]], []).append(p)
+            below.setdefault(low[p[:head]], []).append(p)
         out = {}
         for (i, j), val in self.quads.items():
             x = self.ctx.paths[i]
             for p in below[j]:
-                out[(ctx.index[x + p[head:]], ctx.index[p])] = val
+                out[(index[x + p[head:]], index[p])] = val
         return self._of(ctx, self.lam, out)
 
     def _common(self, other):

@@ -58,6 +58,12 @@ from fareybratteli import path_algebra
 from fareybratteli.path_algebra import Check, Report
 
 
+@lru_cache(maxsize=None)
+def path_index(ctx):
+    """{path: its index} over the paths of ``ctx``."""
+    return {p: i for i, p in enumerate(ctx.paths)}
+
+
 def reference_generator_keys(floor):
     """(kind, n) of every generator at floor N, in the draw order e, f, g, v, w."""
     keys = [("e", n) for n in range(1, floor + 1)]
@@ -81,7 +87,7 @@ def direct_generator(ctx, lam, kind, n):
         base = p[n - 1] if n >= 1 else 0
         if p[n] == 2 * base and p[n + 1] == 4 * base + sign:
             target = p[:n] + (2 * base + sign,) + p[n + 1 :]
-            entries[(ctx.index[target], j)] = 1
+            entries[(path_index(ctx)[target], j)] = 1
     return path_algebra.SparseOperator(ctx, lam, entries)
 
 
@@ -163,7 +169,7 @@ def path_matrix_unit(ctx, lam, head, tail_head):
     entries = {}
     for j, p in enumerate(ctx.paths):
         if p[: r + 1] == tail_head:
-            entries[(ctx.index[head + p[r + 1 :]], j)] = 1
+            entries[(path_index(ctx)[head + p[r + 1 :]], j)] = 1
     return path_algebra.SparseOperator(ctx, lam, entries)
 
 

@@ -277,6 +277,21 @@ def test_out_of_range_arguments_are_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["qmark", "eval", "-1/2"], "value -1/2 outside [0, 1]\n"),
+        (["qmark", "eval", "-0.5"], "value -1/2 outside [0, 1]\n"),
+        (["qmark", "inv", "-1/2"], "not a dyadic in [0, 1]: -1/2\n"),
+        (["relations", "--floor", "4", "--lambda", "-1/2"], "lam must be a positive rational\n"),
+        (["relations", "--floor", "4", "--lambda=-1/2"], "lam must be a positive rational\n"),
+    ],
+)
+def test_a_negative_fraction_is_a_value_that_reaches_its_check(capsys, argv, message):
+    # -1/2 is read as -0.5 and --lambda=-1/2 are, not taken for an option
+    assert run(capsys, *argv) == (2, "", message)
+
+
 def test_yang_baxter_below_floor_2_is_usage_error(capsys):
     for floor in ("0", "1"):
         code, out, err = run(capsys, "relations", "--floor", floor, "--suite", "yb")

@@ -1,9 +1,7 @@
 """Path model, generators, relation suites, and mutation sensitivity."""
 
-import gc
 import json
 import random
-import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -19,6 +17,7 @@ from suite_reference import (
     patch_floor_n,
     patch_reference,
     patch_unlinked_tables,
+    path_index,
     path_matrix_unit,
     projection,
     reference_generator_keys,
@@ -74,6 +73,42 @@ def test_paths_are_monotone_and_sorted():
         for n in range(5):
             assert abs(2 * p[n] - p[n + 1]) <= 1
             assert 0 <= p[n + 1] <= 2 ** (n + 1)
+
+
+def stack_and_sort_paths(floor):
+    """The paths to the floor by a depth-first walk from the root, sorted."""
+    paths, stack = [], [(1,), (0,)]
+    while stack:
+        p = stack.pop()
+        n = len(p) - 1
+        if n == floor:
+            paths.append(p)
+            continue
+        for c in (2 * p[-1] + 1, 2 * p[-1], 2 * p[-1] - 1):
+            if 0 <= c <= 2 ** (n + 1):
+                stack.append(p + (c,))
+    return tuple(sorted(paths))
+
+
+def indexed_extensions(low, high):
+    """Per floor-M path, the index of its first floor-N extension and their
+    number, by looking each floor-N path's head up among the floor-M paths."""
+    starts, counts, index = [0] * low.dim, [0] * low.dim, path_index(low)
+    for j, p in enumerate(high.paths):
+        i = index[p[: low.floor + 1]]
+        if not counts[i]:
+            starts[i] = j
+        counts[i] += 1
+    return tuple(starts), tuple(counts)
+
+
+def test_paths_and_extensions_grown_floor_by_floor_match_the_stack_and_sort_walk():
+    floors = range(path_algebra.MAX_PATH_FLOOR + 1)
+    for floor in floors:
+        assert path_context(floor).paths == stack_and_sort_paths(floor), floor
+    for low, high in combinations(floors, 2):
+        got = path_algebra._extensions(path_context(low), path_context(high))
+        assert got == indexed_extensions(path_context(low), path_context(high)), (low, high)
 
 
 def test_floor_guard():
@@ -325,14 +360,14 @@ def raw_product(x, y):
 def raw_lift(x, ctx):
     """(A, B, d) of the tail embedding, entry by entry: (x, y) goes to
     (x + t, y + t) for every floor-N path y + t."""
-    head = x.ctx.floor + 1
+    head, index = x.ctx.floor + 1, path_index(ctx)
     parts = []
     for part in (x.A, x.B):
         out = {}
         for (i, j), val in part.items():
             for p in ctx.paths:
                 if p[:head] == x.ctx.paths[j]:
-                    out[(ctx.index[x.ctx.paths[i] + p[head:]], ctx.index[p])] = val
+                    out[(index[x.ctx.paths[i] + p[head:]], index[p])] = val
         parts.append(out)
     return parts[0], parts[1], x.d
 
@@ -382,34 +417,16 @@ def test_the_public_constructor_refuses_off_block_entries_and_non_positive_denom
         SparseOperator(ctx, F(2), {}, None, d)
 
 
-def test_cached_adjoint_is_linked_both_ways_and_changes_no_equality_hash_or_product():
+def test_adjoint_is_the_transpose_and_its_products_are_the_bare_operators():
     rep = Representation(4, F(2))
     v = rep.gen("v", 1)
     fresh = SparseOperator(rep.ctx, rep.lam, dict(v.A), dict(v.B), v.d)
     star = v.adjoint()
-    assert v.adjoint() is star and star.adjoint() is v
     assert star == fresh.adjoint() and star != v
-    assert fresh._adjoint is not None and SparseOperator(rep.ctx, rep.lam, dict(v.A))._adjoint is None
-    # equality, hashing and products ignore the link
     bare = SparseOperator(rep.ctx, rep.lam, dict(v.A), dict(v.B), v.d)
-    assert bare._adjoint is None and v == bare and hash(v) == hash(bare)
+    assert v == bare and hash(v) == hash(bare)
     assert star * v == bare.adjoint() * bare and v * star == bare * bare.adjoint()
-    # every operator built from a linked one starts without a link
-    flipped = v.with_negated_entry(min(v.support()))
-    for derived in (flipped, v.scale(3), v.scale(1, root=True), v + star, v - star, v * star):
-        assert derived._adjoint is None
-    assert flipped.adjoint() != star and flipped.adjoint().adjoint() is flipped
-    # the link back is weak: a transpose does not keep its original alive
-    gc.disable()
-    try:
-        temporary = v * star
-        alive = weakref.ref(temporary)
-        kept = temporary.adjoint()
-        del temporary
-        assert alive() is None
-        assert kept.adjoint() == v * star and kept.adjoint().adjoint() is kept
-    finally:
-        gc.enable()
+    assert v.with_negated_entry(min(v.support())).adjoint() != star
 
 
 def test_scalars_only_appear_as_text_at_the_boundary():
@@ -464,8 +481,8 @@ def test_generator_returns_every_kind_of_the_table(lam):
 def test_v0_swaps_the_single_diamond_at_floor_1():
     v0 = generator("v", 0, 1)
     ctx = path_context(1)
-    src = ctx.index[(0, 1)]
-    dst = ctx.index[(1, 1)]
+    src = path_index(ctx)[(0, 1)]
+    dst = path_index(ctx)[(1, 1)]
     assert v0.entries == {(dst, src): "1+0*sqrt(1)"}
     assert (v0.A, v0.B, v0.d) == ({(dst, src): 1}, {}, 1)
 
@@ -486,7 +503,7 @@ def test_block_structure_enforced():
     ctx = path_context(1)
     lam = ONE
     # (0,0) ends at 0 while (1,1) ends at 1: entry leaves the blocks
-    bad = {(ctx.index[(0, 0)], ctx.index[(1, 1)]): 1}
+    bad = {(path_index(ctx)[(0, 0)], path_index(ctx)[(1, 1)]): 1}
     with pytest.raises(ValueError):
         SparseOperator(ctx, lam, bad)
     with pytest.raises(ValueError):
@@ -547,8 +564,6 @@ def test_tl_projections_are_exact_projections():
             assert rep.tl("E", n).is_projection()
         for n in range(1, 4):
             assert rep.tl("F", n).is_projection()
-            # self-adjointness is read off the entries: no transposed copy is kept
-            assert rep.tl("F", n)._adjoint is None
             assert (rep.tl("E", n) * rep.tl("F", n)).is_zero()
 
 
@@ -696,7 +711,7 @@ def test_products_count_every_multiplication_of_a_suite(monkeypatch, floor, suit
     multiply = SparseOperator.__mul__
     monkeypatch.setattr(SparseOperator, "__mul__", lambda x, y: calls.append(1) or multiply(x, y))
     report = suite(floor, F(2), rep)
-    rows, _ = getattr(path_algebra, table)(floor)
+    rows = getattr(path_algebra, table)(floor)
     assert report.ok and report.products > 0
     assert len(calls) == report.products + sum(row.kind == "projection" and row.link is None for row in rows)
 
@@ -752,7 +767,7 @@ def test_seeded_mutants_at_floor_5_match_suite_reference(monkeypatch, lam):
 
 def test_commutation_rows_compare_products_and_the_reference_forms_commutators(monkeypatch):
     def kinds():
-        rows = path_algebra._relation_table(5)[0] + path_algebra._braiding_table(5)[0]
+        rows = path_algebra._relation_table(5) + path_algebra._braiding_table(5)
         return Counter(row.kind for row in rows if "commutator" in row.indices)
 
     fast = kinds()
@@ -822,7 +837,7 @@ def window_local_data(data, ctx, writes, reads):
     """(A, B, d) of a random sum of c(a, b) T_{a->b}: per class a of paths p
     with p|reads = a, a random set of targets b, each with random A and B
     values, on every path of the class."""
-    lo, hi = writes.start, writes.stop
+    lo, hi, index = writes.start, writes.stop, path_index(ctx)
     classes: dict[tuple, list] = {}
     for p in ctx.paths:
         classes.setdefault(p[reads.start : reads.stop], []).append(p)
@@ -830,12 +845,12 @@ def window_local_data(data, ctx, writes, reads):
     for members in classes.values():
         for b in sorted({q[lo:hi] for q in ctx.paths}):
             targets = [p[:lo] + b + p[hi:] for p in members]
-            if not all(q in ctx.index for q in targets) or not data.draw(st.booleans()):
+            if not all(q in index for q in targets) or not data.draw(st.booleans()):
                 continue
             a_value, b_value = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
             for p, q in zip(members, targets):
-                A[(ctx.index[q], ctx.index[p])] = a_value
-                B[(ctx.index[q], ctx.index[p])] = b_value
+                A[(index[q], index[p])] = a_value
+                B[(index[q], index[p])] = b_value
     return A, B, data.draw(st.integers(1, 4))
 
 
@@ -882,6 +897,22 @@ def test_window_local_operators_with_windows_apart_commute(data, floor, lam):
         assert mutant * y == y * mutant
 
 
+# the offsets from n of the coordinates each kind writes and reads, as the
+# generator table listed them before the windows were computed from its reach
+WINDOW_OFFSETS = {
+    **dict.fromkeys("efg", (range(0), range(-1, 1))),
+    **dict.fromkeys("vwEF", (range(0, 1), range(-1, 2))),
+}
+
+
+def test_windows_from_the_reach_equal_the_listed_offsets():
+    assert path_algebra._LETTERS == set(WINDOW_OFFSETS)
+    for (kind, (writes, reads)), n in product(WINDOW_OFFSETS.items(), range(path_algebra.MAX_PATH_FLOOR + 1)):
+        expected = [(n + writes.start, n + writes.stop), (max(0, n + reads.start), n + reads.stop)]
+        # start and stop, as empty ranges compare equal wherever they sit
+        assert [(r.start, r.stop) for r in path_algebra._window(kind, n)] == expected, (kind, n)
+
+
 def test_window_certificate_is_kept_on_the_operator(monkeypatch):
     rep = Representation(4, F(2, 3))
     v = rep._home("v", 1)
@@ -895,7 +926,7 @@ def test_window_certificate_is_kept_on_the_operator(monkeypatch):
 
 
 def commutation_rows(floor):
-    rows = path_algebra._relation_table(floor)[0] + path_algebra._braiding_table(floor)[0]
+    rows = path_algebra._relation_table(floor) + path_algebra._braiding_table(floor)
     return [row for row in rows if row.kind == "commutes"]
 
 
@@ -949,7 +980,7 @@ def test_commutation_rows_are_the_window_apart_pairs_of_the_distance_rules(floor
     for row, (_, _, a, b) in zip(rows, expected):
         assert row.reads == {a, b} and row.apart == path_algebra._windows_apart(a, b) is not None
     # every other row of the tables holds no pair
-    tables = path_algebra._relation_table(floor)[0] + path_algebra._braiding_table(floor)[0]
+    tables = path_algebra._relation_table(floor) + path_algebra._braiding_table(floor)
     assert sum(row.apart is not None for row in tables) == len(rows)
 
 
@@ -1138,7 +1169,7 @@ def test_generators_from_letter_columns_equal_the_path_loop(lam):
 def suite_rows(floor):
     """Every row of the three suites at their default grid, in report order."""
     tables = (path_algebra._relation_table(floor), path_algebra._yang_baxter_table(floor, GRID), path_algebra._braiding_table(floor))
-    return [row for rows, _ in tables for row in rows]
+    return [row for rows in tables for row in rows]
 
 
 def shifted(node, k):
