@@ -41,6 +41,8 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .core import label, mediant, row_ints
@@ -178,7 +180,7 @@ class LevelSet:
         if self.depth < 0 or len(self.retained) != self.depth + 1:
             raise ValueError("retained must list floors 0..depth")
         for n, idx in enumerate(self.retained):
-            if list(idx) != sorted(set(idx)):
+            if not all(map(lt, idx, idx[1:])):
                 raise ValueError(f"floor {n} indices must be sorted and unique")
             if idx and not (0 <= idx[0] and idx[-1] <= 2**n):
                 raise ValueError(f"floor {n} index out of range")
@@ -277,13 +279,14 @@ def quotient_levels(spec: IdealSpec, depth: int) -> LevelSet:
 
 
 def complement(ls: LevelSet) -> LevelSet:
-    """Floorwise complement inside {0..2**n}; materialises every index."""
+    """Floorwise complement inside {0..2**n}; materialises every index, as
+    the ranges between consecutive retained indices."""
     if ls.depth > MAX_COMPLEMENT_DEPTH:
         raise ValueError(f"complement materialisation guarded at depth {MAX_COMPLEMENT_DEPTH}")
     out = []
     for n, idx in enumerate(ls.retained):
-        keep = set(idx)
-        out.append(tuple(k for k in range(2**n + 1) if k not in keep))
+        starts, stops = (0, *(k + 1 for k in idx)), (*idx, 2**n + 1)
+        out.append(tuple(chain.from_iterable(map(range, starts, stops))))
     return LevelSet(ls.depth, tuple(out))
 
 

@@ -26,10 +26,11 @@ Every identity is decided exactly; scalars appear only at the boundary
 Floors.  X -> X (x) 1 on path tails (``lift``) is the canonical unital,
 injective *-embedding iota of the floor-M model into the floor-N model, so
 an identity among floor-M operators holds at floor N exactly when it holds
-at floor M.  Each generator is built once at its home floor (n for e_n, f_n,
-g_n; n + 1 for v_n, w_n and the E_n, F_n built from them); arithmetic lifts
-the lower operand, each check is decided at the highest home floor among
-its operators, and a failing one reads its witness at floor N.
+at floor M.  Each generator is built on first use, once, at its home floor
+(n for e_n, f_n, g_n; n + 1 for v_n, w_n and the E_n, F_n built from them),
+so a model builds only what its checks read; arithmetic lifts the lower
+operand, each check is decided at the highest home floor among its
+operators, and a failing one reads its witness at floor N.
 
 The suites are data: ``verify_relation_suite``, ``yang_baxter_check`` and
 ``verify_braiding_suite`` are each a table of rows built once per floor:
@@ -83,11 +84,13 @@ a row passes at the higher floor of its letters.  Closure: the operators
 window-local for one (W, R) are closed under sums, scalars, adjoints and
 products (T_{a->b} T_{a'->b'} is T_{a'->b} when a'[W:=b'] = a and 0
 otherwise, as W lies inside R), so E_n and F_n, built from their flip by
-those operations, inherit its certificate for the same window without their
-entries being read.  Every other certificate is checked once on the
-operator's exact entries and kept on it; a mutant's flipped generator is
-checked on its own entries (and its E/F too, when it fails), and a row it
-fails is multiplied out.
+those operations, have its certificate for the same window whenever it
+holds, without their entries being read.  ``Representation._certificate``
+decides each letter's certificate once per model: from its translate at
+index 2 on generators as built (below), from the flip for E/F, and
+otherwise on the operator's exact entries, kept on the operator.  A mutant's
+flipped generator is checked on its own entries (and its E/F too, when the
+flip fails), and a row it fails is multiplied out.
 
 Translates.  Write a path by its letters d_m = xi_m - 2 xi_{m-1} in
 {-1, 0, 1} (``PathContext.letters``).  The letters that may follow xi_{m-1}
@@ -116,6 +119,24 @@ directly.  ``_link`` pairs a row with its translate by its indices alone;
 whose translate fails, for its own witness.  A mutant's generators are not
 translation invariant, so the rows it re-decides are multiplied out; the
 parent verdicts it reuses may come from translates.
+
+Lemma (certificates by translation): on generators as built, kind_n for
+n >= 3 is window-local for its window exactly when kind_2 is for its own.
+Sketch: at its home floor n + reach, a path is a prefix xi_0..xi_{n-1}
+followed by the letters d_n..d_{n+reach}, and for n >= 2 kind_n is one
+window operator per state of xi_{n-1}, the same on every prefix of that
+state (above).  For an entry (q, p), p|R = (xi_{n-1}, ..., xi_{n+reach})
+fixes that state and p's window letters; with q = p off W, q|W fixes q's.
+So the value of an entry is its window operator's value on those letters,
+the same for the whole R-class of p, and every path of the class has the
+entry: the key conditions hold.  What is left, q = p off W, says that each
+move keeps the prefix and xi_{n+reach} = 2^(reach+1) xi_{n-1} +
+sum_k 2^(n+reach-k) d_k, that is, keeps sum_k 2^(n+reach-k) d_k: a condition
+on the window operators of the states that occur, alone.  For n >= 2 all
+three states occur and the window operators do not depend on n, so kind_n
+and kind_2 have one certificate, decided at floor n + reach, kind_2's plus
+n - 2.  ``_certificate`` takes it from kind_2 and builds no kind_n for it;
+a mutant checks its letters on their entries.
 
 A linear combination evaluates only its nonzero terms and lifts the sum to
 the highest floor among all its terms, so a check's floor and witness do
@@ -461,15 +482,13 @@ class SparseOperator:
         left, right = self._common(other)
         return None if left == right else (left - right).witness(top)
 
-    def flip_projection(self, window: tuple[range, range]) -> "SparseOperator":
+    def flip_projection(self) -> "SparseOperator":
         """E_n from this flip u = v_n, or F_n from u = w_n, at the floor of u:
         (u*u + x u + x u* + lam u u*) / (1 + lam) in closed form, one pass
         over the entries of u.  With lam = p/q and u a signed partial
         permutation whose sources and targets are disjoint, A holds q on
         each source's diagonal and p on each target's, B holds q * u(t, s)
-        at (t, s) and (s, t), and d = p + q.  If u is certified for
-        ``window`` (checked now and kept), so is the result, by the closure
-        of window-local operators under the ring operations."""
+        at (t, s) and (s, t), and d = p + q."""
         if self.B or self.d != 1 or not set(self.A.values()) <= {1, -1}:
             raise ValueError("E/F need a flip with entries 1 or -1, no sqrt(lam) part and d = 1")
         if len({key for pair in self.A for key in pair}) != 2 * len(self.A):
@@ -479,10 +498,7 @@ class SparseOperator:
         for (t, s), val in self.A.items():
             A[(s, s)], A[(t, t)] = q, p
             B[(t, s)] = B[(s, t)] = q * val
-        op = self._canonical(self.ctx, self.lam, A, B, p + q if A else 1)
-        if self.is_window_local(*window):
-            op._local = (window, True)
-        return op
+        return self._canonical(self.ctx, self.lam, A, B, p + q if A else 1)
 
     def with_negated_entry(self, key: tuple[int, int]) -> "SparseOperator":
         """Copy with the entry at ``key`` negated (unchanged where it is 0)."""
@@ -592,7 +608,7 @@ def _flip(gens: dict, ctx: PathContext, lam: Fraction, n: int, sign: int) -> Spa
 
 def _flip_projection(gens: dict, ctx: PathContext, lam: Fraction, n: int, flip: str) -> SparseOperator:
     """E_n from the stored v_n, or F_n from w_n, at the floor of the flip."""
-    return gens[(flip, n)].flip_projection(_window(flip, n))
+    return gens[(flip, n)].flip_projection()
 
 
 # The generators, one row per kind: (kind, lowest index, reach, build
@@ -610,16 +626,26 @@ _GENERATORS = (
 )
 
 
+_KINDS = {row[0]: row for row in _GENERATORS}
+_FLIPS = {kind: flip for kind, _, _, build, flip in _GENERATORS if build is _flip_projection}  # E -> v, F -> w
+
+
 def _generator_keys(floor: int, kinds: str = "efgvw") -> list[tuple[str, int]]:
     """(kind, n) of the generators of the given kinds at floor N, in table order."""
     return [(kind, n) for kind, low, reach, _, _ in _GENERATORS if kind in kinds for n in range(low, floor - reach + 1)]
+
+
+def _in_range(floor: int, kind: str, n: int) -> bool:
+    """Whether kind_n is a generator of the floor-N model: n in kind's index range."""
+    row = _KINDS.get(kind)
+    return row is not None and row[1] <= n <= floor - row[2]
 
 
 @lru_cache(maxsize=None)
 def _window(kind: str, n: int) -> tuple[range, range]:
     """The coordinates kind_n writes, xi_n..xi_{n+reach-1}, and reads,
     xi_{n-1}..xi_{n+reach}; xi_{-1}, the root's fixed 0, is left out."""
-    reach = next(reach for k, _, reach, _, _ in _GENERATORS if k == kind)
+    reach = _KINDS[kind][2]
     return range(n, n + reach), range(max(0, n - 1), n + reach + 1)
 
 
@@ -631,10 +657,8 @@ def _apart(x: tuple[range, range], y: tuple[range, range]) -> bool:
 
 @lru_cache(maxsize=None)
 def _windows_apart(x: tuple, y: tuple) -> tuple | None:
-    """((x, window of x), (y, window of y)) for letters whose windows are
-    apart, else None."""
-    wx, wy = _window(*x), _window(*y)
-    return ((x, wx), (y, wy)) if _apart(wx, wy) else None
+    """(x, y) for letters whose windows are apart, else None."""
+    return (x, y) if _apart(_window(*x), _window(*y)) else None
 
 
 def _field_constant(lam) -> Fraction:
@@ -647,11 +671,39 @@ def _field_constant(lam) -> Fraction:
     return lam
 
 
+class _Generators(dict):
+    """The generators of one model by key (kind, n), each built on first use
+    and kept.  A key of the model's index ranges is built at its home floor
+    from ``_GENERATORS`` (E/F read their flip, which is built first).  A
+    mutant's store holds the keys the mutant changed and reads every other
+    key from the parent's store, which builds it there.  Any other key is a
+    KeyError."""
+
+    __slots__ = ("floor", "lam", "parent")
+
+    def __init__(self, floor: int, lam: Fraction, parent: "_Generators | None" = None):
+        super().__init__()
+        self.floor, self.lam, self.parent = floor, lam, parent
+
+    def __missing__(self, key: tuple[str, int]) -> SparseOperator:
+        if self.parent is not None:
+            op = self.parent[key]
+        elif not _in_range(self.floor, *key):
+            raise KeyError(key)
+        else:
+            kind, n = key
+            _, _, reach, build, arg = _KINDS[kind]
+            op = build(self, path_context(n + reach), self.lam, n, arg)
+        self[key] = op
+        return op
+
+
 class Representation:
-    """All generators of the floor-N model over Q(sqrt(lam)), built once at
-    their home floors in table order: e_1..e_N, f_0..f_N, g_0..g_N (edge-class
-    projections), v_0..v_{N-1}, w_1..w_{N-1} (diamond flips), E_0..E_{N-1} and
-    F_1..F_{N-1} (from the flips); the public accessors lift them to floor N."""
+    """The generators of the floor-N model over Q(sqrt(lam)): e_1..e_N,
+    f_0..f_N, g_0..g_N (edge-class projections), v_0..v_{N-1}, w_1..w_{N-1}
+    (diamond flips), E_0..E_{N-1} and F_1..F_{N-1} (from the flips).  Each is
+    built at its home floor on first use (``_Generators``), so a model holds
+    only what was read from it; the public accessors lift them to floor N."""
 
     def __init__(self, floor: int, lam: Fraction):
         lam = _field_constant(lam)
@@ -659,28 +711,53 @@ class Representation:
         self.lam = lam
         self.ctx = path_context(floor)
         # each generator at its home floor, or at floor N once a mutant flips it
-        self._gens: dict[tuple[str, int], SparseOperator] = {}
+        self._gens = _Generators(floor, lam)
         # a mutant's parent and changed keys; the checks kept here for mutants
         self._parent: Representation | None = None
         self._changed: frozenset[tuple[str, int]] = frozenset()
         self._verdicts: dict[_Row, Check] = {}
-        # generators as built here: a row takes the verdict of its translate
+        # generators as built here: a row takes the verdict of its translate,
+        # and a letter the certificate of its translate (kept by letter)
         self._invariant = True
-        for kind, low, reach, build, arg in _GENERATORS:
-            for n in range(low, floor - reach + 1):
-                self._gens[(kind, n)] = build(self._gens, path_context(n + reach), lam, n, arg)
+        self._certified: dict[tuple[str, int], int | None] = {}
 
     # -- access --------------------------------------------------------------
 
     def has(self, kind: str, n: int) -> bool:
-        return (kind, n) in self._gens
+        """Whether kind_n is a generator of the model, from the index ranges:
+        nothing is built."""
+        return _in_range(self.floor, kind, n)
 
     def _home(self, kind: str, n: int) -> SparseOperator:
-        """Generator kind_n of any kind at its home floor, for the suites."""
+        """Generator kind_n of any kind at its home floor, for the suites;
+        built on first use and kept (``_Generators``)."""
         try:
             return self._gens[(kind, n)]
         except KeyError:
             raise ValueError(f"{kind}_{n} is not defined at floor {self.floor}") from None
+
+    def _certificate(self, kind: str, n: int) -> int | None:
+        """The floor at which kind_n carries the certificate of its window, or
+        None when it does not; decided once per model and kept.  On
+        generators as built here (``_invariant``), kind_n at n >= 3 has the
+        certificate of its translate kind_2, at floor n + reach, kind_2's plus
+        n - 2 (module docstring), and is not built.  E/F have their flip's
+        certificate when it holds (closure); any other is checked on the
+        operator's entries and kept on it too."""
+        key = (kind, n)
+        if key in self._certified:
+            return self._certified[key]
+        if n > 2 and self._invariant:
+            floor = self._certificate(kind, 2)
+            floor = None if floor is None else floor + n - 2
+        else:
+            flip = _FLIPS.get(kind)
+            floor = None if flip is None else self._certificate(flip, n)
+            if floor is None:
+                op = self._home(kind, n)
+                floor = op.ctx.floor if op.is_window_local(*_window(kind, n)) else None
+        self._certified[key] = floor
+        return floor
 
     def gen(self, kind: str, n: int) -> SparseOperator:
         """Generator kind_n (e, f, g, v or w) at floor N."""
@@ -710,13 +787,13 @@ class Representation:
             raise ValueError(f"{kind}_{n} has no entry at {entry}")
         mutated = object.__new__(Representation)
         mutated.floor, mutated.lam, mutated.ctx = self.floor, self.lam, self.ctx
-        gens = mutated._gens = dict(self._gens)
+        gens = mutated._gens = _Generators(self.floor, self.lam, self._gens)
         gens[(kind, n)] = victim.with_negated_entry(entry)
         for derived, _, _, build, source in _GENERATORS:
             if source == kind:
                 gens[(derived, n)] = build(gens, self.ctx, self.lam, n, source)
-        mutated._parent, mutated._verdicts, mutated._invariant = self, {}, False
-        mutated._changed = frozenset(key for key, op in gens.items() if op is not self._gens[key])
+        mutated._parent, mutated._verdicts, mutated._invariant, mutated._certified = self, {}, False, {}
+        mutated._changed = frozenset(gens)
         return mutated
 
 
@@ -1097,7 +1174,7 @@ def _evaluate(rep: Representation, rows: Sequence[_Row], report: Report) -> list
     On generators as ``Representation`` builds them, a linked row passes,
     decided at its translate's floor plus the shift, when its translate
     passes, and is multiplied out, for its own witness, when it fails."""
-    lam, home, cache, decided = rep.lam, rep._home, {}, {}
+    lam, home, certificate, cache, decided = rep.lam, rep._home, rep._certificate, {}, {}
 
     def value(node: tuple) -> SparseOperator:
         op = cache.get(id(node))
@@ -1120,13 +1197,15 @@ def _evaluate(rep: Representation, rows: Sequence[_Row], report: Report) -> list
         return op
 
     def local(row: _Row) -> Check | None:
-        """The pass of a commutation row whose letters, apart, are both
-        window-local, decided at the higher of their floors; else None."""
-        (a, wx), (b, wy) = row.apart
-        x, y = home(*a), home(*b)
-        if x.is_window_local(*wx) and y.is_window_local(*wy):
-            return Check(row.equation, dict(row.indices), "pass", None, max(x.ctx.floor, y.ctx.floor))
-        return None
+        """The pass of a commutation row whose letters, apart, both carry
+        their window certificates, decided at the higher of their floors;
+        else None."""
+        a, b = row.apart
+        low = certificate(*a)
+        high = None if low is None else certificate(*b)
+        if high is None:
+            return None
+        return Check(row.equation, dict(row.indices), "pass", None, max(low, high))
 
     equality = partial(Check.equality, top=rep.ctx)
     decide = {"equality": equality, "commutes": equality, "vanishes": partial(Check.vanishes, top=rep.ctx),

@@ -233,9 +233,8 @@ class ReferenceOperator:
     def first_entry_of_difference(self, other, top=None):
         return (self - other).witness(top)
 
-    def flip_projection(self, window):
-        """E or F built from this flip by ring operations (``window`` is not
-        read: the reference checks every certificate on its entries)."""
+    def flip_projection(self):
+        """E or F built from this flip by ring operations."""
         return projection(self, self.lam)
 
     def with_negated_entry(self, key):

@@ -43,8 +43,10 @@ floors of their checks must match.
 A mutant re-decides only the rows that read its flip and takes the other
 checks from its parent.  ``unlinked`` copies a representation without that
 link, so that every row is decided on the copy: the two reports must match.
-It rebuilds every E/F of the copy from the copy's flips by ``projection``,
-after replacing the generators it is given.
+The copy holds every generator of the representation in a plain dict (the
+representation builds, through its store, those it had not built yet) and
+rebuilds every E/F from the copy's flips by ``projection``, after replacing
+the generators it is given.
 """
 
 from __future__ import annotations
@@ -138,9 +140,12 @@ def unlinked(rep, replace=None):
     mutant, or with generators replaced, takes no row's verdict from its
     translate either."""
     twin = copy.copy(rep)
-    twin._gens, twin._verdicts = dict(rep._gens), {}
+    # every generator of rep, read through its store, which builds what it
+    # has not built yet or reads it from a mutant's parent
+    keys = path_algebra._generator_keys(rep.floor, path_algebra._LETTERS)
+    twin._gens, twin._verdicts, twin._certified = {key: rep._gens[key] for key in keys}, {}, {}
     twin._gens.update(replace or {})
-    for kind, n in list(twin._gens):
+    for kind, n in keys:
         if kind in ("E", "F"):
             twin._gens[(kind, n)] = projection(twin._gens[("v" if kind == "E" else "w", n)], rep.lam)
     # a mutant's or replaced generators are not translation invariant: then

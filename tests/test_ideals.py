@@ -220,6 +220,21 @@ def test_complement_guard():
         complement(deep)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_complement_equals_the_set_difference(data):
+    depth = data.draw(st.integers(0, 8))
+    floors = tuple(tuple(sorted(data.draw(st.sets(st.integers(0, 2**n))))) for n in range(depth + 1))
+    out = complement(LevelSet(depth, floors))
+    assert out.retained == tuple(tuple(sorted(set(range(2**n + 1)) - set(idx))) for n, idx in enumerate(floors))
+
+
+@pytest.mark.parametrize("floor", [(1, 0), (0, 0), (0, 2, 1), (1, 1, 2), (2, 2)])
+def test_unsorted_or_repeated_indices_are_refused(floor):
+    with pytest.raises(ValueError, match="floor 2 indices must be sorted and unique"):
+        LevelSet(2, ((0,), (1,), floor))
+
+
 def test_deep_stream_walk_keeps_invariants():
     # full advertised depth with an irrational stream: indices near 2**60,
     # nested straddling intervals all the way down

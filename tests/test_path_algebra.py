@@ -567,15 +567,14 @@ def test_tl_projections_are_exact_projections():
             assert (rep.tl("E", n) * rep.tl("F", n)).is_zero()
 
 
-def inherited_certificate(op, kind, n):
-    """Whether E_n or F_n kept a certificate before it was asked for, which
-    is the one inherited from its flip; asserts that it, like any verdict
-    read now, is the verdict of the entry check."""
-    window = path_algebra._window(kind, n)
-    kept = op._local
-    assert kept in (None, (window, True))
-    assert op.is_window_local(*window) == path_algebra._window_local(op, *window)
-    return kept is not None
+def inherited_certificate(rep, kind, n):
+    """Whether E_n or F_n of ``rep`` takes its flip's certificate; asserts
+    that the certificate the suites use for it is the verdict of the entry
+    check on the built operator."""
+    flip = "v" if kind == "E" else "w"
+    certified = rep._certificate(kind, n) is not None
+    assert certified == path_algebra._window_local(rep._home(kind, n), *path_algebra._window(kind, n))
+    return rep._certificate(flip, n) is not None
 
 
 @pytest.mark.parametrize("lam", (F(1), F(1, 4), F(9), F(2, 3)), ids=str)
@@ -584,10 +583,10 @@ def test_closed_form_projections_equal_the_ring_formula(lam):
         rep = Representation(floor, lam)
         for kind, n in path_algebra._generator_keys(floor, "EF"):
             flip = "v" if kind == "E" else "w"
-            closed = rep._home(kind, n)  # built with the model
+            closed = rep._home(kind, n)
             assert closed == projection(rep._home(flip, n), lam)
             assert rep.tl(kind, n) == projection(rep.gen(flip, n), lam)
-            assert inherited_certificate(closed, kind, n)  # every flip of the model is certified
+            assert inherited_certificate(rep, kind, n)  # every flip of the model is certified
 
 
 @pytest.mark.parametrize("lam", (F(1), F(1, 4), F(9), F(2, 3)), ids=str)
@@ -600,17 +599,17 @@ def test_closed_form_projections_of_every_flipped_isometry_at_floor_4(lam):
         closed = mutated._home(kind, n)
         assert closed is not rep._home(kind, n)
         assert closed == projection(mutated._home(flip, n), lam)
-        inherited.append(inherited_certificate(closed, kind, n))
+        inherited.append(inherited_certificate(mutated, kind, n))
     # most flips lose the certificate; a flip on a class of one path keeps it
     assert len(inherited) == 81 and 0 < sum(inherited) < 81
 
 
 def test_closed_form_refuses_what_is_not_a_flip():
     rep = Representation(3, F(2, 3))
-    v, window = rep.gen("v", 0), path_algebra._window("v", 0)
+    v = rep.gen("v", 0)
     for bad in (v.scale(1, root=True), v.scale(F(1, 2)), v.scale(2), rep.tl("E", 0)):
         with pytest.raises(ValueError, match="entries 1 or -1"):
-            bad.flip_projection(window)
+            bad.flip_projection()
     # sources and targets must be distinct and disjoint: two entries of v in
     # one endpoint block give a repeated target, a repeated source, and a
     # chain whose first source is the second's target
@@ -620,9 +619,9 @@ def test_closed_form_refuses_what_is_not_a_flip():
     made = [{(t1, s1): 1, (t1, s2): -1}, {(t1, s1): 1, (t2, s1): 1}, {(t1, s1): 1, (s1, s2): 1}]
     for bad in [SparseOperator(v.ctx, v.lam, entries) for entries in made] + [v + v.adjoint(), v.adjoint() * v]:
         with pytest.raises(ValueError, match="distinct and disjoint"):
-            bad.flip_projection(window)
-    assert v.flip_projection(window) == rep.tl("E", 0)
-    assert SparseOperator.zero(v.ctx, v.lam).flip_projection(window).is_zero()
+            bad.flip_projection()
+    assert v.flip_projection() == rep.tl("E", 0)
+    assert SparseOperator.zero(v.ctx, v.lam).flip_projection().is_zero()
 
 
 def test_tl_projection_rank_matches_support():
@@ -987,8 +986,7 @@ def test_commutation_rows_are_the_window_apart_pairs_of_the_distance_rules(floor
 def test_commutation_rows_carry_their_letters_and_read_only_kept_certificates(monkeypatch):
     floor, lam = 5, F(2, 3)
     for row in commutation_rows(floor):
-        (a, wa), (b, wb) = row.apart
-        assert {a, b} == row.reads and (wa, wb) == (path_algebra._window(*a), path_algebra._window(*b))
+        assert set(row.apart) == row.reads
     # letters whose windows meet are no partners; a row that is not a
     # commutation holds no pair, whatever its builder passed
     assert path_algebra._windows_apart(("v", 1), ("e", 2)) is None
@@ -1003,17 +1001,22 @@ def test_commutation_rows_carry_their_letters_and_read_only_kept_certificates(mo
     assert again.to_json() == first.to_json() and again.products == first.products
 
 
-def test_projections_inherit_their_flips_certificate(monkeypatch):
-    # an unmutated run checks each generator's entries once, and no E/F's
-    floor, lam = 5, F(1, 4)
+@pytest.mark.parametrize("floor", (5, 9))
+def test_projections_inherit_their_flips_certificate(monkeypatch, floor):
+    # an unmutated run checks the entries of e, f, g, v and w at index <= 2,
+    # once each, and of nothing else: E/F take their flip's certificate,
+    # and a letter at index 3 or more its translate's at index 2
+    lam = F(1, 4)
     checked = []
     original = path_algebra._window_local
     monkeypatch.setattr(path_algebra, "_window_local", lambda op, *window: checked.append(op) or original(op, *window))
     rep = Representation(floor, lam)
     assert run_all_suites(floor, lam, rep).ok
-    assert sorted(map(id, checked)) == sorted(id(rep._gens[key]) for key in path_algebra._generator_keys(floor))
+    low = [key for key in path_algebra._generator_keys(floor) if key[1] <= 2]
+    assert sorted(map(id, checked)) == sorted(id(rep._gens[key]) for key in low)
     for kind, n in path_algebra._generator_keys(floor, "EF"):
-        assert rep._home(kind, n)._local == (path_algebra._window(kind, n), True)
+        assert rep._certificate(kind, n) == n + 1
+    assert len(checked) == len(low)
 
 
 def test_a_flipped_generator_loses_its_certificate_and_its_rows_multiply():
@@ -1026,6 +1029,50 @@ def test_a_flipped_generator_loses_its_certificate_and_its_rows_multiply():
     # locality catches the flip: its witness comes from the difference xy - yx
     failed = [c for c in report.failures() if c.equation == "locality"]
     assert failed and all(c.witness is not None for c in failed)
+
+
+@pytest.mark.parametrize("floor", range(3, path_algebra.MAX_PATH_FLOOR + 1))
+@pytest.mark.parametrize("lam", (F(1), F(2, 3)), ids=str)
+def test_translated_certificates_equal_the_entry_check(floor, lam):
+    # kind_n at n >= 3 takes kind_2's certificate without being built; built
+    # now, its entries give the same verdict, at its home floor
+    rep = Representation(floor, lam)
+    for kind, n in path_algebra._generator_keys(floor, path_algebra._LETTERS):
+        if n >= 3:
+            floor_of = rep._certificate(kind, n)
+            assert (kind, n) not in rep._gens
+            home = rep._home(kind, n)
+            local = path_algebra._window_local(home, *path_algebra._window(kind, n))
+            assert floor_of == (home.ctx.floor if local else None), (kind, n)
+            assert floor_of == n + path_algebra._KINDS[kind][2]
+
+
+def test_a_generator_flipped_at_index_3_fails_its_certificate_and_its_rows_multiply(monkeypatch):
+    floor, lam = 6, F(2)
+    rep = Representation(floor, lam)
+    window = path_algebra._window("w", 3)
+    mutated = rep.with_sign_flip("w", 3, min(rep.gen("w", 3).support()))
+    # the parent takes w_3's certificate from w_2; the mutant checks its flip's entries
+    assert rep._certificate("w", 3) == 4
+    assert mutated._certificate("w", 3) is None
+    assert not path_algebra._window_local(mutated._home("w", 3), *window)
+    decided = []
+    original = path_algebra.Check.equality
+
+    def spy(equation, indices, *args, **kwargs):
+        decided.append((equation, json.dumps(indices)))
+        return original(equation, indices, *args, **kwargs)
+
+    monkeypatch.setattr(path_algebra.Check, "equality", staticmethod(spy))
+    report = run_all_suites(floor, lam, mutated)
+    monkeypatch.undo()
+    # every locality row that reads w_3 is multiplied out, and locality
+    # catches the flip with a witness from the difference xy - yx
+    rows = [row for row in path_algebra._relation_table(floor) if row.equation == "locality" and ("w", 3) in row.reads]
+    assert rows and all((row.equation, json.dumps(row.indices)) in decided for row in rows)
+    failed = [c for c in report.failures() if c.equation == "locality"]
+    assert failed and all(c.witness is not None for c in failed)
+    assert report.to_json() == run_all_suites(floor, lam, unlinked(mutated)).to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -1186,6 +1233,43 @@ def lowest_letter(row):
     return min(n for _, n in row.reads)
 
 
+def test_a_model_and_its_index_ranges_build_nothing():
+    for floor in range(path_algebra.MAX_PATH_FLOOR + 1):
+        rep = Representation(floor, F(2, 3))
+        keys = set(path_algebra._generator_keys(floor, path_algebra._LETTERS))
+        assert all(rep.has(kind, n) for kind, n in keys)
+        assert not any(rep.has(kind, n) for kind in "efgvwEF" for n in range(-1, floor + 2) if (kind, n) not in keys)
+        assert not rep.has("x", 0)
+        with pytest.raises(ValueError, match="not defined"):
+            rep._home("v", floor)
+        assert not rep._gens
+
+
+def test_a_mutant_reads_the_generators_it_did_not_change_from_its_parent():
+    lam = F(2, 3)
+    rep = Representation(5, lam)
+    mutated = rep.with_sign_flip("v", 1, min(rep.gen("v", 1).support()))
+    # the victim is read from the parent, and the mutant holds what it changed
+    assert set(rep._gens) == {("v", 1)} and set(mutated._gens) == mutated._changed == {("v", 1), ("E", 1)}
+    far = mutated._home("w", 3)
+    assert far is rep._gens[("w", 3)] and far is mutated._home("w", 3) and far.ctx.floor == 4
+    # E/F build their flip first, in the store that builds them
+    assert rep._home("F", 2) is mutated._home("F", 2) and ("w", 2) in rep._gens
+
+
+@pytest.mark.parametrize("floor", range(4, path_algebra.MAX_PATH_FLOOR + 1))
+def test_an_unmutated_run_builds_the_letters_of_the_rows_it_multiplies_out(floor):
+    # linked rows take their translate's verdict and commutation rows the
+    # certificates, so what is built is the letters of every other row: the
+    # same 26, at indices <= 4, at every floor
+    lam = F(2, 3)
+    rep = Representation(floor, lam)
+    assert run_all_suites(floor, lam, rep).ok
+    expected = set().union(*(row.reads for row in suite_rows(floor) if not row.link and row.kind != "commutes"))
+    assert set(rep._gens) == expected
+    assert len(expected) == 26 and max(n for _, n in expected) == 4
+
+
 @pytest.mark.parametrize("floor", range(4, 10))
 def test_every_link_points_to_the_translate_at_index_2(floor):
     rows = suite_rows(floor)
@@ -1280,9 +1364,9 @@ def test_home_floor_operators_lift_to_their_floor_n_builds(lam):
     for floor in range(8):
         rep = Representation(floor, lam)
         keys = reference_generator_keys(floor)
-        # the index table: the draw order of seeded mutants and the stored keys
+        # the index table: the draw order of seeded mutants; nothing is built yet
         projections = [("E", n) for n in range(floor)] + [("F", n) for n in range(1, floor)]
-        assert path_algebra._generator_keys(floor) == keys and list(rep._gens) == keys + projections
+        assert path_algebra._generator_keys(floor) == keys and not rep._gens
         for kind, n in keys:
             home = rep._home(kind, n)
             assert home.ctx.floor == (n + 1 if kind in "vw" else n)
@@ -1292,6 +1376,7 @@ def test_home_floor_operators_lift_to_their_floor_n_builds(lam):
                 tl = "E" if kind == "v" else "F"
                 assert rep._home(tl, n).ctx is home.ctx
                 assert rep._home(tl, n).lift(rep.ctx) == projection(direct, lam) == rep.tl(tl, n)
+        assert sorted(rep._gens) == sorted(keys + projections)
 
 
 LOW_CTX, HIGH_CTX = path_context(2), path_context(4)
