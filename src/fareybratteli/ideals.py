@@ -515,7 +515,10 @@ def levelset_to_json(ls: LevelSet) -> str:
 
 
 def levelset_from_json(text: str) -> LevelSet:
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("a level set nests too deeply to read") from None
     if not isinstance(payload, dict):
         raise ValueError("a level set must be a JSON object")
     try:

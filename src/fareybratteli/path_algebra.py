@@ -80,17 +80,14 @@ symmetric in X and Y because the writes are disjoint and scalars commute.
 The tail embedding keeps a certificate (tails are neither read nor
 written, and each key covers every tail), and so does the adjoint (the key
 (q|R, p|W) of an entry of X* and (p|R, q|W) determine each other), so such
-a row passes at the higher floor of its letters.  Closure: the operators
-window-local for one (W, R) are closed under sums, scalars, adjoints and
-products (T_{a->b} T_{a'->b'} is T_{a'->b} when a'[W:=b'] = a and 0
-otherwise, as W lies inside R), so E_n and F_n, built from their flip by
-those operations, have its certificate for the same window whenever it
-holds, without their entries being read.  ``Representation._certificate``
-decides each letter's certificate once per model: from its translate at
-index 2 on generators as built (below), from the flip for E/F, and
-otherwise on the operator's exact entries, kept on the operator.  A mutant's
-flipped generator is checked on its own entries (and its E/F too, when the
-flip fails), and a row it fails is multiplied out.
+a row passes at the higher floor of its letters.
+``Representation._certificate`` decides each letter's certificate once per
+model and keeps it.  It has three sources: on generators as built, a letter
+at index 3 or more takes it from its translate at index 2 (below); a mutant
+reads every letter it did not change from its parent; and any other letter,
+E/F included, is checked on the operator's exact entries
+(``is_window_local``).  A mutant's flipped generator and its rebuilt E/F are
+checked on their own entries, and a row they fail is multiplied out.
 
 Translates.  Write a path by its letters d_m = xi_m - 2 xi_{m-1} in
 {-1, 0, 1} (``PathContext.letters``).  The letters that may follow xi_{m-1}
@@ -136,7 +133,7 @@ on the window operators of the states that occur, alone.  For n >= 2 all
 three states occur and the window operators do not depend on n, so kind_n
 and kind_2 have one certificate, decided at floor n + reach, kind_2's plus
 n - 2.  ``_certificate`` takes it from kind_2 and builds no kind_n for it;
-a mutant checks its letters on their entries.
+a mutant checks the letters it changed on their entries.
 
 A linear combination evaluates only its nonzero terms and lifts the sum to
 the highest floor among all its terms, so a check's floor and witness do
@@ -145,10 +142,11 @@ not change; on the unmutated model both 6.4 coefficients vanish, and no
 
 A mutant reuses its parent's verdicts.  ``with_sign_flip`` rebuilds the
 E_n or F_n of a flipped v_n or w_n and records the parent and the changed
-keys, those of the flip and of what was rebuilt.  A mutant re-decides the
-rows whose read set (the letters of their operands) meets its changed keys
-and takes every other check from its parent, which decides such a row once
-and keeps it.
+keys, those of the flip and of what was rebuilt.  It reads the generator and
+the certificate of every other key from its parent (``_home``,
+``_certificate``).  A mutant re-decides the rows whose read set (the letters
+of their operands) meets its changed keys and takes every other check from
+its parent, which decides such a row once and keeps it.
 """
 
 from __future__ import annotations
@@ -258,7 +256,7 @@ class SparseOperator:
     embedding (``lift``); equality stays strict, within one path context.
     """
 
-    __slots__ = ("ctx", "lam", "A", "B", "d", "_row_index", "_lifts", "_local")
+    __slots__ = ("ctx", "lam", "A", "B", "d", "_row_index", "_lifts")
 
     def __init__(self, ctx: PathContext, lam: Fraction, A: Entries, B: Entries | None = None, d: int = 1):
         lam = _field_constant(lam)
@@ -277,7 +275,6 @@ class SparseOperator:
         self.ctx, self.lam, self.A, self.B, self.d = ctx, lam, A, B, d
         self._row_index: tuple[Rows, Rows] | None = None
         self._lifts: dict[PathContext, SparseOperator] | None = None
-        self._local: tuple | None = None
 
     @classmethod
     def _canonical(cls, ctx: PathContext, lam: Fraction, A: Entries, B: Entries, d: int) -> "SparseOperator":
@@ -441,11 +438,22 @@ class SparseOperator:
         b = q|writes (``writes`` inside ``reads``): every entry (q, p) has
         q = p outside ``writes``, its A and B values depend on (a, b) alone,
         and each key (a, b) holds for every path p with p|reads = a.
-        Checked on the entries on first use and kept, outside equality."""
-        kept = self._local
-        if kept is None or kept[0] != (writes, reads):
-            kept = self._local = ((writes, reads), _window_local(self, writes, reads))
-        return kept[1]
+        Checked on the entries at every call; ``Representation._certificate``
+        keeps the verdict per letter."""
+        paths, A, B = self.ctx.paths, self.A, self.B
+        lo, hi, first, stop = writes.start, writes.stop, reads.start, reads.stop
+        keys: dict[tuple, list] = {}
+        for i, j in A.keys() | B.keys() if B else A:
+            q, p = paths[i], paths[j]
+            if p[:lo] != q[:lo] or p[hi:] != q[hi:]:
+                return False
+            value = (A.get((i, j), 0), B.get((i, j), 0))
+            hit = keys.setdefault((p[first:stop], q[lo:hi]), [value, 0])
+            if hit[0] != value:
+                return False
+            hit[1] += 1
+        sizes = _class_sizes(self.ctx, reads)
+        return all(count == sizes[a] for (a, _), (_, count) in keys.items())
 
     # -- scalars at the boundary -------------------------------------------
 
@@ -522,23 +530,6 @@ def _symmetric(entries: Entries) -> bool:
     return all(get((j, i)) == val for (i, j), val in entries.items())
 
 
-def _window_local(op: SparseOperator, writes: range, reads: range) -> bool:
-    paths, A, B = op.ctx.paths, op.A, op.B
-    lo, hi, first, stop = writes.start, writes.stop, reads.start, reads.stop
-    keys: dict[tuple, list] = {}
-    for i, j in A.keys() | B.keys() if B else A:
-        q, p = paths[i], paths[j]
-        if p[:lo] != q[:lo] or p[hi:] != q[hi:]:
-            return False
-        value = (A.get((i, j), 0), B.get((i, j), 0))
-        hit = keys.setdefault((p[first:stop], q[lo:hi]), [value, 0])
-        if hit[0] != value:
-            return False
-        hit[1] += 1
-    sizes = _class_sizes(op.ctx, reads)
-    return all(count == sizes[a] for (a, _), (_, count) in keys.items())
-
-
 @lru_cache(maxsize=None)
 def _class_sizes(ctx: PathContext, reads: range) -> Counter:
     """How many paths of the floor share each restriction p|reads."""
@@ -584,13 +575,13 @@ def _matmul(out: Entries, left: Entries, rows: Rows, factor: int) -> Entries:
 # generators
 
 
-def _edge_projection(gens: dict, ctx: PathContext, lam: Fraction, n: int, offset: int) -> SparseOperator:
+def _edge_projection(rep: "Representation", ctx: PathContext, n: int, offset: int) -> SparseOperator:
     """e_n, f_n or g_n (offset -1, +1, 0): the paths whose letter d_n, the
     edge into floor n, is the offset."""
-    return SparseOperator(ctx, lam, {(i, i): 1 for i, d in enumerate(ctx.letters(n)) if d == offset})
+    return SparseOperator(ctx, rep.lam, {(i, i): 1 for i, d in enumerate(ctx.letters(n)) if d == offset})
 
 
-def _flip(gens: dict, ctx: PathContext, lam: Fraction, n: int, sign: int) -> SparseOperator:
+def _flip(rep: "Representation", ctx: PathContext, n: int, sign: int) -> SparseOperator:
     """Diamond flip at floor n: it moves the letters (d_n, d_n+1) of a source
     from (0, sign) to (sign, -sign), so xi_n from 2*xi_{n-1} to 2*xi_{n-1} +
     sign, and keeps the rest of the path.  sign +1 builds v_n, sign -1 builds
@@ -603,18 +594,18 @@ def _flip(gens: dict, ctx: PathContext, lam: Fraction, n: int, sign: int) -> Spa
             sources.append(j)
         elif pair == target:
             targets.append(j)
-    return SparseOperator(ctx, lam, dict.fromkeys(zip(targets, sources), 1))
+    return SparseOperator(ctx, rep.lam, dict.fromkeys(zip(targets, sources), 1))
 
 
-def _flip_projection(gens: dict, ctx: PathContext, lam: Fraction, n: int, flip: str) -> SparseOperator:
-    """E_n from the stored v_n, or F_n from w_n, at the floor of the flip."""
-    return gens[(flip, n)].flip_projection()
+def _flip_projection(rep: "Representation", ctx: PathContext, n: int, flip: str) -> SparseOperator:
+    """E_n from the model's v_n, or F_n from its w_n, at the floor of the flip."""
+    return rep._home(flip, n).flip_projection()
 
 
 # The generators, one row per kind: (kind, lowest index, reach, build
 # function, its sign or source flip).  At floor N the indices run from the
 # lowest one to N - reach; kind_n reads the path down to floor n + reach, its
-# home floor.  A build function gets the generators built before it: E/F read their flip.
+# home floor.  A build function gets the model: E/F read their flip from it.
 _GENERATORS = (
     ("e", 1, 0, _edge_projection, -1),
     ("f", 0, 0, _edge_projection, +1),
@@ -627,7 +618,6 @@ _GENERATORS = (
 
 
 _KINDS = {row[0]: row for row in _GENERATORS}
-_FLIPS = {kind: flip for kind, _, _, build, flip in _GENERATORS if build is _flip_projection}  # E -> v, F -> w
 
 
 def _generator_keys(floor: int, kinds: str = "efgvw") -> list[tuple[str, int]]:
@@ -671,55 +661,29 @@ def _field_constant(lam) -> Fraction:
     return lam
 
 
-class _Generators(dict):
-    """The generators of one model by key (kind, n), each built on first use
-    and kept.  A key of the model's index ranges is built at its home floor
-    from ``_GENERATORS`` (E/F read their flip, which is built first).  A
-    mutant's store holds the keys the mutant changed and reads every other
-    key from the parent's store, which builds it there.  Any other key is a
-    KeyError."""
-
-    __slots__ = ("floor", "lam", "parent")
-
-    def __init__(self, floor: int, lam: Fraction, parent: "_Generators | None" = None):
-        super().__init__()
-        self.floor, self.lam, self.parent = floor, lam, parent
-
-    def __missing__(self, key: tuple[str, int]) -> SparseOperator:
-        if self.parent is not None:
-            op = self.parent[key]
-        elif not _in_range(self.floor, *key):
-            raise KeyError(key)
-        else:
-            kind, n = key
-            _, _, reach, build, arg = _KINDS[kind]
-            op = build(self, path_context(n + reach), self.lam, n, arg)
-        self[key] = op
-        return op
-
-
 class Representation:
     """The generators of the floor-N model over Q(sqrt(lam)): e_1..e_N,
     f_0..f_N, g_0..g_N (edge-class projections), v_0..v_{N-1}, w_1..w_{N-1}
     (diamond flips), E_0..E_{N-1} and F_1..F_{N-1} (from the flips).  Each is
-    built at its home floor on first use (``_Generators``), so a model holds
-    only what was read from it; the public accessors lift them to floor N."""
+    built at its home floor on first use (``_home``), so a model holds only
+    what was read from it; the public accessors lift them to floor N."""
 
     def __init__(self, floor: int, lam: Fraction):
         lam = _field_constant(lam)
         self.floor = floor
         self.lam = lam
         self.ctx = path_context(floor)
-        # each generator at its home floor, or at floor N once a mutant flips it
-        self._gens = _Generators(floor, lam)
-        # a mutant's parent and changed keys; the checks kept here for mutants
+        # a mutant's parent and changed keys; with none changed, the
+        # generators are as built, and a row takes its translate's verdict
         self._parent: Representation | None = None
         self._changed: frozenset[tuple[str, int]] = frozenset()
-        self._verdicts: dict[_Row, Check] = {}
-        # generators as built here: a row takes the verdict of its translate,
-        # and a letter the certificate of its translate (kept by letter)
-        self._invariant = True
+        # per letter kept here, else read from the parent for a key not
+        # changed: each generator at its home floor (at floor N once a
+        # mutant flips it) and the floor of its certificate
+        self._gens: dict[tuple[str, int], SparseOperator] = {}
         self._certified: dict[tuple[str, int], int | None] = {}
+        # the checks kept here for mutants
+        self._verdicts: dict[_Row, Check] = {}
 
     # -- access --------------------------------------------------------------
 
@@ -729,33 +693,39 @@ class Representation:
         return _in_range(self.floor, kind, n)
 
     def _home(self, kind: str, n: int) -> SparseOperator:
-        """Generator kind_n of any kind at its home floor, for the suites;
-        built on first use and kept (``_Generators``)."""
-        try:
-            return self._gens[(kind, n)]
-        except KeyError:
-            raise ValueError(f"{kind}_{n} is not defined at floor {self.floor}") from None
+        """Generator kind_n of any kind at its home floor, for the suites: the
+        model's own, else its parent's for a key it did not change, else
+        built from ``_GENERATORS`` on first use and kept."""
+        key = (kind, n)
+        op = self._gens.get(key)
+        if op is not None:
+            return op
+        if self._parent is not None and key not in self._changed:
+            return self._parent._home(kind, n)
+        if not self.has(kind, n):
+            raise ValueError(f"{kind}_{n} is not defined at floor {self.floor}")
+        _, _, reach, build, arg = _KINDS[kind]
+        op = self._gens[key] = build(self, path_context(n + reach), n, arg)
+        return op
 
     def _certificate(self, kind: str, n: int) -> int | None:
         """The floor at which kind_n carries the certificate of its window, or
-        None when it does not; decided once per model and kept.  On
-        generators as built here (``_invariant``), kind_n at n >= 3 has the
-        certificate of its translate kind_2, at floor n + reach, kind_2's plus
-        n - 2 (module docstring), and is not built.  E/F have their flip's
-        certificate when it holds (closure); any other is checked on the
-        operator's entries and kept on it too."""
+        None when it does not: the model's own, else its parent's for a key it
+        did not change, else decided and kept.  On generators as built (no key
+        changed), kind_n at n >= 3 has the certificate of its translate
+        kind_2, at floor n + reach, kind_2's plus n - 2 (module docstring),
+        and is not built for it; any other is checked on its entries."""
         key = (kind, n)
         if key in self._certified:
             return self._certified[key]
-        if n > 2 and self._invariant:
+        if self._parent is not None and key not in self._changed:
+            return self._parent._certificate(kind, n)
+        if n > 2 and not self._changed:
             floor = self._certificate(kind, 2)
             floor = None if floor is None else floor + n - 2
         else:
-            flip = _FLIPS.get(kind)
-            floor = None if flip is None else self._certificate(flip, n)
-            if floor is None:
-                op = self._home(kind, n)
-                floor = op.ctx.floor if op.is_window_local(*_window(kind, n)) else None
+            op = self._home(kind, n)
+            floor = op.ctx.floor if op.is_window_local(*_window(kind, n)) else None
         self._certified[key] = floor
         return floor
 
@@ -786,14 +756,12 @@ class Representation:
         if entry not in victim.support():
             raise ValueError(f"{kind}_{n} has no entry at {entry}")
         mutated = object.__new__(Representation)
-        mutated.floor, mutated.lam, mutated.ctx = self.floor, self.lam, self.ctx
-        gens = mutated._gens = _Generators(self.floor, self.lam, self._gens)
-        gens[(kind, n)] = victim.with_negated_entry(entry)
+        mutated.floor, mutated.lam, mutated.ctx, mutated._parent = self.floor, self.lam, self.ctx, self
+        gens = mutated._gens = {(kind, n): victim.with_negated_entry(entry)}
         for derived, _, _, build, source in _GENERATORS:
             if source == kind:
-                gens[(derived, n)] = build(gens, self.ctx, self.lam, n, source)
-        mutated._parent, mutated._verdicts, mutated._invariant, mutated._certified = self, {}, False, {}
-        mutated._changed = frozenset(gens)
+                gens[(derived, n)] = build(mutated, self.ctx, n, source)
+        mutated._changed, mutated._certified, mutated._verdicts = frozenset(gens), {}, {}
         return mutated
 
 
@@ -971,8 +939,7 @@ def _word(text: str, n: int) -> tuple:
 
 def _defined(floor: int) -> Callable[[str, int], bool]:
     """Whether every letter of a word exists at floor N, for index n."""
-    keys = set(_generator_keys(floor, _LETTERS))
-    return lambda text, n: all((kind, n + d) in keys for kind, d, _ in _letters(text))
+    return lambda text, n: all(_in_range(floor, kind, n + d) for kind, d, _ in _letters(text))
 
 
 def _support_law(text: str, n: int) -> tuple:
@@ -1232,7 +1199,7 @@ def _evaluate(rep: Representation, rows: Sequence[_Row], report: Report) -> list
 
     checks = []
     for row in rows:
-        check = translated(row) if row.link and rep._invariant else decided.get(row)
+        check = translated(row) if row.link and not rep._changed else decided.get(row)
         if check is None:
             check = decided[row] = evaluate(row)
         checks.append(check)

@@ -300,7 +300,10 @@ def candidate_from_json(text: str) -> TraceCandidate:
     """Accepts {"kind":"geometric","ratio":"1/4"} or
     {"kind":"table","entries":[[n,k,"p/q"],...],"default":"0"}; weights are
     ints or 'p/q' strings, never floats, and indices are ints."""
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("a trace candidate nests too deeply to read") from None
     if not isinstance(payload, dict):
         raise ValueError("a trace candidate must be a JSON object")
     kind = payload.get("kind")

@@ -43,10 +43,10 @@ floors of their checks must match.
 A mutant re-decides only the rows that read its flip and takes the other
 checks from its parent.  ``unlinked`` copies a representation without that
 link, so that every row is decided on the copy: the two reports must match.
-The copy holds every generator of the representation in a plain dict (the
-representation builds, through its store, those it had not built yet) and
-rebuilds every E/F from the copy's flips by ``projection``, after replacing
-the generators it is given.
+The copy holds every generator of the representation in its own dict (read
+through ``Representation._home``, which builds those not built yet or reads
+them from a mutant's parent) and rebuilds every E/F from the copy's flips by
+``projection``, after replacing the generators it is given.
 """
 
 from __future__ import annotations
@@ -115,8 +115,9 @@ def every_term(terms, lam):
 
 def patch_floor_n(patch) -> None:
     """Replace ``Representation._home`` so that the suites get every
-    operator at floor N."""
-    built = weakref.WeakKeyDictionary()
+    operator at floor N: each generator read through the unpatched
+    ``_home`` and lifted, and E/F built from those."""
+    built, stored = weakref.WeakKeyDictionary(), path_algebra.Representation._home
 
     def home(rep, kind, n):
         cache = built.setdefault(rep, {})
@@ -124,7 +125,7 @@ def patch_floor_n(patch) -> None:
             if kind in ("E", "F"):
                 op = projection(home(rep, "v" if kind == "E" else "w", n), rep.lam)
             elif rep.has(kind, n):
-                op = rep._gens[(kind, n)].lift(rep.ctx)
+                op = stored(rep, kind, n).lift(rep.ctx)
             else:
                 raise ValueError(f"{kind}_{n} is not defined at floor {rep.floor}")
             cache[(kind, n)] = op
@@ -140,18 +141,18 @@ def unlinked(rep, replace=None):
     mutant, or with generators replaced, takes no row's verdict from its
     translate either."""
     twin = copy.copy(rep)
-    # every generator of rep, read through its store, which builds what it
-    # has not built yet or reads it from a mutant's parent
+    # every generator of rep, read through _home, which builds what it has
+    # not built yet or reads it from a mutant's parent
     keys = path_algebra._generator_keys(rep.floor, path_algebra._LETTERS)
-    twin._gens, twin._verdicts, twin._certified = {key: rep._gens[key] for key in keys}, {}, {}
+    twin._gens, twin._verdicts, twin._certified = {key: rep._home(*key) for key in keys}, {}, {}
     twin._gens.update(replace or {})
     for kind, n in keys:
         if kind in ("E", "F"):
             twin._gens[(kind, n)] = projection(twin._gens[("v" if kind == "E" else "w", n)], rep.lam)
-    # a mutant's or replaced generators are not translation invariant: then
-    # no row takes its translate's verdict
-    invariant = rep._invariant and rep._parent is None and not replace
-    twin._parent, twin._changed, twin._invariant = None, frozenset(), invariant
+    # a mutant's or replaced generators are not translation invariant: a
+    # changed key marks the copy so, and then no row takes its translate's
+    # verdict and no letter its translate's certificate
+    twin._parent, twin._changed = None, rep._changed | frozenset(replace or ())
     return twin
 
 

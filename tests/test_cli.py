@@ -313,6 +313,7 @@ def test_yang_baxter_below_floor_2_is_usage_error(capsys):
         ('{"kind": "table", "entries": [[41, 1, "1/2"]]}', "deeper than floor 40"),
         ('["geometric"]', "JSON object"),
         ("{", "Expecting"),
+        pytest.param("[" * 100000, "nests too deeply", id="nested-100000"),
     ],
 )
 def test_trace_check_malformed_spec_is_usage_error(tmp_path, capsys, spec, message):
@@ -498,6 +499,7 @@ SPECS = {
     "broken.json": '{"kind": "geometric", "ratio": "1/0"',
     "deep.json": '{"kind": "table", "entries": [[1000000000, 1, "1/2"]], "default": "0"}',
     "tiny.json": '{"kind": "geometric", "ratio": "1e-100000"}',
+    "nested.json": "[" * 100000,
 }
 
 

@@ -482,6 +482,7 @@ def test_dot_export():
         ('{"depth": 0, "retained": [3]}', "malformed level set"),
         ('{"depth": "0", "retained": [[0, 1]]}', "malformed level set"),
         ("[0]", "JSON object"),
+        pytest.param("[" * 100000, "nests too deeply", id="nested-100000"),
     ],
 )
 def test_json_rejects_missing_or_ill_typed_keys(text, message):

@@ -399,7 +399,7 @@ def test_trusted_constructors_build_what_the_public_one_builds_from_the_raw_entr
         public = SparseOperator(op.ctx, lam, *raw)
         assert (op.ctx, op.A, op.B, op.d) == (public.ctx, public.A, public.B, public.d)
         assert op == public and hash(op) == hash(public)
-        assert type(op) is SparseOperator and op._row_index is None and op._local is None
+        assert type(op) is SparseOperator and op._row_index is None
     assert (x - x).is_zero() and (x - x).d == 1
 
 
@@ -567,14 +567,18 @@ def test_tl_projections_are_exact_projections():
             assert (rep.tl("E", n) * rep.tl("F", n)).is_zero()
 
 
-def inherited_certificate(rep, kind, n):
-    """Whether E_n or F_n of ``rep`` takes its flip's certificate; asserts
-    that the certificate the suites use for it is the verdict of the entry
-    check on the built operator."""
+def flip_certified(rep, kind, n):
+    """Whether the flip of E_n or F_n of ``rep`` carries its certificate;
+    asserts that the certificate the suites use for E_n or F_n is the
+    verdict of the entry check on the built operator, and that it holds
+    whenever the flip's does (the operators window-local for one window are
+    closed under sums, scalars, adjoints and products)."""
     flip = "v" if kind == "E" else "w"
     certified = rep._certificate(kind, n) is not None
-    assert certified == path_algebra._window_local(rep._home(kind, n), *path_algebra._window(kind, n))
-    return rep._certificate(flip, n) is not None
+    assert certified == rep._home(kind, n).is_window_local(*path_algebra._window(kind, n))
+    flip_ok = rep._certificate(flip, n) is not None
+    assert certified or not flip_ok
+    return flip_ok
 
 
 @pytest.mark.parametrize("lam", (F(1), F(1, 4), F(9), F(2, 3)), ids=str)
@@ -586,22 +590,22 @@ def test_closed_form_projections_equal_the_ring_formula(lam):
             closed = rep._home(kind, n)
             assert closed == projection(rep._home(flip, n), lam)
             assert rep.tl(kind, n) == projection(rep.gen(flip, n), lam)
-            assert inherited_certificate(rep, kind, n)  # every flip of the model is certified
+            assert flip_certified(rep, kind, n)  # every flip of the model is certified
 
 
 @pytest.mark.parametrize("lam", (F(1), F(1, 4), F(9), F(2, 3)), ids=str)
 def test_closed_form_projections_of_every_flipped_isometry_at_floor_4(lam):
     rep = Representation(4, lam)
-    inherited = []
+    certified = []
     for mutated in every_isometry_flip(rep)[1:]:
         (flip, n), = [key for key in mutated._changed if key[0] in "vw"]
         kind = "E" if flip == "v" else "F"
         closed = mutated._home(kind, n)
         assert closed is not rep._home(kind, n)
         assert closed == projection(mutated._home(flip, n), lam)
-        inherited.append(inherited_certificate(mutated, kind, n))
+        certified.append(flip_certified(mutated, kind, n))
     # most flips lose the certificate; a flip on a class of one path keeps it
-    assert len(inherited) == 81 and 0 < sum(inherited) < 81
+    assert len(certified) == 81 and 0 < sum(certified) < 81
 
 
 def test_closed_form_refuses_what_is_not_a_flip():
@@ -912,18 +916,6 @@ def test_windows_from_the_reach_equal_the_listed_offsets():
         assert [(r.start, r.stop) for r in path_algebra._window(kind, n)] == expected, (kind, n)
 
 
-def test_window_certificate_is_kept_on_the_operator(monkeypatch):
-    rep = Representation(4, F(2, 3))
-    v = rep._home("v", 1)
-    window = path_algebra._window("v", 1)
-    assert v.is_window_local(*window)
-    monkeypatch.setattr(path_algebra, "_window_local", lambda *args: pytest.fail("certificate checked twice"))
-    assert v.is_window_local(*window)
-    # equality, hashing and the operators built from it ignore the kept certificate
-    twin = SparseOperator(v.ctx, v.lam, dict(v.A), dict(v.B), v.d)
-    assert twin == v and hash(twin) == hash(v) and twin._local is None and v.adjoint()._local is None
-
-
 def commutation_rows(floor):
     rows = path_algebra._relation_table(floor) + path_algebra._braiding_table(floor)
     return [row for row in rows if row.kind == "commutes"]
@@ -995,28 +987,57 @@ def test_commutation_rows_carry_their_letters_and_read_only_kept_certificates(mo
     rep = Representation(floor, lam)
     first = run_all_suites(floor, lam, rep)
     with monkeypatch.context() as patch:
-        for name in ("_window", "_apart", "_window_local"):
-            patch.setattr(path_algebra, name, lambda *args: pytest.fail("a commutation row read more than its kept data"))
+        fail = lambda *args: pytest.fail("a commutation row read more than its kept data")  # noqa: E731
+        for name in ("_window", "_apart"):
+            patch.setattr(path_algebra, name, fail)
+        patch.setattr(SparseOperator, "is_window_local", fail)
         again = run_all_suites(floor, lam, rep)
     assert again.to_json() == first.to_json() and again.products == first.products
 
 
+def spy_on_entry_checks(monkeypatch):
+    """The operators ``is_window_local`` is called on, in call order."""
+    checked, original = [], SparseOperator.is_window_local
+    monkeypatch.setattr(SparseOperator, "is_window_local", lambda op, *window: checked.append(op) or original(op, *window))
+    return checked
+
+
 @pytest.mark.parametrize("floor", (5, 9))
-def test_projections_inherit_their_flips_certificate(monkeypatch, floor):
-    # an unmutated run checks the entries of e, f, g, v and w at index <= 2,
-    # once each, and of nothing else: E/F take their flip's certificate,
-    # and a letter at index 3 or more its translate's at index 2
+def test_an_unmutated_run_checks_the_entries_of_every_letter_at_index_2_or_less(monkeypatch, floor):
+    # every letter is certified alike: e, f, g, v, w, E and F at index <= 2
+    # on their entries, once each, and a letter at index 3 or more from its
+    # translate at index 2, unbuilt
     lam = F(1, 4)
-    checked = []
-    original = path_algebra._window_local
-    monkeypatch.setattr(path_algebra, "_window_local", lambda op, *window: checked.append(op) or original(op, *window))
+    checked = spy_on_entry_checks(monkeypatch)
     rep = Representation(floor, lam)
     assert run_all_suites(floor, lam, rep).ok
-    low = [key for key in path_algebra._generator_keys(floor) if key[1] <= 2]
+    low = [key for key in path_algebra._generator_keys(floor, path_algebra._LETTERS) if key[1] <= 2]
+    assert len(checked) == len(low) == 18
     assert sorted(map(id, checked)) == sorted(id(rep._gens[key]) for key in low)
     for kind, n in path_algebra._generator_keys(floor, "EF"):
         assert rep._certificate(kind, n) == n + 1
-    assert len(checked) == len(low)
+
+
+@pytest.mark.parametrize("kind, n", (("v", 3), ("w", 2), ("e", 2)))
+def test_a_mutant_reads_the_certificates_of_the_letters_it_did_not_change_from_its_parent(monkeypatch, kind, n):
+    floor, lam = 5, F(2)
+    rep = Representation(floor, lam)
+    assert run_all_suites(floor, lam, rep).ok
+    # the parent's run kept the certificate of every letter of a commutation row
+    kept = dict(rep._certified)
+    assert {letter for row in commutation_rows(floor) for letter in row.reads} <= kept.keys()
+    mutated = rep.with_sign_flip(kind, n, min(rep.gen(kind, n).support()))
+    checked = spy_on_entry_checks(monkeypatch)
+    report = run_all_suites(floor, lam, mutated)
+    # the flip and its rebuilt E/F are checked on their own entries, once
+    # each, and no parent operator is; the mutant keeps only those verdicts
+    assert sorted(map(id, checked)) == sorted(id(mutated._gens[key]) for key in mutated._changed)
+    assert set(mutated._certified) == mutated._changed and len(mutated._changed) == (2 if kind in "vw" else 1)
+    # and reads every other certificate from its parent, adding nothing there
+    assert all(mutated._certificate(*key) == kept[key] for key in kept.keys() - mutated._changed)
+    assert rep._certified == kept
+    monkeypatch.undo()
+    assert report.to_json() == run_all_suites(floor, lam, unlinked(mutated)).to_json()
 
 
 def test_a_flipped_generator_loses_its_certificate_and_its_rows_multiply():
@@ -1042,7 +1063,7 @@ def test_translated_certificates_equal_the_entry_check(floor, lam):
             floor_of = rep._certificate(kind, n)
             assert (kind, n) not in rep._gens
             home = rep._home(kind, n)
-            local = path_algebra._window_local(home, *path_algebra._window(kind, n))
+            local = home.is_window_local(*path_algebra._window(kind, n))
             assert floor_of == (home.ctx.floor if local else None), (kind, n)
             assert floor_of == n + path_algebra._KINDS[kind][2]
 
@@ -1055,7 +1076,7 @@ def test_a_generator_flipped_at_index_3_fails_its_certificate_and_its_rows_multi
     # the parent takes w_3's certificate from w_2; the mutant checks its flip's entries
     assert rep._certificate("w", 3) == 4
     assert mutated._certificate("w", 3) is None
-    assert not path_algebra._window_local(mutated._home("w", 3), *window)
+    assert not mutated._home("w", 3).is_window_local(*window)
     decided = []
     original = path_algebra.Check.equality
 
@@ -1084,7 +1105,7 @@ def test_a_flip_rebuilds_exactly_the_projection_of_its_flip(lam):
     rep = Representation(5, lam)
     for kind, n in path_algebra._generator_keys(5):
         mutated = rep.with_sign_flip(kind, n, min(rep.gen(kind, n).support()))
-        rebuilt = {key for key, op in mutated._gens.items() if op is not rep._gens[key]}
+        rebuilt = {key for key, op in mutated._gens.items() if op is not rep._home(*key)}
         projection_key = {"v": ("E", n), "w": ("F", n)}.get(kind)
         assert rebuilt == mutated._changed == {(kind, n), projection_key} - {None}
         if projection_key:
@@ -1253,8 +1274,9 @@ def test_a_mutant_reads_the_generators_it_did_not_change_from_its_parent():
     assert set(rep._gens) == {("v", 1)} and set(mutated._gens) == mutated._changed == {("v", 1), ("E", 1)}
     far = mutated._home("w", 3)
     assert far is rep._gens[("w", 3)] and far is mutated._home("w", 3) and far.ctx.floor == 4
-    # E/F build their flip first, in the store that builds them
+    # E/F build their flip first, in the model that builds them
     assert rep._home("F", 2) is mutated._home("F", 2) and ("w", 2) in rep._gens
+    assert set(mutated._gens) == mutated._changed
 
 
 @pytest.mark.parametrize("floor", range(4, path_algebra.MAX_PATH_FLOOR + 1))
@@ -1324,7 +1346,8 @@ def test_a_failing_translate_has_its_rows_multiplied_out(monkeypatch):
         # an unparented representation whose e_2 and v_2 each lose one sign
         rep = Representation(floor, lam)
         for key in (("e", 2), ("v", 2)):
-            rep._gens[key] = rep._gens[key].with_negated_entry(min(rep._gens[key].support()))
+            op = rep._home(*key)
+            rep._gens[key] = op.with_negated_entry(min(op.support()))
         return rep
 
     decided = []
@@ -1446,13 +1469,13 @@ def test_home_floor_suites_match_floor_n_evaluation(monkeypatch, floor, lam):
 def test_home_floor_flips_name_floor_n_witnesses(monkeypatch):
     # a flip made at a generator's home floor fails checks decided below
     # floor N; their witnesses, lifted to floor N, must be the floor-N ones
-    lam = F(2, 3)
+    lam, stored = F(2, 3), Representation._home
 
     def mutants():
         rep = Representation(4, lam)
         out = []
         for kind, n in reference_generator_keys(4):
-            home = rep._gens[(kind, n)]  # at its home floor, also where _home is patched
+            home = stored(rep, kind, n)  # at its home floor, also where _home is patched
             out.append(unlinked(rep, {(kind, n): home.with_negated_entry(max(home.support()))}))
         return out
 
