@@ -29,6 +29,7 @@ Every function is a pure function of its arguments, and nothing is cached.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 import re
@@ -114,6 +115,19 @@ def parse_fraction(value, name: str = "value") -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a fraction: {value!r}") from exc
+
+
+def json_object(text: str, what: str) -> dict:
+    """The JSON object that ``text`` holds, with a one-line ValueError naming
+    ``what`` (such as 'a level set') for text that is not JSON, nests too
+    deeply for the parser, or holds something other than an object."""
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} nests too deeply to read") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return payload
 
 
 # ---------------------------------------------------------------------------

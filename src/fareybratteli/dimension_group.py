@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .core import json_object
+
 __all__ = [
     "LevelPoly",
     "SymLaurent",
@@ -193,8 +195,9 @@ def is_positive_class(p: LevelPoly) -> bool:
 def q_prime_row(n: int) -> tuple[int, ...]:
     """Central block sizes u(n, 0..2**n - 1) of the truncated ideal.
 
-    Same doubling recursion as the tree denominators but on the index range
-    0..2**n - 1, with u(n, 0) = u(n, 2**n - 1) = 1.
+    The connecting map applied n times to (1,): the doubling recursion of the
+    tree denominators on the index range 0..2**n - 1, with
+    u(n, 0) = u(n, 2**n - 1) = 1.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -202,15 +205,7 @@ def q_prime_row(n: int) -> tuple[int, ...]:
         raise ValueError(f"row materialisation guarded at n <= {MAX_UNIT_LEVEL}")
     if n == 0:
         return (1,)
-    prev = q_prime_row(n - 1)
-    out = []
-    for k in range(2**n):
-        if k % 2 == 0:
-            out.append(prev[k // 2])
-        else:
-            right = prev[(k + 1) // 2] if (k + 1) // 2 < len(prev) else 0
-            out.append(prev[(k - 1) // 2] + right)
-    return tuple(out)
+    return beta_step(LevelPoly(n - 1, q_prime_row(n - 1))).coeffs
 
 
 def verify_unit_decomposition(n: int) -> bool:
@@ -277,5 +272,15 @@ def level_poly_to_json(p: LevelPoly) -> str:
 
 
 def level_poly_from_json(text: str) -> LevelPoly:
-    payload = json.loads(text)
-    return LevelPoly(payload["level"], tuple(payload["coeffs"]))
+    """Reads {"level": n, "coeffs": [c_0, ...]}; the level and every
+    coefficient are ints, never floats or bools."""
+    payload = json_object(text, "a K0 class")
+    try:
+        level, coeffs = payload["level"], tuple(payload["coeffs"])
+    except KeyError as exc:
+        raise ValueError(f"a K0 class needs the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed K0 class: {exc}") from None
+    if not all(type(x) is int for x in (level, *coeffs)):
+        raise ValueError("a K0 class needs an int level and int coefficients")
+    return LevelPoly(level, coeffs)

@@ -45,7 +45,7 @@ from itertools import chain
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
-from .core import label, mediant, row_ints
+from .core import json_object, label, mediant, row_ints
 
 __all__ = [
     "AdmissibilityReport",
@@ -515,12 +515,7 @@ def levelset_to_json(ls: LevelSet) -> str:
 
 
 def levelset_from_json(text: str) -> LevelSet:
-    try:
-        payload = json.loads(text)
-    except RecursionError:
-        raise ValueError("a level set nests too deeply to read") from None
-    if not isinstance(payload, dict):
-        raise ValueError("a level set must be a JSON object")
+    payload = json_object(text, "a level set")
     try:
         ls = LevelSet(payload["depth"], tuple(tuple(idx) for idx in payload["retained"]))
     except KeyError as exc:

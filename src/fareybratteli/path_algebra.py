@@ -49,10 +49,10 @@ floor-r matrix units T(x, x) sum to the floor-r identity, and the unital
 tail embedding carries it to every higher floor, so the unit-partition row
 of floor r compares ("1", r) with ("1", 0).  A scalar (c, i, j) is
 c sqrt(lam)^i / (1 + lam)^j, so a table serves every lam.  One evaluator
-decides the rows through ``Representation._home`` and keeps every node it
-builds, by id, until it returns: a node that several rows share (E_n E_n+1
-in 6.9, 6.13, 6.15, 6.16 and dominance, or f_n v_n in R2 and R3) is built
-once per evaluation.
+per suite call decides the rows through ``Representation._home`` and keeps
+every node it builds, by id: a node that several rows share (E_n E_n+1 in
+6.9, 6.13, 6.15, 6.16 and dominance, or f_n v_n in R2 and R3) is built once
+per evaluation.
 
 E and F are generators: table rows with the index range and window of
 their flip, each built from the stored flip in closed form.  A flip u (v_n
@@ -81,13 +81,11 @@ The tail embedding keeps a certificate (tails are neither read nor
 written, and each key covers every tail), and so does the adjoint (the key
 (q|R, p|W) of an entry of X* and (p|R, q|W) determine each other), so such
 a row passes at the higher floor of its letters.
-``Representation._certificate`` decides each letter's certificate once per
-model and keeps it.  It has three sources: on generators as built, a letter
-at index 3 or more takes it from its translate at index 2 (below); a mutant
-reads every letter it did not change from its parent; and any other letter,
-E/F included, is checked on the operator's exact entries
-(``is_window_local``).  A mutant's flipped generator and its rebuilt E/F are
-checked on their own entries, and a row they fail is multiplied out.
+A certificate is a row (``_certificate``) whose operand is the letter: it is
+checked on the operator's exact entries (``is_window_local``), E/F
+included, and at index 3 or more it is linked to its translate at index 2
+like any row (below).  A commutation row passes when both its certificate
+rows pass, and is multiplied out when one fails.
 
 Translates.  Write a path by its letters d_m = xi_m - 2 xi_{m-1} in
 {-1, 0, 1} (``PathContext.letters``).  The letters that may follow xi_{m-1}
@@ -112,8 +110,8 @@ all three occur, and the window operators do not depend on L: so a row at L
 and its translate at 2 have one verdict.  At L = 1, xi_0 in {0, 1} is never
 interior, and at L = 0 the prefix is empty, so rows there are decided
 directly.  ``_link`` pairs a row with its translate by its indices alone;
-``_evaluate`` passes a row whose translate passes and multiplies out one
-whose translate fails, for its own witness.  A mutant's generators are not
+a row whose translate passes passes, and one whose translate fails is
+multiplied out, for its own witness.  A mutant's generators are not
 translation invariant, so the rows it re-decides are multiplied out; the
 parent verdicts it reuses may come from translates.
 
@@ -132,8 +130,8 @@ sum_k 2^(n+reach-k) d_k, that is, keeps sum_k 2^(n+reach-k) d_k: a condition
 on the window operators of the states that occur, alone.  For n >= 2 all
 three states occur and the window operators do not depend on n, so kind_n
 and kind_2 have one certificate, decided at floor n + reach, kind_2's plus
-n - 2.  ``_certificate`` takes it from kind_2 and builds no kind_n for it;
-a mutant checks the letters it changed on their entries.
+n - 2: the certificate row of kind_n is linked to kind_2's, and no kind_n is
+built for it.
 
 A linear combination evaluates only its nonzero terms and lifts the sum to
 the highest floor among all its terms, so a check's floor and witness do
@@ -142,11 +140,15 @@ not change; on the unmutated model both 6.4 coefficients vanish, and no
 
 A mutant reuses its parent's verdicts.  ``with_sign_flip`` rebuilds the
 E_n or F_n of a flipped v_n or w_n and records the parent and the changed
-keys, those of the flip and of what was rebuilt.  It reads the generator and
-the certificate of every other key from its parent (``_home``,
-``_certificate``).  A mutant re-decides the rows whose read set (the letters
-of their operands) meets its changed keys and takes every other check from
-its parent, which decides such a row once and keeps it.
+keys, those of the flip and of what was rebuilt; it reads the generator of
+every other key from its parent (``_home``).  Every model decides every
+row, certificate rows included, by one rule (``_evaluator``): the check it
+keeps; else, on a mutant, its parent's check for a row whose read set (the
+letters of its operands) meets no changed key; else, on generators as
+built, a linked row's pass taken from its translate; else a commutation
+row's pass taken from its two certificate rows; else the row decided on its
+operands.  A model keeps every check it decides, so a second run on one
+model multiplies nothing.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, combinations, groupby, product
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .core import parse_fraction
 
@@ -438,8 +440,8 @@ class SparseOperator:
         b = q|writes (``writes`` inside ``reads``): every entry (q, p) has
         q = p outside ``writes``, its A and B values depend on (a, b) alone,
         and each key (a, b) holds for every path p with p|reads = a.
-        Checked on the entries at every call; ``Representation._certificate``
-        keeps the verdict per letter."""
+        Checked on the entries at every call; a model keeps the verdict per
+        letter as the check of its certificate row (``_certificate``)."""
         paths, A, B = self.ctx.paths, self.A, self.B
         lo, hi, first, stop = writes.start, writes.stop, reads.start, reads.stop
         keys: dict[tuple, list] = {}
@@ -677,12 +679,10 @@ class Representation:
         # generators are as built, and a row takes its translate's verdict
         self._parent: Representation | None = None
         self._changed: frozenset[tuple[str, int]] = frozenset()
-        # per letter kept here, else read from the parent for a key not
-        # changed: each generator at its home floor (at floor N once a
-        # mutant flips it) and the floor of its certificate
+        # each generator at its home floor (at floor N once a mutant flips
+        # it), kept here, else read from the parent for a key not changed
         self._gens: dict[tuple[str, int], SparseOperator] = {}
-        self._certified: dict[tuple[str, int], int | None] = {}
-        # the checks kept here for mutants
+        # the check of every row this model decided, certificate rows included
         self._verdicts: dict[_Row, Check] = {}
 
     # -- access --------------------------------------------------------------
@@ -707,27 +707,6 @@ class Representation:
         _, _, reach, build, arg = _KINDS[kind]
         op = self._gens[key] = build(self, path_context(n + reach), n, arg)
         return op
-
-    def _certificate(self, kind: str, n: int) -> int | None:
-        """The floor at which kind_n carries the certificate of its window, or
-        None when it does not: the model's own, else its parent's for a key it
-        did not change, else decided and kept.  On generators as built (no key
-        changed), kind_n at n >= 3 has the certificate of its translate
-        kind_2, at floor n + reach, kind_2's plus n - 2 (module docstring),
-        and is not built for it; any other is checked on its entries."""
-        key = (kind, n)
-        if key in self._certified:
-            return self._certified[key]
-        if self._parent is not None and key not in self._changed:
-            return self._parent._certificate(kind, n)
-        if n > 2 and not self._changed:
-            floor = self._certificate(kind, 2)
-            floor = None if floor is None else floor + n - 2
-        else:
-            op = self._home(kind, n)
-            floor = op.ctx.floor if op.is_window_local(*_window(kind, n)) else None
-        self._certified[key] = floor
-        return floor
 
     def gen(self, kind: str, n: int) -> SparseOperator:
         """Generator kind_n (e, f, g, v or w) at floor N."""
@@ -761,7 +740,7 @@ class Representation:
         for derived, _, _, build, source in _GENERATORS:
             if source == kind:
                 gens[(derived, n)] = build(mutated, self.ctx, n, source)
-        mutated._changed, mutated._certified, mutated._verdicts = frozenset(gens), {}, {}
+        mutated._changed, mutated._verdicts = frozenset(gens), {}
         return mutated
 
 
@@ -814,6 +793,13 @@ class Check:
     def projection(equation: str, indices: dict, op: SparseOperator, top: PathContext | None = None) -> "Check":
         witness = op.projection_witness(top)
         return Check(equation, indices, "pass" if witness is None else "fail", witness, op.ctx.floor)
+
+    @staticmethod
+    def window(equation: str, indices: dict, op: SparseOperator) -> "Check":
+        """Whether the letter kind_n that ``indices`` names carries the
+        certificate of its window, checked on its entries."""
+        local = op.is_window_local(*_window(indices["kind"], indices["n"]))
+        return Check(equation, indices, "pass" if local else "fail", None, op.ctx.floor)
 
 
 @dataclass
@@ -997,6 +983,16 @@ def _link(rows: list[_Row]) -> None:
             row.link = (translate, shift)
 
 
+@lru_cache(maxsize=None)
+def _certificate(kind: str, n: int) -> _Row:
+    """The row that decides whether kind_n carries the certificate of its
+    window; at n >= 3 linked to kind_2's (certificates by translation)."""
+    row = _Row("window", {"kind": kind, "n": n}, "window", _letter(kind, n))
+    if n > 2:
+        _link([_certificate(kind, 2), row])
+    return row
+
+
 @lru_cache(maxsize=1)
 def _relation_table(floor: int) -> tuple[_Row, ...]:
     defined = _defined(floor)
@@ -1059,15 +1055,15 @@ def _relation_table(floor: int) -> tuple[_Row, ...]:
 
 
 @lru_cache(maxsize=1)
-def _yang_baxter_table(floor: int, pairs: tuple[tuple[Fraction, Fraction], ...]) -> tuple[_Row, ...]:
-    """6.4 at each grid point, as ``yang_baxter_check`` explains; keyed by the grid."""
+def _yang_baxter_table(floor: int) -> tuple[_Row, ...]:
+    """6.4 at each point (s, t) of the grid {0, 1, 2}^2, as ``yang_baxter_check`` explains."""
     rows = []
     for n in range(floor - 1):
         a, b = _letter("v", n), _letter("v", n + 1)
         ab = _mul(a, b)
         square = _lin((ONE, _mul(a, a)), (MINUS, _mul(b, b)))
         cube = _lin((ONE, _mul(ab, a)), (MINUS, _mul(b, ab)))
-        for s, t in pairs:
+        for s, t in product(range(3), range(3)):
             difference = _lin(((s * t, 0, 0), square), ((s * t * (s + t), 0, 0), cube))
             rows.append(_Row("6.4", {"n": n, "s": str(s), "t": str(t)}, "vanishes", difference))
     _link(rows)
@@ -1134,14 +1130,17 @@ def _combination(terms: list[tuple[tuple, SparseOperator]], lam: Fraction) -> Sp
     return SparseOperator.zero(top, lam) if op is None else op.lift(top)
 
 
-def _evaluate(rep: Representation, rows: Sequence[_Row], report: Report) -> list[Check]:
-    """Decide the rows on rep, counting products into ``report``.  Every node
-    is built once per call and kept, by id, for the rest of it: a node that
-    several rows read (equal words are one node) is looked up, not rebuilt.
-    On generators as ``Representation`` builds them, a linked row passes,
-    decided at its translate's floor plus the shift, when its translate
-    passes, and is multiplied out, for its own witness, when it fails."""
-    lam, home, certificate, cache, decided = rep.lam, rep._home, rep._certificate, {}, {}
+def _evaluator(rep: Representation, report: Report) -> Callable[[_Row], Check]:
+    """The check of a row on rep, counting products into ``report``: the
+    check rep keeps; else, on a mutant, its parent's for a row that reads no
+    changed key; else, on generators as built, a linked row's pass taken from
+    its translate; else a commutation row's pass taken from the certificate
+    rows of its two letters; else the row decided on its operands.  rep keeps
+    what it decides.  Every node is built once per evaluator and kept, by id:
+    a node that several rows read (equal words are one node) is looked up, not
+    rebuilt.  A mutant builds its parent's evaluator on first use."""
+    lam, home, kept, changed, cache = rep.lam, rep._home, rep._verdicts, rep._changed, {}
+    parent, asked = rep._parent, None
 
     def value(node: tuple) -> SparseOperator:
         op = cache.get(id(node))
@@ -1163,62 +1162,44 @@ def _evaluate(rep: Representation, rows: Sequence[_Row], report: Report) -> list
         cache[id(node)] = op
         return op
 
-    def local(row: _Row) -> Check | None:
-        """The pass of a commutation row whose letters, apart, both carry
-        their window certificates, decided at the higher of their floors;
-        else None."""
-        a, b = row.apart
-        low = certificate(*a)
-        high = None if low is None else certificate(*b)
-        if high is None:
-            return None
-        return Check(row.equation, dict(row.indices), "pass", None, max(low, high))
-
     equality = partial(Check.equality, top=rep.ctx)
     decide = {"equality": equality, "commutes": equality, "vanishes": partial(Check.vanishes, top=rep.ctx),
-              "nonzero": Check.nonzero, "projection": partial(Check.projection, top=rep.ctx)}
+              "nonzero": Check.nonzero, "projection": partial(Check.projection, top=rep.ctx), "window": Check.window}
 
-    def evaluate(row: _Row) -> Check:
-        check = local(row) if row.apart else None
-        if check is None:
-            ops = [value(x) for x in row.operands]
-            check = decide[row.kind](row.equation, dict(row.indices), *ops)
+    def passed(row: _Row) -> int | None:
+        """The floor of a pass taken from other rows' checks, else None."""
+        if row.link and not changed:
+            translate, shift = row.link
+            check = verdict(translate)
+            return check.floor + shift if check.status == "pass" else None
+        floors = []
+        for letter in row.apart or ():
+            check = verdict(_certificate(*letter))
+            if check.status != "pass":
+                return None
+            floors.append(check.floor)
+        return max(floors, default=None)
+
+    def verdict(row: _Row) -> Check:
+        nonlocal asked
+        check = kept.get(row)
+        if check is not None:
+            return check
+        if parent is not None and changed.isdisjoint(row.reads):
+            check = parent._verdicts.get(row)
+            if check is None:
+                asked = asked or _evaluator(parent, report)
+                check = asked(row)
+            return check
+        floor = passed(row)
+        if floor is None:
+            check = decide[row.kind](row.equation, dict(row.indices), *map(value, row.operands))
+        else:
+            check = Check(row.equation, dict(row.indices), "pass", None, floor)
+        kept[row] = check
         return check
 
-    def translated(row: _Row) -> Check | None:
-        """The pass of a row whose translate passes, else None.  The
-        translate's check is taken from this call or from rep's kept
-        verdicts, or decided now, out of table order if it must be."""
-        translate, shift = row.link
-        known = decided.get(translate) or rep._verdicts.get(translate)
-        if known is None:
-            known = decided[translate] = evaluate(translate)
-        if known.status == "pass":
-            return Check(row.equation, dict(row.indices), "pass", None, known.floor + shift)
-        return None
-
-    checks = []
-    for row in rows:
-        check = translated(row) if row.link and not rep._changed else decided.get(row)
-        if check is None:
-            check = decided[row] = evaluate(row)
-        checks.append(check)
-    return checks
-
-
-def _decide(rep: Representation, rows: Sequence[_Row], report: Report) -> list[Check]:
-    """The check of every row on rep, in order: a mutant re-decides the rows
-    that read a changed key and takes the others from its parent's verdicts."""
-    parent = rep._parent
-    if parent is None:
-        return _evaluate(rep, rows, report)
-    changed, known = rep._changed, parent._verdicts
-    fresh = [row for row in rows if not changed.isdisjoint(row.reads)]
-    missing = [row for row in rows if row not in known and changed.isdisjoint(row.reads)]
-    if missing:
-        known.update(zip(missing, _decide(parent, missing, report)))
-    decided = dict(zip(fresh, _evaluate(rep, fresh, report)))
-    return [decided[row] if row in decided else known[row] for row in rows]
+    return verdict
 
 
 def _suite(rows: tuple[_Row, ...], floor: int, lam, rep: Representation | None) -> Report:
@@ -1229,7 +1210,7 @@ def _suite(rows: tuple[_Row, ...], floor: int, lam, rep: Representation | None) 
     elif (rep.floor, rep.lam) != (floor, lam):
         raise ValueError(f"rep is the floor-{rep.floor} model at lambda {rep.lam}, not floor {floor} at lambda {lam}")
     report = Report()
-    report.checks = _decide(rep, rows, report)
+    report.checks = list(map(_evaluator(rep, report), rows))
     return report
 
 
@@ -1246,19 +1227,16 @@ def verify_relation_suite(floor: int, lam, rep: Representation | None = None) ->
     return _suite(_relation_table(floor), floor, lam, rep)
 
 
-def yang_baxter_check(floor: int, lam=Fraction(1), pairs: Iterable[tuple] | None = None, rep: Representation | None = None) -> Report:
+def yang_baxter_check(floor: int, lam=Fraction(1), rep: Representation | None = None) -> Report:
     """R_n(s) R_{n+1}(s+t) R_n(t) == R_{n+1}(t) R_n(s+t) R_{n+1}(s), with
-    R_n(s) = 1 + s*v_n, at each point (s, t) of a rational grid.  With a = v_n
-    and b = v_{n+1} the sides differ by st(a^2 - b^2) + st(s+t)(aba - bab) in
-    any ring, so the two coefficients are built once per n.  They vanish, and
-    the identity holds for all s, t, iff it holds at (1, 1) and (1, 2), which
-    the default grid {0, 1, 2}^2 contains.  Needs floor >= 2."""
+    R_n(s) = 1 + s*v_n, at each point (s, t) of the grid {0, 1, 2}^2.  With
+    a = v_n and b = v_{n+1} the sides differ by st(a^2 - b^2) +
+    st(s+t)(aba - bab) in any ring, so the two coefficients are built once
+    per n.  They vanish, and the identity holds for all s, t, iff it holds at
+    (1, 1) and (1, 2), which the grid contains.  Needs floor >= 2."""
     if floor < 2:
         raise ValueError("the Yang-Baxter check needs floor >= 2")
-    if pairs is None:
-        pairs = [(s, t) for s in (0, 1, 2) for t in (0, 1, 2)]
-    pairs = tuple((parse_fraction(s, "s"), parse_fraction(t, "t")) for s, t in pairs)
-    return _suite(_yang_baxter_table(floor, pairs), floor, lam, rep)
+    return _suite(_yang_baxter_table(floor), floor, lam, rep)
 
 
 def verify_braiding_suite(floor: int, lam, rep: Representation | None = None) -> Report:

@@ -49,7 +49,7 @@ from math import lcm
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
-from .core import CF, cf_decode, cf_encode, cf_normalize, label, parse_fraction, vertex_of_label
+from .core import CF, cf_decode, cf_encode, cf_normalize, json_object, label, parse_fraction, vertex_of_label
 
 __all__ = [
     "STAR",
@@ -300,12 +300,7 @@ def candidate_from_json(text: str) -> TraceCandidate:
     """Accepts {"kind":"geometric","ratio":"1/4"} or
     {"kind":"table","entries":[[n,k,"p/q"],...],"default":"0"}; weights are
     ints or 'p/q' strings, never floats, and indices are ints."""
-    try:
-        payload = json.loads(text)
-    except RecursionError:
-        raise ValueError("a trace candidate nests too deeply to read") from None
-    if not isinstance(payload, dict):
-        raise ValueError("a trace candidate must be a JSON object")
+    payload = json_object(text, "a trace candidate")
     kind = payload.get("kind")
     try:
         if kind == "geometric":

@@ -36,9 +36,11 @@ is the loop that built the generators on the floor-N paths before they
 moved to their home floors; the lifted home builds must equal it.
 
 A row whose letters sit at index 3 or more takes the verdict of its
-translate at index 2 when that passes; ``patch_unlinked_tables`` drops
-those links, so that every row is multiplied out, and reports and the
-floors of their checks must match.
+translate at index 2 when that passes, and so does the certificate row of a
+letter; ``patch_unlinked_tables`` drops those links, so that every row is
+multiplied out and every letter checked on its entries, and reports and the
+floors of their checks must match.  ``certificate`` reads the verdict of a
+letter's certificate row on a model, deciding it there if need be.
 
 A mutant re-decides only the rows that read its flip and takes the other
 checks from its parent.  ``unlinked`` copies a representation without that
@@ -55,6 +57,7 @@ import copy
 import weakref
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from fareybratteli import path_algebra
 from fareybratteli.path_algebra import Check, Report
@@ -144,7 +147,7 @@ def unlinked(rep, replace=None):
     # every generator of rep, read through _home, which builds what it has
     # not built yet or reads it from a mutant's parent
     keys = path_algebra._generator_keys(rep.floor, path_algebra._LETTERS)
-    twin._gens, twin._verdicts, twin._certified = {key: rep._home(*key) for key in keys}, {}, {}
+    twin._gens, twin._verdicts = {key: rep._home(*key) for key in keys}, {}
     twin._gens.update(replace or {})
     for kind, n in keys:
         if kind in ("E", "F"):
@@ -158,11 +161,19 @@ def unlinked(rep, replace=None):
 
 def patch_unlinked_tables(patch) -> None:
     """Drop every link from a row to its translate through a monkeypatch:
-    ``_link`` links nothing, and the cached tables are built afresh under the
-    patch, through empty caches of their own."""
+    ``_link`` links nothing, and the cached tables and certificate rows are
+    built afresh under the patch, through empty caches of their own."""
     patch.setattr(path_algebra, "_link", lambda rows: None)
     for name in ("_relation_table", "_yang_baxter_table", "_braiding_table"):
         patch.setattr(path_algebra, name, lru_cache(maxsize=1)(getattr(path_algebra, name).__wrapped__))
+    patch.setattr(path_algebra, "_certificate", lru_cache(maxsize=None)(path_algebra._certificate.__wrapped__))
+
+
+def certificate(rep, kind, n):
+    """The floor of the check of kind_n's certificate row on ``rep``, or
+    None when it fails; decided and kept by ``rep``'s rule if not kept yet."""
+    check = path_algebra._evaluator(rep, Report())(path_algebra._certificate(kind, n))
+    return check.floor if check.status == "pass" else None
 
 
 def path_matrix_unit(ctx, lam, head, tail_head):
@@ -201,17 +212,15 @@ def commutes(x, y, adjoint=False):
     return ("vanishes", path_algebra._lin((minus, ("*", node)))) if adjoint else ("vanishes", node)
 
 
-def yang_baxter_check(floor, lam=Fraction(1), pairs=None, rep=None):
+def yang_baxter_check(floor, lam=Fraction(1), rep=None):
     if floor < 2:
         raise ValueError("the Yang-Baxter check needs floor >= 2")
     rep = rep or path_algebra._representation(floor, Fraction(lam))
-    if pairs is None:
-        pairs = [(s, t) for s in (0, 1, 2) for t in (0, 1, 2)]
     one = rep.identity()
     report = Report()
     for n in range(rep.floor - 1):
         v_lo, v_hi = rep.gen("v", n), rep.gen("v", n + 1)
-        for s, t in pairs:
+        for s, t in product(range(3), repeat=2):
             s, t = Fraction(s), Fraction(t)
             lhs = (one + v_lo.scale(s)) * (one + v_hi.scale(s + t)) * (one + v_lo.scale(t))
             rhs = (one + v_hi.scale(t)) * (one + v_lo.scale(s + t)) * (one + v_hi.scale(s))

@@ -127,6 +127,7 @@ def test_unit_level_guard():
 
 
 def test_q_prime_rows_match_printed_tuples():
+    assert q_prime_row(0) == (1,) and q_prime_row(1) == (1, 1) and q_prime_row(2) == (1, 2, 1, 1)
     assert q_prime_row(3) == (1, 3, 2, 3, 1, 2, 1, 1)
     assert q_prime_row(4) == (1, 4, 3, 5, 2, 5, 3, 4, 1, 3, 2, 3, 1, 2, 1, 1)
 
@@ -187,6 +188,31 @@ def test_level_poly_validation_and_json():
         LevelPoly(10**12, (1,))
     p = LevelPoly(2, (1, -2, 0, 3))
     assert level_poly_from_json(level_poly_to_json(p)) == p
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("[1]", "must be a JSON object", id="list"),
+        pytest.param("3", "must be a JSON object", id="number"),
+        pytest.param("[" * 100000, "nests too deeply", id="nested-100000"),
+        pytest.param('{"level": 1}', "needs the key 'coeffs'", id="no-coeffs"),
+        pytest.param('{"coeffs": [1]}', "needs the key 'level'", id="no-level"),
+        pytest.param('{"level": 1, "coeffs": 5}', "malformed K0 class", id="coeffs-int"),
+        pytest.param('{"level": 1, "coeffs": [1.5, 2]}', "int coefficients", id="float-coeff"),
+        pytest.param('{"level": 1, "coeffs": [true, 2]}', "int coefficients", id="bool-coeff"),
+        pytest.param('{"level": 1, "coeffs": "12"}', "int coefficients", id="coeffs-string"),
+        pytest.param('{"level": 0.0, "coeffs": [1]}', "int level", id="float-level"),
+        pytest.param('{"level": false, "coeffs": [1]}', "int level", id="bool-level"),
+        pytest.param('{"level": 1, "coeffs": [1]}', "2\\*\\*1 coefficients", id="short"),
+        pytest.param("{", "Expecting", id="not-json"),
+    ],
+)
+def test_level_poly_from_json_refuses_malformed_input(text, message):
+    # one-line ValueError, as the level-set and trace-candidate readers give
+    with pytest.raises(ValueError, match=message) as info:
+        level_poly_from_json(text)
+    assert "\n" not in str(info.value)
 
 
 def test_symlaurent_symmetry_enforced():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from quad_reference import QuadScalar, ReferenceOperator, embed_root, rank, sqrt_fraction
 from suite_reference import (
+    certificate,
     direct_generator,
     every_term,
     patch_floor_n,
@@ -574,9 +575,9 @@ def flip_certified(rep, kind, n):
     whenever the flip's does (the operators window-local for one window are
     closed under sums, scalars, adjoints and products)."""
     flip = "v" if kind == "E" else "w"
-    certified = rep._certificate(kind, n) is not None
+    certified = certificate(rep, kind, n) is not None
     assert certified == rep._home(kind, n).is_window_local(*path_algebra._window(kind, n))
-    flip_ok = rep._certificate(flip, n) is not None
+    flip_ok = certificate(rep, flip, n) is not None
     assert certified or not flip_ok
     return flip_ok
 
@@ -986,13 +987,17 @@ def test_commutation_rows_carry_their_letters_and_read_only_kept_certificates(mo
     assert path_algebra._Row("locality", {}, "vanishes", ("v", 1), apart=pair).apart is None
     rep = Representation(floor, lam)
     first = run_all_suites(floor, lam, rep)
+    # a second run on one model reads every check it kept: no certificate is
+    # checked again and nothing is multiplied out
     with monkeypatch.context() as patch:
-        fail = lambda *args: pytest.fail("a commutation row read more than its kept data")  # noqa: E731
+        fail = lambda *args: pytest.fail("a second run read more than its kept checks")  # noqa: E731
         for name in ("_window", "_apart"):
             patch.setattr(path_algebra, name, fail)
         patch.setattr(SparseOperator, "is_window_local", fail)
+        patch.setattr(SparseOperator, "__mul__", fail)
         again = run_all_suites(floor, lam, rep)
-    assert again.to_json() == first.to_json() and again.products == first.products
+    assert again.to_json() == first.to_json() and again.decided_at() == first.decided_at()
+    assert first.products > 0 and again.products == 0
 
 
 def spy_on_entry_checks(monkeypatch):
@@ -1015,7 +1020,7 @@ def test_an_unmutated_run_checks_the_entries_of_every_letter_at_index_2_or_less(
     assert len(checked) == len(low) == 18
     assert sorted(map(id, checked)) == sorted(id(rep._gens[key]) for key in low)
     for kind, n in path_algebra._generator_keys(floor, "EF"):
-        assert rep._certificate(kind, n) == n + 1
+        assert certificate(rep, kind, n) == n + 1
 
 
 @pytest.mark.parametrize("kind, n", (("v", 3), ("w", 2), ("e", 2)))
@@ -1024,18 +1029,21 @@ def test_a_mutant_reads_the_certificates_of_the_letters_it_did_not_change_from_i
     rep = Representation(floor, lam)
     assert run_all_suites(floor, lam, rep).ok
     # the parent's run kept the certificate of every letter of a commutation row
-    kept = dict(rep._certified)
-    assert {letter for row in commutation_rows(floor) for letter in row.reads} <= kept.keys()
+    kept = dict(rep._verdicts)
+    letters = {letter for row in commutation_rows(floor) for letter in row.reads}
+    assert all(path_algebra._certificate(*letter) in kept for letter in letters)
     mutated = rep.with_sign_flip(kind, n, min(rep.gen(kind, n).support()))
     checked = spy_on_entry_checks(monkeypatch)
     report = run_all_suites(floor, lam, mutated)
     # the flip and its rebuilt E/F are checked on their own entries, once
-    # each, and no parent operator is; the mutant keeps only those verdicts
+    # each, and no parent operator is; the mutant keeps only those certificates
     assert sorted(map(id, checked)) == sorted(id(mutated._gens[key]) for key in mutated._changed)
-    assert set(mutated._certified) == mutated._changed and len(mutated._changed) == (2 if kind in "vw" else 1)
+    own = {row.operands[0] for row in mutated._verdicts if row.kind == "window"}
+    assert own == mutated._changed and len(mutated._changed) == (2 if kind in "vw" else 1)
     # and reads every other certificate from its parent, adding nothing there
-    assert all(mutated._certificate(*key) == kept[key] for key in kept.keys() - mutated._changed)
-    assert rep._certified == kept
+    for letter in letters - mutated._changed:
+        assert certificate(mutated, *letter) == certificate(rep, *letter) == kept[path_algebra._certificate(*letter)].floor
+    assert rep._verdicts == kept
     monkeypatch.undo()
     assert report.to_json() == run_all_suites(floor, lam, unlinked(mutated)).to_json()
 
@@ -1060,7 +1068,10 @@ def test_translated_certificates_equal_the_entry_check(floor, lam):
     rep = Representation(floor, lam)
     for kind, n in path_algebra._generator_keys(floor, path_algebra._LETTERS):
         if n >= 3:
-            floor_of = rep._certificate(kind, n)
+            row = path_algebra._certificate(kind, n)
+            assert row.link == (path_algebra._certificate(kind, 2), n - 2)
+            assert shifted(row.operands[0], n - 2) == row.link[0].operands[0]
+            floor_of = certificate(rep, kind, n)
             assert (kind, n) not in rep._gens
             home = rep._home(kind, n)
             local = home.is_window_local(*path_algebra._window(kind, n))
@@ -1074,8 +1085,8 @@ def test_a_generator_flipped_at_index_3_fails_its_certificate_and_its_rows_multi
     window = path_algebra._window("w", 3)
     mutated = rep.with_sign_flip("w", 3, min(rep.gen("w", 3).support()))
     # the parent takes w_3's certificate from w_2; the mutant checks its flip's entries
-    assert rep._certificate("w", 3) == 4
-    assert mutated._certificate("w", 3) is None
+    assert certificate(rep, "w", 3) == 4
+    assert certificate(mutated, "w", 3) is None
     assert not mutated._home("w", 3).is_window_local(*window)
     decided = []
     original = path_algebra.Check.equality
@@ -1158,17 +1169,24 @@ def test_mutants_of_mutants_reuse_verdicts_through_each_parent():
 
 def test_a_mutant_rereads_only_the_rows_of_its_flip(monkeypatch):
     lam = F(2)
-    rep = Representation(5, lam)
-    full = run_all_suites(5, lam, rep)
+    full = run_all_suites(5, lam, Representation(5, lam))
     # the products of a full run that multiplies out every commutation row too
     with monkeypatch.context() as patch:
         patch.setattr(SparseOperator, "is_window_local", lambda op, writes, reads: False)
         products_only = run_all_suites(5, lam, Representation(5, lam))
     assert products_only.to_json() == full.to_json() and products_only.products > full.products
-    # the first mutant has the parent decide, once, the rows its flip leaves alone
+    # the first mutant of a parent that has not run has the parent decide the
+    # rows its flip leaves alone (and the translates and certificates they
+    # read), and decides the others itself
+    rep = Representation(5, lam)
     first = rep.with_sign_flip("w", 3, min(rep.gen("w", 3).support()))
     run_all_suites(5, lam, first)
-    assert 0 < len(rep._verdicts) < len(full.checks)
+    rows = suite_rows(5)
+    alone = {row for row in rows if first._changed.isdisjoint(row.reads)}
+    translates = {row.link[0] for row in alone if row.link}
+    assert 0 < len(alone) < len(rows) and alone <= rep._verdicts.keys()
+    assert all(row in alone or row in translates or row.kind == "window" for row in rep._verdicts)
+    assert {row for row in first._verdicts if row.kind != "window"} == set(rows) - alone
     second = rep.with_sign_flip("w", 3, max(rep.gen("w", 3).support()))
     report = run_all_suites(5, lam, second)
     parents = {id(c) for c in rep._verdicts.values()}
@@ -1185,7 +1203,6 @@ def test_a_mutant_rereads_only_the_rows_of_its_flip(monkeypatch):
 
 
 STATES = ("bottom", "interior", "top")
-GRID = tuple((F(s), F(t)) for s in range(3) for t in range(3))  # yang_baxter_check's default
 
 
 def letter_classes(op, n):
@@ -1235,8 +1252,8 @@ def test_generators_from_letter_columns_equal_the_path_loop(lam):
 
 
 def suite_rows(floor):
-    """Every row of the three suites at their default grid, in report order."""
-    tables = (path_algebra._relation_table(floor), path_algebra._yang_baxter_table(floor, GRID), path_algebra._braiding_table(floor))
+    """Every row of the three suites, in report order."""
+    tables = (path_algebra._relation_table(floor), path_algebra._yang_baxter_table(floor), path_algebra._braiding_table(floor))
     return [row for rows in tables for row in rows]
 
 
@@ -1368,7 +1385,9 @@ def test_a_failing_translate_has_its_rows_multiplied_out(monkeypatch):
     status = {id(row): check.status for row, check in zip(rows, checks)}
     behind = [row for row in rows if row.link and status[id(row.link[0])] == "fail"]
     ahead = [row for row in rows if row.link and status[id(row.link[0])] == "pass"]
-    assert behind and ahead and not rep._verdicts
+    assert behind and ahead
+    # the model keeps a check for every row it decided
+    assert all(rep._verdicts[row] is check for row, check in zip(rows, checks))
     # the rows behind a failing translate are multiplied out, the others not
     assert all(name[id(row)] in decided for row in behind)
     assert not any(name[id(row)] in decided for row in ahead)
@@ -1508,20 +1527,21 @@ def test_checks_are_decided_at_the_highest_home_floor():
     assert flipped[("R3", json.dumps({"family": "v", "n": 1, "law": "v g = f v"}))] == 5
 
 
-def test_yang_baxter_expansion_matches_grid_for_custom_pairs():
+def test_yang_baxter_expansion_matches_both_sides_multiplied_out():
     rep = Representation(5, F(2, 3))
-    pairs = [(F(1, 2), -3), (0, 5), (-1, 1), (F(7, 3), F(-2, 5)), ("3/4", 2)]
     mutated = random_sign_mutation(rep, random.Random(3))[0]
     # sign flips keep a^2 and aba - bab zero; with E_1, E_2 in place of
     # v_1, v_2 neither coefficient vanishes and 6.4 fails at n = 0, 1, 2
     broken = unlinked(rep, {("v", 1): rep.tl("E", 1), ("v", 2): rep.tl("E", 2)})
     for subject in (rep, mutated, broken):
-        fast = yang_baxter_check(5, F(2, 3), pairs=pairs, rep=subject)
-        slow = reference_yang_baxter_check(5, F(2, 3), pairs=pairs, rep=subject)
+        fast = yang_baxter_check(5, F(2, 3), rep=subject)
+        slow = reference_yang_baxter_check(5, F(2, 3), rep=subject)
         assert fast.to_json() == slow.to_json()
     assert fast.failures() and all(c.witness for c in fast.failures())
-    # points with s*t == 0 pass whatever the generators are
-    assert all(c.status == "pass" for c in fast.checks if c.indices["s"] == "0")
+    # the points with s*t == 0 pass whatever the generators are; the other
+    # four fail at each n where a coefficient does not vanish
+    failed = {(c.indices["n"], c.indices["s"], c.indices["t"]) for c in fast.failures()}
+    assert failed == {(n, s, t) for n in range(3) for s in "12" for t in "12"}
 
 
 def test_suites_need_enough_floors():
@@ -1566,9 +1586,9 @@ def test_suite_reports_match_the_frozen_floor_5_reports():
 def test_yang_baxter():
     report = yang_baxter_check(5, F(1))
     assert report.ok
-    # trivial grid point: both sides are the identity
-    trivial = yang_baxter_check(4, F(1), pairs=[(0, 0)])
-    assert trivial.ok
+    # one row per n <= N - 2 and point (s, t) of the grid {0, 1, 2}^2
+    points = [(c.indices["n"], c.indices["s"], c.indices["t"]) for c in report.checks]
+    assert points == [(n, str(s), str(t)) for n in range(4) for s in range(3) for t in range(3)]
 
 
 def test_braiding_suite_passes_for_several_lambdas():
@@ -1578,11 +1598,11 @@ def test_braiding_suite_passes_for_several_lambdas():
 
 
 def test_report_json_shape():
-    report = yang_baxter_check(4, F(1), pairs=[(1, 2)])
+    report = yang_baxter_check(4, F(1))
     payload = json.loads(report.to_json())
-    assert payload and all(item["status"] == "pass" for item in payload)
-    assert payload[0]["equation"] == "6.4"
-    assert set(payload[0]["indices"]) == {"n", "s", "t"}
+    assert len(payload) == 27 and all(item["status"] == "pass" for item in payload)
+    assert payload[0] == {"equation": "6.4", "indices": {"n": 0, "s": "0", "t": "0"}, "status": "pass"}
+    assert payload[5]["indices"] == {"n": 0, "s": "1", "t": "2"}
 
 
 def test_failing_projection_rows_name_a_witness():
@@ -1606,15 +1626,6 @@ def test_projection_witness_reads_asymmetry_before_idempotence():
     double = SparseOperator(ctx, lam, {(1, 1): 2})
     assert double.projection_witness() == {"row": 1, "col": 1, "value": "2+0*sqrt(1)"}
     assert not skew.is_projection() and not double.is_projection()
-
-
-def test_yang_baxter_grid_points_must_not_be_floats():
-    # (0.1, 0.2) would run at s = 3602879701896397/36028797018963968
-    with pytest.raises(ValueError, match="s must be exact"):
-        yang_baxter_check(4, F(1), pairs=[(0.1, F(1, 5))])
-    with pytest.raises(ValueError, match="t must be exact"):
-        yang_baxter_check(4, F(1), pairs=[(1, 0.2)])
-    assert yang_baxter_check(4, F(1), pairs=[("1/10", 2)]).ok
 
 
 def test_failed_check_carries_witness():
