@@ -517,11 +517,14 @@ def levelset_to_json(ls: LevelSet) -> str:
 def levelset_from_json(text: str) -> LevelSet:
     payload = json_object(text, "a level set")
     try:
-        ls = LevelSet(payload["depth"], tuple(tuple(idx) for idx in payload["retained"]))
+        depth, retained = payload["depth"], tuple(tuple(idx) for idx in payload["retained"])
     except KeyError as exc:
         raise ValueError(f"a level set needs the key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"malformed level set: {exc}") from None
+    if not all(type(x) is int for x in (depth, *(k for idx in retained for k in idx))):
+        raise ValueError("malformed level set: the depth and every index must be ints, never floats or bools")
+    ls = LevelSet(depth, retained)
     if "labels" in payload:
         if payload["labels"] != _label_texts(ls):
             raise ValueError("labels in payload do not match the retained indices")

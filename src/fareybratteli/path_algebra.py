@@ -48,11 +48,11 @@ its witness.  A support law (1 - x) y or y (1 - x) is y - xy or y - yx.  The
 floor-r matrix units T(x, x) sum to the floor-r identity, and the unital
 tail embedding carries it to every higher floor, so the unit-partition row
 of floor r compares ("1", r) with ("1", 0).  A scalar (c, i, j) is
-c sqrt(lam)^i / (1 + lam)^j, so a table serves every lam.  One evaluator
-per suite call decides the rows through ``Representation._home`` and keeps
-every node it builds, by id: a node that several rows share (E_n E_n+1 in
-6.9, 6.13, 6.15, 6.16 and dominance, or f_n v_n in R2 and R3) is built once
-per evaluation.
+c sqrt(lam)^i / (1 + lam)^j, so a table serves every lam.  A suite call
+builds each node once per model from ``Representation._home`` (``_value``)
+and keeps it, by id, in that model's own node dict until it returns: a node
+that several rows share (E_n E_n+1 in 6.9, 6.13, 6.15, 6.16 and dominance,
+or f_n v_n in R2 and R3) is built once per call.
 
 E and F are generators: table rows with the index range and window of
 their flip, each built from the stored flip in closed form.  A flip u (v_n
@@ -142,13 +142,15 @@ A mutant reuses its parent's verdicts.  ``with_sign_flip`` rebuilds the
 E_n or F_n of a flipped v_n or w_n and records the parent and the changed
 keys, those of the flip and of what was rebuilt; it reads the generator of
 every other key from its parent (``_home``).  Every model decides every
-row, certificate rows included, by one rule (``_evaluator``): the check it
-keeps; else, on a mutant, its parent's check for a row whose read set (the
-letters of its operands) meets no changed key; else, on generators as
-built, a linked row's pass taken from its translate; else a commutation
-row's pass taken from its two certificate rows; else the row decided on its
-operands.  A model keeps every check it decides, so a second run on one
-model multiplies nothing.
+row, certificate rows included, by one rule (``_verdict``, recursive over
+the chain of parents): the check it keeps; else, on a mutant, its parent's
+check for a row whose read set (the letters of its operands) meets no
+changed key; else, on generators as built, a linked row's pass taken from
+its translate; else a commutation row's pass taken from its two certificate
+rows; else the row decided on its operands.  A model keeps every check it
+decides, so a second run on one model multiplies nothing.  A parent never
+reads its mutant's nodes: the translate of a linked row reads letters the
+mutant may have changed.
 """
 
 from __future__ import annotations
@@ -158,7 +160,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, combinations, groupby, product
 from math import gcd
 from typing import Callable
@@ -1130,76 +1132,66 @@ def _combination(terms: list[tuple[tuple, SparseOperator]], lam: Fraction) -> Sp
     return SparseOperator.zero(top, lam) if op is None else op.lift(top)
 
 
-def _evaluator(rep: Representation, report: Report) -> Callable[[_Row], Check]:
-    """The check of a row on rep, counting products into ``report``: the
-    check rep keeps; else, on a mutant, its parent's for a row that reads no
-    changed key; else, on generators as built, a linked row's pass taken from
-    its translate; else a commutation row's pass taken from the certificate
-    rows of its two letters; else the row decided on its operands.  rep keeps
-    what it decides.  Every node is built once per evaluator and kept, by id:
-    a node that several rows read (equal words are one node) is looked up, not
-    rebuilt.  A mutant builds its parent's evaluator on first use."""
-    lam, home, kept, changed, cache = rep.lam, rep._home, rep._verdicts, rep._changed, {}
-    parent, asked = rep._parent, None
-
-    def value(node: tuple) -> SparseOperator:
-        op = cache.get(id(node))
-        if op is not None:
-            return op
-        tag = node[0]
-        if tag in _LETTERS:
-            op = home(*node)
-        elif tag == "·":
-            op = value(node[1]) * value(node[2])
-            report.products += 1
-            report.largest_product = op.max_nonzeros(report.largest_product)
-        elif tag == "*":
-            op = value(node[1]).adjoint()
-        elif tag == "+":
-            op = _combination([(scalar, value(x)) for scalar, x in node[1]], lam)
-        else:  # ("1", r): the floor-r identity, which lifts to what it meets
-            op = SparseOperator.identity(path_context(node[1]), lam)
-        cache[id(node)] = op
+def _value(rep: Representation, node: tuple, nodes: dict, report: Report) -> SparseOperator:
+    """The operator of a node on rep, counting products into ``report``.
+    ``nodes`` is rep's node cache for one suite call, keyed by id: a node that
+    several rows read (equal words are one node) is built once and kept."""
+    op = nodes.get(id(node))
+    if op is not None:
         return op
+    tag = node[0]
+    if tag in _LETTERS:
+        op = rep._home(*node)
+    elif tag == "·":
+        op = _value(rep, node[1], nodes, report) * _value(rep, node[2], nodes, report)
+        report.products += 1
+        report.largest_product = op.max_nonzeros(report.largest_product)
+    elif tag == "*":
+        op = _value(rep, node[1], nodes, report).adjoint()
+    elif tag == "+":
+        op = _combination([(scalar, _value(rep, x, nodes, report)) for scalar, x in node[1]], rep.lam)
+    else:  # ("1", r): the floor-r identity, which lifts to what it meets
+        op = SparseOperator.identity(path_context(node[1]), rep.lam)
+    nodes[id(node)] = op
+    return op
 
-    equality = partial(Check.equality, top=rep.ctx)
-    decide = {"equality": equality, "commutes": equality, "vanishes": partial(Check.vanishes, top=rep.ctx),
-              "nonzero": Check.nonzero, "projection": partial(Check.projection, top=rep.ctx), "window": Check.window}
 
-    def passed(row: _Row) -> int | None:
-        """The floor of a pass taken from other rows' checks, else None."""
-        if row.link and not changed:
-            translate, shift = row.link
-            check = verdict(translate)
-            return check.floor + shift if check.status == "pass" else None
-        floors = []
-        for letter in row.apart or ():
-            check = verdict(_certificate(*letter))
-            if check.status != "pass":
-                return None
-            floors.append(check.floor)
-        return max(floors, default=None)
-
-    def verdict(row: _Row) -> Check:
-        nonlocal asked
-        check = kept.get(row)
-        if check is not None:
-            return check
-        if parent is not None and changed.isdisjoint(row.reads):
-            check = parent._verdicts.get(row)
-            if check is None:
-                asked = asked or _evaluator(parent, report)
-                check = asked(row)
-            return check
-        floor = passed(row)
-        if floor is None:
-            check = decide[row.kind](row.equation, dict(row.indices), *map(value, row.operands))
-        else:
-            check = Check(row.equation, dict(row.indices), "pass", None, floor)
-        kept[row] = check
+def _verdict(rep: Representation, row: _Row, nodes: dict, report: Report) -> Check:
+    """The check of a row on rep: the check rep keeps; else, on a mutant, its
+    parent's for a row that reads no changed key; else, on generators as
+    built, a linked row's pass taken from its translate; else a commutation
+    row's pass taken from the certificate rows of its two letters; else the
+    row decided on its operands, built in rep's own dict of ``nodes`` (a
+    parent never reads its mutant's operators).  rep keeps what it decides."""
+    check = rep._verdicts.get(row)
+    if check is not None:
         return check
-
-    return verdict
+    if rep._parent is not None and rep._changed.isdisjoint(row.reads):
+        return _verdict(rep._parent, row, nodes, report)
+    floor = None
+    if row.link and not rep._changed:
+        translate, shift = row.link
+        check = _verdict(rep, translate, nodes, report)
+        floor = check.floor + shift if check.status == "pass" else None
+    elif row.apart:
+        floors = []
+        for letter in row.apart:
+            check = _verdict(rep, _certificate(*letter), nodes, report)
+            if check.status != "pass":
+                break
+            floors.append(check.floor)
+        else:
+            floor = max(floors)
+    if floor is None:
+        own = nodes.setdefault(rep, {})
+        operands = [_value(rep, node, own, report) for node in row.operands]
+        decide = getattr(Check, "equality" if row.kind == "commutes" else row.kind)
+        top = () if row.kind in ("nonzero", "window") else (rep.ctx,)
+        check = decide(row.equation, dict(row.indices), *operands, *top)
+    else:
+        check = Check(row.equation, dict(row.indices), "pass", None, floor)
+    rep._verdicts[row] = check
+    return check
 
 
 def _suite(rows: tuple[_Row, ...], floor: int, lam, rep: Representation | None) -> Report:
@@ -1209,8 +1201,8 @@ def _suite(rows: tuple[_Row, ...], floor: int, lam, rep: Representation | None) 
         rep = _representation(floor, lam)
     elif (rep.floor, rep.lam) != (floor, lam):
         raise ValueError(f"rep is the floor-{rep.floor} model at lambda {rep.lam}, not floor {floor} at lambda {lam}")
-    report = Report()
-    report.checks = list(map(_evaluator(rep, report), rows))
+    report, nodes = Report(), {}  # one node dict per model the call reads
+    report.checks = [_verdict(rep, row, nodes, report) for row in rows]
     return report
 
 

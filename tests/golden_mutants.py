@@ -45,5 +45,10 @@ def mutant_records() -> list[dict]:
     return records
 
 
+def golden_text() -> str:
+    """The committed file's text: one record per line."""
+    return "[\n" + ",\n".join(json.dumps(record) for record in mutant_records()) + "\n]\n"
+
+
 if __name__ == "__main__":
-    print("[\n" + ",\n".join(json.dumps(record) for record in mutant_records()) + "\n]")
+    print(golden_text(), end="")

@@ -172,7 +172,7 @@ def patch_unlinked_tables(patch) -> None:
 def certificate(rep, kind, n):
     """The floor of the check of kind_n's certificate row on ``rep``, or
     None when it fails; decided and kept by ``rep``'s rule if not kept yet."""
-    check = path_algebra._evaluator(rep, Report())(path_algebra._certificate(kind, n))
+    check = path_algebra._verdict(rep, path_algebra._certificate(kind, n), {}, Report())
     return check.floor if check.status == "pass" else None
 
 

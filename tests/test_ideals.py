@@ -481,6 +481,10 @@ def test_dot_export():
         ('{"depth": 0, "retained": 7}', "malformed level set"),
         ('{"depth": 0, "retained": [3]}', "malformed level set"),
         ('{"depth": "0", "retained": [[0, 1]]}', "malformed level set"),
+        ('{"depth": 1, "retained": [[0], [1.5]]}', "must be ints"),
+        ('{"depth": 1, "retained": [[true], [2]]}', "must be ints"),
+        ('{"depth": 1.0, "retained": [[0], [1]]}', "must be ints"),
+        ('{"depth": true, "retained": [[0], [1]]}', "must be ints"),
         ("[0]", "JSON object"),
         pytest.param("[" * 100000, "nests too deeply", id="nested-100000"),
     ],

@@ -1,12 +1,15 @@
 """Path model, generators, relation suites, and mutation sensitivity."""
 
+import gc
 import json
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
+import golden_mutants
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1196,6 +1199,46 @@ def test_a_mutant_rereads_only_the_rows_of_its_flip(monkeypatch):
     assert ("R3", json.dumps({"family": "w", "n": 3, "law": "w g = e w"})) in reread
     assert ("6.7", json.dumps({"n": 3, "law": "E F"})) in reread  # reads F_3
     assert ("R3", json.dumps({"family": "v", "n": 1, "law": "v g = f v"})) not in reread
+
+
+def test_a_parent_decides_for_its_mutant_what_an_unmutated_model_decides():
+    # a fresh parent that has not run decides for its mutant the rows the
+    # flip leaves alone, and the translates and certificates they read, on
+    # its own operators: every check it keeps is an unmutated model's
+    floor, lam = 4, F(2)
+    fresh = Representation(floor, lam)
+    run_all_suites(floor, lam, fresh)
+    for kind, n in path_algebra._generator_keys(floor):
+        support = sorted(fresh.gen(kind, n).support())
+        for entry in (support[0], support[-1]):
+            parent = Representation(floor, lam)
+            run_all_suites(floor, lam, parent.with_sign_flip(kind, n, entry))
+            assert parent._verdicts
+            for row, check in parent._verdicts.items():
+                expected = path_algebra._verdict(fresh, row, {}, path_algebra.Report())
+                assert (check, check.floor) == (expected, expected.floor), (kind, n, entry, row.equation, row.indices)
+
+
+def test_a_mutant_is_freed_by_reference_counting_once_its_suites_return():
+    # no reference cycle holds a model, its parent or a suite call's nodes
+    lam = F(2, 3)
+    rep = Representation(5, lam)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        mutated = rep.with_sign_flip("e", 2, min(rep.gen("e", 2).support()))
+        assert not run_all_suites(5, lam, mutated).ok
+        alive = weakref.ref(mutated)
+        del mutated
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_seeded_mutants_match_the_committed_golden():
+    # what the CI step diffs: tests/golden_mutants.py against its output file
+    assert golden_mutants.golden_text() == (Path(__file__).parent / "golden_mutants.json").read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
