@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import re
 import sys
 import time
@@ -151,7 +152,10 @@ def _cmd_row(args) -> int:
     elif args.denominators:
         print(" ".join(map(str, dens)))
     else:
-        labels = list(map("{}/{}".format, nums, dens))
+        # labels lie in [0, 1], so one string table up to the largest denominator covers both parts
+        text = list(map(str, range(max(dens) + 1)))
+        slash = ["/" + t for t in text]
+        labels = list(map(operator.add, map(text.__getitem__, nums), map(slash.__getitem__, dens)))
         # only the endpoints 0/1 and 1/1 have denominator 1; print them as str(Fraction) does
         labels[0], labels[-1] = "0", "1"
         print(" ".join(labels))

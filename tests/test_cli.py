@@ -38,6 +38,14 @@ def test_row_labels_and_numerators(capsys):
     assert out.strip() == "0 1 1 2 1"
 
 
+@pytest.mark.parametrize("n", range(15))
+def test_row_matches_core_in_every_mode(capsys, n):
+    nums, dens = core.row_ints(n)
+    assert run(capsys, "row", "--floor", str(n)) == (0, " ".join(map(str, core.row(n))) + "\n", "")
+    assert run(capsys, "row", "--floor", str(n), "--numerators") == (0, " ".join(map(str, nums)) + "\n", "")
+    assert run(capsys, "row", "--floor", str(n), "--denominators") == (0, " ".join(map(str, dens)) + "\n", "")
+
+
 def test_qmark_both_directions(capsys):
     code, out, _ = run(capsys, "qmark", "eval", "2/5")
     assert (code, out.strip()) == (0, "3/8")
@@ -220,6 +228,7 @@ DIAGRAM_GOLDENS = [
     ("ideal_3_7_plus_depth10.dot", ["ideal", "--theta", "3/7", "--variant", "plus", "--depth", "10", "--format", "dot"], 0),
     ("trace_geometric_1_4_depth16.txt", ["trace", "check", "--spec", "{quarter}", "--depth", "16"], 0),
     ("trace_geometric_1_2_depth16.txt", ["trace", "check", "--spec", "{half}", "--depth", "16"], 1),
+    ("zeta_s3_qmax1000000.txt", ["zeta", "--s", "3", "--qmax", "1000000"], 0),
 ]
 
 

@@ -341,6 +341,19 @@ def test_totient_sieve_matches_prime_sieve_oracle():
     assert type(totient_sieve(10)) is list
 
 
+@pytest.mark.parametrize(
+    "n",
+    sorted(
+        {2**k + d for k in range(19) for d in (-1, 0, 1)}
+        | {2 * (2**16 + 1) + d for d in (-1, 0, 1)}
+        | {3 * 2**16 + d for d in (-1, 0, 1)}
+    ),
+)
+def test_totient_sieve_matches_prime_sieve_oracle_at_block_edges(n):
+    # the even q are filled in blocks of m = q / 2 that double up to 2**16 wide
+    assert totient_sieve(n) == tree_reference.totient_sieve(n)
+
+
 def test_totient_sieve_matches_trial_factorisation_up_to_a_million():
     sieve = totient_sieve(10**6)
     rng = random.Random(5)
