@@ -17,8 +17,10 @@ Tree walks run on plain integer numerators and denominators.  Labels that
 are neighbours on a floor satisfy p'q - pq' = 1, so the mediant of two
 neighbours is already in lowest terms: ``label`` carries the Stern-Brocot
 interval as four ints and builds one ``Fraction`` at the end, ``row_ints``
-builds a floor as a numerator list and a denominator list, and neither
-computes a gcd per step or builds a ``Fraction`` before its result.
+refines the numerators of a floor and reads its denominators off them by
+Stern's identity, ``cf_decode`` folds its terms on a numerator and a
+denominator, and none of them computes a gcd per step or builds a
+``Fraction`` before its result.
 
 The totients behind ``partition_function`` come from ``totient_sieve``: slice
 assignments into an ``array`` find the smallest odd prime factor of each odd
@@ -150,19 +152,22 @@ def _check_vertex(n: int, k: int) -> None:
 def row_ints(n: int) -> tuple[list[int], list[int]]:
     """Numerators and denominators of the 2**n + 1 labels of floor n.
 
-    Built floor by floor: even positions copy the previous floor, odd
-    positions add the numerators and the denominators of their two
-    neighbours, which is their mediant already in lowest terms.  Guarded at
-    n <= MAX_ROW_FLOOR since the result has 2**n + 1 entries.
+    The numerators are built floor by floor: even positions copy the
+    previous floor, odd positions add their two neighbours, which is the
+    mediant rule on numerators.  They are Stern's diatomic sequence, nums[k]
+    = s(k), and the denominators are s(2**n + k), so the identity
+    s(2**n + k) = s(k) + s(2**n - k) reads them off the numerators reversed:
+    dens[k] = nums[k] + nums[2**n - k].  Guarded at n <= MAX_ROW_FLOOR since
+    the result has 2**n + 1 entries.
     """
     if n < 0:
         raise ValueError(f"floor must be >= 0, got {n}")
     if n > MAX_ROW_FLOOR:
         raise ValueError(f"floor {n} too large for row materialisation (max {MAX_ROW_FLOOR})")
-    nums, dens = [0, 1], [1, 1]
+    nums = [0, 1]
     for _ in range(n):
-        nums, dens = _refine(nums), _refine(dens)
-    return nums, dens
+        nums = _refine(nums)
+    return nums, list(map(operator.add, nums, reversed(nums)))
 
 
 def _refine(values: list[int]) -> list[int]:
@@ -265,13 +270,17 @@ def cf_encode(x: Fraction) -> CF:
 
 
 def cf_decode(terms: Sequence[int]) -> Fraction:
-    """Value of a (not necessarily canonical) term tuple, folded right to left."""
-    value = Fraction(0)
+    """Value of a (not necessarily canonical) term tuple, folded right to left.
+
+    The fold runs on the numerator and denominator, p/q -> q/(a q + p) from
+    0/1, which stay coprime; one ``Fraction`` is built at the end.
+    """
+    p, q = 0, 1
     for a in reversed(terms):
         if a < 1:
             raise ValueError(f"continued-fraction terms must be positive, got {terms}")
-        value = Fraction(1, a + value)
-    return value
+        p, q = q, a * q + p
+    return Fraction(p, q)
 
 
 def cf_convergents(terms: Sequence[int]) -> list[Fraction]:
@@ -461,7 +470,9 @@ def partition_function(s: float, qmax: int) -> float:
     if not 1 <= qmax <= MAX_ZETA_QMAX:
         raise ValueError(f"qmax must lie in 1..{MAX_ZETA_QMAX}")
     phi = totient_sieve(qmax)
-    # phi(q) * q**-s summed in the order q = 1..qmax
+    # phi(q) * q**-s summed in the order q = 1..qmax.  The zeta golden holds
+    # what Python 3.11's plain left-to-right float sum gives; Python 3.12
+    # replaced it with compensated summation, which can differ in the last bits
     return sum(map(operator.mul, islice(phi, 1, None), map(pow, range(1, qmax + 1), repeat(-s))))
 
 

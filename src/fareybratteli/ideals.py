@@ -28,6 +28,12 @@ vertex whose parents were not retained) walk the tree with ``core.label``.
 The dot export, which draws every vertex, reads each floor from
 ``core.row_ints``.
 
+``quotient_levels`` walks the straddling pair on the four ints a/b < c/d
+of its labels, which stay Farey neighbours, so their mediant needs no
+reduction; theta is compared with it by cross-multiplication, a rational
+directly and a stream through ``CFStream.compare_pair`` on the ints of its
+convergent interval.  No ``Fraction`` is built along the walk.
+
 Comparisons of an irrational stream against rationals use exact convergent
 intervals only; no floating point anywhere.  Level sets are immutable and
 every function here is pure, except that a CFStream pulls digits from its
@@ -93,9 +99,9 @@ class CFStream:
     Wraps any iterable of positive integers (typically an infinite generator,
     e.g. ``itertools.cycle((2,))`` for sqrt(2) - 1).  Supports exact
     comparison against rationals by narrowing the open convergent interval
-    that must contain the value; raises if the iterable runs dry before a
-    comparison is decided, so a silently-truncated prefix can never give a
-    wrong answer.
+    that must contain the value, on ints (``compare_pair``); raises if the
+    iterable runs dry before a comparison is decided, so a
+    silently-truncated prefix can never give a wrong answer.
     """
 
     def __init__(self, terms: Iterable[int]):
@@ -117,19 +123,34 @@ class CFStream:
 
     def bounds(self) -> tuple[Fraction, Fraction]:
         """Open interval around the value determined by the digits read so far."""
+        (a, b), (c, d) = self._ends()
+        return Fraction(a, b), Fraction(c, d)
+
+    def _ends(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """``bounds()`` as (numerator, denominator) pairs, the lower end first.
+
+        After k digits the ends are the convergent p_k/q_k and the mediant
+        (p_k + p_(k-1))/(q_k + q_(k-1)); since p_k q_(k-1) - p_(k-1) q_k =
+        (-1)**(k-1), the convergent is the upper end for odd k."""
         if not self.terms:
-            return Fraction(0), Fraction(1)
-        x = Fraction(self._p, self._q)
-        y = Fraction(self._p + self._p_prev, self._q + self._q_prev)
-        return (x, y) if x < y else (y, x)
+            return (0, 1), (1, 1)
+        convergent = self._p, self._q
+        mediant = self._p + self._p_prev, self._q + self._q_prev
+        return (mediant, convergent) if len(self.terms) % 2 else (convergent, mediant)
 
     def compare(self, m: Fraction) -> int:
         """-1 if the value is < m, +1 if > m.  Never 0 for an irrational."""
+        return self.compare_pair(m.numerator, m.denominator)
+
+    def compare_pair(self, num: int, den: int) -> int:
+        """``compare`` against num/den for a positive den, cross-multiplied
+        against the ends of the convergent interval; digits are pulled only
+        while num/den lies strictly inside it."""
         while True:
-            lo, hi = self.bounds()
-            if m <= lo:
+            (a, b), (c, d) = self._ends()
+            if num * b <= a * den:
                 return 1
-            if m >= hi:
+            if num * d >= c * den:
                 return -1
             if not self._extend():
                 raise ValueError(
@@ -245,13 +266,14 @@ def quotient_levels(spec: IdealSpec, depth: int) -> LevelSet:
         return LevelSet(depth, tuple((2**n - 1, 2**n) for n in range(depth + 1)))
 
     if isinstance(theta, Fraction):
-        compare = lambda m: (theta > m) - (theta < m)  # noqa: E731
+        p, q = theta.as_integer_ratio()
+        compare = lambda num, den: p * den - num * q  # noqa: E731  (its sign is theta's side)
     else:
-        compare = theta.compare
+        compare = theta.compare_pair
 
     retained: list[tuple[int, ...]] = []
     j = 0  # straddling pair is (j, j+1) until theta surfaces as a label
-    lo, hi = Fraction(0), Fraction(1)
+    a, b, c, d = 0, 1, 1, 1  # their labels a/b < c/d, Farey neighbours
     vertex: int | None = None  # index of the theta column once it exists
     for n in range(depth + 1):
         if vertex is None:
@@ -267,12 +289,11 @@ def quotient_levels(spec: IdealSpec, depth: int) -> LevelSet:
         if vertex is not None:
             vertex *= 2
             continue
-        m = mediant(lo, hi)
-        side = compare(m)
+        side = compare(a + c, b + d)  # against the mediant, already in lowest terms
         if side < 0:
-            j, hi = 2 * j, m
+            j, c, d = 2 * j, a + c, b + d
         elif side > 0:
-            j, lo = 2 * j + 1, m
+            j, a, b = 2 * j + 1, a + c, b + d
         else:
             vertex = 2 * j + 1  # first appearance: n0 = n + 1
     return LevelSet(depth, tuple(retained))

@@ -23,11 +23,15 @@ denominators, in one ``math.lcm`` call and without reduction, and phi is
 compared with its mass by cross-multiplication.  No common denominator is
 shared across vertices.
 
-That exact work is done floor by floor, once per distinct operand tuple
-of the floor rather than once per vertex (``_each``): equal weights share
-one sum, one comparison and one reported ``Fraction``.  A geometric
-candidate, with one weight per floor, so does a few big-integer steps per
-floor; a candidate whose weights all differ still does them per vertex.
+That exact work is done floor by floor, on columns of pairs (``_each``).
+A column that repeats one object (found by an identity scan, never by
+comparing values) is passed to the kernel as that object, so a floor whose
+columns all do costs one call and a list repeat: every floor of a
+geometric candidate, and the default-0 floors below a table's entries.
+Over the other columns the work is done once per distinct operand tuple:
+equal weights share one sum, one comparison and one reported
+``Fraction``, and a candidate whose weights all differ still pays per
+vertex.  The negative-weight checks read a repeated pair once too.
 Vertices are located from their labels by ``core.vertex_of_label``, which
 works on integer numerators and denominators.
 
@@ -35,6 +39,8 @@ From a valid weight the full family of diagram values alpha is rebuilt
 floor by floor: odd indices read phi, even indices subtract the adjacent
 odd values from the vertex one floor up, as int pairs over one lcm, once
 per distinct triple of the floor, so equal weights share one ``Fraction``.
+The floor above is carried as those pairs, never converted back from the
+``Fraction`` values it stored, and phi is still called once per vertex.
 All arithmetic is exact.
 """
 
@@ -44,10 +50,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, repeat
+from itertools import repeat
 from math import lcm
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Optional
+from operator import is_, itemgetter
+from typing import Callable, Iterator, Optional
 
 from .core import CF, cf_decode, cf_encode, cf_normalize, json_object, label, parse_fraction, vertex_of_label
 
@@ -86,7 +92,8 @@ MAX_TABLE_FLOOR = MAX_DEPTH + 20
 MAX_WEIGHT_BITS = 256
 
 _ZERO = Fraction(0)
-_numerator = attrgetter("numerator")
+_numerator = itemgetter(0)  # of a (numerator, denominator) pair
+_MIXED = object()  # ``_shared`` of a column that holds more than one object
 
 
 def _check_tree_vertex(v: Vertex) -> None:
@@ -245,11 +252,14 @@ def geometric_candidate(ratio: Fraction) -> TraceCandidate:
         return per_floor * power(start + 2) / (1 - ratio)
 
     def phi(v: Vertex) -> Fraction:
-        return Fraction(1) if v == STAR else power(v[0] + 1)
+        # STAR sits on floor -1 and weighs ratio**0 = 1
+        return power(v[0] + 1)
 
     def tail(v: Vertex, depth: int) -> Fraction:
-        # branch members sit one per floor (STAR, (0,1)) or two per floor
-        return branch_tail(max(depth, v[0]), 1 if v in (STAR, (0, 1)) else 2)
+        # branch members sit one per floor at STAR and (0, 1), the only tree
+        # vertices on floors -1 and 0, and two per floor elsewhere
+        n = v[0]
+        return branch_tail(depth if depth > n else n, 2 if n > 0 else 1)
 
     return TraceCandidate(phi, tail)
 
@@ -263,10 +273,9 @@ def table_candidate(entries: dict[Vertex, Fraction], default: Fraction = Fractio
         _check_tree_vertex(v)
     table = dict(entries)
     max_floor = max((v[0] for v in table), default=-1)
+    table[STAR] = Fraction(1)  # whatever the entries say
 
     def phi(v: Vertex) -> Fraction:
-        if v == STAR:
-            return Fraction(1)
         return table.get(v, default)
 
     if default != 0:
@@ -341,9 +350,10 @@ def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
     R(v) = phi(v) + R(right(v)) give the truncated branch masses
     mass(v) = R(left(v)) + L(right(v)); at STAR the mass is L((0, 1)), at
     (0, 1) it is R((1, 1)).  The sums run on (numerator, denominator) int
-    pairs (see ``_add``), once per distinct operand tuple of a floor (see
-    ``_each``), from the deepest floor with a nonzero weight up; each
-    distinct reported mass of a floor becomes one ``Fraction``.
+    pairs (see ``_add``), once per repeated object or distinct operand
+    tuple of a floor (see ``_each``), from the deepest floor with a nonzero
+    weight up; each distinct reported mass of a floor becomes one
+    ``Fraction``.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must lie in 1..{MAX_DEPTH}")
@@ -358,7 +368,7 @@ def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
     pairs = list(map(_pairs, values))
     # the floors below the deepest nonzero weight hold zero pairs only, and so
     # do their chain sums and masses: the pass starts at that weight's floor
-    low = next((n for n in range(depth, 0, -1) if any(map(itemgetter(0), pairs[n]))), 0)
+    low = next((n for n in range(depth, 0, -1) if any(map(_numerator, pairs[n]))), 0)
     masses = pairs[:depth]
     lefts = rights = pairs[min(low + 1, depth)]  # chain sums L and R of the floor below
     for n in range(min(low, depth - 1), 0, -1):
@@ -374,11 +384,11 @@ def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
     # STAR first, then floors 0..depth-1, in ``tree_vertices`` order
     floors = zip([[STAR]] + vertices, [[root]] + values, [[(1, 1)]] + pairs, [[star_mass]] + masses)
     for here, value, pair, mass in floors:
-        negative = _first_negative(value)
+        negative = _first_negative(pair)
         if negative is not None:
             raise ValueError(f"negative weight at {here[negative]}")
         if candidate.tail is None:
-            rests = repeat((0, 1))
+            rests = [(0, 1)] * len(here)
         else:
             rests = _pairs([candidate.tail(v, depth) for v in here])
         verdicts = _each(_verdict, pair, mass, rests)
@@ -394,24 +404,47 @@ def _odd_vertices(n: int) -> Iterator[Vertex]:
     return zip(repeat(n), range(1, 2**n + 1, 2))
 
 
-def _pairs(values: Iterable[Fraction]) -> list[tuple[int, int]]:
+def _shared(column: list):
+    """The one object a column repeats, found by identity and never by
+    value, or ``_MIXED`` (for an empty column too)."""
+    if not column:
+        return _MIXED
+    first = column[0]
+    return first if all(map(is_, column, repeat(first))) else _MIXED
+
+
+def _pairs(values: list[Fraction]) -> list[tuple[int, int]]:
+    """The weights as (numerator, denominator) pairs; a column of one
+    repeated weight converts it once and repeats the pair."""
+    one = _shared(values)
+    if one is not _MIXED:
+        return [one.as_integer_ratio()] * len(values)
     # as_integer_ratio reads both slots in one call, where the numerator and
     # denominator properties are a Python call each
     return list(map(Fraction.as_integer_ratio, values))
 
 
-def _each(fn: Callable, lead: list, *rest: Iterable) -> list:
+def _each(fn: Callable, *columns: list) -> list:
     """fn over the zipped columns, called once per distinct operand tuple.
 
-    Equal operands share one result, so a floor of equal weights does its
-    big-integer work once; the table lives for this call only.  When the
-    lead column repeats no value, no tuple repeats either, and fn is mapped
-    straight over the columns without a table."""
+    A column that repeats one object is passed as that object and leaves the
+    key, so a floor whose columns all do calls fn once and repeats the
+    result.  Over the other columns, equal operand tuples share one result;
+    the table lives for this call only, and a single such column is its own
+    key.  When the lead one of them repeats no value, no tuple repeats
+    either, and fn is mapped straight over the columns without a table."""
+    shared = list(map(_shared, columns))
+    mixed = [column for column, one in zip(columns, shared) if one is _MIXED]
+    if not mixed:
+        return [fn(*shared)] * len(columns[0])
+    lead = mixed[0]
     if len(set(lead)) == len(lead):
-        return list(map(fn, lead, *rest))
-    keys = list(zip(lead, *rest))
-    table = {key: fn(*key) for key in dict.fromkeys(keys)}
-    return list(map(table.__getitem__, keys))
+        return list(map(fn, *(column if one is _MIXED else repeat(one) for column, one in zip(columns, shared))))
+    keys = lead if len(mixed) == 1 else list(zip(*mixed))
+    distinct = list(dict.fromkeys(keys))
+    picks = iter([distinct] if len(mixed) == 1 else zip(*distinct))  # the distinct keys, column by column
+    results = map(fn, *[next(picks) if one is _MIXED else repeat(one) for one in shared])
+    return list(map(dict(zip(distinct, results)).__getitem__, keys))
 
 
 def _add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -438,11 +471,15 @@ def _verdict(value: tuple[int, int], mass: tuple[int, int], rest: tuple[int, int
     return Fraction(num, den) if num else _ZERO, value[0] * den < num * value[1]
 
 
-def _difference(above: tuple[int, int], left: tuple[int, int], right: tuple[int, int]) -> Fraction:
-    """above - left - right over one lcm, as a ``Fraction``."""
+def _difference(
+    above: tuple[int, int], left: tuple[int, int], right: tuple[int, int]
+) -> tuple[tuple[int, int], Fraction]:
+    """above - left - right over one lcm, as an unreduced pair and as a
+    ``Fraction``."""
     (an, ad), (ln, ld), (rn, rd) = above, left, right
     d = lcm(ad, ld, rd)
-    return Fraction(an * (d // ad) - ln * (d // ld) - rn * (d // rd), d)
+    num = an * (d // ad) - ln * (d // ld) - rn * (d // rd)
+    return (num, d), Fraction(num, d)
 
 
 def alpha_from_phi(candidate: TraceCandidate, depth: int) -> dict[Vertex, Fraction]:
@@ -452,43 +489,62 @@ def alpha_from_phi(candidate: TraceCandidate, depth: int) -> dict[Vertex, Fracti
     at (n, m) minus its adjacent odd values one floor down, subtracted as
     (numerator, denominator) int pairs over one lcm, once per distinct
     operand triple of the floor (see ``_each``), and stored as one
-    ``Fraction`` per triple.  The result satisfies the three-term recursion
-    exactly by construction; a negative value (reported with its vertex)
-    means the candidate is not a trace.
+    ``Fraction`` per triple.  The floor above is carried as those pairs, so
+    no value is converted back from its ``Fraction``.  The result satisfies
+    the three-term recursion exactly by construction; a negative value
+    (reported with its vertex) means the candidate is not a trace.
     """
     if not 0 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must lie in 0..{MAX_DEPTH}")
     if candidate.phi(STAR) != 1:
         raise ValueError("a trace candidate must have weight exactly 1 at the root")
     alpha: dict[Vertex, Fraction] = {STAR: Fraction(1)}
-    floor = [alpha[STAR]]  # the values of the floor above by index; STAR sits above floor 0
+    above = [(1, 1)]  # the pairs of the floor above by index; STAR sits above floor 0
     for n in range(depth + 1):
         odd_vertices = list(_odd_vertices(n))
         odd = list(map(candidate.phi, odd_vertices))
-        _refuse_negative(odd, odd_vertices)
+        odd_pairs = _pairs(odd)
+        _refuse_negative(odd_pairs, odd, odd_vertices)
         alpha.update(zip(odd_vertices, odd))
         # the even index 2m sits below index m one floor up, between odd[m - 1]
         # and odd[m]; a missing neighbour at either end counts as the pair 0/1
-        # (at floor 0 the zip stops at STAR: (0, 0) is 1 - phi((0, 1)))
-        odd_pairs = _pairs(odd)
-        even = _each(_difference, _pairs(floor), chain([(0, 1)], odd_pairs), chain(odd_pairs, [(0, 1)]))
-        del odd_pairs  # no pair outlives its floor's subtraction, to keep the peak low
+        # (at floor 0 only m = 0 exists: (0, 0) is 1 - phi((0, 1))).  The
+        # groups of ``_GROUPS`` go to ``_each`` apart: on floors of one weight
+        # every group is one repeated triple, except the even m, which vary
+        # above only
+        lefts, rights = [(0, 1), *odd_pairs], [*odd_pairs, (0, 1)]
+        differences = [None] * len(above)
+        for part in _GROUPS:
+            differences[part] = _each(_difference, above[part], lefts[part], rights[part])
+        even_pairs = list(map(itemgetter(0), differences))
+        even = list(map(itemgetter(1), differences))
+        del differences, lefts, rights  # freed before the next floor's phi calls, to keep the peak low
         even_vertices = list(zip(repeat(n), range(0, 2**n + 1, 2)))
-        _refuse_negative(even, even_vertices)
+        _refuse_negative(even_pairs, even, even_vertices)
         alpha.update(zip(even_vertices, even))
-        floor = [None] * (len(even) + len(odd))
-        floor[0::2], floor[1::2] = even, odd
+        above = [None] * (len(even) + len(odd))
+        above[0::2], above[1::2] = even_pairs, odd_pairs
     return alpha
 
 
-def _refuse_negative(values: list[Fraction], vertices: list[Vertex]) -> None:
-    negative = _first_negative(values)
+# the indices m of a floor above, in four groups: odd m, the even m between
+# the ends, and each end.  On floors 0 and 1 an end falls in a second group
+# too and is computed twice
+_GROUPS = (slice(1, None, 2), slice(2, -1, 2), slice(0, 1), slice(-1, None))
+
+
+def _refuse_negative(pairs: list[tuple[int, int]], values: list[Fraction], vertices: list[Vertex]) -> None:
+    negative = _first_negative(pairs)
     if negative is not None:
         raise ValueError(f"negative reconstructed weight {values[negative]} at {vertices[negative]}")
 
 
-def _first_negative(values: list[Fraction]) -> int | None:
-    """Position of the first negative value, or None."""
-    if min(map(_numerator, values)) >= 0:
+def _first_negative(pairs: list[tuple[int, int]]) -> int | None:
+    """Position of the first pair with a negative numerator, or None; a
+    column of one repeated pair reads it once."""
+    one = _shared(pairs)
+    if one is not _MIXED:
+        return 0 if one[0] < 0 else None
+    if min(map(_numerator, pairs)) >= 0:
         return None
-    return next(j for j, x in enumerate(values) if x.numerator < 0)
+    return next(j for j, (num, _) in enumerate(pairs) if num < 0)

@@ -228,16 +228,34 @@ DIAGRAM_GOLDENS = [
     ("ideal_3_7_plus_depth10.dot", ["ideal", "--theta", "3/7", "--variant", "plus", "--depth", "10", "--format", "dot"], 0),
     ("trace_geometric_1_4_depth16.txt", ["trace", "check", "--spec", "{quarter}", "--depth", "16"], 0),
     ("trace_geometric_1_2_depth16.txt", ["trace", "check", "--spec", "{half}", "--depth", "16"], 1),
+    ("trace_table_depth16_valid.txt", ["trace", "check", "--spec", "{table}", "--depth", "16"], 0),
+    ("trace_table_depth16_invalid.txt", ["trace", "check", "--spec", "{table_zeroed}", "--depth", "16"], 1),
+    # written by Python 3.11, whose sum adds floats left to right (see
+    # test_sum_adds_floats_left_to_right in test_core.py)
     ("zeta_s3_qmax1000000.txt", ["zeta", "--s", "3", "--qmax", "1000000"], 0),
 ]
+
+# the trace candidates of the goldens: two geometric ones, the geometric 1/4
+# weights of floors 0-8 as a table with default 0, and that table with (3, 1)
+# zeroed
+_TABLE_ENTRIES = [[n, k, f"1/{4 ** (n + 1)}"] for n in range(9) for k in range(1, 2**n + 1, 2)]
+TRACE_SPECS = {
+    "quarter": {"kind": "geometric", "ratio": "1/4"},
+    "half": {"kind": "geometric", "ratio": "1/2"},
+    "table": {"kind": "table", "entries": _TABLE_ENTRIES, "default": "0"},
+    "table_zeroed": {
+        "kind": "table",
+        "entries": [[n, k, "0" if (n, k) == (3, 1) else w] for n, k, w in _TABLE_ENTRIES],
+        "default": "0",
+    },
+}
 
 
 @pytest.mark.parametrize("name, argv, want", DIAGRAM_GOLDENS, ids=[name for name, _, _ in DIAGRAM_GOLDENS])
 def test_diagram_outputs_match_the_committed_goldens(capsys, tmp_path, name, argv, want):
-    specs = {"quarter": "1/4", "half": "1/2"}
-    for key, ratio in specs.items():
-        (tmp_path / f"{key}.json").write_text(json.dumps({"kind": "geometric", "ratio": ratio}), encoding="utf-8")
-    argv = [arg.format(**{key: tmp_path / f"{key}.json" for key in specs}) for arg in argv]
+    for key, spec in TRACE_SPECS.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(spec), encoding="utf-8")
+    argv = [arg.format(**{key: tmp_path / f"{key}.json" for key in TRACE_SPECS}) for arg in argv]
     golden = (Path(__file__).parent / "golden_diagram" / name).read_text(encoding="utf-8")
     code, out, _ = run(capsys, *argv)
     assert (code, out) == (want, golden)

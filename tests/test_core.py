@@ -134,6 +134,12 @@ def test_row_matches_fraction_mediants(n):
     assert row_ints(n) == ([x.numerator for x in expected], [x.denominator for x in expected])
 
 
+def test_row_ints_reads_the_denominators_off_the_numerators():
+    # one refinement chain and Stern's identity, against two chains
+    for n in range(17):
+        assert row_ints(n) == tree_reference.row_ints(n), n
+
+
 def test_vertex_of_label_inverts_label_on_odd_vertices():
     for n in range(11):
         for k in range(1, 2**n + 1, 2):
@@ -204,6 +210,26 @@ def test_cf_convergents_figure_labels():
 @given(st.fractions(min_value=0, max_value=1))
 def test_cf_round_trip(x):
     assert cf_decode(cf_encode(x)) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=0, max_value=1, max_denominator=10**12), st.lists(st.integers(1, 50), max_size=40))
+def test_cf_decode_matches_the_fraction_fold(x, terms):
+    # canonical tuples, the same with a trailing 1 split off, arbitrary tuples and ()
+    canonical = cf_encode(x)
+    split = canonical[:-1] + (canonical[-1] - 1, 1) if canonical and canonical[-1] > 1 else canonical + (1,)
+    for t in (canonical, split, tuple(terms), (), (1,), (1, 1)):
+        got = cf_decode(t)
+        assert type(got) is F and got == tree_reference.cf_decode(t), t
+
+
+@pytest.mark.parametrize("terms", [(0,), (2, 0, 3), (3, 1, -1), (0, 5)])
+def test_cf_decode_refuses_a_term_below_one_like_the_fraction_fold(terms):
+    with pytest.raises(ValueError) as got:
+        cf_decode(terms)
+    with pytest.raises(ValueError) as want:
+        tree_reference.cf_decode(terms)
+    assert str(got.value) == str(want.value)
 
 
 def test_height():
@@ -367,6 +393,14 @@ def test_partition_function_matches_oracle_sum_bit_for_bit(s, qmax):
     got = partition_function(s, qmax)
     assert type(got) is float
     assert got == tree_reference.partition_function(s, qmax)
+
+
+def test_sum_adds_floats_left_to_right():
+    # partition_function sums its terms with the built-in sum, and the zeta
+    # golden (tests/golden_diagram/zeta_s3_qmax1000000.txt) holds what Python
+    # 3.11's plain left-to-right summation gives.  Python 3.12 made sum of
+    # floats compensated, which returns 1.0 here, and would move that golden.
+    assert sum([1e16, 1.0, -1e16]) == 0.0
 
 
 def zeta_series(s: float, terms: int) -> float:

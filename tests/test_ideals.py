@@ -253,6 +253,47 @@ def test_deep_stream_walk_keeps_invariants():
         quotient_levels(IdealSpec(theta), 61)
 
 
+def _walk(quotient, spec_of):
+    """The level set, or the ValueError text, and the digits pulled."""
+    theta, variant = spec_of()
+    try:
+        result = quotient(IdealSpec(theta, variant), 60)
+    except ValueError as exc:
+        result = str(exc)
+    return result, len(theta.terms) if isinstance(theta, CFStream) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([F(0), F(1)]) | st.fractions(0, 1, max_denominator=10**6) | st.fractions(0, 1),
+    st.sampled_from(["plain", "plus", "minus"]),
+)
+def test_quotient_walk_on_ints_matches_the_fraction_walk_on_rationals(theta, variant):
+    if (variant, theta) in (("plus", 1), ("minus", 0)):
+        return
+    spec_of = lambda: (theta, variant)  # noqa: E731
+    assert _walk(quotient_levels, spec_of) == _walk(tree_reference.quotient_levels, spec_of)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=70))
+def test_quotient_walk_on_ints_matches_the_fraction_walk_on_streams(terms):
+    # prefixes of term sum 60 or less can run dry before floor 60, and both
+    # walks must refuse them after pulling the same digits
+    spec_of = lambda: (CFStream(iter(terms)), "plain")  # noqa: E731
+    assert _walk(quotient_levels, spec_of) == _walk(tree_reference.quotient_levels, spec_of)
+
+
+def test_stream_bounds_and_comparisons_read_the_convergent_interval():
+    theta = CFStream(iter([2, 3, 1, 4]))  # 19/43 once every digit is read
+    assert theta.bounds() == (F(0), F(1))
+    assert theta.compare(F(1, 3)) == 1 and theta.terms == [2]
+    assert theta.bounds() == (F(1, 3), F(1, 2))  # one digit: the convergent 1/2 is the upper end
+    assert theta.compare_pair(3, 7) == 1 and theta.terms == [2, 3]
+    assert theta.bounds() == (F(3, 7), F(4, 9))  # two digits: the convergent 3/7 is the lower end
+    assert theta.compare_pair(4, 9) == -1 and theta.terms == [2, 3]
+
+
 # ---------------------------------------------------------------------------
 # admissibility
 

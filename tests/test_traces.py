@@ -9,6 +9,7 @@ import tree_reference
 from fareybratteli import traces
 from fareybratteli.core import cf_decode, cf_encode, height, label, totient_sieve
 from fareybratteli.traces import (
+    MAX_DEPTH,
     STAR,
     TraceCandidate,
     TraceReport,
@@ -189,6 +190,47 @@ def _all_distinct(*negative_at):
     return TraceCandidate(phi)
 
 
+def _fresh_objects():
+    """The geometric 1/4 weights and tails, each call a new ``Fraction``:
+    equal weights are never the same object, so every floor takes the
+    value-keyed table and none is passed as one repeated object."""
+    geometric = geometric_candidate(F(1, 4))
+    return TraceCandidate(lambda v: F(geometric.phi(v)), lambda v, depth: F(geometric.tail(v, depth)))
+
+
+def _negative_floor(n):
+    """The geometric 1/4 weights with floor n all one negative object."""
+    geometric = geometric_candidate(F(1, 4))
+    negative = F(-1, 9)
+    return TraceCandidate(lambda v: negative if v[0] == n else geometric.phi(v), geometric.tail)
+
+
+def _mixed_floors(tailed=True):
+    """Floors of every kind the pair kernels tell apart: one shared object
+    (n % 4 == 0), equal weights as distinct objects (n % 4 == 1), a shared
+    default with one entry of its own (n % 4 == 2), and all distinct
+    (n % 4 == 3); the tail is one object per floor, or a new one per call."""
+    shared = {n: F(1, 4 ** (n + 1)) for n in range(MAX_DEPTH + 1)}
+
+    def phi(v):
+        if v == STAR:
+            return F(1)
+        n, k = v
+        kind = n % 4
+        if kind == 0:
+            return shared[n]
+        if kind == 1:
+            return F(1, 4 ** (n + 1))
+        if kind == 2:
+            return F(1, 5 ** (n + 1)) if k == 2**n - 1 else shared[n]
+        return F(1, 4 ** (n + 1)) - F(1, (k + 2) * 4 ** (n + 3))
+
+    def tail(v, depth):
+        return shared[depth] if depth % 2 else F(v[1], 4 ** (depth + 2))
+
+    return TraceCandidate(phi, tail if tailed else None)
+
+
 ONE_PASS_CANDIDATES = {
     **{f"geometric {r}": geometric_candidate(r) for r in (F(1, 4), F(2, 7), F(3, 10), F(1, 3), F(2, 5), F(3, 7))},
     "table valid": _table(F(1, 4)),
@@ -205,6 +247,11 @@ ONE_PASS_CANDIDATES = {
     "all distinct, negative at an even position": _all_distinct((4, 9)),
     "all distinct, negative at an odd, then an even position": _all_distinct((4, 7), (4, 9)),
     "all distinct, negative at an even, then an odd position": _all_distinct((4, 5), (4, 7)),
+    "equal weights as distinct objects": _fresh_objects(),
+    "one negative object on floor 0": _negative_floor(0),
+    "one negative object on floor 3": _negative_floor(3),
+    "mixed floors": _mixed_floors(),
+    "mixed floors, no tail": _mixed_floors(tailed=False),
 }
 
 

@@ -2,23 +2,26 @@
 
 ``label`` walks the Stern-Brocot interval with a ``Fraction`` mediant per
 floor, ``row`` builds each floor from the previous one with ``Fraction``
-mediants, ``totient_sieve`` runs the prime sieve that subtracts phi[m] // p
+mediants, ``row_ints`` refines the numerators and the denominators as two
+chains, ``cf_decode`` folds ``Fraction(1, a + value)`` right to left,
+``totient_sieve`` runs the prime sieve that subtracts phi[m] // p
 at every multiple m of every prime p (``partition_function`` sums over it
 with a generator), ``check_trace`` sums phi over the
 explicit branch set of every vertex in ``Fraction`` arithmetic,
-``alpha_from_phi`` subtracts ``Fraction`` values looked up by vertex, and
+``alpha_from_phi`` subtracts ``Fraction`` values looked up by vertex,
+``quotient_levels`` halves a ``Fraction`` interval at its mediant and
+compares a stream against the ``Fraction`` ends of its convergent interval,
 ``is_hereditary`` / ``is_directed`` ask ``children`` for every retained /
 omitted vertex, and ``levelset_to_dot`` labels every vertex by ``label``.
 The fast integer walks, the smallest-prime-factor sieve, the pair kernels
 of the one-pass checker, the gap walks and the row-read dot export in the
-package must agree with them exactly.
-"""
+package must agree with them exactly."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from fareybratteli.ideals import LevelSet, children
+from fareybratteli.ideals import CFStream, IdealSpec, LevelSet, children
 from fareybratteli.traces import MAX_DEPTH, STAR, TraceCandidate, TraceReport, Vertex, neighbor_set, tree_vertices
 
 
@@ -50,6 +53,23 @@ def row(n: int) -> tuple[Fraction, ...]:
             nxt.append(right)
         out = nxt
     return tuple(out)
+
+
+def row_ints(n: int) -> tuple[list[int], list[int]]:
+    nums, dens = [0, 1], [1, 1]
+    for _ in range(n):
+        nums = [x for a, b in zip(nums, nums[1:]) for x in (a, a + b)] + [nums[-1]]
+        dens = [x for a, b in zip(dens, dens[1:]) for x in (a, a + b)] + [dens[-1]]
+    return nums, dens
+
+
+def cf_decode(terms) -> Fraction:
+    value = Fraction(0)
+    for a in reversed(terms):
+        if a < 1:
+            raise ValueError(f"continued-fraction terms must be positive, got {terms}")
+        value = Fraction(1, a + value)
+    return value
 
 
 def totient_sieve(qmax: int) -> list[int]:
@@ -154,3 +174,69 @@ def levelset_to_dot(quotient: LevelSet) -> str:
                 lines.append(f'\t"v{n}_{k}" -> "v{n + 1}_{c}";')
     lines.append("}")
     return "\n".join(lines)
+
+
+def _stream_compare(stream: CFStream, m: Fraction) -> int:
+    """-1 if the stream's value is < m, +1 if > m, pulling digits through
+    ``_extend`` while m lies inside the convergent interval of the digits
+    read so far."""
+    while True:
+        if stream.terms:
+            p_prev, q_prev, p, q = 1, 0, 0, 1
+            for a in stream.terms:
+                p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+            x, y = Fraction(p, q), Fraction(p + p_prev, q + q_prev)
+            lo, hi = (x, y) if x < y else (y, x)
+        else:
+            lo, hi = Fraction(0), Fraction(1)
+        if m <= lo:
+            return 1
+        if m >= hi:
+            return -1
+        if not stream._extend():
+            raise ValueError(
+                "continued-fraction stream exhausted before a comparison was decided; "
+                "supply more terms (term sum must exceed the requested depth)"
+            )
+
+
+def quotient_levels(spec: IdealSpec, depth: int) -> LevelSet:
+    theta, variant = spec.theta, spec.variant
+    if isinstance(theta, Fraction) and theta == 0:
+        pick = (0,) if variant == "plain" else (0, 1)
+        return LevelSet(depth, tuple(pick for _ in range(depth + 1)))
+    if isinstance(theta, Fraction) and theta == 1:
+        if variant == "plain":
+            return LevelSet(depth, tuple((2**n,) for n in range(depth + 1)))
+        return LevelSet(depth, tuple((2**n - 1, 2**n) for n in range(depth + 1)))
+    if isinstance(theta, Fraction):
+        compare = lambda m: (theta > m) - (theta < m)  # noqa: E731
+    else:
+        compare = lambda m: _stream_compare(theta, m)  # noqa: E731
+    retained = []
+    j = 0
+    lo, hi = Fraction(0), Fraction(1)
+    vertex = None
+    for n in range(depth + 1):
+        if vertex is None:
+            retained.append((j, j + 1))
+        elif variant == "plain":
+            retained.append((vertex,))
+        elif variant == "plus":
+            retained.append((vertex, vertex + 1))
+        else:
+            retained.append((vertex - 1, vertex))
+        if n == depth:
+            break
+        if vertex is not None:
+            vertex *= 2
+            continue
+        m = mediant(lo, hi)
+        side = compare(m)
+        if side < 0:
+            j, hi = 2 * j, m
+        elif side > 0:
+            j, lo = 2 * j + 1, m
+        else:
+            vertex = 2 * j + 1
+    return LevelSet(depth, tuple(retained))
