@@ -238,8 +238,7 @@ def _cmd_trace(args) -> int:
     if report.valid:
         print(f"valid ({mode}, depth {args.depth}, {len(report.rows)} vertices)")
         return 0
-    by_vertex = {v: (value, mass) for v, value, mass in report.rows}
-    value, mass = by_vertex[report.first_violation]
+    value, mass = next((value, mass) for v, value, mass in report.rows if v == report.first_violation)
     print(f"INVALID ({mode}): first violation at {report.first_violation}: " f"phi = {value} < branch mass {mass}")
     return 1
 

@@ -160,9 +160,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, combinations, groupby, product
 from math import gcd
+from operator import attrgetter
 from typing import Callable
 
 from .core import parse_fraction
@@ -646,10 +647,10 @@ def _window(kind: str, n: int) -> tuple[range, range]:
 def _apart(x: tuple[range, range], y: tuple[range, range]) -> bool:
     """Neither window writes a coordinate the other reads."""
     (wx, rx), (wy, ry) = x, y
-    return not any(c in ry for c in wx) and not any(c in rx for c in wy)
+    # two ranges of consecutive coordinates meet when each starts before the other stops
+    return not (wx and wx.start < ry.stop and ry.start < wx.stop or wy and wy.start < rx.stop and rx.start < wy.stop)
 
 
-@lru_cache(maxsize=None)
 def _windows_apart(x: tuple, y: tuple) -> tuple | None:
     """(x, y) for letters whose windows are apart, else None."""
     return (x, y) if _apart(_window(*x), _window(*y)) else None
@@ -746,15 +747,10 @@ class Representation:
         return mutated
 
 
-@lru_cache(maxsize=8)
-def _representation(floor: int, lam: Fraction) -> Representation:
-    return Representation(floor, lam)
-
-
 def generator(kind: str, n: int, floor: int, lam=Fraction(1)) -> SparseOperator:
     """kind_n of the floor-N model, for any kind of the table: an edge-class
     projection e, f or g, a diamond flip v or w, or a projection E or F."""
-    rep = _representation(floor, parse_fraction(lam, "lam"))
+    rep = Representation(floor, lam)
     return rep._home(kind, n).lift(rep.ctx)
 
 
@@ -842,11 +838,21 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# the relation table: nodes, scalars and rows as the module docstring says
+# the relation tables: nodes, scalars, templates and rows as the module docstring says
 
 ONE, MINUS, ROOT = (1, 0, 0), (-1, 0, 0), (1, 1, 0)
 TAU, LAM_TAU, ROOT_UNIT2 = (1, 2, 2), (1, 4, 2), (1, 1, 2)  # tau, lam*tau, sqrt(lam)/(1+lam)^2
-_IDENTITY, _LETTERS = ("1", 0), frozenset(kind for kind, *_ in _GENERATORS)
+_LETTERS = frozenset(kind for kind, *_ in _GENERATORS)
+_NODES: dict[tuple, tuple] = {}
+
+
+def _node(*parts) -> tuple:
+    """The node of these parts, one object per value: equal words are one
+    node wherever they were built."""
+    return _NODES.setdefault(parts, parts)
+
+
+_IDENTITY = _node("1", 0)
 
 
 def _children(node: tuple) -> tuple:
@@ -854,54 +860,47 @@ def _children(node: tuple) -> tuple:
     return tuple(x for _, x in node[1]) if tag == "+" else node[1:] if tag in ("·", "*") else ()
 
 
-class _Row:
-    """One check of a suite; rows compare by identity, as keys of the verdicts.
-    A commutation row holds in ``apart`` what its builder found for its two
-    letters, ``_windows_apart`` of them; any other row holds None.  A row
-    whose letters sit at index 3 or more holds in ``link`` its translate at
-    lowest index 2 and the shift (``_link``); any other row holds None."""
-
-    __slots__ = ("equation", "indices", "kind", "operands", "apart", "link", "_reads")
-
-    def __init__(self, equation: str, indices: dict, kind: str, *operands: tuple, apart: tuple | None = None):
-        self.equation, self.indices, self.kind, self.operands = equation, indices, kind, operands
-        self._reads: frozenset | None = None
-        self.apart = apart if kind == "commutes" else None
-        self.link: tuple[_Row, int] | None = None
-
-    @property
-    def reads(self) -> frozenset:
-        """The letters of the operands, collected on first use."""
-        if self._reads is None:
-            reads, stack = set(), list(self.operands)
-            while stack:
-                node = stack.pop()
-                reads.add(node) if node[0] in _LETTERS else stack.extend(_children(node))
-            self._reads = frozenset(reads)
-        return self._reads
-
-
-@lru_cache(maxsize=None)
 def _letter(kind: str, n: int, star: bool = False) -> tuple:
-    return ("*", _letter(kind, n)) if star else (kind, n)
+    return _node("*", _node(kind, n)) if star else _node(kind, n)
 
 
-@lru_cache(maxsize=None)
 def _mul(*factors: tuple) -> tuple:
-    """The product nested from the left, built once: equal words are one node."""
-    return factors[0] if len(factors) == 1 else ("·", _mul(*factors[:-1]), factors[-1])
+    """The product nested from the left."""
+    node = factors[0]
+    for factor in factors[1:]:
+        node = _node("·", node, factor)
+    return node
 
 
 def _lin(*terms: tuple) -> tuple:
-    return ("+", terms)
+    return _node("+", terms)
 
 
-def _commutes(x: tuple, y: tuple, adjoint: bool = False) -> tuple:
-    """Kind and operands of the row xy = yx, or with ``adjoint`` of (yx)* = (xy)*,
-    which is x*y* = y*x* read off the products that xy = yx forms.  The row
-    passes without them when its two letters are window-local and apart."""
+def _shift(node: tuple, k: int) -> tuple:
+    """The node with every letter index moved up by k, and the floor of every
+    identity but the unit ("1", 0), which stays."""
+    tag = node[0]
+    if tag in _LETTERS:
+        return _node(tag, node[1] + k)
+    if tag == "+":
+        return _node("+", tuple((scalar, _shift(x, k)) for scalar, x in node[1]))
+    if tag == "1":
+        return _node("1", node[1] + k) if node[1] else node
+    return _node(tag, *(_shift(x, k) for x in node[1:]))
+
+
+def _shifted(nodes: tuple, k: int) -> tuple:
+    return tuple(_shift(node, k) for node in nodes)
+
+
+def _commutes(x: tuple, y: tuple, star: bool = False, adjoint: bool = False) -> tuple:
+    """The operands of the row x'y = yx' for the letters (kind, n) x and y,
+    x' = x* with ``star``; with ``adjoint`` of (yx')* = (x'y)*, which is
+    x'*y* = y*x'* read off the products that x'y = yx' forms.  The row passes
+    without them when its two letters are window-local and apart."""
+    x, y = _letter(*x, star), _letter(*y)
     xy, yx = _mul(x, y), _mul(y, x)
-    return ("commutes", ("*", yx), ("*", xy)) if adjoint else ("commutes", xy, yx)
+    return (_node("*", yx), _node("*", xy)) if adjoint else (xy, yx)
 
 
 @lru_cache(maxsize=64)
@@ -925,9 +924,10 @@ def _word(text: str, n: int) -> tuple:
     return _mul(*(_letter(kind, n + d, star) for kind, d, star in _letters(text)))
 
 
-def _defined(floor: int) -> Callable[[str, int], bool]:
-    """Whether every letter of a word exists at floor N, for index n."""
-    return lambda text, n: all(_in_range(floor, kind, n + d) for kind, d, _ in _letters(text))
+def _defined(text: str, n: int) -> bool:
+    """Whether every letter of a word is at or above its kind's lowest index,
+    for index n (a floor high enough holds it)."""
+    return all(n + d >= _KINDS[kind][1] for kind, d, _ in _letters(text))
 
 
 def _support_law(text: str, n: int) -> tuple:
@@ -961,158 +961,246 @@ _TRIPLES = ((("6.9", "E_n E_n+1 E_n", TAU, "E_n e_n+2"), ("6.9", "E_n+1 E_n E_n+
 # 6.13 and 6.14: vanishing mixed products, for 1 <= n <= N-2
 _MIXED = (("6.13", ("E_n E_n+1 F_n", "E_n F_n+1 F_n", "E_n+1 E_n F_n+1", "E_n+1 F_n F_n+1")),
           ("6.14", ("F_n E_n+1 E_n", "F_n F_n+1 E_n", "F_n+1 E_n E_n+1", "F_n+1 F_n E_n+1")))
+_FACTORS = ("v", "v*", "w", "w*")  # the factors of the whitelist's products
+_INDEX = ("n", "sum_at", "r")  # the index a template row is translated along
+_ORDER = attrgetter("order")
 
 
-def _link(rows: list[_Row]) -> None:
-    """Link each row whose lowest letter index (its index n, or sum_at) is 3
-    or more to its translate: the row of the same equation, kind and other
-    indices at lowest index 2, whose operands are its own shifted down (the
-    translation lemma).  Commutation rows name their letters otherwise and
-    are decided by window certificates; they are not linked."""
-    translates, linked = {}, []
-    for row in rows:
-        indices = row.indices
-        low = indices.get("n", indices.get("sum_at", 0))
-        if low >= 2:
-            key = (row.equation, row.kind, *(item for item in indices.items() if item[0] not in ("n", "sum_at")))
-            if low == 2:
-                translates[key] = row
+class _Row:
+    """One check of a suite; rows compare by identity, as keys of the verdicts.
+    ``operands`` is the tuple of operand nodes, or a function that builds it
+    on first read.  A commutation row holds in ``apart`` its two letters,
+    ``_windows_apart`` of them; any other row holds None.  A translate holds
+    in ``link`` its template at index 2 and the shift; any other row holds
+    None.  ``order`` places the row in its suite at every floor, and ``top``
+    is the lowest floor whose table holds it."""
+
+    __slots__ = ("equation", "indices", "kind", "apart", "link", "order", "top", "_operands", "_reads")
+
+    def __init__(self, equation: str, indices: dict, kind: str, operands, apart: tuple | None = None,
+                 link: tuple | None = None, order: tuple = (), top: int = 0):
+        self.equation, self.indices, self.kind, self._operands = equation, indices, kind, operands
+        self.apart = apart if kind == "commutes" else None
+        self.link, self.order, self.top, self._reads = link, order, top, None
+
+    @property
+    def operands(self) -> tuple:
+        if callable(self._operands):
+            self._operands = self._operands()
+        return self._operands
+
+    @property
+    def reads(self) -> frozenset:
+        """The letters of the operands, collected on first use: a translate's
+        are its template's shifted and a commutation row's are its pair, so
+        neither builds its operands for them."""
+        if self._reads is None:
+            if self.link:
+                translate, shift = self.link
+                reads = {(kind, n + shift) for kind, n in translate.reads}
+            elif self.apart:
+                reads = set(self.apart)
             else:
-                linked.append((row, key, low - 2))
-    for row, key, shift in linked:
-        translate = translates.get(key)
-        if translate is not None:
-            row.link = (translate, shift)
+                reads, stack = set(), list(self.operands)
+                while stack:
+                    node = stack.pop()
+                    reads.add(node) if node[0] in _LETTERS else stack.extend(_children(node))
+            self._reads = frozenset(reads)
+        return self._reads
+
+
+def _translate(row: _Row, shift: int) -> _Row:
+    """The row at index 2 + shift of a template at index 2, linked to it:
+    its operands are the template's shifted, built on first read."""
+    indices = {key: val + shift if key in _INDEX else val for key, val in row.indices.items()}
+    block, outer, n, inner = row.order
+    return _Row(row.equation, indices, row.kind, partial(_shifted, row.operands, shift),
+                link=(row, shift), order=(block, outer, n + shift, inner), top=row.top + shift)
 
 
 @lru_cache(maxsize=None)
 def _certificate(kind: str, n: int) -> _Row:
     """The row that decides whether kind_n carries the certificate of its
-    window; at n >= 3 linked to kind_2's (certificates by translation)."""
-    row = _Row("window", {"kind": kind, "n": n}, "window", _letter(kind, n))
+    window; at n >= 3 the translate of kind_2's (certificates by translation)."""
     if n > 2:
-        _link([_certificate(kind, 2), row])
-    return row
+        return _translate(_certificate(kind, 2), n - 2)
+    return _Row("window", {"kind": kind, "n": n}, "window", (_letter(kind, n),), order=(0, kind, n, 0),
+                top=n + _KINDS[kind][2])
 
 
-@lru_cache(maxsize=1)
-def _relation_table(floor: int) -> tuple[_Row, ...]:
-    defined = _defined(floor)
-    rows: list[_Row] = []
-    add = rows.append
+def _template_letters(kinds: str) -> list[tuple[str, int]]:
+    """(kind, n) of the given kinds at index 2 or less, in table order."""
+    return [(kind, n) for kind, low, *_ in _GENERATORS if kind in kinds for n in range(low, 3)]
+
+
+def _relation_templates(add: Callable) -> None:
     # (R1): self-adjoint idempotents summing to 1, mutually commuting; the
     # e's first, then f_n and g_n side by side
-    diag = sorted(_generator_keys(floor, "efg"), key=lambda key: (key[0] != "e", key[1]))
-    for kind, n in diag:
-        add(_Row("R1", {"kind": kind, "n": n}, "projection", _letter(kind, n)))
-    for n in range(floor + 1):
+    for kind, n in _template_letters("efg"):
+        add((0, kind != "e", n, kind == "g"), "R1", {"kind": kind, "n": n}, "projection", _letter(kind, n))
+    for n in range(3):
         total = _lin(*((ONE, _letter(k, n)) for k in ("fge" if n else "fg")))
-        add(_Row("R1", {"sum_at": n}, "equality", total, _IDENTITY))
-    for (k1, n1), (k2, n2) in combinations(diag, 2):
-        apart = _windows_apart((k1, n1), (k2, n2))  # e, f and g write nothing: every pair
-        add(_Row("R1", {"commutator": f"{k1}{n1},{k2}{n2}"}, *_commutes(_letter(k1, n1), _letter(k2, n2)), apart=apart))
-    for family, n, law in product("vw", range(floor), _R2):
-        if family + "_n" in law and defined(family + "_n", n):
-            add(_Row("R2", {"family": family, "n": n, "law": law}, "vanishes", _support_law(law, n)))
-    for equation, laws in (("R3", _R3), ("R4", _R4)):
-        for family, n, (law, left, right) in product("vw", range(floor), laws):
-            if left.startswith(family) and defined(left, n):
-                add(_Row(equation, {"family": family, "n": n, "law": law}, "equality", _word(left, n), _word(right, n)))
-    for n, law in product(range(floor), _VANISHING):
-        if defined(law, n):
-            low = n + min(d for _, d, _ in _letters(law))
-            add(_Row("6.1", {"law": law, "n": low}, "vanishes", _word(law, n)))
-    for n, k1, k2 in product(range(floor), ("v", "v*", "w", "w*"), ("v", "v*", "w", "w*")):
+        add((1, 0, n, 0), "R1", {"sum_at": n}, "equality", total, _IDENTITY)
+    for (i, family), n, (j, law) in product(enumerate("vw"), range(3), enumerate(_R2)):
+        if family + "_n" in law and _defined(family + "_n", n):
+            add((3, i, n, j), "R2", {"family": family, "n": n, "law": law}, "vanishes", _support_law(law, n))
+    for block, equation, laws in ((4, "R3", _R3), (5, "R4", _R4)):
+        for (i, family), n, (j, (law, left, right)) in product(enumerate("vw"), range(3), enumerate(laws)):
+            if left.startswith(family) and _defined(left, n):
+                add((block, i, n, j), equation, {"family": family, "n": n, "law": law}, "equality",
+                    _word(left, n), _word(right, n))
+    # 6.1 names its rows by their lowest letter, n - 1 for some laws
+    for n, (j, law) in product(range(4), enumerate(_VANISHING)):
+        low = n + min(d for _, d, _ in _letters(law))
+        if low <= 2 and _defined(law, n):
+            add((6, 0, n, j), "6.1", {"law": law, "n": low}, "vanishes", _word(law, n))
+    for n, (i, k1), (j, k2) in product(range(3), enumerate(_FACTORS), enumerate(_FACTORS)):
         name = f"{k1}_n {k2}_n+1"
-        if defined(name, n):
+        if _defined(name, n):
             kind = "nonzero" if name in _WHITELIST else "vanishes"
-            add(_Row("whitelist", {"product": name, "n": n}, kind, _word(name, n)))
-    # locality: operators whose windows are apart commute
-    isos = _generator_keys(floor, "vw")
-    for k1, n1 in isos:
-        for k2, n2 in isos:
-            if n1 < n2 and (apart := _windows_apart((k1, n1), (k2, n2))):
-                # x y* = y* x and x* y* = y* x* are the adjoints of y x* = x* y and y x = x y:
-                # adjoints in place of two products each
-                x, xs, y = _letter(k1, n1), _letter(k1, n1, True), _letter(k2, n2)
-                checks = (_commutes(x, y), _commutes(xs, y, True), _commutes(xs, y), _commutes(x, y, True))
-                for (s1, s2), check in zip(product(("", "*"), ("", "*")), checks):
-                    add(_Row("locality", {"commutator": f"{k1}{s1}{n1},{k2}{s2}{n2}"}, *check, apart=apart))
-        for kind, r in diag:
-            if apart := _windows_apart((k1, n1), (kind, r)):
-                check = _commutes(_letter(k1, n1), _letter(kind, r))
-                add(_Row("locality", {"commutator": f"{k1}{n1},{kind}{r}"}, *check, apart=apart))
+            add((7, 0, n, 4 * i + j), "whitelist", {"product": name, "n": n}, kind, _word(name, n))
     # braid triples (both sides vanish) and the 6.3 list
-    for kind, n in product("vw", range(floor)):
-        if defined(f"{kind}_n {kind}_n+1", n):
+    for (i, kind), n in product(enumerate("vw"), range(3)):
+        if _defined(f"{kind}_n {kind}_n+1", n):
             low, high = _word(f"{kind}_n {kind}_n+1 {kind}_n", n), _word(f"{kind}_n+1 {kind}_n {kind}_n+1", n)
-            add(_Row("braid", {"family": kind, "n": n}, "equality", low, high))
-            add(_Row("6.3", {"family": kind, "law": "x_n x_n+1 x_n", "n": n}, "vanishes", low))
-            add(_Row("6.3", {"family": kind, "law": "x_n+1 x_n x_n+1", "n": n}, "vanishes", high))
-    # partition of unity by the embedded floor-r matrix units: the floor-r identity
-    for r in range(floor):
-        add(_Row("unit-partition", {"r": r}, "equality", ("1", r), _IDENTITY))
-    _link(rows)
-    return tuple(rows)
+            add((9, i, n, 0), "braid", {"family": kind, "n": n}, "equality", low, high)
+            add((9, i, n, 1), "6.3", {"family": kind, "law": "x_n x_n+1 x_n", "n": n}, "vanishes", low)
+            add((9, i, n, 2), "6.3", {"family": kind, "law": "x_n+1 x_n x_n+1", "n": n}, "vanishes", high)
+    # partition of unity by the embedded floor-r matrix units: the floor-r
+    # identity, in the tables of the floors above r
+    for r in range(3):
+        add((10, 0, r, 0), "unit-partition", {"r": r}, "equality", _node("1", r), _IDENTITY, top=r + 1)
 
 
-@lru_cache(maxsize=1)
-def _yang_baxter_table(floor: int) -> tuple[_Row, ...]:
+def _yang_baxter_templates(add: Callable) -> None:
     """6.4 at each point (s, t) of the grid {0, 1, 2}^2, as ``yang_baxter_check`` explains."""
-    rows = []
-    for n in range(floor - 1):
+    for n in range(3):
         a, b = _letter("v", n), _letter("v", n + 1)
         ab = _mul(a, b)
         square = _lin((ONE, _mul(a, a)), (MINUS, _mul(b, b)))
         cube = _lin((ONE, _mul(ab, a)), (MINUS, _mul(b, ab)))
         for s, t in product(range(3), range(3)):
             difference = _lin(((s * t, 0, 0), square), ((s * t * (s + t), 0, 0), cube))
-            rows.append(_Row("6.4", {"n": n, "s": str(s), "t": str(t)}, "vanishes", difference))
-    _link(rows)
-    return tuple(rows)
+            add((0, 0, n, 3 * s + t), "6.4", {"n": n, "s": str(s), "t": str(t)}, "vanishes", difference)
 
 
-@lru_cache(maxsize=1)
-def _braiding_table(floor: int) -> tuple[_Row, ...]:
-    defined = _defined(floor)
-    rows: list[_Row] = []
-    add = rows.append
-    projections = _generator_keys(floor, "EF")
-    for kind, n in projections:
-        indices = {"kind": kind, "n": n, "law": "projection"}
-        add(_Row("6.5" if kind == "E" else "6.6", indices, "projection", _letter(kind, n)))
+def _braiding_templates(add: Callable) -> None:
+    for kind, n in _template_letters("EF"):
+        add((0, kind == "F", n, 0), "6.5" if kind == "E" else "6.6", {"kind": kind, "n": n, "law": "projection"},
+            "projection", _letter(kind, n))
     # 6.7: E_n and F_n are orthogonal
-    for n, word in product(range(1, floor), ("E_n F_n", "F_n E_n")):
-        add(_Row("6.7", {"n": n, "law": word.replace("_n", "")}, "vanishes", _word(word, n)))
-    # 6.8: commutation of projections whose windows are apart
-    for (k1, n1), (k2, n2) in product(projections, projections):
-        if n1 < n2 and (apart := _windows_apart((k1, n1), (k2, n2))):
-            add(_Row("6.8", {"commutator": f"{k1}{n1},{k2}{n2}"}, *_commutes(_letter(k1, n1), _letter(k2, n2)), apart=apart))
+    for n, (j, word) in product(range(1, 3), enumerate(("E_n F_n", "F_n E_n"))):
+        add((1, 0, n, j), "6.7", {"n": n, "law": word.replace("_n", "")}, "vanishes", _word(word, n))
     # 6.9 - 6.12: triple products with exact right-hand sides
-    for group in _TRIPLES:
-        for n, (equation, law, scalar, word) in product(range(floor), group):
-            if defined(law, n) and defined(word, n):
-                add(_Row(equation, {"n": n, "law": law}, "equality", _word(law, n), _lin((scalar, _word(word, n)))))
+    for (i, group), n in product(enumerate(_TRIPLES), range(3)):
+        for j, (equation, law, scalar, word) in enumerate(group):
+            if _defined(law, n) and _defined(word, n):
+                add((3, i, n, j), equation, {"n": n, "law": law}, "equality", _word(law, n), _lin((scalar, _word(word, n))))
     # 6.13 / 6.14: vanishing mixed products
-    for n, (equation, laws) in product(range(1, floor - 1), _MIXED):
-        for law in laws:
-            add(_Row(equation, {"n": n, "law": law}, "vanishes", _word(law, n)))
-    # 6.15 / 6.16: the two-factor expansions of E_n E_n+1 and E_n+1 E_n
-    for n in range(floor - 1):
+    for n, (i, (equation, laws)) in product(range(1, 3), enumerate(_MIXED)):
+        for j, law in enumerate(laws):
+            add((4, 0, n, 4 * i + j), equation, {"n": n, "law": law}, "vanishes", _word(law, n))
+    for n in range(3):
+        # 6.15 / 6.16: the two-factor expansions of E_n E_n+1 and E_n+1 E_n
         low, high = _letter("v", n), _letter("v", n + 1)
         left = _lin((ONE, _word("v_n* v_n", n)), (ROOT, low))
         right = _lin((ONE, high), (ROOT, _word("v_n+1 v_n+1*", n)))
-        add(_Row("6.15", {"n": n}, "equality", _word("E_n E_n+1", n), _lin((ROOT_UNIT2, _mul(left, right)))))
-        add(_Row("6.16", {"n": n}, "equality", _word("E_n+1 E_n", n), ("*", _word("E_n E_n+1", n))))
-    # dominance: tau E_n - E_n E_m E_n is tau times an exact projection
-    for n in range(floor - 1):
-        for residue, triple in (("E_n(1-e_n+2)", "E_n E_n+1 E_n"), ("E_n+1(1-g_n)", "E_n+1 E_n E_n+1")):
+        add((5, 0, n, 0), "6.15", {"n": n}, "equality", _word("E_n E_n+1", n), _lin((ROOT_UNIT2, _mul(left, right))))
+        add((5, 0, n, 1), "6.16", {"n": n}, "equality", _word("E_n+1 E_n", n), _node("*", _word("E_n E_n+1", n)))
+        # dominance: tau E_n - E_n E_m E_n is tau times an exact projection
+        for i, (residue, triple) in enumerate((("E_n(1-e_n+2)", "E_n E_n+1 E_n"), ("E_n+1(1-g_n)", "E_n+1 E_n E_n+1"))):
             node, outer = _support_law(residue, n), triple.split()[0]
-            add(_Row("dominance", {"n": n, "law": f"{residue} projection"}, "projection", node))
-            add(_Row("dominance", {"n": n, "law": f"tau {outer} - {triple}"}, "equality",
-                     _lin((TAU, _word(outer, n)), (MINUS, _word(triple, n))), _lin((TAU, node))))
-    _link(rows)
+            add((6, 0, n, 2 * i), "dominance", {"n": n, "law": f"{residue} projection"}, "projection", node)
+            add((6, 0, n, 2 * i + 1), "dominance", {"n": n, "law": f"tau {outer} - {triple}"}, "equality",
+                _lin((TAU, _word(outer, n)), (MINUS, _word(triple, n))), _lin((TAU, node)))
+
+
+@lru_cache(maxsize=None)
+def _templates(suite: str) -> tuple[tuple[_Row, ...], tuple[_Row, ...]]:
+    """The rows of a suite at index 0-2, built on first use, and those at
+    index 2, whose translates are the suite's rows at index 3 or more.  A
+    row's top is the highest home floor of its letters unless given."""
+    rows, expanding = [], []
+
+    def add(order: tuple, equation: str, indices: dict, kind: str, *operands: tuple, top: int | None = None) -> None:
+        row = _Row(equation, indices, kind, operands, order=order)
+        row.top = max(n + _KINDS[k][2] for k, n in row.reads) if top is None else top
+        rows.append(row)
+        if indices.get("n", indices.get("sum_at", indices.get("r"))) == 2:
+            expanding.append(row)
+
+    _TEMPLATES[suite](add)
+    return tuple(rows), tuple(expanding)
+
+
+_TEMPLATES = {"base": _relation_templates, "yb": _yang_baxter_templates, "braiding": _braiding_templates}
+
+
+def _diag_order(letter: tuple) -> tuple:
+    """e_1..e_N first, then f_n and g_n side by side: the order of R1."""
+    kind, n = letter
+    return kind != "e", n, kind == "g"
+
+
+def _commutation_rows(suite: str, top: int) -> list[_Row]:
+    """The commutation rows of a suite over the pairs of letters whose
+    windows are apart and whose higher home floor is ``top``: every pair of
+    e/f/g for R1; for locality the v/w pairs, four rows each (one per
+    placement of the stars), and the v/w x e/f/g pairs; the E/F pairs for
+    6.8.  Their operands are built on first read."""
+    rows = []
+    home = {key: key[1] + _KINDS[key[0]][2] for key in _generator_keys(top, _LETTERS)}
+
+    def add(equation: str, order: tuple, x: tuple, y: tuple, s1: str = "", s2: str = "") -> None:
+        if apart := _windows_apart(x, y):
+            # x y* = y* x and x* y* = y* x* are the adjoints of y x* = x* y and
+            # y x = x y: adjoints in place of two products each
+            operands = partial(_commutes, x, y, s1 != s2, s2 == "*")
+            rows.append(_Row(equation, {"commutator": f"{x[0]}{s1}{x[1]},{y[0]}{s2}{y[1]}"}, "commutes", operands,
+                             apart=apart, order=order, top=top))
+
+    if suite == "base":
+        diag = {z: _diag_order(z) for z in sorted(_generator_keys(top, "efg"), key=_diag_order)}
+        for x, y in combinations(diag, 2):
+            if top in (home[x], home[y]):
+                add("R1", (2, diag[x], diag[y]), x, y)
+        isos = _generator_keys(top, "vw")
+        for x in isos:
+            for y in isos:
+                if x[1] < y[1] and top in (home[x], home[y]):
+                    for star, (s1, s2) in enumerate(product(("", "*"), ("", "*"))):
+                        add("locality", (8, x, 0, y, star), x, y, s1, s2)
+            for z, order in diag.items():
+                if top in (home[x], home[z]):
+                    add("locality", (8, x, 1, order, 0), x, z)
+    elif suite == "braiding":
+        projections = _generator_keys(top, "EF")
+        for x, y in product(projections, projections):
+            if x[1] < y[1] and top in (home[x], home[y]):
+                add("6.8", (2, x, y), x, y)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _rows_at(suite: str, top: int) -> tuple[_Row, ...]:
+    """The rows of a suite whose top floor is ``top``, in suite order: its
+    templates there, the translate there of each index-2 template below,
+    and its commutation rows there."""
+    templates, expanding = _templates(suite)
+    rows = [row for row in templates if row.top == top]
+    rows += [_translate(row, top - row.top) for row in expanding if row.top < top]
+    rows += _commutation_rows(suite, top)
+    rows.sort(key=_ORDER)
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _table(suite: str, floor: int) -> tuple[_Row, ...]:
+    """The rows of a suite ("base", "yb" or "braiding") at floor N in suite
+    order: the floor-(N-1) table merged with the rows whose top floor is N.
+    Every row is built once per process."""
+    rows = (*_table(suite, floor - 1), *_rows_at(suite, floor)) if floor else _rows_at(suite, 0)
+    return tuple(sorted(rows, key=_ORDER))
 
 
 def _combination(terms: list[tuple[tuple, SparseOperator]], lam: Fraction) -> SparseOperator:
@@ -1194,15 +1282,16 @@ def _verdict(rep: Representation, row: _Row, nodes: dict, report: Report) -> Che
     return check
 
 
-def _suite(rows: tuple[_Row, ...], floor: int, lam, rep: Representation | None) -> Report:
-    """Run a table on the shared floor-N model, or on ``rep`` if it is that model."""
+def _suite(suite: str, floor: int, lam, rep: Representation | None) -> Report:
+    """Run a suite's table on ``rep``, which must be the floor-N model at
+    lam, or on a new one."""
     lam = parse_fraction(lam, "lam")
     if rep is None:
-        rep = _representation(floor, lam)
+        rep = Representation(floor, lam)
     elif (rep.floor, rep.lam) != (floor, lam):
         raise ValueError(f"rep is the floor-{rep.floor} model at lambda {rep.lam}, not floor {floor} at lambda {lam}")
     report, nodes = Report(), {}  # one node dict per model the call reads
-    report.checks = [_verdict(rep, row, nodes, report) for row in rows]
+    report.checks = [_verdict(rep, row, nodes, report) for row in _table(suite, floor)]
     return report
 
 
@@ -1216,7 +1305,7 @@ def verify_relation_suite(floor: int, lam, rep: Representation | None = None) ->
     embedded matrix units.  Needs floor >= 4 for every index family."""
     if floor < 4:
         raise ValueError("the relation suite needs floor >= 4")
-    return _suite(_relation_table(floor), floor, lam, rep)
+    return _suite("base", floor, lam, rep)
 
 
 def yang_baxter_check(floor: int, lam=Fraction(1), rep: Representation | None = None) -> Report:
@@ -1228,7 +1317,7 @@ def yang_baxter_check(floor: int, lam=Fraction(1), rep: Representation | None = 
     (1, 1) and (1, 2), which the grid contains.  Needs floor >= 2."""
     if floor < 2:
         raise ValueError("the Yang-Baxter check needs floor >= 2")
-    return _suite(_yang_baxter_table(floor), floor, lam, rep)
+    return _suite("yb", floor, lam, rep)
 
 
 def verify_braiding_suite(floor: int, lam, rep: Representation | None = None) -> Report:
@@ -1238,7 +1327,7 @@ def verify_braiding_suite(floor: int, lam, rep: Representation | None = None) ->
     (exact self-adjoint idempotent).  Needs floor >= 4 for the triples."""
     if floor < 4:
         raise ValueError("the braiding suite needs floor >= 4")
-    return _suite(_braiding_table(floor), floor, lam, rep)
+    return _suite("braiding", floor, lam, rep)
 
 
 def run_all_suites(floor: int, lam, rep: Representation | None = None) -> Report:

@@ -6,6 +6,7 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from suite_reference import (
     path_matrix_unit,
     projection,
     reference_generator_keys,
+    reference_table,
     unlinked,
 )
 from suite_reference import yang_baxter_check as reference_yang_baxter_check
@@ -708,7 +710,7 @@ def test_relation_suite_passes():
 
 
 @pytest.mark.parametrize("floor", (4, 5))
-@pytest.mark.parametrize("suite, table", [(verify_relation_suite, "_relation_table"), (verify_braiding_suite, "_braiding_table")])
+@pytest.mark.parametrize("suite, table", [(verify_relation_suite, "base"), (verify_braiding_suite, "braiding")])
 def test_products_count_every_multiplication_of_a_suite(monkeypatch, floor, suite, table):
     # every multiplication is a product node of the words, or the square
     # that decides a projection row; a row that takes its translate's
@@ -718,7 +720,7 @@ def test_products_count_every_multiplication_of_a_suite(monkeypatch, floor, suit
     multiply = SparseOperator.__mul__
     monkeypatch.setattr(SparseOperator, "__mul__", lambda x, y: calls.append(1) or multiply(x, y))
     report = suite(floor, F(2), rep)
-    rows = getattr(path_algebra, table)(floor)
+    rows = path_algebra._table(table, floor)
     assert report.ok and report.products > 0
     assert len(calls) == report.products + sum(row.kind == "projection" and row.link is None for row in rows)
 
@@ -774,7 +776,7 @@ def test_seeded_mutants_at_floor_5_match_suite_reference(monkeypatch, lam):
 
 def test_commutation_rows_compare_products_and_the_reference_forms_commutators(monkeypatch):
     def kinds():
-        rows = path_algebra._relation_table(5) + path_algebra._braiding_table(5)
+        rows = path_algebra._table("base", 5) + path_algebra._table("braiding", 5)
         return Counter(row.kind for row in rows if "commutator" in row.indices)
 
     fast = kinds()
@@ -921,7 +923,7 @@ def test_windows_from_the_reach_equal_the_listed_offsets():
 
 
 def commutation_rows(floor):
-    rows = path_algebra._relation_table(floor) + path_algebra._braiding_table(floor)
+    rows = path_algebra._table("base", floor) + path_algebra._table("braiding", floor)
     return [row for row in rows if row.kind == "commutes"]
 
 
@@ -975,7 +977,7 @@ def test_commutation_rows_are_the_window_apart_pairs_of_the_distance_rules(floor
     for row, (_, _, a, b) in zip(rows, expected):
         assert row.reads == {a, b} and row.apart == path_algebra._windows_apart(a, b) is not None
     # every other row of the tables holds no pair
-    tables = path_algebra._relation_table(floor) + path_algebra._braiding_table(floor)
+    tables = path_algebra._table("base", floor) + path_algebra._table("braiding", floor)
     assert sum(row.apart is not None for row in tables) == len(rows)
 
 
@@ -987,7 +989,7 @@ def test_commutation_rows_carry_their_letters_and_read_only_kept_certificates(mo
     # commutation holds no pair, whatever its builder passed
     assert path_algebra._windows_apart(("v", 1), ("e", 2)) is None
     pair = path_algebra._windows_apart(("v", 1), ("e", 3))
-    assert path_algebra._Row("locality", {}, "vanishes", ("v", 1), apart=pair).apart is None
+    assert path_algebra._Row("locality", {}, "vanishes", (("v", 1),), apart=pair).apart is None
     rep = Representation(floor, lam)
     first = run_all_suites(floor, lam, rep)
     # a second run on one model reads every check it kept: no certificate is
@@ -1103,7 +1105,7 @@ def test_a_generator_flipped_at_index_3_fails_its_certificate_and_its_rows_multi
     monkeypatch.undo()
     # every locality row that reads w_3 is multiplied out, and locality
     # catches the flip with a witness from the difference xy - yx
-    rows = [row for row in path_algebra._relation_table(floor) if row.equation == "locality" and ("w", 3) in row.reads]
+    rows = [row for row in path_algebra._table("base", floor) if row.equation == "locality" and ("w", 3) in row.reads]
     assert rows and all((row.equation, json.dumps(row.indices)) in decided for row in rows)
     failed = [c for c in report.failures() if c.equation == "locality"]
     assert failed and all(c.witness is not None for c in failed)
@@ -1219,6 +1221,14 @@ def test_a_parent_decides_for_its_mutant_what_an_unmutated_model_decides():
                 assert (check, check.floor) == (expected, expected.floor), (kind, n, entry, row.equation, row.indices)
 
 
+def test_suite_calls_without_a_model_build_one_each():
+    # no model is shared between calls: the second multiplies out what the first did
+    first, second = run_all_suites(5, 2), run_all_suites(5, 2)
+    assert first.products == second.products > 0
+    assert first.decided_at() == second.decided_at() and first.to_json() == second.to_json()
+    assert generator("v", 1, 5, F(2)) == generator("v", 1, 5, F(2))
+
+
 def test_a_mutant_is_freed_by_reference_counting_once_its_suites_return():
     # no reference cycle holds a model, its parent or a suite call's nodes
     lam = F(2, 3)
@@ -1296,14 +1306,14 @@ def test_generators_from_letter_columns_equal_the_path_loop(lam):
 
 def suite_rows(floor):
     """Every row of the three suites, in report order."""
-    tables = (path_algebra._relation_table(floor), path_algebra._yang_baxter_table(floor), path_algebra._braiding_table(floor))
-    return [row for rows in tables for row in rows]
+    return [row for suite in ("base", "yb", "braiding") for row in path_algebra._table(suite, floor)]
 
 
 def shifted(node, k):
-    """The node with every letter index moved down by k."""
+    """The node with every letter index, and the floor of every identity but
+    the unit ("1", 0), moved down by k."""
     tag = node[0]
-    if tag in path_algebra._LETTERS:
+    if tag in path_algebra._LETTERS or tag == "1" and node[1]:
         return (tag, node[1] - k)
     if tag == "+":
         return ("+", tuple((scalar, shifted(x, k)) for scalar, x in node[1]))
@@ -1312,6 +1322,11 @@ def shifted(node, k):
 
 def lowest_letter(row):
     return min(n for _, n in row.reads)
+
+
+def index(row):
+    """The index a row is named by: its n, sum_at or r."""
+    return next(row.indices[key] for key in ("n", "sum_at", "r") if key in row.indices)
 
 
 def test_a_model_and_its_index_ranges_build_nothing():
@@ -1359,13 +1374,73 @@ def test_every_link_points_to_the_translate_at_index_2(floor):
     for row in links:
         translate, shift = row.link
         assert (translate.equation, translate.kind) == (row.equation, row.kind) and shift >= 1
-        assert lowest_letter(translate) == 2 and lowest_letter(row) == 2 + shift
+        assert index(translate) == 2 and index(row) == 2 + shift
+        # the unit-partition rows read no letter: the floor of their identity moves
+        assert not row.reads or lowest_letter(translate) == 2 and lowest_letter(row) == 2 + shift
         assert tuple(shifted(x, shift) for x in row.operands) == translate.operands
         assert translate.link is None
     # every other row at index 3 or more is a commutation row, decided by
     # window certificates
     assert all(row.kind == "commutes" for row in rows if not row.link and row.reads and lowest_letter(row) >= 3)
     assert links
+
+
+def letters_of(nodes):
+    """The letters of some nodes, by a walk over them."""
+    found, stack = set(), list(nodes)
+    while stack:
+        node = stack.pop()
+        found.add(node) if node[0] in path_algebra._LETTERS else stack.extend(path_algebra._children(node))
+    return found
+
+
+@pytest.mark.parametrize("floor", range(4, 10))
+def test_expanded_tables_equal_the_tables_built_per_floor(floor):
+    # row by row against the tables built and linked floor by floor:
+    # equation, indices in order, kind, operands (built here on demand),
+    # letters, letter pair, and the link's translate and shift
+    for suite in ("base", "yb", "braiding"):
+        rows, expected = path_algebra._table(suite, floor), reference_table(suite, floor)
+        assert len(rows) == len(expected), suite
+        for row, ref in zip(rows, expected):
+            assert (row.equation, json.dumps(row.indices), row.kind) == (ref.equation, json.dumps(ref.indices), ref.kind)
+            assert row.operands == ref.operands and row.reads == letters_of(ref.operands)
+            assert row.apart == ref.apart
+            link = row.link and (row.link[0].equation, row.link[0].indices, row.link[1])
+            assert link == (ref.link and (ref.link[0].equation, ref.link[0].indices, ref.link[1])), row.indices
+
+
+def fresh_tables(patch):
+    """Empty caches for the templates, tables and certificate rows, so that a
+    test reads rows no other test has read."""
+    for name in ("_templates", "_rows_at", "_table", "_certificate"):
+        patch.setattr(path_algebra, name, lru_cache(maxsize=None)(getattr(path_algebra, name).__wrapped__))
+
+
+def test_linked_and_commutation_rows_build_their_operands_only_when_decided_on_them(monkeypatch):
+    fresh_tables(monkeypatch)
+    floor, lam = 6, F(1, 4)
+    assert run_all_suites(floor, lam, Representation(floor, lam)).ok
+    rows = suite_rows(floor)
+    unbuilt = [row for row in rows if callable(row._operands)]
+    assert unbuilt == [row for row in rows if row.link or row.apart]
+    assert len(rows) == 1001 and len(unbuilt) == 744
+    # a mutant builds the operands of rows that read its flip, and no others
+    rep = Representation(floor, lam)
+    mutated = rep.with_sign_flip("w", 3, min(rep.gen("w", 3).support()))
+    assert not run_all_suites(floor, lam, mutated).ok
+    built = [row for row in unbuilt if not callable(row._operands)]
+    assert built and all(not mutated._changed.isdisjoint(row.reads) for row in built)
+
+
+def test_an_unmutated_run_builds_identities_at_floor_2_or_below(monkeypatch):
+    # the unit-partition rows at r >= 3 take the verdict of r = 2, at floor r
+    floors, identity = [], SparseOperator.identity
+    monkeypatch.setattr(SparseOperator, "identity", staticmethod(lambda ctx, lam: floors.append(ctx.floor) or identity(ctx, lam)))
+    floor, lam = 9, F(2, 3)
+    report = run_all_suites(floor, lam, Representation(floor, lam))
+    assert report.ok and floors and max(floors) == 2
+    assert [c.floor for c in report.checks if c.equation == "unit-partition"] == list(range(floor))
 
 
 ORACLE_FLOORS = range(4, 9)
