@@ -3,154 +3,83 @@
 A path is the tuple of horizontal coordinates (xi_0, ..., xi_N) of a
 monotone walk from the augmentation root (whose coordinate is fixed at 0)
 down to floor N; consecutive coordinates satisfy |2*xi_n - xi_{n+1}| <= 1.
-Matrix units T(xi, eta) reroute the head of a path, so operators are sparse
-matrices on path pairs with a common endpoint; the endpoint block sizes
-reproduce the tree denominators.
+Operators are sparse matrices on path pairs with a common endpoint; the
+endpoint block sizes reproduce the tree denominators.  Scalars live in
+Q(sqrt(lam)), lam = p/q: an operator is (A + x*B)/d, x = sqrt(lam) formal, A
+and B sparse int matrices, canonical so that equality is dict equality.
+Products are integer matmuls with x*x = p/q folded in; ring operations go
+through the trusted ``_derived``, lifts, adjoints and E/F through
+``_canonical``.  Scalars appear only at the boundary as ``a+b*sqrt(lam)``.
 
-Scalars live in Q(sqrt(lam)), lam = p/q.  An operator is stored in split
-integer form (A + x*B)/d, x = sqrt(lam) formal, A and B sparse int matrices,
-d a positive common denominator, canonical so that equality is dict
-equality.  Products are integer sparse matmuls with x*x = p/q folded in,
-reading the right factor through row indexes kept on it; a row with one
-entry, as every row of the suites' right factors has, is indexed as its
-bare (col, val) pair.  A ring operation on canonical block operators gives
-a block operator, so sums, scalings and products go through the trusted
-``_derived`` (zeros dropped only when a scan finds one, then lowest terms)
-and lifts, adjoints and E/F through ``_canonical`` (their entries are
-canonical already); the endpoint-block check stays on every constructor that
-takes outside input.  An adjoint is a plain transpose, kept nowhere on its
-operator: an evaluation builds each starred node once (below).
-Every identity is decided exactly; scalars appear only at the boundary
-(entries, witnesses, traces) as the text ``a+b*sqrt(lam)``.
+Floors.  X -> X (x) 1 on path tails (``lift``) is the unital, injective
+*-embedding of the floor-M model into the floor-N model, so an identity
+among floor-M operators holds at floor N exactly when it holds at floor M.
+Each generator is built on first use at its home floor (n for e_n, f_n,
+g_n; n + 1 for v_n, w_n, E_n, F_n); each check is decided at the highest
+home floor among its operators, and a failing one reads its witness at N.
+E and F come from their flip u in closed form: with lam = p/q,
+(u*u + x u + x u* + lam u u*) / (1 + lam) is A = q on each source's diagonal
+and p on each target's, B = q u(t, s) at (t, s) and (s, t), d = p + q.
 
-Floors.  X -> X (x) 1 on path tails (``lift``) is the canonical unital,
-injective *-embedding iota of the floor-M model into the floor-N model, so
-an identity among floor-M operators holds at floor N exactly when it holds
-at floor M.  Each generator is built on first use, once, at its home floor
-(n for e_n, f_n, g_n; n + 1 for v_n, w_n and the E_n, F_n built from them),
-so a model builds only what its checks read; arithmetic lifts the lower
-operand, each check is decided at the highest home floor among its
-operators, and a failing one reads its witness at floor N.
-
-The suites are data: ``verify_relation_suite``, ``yang_baxter_check`` and
-``verify_braiding_suite`` are each a table of rows built once per floor:
-equation id, indices, kind of check (equality, commutes, vanishes,
-nonzero, projection) and operand nodes.  A node is a hashable tuple of one of five
-kinds, the *-ring the suites need: a letter (kind, n) is a generator at
-its home floor, ("*", x) an adjoint, ("·", x, y) a product,
-("+", ((scalar, x), ...)) a linear combination and ("1", r) the identity of
-floor r, which lifts to whatever it meets.  The commuting pairs (R1,
-locality, 6.8) are the letters whose windows are apart (below), and such a
-row passes without products when both carry their certificates.  Otherwise
-it is the equality xy = yx, a starred far-floor one compares the adjoints of
-products the unstarred rows form, and only a failing row forms xy - yx, for
-its witness.  A support law (1 - x) y or y (1 - x) is y - xy or y - yx.  The
-floor-r matrix units T(x, x) sum to the floor-r identity, and the unital
-tail embedding carries it to every higher floor, so the unit-partition row
-of floor r compares ("1", r) with ("1", 0).  A scalar (c, i, j) is
-c sqrt(lam)^i / (1 + lam)^j, so a table serves every lam.  A suite call
-builds each node once per model from ``Representation._home`` (``_value``)
-and keeps it, by id, in that model's own node dict until it returns: a node
-that several rows share (E_n E_n+1 in 6.9, 6.13, 6.15, 6.16 and dominance,
-or f_n v_n in R2 and R3) is built once per call.
-
-E and F are generators: table rows with the index range and window of
-their flip, each built from the stored flip in closed form.  A flip u (v_n
-or w_n) is a signed partial permutation whose sources s and targets t are
-disjoint, so u*u and u u* are the diagonal projections on the sources and
-on the targets, and with lam = p/q, E = (u*u + x u + x u* + lam u u*) / (1 + lam) is A = q on each
-source's diagonal and p on each target's, B = q u(t, s) at (t, s) and
-(s, t), d = p + q: canonical, as gcd(p, q) = 1.  One pass over the entries
-of u replaces two products, four scalings and three sums.
+The suites are data: rows of an equation id, indices, a kind of check and
+operand nodes, one object per value (``_node``): a letter (kind, n), ("*", x),
+("·", x, y), ("+", ((scalar, x), ...)) and ("1", r), the floor-r identity,
+which lifts to what it meets.  A scalar (c, i, j) is c sqrt(lam)^i /
+(1 + lam)^j, so a row serves every lam; (1 - x) y is y - xy; the floor-r
+matrix units sum to ("1", r).  A suite call builds each node once per model
+(``_value``), so E_n E_n+1, read by five equations, is multiplied once.
+Each suite's rows at index 0-2 are templates, built once per process on
+first use (``_templates``).  A row's top is the lowest floor whose table
+holds it, and its order places it in the suite at every floor; the floor-N
+table is the floor-(N-1) one merged with the rows of top N (``_rows_at``):
+the templates there, the translate of each index-2 template there, linked
+to it when built, and the commutation rows there.  A translate's operands
+are its template's shifted, and a commutation row's its products, each
+built only when the row is decided on them.
 
 Window certificates.  kind_n writes xi_n..xi_{n+reach-1} and reads
-xi_{n-1}..xi_{n+reach}, its reach from ``_GENERATORS`` (``_window``): v_n,
-w_n, E_n and F_n write xi_n and read xi_{n-1..n+1}; e_n, f_n and g_n write
-nothing and read xi_{n-1..n}.  X is window-local for (W, R), W inside R,
-when every entry (q, p) has q = p off W, its A and B values depend only on
-the key (p|R, q|W), and each key holds for every path of its R-class
-(counted against the class sizes of the floor).  Then
-X = sum c(a, b) T_{a->b}, with T_{a->b} setting W to b on each path p with
-p|R = a.  Lemma: if X and Y are window-local for (W_x, R_x) and (W_y, R_y)
-with W_x, R_y disjoint and W_y, R_x disjoint, then XY = YX.  Sketch:
-Y e_p = sum_b c_y(p|R_y, b) e_p[W_y:=b], and p[W_y:=b] lies in the
-R_x-class of p, so X applies the same keys and values to it as to p:
-XY e_p = sum_{b, b'} c_y(p|R_y, b) c_x(p|R_x, b') e_p[W_y:=b][W_x:=b'],
-symmetric in X and Y because the writes are disjoint and scalars commute.
-The tail embedding keeps a certificate (tails are neither read nor
-written, and each key covers every tail), and so does the adjoint (the key
-(q|R, p|W) of an entry of X* and (p|R, q|W) determine each other), so such
-a row passes at the higher floor of its letters.
-A certificate is a row (``_certificate``) whose operand is the letter: it is
-checked on the operator's exact entries (``is_window_local``), E/F
-included, and at index 3 or more it is linked to its translate at index 2
-like any row (below).  A commutation row passes when both its certificate
-rows pass, and is multiplied out when one fails.
+xi_{n-1}..xi_{n+reach} (``_window``).  X is window-local for (W, R) when
+every entry (q, p) has q = p off W, its value depends only on the key
+(p|R, q|W), and each key holds for every path of its R-class; then
+X = sum c(a, b) T_{a->b}.  Lemma: if X and Y are window-local and neither
+writes what the other reads, XY = YX.  Sketch: Y e_p = sum_b c_y(p|R_y, b)
+e_p[W_y:=b], whose paths lie in the R_x-class of p, so XY e_p is symmetric
+in X and Y because the writes are disjoint.  Lifts and adjoints keep a
+certificate.  A certificate is a row (``_certificate``) checked on the
+letter's entries; the commuting pairs (R1, locality, 6.8) are the letters
+whose windows are apart, and such a row passes at the higher floor of its
+letters when both certificate rows pass, else it is multiplied out.
 
 Translates.  Write a path by its letters d_m = xi_m - 2 xi_{m-1} in
-{-1, 0, 1} (``PathContext.letters``).  The letters that may follow xi_{m-1}
-depend only on its state: bottom (0) allows 0 and +1, top (2^(m-1)) allows
-0 and -1, interior allows all three; an interior coordinate stays interior,
-and for m >= 1 a boundary one becomes interior on its nonzero letter.
-Every kind_n changes only d_n..d_{n+reach}, and its entries are a function
-of those letters alone (the state of xi_{n-1} decides which of them occur):
-e, f, g select d_n = -1, +1, 0, a flip moves (d_n, d_n+1) from (0, s) to
-(s, -s), and E/F are built from their flip.  Lemma: a row whose letters sit
-at indices L..M with L >= 2 has the verdict of its translate to lowest index
-2, decided at the translate's floor + (L - 2).
-Sketch: at floor M, a path is a prefix xi_0..xi_{L-1} followed by the window
-letters d_L..d_M, and the window letters allowed after a prefix depend only
-on the state of xi_{L-1}; so the model is the sum over prefixes of W_s, s
-that state, and every operand of the row is the sum of one window operator
-per state, the same one on every prefix of that state (the tail embedding
-adds the identity on the later letters).  An equality, vanishing, nonzero or
-projection verdict holds exactly when it holds on each W_s that occurs.  For
-L >= 2, xi_{L-1} is bottom, top or interior (0, 2^(L-1) >= 2, or between),
-all three occur, and the window operators do not depend on L: so a row at L
-and its translate at 2 have one verdict.  At L = 1, xi_0 in {0, 1} is never
-interior, and at L = 0 the prefix is empty, so rows there are decided
-directly.  ``_link`` pairs a row with its translate by its indices alone;
-a row whose translate passes passes, and one whose translate fails is
-multiplied out, for its own witness.  A mutant's generators are not
-translation invariant, so the rows it re-decides are multiplied out; the
-parent verdicts it reuses may come from translates.
-
-Lemma (certificates by translation): on generators as built, kind_n for
-n >= 3 is window-local for its window exactly when kind_2 is for its own.
-Sketch: at its home floor n + reach, a path is a prefix xi_0..xi_{n-1}
-followed by the letters d_n..d_{n+reach}, and for n >= 2 kind_n is one
-window operator per state of xi_{n-1}, the same on every prefix of that
-state (above).  For an entry (q, p), p|R = (xi_{n-1}, ..., xi_{n+reach})
-fixes that state and p's window letters; with q = p off W, q|W fixes q's.
-So the value of an entry is its window operator's value on those letters,
-the same for the whole R-class of p, and every path of the class has the
-entry: the key conditions hold.  What is left, q = p off W, says that each
-move keeps the prefix and xi_{n+reach} = 2^(reach+1) xi_{n-1} +
-sum_k 2^(n+reach-k) d_k, that is, keeps sum_k 2^(n+reach-k) d_k: a condition
-on the window operators of the states that occur, alone.  For n >= 2 all
-three states occur and the window operators do not depend on n, so kind_n
-and kind_2 have one certificate, decided at floor n + reach, kind_2's plus
-n - 2: the certificate row of kind_n is linked to kind_2's, and no kind_n is
-built for it.
+{-1, 0, 1} (``PathContext.letters``); the letters that may follow xi_{m-1}
+depend only on its state: bottom (0), top (2^(m-1)) or interior.  Every
+kind_n changes only d_n..d_{n+reach}, its entries a function of those
+letters alone.  Lemma: a row whose letters sit at indices L..M, L >= 2, has
+the verdict of its translate to lowest index 2, decided at the translate's
+floor + (L - 2).  Sketch: at floor M a path is a prefix xi_0..xi_{L-1}
+followed by d_L..d_M, whose allowed values depend only on the state of
+xi_{L-1}, so every operand is one window operator per state, the same on
+every prefix, and each verdict holds exactly when it holds on each window
+operator that occurs.  For L >= 2 all three states occur and the window
+operators do not depend on L; below, some state never occurs, so those rows
+are decided directly.  The unit-partition row of r >= 3 compares the lift
+of the floor-2 identity with the unit: it has the verdict of r = 2, at
+floor r.  Certificates by translation: for n >= 2 kind_n is one window
+operator per state of xi_{n-1}, so its key conditions hold, and q = p off W
+asks only that each move keep sum_k 2^(n+reach-k) d_k, a condition on the
+window operators alone; so the certificate row of kind_n is the translate
+of kind_2's.  A row whose translate fails is multiplied out, for its witness.
 
 A linear combination evaluates only its nonzero terms and lifts the sum to
-the highest floor among all its terms, so a check's floor and witness do
-not change; on the unmutated model both 6.4 coefficients vanish, and no
-6.4 row scales or adds anything.
+the highest floor among all its terms, so no unmutated 6.4 row adds anything.
 
-A mutant reuses its parent's verdicts.  ``with_sign_flip`` rebuilds the
-E_n or F_n of a flipped v_n or w_n and records the parent and the changed
-keys, those of the flip and of what was rebuilt; it reads the generator of
-every other key from its parent (``_home``).  Every model decides every
-row, certificate rows included, by one rule (``_verdict``, recursive over
-the chain of parents): the check it keeps; else, on a mutant, its parent's
-check for a row whose read set (the letters of its operands) meets no
-changed key; else, on generators as built, a linked row's pass taken from
-its translate; else a commutation row's pass taken from its two certificate
-rows; else the row decided on its operands.  A model keeps every check it
-decides, so a second run on one model multiplies nothing.  A parent never
-reads its mutant's nodes: the translate of a linked row reads letters the
-mutant may have changed.
+A mutant (``with_sign_flip``) records its parent and the keys it changed,
+the flip and its rebuilt E/F, and reads every other generator from its
+parent.  Every model decides every row by one rule (``_verdict``): the check
+it keeps; else, on a mutant, its parent's check for a row whose letters
+meet no changed key; else, on generators as built, a translate's pass taken
+from its template; else a commutation row's from its certificate rows; else
+the row decided on its operands.  A parent never reads its mutant's nodes.
 """
 
 from __future__ import annotations
@@ -630,12 +559,6 @@ def _generator_keys(floor: int, kinds: str = "efgvw") -> list[tuple[str, int]]:
     return [(kind, n) for kind, low, reach, _, _ in _GENERATORS if kind in kinds for n in range(low, floor - reach + 1)]
 
 
-def _in_range(floor: int, kind: str, n: int) -> bool:
-    """Whether kind_n is a generator of the floor-N model: n in kind's index range."""
-    row = _KINDS.get(kind)
-    return row is not None and row[1] <= n <= floor - row[2]
-
-
 @lru_cache(maxsize=None)
 def _window(kind: str, n: int) -> tuple[range, range]:
     """The coordinates kind_n writes, xi_n..xi_{n+reach-1}, and reads,
@@ -693,7 +616,8 @@ class Representation:
     def has(self, kind: str, n: int) -> bool:
         """Whether kind_n is a generator of the model, from the index ranges:
         nothing is built."""
-        return _in_range(self.floor, kind, n)
+        row = _KINDS.get(kind)
+        return row is not None and row[1] <= n <= self.floor - row[2]
 
     def _home(self, kind: str, n: int) -> SparseOperator:
         """Generator kind_n of any kind at its home floor, for the suites: the
@@ -768,6 +692,12 @@ class Check:
     status: str
     witness: dict | None = None
     floor: int | None = field(default=None, compare=False)
+
+    def __init__(self, equation, indices, status, witness=None, floor=None):
+        # one per row of every run: straight into the dict, past the frozen setattr
+        fields = self.__dict__
+        fields["equation"], fields["indices"], fields["status"], fields["witness"], fields["floor"] = (
+            equation, indices, status, witness, floor)
 
     @staticmethod
     def equality(equation: str, indices: dict, left: SparseOperator, right: SparseOperator,
@@ -847,8 +777,8 @@ _NODES: dict[tuple, tuple] = {}
 
 
 def _node(*parts) -> tuple:
-    """The node of these parts, one object per value: equal words are one
-    node wherever they were built."""
+    """The node of these parts, one object per value wherever it was built,
+    kept for the process (the rows up to MAX_PATH_FLOOR hold under 4000)."""
     return _NODES.setdefault(parts, parts)
 
 
@@ -896,8 +826,7 @@ def _shifted(nodes: tuple, k: int) -> tuple:
 def _commutes(x: tuple, y: tuple, star: bool = False, adjoint: bool = False) -> tuple:
     """The operands of the row x'y = yx' for the letters (kind, n) x and y,
     x' = x* with ``star``; with ``adjoint`` of (yx')* = (x'y)*, which is
-    x'*y* = y*x'* read off the products that x'y = yx' forms.  The row passes
-    without them when its two letters are window-local and apart."""
+    x'*y* = y*x'* read off the products that x'y = yx' forms."""
     x, y = _letter(*x, star), _letter(*y)
     xy, yx = _mul(x, y), _mul(y, x)
     return (_node("*", yx), _node("*", xy)) if adjoint else (xy, yx)
@@ -968,12 +897,9 @@ _ORDER = attrgetter("order")
 
 class _Row:
     """One check of a suite; rows compare by identity, as keys of the verdicts.
-    ``operands`` is the tuple of operand nodes, or a function that builds it
-    on first read.  A commutation row holds in ``apart`` its two letters,
-    ``_windows_apart`` of them; any other row holds None.  A translate holds
-    in ``link`` its template at index 2 and the shift; any other row holds
-    None.  ``order`` places the row in its suite at every floor, and ``top``
-    is the lowest floor whose table holds it."""
+    ``operands`` is a tuple of nodes, or a function that builds it on first
+    read.  ``apart`` holds a commutation row's two letters, ``link`` a
+    translate's template and shift; other rows hold None in them."""
 
     __slots__ = ("equation", "indices", "kind", "apart", "link", "order", "top", "_operands", "_reads")
 
@@ -1028,15 +954,9 @@ def _certificate(kind: str, n: int) -> _Row:
                 top=n + _KINDS[kind][2])
 
 
-def _template_letters(kinds: str) -> list[tuple[str, int]]:
-    """(kind, n) of the given kinds at index 2 or less, in table order."""
-    return [(kind, n) for kind, low, *_ in _GENERATORS if kind in kinds for n in range(low, 3)]
-
-
 def _relation_templates(add: Callable) -> None:
-    # (R1): self-adjoint idempotents summing to 1, mutually commuting; the
-    # e's first, then f_n and g_n side by side
-    for kind, n in _template_letters("efg"):
+    # (R1): self-adjoint idempotents summing to 1, mutually commuting
+    for kind, n in _generator_keys(2, "efg"):  # the letters at index <= 2
         add((0, kind != "e", n, kind == "g"), "R1", {"kind": kind, "n": n}, "projection", _letter(kind, n))
     for n in range(3):
         total = _lin(*((ONE, _letter(k, n)) for k in ("fge" if n else "fg")))
@@ -1066,8 +986,7 @@ def _relation_templates(add: Callable) -> None:
             add((9, i, n, 0), "braid", {"family": kind, "n": n}, "equality", low, high)
             add((9, i, n, 1), "6.3", {"family": kind, "law": "x_n x_n+1 x_n", "n": n}, "vanishes", low)
             add((9, i, n, 2), "6.3", {"family": kind, "law": "x_n+1 x_n x_n+1", "n": n}, "vanishes", high)
-    # partition of unity by the embedded floor-r matrix units: the floor-r
-    # identity, in the tables of the floors above r
+    # partition of unity by the embedded floor-r matrix units, at the floors above r
     for r in range(3):
         add((10, 0, r, 0), "unit-partition", {"r": r}, "equality", _node("1", r), _IDENTITY, top=r + 1)
 
@@ -1085,7 +1004,7 @@ def _yang_baxter_templates(add: Callable) -> None:
 
 
 def _braiding_templates(add: Callable) -> None:
-    for kind, n in _template_letters("EF"):
+    for kind, n in _generator_keys(3, "EF"):  # the letters at index <= 2
         add((0, kind == "F", n, 0), "6.5" if kind == "E" else "6.6", {"kind": kind, "n": n, "law": "projection"},
             "projection", _letter(kind, n))
     # 6.7: E_n and F_n are orthogonal
@@ -1117,12 +1036,12 @@ def _braiding_templates(add: Callable) -> None:
 
 @lru_cache(maxsize=None)
 def _templates(suite: str) -> tuple[tuple[_Row, ...], tuple[_Row, ...]]:
-    """The rows of a suite at index 0-2, built on first use, and those at
-    index 2, whose translates are the suite's rows at index 3 or more.  A
-    row's top is the highest home floor of its letters unless given."""
+    """A suite's rows at index 0-2, and those at index 2, whose translates
+    are its rows at index 3 or more; a row's top is the highest home floor of
+    its letters unless given."""
     rows, expanding = [], []
 
-    def add(order: tuple, equation: str, indices: dict, kind: str, *operands: tuple, top: int | None = None) -> None:
+    def add(order, equation, indices, kind, *operands, top=None):
         row = _Row(equation, indices, kind, operands, order=order)
         row.top = max(n + _KINDS[k][2] for k, n in row.reads) if top is None else top
         rows.append(row)
@@ -1138,21 +1057,19 @@ _TEMPLATES = {"base": _relation_templates, "yb": _yang_baxter_templates, "braidi
 
 def _diag_order(letter: tuple) -> tuple:
     """e_1..e_N first, then f_n and g_n side by side: the order of R1."""
-    kind, n = letter
-    return kind != "e", n, kind == "g"
+    return letter[0] != "e", letter[1], letter[0] == "g"
 
 
 def _commutation_rows(suite: str, top: int) -> list[_Row]:
-    """The commutation rows of a suite over the pairs of letters whose
-    windows are apart and whose higher home floor is ``top``: every pair of
-    e/f/g for R1; for locality the v/w pairs, four rows each (one per
-    placement of the stars), and the v/w x e/f/g pairs; the E/F pairs for
-    6.8.  Their operands are built on first read."""
+    """A suite's rows over the letter pairs whose windows are apart and whose
+    higher home floor is ``top``: e/f/g pairs for R1; v/w pairs (four rows,
+    one per placement of the stars) and v/w x e/f/g pairs for locality; E/F
+    pairs for 6.8."""
     rows = []
     home = {key: key[1] + _KINDS[key[0]][2] for key in _generator_keys(top, _LETTERS)}
 
-    def add(equation: str, order: tuple, x: tuple, y: tuple, s1: str = "", s2: str = "") -> None:
-        if apart := _windows_apart(x, y):
+    def add(equation, order, x, y, s1="", s2=""):
+        if top in (home[x], home[y]) and (apart := _windows_apart(x, y)):
             # x y* = y* x and x* y* = y* x* are the adjoints of y x* = x* y and
             # y x = x y: adjoints in place of two products each
             operands = partial(_commutes, x, y, s1 != s2, s2 == "*")
@@ -1162,21 +1079,19 @@ def _commutation_rows(suite: str, top: int) -> list[_Row]:
     if suite == "base":
         diag = {z: _diag_order(z) for z in sorted(_generator_keys(top, "efg"), key=_diag_order)}
         for x, y in combinations(diag, 2):
-            if top in (home[x], home[y]):
-                add("R1", (2, diag[x], diag[y]), x, y)
+            add("R1", (2, diag[x], diag[y]), x, y)
         isos = _generator_keys(top, "vw")
         for x in isos:
             for y in isos:
-                if x[1] < y[1] and top in (home[x], home[y]):
+                if x[1] < y[1]:
                     for star, (s1, s2) in enumerate(product(("", "*"), ("", "*"))):
                         add("locality", (8, x, 0, y, star), x, y, s1, s2)
             for z, order in diag.items():
-                if top in (home[x], home[z]):
-                    add("locality", (8, x, 1, order, 0), x, z)
+                add("locality", (8, x, 1, order, 0), x, z)
     elif suite == "braiding":
         projections = _generator_keys(top, "EF")
         for x, y in product(projections, projections):
-            if x[1] < y[1] and top in (home[x], home[y]):
+            if x[1] < y[1]:
                 add("6.8", (2, x, y), x, y)
     return rows
 
@@ -1245,12 +1160,9 @@ def _value(rep: Representation, node: tuple, nodes: dict, report: Report) -> Spa
 
 
 def _verdict(rep: Representation, row: _Row, nodes: dict, report: Report) -> Check:
-    """The check of a row on rep: the check rep keeps; else, on a mutant, its
-    parent's for a row that reads no changed key; else, on generators as
-    built, a linked row's pass taken from its translate; else a commutation
-    row's pass taken from the certificate rows of its two letters; else the
-    row decided on its operands, built in rep's own dict of ``nodes`` (a
-    parent never reads its mutant's operators).  rep keeps what it decides."""
+    """The check of a row on rep, by the rule in the module docstring; a row
+    decided on its operands builds them in rep's own dict of ``nodes``.  rep
+    keeps what it decides."""
     check = rep._verdicts.get(row)
     if check is not None:
         return check
@@ -1261,15 +1173,11 @@ def _verdict(rep: Representation, row: _Row, nodes: dict, report: Report) -> Che
         translate, shift = row.link
         check = _verdict(rep, translate, nodes, report)
         floor = check.floor + shift if check.status == "pass" else None
-    elif row.apart:
-        floors = []
-        for letter in row.apart:
-            check = _verdict(rep, _certificate(*letter), nodes, report)
-            if check.status != "pass":
-                break
-            floors.append(check.floor)
-        else:
-            floor = max(floors)
+    elif row.apart:  # the second certificate is read only when the first passes
+        x, y = (_certificate(*letter) for letter in row.apart)
+        x = _verdict(rep, x, nodes, report)
+        if x.status == "pass" and (y := _verdict(rep, y, nodes, report)).status == "pass":
+            floor = max(x.floor, y.floor)
     if floor is None:
         own = nodes.setdefault(rep, {})
         operands = [_value(rep, node, own, report) for node in row.operands]
