@@ -1045,7 +1045,7 @@ def _templates(suite: str) -> tuple[tuple[_Row, ...], tuple[_Row, ...]]:
         row = _Row(equation, indices, kind, operands, order=order)
         row.top = max(n + _KINDS[k][2] for k, n in row.reads) if top is None else top
         rows.append(row)
-        if indices.get("n", indices.get("sum_at", indices.get("r"))) == 2:
+        if next(indices[key] for key in _INDEX if key in indices) == 2:
             expanding.append(row)
 
     _TEMPLATES[suite](add)
@@ -1174,9 +1174,9 @@ def _verdict(rep: Representation, row: _Row, nodes: dict, report: Report) -> Che
         check = _verdict(rep, translate, nodes, report)
         floor = check.floor + shift if check.status == "pass" else None
     elif row.apart:  # the second certificate is read only when the first passes
-        x, y = (_certificate(*letter) for letter in row.apart)
-        x = _verdict(rep, x, nodes, report)
-        if x.status == "pass" and (y := _verdict(rep, y, nodes, report)).status == "pass":
+        first, second = (_certificate(*letter) for letter in row.apart)
+        x = _verdict(rep, first, nodes, report)
+        if x.status == "pass" and (y := _verdict(rep, second, nodes, report)).status == "pass":
             floor = max(x.floor, y.floor)
     if floor is None:
         own = nodes.setdefault(rep, {})
