@@ -20,7 +20,10 @@ interval as four ints and builds one ``Fraction`` at the end, ``row_ints``
 refines the numerators of a floor and reads its denominators off them by
 Stern's identity, ``cf_decode`` folds its terms on a numerator and a
 denominator, and none of them computes a gcd per step or builds a
-``Fraction`` before its result.
+``Fraction`` before its result.  ``_dyadic`` sums ?(x) = k / 2**n once,
+in integers: ``question_mark`` builds one ``Fraction`` of it,
+``vertex_of_label`` reads the vertex (n, k) off it and ``matrix_to_vertex``
+shifts the k of two columns to a common floor.
 
 The totients behind ``partition_function`` come from ``totient_sieve``: slice
 assignments into an ``array`` find the smallest odd prime factor of each odd
@@ -207,23 +210,15 @@ def label(n: int, k: int) -> Fraction:
 def vertex_of_label(x: Fraction) -> tuple[int, int]:
     """The vertex (n, k) where x in (0, 1] first appears as a label.
 
-    That vertex has an odd index.  Its floor is n = a1 + ... + at - 1 over the
-    continued-fraction terms of x, and its index is k = 2**n * ?(x), summed
-    in integers as sum_i (-1)**(i-1) * 2**(n + 1 - (a1 + ... + ai)).  The
-    vertex found is checked against ``label``; a mismatch means the tree
-    bijection itself is broken and raises RuntimeError.  The value 0 first
-    appears at the even index (0, 0) and is rejected with the values
-    outside [0, 1].
+    That vertex has an odd index.  Its floor n is the height of x and its
+    index is k = 2**n * ?(x), both from ``_dyadic``.  The vertex found is
+    checked against ``label``; a mismatch means the tree bijection itself is
+    broken and raises RuntimeError.  The value 0 first appears at the even
+    index (0, 0) and is rejected with the values outside [0, 1].
     """
     if not 0 < x <= 1:
         raise ValueError(f"value {x} outside (0, 1]")
-    terms = cf_encode(x)
-    n = sum(terms) - 1
-    k, partial = 0, 0
-    for i, a in enumerate(terms):
-        partial += a
-        step = 1 << (n + 1 - partial)
-        k += -step if i % 2 else step
+    n, k = _dyadic(cf_encode(x))
     if k % 2 == 0 or label(n, k) != x:
         raise RuntimeError(f"{x} located at ({n}, {k}), which is not its first appearance")
     return n, k
@@ -304,21 +299,27 @@ def height(x: Fraction) -> int:
 # Minkowski question mark
 
 
+def _dyadic(terms: Sequence[int]) -> tuple[int, int]:
+    """(n, k) with ?(x) = sum_i (-1)**(i-1) / 2**(a1+...+ai - 1) = k / 2**n for
+    the CF terms of x, folded in ints as k -> k * 2**a +- 1: n = a1+...+at - 1
+    (0 for x = 0), the height of x, and k is odd for canonical x in (0, 1)."""
+    k, sign = 0, 1
+    for a in terms:
+        k, sign = (k << a) + sign, -sign
+    return max(sum(terms) - 1, 0), k
+
+
+def _bounded(terms: CF) -> CF:
+    """The terms of x, refused when its height is above MAX_QMARK_HEIGHT."""
+    if sum(terms) - 1 > MAX_QMARK_HEIGHT:
+        raise ValueError(f"?(x) has height {sum(terms) - 1}, above MAX_QMARK_HEIGHT = {MAX_QMARK_HEIGHT}")
+    return terms
+
+
 def question_mark(x: Fraction | Sequence[int]) -> Fraction:
-    """?(x) as an exact dyadic rational, via the alternating series
-    sum_k (-1)**(k-1) / 2**((a1+...+ak) - 1) over the CF terms of x.
-    """
-    terms = cf_encode(x) if isinstance(x, Fraction) else cf_normalize(x)
-    height = sum(terms) - 1
-    if height > MAX_QMARK_HEIGHT:
-        raise ValueError(f"?(x) has height {height}, above MAX_QMARK_HEIGHT = {MAX_QMARK_HEIGHT}")
-    total = Fraction(0)
-    partial = 0
-    for i, a in enumerate(terms):
-        partial += a
-        term = Fraction(1, 2 ** (partial - 1))
-        total += term if i % 2 == 0 else -term
-    return total
+    """?(x) as an exact dyadic rational (``_dyadic``)."""
+    n, k = _dyadic(_bounded(cf_encode(x) if isinstance(x, Fraction) else cf_normalize(x)))
+    return Fraction(k, 1 << n)
 
 
 def question_mark_inv(k: int, n: int) -> Fraction:
@@ -538,19 +539,17 @@ def vertex_to_matrix(n: int, k: int) -> Mat2:
 def matrix_to_vertex(m: Mat2) -> tuple[int, int]:
     """Inverse of vertex_to_matrix on Gamma^+.
 
-    The dyadic images ?(p/q) = u/2**s and ?(p'/q') = u'/2**s' locate the
-    unique floor n = max(s, s') at which the two columns are neighbours.
+    The dyadic images ?(p/q) = u/2**s and ?(p'/q') = u'/2**s' (``_dyadic``)
+    locate the unique floor n = max(s, s') at which the two columns are
+    neighbours, at the indices u and u' shifted up to floor n.
     """
     if not m.in_gamma_plus():
         raise ValueError(f"{m} is not in Gamma^+")
     left = Fraction(m.b, m.d)
-    right = Fraction(m.a, m.c)
-    d_left = question_mark(left)
-    d_right = question_mark(right)
-    n = max(d_left.denominator.bit_length(), d_right.denominator.bit_length()) - 1
-    k = d_left.numerator * (2**n // d_left.denominator)
-    k_right = d_right.numerator * (2**n // d_right.denominator)
-    if k_right != k + 1 or label(n, k) != left:
+    (s, u), (s_right, u_right) = (_dyadic(_bounded(cf_encode(x))) for x in (left, Fraction(m.a, m.c)))
+    n = max(s, s_right)
+    k = u << (n - s)
+    if u_right << (n - s_right) != k + 1 or label(n, k) != left:
         raise ValueError(f"{m} does not describe a neighbour pair")
     return n, k
 

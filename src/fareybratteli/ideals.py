@@ -256,25 +256,18 @@ def quotient_levels(spec: IdealSpec, depth: int) -> LevelSet:
     if not 0 <= depth <= MAX_QUOTIENT_DEPTH:
         raise ValueError(f"depth must lie in 0..{MAX_QUOTIENT_DEPTH}")
     theta, variant = spec.theta, spec.variant
-
-    if isinstance(theta, Fraction) and theta == 0:
-        pick = (0,) if variant == "plain" else (0, 1)
-        return LevelSet(depth, tuple(pick for _ in range(depth + 1)))
-    if isinstance(theta, Fraction) and theta == 1:
-        if variant == "plain":
-            return LevelSet(depth, tuple((2**n,) for n in range(depth + 1)))
-        return LevelSet(depth, tuple((2**n - 1, 2**n) for n in range(depth + 1)))
-
+    vertex: int | None = None  # index of the theta column once it exists
     if isinstance(theta, Fraction):
         p, q = theta.as_integer_ratio()
         compare = lambda num, den: p * den - num * q  # noqa: E731  (its sign is theta's side)
+        if q == 1:  # theta = 0 or 1 labels the floor-0 vertex p
+            vertex = p
     else:
         compare = theta.compare_pair
 
     retained: list[tuple[int, ...]] = []
     j = 0  # straddling pair is (j, j+1) until theta surfaces as a label
     a, b, c, d = 0, 1, 1, 1  # their labels a/b < c/d, Farey neighbours
-    vertex: int | None = None  # index of the theta column once it exists
     for n in range(depth + 1):
         if vertex is None:
             retained.append((j, j + 1))

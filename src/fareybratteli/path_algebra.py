@@ -28,14 +28,17 @@ which lifts to what it meets.  A scalar (c, i, j) is c sqrt(lam)^i /
 (1 + lam)^j, so a row serves every lam; (1 - x) y is y - xy; the floor-r
 matrix units sum to ("1", r).  A suite call builds each node once per model
 (``_value``), so E_n E_n+1, read by five equations, is multiplied once.
-Each suite's rows at index 0-2 are templates, built once per process on
-first use (``_templates``).  A row's top is the lowest floor whose table
-holds it, and its order places it in the suite at every floor; the floor-N
-table is the floor-(N-1) one merged with the rows of top N (``_rows_at``):
-the templates there, the translate of each index-2 template there, linked
-to it when built, and the commutation rows there.  A translate's operands
-are its template's shifted, and a commutation row's its products, each
-built only when the row is decided on them.
+A template is a row at translating index <= 2 whose letters
+``_GENERATORS`` defines: each law is stated over n in 0..2 (6.1, named by
+its lowest letter, over 0..3; 6.13/6.14 over 1..2, the paper's bound), and
+``_templates`` keeps the templates, once per process on first use.  A
+row's top is the lowest floor whose table holds it, and its order places
+it in the suite at every floor; the floor-N table is the floor-(N-1) one
+merged with the rows of top N (``_rows_at``): the templates there, the
+translate of each index-2 template there, linked to it when built, and
+the commutation rows there.  A translate's operands are its template's
+shifted, and a commutation row's its products, each built only when the
+row is decided on them.
 
 Window certificates.  kind_n writes xi_n..xi_{n+reach-1} and reads
 xi_{n-1}..xi_{n+reach} (``_window``).  X is window-local for (W, R) when
@@ -637,8 +640,9 @@ class Representation:
 
     def gen(self, kind: str, n: int) -> SparseOperator:
         """Generator kind_n (e, f, g, v or w) at floor N."""
-        if kind in ("E", "F"):
-            raise ValueError(f"{kind}_{n} is not defined at floor {self.floor}")
+        if kind in ("E", "F") and self.has(kind, n):
+            flip = _KINDS[kind][4]
+            raise ValueError(f"{kind}_{n} is a projection, read with tl and rebuilt from {flip}_{n}; it cannot be flipped")
         return self._home(kind, n).lift(self.ctx)
 
     def identity(self) -> SparseOperator:
@@ -853,12 +857,6 @@ def _word(text: str, n: int) -> tuple:
     return _mul(*(_letter(kind, n + d, star) for kind, d, star in _letters(text)))
 
 
-def _defined(text: str, n: int) -> bool:
-    """Whether every letter of a word is at or above its kind's lowest index,
-    for index n (a floor high enough holds it)."""
-    return all(n + d >= _KINDS[kind][1] for kind, d, _ in _letters(text))
-
-
 def _support_law(text: str, n: int) -> tuple:
     """``(1-x_n)y_n`` or ``y_n(1-x_n)`` as y - xy or y - yx."""
     if text.startswith("(1-"):
@@ -954,38 +952,40 @@ def _certificate(kind: str, n: int) -> _Row:
                 top=n + _KINDS[kind][2])
 
 
+def _diag_order(letter: tuple) -> tuple:
+    """e_1..e_N first, then f_n and g_n side by side: the order of R1."""
+    return letter[0] != "e", letter[1], letter[0] == "g"
+
+
 def _relation_templates(add: Callable) -> None:
     # (R1): self-adjoint idempotents summing to 1, mutually commuting
-    for kind, n in _generator_keys(2, "efg"):  # the letters at index <= 2
-        add((0, kind != "e", n, kind == "g"), "R1", {"kind": kind, "n": n}, "projection", _letter(kind, n))
+    for kind, n in product("efg", range(3)):
+        add((0, *_diag_order((kind, n))), "R1", {"kind": kind, "n": n}, "projection", _letter(kind, n))
     for n in range(3):
-        total = _lin(*((ONE, _letter(k, n)) for k in ("fge" if n else "fg")))
+        total = _lin(*((ONE, _letter(k, n)) for k in "fge" if n >= _KINDS[k][1]))
         add((1, 0, n, 0), "R1", {"sum_at": n}, "equality", total, _IDENTITY)
     for (i, family), n, (j, law) in product(enumerate("vw"), range(3), enumerate(_R2)):
-        if family + "_n" in law and _defined(family + "_n", n):
+        if family + "_n" in law:
             add((3, i, n, j), "R2", {"family": family, "n": n, "law": law}, "vanishes", _support_law(law, n))
     for block, equation, laws in ((4, "R3", _R3), (5, "R4", _R4)):
         for (i, family), n, (j, (law, left, right)) in product(enumerate("vw"), range(3), enumerate(laws)):
-            if left.startswith(family) and _defined(left, n):
+            if left.startswith(family):
                 add((block, i, n, j), equation, {"family": family, "n": n, "law": law}, "equality",
                     _word(left, n), _word(right, n))
     # 6.1 names its rows by their lowest letter, n - 1 for some laws
     for n, (j, law) in product(range(4), enumerate(_VANISHING)):
         low = n + min(d for _, d, _ in _letters(law))
-        if low <= 2 and _defined(law, n):
-            add((6, 0, n, j), "6.1", {"law": law, "n": low}, "vanishes", _word(law, n))
+        add((6, 0, n, j), "6.1", {"law": law, "n": low}, "vanishes", _word(law, n))
     for n, (i, k1), (j, k2) in product(range(3), enumerate(_FACTORS), enumerate(_FACTORS)):
         name = f"{k1}_n {k2}_n+1"
-        if _defined(name, n):
-            kind = "nonzero" if name in _WHITELIST else "vanishes"
-            add((7, 0, n, 4 * i + j), "whitelist", {"product": name, "n": n}, kind, _word(name, n))
+        kind = "nonzero" if name in _WHITELIST else "vanishes"
+        add((7, 0, n, 4 * i + j), "whitelist", {"product": name, "n": n}, kind, _word(name, n))
     # braid triples (both sides vanish) and the 6.3 list
     for (i, kind), n in product(enumerate("vw"), range(3)):
-        if _defined(f"{kind}_n {kind}_n+1", n):
-            low, high = _word(f"{kind}_n {kind}_n+1 {kind}_n", n), _word(f"{kind}_n+1 {kind}_n {kind}_n+1", n)
-            add((9, i, n, 0), "braid", {"family": kind, "n": n}, "equality", low, high)
-            add((9, i, n, 1), "6.3", {"family": kind, "law": "x_n x_n+1 x_n", "n": n}, "vanishes", low)
-            add((9, i, n, 2), "6.3", {"family": kind, "law": "x_n+1 x_n x_n+1", "n": n}, "vanishes", high)
+        low, high = _word(f"{kind}_n {kind}_n+1 {kind}_n", n), _word(f"{kind}_n+1 {kind}_n {kind}_n+1", n)
+        add((9, i, n, 0), "braid", {"family": kind, "n": n}, "equality", low, high)
+        add((9, i, n, 1), "6.3", {"family": kind, "law": "x_n x_n+1 x_n", "n": n}, "vanishes", low)
+        add((9, i, n, 2), "6.3", {"family": kind, "law": "x_n+1 x_n x_n+1", "n": n}, "vanishes", high)
     # partition of unity by the embedded floor-r matrix units, at the floors above r
     for r in range(3):
         add((10, 0, r, 0), "unit-partition", {"r": r}, "equality", _node("1", r), _IDENTITY, top=r + 1)
@@ -1004,18 +1004,18 @@ def _yang_baxter_templates(add: Callable) -> None:
 
 
 def _braiding_templates(add: Callable) -> None:
-    for kind, n in _generator_keys(3, "EF"):  # the letters at index <= 2
+    for kind, n in product("EF", range(3)):
         add((0, kind == "F", n, 0), "6.5" if kind == "E" else "6.6", {"kind": kind, "n": n, "law": "projection"},
             "projection", _letter(kind, n))
     # 6.7: E_n and F_n are orthogonal
-    for n, (j, word) in product(range(1, 3), enumerate(("E_n F_n", "F_n E_n"))):
+    for n, (j, word) in product(range(3), enumerate(("E_n F_n", "F_n E_n"))):
         add((1, 0, n, j), "6.7", {"n": n, "law": word.replace("_n", "")}, "vanishes", _word(word, n))
     # 6.9 - 6.12: triple products with exact right-hand sides
     for (i, group), n in product(enumerate(_TRIPLES), range(3)):
         for j, (equation, law, scalar, word) in enumerate(group):
-            if _defined(law, n) and _defined(word, n):
-                add((3, i, n, j), equation, {"n": n, "law": law}, "equality", _word(law, n), _lin((scalar, _word(word, n))))
-    # 6.13 / 6.14: vanishing mixed products
+            add((3, i, n, j), equation, {"n": n, "law": law}, "equality", _word(law, n), _lin((scalar, _word(word, n))))
+    # 6.13 / 6.14: vanishing mixed products.  n >= 1 is the paper's bound on
+    # the family, not one on its letters: E_n+1 E_n F_n+1 has them all at n = 0
     for n, (i, (equation, laws)) in product(range(1, 3), enumerate(_MIXED)):
         for j, law in enumerate(laws):
             add((4, 0, n, 4 * i + j), equation, {"n": n, "law": law}, "vanishes", _word(law, n))
@@ -1036,16 +1036,21 @@ def _braiding_templates(add: Callable) -> None:
 
 @lru_cache(maxsize=None)
 def _templates(suite: str) -> tuple[tuple[_Row, ...], tuple[_Row, ...]]:
-    """A suite's rows at index 0-2, and those at index 2, whose translates
-    are its rows at index 3 or more; a row's top is the highest home floor of
-    its letters unless given."""
+    """A suite's templates, and those at index 2, whose translates are its
+    rows at index 3 or more.  A template is a row whose translating index is
+    at most 2 and whose letters ``_GENERATORS`` defines: the builders state
+    each law over n in 0..2, and ``add`` keeps the rows that are templates.
+    A row's top is the highest home floor of its letters unless given."""
     rows, expanding = [], []
 
     def add(order, equation, indices, kind, *operands, top=None):
         row = _Row(equation, indices, kind, operands, order=order)
+        index = next(indices[key] for key in _INDEX if key in indices)
+        if index > 2 or any(n < _KINDS[k][1] for k, n in row.reads):
+            return
         row.top = max(n + _KINDS[k][2] for k, n in row.reads) if top is None else top
         rows.append(row)
-        if next(indices[key] for key in _INDEX if key in indices) == 2:
+        if index == 2:
             expanding.append(row)
 
     _TEMPLATES[suite](add)
@@ -1053,11 +1058,6 @@ def _templates(suite: str) -> tuple[tuple[_Row, ...], tuple[_Row, ...]]:
 
 
 _TEMPLATES = {"base": _relation_templates, "yb": _yang_baxter_templates, "braiding": _braiding_templates}
-
-
-def _diag_order(letter: tuple) -> tuple:
-    """e_1..e_N first, then f_n and g_n side by side: the order of R1."""
-    return letter[0] != "e", letter[1], letter[0] == "g"
 
 
 def _commutation_rows(suite: str, top: int) -> list[_Row]:
@@ -1098,15 +1098,13 @@ def _commutation_rows(suite: str, top: int) -> list[_Row]:
 
 @lru_cache(maxsize=None)
 def _rows_at(suite: str, top: int) -> tuple[_Row, ...]:
-    """The rows of a suite whose top floor is ``top``, in suite order: its
-    templates there, the translate there of each index-2 template below,
-    and its commutation rows there."""
+    """The rows of a suite whose top floor is ``top``: its templates there,
+    the translate there of each index-2 template below, and its commutation
+    rows there."""
     templates, expanding = _templates(suite)
     rows = [row for row in templates if row.top == top]
     rows += [_translate(row, top - row.top) for row in expanding if row.top < top]
-    rows += _commutation_rows(suite, top)
-    rows.sort(key=_ORDER)
-    return tuple(rows)
+    return (*rows, *_commutation_rows(suite, top))
 
 
 @lru_cache(maxsize=None)

@@ -284,6 +284,28 @@ def test_question_mark_strictly_increasing_on_rows():
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
+@st.composite
+def uncanonical_or_high_terms(draw):
+    """Term tuples off the canonical walk: with trailing 1s, or with a height
+    (the term sum minus 1) at MAX_QMARK_HEIGHT or one above it."""
+    terms = tuple(draw(st.lists(st.integers(1, 60), max_size=12)))
+    if draw(st.booleans()):
+        return terms + (1,) * draw(st.integers(1, 3))
+    return terms + (core.MAX_QMARK_HEIGHT + 1 + draw(st.integers(0, 1)) - sum(terms),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(uncanonical_or_high_terms())
+def test_question_mark_matches_the_fraction_series(terms):
+    def outcome(walk):
+        try:
+            return walk(terms)
+        except ValueError as exc:  # above the bound: the same refusal
+            return str(exc)
+
+    assert outcome(question_mark) == outcome(tree_reference.question_mark)
+
+
 # ---------------------------------------------------------------------------
 # Farey map
 
@@ -462,6 +484,14 @@ def test_matrix_vertex_round_trip():
     for n in range(9):
         for k in range(2**n):
             assert matrix_to_vertex(vertex_to_matrix(n, k)) == (n, k)
+
+
+def test_matrix_to_vertex_matches_the_reference_on_every_neighbour_pair():
+    # k = 0 has the left end 0 and k = 2**n - 1 the right end 1
+    for n in range(11):
+        for k in range(2**n):
+            m = vertex_to_matrix(n, k)
+            assert matrix_to_vertex(m) == tree_reference.matrix_to_vertex(m) == (n, k)
 
 
 def test_matrix_vertex_round_trip_deep():

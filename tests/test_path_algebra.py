@@ -1127,8 +1127,11 @@ def test_a_flip_rebuilds_exactly_the_projection_of_its_flip(lam):
         if projection_key:
             assert mutated._home(*projection_key) == projection(mutated._home(kind, n), lam)
             assert mutated._home(*projection_key) != rep._home(*projection_key)
-    for kind in "EF":
-        with pytest.raises(ValueError, match="not defined"):
+    for kind, flip in (("E", "v"), ("F", "w")):
+        message = f"{kind}_1 is a projection, read with tl and rebuilt from {flip}_1; it cannot be flipped"
+        with pytest.raises(ValueError, match=message):
+            rep.gen(kind, 1)
+        with pytest.raises(ValueError, match=message):
             rep.with_sign_flip(kind, 1, (0, 0))
 
 

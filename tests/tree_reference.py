@@ -4,6 +4,9 @@
 floor, ``row`` builds each floor from the previous one with ``Fraction``
 mediants, ``row_ints`` refines the numerators and the denominators as two
 chains, ``cf_decode`` folds ``Fraction(1, a + value)`` right to left,
+``question_mark`` sums the ``Fraction`` terms of its alternating series and
+``matrix_to_vertex`` reads the floor and index of a neighbour pair off the
+denominators of the two question marks,
 ``totient_sieve`` runs the prime sieve that subtracts phi[m] // p
 at every multiple m of every prime p (``partition_function`` sums over it
 with a generator), ``check_trace`` sums phi over the
@@ -13,14 +16,15 @@ explicit branch set of every vertex in ``Fraction`` arithmetic,
 compares a stream against the ``Fraction`` ends of its convergent interval,
 ``is_hereditary`` / ``is_directed`` ask ``children`` for every retained /
 omitted vertex, and ``levelset_to_dot`` labels every vertex by ``label``.
-The fast integer walks, the smallest-prime-factor sieve, the pair kernels
-of the one-pass checker, the gap walks and the row-read dot export in the
-package must agree with them exactly."""
+The fast integer walks (the dyadic one included), the smallest-prime-factor
+sieve, the pair kernels of the one-pass checker, the gap walks and the
+row-read dot export in the package must agree with them exactly."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from fareybratteli.core import MAX_QMARK_HEIGHT, Mat2, cf_encode, cf_normalize
 from fareybratteli.ideals import CFStream, IdealSpec, LevelSet, children
 from fareybratteli.traces import MAX_DEPTH, STAR, TraceCandidate, TraceReport, Vertex, neighbor_set, tree_vertices
 
@@ -70,6 +74,33 @@ def cf_decode(terms) -> Fraction:
             raise ValueError(f"continued-fraction terms must be positive, got {terms}")
         value = Fraction(1, a + value)
     return value
+
+
+def question_mark(x) -> Fraction:
+    terms = cf_encode(x) if isinstance(x, Fraction) else cf_normalize(x)
+    height = sum(terms) - 1
+    if height > MAX_QMARK_HEIGHT:
+        raise ValueError(f"?(x) has height {height}, above MAX_QMARK_HEIGHT = {MAX_QMARK_HEIGHT}")
+    total = Fraction(0)
+    partial = 0
+    for i, a in enumerate(terms):
+        partial += a
+        term = Fraction(1, 2 ** (partial - 1))
+        total += term if i % 2 == 0 else -term
+    return total
+
+
+def matrix_to_vertex(m: Mat2) -> tuple[int, int]:
+    if not m.in_gamma_plus():
+        raise ValueError(f"{m} is not in Gamma^+")
+    left = Fraction(m.b, m.d)
+    d_left, d_right = question_mark(left), question_mark(Fraction(m.a, m.c))
+    n = max(d_left.denominator.bit_length(), d_right.denominator.bit_length()) - 1
+    k = d_left.numerator * (2**n // d_left.denominator)
+    k_right = d_right.numerator * (2**n // d_right.denominator)
+    if k_right != k + 1 or label(n, k) != left:
+        raise ValueError(f"{m} does not describe a neighbour pair")
+    return n, k
 
 
 def totient_sieve(qmax: int) -> list[int]:
