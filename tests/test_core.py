@@ -481,12 +481,7 @@ def test_vertex_to_matrix_examples():
 
 
 def test_matrix_vertex_round_trip():
-    for n in range(9):
-        for k in range(2**n):
-            assert matrix_to_vertex(vertex_to_matrix(n, k)) == (n, k)
-
-
-def test_matrix_to_vertex_matches_the_reference_on_every_neighbour_pair():
+    # every neighbour pair of floors 0-10, against the question-mark reference;
     # k = 0 has the left end 0 and k = 2**n - 1 the right end 1
     for n in range(11):
         for k in range(2**n):
