@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import re
 import sys
 import time
@@ -50,7 +49,7 @@ def _level_poly(text: str) -> dimension_group.LevelPoly:
 
 
 def _poly_text(p: dimension_group.LevelPoly) -> str:
-    return f"{p.level}:{','.join(str(c) for c in p.coeffs)}"
+    return f"{p.level}:{','.join(map(str, p.coeffs))}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,13 +151,16 @@ def _cmd_row(args) -> int:
     elif args.denominators:
         print(" ".join(map(str, dens)))
     else:
-        # labels lie in [0, 1], so one string table up to the largest denominator covers both parts
+        # labels lie in [0, 1], so one string table up to the largest denominator
+        # covers both parts; the line is " p/" and "q" per label, joined once
         text = list(map(str, range(max(dens) + 1)))
-        slash = ["/" + t for t in text]
-        labels = list(map(operator.add, map(text.__getitem__, nums), map(slash.__getitem__, dens)))
+        prefix = [f" {t}/" for t in text]
+        parts = [""] * (2 * len(nums))
+        parts[0::2] = map(prefix.__getitem__, nums)
+        parts[1::2] = map(text.__getitem__, dens)
         # only the endpoints 0/1 and 1/1 have denominator 1; print them as str(Fraction) does
-        labels[0], labels[-1] = "0", "1"
-        print(" ".join(labels))
+        parts[:2], parts[-2:] = ["0"], [" 1"]
+        print("".join(parts))
     return 0
 
 
@@ -308,7 +310,7 @@ def main(argv=None) -> int:
         if args.command == "k0":
             return _cmd_k0(args)
         if args.command == "gen":
-            print(" ".join(str(c) for c in dimension_group.stern_brocot_generating(args.terms)))
+            print(" ".join(map(str, dimension_group.stern_brocot_generating(args.terms))))
             return 0
         if args.command == "trace":
             return _cmd_trace(args)

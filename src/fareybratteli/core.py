@@ -214,11 +214,12 @@ def vertex_of_label(x: Fraction) -> tuple[int, int]:
     index is k = 2**n * ?(x), both from ``_dyadic``.  The vertex found is
     checked against ``label``; a mismatch means the tree bijection itself is
     broken and raises RuntimeError.  The value 0 first appears at the even
-    index (0, 0) and is rejected with the values outside [0, 1].
+    index (0, 0) and is rejected with the values outside [0, 1]; a height
+    above MAX_QMARK_HEIGHT is refused before the index is built.
     """
     if not 0 < x <= 1:
         raise ValueError(f"value {x} outside (0, 1]")
-    n, k = _dyadic(cf_encode(x))
+    n, k = _dyadic(_bounded(cf_encode(x)))
     if k % 2 == 0 or label(n, k) != x:
         raise RuntimeError(f"{x} located at ({n}, {k}), which is not its first appearance")
     return n, k
@@ -450,10 +451,13 @@ def totient_fiber(q: int) -> int:
 
     Each p/q with p coprime to q is located by ``vertex_of_label``, which
     checks that the vertex found carries p/q; the count of distinct vertices
-    always equals phi(q).
+    always equals phi(q).  1/q has height q - 1, so q above
+    MAX_QMARK_HEIGHT + 1 is refused before any vertex is located.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
+    if q - 1 > MAX_QMARK_HEIGHT:
+        raise ValueError(f"1/{q} has height {q - 1}, above MAX_QMARK_HEIGHT = {MAX_QMARK_HEIGHT}")
     return len({vertex_of_label(Fraction(p, q)) for p in range(1, q) if math.gcd(p, q) == 1})
 
 

@@ -12,10 +12,12 @@ lifts to the other, addition lifts both to a common floor, and a class is
 positive exactly when its own-level coefficients are nonnegative (the rule
 preserves nonnegativity in both directions, so the test is lift-invariant).
 
-``SymLaurent`` is the dense symmetric Laurent polynomial used as an
-independent expansion oracle and for the unit decomposition identity
-sum_k u(n, k) b(n, k) = rho_n(X), where the positive integers u(n, k) are
-the central block sizes of the truncated ideal.
+The kernels run on flat int tuples built by slices.  The unit
+decomposition identity sum_k u(n, k) b(n, k) = rho_n(X), where the positive
+integers u(n, k) are the central block sizes of the truncated ideal, is a
+comparison of the two-sided row u(n, |d|) with rho_n's coefficient tuple.
+``SymLaurent``, the symmetric Laurent polynomial that ``rho_n`` returns, and
+``expand_to_laurent`` are the independent oracle of the tests.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .core import json_object
 
@@ -66,11 +69,7 @@ class SymLaurent:
     """Symmetric Laurent polynomial: coefficient map with c[-d] == c[d]."""
 
     def __init__(self, coeffs: dict[int, int] | None = None):
-        self._c: dict[int, int] = {}
-        if coeffs:
-            for d, c in coeffs.items():
-                if c:
-                    self._c[d] = c
+        self._c = {d: c for d, c in (coeffs or {}).items() if c}
         for d, c in self._c.items():
             if self._c.get(-d, 0) != c:
                 raise ValueError(f"coefficients at degrees {d} and {-d} differ")
@@ -109,22 +108,27 @@ class SymLaurent:
         return f"SymLaurent({dict(sorted(self._c.items()))})"
 
 
-RHO = SymLaurent({-1: 1, 0: 1, 1: 1})
-
 MAX_LIFT_LEVEL = 20  # a level-n vector holds 2**n coefficients
 MAX_UNIT_LEVEL = 14  # rho_n has 2**(n+1) - 1 terms and q_prime_row(n) 2**n entries
 
 
 @lru_cache(maxsize=None)
+def _rho(n: int) -> tuple[int, ...]:
+    """Coefficients of rho_n at degrees 1 - 2**n .. 2**n - 1: rho_{n-1} times
+    X**-m + 1 + X**m (m = 2**(n-1)) is three copies shifted by 0, m and 2m."""
+    if n == 0:
+        return (1,)
+    r, pad = list(_rho(n - 1)), [0] * 2 ** (n - 1)
+    return tuple(map(add, map(add, r + pad + pad, pad + r + pad), pad + pad + r))
+
+
 def rho_n(n: int) -> SymLaurent:
     """Product of rho(X**(2**k)) over 0 <= k < n; rho_0 is the constant 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > MAX_UNIT_LEVEL:
         raise ValueError(f"rho_n materialises 2**(n+1) - 1 terms; guarded at n <= {MAX_UNIT_LEVEL}")
-    if n == 0:
-        return SymLaurent({0: 1})
-    return rho_n(n - 1) * RHO.substitute_power(2 ** (n - 1))
+    return SymLaurent(dict(enumerate(_rho(n), 1 - 2**n)))
 
 
 def expand_to_laurent(p: LevelPoly) -> SymLaurent:
@@ -148,11 +152,9 @@ def expand_to_laurent(p: LevelPoly) -> SymLaurent:
 def beta_step(p: LevelPoly) -> LevelPoly:
     """One connecting map: d[2k] = c[k], d[2k+1] = c[k] + c[k+1]."""
     c = p.coeffs
-    size = len(c)
-    d = [0] * (2 * size)
-    for k in range(size):
-        d[2 * k] = c[k]
-        d[2 * k + 1] = c[k] + (c[k + 1] if k + 1 < size else 0)
+    d = [0] * (2 * len(c))
+    d[0::2] = c
+    d[1::2] = map(add, c, (*c[1:], 0))
     return LevelPoly(p.level + 1, tuple(d))
 
 
@@ -178,13 +180,13 @@ def add_classes(p: LevelPoly, q: LevelPoly) -> LevelPoly:
     """Sum of classes, represented at the higher of the two levels."""
     top = max(p.level, q.level)
     a, b = beta_lift(p, top), beta_lift(q, top)
-    return LevelPoly(top, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    return LevelPoly(top, tuple(map(add, a.coeffs, b.coeffs)))
 
 
 def is_positive_class(p: LevelPoly) -> bool:
     """Positivity at the element's own level; lift-invariant by the
     nonnegativity-preservation of the connecting rule."""
-    return all(c >= 0 for c in p.coeffs)
+    return min(p.coeffs) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +211,10 @@ def q_prime_row(n: int) -> tuple[int, ...]:
 
 
 def verify_unit_decomposition(n: int) -> bool:
-    """Exact check that sum_k u(n, k) b(n, k) equals rho_n."""
-    weights = q_prime_row(n)
-    total = expand_to_laurent(LevelPoly(n, weights))
-    return total == rho_n(n)
+    """Exact check that sum_k u(n, k) b(n, k) equals rho_n: degree d of the
+    left side carries u(n, |d|)."""
+    u = q_prime_row(n)
+    return (*u[:0:-1], *u) == _rho(n)
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +229,15 @@ def stern_brocot_generating(count: int) -> list[int]:
     """
     if not 1 <= count <= 2**14:
         raise ValueError("count must lie in 1..2**14")
-    coeffs = [0] * count
-    coeffs[0] = 1
-    k = 0
-    while 2**k < count:
-        lo, hi = 2**k, 2 ** (k + 1)
-        nxt = coeffs[:]
-        for d in range(count):
-            if coeffs[d]:
-                if d + lo < count:
-                    nxt[d + lo] += coeffs[d]
-                if d + hi < count:
-                    nxt[d + hi] += coeffs[d]
-        coeffs = nxt
-        k += 1
+    coeffs = [1] + [0] * (count - 1)
+    shift = 1
+    while shift < count:
+        # times 1 + X**shift + X**(2 shift); the product so far has degree
+        # 2 shift - 2, and each copy is cut at count terms
+        old = coeffs[: 2 * shift - 1]
+        for lo in (shift, 2 * shift):
+            coeffs[lo : lo + len(old)] = map(add, coeffs[lo : lo + len(old)], old)
+        shift *= 2
     return coeffs
 
 

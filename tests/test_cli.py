@@ -244,6 +244,11 @@ DIAGRAM_GOLDENS = [
     # written by Python 3.11, whose sum adds floats left to right (see
     # test_sum_adds_floats_left_to_right in test_core.py)
     ("zeta_s3_qmax1000000.txt", ["zeta", "--s", "3", "--qmax", "1000000"], 0),
+    # written before the K0 kernels ran on slices of flat tuples
+    ("k0_identity_max14.txt", ["k0", "identity", "--max-level", "14"], 0),
+    ("k0_lift_3_to20.txt", ["k0", "lift", "3:1,-2,0,5,7,0,1,1", "--to", "20"], 0),
+    ("k0_add_2_4.txt", ["k0", "add", "2:3,-1,0,2", "4:1,0,-5,2,0,0,7,1,1,-3,0,0,2,9,0,4"], 0),
+    ("gen_terms16384.txt", ["gen", "--terms", "16384"], 0),
 ]
 
 # the trace candidates of the goldens: two geometric ones, the geometric 1/4

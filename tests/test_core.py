@@ -533,3 +533,20 @@ def test_question_mark_refuses_heights_above_its_bound():
     for x in (F(1, 14002), F(1, 10**30), (14000, 3), (7000, 7000, 2)):
         with pytest.raises(ValueError, match="above MAX_QMARK_HEIGHT = 14000"):
             question_mark(x)
+
+
+def _never_called(*args):
+    raise AssertionError("reached past the height guard")
+
+
+def test_vertex_of_label_and_totient_fiber_refuse_heights_above_the_bound(monkeypatch):
+    assert vertex_of_label(F(1, 14001)) == (14000, 1)  # height 14000, the bound
+    # terms (1, 10**30): the index would have 10**30 bits and label as many digits
+    monkeypatch.setattr(core, "label", _never_called)
+    with pytest.raises(ValueError, match="above MAX_QMARK_HEIGHT = 14000"):
+        vertex_of_label(F(10**30, 10**30 + 1))
+    # 1/q has height q - 1, so the whole fiber is refused before any vertex
+    monkeypatch.setattr(core, "vertex_of_label", _never_called)
+    for q in (core.MAX_QMARK_HEIGHT + 2, 10**30):
+        with pytest.raises(ValueError, match="above MAX_QMARK_HEIGHT = 14000"):
+            totient_fiber(q)

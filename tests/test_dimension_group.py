@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import k0_reference
 from fareybratteli.core import row
 from fareybratteli.dimension_group import (
+    MAX_LIFT_LEVEL,
     MAX_UNIT_LEVEL,
     LevelPoly,
     SymLaurent,
@@ -21,6 +23,7 @@ from fareybratteli.dimension_group import (
     level_poly_from_json,
     level_poly_to_json,
     q_prime_row,
+    _rho,
     rho_n,
     stern_brocot_generating,
     verify_unit_decomposition,
@@ -144,6 +147,39 @@ def test_rho_n_structure():
     # degree-d coefficient of rho_n is the unit weight at index |d|
     weights = q_prime_row(3)
     assert all(r3.coeff(d) == weights[abs(d)] for d in r3.support())
+
+
+def test_rho_matches_the_dict_product_oracle():
+    for n in range(MAX_UNIT_LEVEL + 1):
+        oracle = k0_reference.rho(n)
+        # every degree 1 - 2**n .. 2**n - 1 carries a positive coefficient
+        assert oracle.support() == list(range(1 - 2**n, 2**n))
+        assert _rho(n) == tuple(map(oracle.coeff, oracle.support())), n
+        assert rho_n(n) == oracle, n
+
+
+def _level_polys(max_level):
+    return st.integers(0, max_level).flatmap(
+        lambda level: st.lists(st.integers(-1000, 1000), min_size=2**level, max_size=2**level).map(
+            lambda coeffs: LevelPoly(level, tuple(coeffs))
+        )
+    )
+
+
+@given(_level_polys(8))
+def test_beta_step_matches_the_loop_oracle(p):
+    assert beta_step(p) == k0_reference.beta_step(p)
+
+
+@given(_level_polys(8), st.integers(0, 4))
+def test_beta_lift_matches_the_loop_oracle(p, extra):
+    n = min(p.level + extra, MAX_LIFT_LEVEL)
+    assert beta_lift(p, n) == k0_reference.beta_lift(p, n)
+
+
+@pytest.mark.parametrize("count", [*range(1, 65), 2**14])
+def test_generating_function_matches_the_loop_oracle(count):
+    assert stern_brocot_generating(count) == k0_reference.generating(count)
 
 
 def test_generating_function_prefix():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import tree_reference
-from fareybratteli import traces
+from fareybratteli import core, traces
 from fareybratteli.core import cf_decode, cf_encode, height, label, totient_sieve
 from fareybratteli.traces import (
     MAX_DEPTH,
@@ -412,6 +412,16 @@ def test_table_tail_oracle_sees_beyond_the_horizon():
     # weights along the whole chain above the deep entries repair it
     repaired = table_candidate({(0, 1): F(1, 4), (1, 1): F(1, 8), **entries}, F(0))
     assert check_trace(repaired, 3).valid
+
+
+def test_vertex_of_cf_refuses_heights_above_the_bound(monkeypatch):
+    def fail(*args):
+        raise AssertionError("reached past the height guard")
+
+    # 10**30/(10**30 + 1): its index would have 10**30 bits
+    monkeypatch.setattr(core, "label", fail)
+    with pytest.raises(ValueError, match="above MAX_QMARK_HEIGHT = 14000"):
+        vertex_of_cf((1, 10**30))
 
 
 def test_table_entry_floors_are_guarded_before_any_walk_or_power(monkeypatch):
