@@ -25,10 +25,13 @@ in integers: ``question_mark`` builds one ``Fraction`` of it,
 ``vertex_of_label`` reads the vertex (n, k) off it and ``matrix_to_vertex``
 shifts the k of two columns to a common floor.
 
-The totients behind ``partition_function`` come from ``totient_sieve``: slice
-assignments into an ``array`` find the smallest odd prime factor of each odd
-q, one pass over odd q multiplies phi(q / p) by p or p - 1, and the even q
-take phi(2m) = phi(m) or 2 phi(m) by strided list slices.
+The totients come in blocks from ``_totient_blocks``: slice assignments into
+an ``array`` find the smallest odd prime factor of each odd q, a block's
+odd q multiply phi(q / p) by p or p - 1, and its even q take phi(2m) =
+phi(m) or 2 phi(m) by strided list slices.  Only phi(q) for q <= qmax / 2
+is kept, since nothing reads higher: ``partition_function`` adds each
+block above it onto its running sum and drops it, and ``totient_sieve``
+joins the blocks into one list.
 
 Every function is a pure function of its arguments, and nothing is cached.
 """
@@ -43,8 +46,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
-from typing import Sequence
+from itertools import chain, count, islice, repeat
+from typing import Iterator, Sequence
 
 __all__ = [
     "CF",
@@ -85,11 +88,15 @@ CF = tuple[int, ...]
 # Measured on one x86-64 core with Python 3.11: row(20) takes 3.1 s and
 # 200 MB, row_ints(20) 0.3 s and 92 MB, so floor 24 would need about 3 GB.
 MAX_ROW_FLOOR = 20
-# the zeta series sieves a list of qmax + 1 ints and an array of qmax / 2 smallest
-# odd prime factors, linear in qmax.  Measured on one x86-64 core with Python
-# 3.11 (CPU of the call, peak RSS of a fresh process), partition_function(3, qmax)
-# takes 0.2 s at 52 MB for 10**6 and 2.6 s at 350 MB for 10**7.
+# the zeta series keeps a list of qmax / 2 + 1 totients and an array of
+# qmax / 2 smallest odd prime factors, linear in qmax.  Measured on one x86-64
+# core with Python 3.11 (CPU of the call, peak RSS of a fresh process),
+# partition_function(3, qmax) takes 0.2 s at 41 MB for 10**6 and 2.5 s at
+# 200 MB for 10**7.
 MAX_ZETA_QMAX = 10**7
+# q per block of the zeta series above qmax / 2; the first list grows by
+# blocks at most this wide
+_BLOCK = 2**16
 # ?(x) has denominator 2**height, height = (sum of the CF terms of x) - 1, so
 # ?(1/1000000) would build a 2**999999 and print 301030 digits.  At this
 # height the answer, 2**-14000 at the most, still prints under Python's
@@ -384,21 +391,28 @@ def farey_inverse_orbit(n: int) -> list[Fraction]:
 
 
 def totient_sieve(qmax: int) -> list[int]:
-    """phi(0..qmax) from the smallest odd prime factor of each odd q (phi[0] is 0).
+    """phi(0..qmax) (phi[0] is 0): the blocks of ``_totient_blocks`` joined."""
+    return list(chain.from_iterable(_totient_blocks(qmax))) if qmax >= 0 else []
 
-    Odd q: the factor sits in a zero-filled ``array("i")`` indexed by q // 2,
-    where 0 means q is prime.  Slice assignments with step p fill it for the
-    odd primes p from isqrt(qmax) down to 3, so the smallest one dividing q
-    writes last; a small ``bytearray`` sieve first marks those primes.  One
-    pass over odd q then sets phi(q) = q - 1 for a prime and phi(m) * p when
-    p divides m = q / p, phi(m) * (p - 1) otherwise.
 
-    Even q = 2m: phi(2m) = phi(m) for odd m and 2 phi(m) for even m.  They
-    are filled by strided slices in blocks m in [lo, min(2 lo, lo + 2**16)),
-    so every phi(m) read is final and the temporaries stay small.
+def _totient_blocks(qmax: int) -> Iterator[list[int]]:
+    """phi(0..qmax), qmax >= 0, as consecutive lists: phi(0..max(qmax // 2, 1))
+    first (only phi(0) for qmax 0), then blocks of at most _BLOCK q.
+
+    Odd q: the smallest odd prime factor sits in a zero-filled ``array("i")``
+    indexed by q // 2, where 0 means q is prime.  Slice assignments with step
+    p fill it for the odd primes p from isqrt(qmax) down to 3, so the smallest
+    one dividing q writes last; a small ``bytearray`` sieve first marks those
+    primes.  A block's odd q then take phi(q) = q - 1 for a prime and
+    phi(m) * p when p divides m = q / p, phi(m) * (p - 1) otherwise.
+
+    Even q = 2m: phi(2m) = phi(m) for odd m and 2 phi(m) for even m, by
+    strided slices.
+
+    Every read lies below the block: the first list is built from blocks
+    [lo, hi) with hi <= 2 lo, and the blocks above qmax // 2 read only
+    m <= qmax // 2.  So only the first list is kept.
     """
-    if qmax < 0:
-        return []
     half = qmax // 2
     root = math.isqrt(qmax)
     prime = bytearray([1]) * (root + 1)
@@ -410,24 +424,30 @@ def totient_sieve(qmax: int) -> list[int]:
         if prime[p]:
             start = p * p // 2
             spf[start::p] = array("i", (p,)) * len(range(start, half + 1, p))
-    phi = [0] * (qmax + 1)
-    if qmax >= 1:
-        phi[1] = 1
-    for q, p in zip(range(3, qmax + 1, 2), islice(spf, 1, None)):
-        if p:
-            m = q // p
-            phi[q] = phi[m] * (p - 1) if m % p else phi[m] * p
-        else:
-            phi[q] = q - 1
-    lo = 1
-    while lo <= half:
-        hi = min(2 * lo, lo + 2**16, half + 1)
+
+    def block(lo: int, hi: int) -> list[int]:
+        out = [0] * (hi - lo)
         odd = lo | 1
-        phi[2 * odd : 2 * hi : 4] = phi[odd:hi:2]
-        even = lo + (lo & 1)
-        phi[2 * even : 2 * hi : 4] = map(operator.mul, phi[even:hi:2], repeat(2))
+        out[odd - lo :: 2] = [
+            (low[m] * (p - 1) if (m := q // p) % p else low[m] * p) if p else q - 1
+            for q, p in zip(range(odd, hi, 2), spf[odd // 2 : hi // 2])
+        ]
+        m_lo, m_hi = (lo + 1) // 2, (hi + 1) // 2  # q = 2m in [lo, hi)
+        m = m_lo | 1
+        out[2 * m - lo :: 4] = low[m:m_hi:2]
+        m = m_lo + (m_lo & 1)
+        out[2 * m - lo :: 4] = map(operator.mul, low[m:m_hi:2], repeat(2))
+        return out
+
+    low = [0, 1][: qmax + 1] + [0] * (half - 1)
+    lo = 2
+    while lo <= half:
+        hi = min(2 * lo, lo + _BLOCK, half + 1)
+        low[lo:hi] = block(lo, hi)
         lo = hi
-    return phi
+    yield low
+    for lo in range(len(low), qmax + 1, _BLOCK):
+        yield block(lo, min(lo + _BLOCK, qmax + 1))
 
 
 def euler_phi(q: int) -> int:
@@ -474,11 +494,19 @@ def partition_function(s: float, qmax: int) -> float:
         raise ValueError("series diverges for s <= 2")
     if not 1 <= qmax <= MAX_ZETA_QMAX:
         raise ValueError(f"qmax must lie in 1..{MAX_ZETA_QMAX}")
-    phi = totient_sieve(qmax)
-    # phi(q) * q**-s summed in the order q = 1..qmax.  The zeta golden holds
-    # what Python 3.11's plain left-to-right float sum gives; Python 3.12
-    # replaced it with compensated summation, which can differ in the last bits
-    return sum(map(operator.mul, islice(phi, 1, None), map(pow, range(1, qmax + 1), repeat(-s))))
+    # phi(q) * q**-s summed in the order q = 1..qmax, block by block, each
+    # block's terms added onto the running total; the float bases q are exact
+    # below 2**53.  The zeta golden holds what Python 3.11's plain
+    # left-to-right float sum gives; Python 3.12 replaced it with compensated
+    # summation, which can differ in the last bits
+    blocks = _totient_blocks(qmax)
+    low = next(blocks)
+    total = sum(map(operator.mul, islice(low, 1, None), map(pow, count(1.0, 1.0), repeat(-s))), 0.0)
+    q = len(low)
+    for block in blocks:
+        total = sum(map(operator.mul, block, map(pow, count(float(q), 1.0), repeat(-s))), total)
+        q += len(block)
+    return total
 
 
 # ---------------------------------------------------------------------------

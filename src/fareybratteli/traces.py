@@ -41,12 +41,15 @@ odd values from the vertex one floor up, as int pairs over one lcm, once
 per distinct triple of the floor, so equal weights share one ``Fraction``.
 The floor above is carried as those pairs, never converted back from the
 ``Fraction`` values it stored, and phi is still called once per vertex.
-All arithmetic is exact.
+The weights are kept as one list per floor, even and odd indices
+interleaved as in the pairs, and returned behind a read-only ``Mapping``
+keyed by vertex: no (n, k) tuple is stored.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -482,7 +485,7 @@ def _difference(
     return (num, d), Fraction(num, d)
 
 
-def alpha_from_phi(candidate: TraceCandidate, depth: int) -> dict[Vertex, Fraction]:
+def alpha_from_phi(candidate: TraceCandidate, depth: int) -> Mapping[Vertex, Fraction]:
     """Rebuild the diagram weights on every vertex down to the given floor.
 
     Odd indices read phi; the even index 2m at floor n+1 receives the value
@@ -493,19 +496,20 @@ def alpha_from_phi(candidate: TraceCandidate, depth: int) -> dict[Vertex, Fracti
     no value is converted back from its ``Fraction``.  The result satisfies
     the three-term recursion exactly by construction; a negative value
     (reported with its vertex) means the candidate is not a trace.
+
+    The weights come back as a read-only mapping over one list per floor
+    (``_Alpha``), ordered STAR, then each floor's odd and even vertices.
     """
     if not 0 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must lie in 0..{MAX_DEPTH}")
     if candidate.phi(STAR) != 1:
         raise ValueError("a trace candidate must have weight exactly 1 at the root")
-    alpha: dict[Vertex, Fraction] = {STAR: Fraction(1)}
+    floors = [[Fraction(1)]]  # STAR, the one vertex (-1, 0) of floor -1
     above = [(1, 1)]  # the pairs of the floor above by index; STAR sits above floor 0
     for n in range(depth + 1):
-        odd_vertices = list(_odd_vertices(n))
-        odd = list(map(candidate.phi, odd_vertices))
+        odd = list(map(candidate.phi, _odd_vertices(n)))
         odd_pairs = _pairs(odd)
-        _refuse_negative(odd_pairs, odd, odd_vertices)
-        alpha.update(zip(odd_vertices, odd))
+        _refuse_negative(odd_pairs, odd, n, 1)
         # the even index 2m sits below index m one floor up, between odd[m - 1]
         # and odd[m]; a missing neighbour at either end counts as the pair 0/1
         # (at floor 0 only m = 0 exists: (0, 0) is 1 - phi((0, 1))).  The
@@ -519,12 +523,43 @@ def alpha_from_phi(candidate: TraceCandidate, depth: int) -> dict[Vertex, Fracti
         even_pairs = list(map(itemgetter(0), differences))
         even = list(map(itemgetter(1), differences))
         del differences, lefts, rights  # freed before the next floor's phi calls, to keep the peak low
-        even_vertices = list(zip(repeat(n), range(0, 2**n + 1, 2)))
-        _refuse_negative(even_pairs, even, even_vertices)
-        alpha.update(zip(even_vertices, even))
-        above = [None] * (len(even) + len(odd))
+        _refuse_negative(even_pairs, even, n, 0)
+        weights = [None] * (len(even) + len(odd))
+        weights[0::2], weights[1::2] = even, odd
+        floors.append(weights)
+        above = [None] * len(weights)
         above[0::2], above[1::2] = even_pairs, odd_pairs
-    return alpha
+    return _Alpha(floors)
+
+
+class _Alpha(Mapping):
+    """Diagram weights by vertex, read from one list per floor: (n, k) is
+    ``floors[n + 1][k]`` and STAR, (-1, 0), is ``floors[0][0]``."""
+
+    __slots__ = ("_floors",)
+
+    def __init__(self, floors: list[list[Fraction]]):
+        self._floors = floors
+
+    def __getitem__(self, vertex: Vertex) -> Fraction:
+        # a negative floor or index must not wrap around a list
+        if type(vertex) is tuple and len(vertex) == 2:
+            n, k = vertex
+            try:
+                if n >= -1 and k >= 0:
+                    return self._floors[n + 1][k]
+            except (TypeError, IndexError):
+                pass
+        raise KeyError(vertex)
+
+    def __iter__(self) -> Iterator[Vertex]:
+        yield STAR
+        for n in range(len(self._floors) - 1):
+            yield from _odd_vertices(n)
+            yield from zip(repeat(n), range(0, 2**n + 1, 2))
+
+    def __len__(self) -> int:
+        return sum(map(len, self._floors))
 
 
 # the indices m of a floor above, in four groups: odd m, the even m between
@@ -533,10 +568,12 @@ def alpha_from_phi(candidate: TraceCandidate, depth: int) -> dict[Vertex, Fracti
 _GROUPS = (slice(1, None, 2), slice(2, -1, 2), slice(0, 1), slice(-1, None))
 
 
-def _refuse_negative(pairs: list[tuple[int, int]], values: list[Fraction], vertices: list[Vertex]) -> None:
+def _refuse_negative(pairs: list[tuple[int, int]], values: list[Fraction], n: int, parity: int) -> None:
+    """Raise on the first negative pair of floor n's odd (parity 1) or even
+    (parity 0) indices, naming its vertex (n, 2j + parity)."""
     negative = _first_negative(pairs)
     if negative is not None:
-        raise ValueError(f"negative reconstructed weight {values[negative]} at {vertices[negative]}")
+        raise ValueError(f"negative reconstructed weight {values[negative]} at {(n, 2 * negative + parity)}")
 
 
 def _first_negative(pairs: list[tuple[int, int]]) -> int | None:

@@ -242,7 +242,8 @@ DIAGRAM_GOLDENS = [
     ("trace_table_depth16_valid.txt", ["trace", "check", "--spec", "{table}", "--depth", "16"], 0),
     ("trace_table_depth16_invalid.txt", ["trace", "check", "--spec", "{table_zeroed}", "--depth", "16"], 1),
     # written by Python 3.11, whose sum adds floats left to right (see
-    # test_sum_adds_floats_left_to_right in test_core.py)
+    # test_sum_adds_floats_left_to_right in test_core.py); CI also diffs
+    # zeta_s3_qmax10000000.txt, at MAX_ZETA_QMAX, which takes seconds
     ("zeta_s3_qmax1000000.txt", ["zeta", "--s", "3", "--qmax", "1000000"], 0),
     # written before the K0 kernels ran on slices of flat tuples
     ("k0_identity_max14.txt", ["k0", "identity", "--max-level", "14"], 0),
@@ -409,7 +410,7 @@ def _never_called(*args):
 
 def test_size_guards_reject_before_allocating(capsys, monkeypatch):
     monkeypatch.setattr(dimension_group, "beta_step", _never_called)
-    monkeypatch.setattr(core, "totient_sieve", _never_called)
+    monkeypatch.setattr(core, "_totient_blocks", _never_called)  # what partition_function sieves with
     monkeypatch.setattr(core, "_refine", _never_called)
     for argv, message in [
         (["k0", "lift", "0:1", "--to", str(dimension_group.MAX_LIFT_LEVEL + 1)], "guarded at level"),

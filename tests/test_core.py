@@ -1,6 +1,7 @@
 """Tree labels, continued fractions, question mark, Farey map, matrix words."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -398,8 +399,25 @@ def test_totient_sieve_matches_prime_sieve_oracle():
     ),
 )
 def test_totient_sieve_matches_prime_sieve_oracle_at_block_edges(n):
-    # the even q are filled in blocks of m = q / 2 that double up to 2**16 wide
+    # phi(q) for q <= n / 2 is built in blocks that double up to 2**16 wide
     assert totient_sieve(n) == tree_reference.totient_sieve(n)
+
+
+# the seams of the zeta blocks: the blocks above qmax // 2 start at qmax // 2 + 1
+# and hold core._BLOCK q each; 155763 is odd and its half, 77881, is no block edge
+_B = core._BLOCK
+ZETA_SEAMS = [3, 2 * _B - 1, 2 * _B, 2 * _B + 1, 4 * _B + 3, 155763]
+
+
+@pytest.mark.parametrize("qmax", [0, 1, 2, 4, 5, *ZETA_SEAMS])
+def test_totient_blocks_join_to_the_sieve(qmax):
+    blocks = list(core._totient_blocks(qmax))
+    joined = [phi for block in blocks for phi in block]
+    assert joined == totient_sieve(qmax) == tree_reference.totient_sieve(qmax)
+    # phi(0..qmax // 2) is the one list kept (phi(0..qmax) when that is phi(0..1)),
+    # and the blocks above it are short
+    assert len(blocks[0]) == (qmax // 2 if qmax >= 2 else qmax) + 1
+    assert all(0 < len(block) <= _B for block in blocks[1:])
 
 
 def test_totient_sieve_matches_trial_factorisation_up_to_a_million():
@@ -409,7 +427,7 @@ def test_totient_sieve_matches_trial_factorisation_up_to_a_million():
         assert sieve[q] == euler_phi(q), q
 
 
-@pytest.mark.parametrize("qmax", [1, 2, 997, 10**5])
+@pytest.mark.parametrize("qmax", [1, 2, 997, 10**5, *ZETA_SEAMS])
 @pytest.mark.parametrize("s", [2.5, 3, 4.25])
 def test_partition_function_matches_oracle_sum_bit_for_bit(s, qmax):
     got = partition_function(s, qmax)
@@ -431,6 +449,18 @@ def zeta_series(s: float, terms: int) -> float:
     n = float(terms)
     tail = n ** (1 - s) / (s - 1) - 0.5 * n**-s + (s / 12.0) * n ** (-s - 1)
     return partial + tail
+
+
+def test_partition_function_keeps_only_the_lower_totients():
+    # phi(q) for q <= 5 * 10**5 as a list of ints, the prime factor array and
+    # one block; all 10**6 + 1 totients took 32.9 MB
+    tracemalloc.start()
+    try:
+        partition_function(3, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
 
 
 def test_partition_function_single_term():

@@ -1,6 +1,7 @@
 """Memoryless-tree moves, branch sets, and the trace condition."""
 
 import tracemalloc
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -256,13 +257,13 @@ ONE_PASS_CANDIDATES = {
 
 
 def _outcome(fn, *args):
-    """The result, with a dict as its item list so that order counts, or
+    """The result, with a mapping as its item list so that order counts, or
     the message of the ValueError raised."""
     try:
         result = fn(*args)
     except ValueError as exc:
         return "ValueError", str(exc)
-    return list(result.items()) if isinstance(result, dict) else result
+    return list(result.items()) if isinstance(result, Mapping) else result
 
 
 @pytest.mark.parametrize("name", sorted(ONE_PASS_CANDIDATES))
@@ -282,6 +283,47 @@ def test_alpha_pair_kernel_matches_fraction_reference(name):
         got = _outcome(alpha_from_phi, candidate, depth)
         assert got == _outcome(tree_reference.alpha_from_phi, candidate, depth), depth
         assert got[0] == "ValueError" or all(type(value) is F for _, value in got)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PASS_CANDIDATES))
+def test_alpha_equals_the_reference_dict(name):
+    candidate = ONE_PASS_CANDIDATES[name]
+    for depth in range(13):
+        try:
+            want = tree_reference.alpha_from_phi(candidate, depth)
+        except ValueError:
+            continue
+        alpha = alpha_from_phi(candidate, depth)
+        assert alpha == want and want == alpha, depth
+        assert len(alpha) == 1 + sum(2**n + 1 for n in range(depth + 1)) == len(want)
+
+
+def test_alpha_is_a_read_only_mapping_of_the_vertices_only():
+    depth = 5
+    alpha = alpha_from_phi(geometric_candidate(F(1, 4)), depth)
+    assert isinstance(alpha, Mapping) and not isinstance(alpha, dict)
+    assert not hasattr(alpha, "__setitem__")
+    assert alpha[STAR] == 1 and alpha.get((2, 3)) == F(1, 64) and (depth, 2**depth) in alpha
+    assert min(alpha.values()) >= 0 and list(alpha.values()) == [alpha[v] for v in alpha]
+    not_vertices = [(-1, 1), (-1, -1), (-2, 0), (depth + 1, 0), (depth + 1, 1), "ab", 3, None, [0, 1], (0, 1, 0)]
+    for n in range(depth + 1):
+        not_vertices += [(n, -1), (n, 2**n + 1), (n, -(2**n) - 1), (F(n), 0), (float(n), 1)]
+    for key in not_vertices:
+        with pytest.raises(KeyError):
+            alpha[key]
+        assert key not in alpha and alpha.get(key) is None, key
+
+
+def test_alpha_keeps_one_list_per_floor():
+    # one pointer per vertex in one list per floor; the dict of (n, k) keys kept 15.8 MB
+    tracemalloc.start()
+    try:
+        alpha = alpha_from_phi(geometric_candidate(F(1, 4)), 16)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(alpha) == 1 + sum(2**n + 1 for n in range(17))
+    assert kept < 4 << 20
 
 
 def test_negative_weights_are_reported_with_their_vertex():
