@@ -91,8 +91,8 @@ MAX_ROW_FLOOR = 20
 # the zeta series keeps a list of qmax / 2 + 1 totients and an array of
 # qmax / 2 smallest odd prime factors, linear in qmax.  Measured on one x86-64
 # core with Python 3.11 (CPU of the call, peak RSS of a fresh process),
-# partition_function(3, qmax) takes 0.2 s at 41 MB for 10**6 and 2.5 s at
-# 200 MB for 10**7.
+# partition_function(3, qmax) takes about 0.2 s at 40 MB for 10**6 and 2.5 s
+# at 200 MB for 10**7 (a list of all qmax + 1 totients took 52 and 350 MB).
 MAX_ZETA_QMAX = 10**7
 # q per block of the zeta series above qmax / 2; the first list grows by
 # blocks at most this wide
@@ -424,6 +424,7 @@ def _totient_blocks(qmax: int) -> Iterator[list[int]]:
         if prime[p]:
             start = p * p // 2
             spf[start::p] = array("i", (p,)) * len(range(start, half + 1, p))
+    low = [0, 1][: qmax + 1] + [0] * (half - 1)  # phi(0), phi(1), room for phi(2..half)
 
     def block(lo: int, hi: int) -> list[int]:
         out = [0] * (hi - lo)
@@ -439,7 +440,6 @@ def _totient_blocks(qmax: int) -> Iterator[list[int]]:
         out[2 * m - lo :: 4] = map(operator.mul, low[m:m_hi:2], repeat(2))
         return out
 
-    low = [0, 1][: qmax + 1] + [0] * (half - 1)
     lo = 2
     while lo <= half:
         hi = min(2 * lo, lo + _BLOCK, half + 1)
