@@ -199,16 +199,11 @@ def _parse_theta(parser: argparse.ArgumentParser, text: str, depth: int):
 
 def _cmd_ideal(parser, args) -> int:
     theta = _parse_theta(parser, args.theta, args.depth)
-    try:
-        spec = ideals.IdealSpec(theta, args.variant)
-        levels = ideals.quotient_levels(spec, args.depth)
-        if args.format == "json":
-            print(ideals.levelset_to_json(levels))
-        else:
-            print(ideals.levelset_to_dot(levels))
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    levels = ideals.quotient_levels(ideals.IdealSpec(theta, args.variant), args.depth)
+    if args.format == "json":
+        print(ideals.levelset_to_json(levels))
+    else:
+        print(ideals.levelset_to_dot(levels))
     return 0
 
 

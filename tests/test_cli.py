@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import fareybratteli
 from fareybratteli import cli, core, dimension_group, path_algebra
 from fareybratteli.cli import build_parser, main
-from stats_without_seconds import stats_without_seconds
+from goldens import DIAGRAM, GOLDENS, STATS_FLOORS_4_TO_6, TESTS, TRACE_SPECS
 
 
 def run(capsys, *argv):
@@ -189,93 +189,6 @@ def test_relations_stats_count_the_products_of_the_words(capsys):
         products += [a * b, a * b * a, b * (a * b)]
     assert code == 0 and stats["products"] == len(products) == 13
     assert stats["largest_product"] == max(len(p.support()) for p in products) > 0
-
-
-def test_relations_floor_6_json_matches_the_committed_report(capsys):
-    # tests/golden_floor6_lambda_2_3.json is the report as written before the
-    # suites became one relation table
-    golden = (Path(__file__).parent / "golden_floor6_lambda_2_3.json").read_text(encoding="utf-8")
-    code, out, _ = run(capsys, "relations", "--floor", "6", "--lambda", "2/3", "--json")
-    assert (code, out) == (0, golden)
-
-
-def test_relations_floor_7_stats_match_the_committed_counts(capsys):
-    # a commutation row decided by its products instead of its window
-    # certificates leaves every report as it is; only these counts move
-    golden = (Path(__file__).parent / "golden_floor7_stats.json").read_text(encoding="utf-8").splitlines()
-    code, _, err = run(capsys, "relations", "--floor", "7", "--lambda", "2/3", "--stats")
-    assert code == 0 and [stats_without_seconds(err)] == golden
-
-
-# the floors and lambdas of tests/golden_stats_floors_4_to_6.txt, one line each, in this order
-STATS_FLOORS = [(floor, lam) for floor in (4, 5, 6) for lam in ("1/4", "2/3")]
-
-
-@pytest.mark.parametrize("floor, lam", STATS_FLOORS)
-def test_relations_stats_at_the_benchmark_floors_match_the_committed_counts(capsys, floor, lam):
-    # floors 4-6 are the floors the suites benchmark runs; the counts were
-    # written before the tables became expansions of their index-2 templates
-    lines = (Path(__file__).parent / "golden_stats_floors_4_to_6.txt").read_text(encoding="utf-8").splitlines()
-    code, _, err = run(capsys, "relations", "--floor", str(floor), "--lambda", lam, "--stats")
-    assert code == 0 and stats_without_seconds(err) == lines[STATS_FLOORS.index((floor, lam))]
-
-
-@pytest.mark.parametrize("lam", ["1/4", "2"])
-def test_relations_floor_8_match_the_golden_summary(capsys, lam):
-    golden = (Path(__file__).parent / "golden_floor8.txt").read_text(encoding="utf-8")
-    code, out, _ = run(capsys, "relations", "--floor", "8", "--lambda", lam)
-    assert (code, out) == (0, golden)
-
-
-# tests/golden_diagram holds these outputs as written before the trace
-# kernels shared work between equal values and the exports labelled each
-# floor from the one above; CI diffs the same commands against them
-DIAGRAM_GOLDENS = [
-    ("ideal_cf_depth60.json", ["ideal", "--theta", "cf:2,1,1,3,1,4,1,5,9,2,6,5,3,5,8,9", "--depth", "60"], 0),
-    *(
-        (f"ideal_97_355_{variant}_depth60.json", ["ideal", "--theta", "97/355", "--variant", variant, "--depth", "60"], 0)
-        for variant in ("plain", "plus", "minus")
-    ),
-    ("ideal_3_7_plus_depth10.dot", ["ideal", "--theta", "3/7", "--variant", "plus", "--depth", "10", "--format", "dot"], 0),
-    ("trace_geometric_1_4_depth16.txt", ["trace", "check", "--spec", "{quarter}", "--depth", "16"], 0),
-    ("trace_geometric_1_2_depth16.txt", ["trace", "check", "--spec", "{half}", "--depth", "16"], 1),
-    ("trace_table_depth16_valid.txt", ["trace", "check", "--spec", "{table}", "--depth", "16"], 0),
-    ("trace_table_depth16_invalid.txt", ["trace", "check", "--spec", "{table_zeroed}", "--depth", "16"], 1),
-    # written by Python 3.11, whose sum adds floats left to right (see
-    # test_sum_adds_floats_left_to_right in test_core.py); CI also diffs
-    # zeta_s3_qmax10000000.txt, at MAX_ZETA_QMAX, which takes seconds
-    ("zeta_s3_qmax1000000.txt", ["zeta", "--s", "3", "--qmax", "1000000"], 0),
-    # written before the K0 kernels ran on slices of flat tuples
-    ("k0_identity_max14.txt", ["k0", "identity", "--max-level", "14"], 0),
-    ("k0_lift_3_to20.txt", ["k0", "lift", "3:1,-2,0,5,7,0,1,1", "--to", "20"], 0),
-    ("k0_add_2_4.txt", ["k0", "add", "2:3,-1,0,2", "4:1,0,-5,2,0,0,7,1,1,-3,0,0,2,9,0,4"], 0),
-    ("gen_terms16384.txt", ["gen", "--terms", "16384"], 0),
-]
-
-# the trace candidates of the goldens: two geometric ones, the geometric 1/4
-# weights of floors 0-8 as a table with default 0, and that table with (3, 1)
-# zeroed
-_TABLE_ENTRIES = [[n, k, f"1/{4 ** (n + 1)}"] for n in range(9) for k in range(1, 2**n + 1, 2)]
-TRACE_SPECS = {
-    "quarter": {"kind": "geometric", "ratio": "1/4"},
-    "half": {"kind": "geometric", "ratio": "1/2"},
-    "table": {"kind": "table", "entries": _TABLE_ENTRIES, "default": "0"},
-    "table_zeroed": {
-        "kind": "table",
-        "entries": [[n, k, "0" if (n, k) == (3, 1) else w] for n, k, w in _TABLE_ENTRIES],
-        "default": "0",
-    },
-}
-
-
-@pytest.mark.parametrize("name, argv, want", DIAGRAM_GOLDENS, ids=[name for name, _, _ in DIAGRAM_GOLDENS])
-def test_diagram_outputs_match_the_committed_goldens(capsys, tmp_path, name, argv, want):
-    for key, spec in TRACE_SPECS.items():
-        (tmp_path / f"{key}.json").write_text(json.dumps(spec), encoding="utf-8")
-    argv = [arg.format(**{key: tmp_path / f"{key}.json" for key in TRACE_SPECS}) for arg in argv]
-    golden = (Path(__file__).parent / "golden_diagram" / name).read_text(encoding="utf-8")
-    code, out, _ = run(capsys, *argv)
-    assert (code, out) == (want, golden)
 
 
 def test_zeta(capsys):
@@ -496,6 +409,28 @@ def fresh_python(*args):
     env = {**os.environ, "PYTHONPATH": str(Path(fareybratteli.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
     return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("golden", GOLDENS, ids=[golden.id for golden in GOLDENS])
+def test_command_matches_its_golden(tmp_path, golden):
+    for name, spec in TRACE_SPECS.items():
+        (tmp_path / name).write_text(json.dumps(spec), encoding="utf-8")
+    argv = [str(tmp_path / arg) if arg in TRACE_SPECS else arg for arg in golden.argv]
+    code, out, err = fresh_python("-m", "fareybratteli.cli", *argv)
+    assert code == golden.code, f"farey-bratteli {golden.id} exited {code}, not {golden.code}: {err}"
+    assert golden.compared(out, err) == golden.expected(), f"farey-bratteli {golden.id} differs from {golden.source}"
+
+
+def test_every_golden_file_is_read_and_every_entry_names_one():
+    named = {golden.path for golden in GOLDENS}
+    committed = {path for path in [*TESTS.glob("golden_*"), *DIAGRAM.iterdir()] if path.is_file() and path.suffix != ".py"}
+    # the mutant and floor-5 suite goldens are read by their own tests in test_path_algebra.py
+    assert committed - named == {TESTS / "golden_mutants.json", TESTS / "golden_suites_floor5.json"}
+    assert all(path.is_file() for path in named)
+    lines = sorted(golden.part for golden in GOLDENS if golden.path == STATS_FLOORS_4_TO_6)
+    assert lines == list(range(len(STATS_FLOORS_4_TO_6.read_text(encoding="utf-8").splitlines())))
+    ids = [golden.id for golden in GOLDENS]
+    assert len(set(ids)) == len(ids)
 
 
 def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):

@@ -437,9 +437,10 @@ def test_partition_function_matches_oracle_sum_bit_for_bit(s, qmax):
 
 def test_sum_adds_floats_left_to_right():
     # partition_function sums its terms with the built-in sum, and the zeta
-    # golden (tests/golden_diagram/zeta_s3_qmax1000000.txt) holds what Python
-    # 3.11's plain left-to-right summation gives.  Python 3.12 made sum of
-    # floats compensated, which returns 1.0 here, and would move that golden.
+    # goldens (tests/golden_diagram/zeta_s3_qmax*.txt, diffed by the entries
+    # of tests/goldens.py) hold what Python 3.11's plain left-to-right
+    # summation gives.  Python 3.12 made sum of floats compensated, which
+    # returns 1.0 here, and would move those goldens.
     assert sum([1e16, 1.0, -1e16]) == 0.0
 
 
