@@ -267,14 +267,15 @@ def _cmd_relations(args) -> int:
     for name in sections if args.suite == "all" else (args.suite,):
         start = time.perf_counter()
         section = sections[name]()
-        stats[name] = {
-            "checks": len(section.checks),
-            "failures": len(section.failures()),
-            "seconds": round(time.perf_counter() - start, 6),
-            "decided_at_floor": section.decided_at(),
-            "products": section.products,
-            "largest_product": section.largest_product,
-        }
+        if args.stats:
+            stats[name] = {
+                "checks": len(section.checks),
+                "failures": len(section.failures()),
+                "seconds": round(time.perf_counter() - start, 6),
+                "decided_at_floor": section.decided_at(),
+                "products": section.products,
+                "largest_product": section.largest_product,
+            }
         report.extend(section)
     if args.stats:
         print(json.dumps(stats), file=sys.stderr)

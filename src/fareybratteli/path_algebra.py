@@ -81,8 +81,20 @@ the flip and its rebuilt E/F, and reads every other generator from its
 parent.  Every model decides every row by one rule (``_verdict``): the check
 it keeps; else, on a mutant, its parent's check for a row whose letters
 meet no changed key; else, on generators as built, a translate's pass taken
-from its template; else a commutation row's from its certificate rows; else
-the row decided on its operands.  A parent never reads its mutant's nodes.
+from its template; else a commutation row's from its certificate rows;
+else, on a mutant, an equality, vanishing or commutation row whose check
+passes on the parent decided on its deltas (``_delta``); else the row
+decided on its operands.  A parent never reads its mutant's nodes.
+
+Deltas.  The delta of a node is its value on the mutant less the lift of
+its parent's: X_mutant - lift(X_parent) for a changed letter (one or two
+entries at floor N), 0 for any other letter and for ("1", r); d(xy) =
+d(x) y_mutant + x_parent d(y), d(x*) = d(x)*, d(sum c x) = sum c d(x).  The
+row is decided as the vanishing of d(L) - d(R), or of d(W), at floor N.
+Exact: the lift is an injective *-homomorphism and L_parent = R_parent, so
+L_mutant - R_mutant = d(L) - d(R), with the same verdict, least-entry
+witness and floor as the operands give.  Projection, nonzero and window
+rows, and rows whose parent check fails, are decided on their operands.
 """
 
 from __future__ import annotations
@@ -891,20 +903,23 @@ _MIXED = (("6.13", ("E_n E_n+1 F_n", "E_n F_n+1 F_n", "E_n+1 E_n F_n+1", "E_n+1 
 _FACTORS = ("v", "v*", "w", "w*")  # the factors of the whitelist's products
 _INDEX = ("n", "sum_at", "r")  # the index a template row is translated along
 _ORDER = attrgetter("order")
+_DELTA_KINDS = frozenset(("equality", "vanishes", "commutes"))  # the rows a mutant decides on deltas
 
 
 class _Row:
     """One check of a suite; rows compare by identity, as keys of the verdicts.
     ``operands`` is a tuple of nodes, or a function that builds it on first
-    read.  ``apart`` holds a commutation row's two letters, ``link`` a
-    translate's template and shift; other rows hold None in them."""
+    read.  ``apart`` holds a commutation row's two letters and
+    ``certificates`` their certificate rows, ``link`` a translate's template
+    and shift; other rows hold None in them."""
 
-    __slots__ = ("equation", "indices", "kind", "apart", "link", "order", "top", "_operands", "_reads")
+    __slots__ = ("equation", "indices", "kind", "apart", "certificates", "link", "order", "top", "_operands", "_reads")
 
     def __init__(self, equation: str, indices: dict, kind: str, operands, apart: tuple | None = None,
                  link: tuple | None = None, order: tuple = (), top: int = 0):
         self.equation, self.indices, self.kind, self._operands = equation, indices, kind, operands
         self.apart = apart if kind == "commutes" else None
+        self.certificates = self.apart and tuple(_certificate(*letter) for letter in self.apart)
         self.link, self.order, self.top, self._reads = link, order, top, None
 
     @property
@@ -1130,7 +1145,17 @@ def _combination(terms: list[tuple[tuple, SparseOperator]], lam: Fraction) -> Sp
             continue
         term = term if scalar is ONE else term.scale(*_scalar(scalar, lam))
         op = term if op is None else op + term
-    return SparseOperator.zero(top, lam) if op is None else op.lift(top)
+    if op is None:  # every term is zero, so the one at the top floor is the sum
+        return next(term for _, term in terms if term.ctx is top)
+    return op.lift(top)
+
+
+def _product(x: SparseOperator, y: SparseOperator, report: Report) -> SparseOperator:
+    """x y, counted into ``report``."""
+    op = x * y
+    report.products += 1
+    report.largest_product = op.max_nonzeros(report.largest_product)
+    return op
 
 
 def _value(rep: Representation, node: tuple, nodes: dict, report: Report) -> SparseOperator:
@@ -1144,9 +1169,7 @@ def _value(rep: Representation, node: tuple, nodes: dict, report: Report) -> Spa
     if tag in _LETTERS:
         op = rep._home(*node)
     elif tag == "·":
-        op = _value(rep, node[1], nodes, report) * _value(rep, node[2], nodes, report)
-        report.products += 1
-        report.largest_product = op.max_nonzeros(report.largest_product)
+        op = _product(_value(rep, node[1], nodes, report), _value(rep, node[2], nodes, report), report)
     elif tag == "*":
         op = _value(rep, node[1], nodes, report).adjoint()
     elif tag == "+":
@@ -1157,34 +1180,70 @@ def _value(rep: Representation, node: tuple, nodes: dict, report: Report) -> Spa
     return op
 
 
+def _delta(rep: Representation, node: tuple, nodes: dict, report: Report) -> SparseOperator | None:
+    """A node's delta on the mutant rep: its value less the lift of its
+    parent's, at floor N, or None where it reads no changed key.  Kept in
+    rep's dict of ``nodes`` under -id(node), and the parent's values that
+    d(xy) = d(x) y_mutant + x_parent d(y) reads in the parent's."""
+    own = nodes[rep]
+    if -id(node) in own:
+        return own[-id(node)]
+    tag, op = node[0], None
+    if tag in _LETTERS:
+        if node in rep._changed:
+            op = rep._home(*node) - rep._parent._home(*node)
+    elif tag == "·":
+        x, y = node[1:]
+        if (dx := _delta(rep, x, nodes, report)) is not None:
+            op = _product(dx, _value(rep, y, own, report), report)
+        if (dy := _delta(rep, y, nodes, report)) is not None:
+            term = _product(_value(rep._parent, x, nodes.setdefault(rep._parent, {}), report), dy, report)
+            op = term if op is None else op + term
+    elif tag == "*":
+        op = _delta(rep, node[1], nodes, report)
+        op = op and op.adjoint()
+    elif tag == "+":
+        terms = [(scalar, d) for scalar, x in node[1] if (d := _delta(rep, x, nodes, report)) is not None]
+        op = _combination(terms, rep.lam) if terms else None
+    own[-id(node)] = op
+    return op
+
+
 def _verdict(rep: Representation, row: _Row, nodes: dict, report: Report) -> Check:
     """The check of a row on rep, by the rule in the module docstring; a row
-    decided on its operands builds them in rep's own dict of ``nodes``.  rep
-    keeps what it decides."""
-    check = rep._verdicts.get(row)
+    decided on its operands (or their deltas) builds them in rep's own dict
+    of ``nodes``.  rep keeps what it decides."""
+    kept = rep._verdicts
+    check = kept.get(row)
     if check is not None:
         return check
-    if rep._parent is not None and rep._changed.isdisjoint(row.reads):
-        return _verdict(rep._parent, row, nodes, report)
+    parent = rep._parent
+    if parent is not None and rep._changed.isdisjoint(row.reads):
+        return _verdict(parent, row, nodes, report)
     floor = None
     if row.link and not rep._changed:
         translate, shift = row.link
-        check = _verdict(rep, translate, nodes, report)
+        check = kept.get(translate) or _verdict(rep, translate, nodes, report)
         floor = check.floor + shift if check.status == "pass" else None
-    elif row.apart:  # the second certificate is read only when the first passes
-        first, second = (_certificate(*letter) for letter in row.apart)
-        x = _verdict(rep, first, nodes, report)
-        if x.status == "pass" and (y := _verdict(rep, second, nodes, report)).status == "pass":
+    elif row.certificates:  # the second certificate is read only when the first passes
+        first, second = row.certificates
+        x = kept.get(first) or _verdict(rep, first, nodes, report)
+        if x.status == "pass" and (y := kept.get(second) or _verdict(rep, second, nodes, report)).status == "pass":
             floor = max(x.floor, y.floor)
-    if floor is None:
+    if floor is not None:
+        check = Check(row.equation, dict(row.indices), "pass", None, floor)
+    elif parent is not None and row.kind in _DELTA_KINDS and _verdict(parent, row, nodes, report).status == "pass":
+        nodes.setdefault(rep, {})
+        terms = [(scalar, d) for scalar, node in zip((ONE, MINUS), row.operands)
+                 if (d := _delta(rep, node, nodes, report)) is not None]
+        check = Check.vanishes(row.equation, dict(row.indices), _combination(terms, rep.lam), rep.ctx)
+    else:
         own = nodes.setdefault(rep, {})
         operands = [_value(rep, node, own, report) for node in row.operands]
         decide = getattr(Check, "equality" if row.kind == "commutes" else row.kind)
         top = () if row.kind in ("nonzero", "window") else (rep.ctx,)
         check = decide(row.equation, dict(row.indices), *operands, *top)
-    else:
-        check = Check(row.equation, dict(row.indices), "pass", None, floor)
-    rep._verdicts[row] = check
+    kept[row] = check
     return check
 
 

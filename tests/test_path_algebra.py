@@ -1084,6 +1084,29 @@ def test_translated_certificates_equal_the_entry_check(floor, lam):
             assert floor_of == n + path_algebra._KINDS[kind][2]
 
 
+def spy_on_checks(patch, name):
+    """The (equation, indices) of every check that ``Check.<name>`` decides, in call order."""
+    decided, original = [], getattr(path_algebra.Check, name)
+
+    def spy(equation, indices, *args):
+        decided.append((equation, json.dumps(indices)))
+        return original(equation, indices, *args)
+
+    patch.setattr(path_algebra.Check, name, staticmethod(spy))
+    return decided
+
+
+def spy_on_deltas(patch):
+    """The (model, node) of every delta built, in call order."""
+    built, original = [], path_algebra._delta
+    patch.setattr(path_algebra, "_delta", lambda rep, node, *args: built.append((rep, node)) or original(rep, node, *args))
+    return built
+
+
+def row_key(row):
+    return row.equation, json.dumps(row.indices)
+
+
 def test_a_generator_flipped_at_index_3_fails_its_certificate_and_its_rows_multiply(monkeypatch):
     floor, lam = 6, F(2)
     rep = Representation(floor, lam)
@@ -1093,20 +1116,15 @@ def test_a_generator_flipped_at_index_3_fails_its_certificate_and_its_rows_multi
     assert certificate(rep, "w", 3) == 4
     assert certificate(mutated, "w", 3) is None
     assert not mutated._home("w", 3).is_window_local(*window)
-    decided = []
-    original = path_algebra.Check.equality
-
-    def spy(equation, indices, *args, **kwargs):
-        decided.append((equation, json.dumps(indices)))
-        return original(equation, indices, *args, **kwargs)
-
-    monkeypatch.setattr(path_algebra.Check, "equality", staticmethod(spy))
-    report = run_all_suites(floor, lam, mutated)
-    monkeypatch.undo()
-    # every locality row that reads w_3 is multiplied out, and locality
-    # catches the flip with a witness from the difference xy - yx
+    with monkeypatch.context() as patch:
+        on_operands, on_deltas = spy_on_checks(patch, "equality"), spy_on_checks(patch, "vanishes")
+        report = run_all_suites(floor, lam, mutated)
+    # every locality row that reads w_3 passes on the parent and is
+    # multiplied out on its deltas, xy - yx less the parent's, and locality
+    # catches the flip with a witness from that difference
     rows = [row for row in path_algebra._table("base", floor) if row.equation == "locality" and ("w", 3) in row.reads]
-    assert rows and all((row.equation, json.dumps(row.indices)) in decided for row in rows)
+    assert rows and all(rep._verdicts[row].status == "pass" for row in rows)
+    assert all(row_key(row) in on_deltas and row_key(row) not in on_operands for row in rows)
     failed = [c for c in report.failures() if c.equation == "locality"]
     assert failed and all(c.witness is not None for c in failed)
     assert report.to_json() == run_all_suites(floor, lam, unlinked(mutated)).to_json()
@@ -1136,18 +1154,23 @@ def test_a_flip_rebuilds_exactly_the_projection_of_its_flip(lam):
 
 
 def assert_reuse_matches_unlinked(floor, lam, mutants):
-    """Each mutant's report, with its parent's verdicts reused, equals the
-    report of a copy with the same generators and no parent link."""
+    """Each mutant's report, with its parent's verdicts and passes reused,
+    equals in its checks and the floors they were decided at the report of a
+    copy with the same generators and no parent link, which decides every
+    row on its operands."""
     for mutated in mutants:
         assert mutated._parent is not None
-        reused = run_all_suites(floor, lam, mutated).to_json()
-        assert reused == run_all_suites(floor, lam, unlinked(mutated)).to_json()
+        reused, copied = run_all_suites(floor, lam, mutated), run_all_suites(floor, lam, unlinked(mutated))
+        assert (reused.to_json(), reused.decided_at()) == (copied.to_json(), copied.decided_at())
 
 
-def test_every_isometry_flip_at_floor_4_reuses_parent_verdicts_exactly():
+def test_every_flip_at_floor_4_reuses_parent_verdicts_exactly():
+    # every single flip of every generator: the rows it reads are decided on
+    # deltas where the parent passes them, the others by the parent
     rep = Representation(4, F(2))
-    mutants = every_isometry_flip(rep)[1:]
-    assert len(mutants) == 81
+    mutants = [rep.with_sign_flip(kind, n, entry)
+               for kind, n in path_algebra._generator_keys(4) for entry in sorted(rep.gen(kind, n).support())]
+    assert len(mutants) == 491
     assert_reuse_matches_unlinked(4, F(2), mutants)
     assert run_all_suites(4, F(2), rep).to_json() == run_all_suites(4, F(2), unlinked(rep)).to_json()
 
@@ -1157,7 +1180,7 @@ def test_seeded_mutants_at_floor_5_reuse_parent_verdicts_exactly(lam):
     assert_reuse_matches_unlinked(5, lam, seeded_mutants(Representation(5, lam), range(10)))
 
 
-def test_mutants_of_mutants_reuse_verdicts_through_each_parent():
+def test_mutants_of_mutants_reuse_verdicts_through_each_parent(monkeypatch):
     lam = F(2, 3)
     rep = Representation(5, lam)
     # a diagonal flip is always caught, so a grandchild that took the
@@ -1171,6 +1194,21 @@ def test_mutants_of_mutants_reuse_verdicts_through_each_parent():
         child.with_sign_flip("w", 3, min(rep.gen("w", 3).support())),
     ]
     assert grandchildren[0]._changed == {("e", 2)} and grandchildren[1]._changed == {("v", 1), ("E", 1)}
+    # e_2 flipped twice: the child fails R1's sum at 2, so the grandchild
+    # decides it on its operands; the child passes w g = e w at 2, and the
+    # grandchild decides it on deltas from the child's operands
+    twice = grandchildren[0]
+    rows = {row_key(row): row for row in path_algebra._table("base", 5)}
+    total = rows[("R1", json.dumps({"sum_at": 2}))]
+    law = rows[("R3", json.dumps({"family": "w", "n": 2, "law": "w g = e w"}))]
+    run_all_suites(5, lam, child)  # the child and its parent keep every check it reads
+    with monkeypatch.context() as patch:
+        deltas, on_operands = spy_on_deltas(patch), spy_on_checks(patch, "equality")
+        run_all_suites(5, lam, twice)
+    assert (child._verdicts[total].status, child._verdicts[law].status) == ("fail", "pass")
+    assert (twice._verdicts[total].status, twice._verdicts[law].status) == ("fail", "fail")
+    assert row_key(total) in on_operands and (twice, total.operands[0]) not in deltas
+    assert row_key(law) not in on_operands and (twice, law.operands[1]) in deltas
     great = grandchildren[1].with_sign_flip("g", 4, min(rep.gen("g", 4).support()))
     assert_reuse_matches_unlinked(5, lam, [great] + grandchildren + [child] + seeded_mutants(child, range(4)))
 
@@ -1184,16 +1222,20 @@ def test_a_mutant_rereads_only_the_rows_of_its_flip(monkeypatch):
         products_only = run_all_suites(5, lam, Representation(5, lam))
     assert products_only.to_json() == full.to_json() and products_only.products > full.products
     # the first mutant of a parent that has not run has the parent decide the
-    # rows its flip leaves alone (and the translates and certificates they
-    # read), and decides the others itself
+    # rows its flip leaves alone, and the rows it reads of the kinds a delta
+    # decides (with the translates and certificates they read); it decides
+    # every row its flip reads itself, on deltas where the parent passes
     rep = Representation(5, lam)
     first = rep.with_sign_flip("w", 3, min(rep.gen("w", 3).support()))
     run_all_suites(5, lam, first)
     rows = suite_rows(5)
     alone = {row for row in rows if first._changed.isdisjoint(row.reads)}
-    translates = {row.link[0] for row in alone if row.link}
-    assert 0 < len(alone) < len(rows) and alone <= rep._verdicts.keys()
-    assert all(row in alone or row in translates or row.kind == "window" for row in rep._verdicts)
+    passed = {row for row in rows if row not in alone and row.kind in path_algebra._DELTA_KINDS}
+    decided = alone | passed
+    translates = {row.link[0] for row in decided if row.link}
+    assert 0 < len(alone) < len(rows) and decided <= rep._verdicts.keys()
+    assert all(row in decided or row in translates or row.kind == "window" for row in rep._verdicts)
+    assert all(rep._verdicts[row].status == "pass" for row in passed)
     assert {row for row in first._verdicts if row.kind != "window"} == set(rows) - alone
     second = rep.with_sign_flip("w", 3, max(rep.gen("w", 3).support()))
     report = run_all_suites(5, lam, second)
