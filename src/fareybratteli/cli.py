@@ -11,10 +11,12 @@ import argparse
 import functools
 import json
 import math
+import operator
 import re
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 
 from . import core, dimension_group, ideals, path_algebra, traces
 
@@ -144,23 +146,39 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# labels, numerators or denominators per write of the row command, so that
+# no list or string of the whole line is ever built
+_ROW_CHUNK = 2**12
+
+
 def _cmd_row(args) -> int:
-    nums, dens = core.row_ints(args.floor)
-    if args.numerators:
-        print(" ".join(map(str, nums)))
-    elif args.denominators:
-        print(" ".join(map(str, dens)))
-    else:
-        # labels lie in [0, 1], so one string table up to the largest denominator
-        # covers both parts; the line is " p/" and "q" per label, joined once
-        text = list(map(str, range(max(dens) + 1)))
-        prefix = [f" {t}/" for t in text]
-        parts = [""] * (2 * len(nums))
-        parts[0::2] = map(prefix.__getitem__, nums)
-        parts[1::2] = map(text.__getitem__, dens)
+    nums = core.row_numerators(args.floor)
+    dens = map(operator.add, nums, reversed(nums))  # s(k) + s(2**n - k), streamed
+    labels = not (args.numerators or args.denominators)
+    if labels:
+        # a denominator is at most twice the largest numerator, so one string
+        # table covers both parts; a label is " p/" and "q"
+        top = max(nums)
+        text = list(map(str, range(2 * top + 1)))
+        prefix = [f" {t}/" for t in text[: top + 1]]
+    write = sys.stdout.write
+    for lo in range(0, len(nums), _ROW_CHUNK):
+        num = nums[lo : lo + _ROW_CHUNK]
+        den = islice(dens, len(num))
+        if not labels:
+            chunk = " ".join(map(str, num if args.numerators else den))
+            write(f" {chunk}" if lo else chunk)
+            continue
+        parts = [""] * (2 * len(num))
+        parts[0::2] = map(prefix.__getitem__, num)
+        parts[1::2] = map(text.__getitem__, den)
         # only the endpoints 0/1 and 1/1 have denominator 1; print them as str(Fraction) does
-        parts[:2], parts[-2:] = ["0"], [" 1"]
-        print("".join(parts))
+        if lo == 0:
+            parts[:2] = ["0"]
+        if lo + len(num) == len(nums):
+            parts[-2:] = [" 1"]
+        write("".join(parts))
+    write("\n")
     return 0
 
 

@@ -16,12 +16,12 @@ distinguished encodings ``() == 0`` and ``(1,) == 1``.
 Tree walks run on plain integer numerators and denominators.  Labels that
 are neighbours on a floor satisfy p'q - pq' = 1, so the mediant of two
 neighbours is already in lowest terms: ``label`` carries the Stern-Brocot
-interval as four ints and builds one ``Fraction`` at the end, ``row_ints``
-refines the numerators of a floor and reads its denominators off them by
-Stern's identity, ``cf_decode`` folds its terms on a numerator and a
-denominator, and none of them computes a gcd per step or builds a
-``Fraction`` before its result.  ``_dyadic`` sums ?(x) = k / 2**n once,
-in integers: ``question_mark`` builds one ``Fraction`` of it,
+interval as four ints and builds one ``Fraction`` at the end,
+``row_numerators`` refines the numerators of a floor and ``row_ints`` reads
+its denominators off them by Stern's identity, ``cf_decode`` folds its
+terms on a numerator and a denominator, and none of them computes a gcd per
+step or builds a ``Fraction`` before its result.  ``_dyadic`` sums ?(x) =
+k / 2**n once, in integers: ``question_mark`` builds one ``Fraction`` of it,
 ``vertex_of_label`` reads the vertex (n, k) off it and ``matrix_to_vertex``
 shifts the k of two columns to a common floor.
 
@@ -75,6 +75,7 @@ __all__ = [
     "question_mark_inv",
     "row",
     "row_ints",
+    "row_numerators",
     "totient_fiber",
     "totient_sieve",
     "vertex_of_label",
@@ -85,8 +86,10 @@ __all__ = [
 CF = tuple[int, ...]
 
 # row(n) materialises 2**n + 1 labels, and time and memory double per floor.
-# Measured on one x86-64 core with Python 3.11: row(20) takes 3.1 s and
-# 200 MB, row_ints(20) 0.3 s and 92 MB, so floor 24 would need about 3 GB.
+# Measured on one x86-64 core with Python 3.11 (CPU of the call, peak RSS of
+# a fresh process): row(20) takes 1.7-2.0 s and 218 MB, row_ints(20) 0.15 s
+# and 100 MB, and the command row --floor 20, which holds only the
+# numerators, 0.35-0.39 s wall and 66-72 MB; row(24) would need about 3.5 GB.
 MAX_ROW_FLOOR = 20
 # the zeta series keeps a list of qmax / 2 + 1 totients and an array of
 # qmax / 2 smallest odd prime factors, linear in qmax.  Measured on one x86-64
@@ -159,16 +162,13 @@ def _check_vertex(n: int, k: int) -> None:
         raise ValueError(f"index {k} out of range for floor {n}")
 
 
-def row_ints(n: int) -> tuple[list[int], list[int]]:
-    """Numerators and denominators of the 2**n + 1 labels of floor n.
+def row_numerators(n: int) -> list[int]:
+    """Numerators of the 2**n + 1 labels of floor n, built floor by floor.
 
-    The numerators are built floor by floor: even positions copy the
-    previous floor, odd positions add their two neighbours, which is the
-    mediant rule on numerators.  They are Stern's diatomic sequence, nums[k]
-    = s(k), and the denominators are s(2**n + k), so the identity
-    s(2**n + k) = s(k) + s(2**n - k) reads them off the numerators reversed:
-    dens[k] = nums[k] + nums[2**n - k].  Guarded at n <= MAX_ROW_FLOOR since
-    the result has 2**n + 1 entries.
+    Even positions copy the previous floor, odd positions add their two
+    neighbours, which is the mediant rule on numerators; the result is
+    Stern's diatomic sequence s(0..2**n).  Guarded at n <= MAX_ROW_FLOOR
+    since it has 2**n + 1 entries.
     """
     if n < 0:
         raise ValueError(f"floor must be >= 0, got {n}")
@@ -177,6 +177,18 @@ def row_ints(n: int) -> tuple[list[int], list[int]]:
     nums = [0, 1]
     for _ in range(n):
         nums = _refine(nums)
+    return nums
+
+
+def row_ints(n: int) -> tuple[list[int], list[int]]:
+    """Numerators and denominators of the 2**n + 1 labels of floor n.
+
+    The numerators are ``row_numerators(n)``, nums[k] = s(k), and the
+    denominators are s(2**n + k), so the identity s(2**n + k) = s(k) +
+    s(2**n - k) reads them off the numerators reversed: dens[k] = nums[k] +
+    nums[2**n - k].
+    """
+    nums = row_numerators(n)
     return nums, list(map(operator.add, nums, reversed(nums)))
 
 

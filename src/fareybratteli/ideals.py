@@ -11,13 +11,14 @@ quotient diagram for a given target value theta:
   (plain), the column plus its right neighbour (plus), or the column plus
   its left neighbour (minus).
 
-The ideal side is the floorwise complement.  Ideal sides of a diagram are
-characterised by two finite checks: every child of a retained vertex is
-retained (hereditary), and a vertex all of whose children are retained is
-itself retained (directed).  Both checks walk only the gaps of each
-floor, found by bisection in the sorted retained indices: an omitted vertex
-may have no retained parent, and may not have all of its children
-retained.  Quotient sides are characterised by the
+The ideal side is the floorwise complement, built from slices of one list
+of the ints 0..2**depth, so equal indices on different floors share one
+int.  Ideal sides of a diagram are characterised by two finite checks:
+every child of a retained vertex is retained (hereditary), and a vertex all
+of whose children are retained is itself retained (directed).  Both checks
+walk only the gaps of each floor, found by bisection in the sorted retained
+indices: an omitted vertex may have no retained parent, and may not have
+all of its children retained.  Quotient sides are characterised by the
 admissibility automaton: singletons double, pairs move to one of the two
 shifted pairs or collapse onto their middle child.
 
@@ -47,7 +48,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
@@ -201,7 +202,7 @@ class LevelSet:
         if self.depth < 0 or len(self.retained) != self.depth + 1:
             raise ValueError("retained must list floors 0..depth")
         for n, idx in enumerate(self.retained):
-            if not all(map(lt, idx, idx[1:])):
+            if not all(map(lt, idx, islice(idx, 1, None))):
                 raise ValueError(f"floor {n} indices must be sorted and unique")
             if idx and not (0 <= idx[0] and idx[-1] <= 2**n):
                 raise ValueError(f"floor {n} index out of range")
@@ -293,14 +294,17 @@ def quotient_levels(spec: IdealSpec, depth: int) -> LevelSet:
 
 
 def complement(ls: LevelSet) -> LevelSet:
-    """Floorwise complement inside {0..2**n}; materialises every index, as
-    the ranges between consecutive retained indices."""
+    """Floorwise complement inside {0..2**n}, as the runs between consecutive
+    retained indices.  Every floor's tuple is built from slices of one list
+    of the ints 0..2**depth, so an index on several floors is one int object,
+    not one per floor."""
     if ls.depth > MAX_COMPLEMENT_DEPTH:
         raise ValueError(f"complement materialisation guarded at depth {MAX_COMPLEMENT_DEPTH}")
+    ints = list(range(2**ls.depth + 1))
     out = []
     for n, idx in enumerate(ls.retained):
         starts, stops = (0, *(k + 1 for k in idx)), (*idx, 2**n + 1)
-        out.append(tuple(chain.from_iterable(map(range, starts, stops))))
+        out.append(tuple(chain.from_iterable(ints[a:b] for a, b in zip(starts, stops))))
     return LevelSet(ls.depth, tuple(out))
 
 

@@ -33,6 +33,7 @@ from fareybratteli.core import (
     question_mark_inv,
     row,
     row_ints,
+    row_numerators,
     totient_fiber,
     totient_sieve,
     verify_matrix_words,
@@ -139,6 +140,7 @@ def test_row_ints_reads_the_denominators_off_the_numerators():
     # one refinement chain and Stern's identity, against two chains
     for n in range(17):
         assert row_ints(n) == tree_reference.row_ints(n), n
+        assert row_numerators(n) == row_ints(n)[0], n
 
 
 def test_vertex_of_label_inverts_label_on_odd_vertices():

@@ -229,6 +229,15 @@ def test_complement_equals_the_set_difference(data):
     assert out.retained == tuple(tuple(sorted(set(range(2**n + 1)) - set(idx))) for n, idx in enumerate(floors))
 
 
+def test_complement_shares_one_int_per_index_value():
+    ideal = complement(quotient_levels(IdealSpec(F(1, 3)), 10))
+    on_10 = {k: k for k in ideal.retained[10]}
+    shared = [k for k in ideal.retained[9] if k in on_10]
+    # the ints up to 256 are shared by the interpreter anyway; the rest only by complement
+    assert sum(k > 256 for k in shared) > 200
+    assert all(on_10[k] is k for k in shared)
+
+
 @pytest.mark.parametrize("floor", [(1, 0), (0, 0), (0, 2, 1), (1, 1, 2), (2, 2)])
 def test_unsorted_or_repeated_indices_are_refused(floor):
     with pytest.raises(ValueError, match="floor 2 indices must be sorted and unique"):
