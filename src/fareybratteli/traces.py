@@ -308,25 +308,37 @@ def _index(value) -> int:
     return value
 
 
+# the keys each kind of JSON candidate may hold
+_SCHEMAS = {"geometric": {"kind", "ratio"}, "table": {"kind", "entries", "default"}}
+
+
 def candidate_from_json(text: str) -> TraceCandidate:
     """Accepts {"kind":"geometric","ratio":"1/4"} or
     {"kind":"table","entries":[[n,k,"p/q"],...],"default":"0"}; weights are
-    ints or 'p/q' strings, never floats, and indices are ints."""
+    ints or 'p/q' strings, never floats, and indices are ints.  The spec is
+    read strictly: a key outside its kind's schema and a second entry for
+    one (n, k) are refused, not ignored or overwritten."""
     payload = json_object(text, "a trace candidate")
     kind = payload.get("kind")
+    if type(kind) is not str or kind not in _SCHEMAS:  # a list or dict kind is not hashable
+        raise ValueError(f"unknown candidate kind {kind!r}")
     try:
+        unknown = sorted(payload.keys() - _SCHEMAS[kind])
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}, the keys are {', '.join(sorted(_SCHEMAS[kind]))}")
         if kind == "geometric":
             return geometric_candidate(_exact(payload["ratio"], "ratio"))
-        if kind == "table":
-            entries = {
-                (_index(n), _index(k)): _exact(value, "a table value") for n, k, value in payload.get("entries", [])
-            }
-            return table_candidate(entries, _exact(payload.get("default", "0"), "default"))
+        entries = {}
+        for n, k, value in payload.get("entries", []):
+            vertex = (_index(n), _index(k))
+            if vertex in entries:
+                raise ValueError(f"a second entry for {vertex}")
+            entries[vertex] = _exact(value, "a table value")
+        return table_candidate(entries, _exact(payload.get("default", "0"), "default"))
     except KeyError as exc:
         raise ValueError(f"{kind} trace candidate needs the key {exc}") from None
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed {kind} trace candidate: {exc}") from None
-    raise ValueError(f"unknown candidate kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +358,9 @@ def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
 
     With a tail oracle the branch mass is exact and the verdict definitive;
     otherwise only the truncated sum is compared and a pass means merely
-    "no violation visible at this depth".
+    "no violation visible at this depth".  A negative weight on any floor
+    0..depth, the floor the masses are read from included, is refused with
+    its vertex before any sum is taken.
 
     One bottom-up pass: phi is evaluated once on every vertex of floors
     <= depth, and the chain sums L(v) = phi(v) + L(left(v)) and
@@ -369,6 +383,10 @@ def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
     values = [list(map(candidate.phi, here)) for here in vertices]
     values.append(list(map(candidate.phi, _odd_vertices(depth))))
     pairs = list(map(_pairs, values))
+    for n, column in enumerate(pairs):
+        negative = _first_negative(column)
+        if negative is not None:
+            raise ValueError(f"negative weight at {(n, 2 * negative + 1)}")
     # the floors below the deepest nonzero weight hold zero pairs only, and so
     # do their chain sums and masses: the pass starts at that weight's floor
     low = next((n for n in range(depth, 0, -1) if any(map(_numerator, pairs[n]))), 0)
@@ -387,9 +405,6 @@ def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
     # STAR first, then floors 0..depth-1, in ``tree_vertices`` order
     floors = zip([[STAR]] + vertices, [[root]] + values, [[(1, 1)]] + pairs, [[star_mass]] + masses)
     for here, value, pair, mass in floors:
-        negative = _first_negative(pair)
-        if negative is not None:
-            raise ValueError(f"negative weight at {here[negative]}")
         if candidate.tail is None:
             rests = [(0, 1)] * len(here)
         else:

@@ -8,12 +8,16 @@ read from: a whole file under ``tests/``, one line of
 ``tests/test_cli.py`` runs each entry in a fresh interpreter and compares.
 A ``relations --stats`` entry compares stderr with every section's
 ``seconds`` removed (``stats_without_seconds``); any other entry compares
-stdout.  An argument named in ``TRACE_SPECS`` stands for that trace
-candidate, written to a file before the command runs.
+stdout, and its stderr must be empty.  A file whose name ends in
+``.sha256`` holds the SHA-256 digest of stdout, for an output too large to
+commit.  An entry with ``peak_mb`` also bounds the peak RSS of its process.
+An argument named in ``TRACE_SPECS`` stands for that trace candidate,
+written to a file before the command runs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -38,6 +42,7 @@ class Golden(NamedTuple):
     path: Path
     part: int | str | None = None  # a line index of the file, a key of its JSON object, or the whole file
     stats: bool = False  # compare stderr without seconds instead of stdout
+    peak_mb: float | None = None  # the most peak RSS the command may reach, in MB
 
     @property
     def id(self) -> str:
@@ -57,7 +62,11 @@ class Golden(NamedTuple):
         return text if self.part is None else json.loads(text)[self.part]
 
     def compared(self, out: str, err: str) -> str:
-        return stats_without_seconds(err) + "\n" if self.stats else out
+        if self.stats:
+            return stats_without_seconds(err) + "\n"
+        if self.path.suffix == ".sha256":
+            return hashlib.sha256(out.encode("utf-8")).hexdigest() + "\n"
+        return out
 
 
 # the trace candidates of the goldens: two geometric ones, the geometric 1/4
@@ -80,15 +89,18 @@ def _relations(floor: int, lam: str, *flags: str) -> tuple[str, ...]:
     return ("relations", "--floor", str(floor), "--lambda", lam, *flags)
 
 
-def _diagram(name: str, code: int, *argv: str) -> Golden:
-    return Golden(argv, code, DIAGRAM / name)
+def _diagram(name: str, code: int, *argv: str, peak_mb: float | None = None) -> Golden:
+    return Golden(argv, code, DIAGRAM / name, peak_mb=peak_mb)
 
 
 GOLDENS = [
     # the summaries do not depend on lambda; 2/3 is a non-square one
     *(Golden(_relations(7, lam), 0, TESTS.parent / "bench" / "golden.json", "7") for lam in ("1/4", "2")),
     *(Golden(_relations(8, lam), 0, TESTS / "golden_floor8.txt") for lam in ("1/4", "2")),
-    *(Golden(_relations(9, lam), 0, TESTS / "golden_floor9.txt") for lam in ("1/4", "2", "2/3")),
+    # each evaluation keeps every node it builds until it returns; the bound
+    # is what that may cost at the largest floor (about 25 MB today)
+    Golden(_relations(9, "1/4"), 0, TESTS / "golden_floor9.txt", peak_mb=64),
+    *(Golden(_relations(9, lam), 0, TESTS / "golden_floor9.txt") for lam in ("2", "2/3")),
     # the report as written before the suites became one relation table
     Golden(_relations(6, "2/3", "--json"), 0, TESTS / "golden_floor6_lambda_2_3.json"),
     # floors 4-6 are the floors the suites benchmark runs; the counts were
@@ -118,7 +130,9 @@ GOLDENS = [
     # written by Python 3.11, whose sum adds floats left to right (see
     # test_sum_adds_floats_left_to_right in test_core.py); 10**7 is MAX_ZETA_QMAX
     _diagram("zeta_s3_qmax1000000.txt", 0, "zeta", "--s", "3", "--qmax", "1000000"),
-    _diagram("zeta_s3_qmax10000000.txt", 0, "zeta", "--s", "3", "--qmax", "10000000"),
+    # the series keeps phi(q) for q <= qmax / 2 only and sums the rest in
+    # blocks (about 200 MB today; all qmax + 1 totients took 350 MB)
+    _diagram("zeta_s3_qmax10000000.txt", 0, "zeta", "--s", "3", "--qmax", "10000000", peak_mb=256),
     # written before the K0 kernels ran on slices of flat tuples: the unit
     # decomposition at every level MAX_UNIT_LEVEL allows, a lift to
     # MAX_LIFT_LEVEL, a sum across levels and the generating function
@@ -126,4 +140,7 @@ GOLDENS = [
     _diagram("k0_lift_3_to20.txt", 0, "k0", "lift", "3:1,-2,0,5,7,0,1,1", "--to", "20"),
     _diagram("k0_add_2_4.txt", 0, "k0", "add", "2:3,-1,0,2", "4:1,0,-5,2,0,0,7,1,1,-3,0,0,2,9,0,4"),
     _diagram("gen_terms16384.txt", 0, "gen", "--terms", "16384"),
+    # MAX_ROW_FLOOR, 9.9 MB of stdout: written in chunks off the numerator list
+    # alone (about 70 MB today; whole lists and the joined line took 135 MB)
+    _diagram("row_floor20.sha256", 0, "row", "--floor", "20", peak_mb=96),
 ]

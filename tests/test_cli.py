@@ -1,11 +1,13 @@
 """Command-line surface: flags, formats, and exit codes."""
 
+import ast
 import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +20,8 @@ import fareybratteli
 from fareybratteli import cli, core, dimension_group, path_algebra
 from fareybratteli.cli import build_parser, main
 from goldens import DIAGRAM, GOLDENS, STATS_FLOORS_4_TO_6, TESTS, TRACE_SPECS
+
+DEMOS = TESTS.parent / "demos"
 
 
 def run(capsys, *argv):
@@ -270,6 +274,10 @@ def test_yang_baxter_below_floor_2_is_usage_error(capsys):
         ('{"kind": "table", "default": "1/0"}', "malformed table"),
         ('{"kind": "table", "entries": [[100000000, 1, "1/2"]]}', "deeper than floor 40"),
         ('{"kind": "table", "entries": [[41, 1, "1/2"]]}', "deeper than floor 40"),
+        # read strictly: a second weight for one vertex, and a misspelled key
+        ('{"kind": "table", "entries": [[0, 1, "1/4"], [0, 1, "1/2"]]}', "a second entry for (0, 1)"),
+        ('{"kind": "table", "entries": [], "defualt": "1/2"}', "unknown key 'defualt'"),
+        ('{"kind": "geometric", "ratio": "1/4", "entries": []}', "unknown key 'entries'"),
         ('["geometric"]', "JSON object"),
         ("{", "Expecting"),
         pytest.param("[" * 100000, "nests too deeply", id="nested-100000"),
@@ -302,6 +310,14 @@ def test_trace_check_refuses_float_weights_and_non_int_indices(tmp_path, capsys,
     code, out, err = run(capsys, "trace", "check", "--spec", str(path), "--depth", "5")
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and message in err
+
+
+def test_trace_check_refuses_a_negative_weight_on_the_floor_its_masses_read(tmp_path, capsys):
+    # floor 2 carries no row at depth 2, but the masses of floor 1 read it
+    path = tmp_path / "spec.json"
+    path.write_text('{"kind":"table","entries":[[0,1,"1/2"],[1,1,"1/8"],[2,1,"1/4"],[2,3,"-1/2"]],"default":"0"}')
+    for depth in ("2", "3"):
+        assert run(capsys, "trace", "check", "--spec", str(path), "--depth", depth) == (2, "", "negative weight at (2, 3)\n")
 
 
 def test_trace_check_takes_int_and_text_weights(tmp_path, capsys):
@@ -406,11 +422,34 @@ def test_numbers_just_inside_the_bounds_answer(tmp_path, capsys):
     assert (code, out) == (0, "valid (exact, depth 4, 9 vertices)\n")
 
 
+# Runs the command given after the fd number in a new process and writes the
+# command's peak RSS (KiB on Linux) to that fd.  The ru_maxrss a child is
+# reaped with also counts the peak of the process it was spawned from, whose
+# memory it shares until its exec: spawned from the test process, every
+# command would read at least the test process's peak.  So the command is
+# spawned from this small interpreter, which peaks below any command.
+_REAPER = (
+    "import os, sys; fd = int(sys.argv[1]); "
+    "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[2:]], os.environ, "
+    "file_actions=[(os.POSIX_SPAWN_CLOSE, fd)]); "
+    "_, status, usage = os.wait4(pid, 0); "
+    "os.write(fd, str(usage.ru_maxrss).encode()); "
+    "sys.exit(os.waitstatus_to_exitcode(status))"
+)
+
+
 def fresh_python(*args):
-    """Run a new interpreter on the package: (exit code, stdout, stderr)."""
+    """Run a new interpreter on the package: (exit code, stdout, stderr,
+    peak RSS in MB).  Its output goes to temporary files, so no pipe has to
+    be drained while it runs."""
     env = {**os.environ, "PYTHONPATH": str(Path(fareybratteli.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
-    return done.returncode, done.stdout, done.stderr
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err, tempfile.TemporaryFile() as peak:
+        fd = peak.fileno()
+        reaper = [sys.executable, "-I", "-S", "-c", _REAPER, str(fd), *args]  # no site: a faster start
+        code = subprocess.run(reaper, stdout=out, stderr=err, env=env, pass_fds=(fd,)).returncode
+        for handle in (out, err, peak):
+            handle.seek(0)
+        return code, out.read().decode("utf-8"), err.read().decode("utf-8"), int(peak.read()) / 1024
 
 
 @pytest.mark.parametrize("golden", GOLDENS, ids=[golden.id for golden in GOLDENS])
@@ -418,9 +457,12 @@ def test_command_matches_its_golden(tmp_path, golden):
     for name, spec in TRACE_SPECS.items():
         (tmp_path / name).write_text(json.dumps(spec), encoding="utf-8")
     argv = [str(tmp_path / arg) if arg in TRACE_SPECS else arg for arg in golden.argv]
-    code, out, err = fresh_python("-m", "fareybratteli.cli", *argv)
+    code, out, err, peak_mb = fresh_python("-m", "fareybratteli.cli", *argv)
     assert code == golden.code, f"farey-bratteli {golden.id} exited {code}, not {golden.code}: {err}"
     assert golden.compared(out, err) == golden.expected(), f"farey-bratteli {golden.id} differs from {golden.source}"
+    assert golden.stats or err == "", f"farey-bratteli {golden.id} wrote to stderr: {err}"
+    if golden.peak_mb is not None:
+        assert peak_mb <= golden.peak_mb, f"farey-bratteli {golden.id}: peak RSS {peak_mb:.1f} MB above {golden.peak_mb} MB"
 
 
 def test_every_golden_file_is_read_and_every_entry_names_one():
@@ -454,15 +496,33 @@ def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
             except SystemExit as exc:
                 code = exc.code
             captured = capsys.readouterr()
-            assert (code, captured.out, captured.err) == fresh_python("-m", "fareybratteli.cli", *argv), argv
+            assert (code, captured.out, captured.err) == fresh_python("-m", "fareybratteli.cli", *argv)[:3], argv
         assert len(built) == 1
     finally:
         cli._parser.cache_clear()
 
 
 def test_importing_the_cli_builds_no_parser():
-    code, out, _ = fresh_python("-c", "import fareybratteli.cli as c; print(c._parser.cache_info().currsize)")
+    code, out, _, _ = fresh_python("-c", "import fareybratteli.cli as c; print(c._parser.cache_info().currsize)")
     assert (code, out.strip()) == (0, "0")
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
+def test_demo_runs_to_the_end(demo):
+    code, _, err, _ = fresh_python(str(demo))
+    assert code == 0, f"{demo.name} exited {code}: {err}"
+
+
+def test_the_package_holds_no_assert_statement():
+    # invariants are raised exceptions: an assert vanishes under python -O
+    package = Path(fareybratteli.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +541,9 @@ SPECS = {
     "deep.json": '{"kind": "table", "entries": [[1000000000, 1, "1/2"]], "default": "0"}',
     "tiny.json": '{"kind": "geometric", "ratio": "1e-100000"}',
     "nested.json": "[" * 100000,
+    "negative.json": '{"kind": "table", "entries": [[0, 1, "1/2"], [1, 1, "1/8"], [2, 1, "-1/4"]], "default": "0"}',
+    "twice.json": '{"kind": "table", "entries": [[0, 1, "1/4"], [0, 1, "1/2"]], "default": "0"}',
+    "misspelled.json": '{"kind": "table", "entries": [[0, 1, "1/2"]], "defualt": "1/2"}',
 }
 
 

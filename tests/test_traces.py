@@ -328,8 +328,11 @@ def test_alpha_keeps_one_list_per_floor():
 
 def test_negative_weights_are_reported_with_their_vertex():
     candidate = _with_negative_phi((3, 5))
-    with pytest.raises(ValueError, match=r"negative weight at \(3, 5\)"):
-        check_trace(candidate, 6)
+    # floor 3 carries rows at depth 6 and only the masses of floor 2 at depth 3
+    for depth in (6, 3):
+        with pytest.raises(ValueError, match=r"negative weight at \(3, 5\)"):
+            check_trace(candidate, depth)
+    assert check_trace(candidate, 2).valid
     with pytest.raises(ValueError, match=r"negative reconstructed weight -1/9 at \(3, 5\)"):
         alpha_from_phi(candidate, 6)
     # a geometric ratio above 1/3 drives an even index negative first

@@ -124,12 +124,14 @@ def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
         raise ValueError(f"depth must lie in 1..{MAX_DEPTH}")
     if candidate.phi(STAR) != 1:
         raise ValueError("a trace candidate must have weight exactly 1 at the root")
+    # signs on floor depth too: the masses of floor depth - 1 read its weights
+    for v in tree_vertices(depth):
+        if candidate.phi(v) < 0:
+            raise ValueError(f"negative weight at {v}")
     rows = []
     first = None
     for v in tree_vertices(depth - 1):
         value = candidate.phi(v)
-        if value < 0:
-            raise ValueError(f"negative weight at {v}")
         mass = sum((candidate.phi(w) for w in neighbor_set(v, depth)), Fraction(0))
         if candidate.tail is not None:
             mass += candidate.tail(v, depth)
