@@ -15,8 +15,12 @@ Floors.  X -> X (x) 1 on path tails (``lift``) is the unital, injective
 *-embedding of the floor-M model into the floor-N model, so an identity
 among floor-M operators holds at floor N exactly when it holds at floor M.
 Each generator is built on first use at its home floor (n for e_n, f_n,
-g_n; n + 1 for v_n, w_n, E_n, F_n); each check is decided at the highest
-home floor among its operators, and a failing one reads its witness at N.
+g_n; n + 1 for v_n, w_n, E_n, F_n); each check is decided, and its least
+entry read, at the highest home floor among its operators.  A model's
+failing check names that entry's first extension at floor N, which is the
+least entry of the lift, with the same value (``_verdict``).  The floor-N
+paths (``Representation.ctx``) are enumerated on first read, so a passing
+unmutated model never builds them.
 E and F come from their flip u in closed form: with lam = p/q,
 (u*u + x u + x u* + lam u u*) / (1 + lam) is A = q on each source's diagonal
 and p on each target's, B = q u(t, s) at (t, s) and (s, t), d = p + q.
@@ -104,7 +108,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, combinations, groupby, product
 from math import gcd
 from operator import attrgetter
@@ -371,16 +375,15 @@ class SparseOperator:
         """Self-adjoint (read off the entries, no transpose kept) and idempotent."""
         return self.projection_witness() is None
 
-    def projection_witness(self, top: PathContext | None = None) -> dict | None:
-        """None for a projection.  Otherwise the least nonzero entry (lifted
-        to ``top``) that differs from its transposed entry, or, for a
-        self-adjoint operator, the least nonzero entry of X^2 - X."""
+    def projection_witness(self) -> dict | None:
+        """None for a projection.  Otherwise the least nonzero entry that
+        differs from its transposed entry, or, for a self-adjoint operator,
+        the least nonzero entry of X^2 - X."""
         if _symmetric(self.A) and _symmetric(self.B):
-            return (self * self).first_entry_of_difference(self, top)
-        op = self if top is None else self.lift(top)
-        at = lambda key: (op.A.get(key, 0), op.B.get(key, 0))  # noqa: E731
-        row, col = min(key for key in op.support() if at(key) != at(key[::-1]))
-        return {"row": row, "col": col, "value": op._text(*at((row, col)))}
+            return (self * self).first_entry_of_difference(self)
+        at = lambda key: (self.A.get(key, 0), self.B.get(key, 0))  # noqa: E731
+        row, col = min(key for key in self.support() if at(key) != at(key[::-1]))
+        return {"row": row, "col": col, "value": self._text(*at((row, col)))}
 
     def is_window_local(self, writes: range, reads: range) -> bool:
         """Whether the operator is sum c(a, b) T_{a->b} over a = p|reads and
@@ -426,18 +429,17 @@ class SparseOperator:
         b = sum(val for (i, j), val in self.B.items() if i == j)
         return self._text(a, b)
 
-    def witness(self, top: PathContext | None = None) -> dict | None:
-        """Row, column and value of the least nonzero entry (lifted to ``top``), or None."""
+    def witness(self) -> dict | None:
+        """Row, column and value of the least nonzero entry, or None."""
         if self.is_zero():
             return None
-        op = self if top is None else self.lift(top)
-        row, col = min(op.support())
-        return {"row": row, "col": col, "value": op._text(op.A.get((row, col), 0), op.B.get((row, col), 0))}
+        row, col = min(self.support())
+        return {"row": row, "col": col, "value": self._text(self.A.get((row, col), 0), self.B.get((row, col), 0))}
 
-    def first_entry_of_difference(self, other: "SparseOperator", top: PathContext | None = None) -> dict | None:
+    def first_entry_of_difference(self, other: "SparseOperator") -> dict | None:
         """None when equal at their common floor, else their difference's witness."""
         left, right = self._common(other)
-        return None if left == right else (left - right).witness(top)
+        return None if left == right else (left - right).witness()
 
     def flip_projection(self) -> "SparseOperator":
         """E_n from this flip u = v_n, or F_n from u = w_n, at the floor of u:
@@ -613,9 +615,10 @@ class Representation:
 
     def __init__(self, floor: int, lam: Fraction):
         lam = _field_constant(lam)
+        if not 0 <= floor <= MAX_PATH_FLOOR:
+            raise ValueError(f"floor must lie in 0..{MAX_PATH_FLOOR}")
         self.floor = floor
         self.lam = lam
-        self.ctx = path_context(floor)
         # a mutant's parent and changed keys; with none changed, the
         # generators are as built, and a row takes its translate's verdict
         self._parent: Representation | None = None
@@ -625,6 +628,13 @@ class Representation:
         self._gens: dict[tuple[str, int], SparseOperator] = {}
         # the check of every row this model decided, certificate rows included
         self._verdicts: dict[_Row, Check] = {}
+
+    @cached_property
+    def ctx(self) -> PathContext:
+        """The floor-N paths, enumerated on first read: by the public
+        accessors, a mutant's flip and a failing witness, never by a passing
+        unmutated suite."""
+        return path_context(self.floor)
 
     # -- access --------------------------------------------------------------
 
@@ -678,7 +688,7 @@ class Representation:
         if entry not in victim.support():
             raise ValueError(f"{kind}_{n} has no entry at {entry}")
         mutated = object.__new__(Representation)
-        mutated.floor, mutated.lam, mutated.ctx, mutated._parent = self.floor, self.lam, self.ctx, self
+        mutated.floor, mutated.lam, mutated._parent = self.floor, self.lam, self
         gens = mutated._gens = {(kind, n): victim.with_negated_entry(entry)}
         for derived, _, _, build, source in _GENERATORS:
             if source == kind:
@@ -701,7 +711,7 @@ def generator(kind: str, n: int, floor: int, lam=Fraction(1)) -> SparseOperator:
 @dataclass(frozen=True)
 class Check:
     """One decided identity, decided at ``floor``, the highest floor among its
-    operators; a failure's witness is read at floor ``top`` when one is given."""
+    operators, where a failure's witness is read."""
 
     equation: str
     indices: dict
@@ -716,15 +726,14 @@ class Check:
             equation, indices, status, witness, floor)
 
     @staticmethod
-    def equality(equation: str, indices: dict, left: SparseOperator, right: SparseOperator,
-                 top: PathContext | None = None) -> "Check":
-        witness = left.first_entry_of_difference(right, top)
+    def equality(equation: str, indices: dict, left: SparseOperator, right: SparseOperator) -> "Check":
+        witness = left.first_entry_of_difference(right)
         floor = max(left.ctx.floor, right.ctx.floor)
         return Check(equation, indices, "pass" if witness is None else "fail", witness, floor)
 
     @staticmethod
-    def vanishes(equation: str, indices: dict, op: SparseOperator, top: PathContext | None = None) -> "Check":
-        witness = op.witness(top)
+    def vanishes(equation: str, indices: dict, op: SparseOperator) -> "Check":
+        witness = op.witness()
         return Check(equation, indices, "pass" if witness is None else "fail", witness, op.ctx.floor)
 
     @staticmethod
@@ -734,8 +743,8 @@ class Check:
         return Check(equation, indices, "pass", None, op.ctx.floor)
 
     @staticmethod
-    def projection(equation: str, indices: dict, op: SparseOperator, top: PathContext | None = None) -> "Check":
-        witness = op.projection_witness(top)
+    def projection(equation: str, indices: dict, op: SparseOperator) -> "Check":
+        witness = op.projection_witness()
         return Check(equation, indices, "pass" if witness is None else "fail", witness, op.ctx.floor)
 
     @staticmethod
@@ -1236,13 +1245,17 @@ def _verdict(rep: Representation, row: _Row, nodes: dict, report: Report) -> Che
         nodes.setdefault(rep, {})
         terms = [(scalar, d) for scalar, node in zip((ONE, MINUS), row.operands)
                  if (d := _delta(rep, node, nodes, report)) is not None]
-        check = Check.vanishes(row.equation, dict(row.indices), _combination(terms, rep.lam), rep.ctx)
+        check = Check.vanishes(row.equation, dict(row.indices), _combination(terms, rep.lam))
     else:
         own = nodes.setdefault(rep, {})
         operands = [_value(rep, node, own, report) for node in row.operands]
         decide = getattr(Check, "equality" if row.kind == "commutes" else row.kind)
-        top = () if row.kind in ("nonzero", "window") else (rep.ctx,)
-        check = decide(row.equation, dict(row.indices), *operands, *top)
+        check = decide(row.equation, dict(row.indices), *operands)
+        if check.witness and row.kind != "nonzero" and check.floor < rep.floor:
+            # the least entry of the lift to floor N is the first extension of
+            # the least entry at the check's floor, and has its value
+            first, low = _extensions(path_context(check.floor), rep.ctx)[0], check.witness
+            low["row"], low["col"] = first[low["row"]], first[low["col"]]
     kept[row] = check
     return check
 

@@ -16,8 +16,9 @@ so.  Candidate evaluators must be deterministic and side-effect free.
 
 ``check_trace`` evaluates phi once per vertex and builds every truncated
 branch mass in one bottom-up pass from sums along the left and right move
-chains; ``neighbor_set`` lists a branch set explicitly and is what the
-table candidates' tails use.  The chain sums run on (numerator,
+chains; ``neighbor_set`` lists a branch set explicitly, and a table
+candidate's tail reads each entry off the two vertices whose branch sets
+hold it (``_owners``).  The chain sums run on (numerator,
 denominator) int pairs: two pairs combine over the lcm of their
 denominators, in one ``math.lcm`` call and without reduction, and phi is
 compared with its mass by cross-multiplication.  No common denominator is
@@ -85,8 +86,8 @@ Vertex = tuple[int, int]
 STAR: Vertex = (-1, 0)
 
 MAX_DEPTH = 20
-# deepest floor a table entry may sit on: a tail oracle walks each branch
-# down to the deepest entry, which must stay a bounded walk
+# deepest floor a table entry may sit on: a tail oracle walks each entry up
+# to the vertices whose branch sets hold it, which must stay a bounded walk
 MAX_TABLE_FLOOR = MAX_DEPTH + 20
 # most bits in the numerator or denominator of a JSON ratio or weight: the
 # check's sums grow with them.  Measured on one x86-64 core with Python 3.11,
@@ -190,26 +191,33 @@ def neighbor_set(v: Vertex, max_floor: int) -> list[Vertex]:
     """
     _check_tree_vertex(v)
     out: list[Vertex] = []
-    if v == STAR:
-        w = move_right(v)  # (0, 1)
-        while w[0] <= max_floor:
-            out.append(w)
-            w = move_left(w)
-    elif v == (0, 1):
-        w = move_left(v)
-        while w[0] <= max_floor:
-            out.append(w)
-            w = move_right(w)
-    else:
-        w = move_left(v)
-        while w[0] <= max_floor:
-            out.append(w)
-            w = move_right(w)
-        w = move_right(v)
-        while w[0] <= max_floor:
-            out.append(w)
-            w = move_left(w)
+    # (first move, then move, the vertex that has no such chain)
+    for first, then, skip in ((move_left, move_right, STAR), (move_right, move_left, (0, 1))):
+        if v != skip:
+            w = first(v)
+            while w[0] <= max_floor:
+                out.append(w)
+                w = then(w)
     return sorted(out)
+
+
+def _owners(w: Vertex) -> list[Vertex]:
+    """The vertices v whose branch set C(v) holds the vertex w (not STAR):
+    w = R^j L v, found by undoing w's last run of right moves and then one
+    left move, and w = L^j R v, undoing its last run of left moves and then
+    one right move.  A vertex (n, k), n >= 1, is the left child of
+    (n - 1, k >> 1 | 1) when k % 4 == 1 and its right child when k % 4 == 3;
+    (0, 1) is the right child of STAR and lies in C(STAR) alone."""
+    out = []
+    for run in (3, 1):  # right moves, then left moves
+        n, k = w
+        while n and k % 4 == run:
+            n, k = n - 1, k >> 1 | 1
+        if n:
+            out.append((n - 1, k >> 1 | 1))
+        elif run == 1:
+            out.append(STAR)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +292,17 @@ def table_candidate(entries: dict[Vertex, Fraction], default: Fraction = Fractio
     if default != 0:
         return TraceCandidate(phi, None)
 
+    # each entry's floor and weight under the vertices whose branch sets hold it
+    owned: dict[Vertex, list[tuple[int, Fraction]]] = {}
+    for w, weight in entries.items():
+        if w != STAR:
+            for v in _owners(w):
+                owned.setdefault(v, []).append((w[0], weight))
+
     def tail(v: Vertex, depth: int) -> Fraction:
         if depth >= max_floor:
             return _ZERO
-        rest = [w for w in neighbor_set(v, max_floor) if w[0] > depth]
-        return sum((phi(w) for w in rest), Fraction(0))
+        return sum((weight for n, weight in owned.get(v, ()) if n > depth), _ZERO)
 
     return TraceCandidate(phi, tail)
 

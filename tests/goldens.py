@@ -10,7 +10,8 @@ A ``relations --stats`` entry compares stderr with every section's
 ``seconds`` removed (``stats_without_seconds``); any other entry compares
 stdout, and its stderr must be empty.  A file whose name ends in
 ``.sha256`` holds the SHA-256 digest of stdout, for an output too large to
-commit.  An entry with ``peak_mb`` also bounds the peak RSS of its process.
+commit.  An entry with ``peak_mb`` also bounds the peak RSS of its process,
+and one with ``cpu_s`` its CPU seconds (user plus system).
 An argument named in ``TRACE_SPECS`` stands for that trace candidate,
 written to a file before the command runs.
 """
@@ -43,6 +44,7 @@ class Golden(NamedTuple):
     part: int | str | None = None  # a line index of the file, a key of its JSON object, or the whole file
     stats: bool = False  # compare stderr without seconds instead of stdout
     peak_mb: float | None = None  # the most peak RSS the command may reach, in MB
+    cpu_s: float | None = None  # the most CPU seconds the command may take
 
     @property
     def id(self) -> str:
@@ -70,8 +72,8 @@ class Golden(NamedTuple):
 
 
 # the trace candidates of the goldens: two geometric ones, the geometric 1/4
-# weights of floors 0-8 as a table with default 0, and that table with (3, 1)
-# zeroed
+# weights of floors 0-8 as a table with default 0, that table with (3, 1)
+# zeroed, and one entry on MAX_TABLE_FLOOR
 _TABLE_ENTRIES = [[n, k, f"1/{4 ** (n + 1)}"] for n in range(9) for k in range(1, 2**n + 1, 2)]
 TRACE_SPECS = {
     "quarter.json": {"kind": "geometric", "ratio": "1/4"},
@@ -82,6 +84,7 @@ TRACE_SPECS = {
         "entries": [[n, k, "0" if (n, k) == (3, 1) else w] for n, k, w in _TABLE_ENTRIES],
         "default": "0",
     },
+    "deepest_entry.json": {"kind": "table", "entries": [[40, 1, "1/2"]], "default": "0"},
 }
 
 
@@ -89,8 +92,8 @@ def _relations(floor: int, lam: str, *flags: str) -> tuple[str, ...]:
     return ("relations", "--floor", str(floor), "--lambda", lam, *flags)
 
 
-def _diagram(name: str, code: int, *argv: str, peak_mb: float | None = None) -> Golden:
-    return Golden(argv, code, DIAGRAM / name, peak_mb=peak_mb)
+def _diagram(name: str, code: int, *argv: str, peak_mb: float | None = None, cpu_s: float | None = None) -> Golden:
+    return Golden(argv, code, DIAGRAM / name, peak_mb=peak_mb, cpu_s=cpu_s)
 
 
 GOLDENS = [
@@ -98,7 +101,8 @@ GOLDENS = [
     *(Golden(_relations(7, lam), 0, TESTS.parent / "bench" / "golden.json", "7") for lam in ("1/4", "2")),
     *(Golden(_relations(8, lam), 0, TESTS / "golden_floor8.txt") for lam in ("1/4", "2")),
     # each evaluation keeps every node it builds until it returns; the bound
-    # is what that may cost at the largest floor (about 25 MB today)
+    # is what that may cost at the largest floor (about 21.5 MB today, with
+    # no floor-9 path enumerated)
     Golden(_relations(9, "1/4"), 0, TESTS / "golden_floor9.txt", peak_mb=64),
     *(Golden(_relations(9, lam), 0, TESTS / "golden_floor9.txt") for lam in ("2", "2/3")),
     # the report as written before the suites became one relation table
@@ -127,6 +131,11 @@ GOLDENS = [
     _diagram("trace_geometric_1_2_depth16.txt", 1, "trace", "check", "--spec", "half.json", "--depth", "16"),
     _diagram("trace_table_depth16_valid.txt", 0, "trace", "check", "--spec", "table.json", "--depth", "16"),
     _diagram("trace_table_depth16_invalid.txt", 1, "trace", "check", "--spec", "table_zeroed.json", "--depth", "16"),
+    # MAX_DEPTH under an entry on MAX_TABLE_FLOOR: each tail reads the entries
+    # its vertex owns (about 1.2 s today; a walk of both branches of every
+    # vertex down to floor 40 took 46-50 s)
+    _diagram("trace_table_floor40_depth20.txt", 0, "trace", "check", "--spec", "deepest_entry.json", "--depth", "20",
+             cpu_s=4),
     # written by Python 3.11, whose sum adds floats left to right (see
     # test_sum_adds_floats_left_to_right in test_core.py); 10**7 is MAX_ZETA_QMAX
     _diagram("zeta_s3_qmax1000000.txt", 0, "zeta", "--s", "3", "--qmax", "1000000"),

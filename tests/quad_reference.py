@@ -188,13 +188,12 @@ class ReferenceOperator:
     def is_projection(self) -> bool:
         return self == self.adjoint() and self * self == self
 
-    def projection_witness(self, top=None):
-        op = self if top is None else self.lift(top)
-        skew = [key for key, val in op.quads.items() if op.quads.get(key[::-1]) != val]
+    def projection_witness(self):
+        skew = [key for key, val in self.quads.items() if self.quads.get(key[::-1]) != val]
         if skew:
             row, col = min(skew)
-            return {"row": row, "col": col, "value": str(op.quads[(row, col)])}
-        return (self * self).first_entry_of_difference(self, top)
+            return {"row": row, "col": col, "value": str(self.quads[(row, col)])}
+        return (self * self).first_entry_of_difference(self)
 
     def max_nonzeros(self, other: int) -> int:
         return max(other, len(self.quads))
@@ -223,15 +222,14 @@ class ReferenceOperator:
     def entries(self) -> dict:
         return {key: str(val) for key, val in self.quads.items()}
 
-    def witness(self, top=None):
+    def witness(self):
         if not self.quads:
             return None
-        op = self if top is None else self.lift(top)
-        row, col = min(op.quads)
-        return {"row": row, "col": col, "value": str(op.quads[(row, col)])}
+        row, col = min(self.quads)
+        return {"row": row, "col": col, "value": str(self.quads[(row, col)])}
 
-    def first_entry_of_difference(self, other, top=None):
-        return (self - other).witness(top)
+    def first_entry_of_difference(self, other):
+        return (self - other).witness()
 
     def flip_projection(self):
         """E or F built from this flip by ring operations."""

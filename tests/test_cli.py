@@ -343,7 +343,9 @@ def test_size_guards_reject_before_allocating(capsys, monkeypatch):
     monkeypatch.setattr(dimension_group, "beta_step", _never_called)
     monkeypatch.setattr(core, "_totient_blocks", _never_called)  # what partition_function sieves with
     monkeypatch.setattr(core, "_refine", _never_called)
+    monkeypatch.setattr(path_algebra, "path_context", _never_called)  # what enumerates paths
     for argv, message in [
+        (["relations", "--floor", str(path_algebra.MAX_PATH_FLOOR + 1), "--lambda", "1"], "floor must lie in 0..9"),
         (["k0", "lift", "0:1", "--to", str(dimension_group.MAX_LIFT_LEVEL + 1)], "guarded at level"),
         (["k0", "lift", "0:1", "--to", "1000000"], "guarded at level"),
         (["zeta", "--s", "3", "--qmax", str(core.MAX_ZETA_QMAX + 1)], "qmax must lie in"),
@@ -423,25 +425,26 @@ def test_numbers_just_inside_the_bounds_answer(tmp_path, capsys):
 
 
 # Runs the command given after the fd number in a new process and writes the
-# command's peak RSS (KiB on Linux) to that fd.  The ru_maxrss a child is
-# reaped with also counts the peak of the process it was spawned from, whose
-# memory it shares until its exec: spawned from the test process, every
-# command would read at least the test process's peak.  So the command is
-# spawned from this small interpreter, which peaks below any command.
+# command's peak RSS (KiB on Linux) and its CPU seconds (user plus system) to
+# that fd.  The ru_maxrss a child is reaped with also counts the peak of the
+# process it was spawned from, whose memory it shares until its exec: spawned
+# from the test process, every command would read at least the test
+# process's peak.  So the command is spawned from this small interpreter,
+# which peaks below any command.
 _REAPER = (
     "import os, sys; fd = int(sys.argv[1]); "
     "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[2:]], os.environ, "
     "file_actions=[(os.POSIX_SPAWN_CLOSE, fd)]); "
     "_, status, usage = os.wait4(pid, 0); "
-    "os.write(fd, str(usage.ru_maxrss).encode()); "
+    "os.write(fd, f'{usage.ru_maxrss} {usage.ru_utime + usage.ru_stime}'.encode()); "
     "sys.exit(os.waitstatus_to_exitcode(status))"
 )
 
 
 def fresh_python(*args):
     """Run a new interpreter on the package: (exit code, stdout, stderr,
-    peak RSS in MB).  Its output goes to temporary files, so no pipe has to
-    be drained while it runs."""
+    peak RSS in MB, CPU seconds).  Its output goes to temporary files, so no
+    pipe has to be drained while it runs."""
     env = {**os.environ, "PYTHONPATH": str(Path(fareybratteli.__file__).resolve().parents[1])}
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err, tempfile.TemporaryFile() as peak:
         fd = peak.fileno()
@@ -449,7 +452,8 @@ def fresh_python(*args):
         code = subprocess.run(reaper, stdout=out, stderr=err, env=env, pass_fds=(fd,)).returncode
         for handle in (out, err, peak):
             handle.seek(0)
-        return code, out.read().decode("utf-8"), err.read().decode("utf-8"), int(peak.read()) / 1024
+        kib, cpu_s = peak.read().split()
+        return code, out.read().decode("utf-8"), err.read().decode("utf-8"), int(kib) / 1024, float(cpu_s)
 
 
 @pytest.mark.parametrize("golden", GOLDENS, ids=[golden.id for golden in GOLDENS])
@@ -457,12 +461,14 @@ def test_command_matches_its_golden(tmp_path, golden):
     for name, spec in TRACE_SPECS.items():
         (tmp_path / name).write_text(json.dumps(spec), encoding="utf-8")
     argv = [str(tmp_path / arg) if arg in TRACE_SPECS else arg for arg in golden.argv]
-    code, out, err, peak_mb = fresh_python("-m", "fareybratteli.cli", *argv)
+    code, out, err, peak_mb, cpu_s = fresh_python("-m", "fareybratteli.cli", *argv)
     assert code == golden.code, f"farey-bratteli {golden.id} exited {code}, not {golden.code}: {err}"
     assert golden.compared(out, err) == golden.expected(), f"farey-bratteli {golden.id} differs from {golden.source}"
     assert golden.stats or err == "", f"farey-bratteli {golden.id} wrote to stderr: {err}"
     if golden.peak_mb is not None:
         assert peak_mb <= golden.peak_mb, f"farey-bratteli {golden.id}: peak RSS {peak_mb:.1f} MB above {golden.peak_mb} MB"
+    if golden.cpu_s is not None:
+        assert cpu_s <= golden.cpu_s, f"farey-bratteli {golden.id}: {cpu_s:.2f} CPU seconds above {golden.cpu_s} s"
 
 
 def test_every_golden_file_is_read_and_every_entry_names_one():
@@ -503,13 +509,13 @@ def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
 
 
 def test_importing_the_cli_builds_no_parser():
-    code, out, _, _ = fresh_python("-c", "import fareybratteli.cli as c; print(c._parser.cache_info().currsize)")
+    code, out, *_ = fresh_python("-c", "import fareybratteli.cli as c; print(c._parser.cache_info().currsize)")
     assert (code, out.strip()) == (0, "0")
 
 
 @pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
 def test_demo_runs_to_the_end(demo):
-    code, _, err, _ = fresh_python(str(demo))
+    code, _, err, *_ = fresh_python(str(demo))
     assert code == 0, f"{demo.name} exited {code}: {err}"
 
 

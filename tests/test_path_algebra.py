@@ -117,9 +117,29 @@ def test_paths_and_extensions_grown_floor_by_floor_match_the_stack_and_sort_walk
         assert got == indexed_extensions(path_context(low), path_context(high)), (low, high)
 
 
-def test_floor_guard():
+def test_floor_guard(monkeypatch):
     with pytest.raises(ValueError):
         enumerate_paths(10)
+    # a model is refused with the same message before any path is enumerated
+    monkeypatch.setattr(path_algebra, "path_context", None)
+    for floor in (-1, path_algebra.MAX_PATH_FLOOR + 1):
+        with pytest.raises(ValueError, match=r"^floor must lie in 0\.\.9$"):
+            Representation(floor, F(1))
+
+
+def test_a_passing_model_reads_no_path_above_floor_4(monkeypatch):
+    # the floor-N paths are built on first read, and a passing unmutated run
+    # reads none above the home floors of the templates; a mutant's flip reads them
+    floors, original = set(), path_algebra.path_context
+    monkeypatch.setattr(path_algebra, "path_context", lambda floor: floors.add(floor) or original(floor))
+    for floor in range(4, path_algebra.MAX_PATH_FLOOR + 1):
+        rep = Representation(floor, F(1, 4))
+        assert run_all_suites(floor, F(1, 4), rep).ok
+        assert "ctx" not in vars(rep), floor
+    assert max(floors) == 4
+    mutated, _ = random_sign_mutation(rep, random.Random(0))
+    assert not run_all_suites(rep.floor, F(1, 4), mutated).ok
+    assert path_algebra.MAX_PATH_FLOOR in floors and vars(rep)["ctx"] is original(rep.floor)
 
 
 # ---------------------------------------------------------------------------
@@ -1614,16 +1634,37 @@ def test_tail_embedding_is_an_injective_unital_star_homomorphism(lam, x, y, z, c
     assert fx * fz == lift(fx) * fz and fz * fx == fz * lift(fx)
     assert fx + fz == lift(fx) + fz and fz - fx == fz - lift(fx)
     assert fx != lift(fx)
-    # witnesses read at floor 4 are those of the lifted operators, and the
-    # lift agrees with the path-by-path definition
+    # the lift agrees with the path-by-path definition, and so does its witness
     reference = ReferenceOperator(LOW_CTX, lam, *x).lift(HIGH_CTX)
     assert lift(fx).entries == reference.entries
-    assert fx.witness(HIGH_CTX) == lift(fx).witness() == reference.witness()
-    assert fx.first_entry_of_difference(fy, HIGH_CTX) == (lift(fx) - lift(fy)).witness()
+    assert lift(fx).witness() == reference.witness()
     assert fx.first_entry_of_difference(fz) == (lift(fx) - fz).witness()
     # the lift is kept, and ignored by equality and hashing
     assert lift(fx) is lift(fx)
     assert fx == SparseOperator(LOW_CTX, lam, *x) and hash(fx) == hash(SparseOperator(LOW_CTX, lam, *x))
+
+
+def at_high_floor(witness):
+    """A floor-2 witness moved to the first extensions of its row and column at floor 4."""
+    if witness is None:
+        return None
+    first = path_algebra._extensions(LOW_CTX, HIGH_CTX)[0]
+    return {**witness, "row": first[witness["row"]], "col": first[witness["col"]]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(lam=st.sampled_from(SMALL_LAMBDAS), x=block_operator_data(LOW_CTX), y=block_operator_data(LOW_CTX))
+def test_first_extension_of_a_witness_is_the_witness_of_the_lift(lam, x, y):
+    # the oracle of the one place that maps a failing check's witness to
+    # floor N (``_verdict``): the least entry of the lift is the first
+    # extension of the least entry, with its value
+    fx, fy = SparseOperator(LOW_CTX, lam, *x), SparseOperator(LOW_CTX, lam, *y)
+    lx, ly = fx.lift(HIGH_CTX), fy.lift(HIGH_CTX)
+    assert at_high_floor(fx.witness()) == lx.witness()
+    assert at_high_floor(fx.first_entry_of_difference(fy)) == lx.first_entry_of_difference(ly)
+    # a skew operator, and a self-adjoint one, whose witness is read off X^2 - X
+    for op in (fx, fx + fx.adjoint()):
+        assert at_high_floor(op.projection_witness()) == op.lift(HIGH_CTX).projection_witness()
 
 
 def test_lift_refuses_lower_or_foreign_floors():

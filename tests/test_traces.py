@@ -5,6 +5,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tree_reference
 from fareybratteli import core, traces
@@ -459,6 +461,66 @@ def test_table_tail_oracle_sees_beyond_the_horizon():
     assert check_trace(repaired, 3).valid
 
 
+def branch_set_tail(entries):
+    """The tail of a default-0 table summed over its branch set as
+    ``neighbor_set`` lists it, down to the deepest entry."""
+    deepest = max(n for n, _ in entries)
+    return lambda v, depth: sum((entries.get(w, F(0)) for w in neighbor_set(v, deepest) if w[0] > depth), F(0))
+
+
+def ancestors(w):
+    """The vertices on the way from STAR down to w, w excluded: the parent of
+    (n, k) is the odd one of (n - 1, (k +- 1) / 2), and STAR that of (0, 1)."""
+    out = []
+    while w != STAR:
+        n, k = w
+        w = STAR if n == 0 else (n - 1, (k + 1) // 2 if (k + 1) // 2 % 2 else (k - 1) // 2)
+        out.append(w)
+    return out
+
+
+def test_entry_owners_are_the_branch_sets_that_hold_it():
+    vertices = tree_vertices(9)
+    holders = {w: [] for w in vertices}
+    for v in vertices:
+        for w in neighbor_set(v, 9):
+            holders[w].append(v)
+    for w in vertices[1:]:
+        assert sorted(traces._owners(w)) == sorted(holders[w]), w
+        assert len(holders[w]) == (1 if w == (0, 1) else 2)
+
+
+@st.composite
+def deep_tables(draw):
+    """Up to six entries on floors 0..MAX_TABLE_FLOOR, weights k/8."""
+    entries = {}
+    for n in draw(st.lists(st.integers(0, traces.MAX_TABLE_FLOOR), min_size=1, max_size=6)):
+        k = 2 * draw(st.integers(0, max(2 ** (n - 1) - 1, 0))) + 1
+        entries[(n, k)] = F(draw(st.integers(0, 8)), 8)
+    return entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=deep_tables(), depth=st.integers(0, MAX_DEPTH))
+def test_table_tails_equal_the_branch_set_sums(entries, depth):
+    tail, brute = table_candidate(entries).tail, branch_set_tail(entries)
+    # every vertex whose branch set holds an entry is one of its ancestors
+    for v in {*tree_vertices(3), *(u for w in entries for u in ancestors(w))}:
+        assert tail(v, depth) == brute(v, depth), v
+
+
+@pytest.mark.parametrize("entries", [
+    {(40, 1): F(1, 2)},
+    {(0, 1): F(1, 4), (1, 1): F(1, 8), (2, 3): F(1, 16), (9, 1): F(1, 32), (9, 511): F(1, 32), (14, 9001): F(1, 64)},
+    {(0, 1): F(1, 2), (1, 1): F(1, 4), (13, 1): F(1, 16), (30, 2**29 + 1): F(1, 16), (40, 2**40 - 1): F(1, 8)},
+], ids=["deepest", "within the depths", "below the depths"])
+def test_deep_tables_check_as_their_branch_set_sums(entries):
+    candidate = table_candidate(entries)
+    reference = TraceCandidate(candidate.phi, branch_set_tail(entries))
+    for depth in range(1, 13):
+        assert check_trace(candidate, depth) == tree_reference.check_trace(reference, depth), depth
+
+
 def test_vertex_of_cf_refuses_heights_above_the_bound(monkeypatch):
     def fail(*args):
         raise AssertionError("reached past the height guard")
@@ -471,17 +533,18 @@ def test_vertex_of_cf_refuses_heights_above_the_bound(monkeypatch):
 
 def test_table_entry_floors_are_guarded_before_any_walk_or_power(monkeypatch):
     # an entry at floor 10**9 once built 2**(10**9), a 125 MB int, and every
-    # tail walked its branch down to that floor: the walk is patched to
-    # fail, and the allocations are traced
+    # tail walked its branch down to that floor: the walk from each entry to
+    # its owners is patched to fail, and the allocations are traced
     def fail(*args):
         raise AssertionError("reached past the floor guard")
 
-    monkeypatch.setattr(traces, "neighbor_set", fail)
     tracemalloc.start()
     try:
-        for floor in (traces.MAX_TABLE_FLOOR + 1, 10**9):
-            with pytest.raises(ValueError, match=f"deeper than floor {traces.MAX_TABLE_FLOOR}"):
-                candidate_from_json(f'{{"kind": "table", "entries": [[{floor}, 1, "1/2"]]}}')
+        with monkeypatch.context() as patch:
+            patch.setattr(traces, "_owners", fail)
+            for floor in (traces.MAX_TABLE_FLOOR + 1, 10**9):
+                with pytest.raises(ValueError, match=f"deeper than floor {traces.MAX_TABLE_FLOOR}"):
+                    candidate_from_json(f'{{"kind": "table", "entries": [[{floor}, 1, "1/2"]]}}')
         # vertex checks read bit lengths, so a deep vertex builds no 2**n either
         assert move_left((10**9, 2**40 + 1)) == (10**9 + 1, 2**41 + 1)
         with pytest.raises(ValueError):
