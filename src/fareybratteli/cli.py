@@ -253,7 +253,7 @@ def _cmd_trace(args) -> int:
     if report.valid:
         print(f"valid ({mode}, depth {args.depth}, {len(report.rows)} vertices)")
         return 0
-    value, mass = next((value, mass) for v, value, mass in report.rows if v == report.first_violation)
+    _, value, mass = report.rows[report.rows.position(report.first_violation)]
     print(f"INVALID ({mode}): first violation at {report.first_violation}: " f"phi = {value} < branch mass {mass}")
     return 1
 

@@ -27,11 +27,11 @@ shifts the k of two columns to a common floor.
 
 The totients come in blocks from ``_totient_blocks``: slice assignments into
 an ``array`` find the smallest odd prime factor of each odd q, a block's
-odd q multiply phi(q / p) by p or p - 1, and its even q take phi(2m) =
-phi(m) or 2 phi(m) by strided list slices.  Only phi(q) for q <= qmax / 2
-is kept, since nothing reads higher: ``partition_function`` adds each
-block above it onto its running sum and drops it, and ``totient_sieve``
-joins the blocks into one list.
+odd q multiply phi(q / p) by p or p - 1, and its even q = 2**a * m take
+phi(m) * 2**(a - 1) by strided list slices.  So every read is phi of an odd
+m <= qmax / 2, and only those are kept: ``partition_function`` adds each
+block onto its running sum and drops it, and ``totient_sieve`` joins the
+blocks into one list.
 
 Every function is a pure function of its arguments, and nothing is cached.
 """
@@ -91,15 +91,17 @@ CF = tuple[int, ...]
 # and 100 MB, and the command row --floor 20, which holds only the
 # numerators, 0.35-0.39 s wall and 66-72 MB; row(24) would need about 3.5 GB.
 MAX_ROW_FLOOR = 20
-# the zeta series keeps a list of qmax / 2 + 1 totients and an array of
-# qmax / 2 smallest odd prime factors, linear in qmax.  Measured on one x86-64
-# core with Python 3.11 (CPU of the call, peak RSS of a fresh process),
-# partition_function(3, qmax) takes about 0.2 s at 40 MB for 10**6 and 2.5 s
-# at 200 MB for 10**7 (a list of all qmax + 1 totients took 52 and 350 MB).
+# the zeta series keeps a list of the qmax / 4 totients of odd q <= qmax / 2
+# and a 16-bit array of qmax / 2 smallest odd prime factors, linear in qmax.
+# Measured on one x86-64 core with Python 3.11 (CPU of the call, peak RSS of
+# a fresh process), partition_function(3, qmax) takes about 0.2 s at 33 MB
+# for 10**6 and 2.1 s at 131 MB for 10**7 (phi(0..qmax / 2) and 32-bit
+# factors took 41 and 201 MB, all qmax + 1 totients 52 and 350 MB).
 MAX_ZETA_QMAX = 10**7
-# q per block of the zeta series above qmax / 2; the first list grows by
-# blocks at most this wide
-_BLOCK = 2**16
+# q per block of the zeta series; up to qmax / 2 the blocks double up to
+# this width.  Two blocks and their ints are alive at a time, so a narrower
+# block lowers the peak: 2**16 peaked 2.2 MB higher at qmax 10**6
+_BLOCK = 2**15
 # ?(x) has denominator 2**height, height = (sum of the CF terms of x) - 1, so
 # ?(1/1000000) would build a 2**999999 and print 301030 digits.  At this
 # height the answer, 2**-14000 at the most, still prints under Python's
@@ -408,22 +410,24 @@ def totient_sieve(qmax: int) -> list[int]:
 
 
 def _totient_blocks(qmax: int) -> Iterator[list[int]]:
-    """phi(0..qmax), qmax >= 0, as consecutive lists: phi(0..max(qmax // 2, 1))
-    first (only phi(0) for qmax 0), then blocks of at most _BLOCK q.
+    """phi(0..qmax), qmax >= 0, as consecutive lists: phi(0..min(qmax, 1))
+    first, then blocks [lo, hi) of at most _BLOCK q.
 
-    Odd q: the smallest odd prime factor sits in a zero-filled ``array("i")``
-    indexed by q // 2, where 0 means q is prime.  Slice assignments with step
-    p fill it for the odd primes p from isqrt(qmax) down to 3, so the smallest
-    one dividing q writes last; a small ``bytearray`` sieve first marks those
-    primes.  A block's odd q then take phi(q) = q - 1 for a prime and
+    Odd q: the smallest odd prime factor sits in a zero-filled ``array("H")``
+    indexed by q // 2, where 0 means q is prime; a factor stored is at most
+    isqrt(qmax), which 16 bits hold for qmax below 2**32.  Slice assignments
+    with step p fill it for the odd primes p from isqrt(qmax) down to 3, so
+    the smallest one dividing q writes last; a small ``bytearray`` sieve
+    first marks those primes.  A block's odd q then take phi(q) = q - 1 for a prime and
     phi(m) * p when p divides m = q / p, phi(m) * (p - 1) otherwise.
 
-    Even q = 2m: phi(2m) = phi(m) for odd m and 2 phi(m) for even m, by
-    strided slices.
+    Even q = 2**a * m with m odd: phi(q) = phi(m) * 2**(a - 1), by one
+    strided slice per a.
 
-    Every read lies below the block: the first list is built from blocks
-    [lo, hi) with hi <= 2 lo, and the blocks above qmax // 2 read only
-    m <= qmax // 2.  So only the first list is kept.
+    So every read is phi of an odd m, and only those are kept: ``odd[j]`` is
+    phi(2j + 1) for 2j + 1 <= qmax // 2.  Every read lies below the block:
+    up to qmax // 2 the blocks double, hi <= 2 lo, and each appends its odd
+    entries to ``odd``; the blocks above qmax // 2 read only m <= qmax // 2.
     """
     half = qmax // 2
     root = math.isqrt(qmax)
@@ -431,35 +435,40 @@ def _totient_blocks(qmax: int) -> Iterator[list[int]]:
     for p in range(2, math.isqrt(root) + 1):
         if prime[p]:
             prime[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
-    spf = array("i", bytes(4 * (half + 1)))
+    spf = array("H", (0,)) * (half + 1)
     for p in range(root - 1 + root % 2, 2, -2):
         if prime[p]:
             start = p * p // 2
-            spf[start::p] = array("i", (p,)) * len(range(start, half + 1, p))
-    low = [0, 1][: qmax + 1] + [0] * (half - 1)  # phi(0), phi(1), room for phi(2..half)
+            spf[start::p] = array("H", (p,)) * len(range(start, half + 1, p))
+    odd = [1]  # phi(1)
 
     def block(lo: int, hi: int) -> list[int]:
         out = [0] * (hi - lo)
-        odd = lo | 1
-        out[odd - lo :: 2] = [
-            (low[m] * (p - 1) if (m := q // p) % p else low[m] * p) if p else q - 1
-            for q, p in zip(range(odd, hi, 2), spf[odd // 2 : hi // 2])
+        first = lo | 1
+        out[first - lo :: 2] = [
+            (odd[m >> 1] * (p - 1) if (m := q // p) % p else odd[m >> 1] * p) if p else q - 1
+            for q, p in zip(range(first, hi, 2), spf[first // 2 : hi // 2])
         ]
-        m_lo, m_hi = (lo + 1) // 2, (hi + 1) // 2  # q = 2m in [lo, hi)
-        m = m_lo | 1
-        out[2 * m - lo :: 4] = low[m:m_hi:2]
-        m = m_lo + (m_lo & 1)
-        out[2 * m - lo :: 4] = map(operator.mul, low[m:m_hi:2], repeat(2))
+        a = 1
+        while 1 << a < hi:
+            step = 2 << a
+            q = lo + ((1 << a) - lo) % step  # the first q = 2**a * m, m odd, in [lo, hi)
+            j = q >> a + 1  # m = 2j + 1
+            column = odd[j : j + len(range(q, hi, step))]
+            out[q - lo :: step] = column if a == 1 else map(operator.mul, column, repeat(1 << a - 1))
+            a += 1
         return out
 
+    yield [0, 1][: qmax + 1]
     lo = 2
-    while lo <= half:
-        hi = min(2 * lo, lo + _BLOCK, half + 1)
-        low[lo:hi] = block(lo, hi)
+    while lo <= qmax:
+        kept = lo <= half
+        hi = min(2 * lo, lo + _BLOCK, half + 1) if kept else min(lo + _BLOCK, qmax + 1)
+        out = block(lo, hi)
+        if kept:
+            odd += out[1 - lo % 2 :: 2]
+        yield out
         lo = hi
-    yield low
-    for lo in range(len(low), qmax + 1, _BLOCK):
-        yield block(lo, min(lo + _BLOCK, qmax + 1))
 
 
 def euler_phi(q: int) -> int:
@@ -512,9 +521,9 @@ def partition_function(s: float, qmax: int) -> float:
     # left-to-right float sum gives; Python 3.12 replaced it with compensated
     # summation, which can differ in the last bits
     blocks = _totient_blocks(qmax)
-    low = next(blocks)
-    total = sum(map(operator.mul, islice(low, 1, None), map(pow, count(1.0, 1.0), repeat(-s))), 0.0)
-    q = len(low)
+    first = next(blocks)  # phi(0), phi(1): the series starts at q = 1
+    total = sum(map(operator.mul, islice(first, 1, None), map(pow, count(1.0, 1.0), repeat(-s))), 0.0)
+    q = len(first)
     for block in blocks:
         total = sum(map(operator.mul, block, map(pow, count(float(q), 1.0), repeat(-s))), total)
         q += len(block)

@@ -27,12 +27,15 @@ shared across vertices.
 That exact work is done floor by floor, on columns of pairs (``_each``).
 A column that repeats one object (found by an identity scan, never by
 comparing values) is passed to the kernel as that object, so a floor whose
-columns all do costs one call and a list repeat: every floor of a
-geometric candidate, and the default-0 floors below a table's entries.
-Over the other columns the work is done once per distinct operand tuple:
-equal weights share one sum, one comparison and one reported
-``Fraction``, and a candidate whose weights all differ still pays per
-vertex.  The negative-weight checks read a repeated pair once too.
+columns all do costs one call: every floor of a geometric candidate, and
+the default-0 floors below a table's entries.  Such a column is carried as
+the object and its length (``_Same``), so no later kernel, slice or
+negative-weight check scans it again, and it keeps no list.  Over the other
+columns the work is done once per distinct operand tuple: equal weights
+share one sum, one comparison and one reported ``Fraction``, and a
+candidate whose weights all differ still pays per vertex.  The check
+returns its rows as a read-only view over each floor's phi column and
+reported-mass column (``_Rows``), so no row tuple or vertex is stored.
 Vertices are located from their labels by ``core.vertex_of_label``, which
 works on integer numerators and denominators.
 
@@ -50,13 +53,13 @@ keyed by vertex: no (n, k) tuple is stored.  All arithmetic is exact.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
-from operator import is_, itemgetter
+from operator import index, is_, itemgetter
 from typing import Callable, Iterator, Optional
 
 from .core import CF, cf_decode, cf_encode, cf_normalize, json_object, label, parse_fraction, vertex_of_label
@@ -364,7 +367,7 @@ class TraceReport:
     valid: bool
     exact: bool  # False when no tail oracle was available (necessary-only)
     first_violation: Vertex | None
-    rows: tuple[tuple[Vertex, Fraction, Fraction], ...]  # (vertex, phi, branch sum)
+    rows: Sequence[tuple[Vertex, Fraction, Fraction]]  # (vertex, phi, branch sum)
 
 
 def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
@@ -384,18 +387,16 @@ def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
     pairs (see ``_add``), once per repeated object or distinct operand
     tuple of a floor (see ``_each``), from the deepest floor with a nonzero
     weight up; each distinct reported mass of a floor becomes one
-    ``Fraction``.
+    ``Fraction``.  The rows come back as a read-only view (``_Rows``) over
+    each floor's phi column and reported-mass column; no vertex is stored.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must lie in 1..{MAX_DEPTH}")
     root = candidate.phi(STAR)
     if root != 1:
         raise ValueError("a trace candidate must have weight exactly 1 at the root")
-    # per floor n, position j holds the odd vertex (n, 2j + 1); the vertices
-    # of floor depth carry no row, so only their values are kept
-    vertices = [list(_odd_vertices(n)) for n in range(depth)]
-    values = [list(map(candidate.phi, here)) for here in vertices]
-    values.append(list(map(candidate.phi, _odd_vertices(depth))))
+    # per floor n, position j holds the odd vertex (n, 2j + 1)
+    values = [_column(list(map(candidate.phi, _odd_vertices(n)))) for n in range(depth + 1)]
     pairs = list(map(_pairs, values))
     for n, column in enumerate(pairs):
         negative = _first_negative(column)
@@ -403,7 +404,7 @@ def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
             raise ValueError(f"negative weight at {(n, 2 * negative + 1)}")
     # the floors below the deepest nonzero weight hold zero pairs only, and so
     # do their chain sums and masses: the pass starts at that weight's floor
-    low = next((n for n in range(depth, 0, -1) if any(map(_numerator, pairs[n]))), 0)
+    low = next((n for n in range(depth, 0, -1) if not _all_zero(pairs[n])), 0)
     masses = pairs[:depth]
     lefts = rights = pairs[min(low + 1, depth)]  # chain sums L and R of the floor below
     for n in range(min(low, depth - 1), 0, -1):
@@ -414,61 +415,147 @@ def check_trace(candidate: TraceCandidate, depth: int) -> TraceReport:
     masses[0] = [rights[0]]  # (0, 1) has no right move
     star_mass = _add(pairs[0][0], lefts[0])  # L((0, 1))
 
-    rows: list[tuple[Vertex, Fraction, Fraction]] = []
+    columns = []  # (phi column, reported-mass column) of STAR, then of floors 0..depth-1
     first: Vertex | None = None
-    # STAR first, then floors 0..depth-1, in ``tree_vertices`` order
-    floors = zip([[STAR]] + vertices, [[root]] + values, [[(1, 1)]] + pairs, [[star_mass]] + masses)
-    for here, value, pair, mass in floors:
+    floors = zip(range(-1, depth), [[root]] + values, [[(1, 1)]] + pairs, [[star_mass]] + masses)
+    for n, value, pair, mass in floors:
         if candidate.tail is None:
-            rests = [(0, 1)] * len(here)
+            rests = _Same((0, 1), len(value))
         else:
-            rests = _pairs([candidate.tail(v, depth) for v in here])
-        verdicts = _each(_verdict, pair, mass, rests)
-        rows.extend(zip(here, value, map(itemgetter(0), verdicts)))
+            rests = _pairs(list(map(candidate.tail, _odd_vertices(n) if n >= 0 else [STAR], repeat(depth))))
+        reported, below = _unzip(_each(_verdict, pair, mass, rests))
+        columns.append((value, reported))
         if first is None:
-            below = list(map(itemgetter(1), verdicts))
-            if True in below:
-                first = here[below.index(True)]
-    return TraceReport(first is None, candidate.tail is not None, first, tuple(rows))
+            j = _first_true(below)
+            if j is not None:
+                first = (n, 2 * j + 1) if n >= 0 else STAR
+    return TraceReport(first is None, candidate.tail is not None, first, _Rows(columns))
+
+
+class _Rows(Sequence):
+    """The rows (vertex, phi, reported mass) of a trace check, read from one
+    phi column and one mass column per floor: STAR first, then each floor's
+    odd vertices (n, 2j + 1) by j, as ``tree_vertices`` orders them.  It
+    equals, and hashes as, the tuple of its rows."""
+
+    __slots__ = ("_floors",)
+
+    def __init__(self, floors: list[tuple[Sequence[Fraction], Sequence[Fraction]]]):
+        self._floors = floors  # STAR's columns, then those of floors 0, 1, ...
+
+    def __len__(self) -> int:
+        return sum(len(phi) for phi, _ in self._floors)
+
+    def __getitem__(self, i: int) -> tuple[Vertex, Fraction, Fraction]:
+        size, i = len(self), index(i)
+        if not -size <= i < size:
+            raise IndexError("row index out of range")
+        i %= size
+        if i == 0:
+            vertex, n, j = STAR, -1, 0
+        else:
+            # floor n >= 1 holds rows 2**(n - 1) + 1 .. 2**n, floor 0 row 1
+            n = (i - 1).bit_length()
+            j = i - 1 - (1 << n >> 1)
+            vertex = (n, 2 * j + 1)
+        phi, mass = self._floors[n + 1]
+        return vertex, phi[j], mass[j]
+
+    def __iter__(self) -> Iterator[tuple[Vertex, Fraction, Fraction]]:
+        vertices = chain([STAR], *map(_odd_vertices, range(len(self._floors) - 1)))
+        phis = chain.from_iterable(phi for phi, _ in self._floors)
+        return zip(vertices, phis, chain.from_iterable(mass for _, mass in self._floors))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _Rows)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def position(self, vertex: Vertex) -> int:
+        """The index of a vertex's row, found without a scan."""
+        if vertex == STAR:
+            return 0
+        _check_tree_vertex(vertex)
+        n, k = vertex
+        i = 1 + (1 << n >> 1) + (k >> 1)
+        if i >= len(self):
+            raise ValueError(f"{vertex} lies below the rows")
+        return i
 
 
 def _odd_vertices(n: int) -> Iterator[Vertex]:
     return zip(repeat(n), range(1, 2**n + 1, 2))
 
 
-def _shared(column: list):
+class _Same:
+    """A column that repeats one object, kept as that object and a length:
+    the kernels read the object without a scan, and a slice is another
+    ``_Same``."""
+
+    __slots__ = ("one", "size")
+
+    def __init__(self, one, size: int):
+        self.one, self.size = one, size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator:
+        return repeat(self.one, self.size)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Same(self.one, len(range(self.size)[i]))
+        range(self.size)[i]  # an IndexError out of range
+        return self.one
+
+
+def _column(values: list):
+    """The list, or a ``_Same`` when it repeats one object."""
+    one = _shared(values)
+    return values if one is _MIXED else _Same(one, len(values))
+
+
+def _shared(column):
     """The one object a column repeats, found by identity and never by
-    value, or ``_MIXED`` (for an empty column too)."""
+    value, or ``_MIXED`` (for an empty column too); a ``_Same`` column is
+    not scanned."""
+    if type(column) is _Same:
+        return column.one
     if not column:
         return _MIXED
     first = column[0]
     return first if all(map(is_, column, repeat(first))) else _MIXED
 
 
-def _pairs(values: list[Fraction]) -> list[tuple[int, int]]:
+def _pairs(values) -> list[tuple[int, int]] | _Same:
     """The weights as (numerator, denominator) pairs; a column of one
-    repeated weight converts it once and repeats the pair."""
+    repeated weight converts it once, into a ``_Same``."""
     one = _shared(values)
     if one is not _MIXED:
-        return [one.as_integer_ratio()] * len(values)
+        return _Same(one.as_integer_ratio(), len(values))
     # as_integer_ratio reads both slots in one call, where the numerator and
     # denominator properties are a Python call each
     return list(map(Fraction.as_integer_ratio, values))
 
 
-def _each(fn: Callable, *columns: list) -> list:
+def _each(fn: Callable, *columns) -> list | _Same:
     """fn over the zipped columns, called once per distinct operand tuple.
 
     A column that repeats one object is passed as that object and leaves the
-    key, so a floor whose columns all do calls fn once and repeats the
-    result.  Over the other columns, equal operand tuples share one result;
-    the table lives for this call only, and a single such column is its own
-    key.  When the lead one of them repeats no value, no tuple repeats
-    either, and fn is mapped straight over the columns without a table."""
+    key, so a floor whose columns all do calls fn once, and its result is a
+    ``_Same``.  Over the other columns, equal operand tuples share one
+    result; the table lives for this call only, and a single such column is
+    its own key.  When the lead one of them repeats no value, no tuple
+    repeats either, and fn is mapped straight over the columns without a
+    table."""
     shared = list(map(_shared, columns))
     mixed = [column for column, one in zip(columns, shared) if one is _MIXED]
     if not mixed:
-        return [fn(*shared)] * len(columns[0])
+        return _Same(fn(*shared), len(columns[0]))
     lead = mixed[0]
     if len(set(lead)) == len(lead):
         return list(map(fn, *(column if one is _MIXED else repeat(one) for column, one in zip(columns, shared))))
@@ -477,6 +564,25 @@ def _each(fn: Callable, *columns: list) -> list:
     picks = iter([distinct] if len(mixed) == 1 else zip(*distinct))  # the distinct keys, column by column
     results = map(fn, *[next(picks) if one is _MIXED else repeat(one) for one in shared])
     return list(map(dict(zip(distinct, results)).__getitem__, keys))
+
+
+def _unzip(column) -> tuple:
+    """A column of (reported mass, below) verdicts as two columns."""
+    if type(column) is _Same:
+        return tuple(_Same(item, len(column)) for item in column.one)
+    return list(map(itemgetter(0), column)), list(map(itemgetter(1), column))
+
+
+def _first_true(column) -> int | None:
+    """Position of the first True in a column of bools, or None."""
+    if type(column) is _Same:
+        return 0 if column.one else None
+    return column.index(True) if True in column else None
+
+
+def _all_zero(pairs) -> bool:
+    one = _shared(pairs)
+    return not one[0] if one is not _MIXED else not any(map(_numerator, pairs))
 
 
 def _add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -605,7 +711,7 @@ def _refuse_negative(pairs: list[tuple[int, int]], values: list[Fraction], n: in
         raise ValueError(f"negative reconstructed weight {values[negative]} at {(n, 2 * negative + parity)}")
 
 
-def _first_negative(pairs: list[tuple[int, int]]) -> int | None:
+def _first_negative(pairs) -> int | None:
     """Position of the first pair with a negative numerator, or None; a
     column of one repeated pair reads it once."""
     one = _shared(pairs)

@@ -132,16 +132,19 @@ GOLDENS = [
     _diagram("trace_table_depth16_valid.txt", 0, "trace", "check", "--spec", "table.json", "--depth", "16"),
     _diagram("trace_table_depth16_invalid.txt", 1, "trace", "check", "--spec", "table_zeroed.json", "--depth", "16"),
     # MAX_DEPTH under an entry on MAX_TABLE_FLOOR: each tail reads the entries
-    # its vertex owns (about 1.2 s today; a walk of both branches of every
-    # vertex down to floor 40 took 46-50 s)
+    # its vertex owns (about 0.5 s today; a walk of both branches of every
+    # vertex down to floor 40 took 46-50 s), and the rows are a view over one
+    # phi and one mass column per floor, each floor of one repeated weight kept
+    # as that weight (about 26 MB today; a tuple of 524289 rows took 134 MB)
     _diagram("trace_table_floor40_depth20.txt", 0, "trace", "check", "--spec", "deepest_entry.json", "--depth", "20",
-             cpu_s=4),
+             peak_mb=64, cpu_s=4),
     # written by Python 3.11, whose sum adds floats left to right (see
     # test_sum_adds_floats_left_to_right in test_core.py); 10**7 is MAX_ZETA_QMAX
     _diagram("zeta_s3_qmax1000000.txt", 0, "zeta", "--s", "3", "--qmax", "1000000"),
-    # the series keeps phi(q) for q <= qmax / 2 only and sums the rest in
-    # blocks (about 200 MB today; all qmax + 1 totients took 350 MB)
-    _diagram("zeta_s3_qmax10000000.txt", 0, "zeta", "--s", "3", "--qmax", "10000000", peak_mb=256),
+    # the series keeps phi(q) for odd q <= qmax / 2 only and sums every q in
+    # blocks (about 157 MB today; phi(0..qmax / 2) took 201 MB, all qmax + 1
+    # totients 350 MB)
+    _diagram("zeta_s3_qmax10000000.txt", 0, "zeta", "--s", "3", "--qmax", "10000000", peak_mb=192),
     # written before the K0 kernels ran on slices of flat tuples: the unit
     # decomposition at every level MAX_UNIT_LEVEL allows, a lift to
     # MAX_LIFT_LEVEL, a sum across levels and the generating function

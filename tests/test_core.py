@@ -398,27 +398,47 @@ def test_totient_sieve_matches_prime_sieve_oracle():
         {2**k + d for k in range(19) for d in (-1, 0, 1)}
         | {2 * (2**16 + 1) + d for d in (-1, 0, 1)}
         | {3 * 2**16 + d for d in (-1, 0, 1)}
+        | {2 * (core._BLOCK + 1) + d for d in (-1, 0, 1)}
+        | {3 * core._BLOCK + d for d in (-1, 0, 1)}
     ),
 )
 def test_totient_sieve_matches_prime_sieve_oracle_at_block_edges(n):
-    # phi(q) for q <= n / 2 is built in blocks that double up to 2**16 wide
+    # phi(q) for q <= n / 2 is built in blocks that double up to core._BLOCK wide
     assert totient_sieve(n) == tree_reference.totient_sieve(n)
 
 
-# the seams of the zeta blocks: the blocks above qmax // 2 start at qmax // 2 + 1
-# and hold core._BLOCK q each; 155763 is odd and its half, 77881, is no block edge
+# the seams of the zeta blocks: up to qmax // 2 the blocks double up to
+# core._BLOCK wide and the last one ends at qmax // 2 + 1, and above it they
+# hold core._BLOCK q each; 155763 is odd and its half, 77881, is no block edge.
+# Up to the half, 6, 7 and 9 end on a short block, 4 * _B - 1 on a full
+# doubled one, 6 * _B - 1 and 8 * _B - 1 on a full _BLOCK one, and 4 * _B,
+# 4 * _B + 1, 6 * _B + 1 and 8 * _B + 3 on one or two q past a full one
 _B = core._BLOCK
-ZETA_SEAMS = [3, 2 * _B - 1, 2 * _B, 2 * _B + 1, 4 * _B + 3, 155763]
+ZETA_SEAMS = [3, 6, 7, 9, 2 * _B - 1, 2 * _B, 2 * _B + 1, 4 * _B - 1, 4 * _B, 4 * _B + 1, 4 * _B + 3,
+              6 * _B - 1, 6 * _B + 1, 8 * _B - 1, 8 * _B + 3, 155763]
 
 
 @pytest.mark.parametrize("qmax", [0, 1, 2, 4, 5, *ZETA_SEAMS])
 def test_totient_blocks_join_to_the_sieve(qmax):
-    blocks = list(core._totient_blocks(qmax))
+    gen = core._totient_blocks(qmax)
+    blocks, kept = [], []
+    for block in gen:
+        blocks.append(block)
+        kept.append(list(gen.gi_frame.f_locals["odd"]))
     joined = [phi for block in blocks for phi in block]
     assert joined == totient_sieve(qmax) == tree_reference.totient_sieve(qmax)
-    # phi(0..qmax // 2) is the one list kept (phi(0..qmax) when that is phi(0..1)),
-    # and the blocks above it are short
-    assert len(blocks[0]) == (qmax // 2 if qmax >= 2 else qmax) + 1
+    # phi(2j + 1) for 2j + 1 <= qmax // 2 is the one list kept (phi(1) when
+    # that is none): after each block, phi of the odd q below its end up to
+    # the half.  phi(0..1) comes first, and the blocks after it are short
+    # and, up to the half, at most as wide as the q below them
+    phi, half = tree_reference.totient_sieve(max(qmax, 1)), max(qmax // 2, 1)
+    hi = 0
+    for block, odd in zip(blocks, kept):
+        lo, hi = hi, hi + len(block)
+        assert odd == phi[1 : max(min(hi, half + 1), 2) : 2], (lo, hi)
+        if 2 <= lo <= half:
+            assert hi <= min(2 * lo, half + 1)
+    assert blocks[0] == [0, 1][: qmax + 1]
     assert all(0 < len(block) <= _B for block in blocks[1:])
 
 
@@ -455,15 +475,16 @@ def zeta_series(s: float, terms: int) -> float:
 
 
 def test_partition_function_keeps_only_the_lower_totients():
-    # phi(q) for q <= 5 * 10**5 as a list of ints, the prime factor array and
-    # one block; all 10**6 + 1 totients took 32.9 MB
+    # phi(q) for odd q <= 5 * 10**5 as a list of ints, the 16-bit prime factor
+    # array and a block or two: about 12.6 MB; phi(0..5 * 10**5) took 21.5 MB,
+    # all 10**6 + 1 totients 32.9 MB
     tracemalloc.start()
     try:
         partition_function(3, 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 << 20
+    assert peak < 16 << 20
 
 
 def test_partition_function_single_term():

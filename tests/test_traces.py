@@ -1,7 +1,8 @@
 """Memoryless-tree moves, branch sets, and the trace condition."""
 
+import json
 import tracemalloc
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tree_reference
+from goldens import TRACE_SPECS
 from fareybratteli import core, traces
 from fareybratteli.core import cf_decode, cf_encode, height, label, totient_sieve
 from fareybratteli.traces import (
@@ -326,6 +328,52 @@ def test_alpha_keeps_one_list_per_floor():
         tracemalloc.stop()
     assert len(alpha) == 1 + sum(2**n + 1 for n in range(17))
     assert kept < 4 << 20
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(ONE_PASS_CANDIDATES)), depth=st.integers(1, 10))
+def test_rows_are_a_read_only_view_equal_to_the_reference_tuple(name, depth):
+    candidate = ONE_PASS_CANDIDATES[name]
+    try:
+        want = tree_reference.check_trace(candidate, depth).rows
+    except ValueError:
+        return
+    rows = check_trace(candidate, depth).rows
+    assert type(want) is tuple and isinstance(rows, Sequence) and not isinstance(rows, tuple)
+    assert not hasattr(rows, "__setitem__")
+    assert rows == want and want == rows and not rows != want and not want != rows
+    assert rows == check_trace(candidate, depth).rows and rows != want[:-1] and rows != list(want)
+    assert hash(rows) == hash(want) and len(rows) == len(want) == 2 ** (depth - 1) + 1
+    assert list(rows) == list(want) and list(reversed(rows)) == list(reversed(want))
+    assert [rows[i] for i in range(len(want))] == [rows[i - len(want)] for i in range(len(want))] == list(want)
+    assert [rows.position(v) for v, _, _ in want] == list(range(len(want)))
+    assert all(type(value) is F and type(mass) is F for _, value, mass in rows)
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            rows[i]
+
+
+def test_rows_refuse_vertices_without_a_row():
+    rows = check_trace(geometric_candidate(F(1, 4)), 4).rows
+    assert rows.position((3, 7)) == len(rows) - 1
+    for v in ((4, 1), (3, 2), (-1, 1), (0, 0)):
+        with pytest.raises(ValueError):
+            rows.position(v)
+
+
+@pytest.mark.parametrize("spec", [{"kind": "geometric", "ratio": "1/4"}, TRACE_SPECS["table.json"]])
+def test_check_trace_keeps_columns_not_rows(spec):
+    # a floor of one repeated weight keeps that weight and its length; tuples
+    # of (vertex, phi, mass) rows peaked at 7.1 MB
+    candidate = candidate_from_json(json.dumps(spec))
+    tracemalloc.start()
+    try:
+        report = check_trace(candidate, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid and len(report.rows) == 2**15 + 1
+    assert peak < 4 << 20
 
 
 def test_negative_weights_are_reported_with_their_vertex():
