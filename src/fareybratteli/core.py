@@ -94,7 +94,7 @@ MAX_ROW_FLOOR = 20
 # the zeta series keeps a list of the qmax / 4 totients of odd q <= qmax / 2
 # and a 16-bit array of qmax / 2 smallest odd prime factors, linear in qmax.
 # Measured on one x86-64 core with Python 3.11 (CPU of the call, peak RSS of
-# a fresh process), partition_function(3, qmax) takes about 0.2 s at 33 MB
+# a fresh process), partition_function(3, qmax) takes about 0.2 s at 31 MB
 # for 10**6 and 2.1 s at 131 MB for 10**7 (phi(0..qmax / 2) and 32-bit
 # factors took 41 and 201 MB, all qmax + 1 totients 52 and 350 MB).
 MAX_ZETA_QMAX = 10**7
