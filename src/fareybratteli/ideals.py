@@ -11,16 +11,20 @@ quotient diagram for a given target value theta:
   (plain), the column plus its right neighbour (plus), or the column plus
   its left neighbour (minus).
 
-The ideal side is the floorwise complement, built from slices of one list
-of the ints 0..2**depth, so equal indices on different floors share one
-int.  Ideal sides of a diagram are characterised by two finite checks:
-every child of a retained vertex is retained (hereditary), and a vertex all
-of whose children are retained is itself retained (directed).  Both checks
-walk only the gaps of each floor, found by bisection in the sorted retained
-indices: an omitted vertex may have no retained parent, and may not have
-all of its children retained.  Quotient sides are characterised by the
-admissibility automaton: singletons double, pairs move to one of the two
-shifted pairs or collapse onto their middle child.
+The ideal side is the floorwise complement, held on each floor as its runs
+(``_Runs``): a quotient floor has one or two indices, so the ideal floor
+beside it is at most three ranges at any depth.  Ideal sides of a diagram
+are characterised by two finite checks: every child of a retained vertex is
+retained (hereditary), and a vertex all of whose children are retained is
+itself retained (directed).  Both take the gaps of each floor as ranges:
+the parents of a gap range(a, b) of floor n+1 are range(a // 2, b // 2 + 1)
+of floor n, none of which may be retained, and every vertex of floor n
+outside those parent ranges has all its children retained, so it must be
+retained.  Each range is counted by bisection in the floor, so time and
+memory follow what a level set stores, never the 2**n + 1 vertices of a
+floor.  Quotient sides are characterised by the admissibility automaton:
+singletons double, pairs move to one of the two shifted pairs or collapse
+onto their middle child.
 
 The JSON export and ``LevelSet.labels`` take each label from the floor
 above, on int pairs: an even index copies its parent, an odd index between
@@ -45,12 +49,12 @@ iterator and memoises them: a stream is not safe to share between threads
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
-from operator import lt
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate, chain, islice
+from operator import index, lt, sub
 
 from .core import json_object, label, mediant, row_ints
 
@@ -79,7 +83,9 @@ __all__ = [
 ]
 
 MAX_QUOTIENT_DEPTH = 60
-MAX_COMPLEMENT_DEPTH = 20  # explicit complements hold sum(2**n + 1) indices
+# an ideal side is a few runs per floor at any depth, but its labels, exports
+# and set operations visit each of the 2**n + 1 indices of a floor
+MAX_COMPLEMENT_DEPTH = 20
 
 
 def children(n: int, k: int) -> tuple[int, ...]:
@@ -191,18 +197,68 @@ class IdealSpec:
             raise ValueError("no minus ideal at theta = 0")
 
 
+class _Runs(Sequence):
+    """A sorted floor held as its maximal runs: ``ends`` is a0, b0, a1, b1,
+    ... for the runs range(a0, b0), range(a1, b1), ..., with a gap between
+    each two.  An index or a membership is found by bisection on the runs,
+    never by a scan.  It equals, and hashes as, the tuple of its indices, and
+    a tuple plus it is that tuple's concatenation."""
+
+    __slots__ = ("ends", "_at")
+
+    def __init__(self, ends: tuple[int, ...]):
+        self.ends = ends
+        # the position of each run's first index, then the length
+        self._at = tuple(accumulate(map(sub, ends[1::2], ends[::2]), initial=0))
+
+    def __len__(self) -> int:
+        return self._at[-1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        size, i = len(self), index(i)
+        if not -size <= i < size:
+            raise IndexError("floor index out of range")
+        i %= size
+        run = bisect_right(self._at, i) - 1
+        return self.ends[2 * run] + i - self._at[run]
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(map(range, self.ends[::2], self.ends[1::2]))
+
+    def __contains__(self, k) -> bool:
+        return bisect_right(self.ends, k) % 2 == 1
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Runs):
+            return self.ends == other.ends
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __radd__(self, other):
+        return other + tuple(self) if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"_Runs({self.ends})"
+
+
 @dataclass(frozen=True)
 class LevelSet:
-    """Retained index sets of a subdiagram, one sorted tuple per floor 0..depth."""
+    """Retained index sets of a subdiagram, one sorted tuple (or ``_Runs``)
+    per floor 0..depth."""
 
     depth: int
-    retained: tuple[tuple[int, ...], ...]
+    retained: tuple[Sequence[int], ...]
 
     def __post_init__(self) -> None:
         if self.depth < 0 or len(self.retained) != self.depth + 1:
             raise ValueError("retained must list floors 0..depth")
         for n, idx in enumerate(self.retained):
-            if not all(map(lt, idx, islice(idx, 1, None))):
+            ends = idx.ends if isinstance(idx, _Runs) else idx
+            if not all(map(lt, ends, islice(ends, 1, None))):
                 raise ValueError(f"floor {n} indices must be sorted and unique")
             if idx and not (0 <= idx[0] and idx[-1] <= 2**n):
                 raise ValueError(f"floor {n} index out of range")
@@ -294,18 +350,19 @@ def quotient_levels(spec: IdealSpec, depth: int) -> LevelSet:
 
 
 def complement(ls: LevelSet) -> LevelSet:
-    """Floorwise complement inside {0..2**n}, as the runs between consecutive
-    retained indices.  Every floor's tuple is built from slices of one list
-    of the ints 0..2**depth, so an index on several floors is one int object,
-    not one per floor."""
+    """Floorwise complement inside {0..2**n}, each floor held as its runs
+    (``_Runs``): the gaps between consecutive retained indices.  A floor
+    with r retained indices becomes at most r + 1 ranges."""
     if ls.depth > MAX_COMPLEMENT_DEPTH:
         raise ValueError(f"complement materialisation guarded at depth {MAX_COMPLEMENT_DEPTH}")
-    ints = list(range(2**ls.depth + 1))
-    out = []
-    for n, idx in enumerate(ls.retained):
-        starts, stops = (0, *(k + 1 for k in idx)), (*idx, 2**n + 1)
-        out.append(tuple(chain.from_iterable(ints[a:b] for a, b in zip(starts, stops))))
-    return LevelSet(ls.depth, tuple(out))
+    return LevelSet(ls.depth, tuple(_gaps(idx, 2**n) for n, idx in enumerate(ls.retained)))
+
+
+def _gaps(idx: Sequence[int], top: int) -> _Runs:
+    """The indices of 0..top missing from the sorted floor idx, as runs."""
+    ends = idx.ends if isinstance(idx, _Runs) else [e for k in idx for e in (k, k + 1)]
+    pairs = zip((0, *ends[1::2]), (*ends[::2], top + 1))
+    return _Runs(tuple(e for a, b in pairs if a < b for e in (a, b)))
 
 
 def ideal_levels(spec: IdealSpec, depth: int) -> LevelSet:
@@ -320,16 +377,10 @@ def ideal_levels(spec: IdealSpec, depth: int) -> LevelSet:
 def is_hereditary(ls: LevelSet) -> bool:
     """Every child (within depth) of a retained vertex is retained.
 
-    Checked from below, on the gaps only: an omitted index j of floor n+1
-    must have no retained parent, where the parents are j // 2 and, for odd
-    j, also (j + 1) // 2.
+    Checked from below, on the gaps: no parent of a vertex omitted from
+    floor n+1 may be retained on floor n.
     """
-    for n in range(ls.depth):
-        kept, below = ls.retained[n], ls.retained[n + 1]
-        for j in _omitted(below, 0, len(below), 0, 2 ** (n + 1) + 1):
-            if _has(kept, j >> 1) or (j & 1 and _has(kept, (j + 1) >> 1)):
-                return False
-    return True
+    return not any(_count(ls.retained[n], run) for n in range(ls.depth) for run in _parents_of_gaps(ls, n))
 
 
 def is_directed(ls: LevelSet) -> bool:
@@ -337,34 +388,29 @@ def is_directed(ls: LevelSet) -> bool:
 
     This is the saturation half of the ideal characterisation: together with
     hereditarity it makes the retained set the diagram of an ideal.  Checked
-    on every floor strictly below the horizon.
+    on every floor strictly below the horizon: a vertex of floor n outside
+    the parents of the gaps of floor n+1 has all its children retained, and
+    must be retained itself.
     """
     for n in range(ls.depth):
-        below = ls.retained[n + 1]
-        last = 2**n
-        for k in _omitted(ls.retained[n], 0, len(ls.retained[n]), 0, last + 1):
-            # children 2k-1, 2k, 2k+1, clipped to the floor 0..2**(n+1)
-            if _has(below, 2 * k) and (k == 0 or _has(below, 2 * k - 1)) and (k == last or _has(below, 2 * k + 1)):
-                return False
+        runs = _parents_of_gaps(ls, n)
+        between = map(range, (0, *(run.stop for run in runs)), (*(run.start for run in runs), 2**n + 1))
+        if any(_count(ls.retained[n], run) < len(run) for run in between):
+            return False
     return True
 
 
-def _omitted(kept: tuple[int, ...], lo: int, hi: int, start: int, stop: int) -> list[int]:
-    """The values of range(start, stop) missing from the sorted kept[lo:hi],
-    which lies inside that range.  A slice as long as its range misses
-    nothing, so only the gaps are visited: O(gaps * log(len(kept)))."""
-    if hi - lo == stop - start:
-        return []
-    if lo == hi:
-        return list(range(start, stop))
-    mid = (lo + hi) // 2
-    pivot = kept[mid]
-    return _omitted(kept, lo, mid, start, pivot) + _omitted(kept, mid + 1, hi, pivot + 1, stop)
+def _parents_of_gaps(ls: LevelSet, n: int) -> list[range]:
+    """The vertices of floor n with a child omitted from floor n+1, one range
+    per gap: the parents of range(a, b) are range(a // 2, b // 2 + 1)."""
+    ends = _gaps(ls.retained[n + 1], 2 ** (n + 1)).ends
+    return [range(a >> 1, (b >> 1) + 1) for a, b in zip(ends[::2], ends[1::2])]
 
 
-def _has(kept: tuple[int, ...], k: int) -> bool:
-    i = bisect_left(kept, k)
-    return i < len(kept) and kept[i] == k
+def _count(kept: Sequence[int], run: range) -> int:
+    """How many indices of the sorted floor kept lie in run (0 if it is empty)."""
+    lo = bisect_left(kept, run.start)
+    return bisect_left(kept, run.stop, lo) - lo
 
 
 # ---------------------------------------------------------------------------

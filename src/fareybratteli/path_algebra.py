@@ -33,9 +33,10 @@ which lifts to what it meets.  A scalar (c, i, j) is c sqrt(lam)^i /
 matrix units sum to ("1", r).  A suite call builds each node once per model
 (``_value``), so E_n E_n+1, read by five equations, is multiplied once.
 A template is a row at translating index <= 2 whose letters
-``_GENERATORS`` defines: each law is stated over n in 0..2 (6.1, named by
-its lowest letter, over 0..3; 6.13/6.14 over 1..2, the paper's bound), and
-``_templates`` keeps the templates, once per process on first use.  A
+``_GENERATORS`` defines: each law is stated over the n in 0..2 at which its
+letters are generators (6.1, named by its lowest letter, over the n that
+name it 0..2; 6.13/6.14 over 1..2, the paper's bound), and ``_templates``
+builds those rows only, once per process on first use.  A
 row's top is the lowest floor whose table holds it, and its order places
 it in the suite at every floor; the floor-N table is the floor-(N-1) one
 merged with the rows of top N (``_rows_at``): the templates there, the
@@ -878,6 +879,11 @@ def _word(text: str, n: int) -> tuple:
     return _mul(*(_letter(kind, n + d, star) for kind, d, star in _letters(text)))
 
 
+def _least(*texts: str) -> int:
+    """The least n at which every letter of the words ``texts`` is a generator."""
+    return max(_KINDS[kind][1] - d for text in texts for kind, d, _ in _letters(text))
+
+
 def _support_law(text: str, n: int) -> tuple:
     """``(1-x_n)y_n`` or ``y_n(1-x_n)`` as y - xy or y - yx."""
     if text.startswith("(1-"):
@@ -983,29 +989,33 @@ def _diag_order(letter: tuple) -> tuple:
 
 def _relation_templates(add: Callable) -> None:
     # (R1): self-adjoint idempotents summing to 1, mutually commuting
-    for kind, n in product("efg", range(3)):
+    for kind, n in _generator_keys(2, "efg"):
         add((0, *_diag_order((kind, n))), "R1", {"kind": kind, "n": n}, "projection", _letter(kind, n))
     for n in range(3):
         total = _lin(*((ONE, _letter(k, n)) for k in "fge" if n >= _KINDS[k][1]))
         add((1, 0, n, 0), "R1", {"sum_at": n}, "equality", total, _IDENTITY)
     for (i, family), n, (j, law) in product(enumerate("vw"), range(3), enumerate(_R2)):
-        if family + "_n" in law:
+        if family + "_n" in law and n >= _least(family + "_n"):
             add((3, i, n, j), "R2", {"family": family, "n": n, "law": law}, "vanishes", _support_law(law, n))
     for block, equation, laws in ((4, "R3", _R3), (5, "R4", _R4)):
         for (i, family), n, (j, (law, left, right)) in product(enumerate("vw"), range(3), enumerate(laws)):
-            if left.startswith(family):
+            if left.startswith(family) and n >= _least(left, right):
                 add((block, i, n, j), equation, {"family": family, "n": n, "law": law}, "equality",
                     _word(left, n), _word(right, n))
     # 6.1 names its rows by their lowest letter, n - 1 for some laws
     for n, (j, law) in product(range(4), enumerate(_VANISHING)):
         low = n + min(d for _, d, _ in _letters(law))
-        add((6, 0, n, j), "6.1", {"law": law, "n": low}, "vanishes", _word(law, n))
+        if low <= 2 and n >= _least(law):
+            add((6, 0, n, j), "6.1", {"law": law, "n": low}, "vanishes", _word(law, n))
     for n, (i, k1), (j, k2) in product(range(3), enumerate(_FACTORS), enumerate(_FACTORS)):
         name = f"{k1}_n {k2}_n+1"
         kind = "nonzero" if name in _WHITELIST else "vanishes"
-        add((7, 0, n, 4 * i + j), "whitelist", {"product": name, "n": n}, kind, _word(name, n))
+        if n >= _least(name):
+            add((7, 0, n, 4 * i + j), "whitelist", {"product": name, "n": n}, kind, _word(name, n))
     # braid triples (both sides vanish) and the 6.3 list
     for (i, kind), n in product(enumerate("vw"), range(3)):
+        if n < _least(kind + "_n"):
+            continue
         low, high = _word(f"{kind}_n {kind}_n+1 {kind}_n", n), _word(f"{kind}_n+1 {kind}_n {kind}_n+1", n)
         add((9, i, n, 0), "braid", {"family": kind, "n": n}, "equality", low, high)
         add((9, i, n, 1), "6.3", {"family": kind, "law": "x_n x_n+1 x_n", "n": n}, "vanishes", low)
@@ -1028,16 +1038,18 @@ def _yang_baxter_templates(add: Callable) -> None:
 
 
 def _braiding_templates(add: Callable) -> None:
-    for kind, n in product("EF", range(3)):
+    for kind, n in _generator_keys(3, "EF"):
         add((0, kind == "F", n, 0), "6.5" if kind == "E" else "6.6", {"kind": kind, "n": n, "law": "projection"},
             "projection", _letter(kind, n))
     # 6.7: E_n and F_n are orthogonal
-    for n, (j, word) in product(range(3), enumerate(("E_n F_n", "F_n E_n"))):
+    for n, (j, word) in product(range(1, 3), enumerate(("E_n F_n", "F_n E_n"))):  # F_0 is no generator
         add((1, 0, n, j), "6.7", {"n": n, "law": word.replace("_n", "")}, "vanishes", _word(word, n))
     # 6.9 - 6.12: triple products with exact right-hand sides
     for (i, group), n in product(enumerate(_TRIPLES), range(3)):
         for j, (equation, law, scalar, word) in enumerate(group):
-            add((3, i, n, j), equation, {"n": n, "law": law}, "equality", _word(law, n), _lin((scalar, _word(word, n))))
+            if n >= _least(law, word):
+                add((3, i, n, j), equation, {"n": n, "law": law}, "equality", _word(law, n),
+                    _lin((scalar, _word(word, n))))
     # 6.13 / 6.14: vanishing mixed products.  n >= 1 is the paper's bound on
     # the family, not one on its letters: E_n+1 E_n F_n+1 has them all at n = 0
     for n, (i, (equation, laws)) in product(range(1, 3), enumerate(_MIXED)):
@@ -1063,18 +1075,16 @@ def _templates(suite: str) -> tuple[tuple[_Row, ...], tuple[_Row, ...]]:
     """A suite's templates, and those at index 2, whose translates are its
     rows at index 3 or more.  A template is a row whose translating index is
     at most 2 and whose letters ``_GENERATORS`` defines: the builders state
-    each law over n in 0..2, and ``add`` keeps the rows that are templates.
-    A row's top is the highest home floor of its letters unless given."""
+    each law over the n in 0..2 at which its letters are generators
+    (``_least``), so no other row or word is built.  A row's top is the
+    highest home floor of its letters unless given."""
     rows, expanding = [], []
 
     def add(order, equation, indices, kind, *operands, top=None):
         row = _Row(equation, indices, kind, operands, order=order)
-        index = next(indices[key] for key in _INDEX if key in indices)
-        if index > 2 or any(n < _KINDS[k][1] for k, n in row.reads):
-            return
         row.top = max(n + _KINDS[k][2] for k, n in row.reads) if top is None else top
         rows.append(row)
-        if index == 2:
+        if next(indices[key] for key in _INDEX if key in indices) == 2:
             expanding.append(row)
 
     _TEMPLATES[suite](add)

@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import time
+import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -229,13 +232,107 @@ def test_complement_equals_the_set_difference(data):
     assert out.retained == tuple(tuple(sorted(set(range(2**n + 1)) - set(idx))) for n, idx in enumerate(floors))
 
 
-def test_complement_shares_one_int_per_index_value():
-    ideal = complement(quotient_levels(IdealSpec(F(1, 3)), 10))
-    on_10 = {k: k for k in ideal.retained[10]}
-    shared = [k for k in ideal.retained[9] if k in on_10]
-    # the ints up to 256 are shared by the interpreter anyway; the rest only by complement
-    assert sum(k > 256 for k in shared) > 200
-    assert all(on_10[k] is k for k in shared)
+def test_ideal_side_keeps_a_few_runs_per_floor():
+    spec = IdealSpec(stream(1, 2, 2, 1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        side = ideal_levels(spec, 18)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 64 * 1024, f"ideal_levels at depth 18 keeps {kept} bytes"
+    assert sum(map(len, side.retained)) == sum(2**n - 1 for n in range(19))
+
+
+def _floors(data, depth):
+    return tuple(tuple(sorted(data.draw(st.sets(st.integers(0, 2**n))))) for n in range(depth + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_runs_floor_behaves_as_the_tuple_of_its_indices(data):
+    n = data.draw(st.integers(0, 8))
+    idx = tuple(sorted(data.draw(st.sets(st.integers(0, 2**n)))))
+    floor = complement(LevelSet(n, ((),) * n + (idx,))).retained[n]
+    expected = tuple(sorted(set(range(2**n + 1)) - set(idx)))
+    assert isinstance(floor, ideals._Runs) and len(floor.ends) <= 2 * (len(idx) + 1)
+    assert floor == expected and expected == floor and not floor != expected
+    assert hash(floor) == hash(expected) and len(floor) == len(expected) and list(floor) == list(expected)
+    size = len(expected)
+    for i in range(-size - 2, size + 2):
+        if -size <= i < size:
+            assert floor[i] == expected[i]
+        else:
+            with pytest.raises(IndexError):
+                floor[i]
+    start, stop = data.draw(st.integers(-size - 2, size + 2)), data.draw(st.integers(-size - 2, size + 2))
+    step = data.draw(st.sampled_from([None, 1, 2, -1, -3]))
+    assert floor[start:stop:step] == expected[start:stop:step]
+    for k in range(-1, 2**n + 2):
+        assert bisect_left(floor, k) == bisect_left(expected, k)
+        assert (k in floor) == (k in expected)
+    assert idx + floor == idx + expected
+
+
+def _hereditary_per_index(ls):
+    return all(c in ls.retained[n + 1] for n in range(ls.depth) for k in ls.retained[n] for c in children(n, k))
+
+
+def _directed_per_index(ls):
+    return not any(
+        k not in ls.retained[n] and all(c in ls.retained[n + 1] for c in children(n, k))
+        for n in range(ls.depth)
+        for k in range(2**n + 1)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_hereditary_and_directed_match_the_per_index_oracle(data):
+    depth = data.draw(st.integers(0, 8))
+    if data.draw(st.booleans()):  # a generic level set
+        ls = LevelSet(depth, _floors(data, depth))
+    else:  # an ideal side or its quotient, perhaps with one index toggled
+        spec = IdealSpec(data.draw(st.fractions(0, 1, max_denominator=40)))
+        ls = data.draw(st.sampled_from([quotient_levels, ideal_levels]))(spec, depth)
+        if data.draw(st.booleans()):
+            n = data.draw(st.integers(0, depth))
+            floors = [tuple(floor) for floor in ls.retained]
+            floors[n] = tuple(sorted(set(floors[n]) ^ {data.draw(st.integers(0, 2**n))}))
+            ls = LevelSet(depth, tuple(floors))
+    as_runs = complement(complement(ls))
+    assert as_runs == ls and all(isinstance(floor, ideals._Runs) for floor in as_runs.retained)
+    hereditary, directed = _hereditary_per_index(ls), _directed_per_index(ls)
+    assert is_hereditary(ls) == is_hereditary(as_runs) == hereditary
+    assert is_directed(ls) == is_directed(as_runs) == directed
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [IdealSpec(F(1, 3)), IdealSpec(F(1, 3), "plus"), IdealSpec(F(1, 3), "minus"), IdealSpec(stream(1, 2, 2, 1))],
+    ids=["plain", "plus", "minus", "stream"],
+)
+def test_both_checks_decide_a_depth_60_quotient_side_on_its_gaps(spec):
+    quotient = quotient_levels(spec, 60)
+    start = time.perf_counter()
+    verdicts = is_hereditary(quotient), is_directed(quotient)
+    assert time.perf_counter() - start < 1.0
+    assert verdicts == (False, True)
+
+
+def test_an_ideal_side_exports_as_its_floors_built_as_tuples():
+    for spec in (IdealSpec(F(1, 3), "plus"), IdealSpec(F(2, 5)), IdealSpec(stream(2, 1, 3))):
+        side = ideal_levels(spec, 9)
+        as_tuples = LevelSet(9, tuple(tuple(floor) for floor in side.retained))
+        assert levelset_to_json(side) == levelset_to_json(as_tuples)
+        assert side.labels() == as_tuples.labels()
+
+
+@pytest.mark.parametrize("ends", [(0, 2, 2, 4), (3, 1), (1, 1), (0, 1, 0, 2), (2, 6), (-1, 2)])
+def test_runs_that_are_not_maximal_or_leave_the_floor_are_refused(ends):
+    with pytest.raises(ValueError, match="floor 2 ind"):
+        LevelSet(2, ((0,), (1,), ideals._Runs(ends)))
 
 
 @pytest.mark.parametrize("floor", [(1, 0), (0, 0), (0, 2, 1), (1, 1, 2), (2, 2)])

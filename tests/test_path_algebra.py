@@ -1482,6 +1482,29 @@ def fresh_tables(patch):
         patch.setattr(path_algebra, name, lru_cache(maxsize=None)(getattr(path_algebra, name).__wrapped__))
 
 
+def test_template_builders_build_only_the_rows_they_keep(monkeypatch):
+    built = []
+
+    class Counted(path_algebra._Row):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(path_algebra, "_Row", Counted)
+    kept = {}
+    for suite in ("base", "yb", "braiding"):
+        built.clear()
+        rows, _ = path_algebra._templates.__wrapped__(suite)
+        assert built == list(rows)
+        for row in rows:
+            index = next(row.indices[key] for key in path_algebra._INDEX if key in row.indices)
+            assert index <= 2 and all(n >= path_algebra._KINDS[kind][1] for kind, n in row.reads), row.indices
+        kept[suite] = len(rows)
+    assert kept == {"base": 167, "yb": 27, "braiding": 63}
+
+
 def test_linked_and_commutation_rows_build_their_operands_only_when_decided_on_them(monkeypatch):
     fresh_tables(monkeypatch)
     floor, lam = 6, F(1, 4)
