@@ -215,8 +215,8 @@ def _parse_theta(parser: argparse.ArgumentParser, text: str, depth: int):
         parser.error(f"{exc} (--theta takes p/q or cf:a1,a2,...)")
 
 
-def _cmd_ideal(parser, args) -> int:
-    theta = _parse_theta(parser, args.theta, args.depth)
+def _cmd_ideal(args) -> int:
+    theta = _parse_theta(_parser(), args.theta, args.depth)
     levels = ideals.quotient_levels(ideals.IdealSpec(theta, args.variant), args.depth)
     if args.format == "json":
         print(ideals.levelset_to_json(levels))
@@ -243,6 +243,11 @@ def _cmd_k0(args) -> int:
         failed = failed or not ok
         print(f"level {n}: unit decomposition {'pass' if ok else 'FAIL'}")
     return 1 if failed else 0
+
+
+def _cmd_gen(args) -> int:
+    print(" ".join(map(str, dimension_group.stern_brocot_generating(args.terms))))
+    return 0
 
 
 def _cmd_trace(args) -> int:
@@ -311,35 +316,27 @@ def _cmd_relations(args) -> int:
     return 0 if report.ok else 1
 
 
+def _cmd_zeta(args) -> int:
+    print(repr(core.partition_function(args.s, args.qmax)))
+    return 0
+
+
+# each command's function looks the package's functions up when it runs, so
+# that a wrapper set on a module attribute is the one called
+_COMMANDS = {
+    "row": _cmd_row, "qmark": _cmd_qmark, "ideal": _cmd_ideal, "k0": _cmd_k0, "gen": _cmd_gen,
+    "trace": _cmd_trace, "paths": _cmd_paths, "relations": _cmd_relations, "zeta": _cmd_zeta,
+}
+
+
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        if args.command == "row":
-            return _cmd_row(args)
-        if args.command == "qmark":
-            return _cmd_qmark(args)
-        if args.command == "ideal":
-            return _cmd_ideal(parser, args)
-        if args.command == "k0":
-            return _cmd_k0(args)
-        if args.command == "gen":
-            print(" ".join(map(str, dimension_group.stern_brocot_generating(args.terms))))
-            return 0
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "paths":
-            return _cmd_paths(args)
-        if args.command == "relations":
-            return _cmd_relations(args)
-        if args.command == "zeta":
-            print(repr(core.partition_function(args.s, args.qmax)))
-            return 0
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         # out-of-range floors/depths and unreadable files are usage errors
         print(str(exc), file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

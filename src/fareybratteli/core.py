@@ -143,6 +143,8 @@ def json_object(text: str, what: str) -> dict:
         payload = json.loads(text)
     except RecursionError:
         raise ValueError(f"{what} nests too deeply to read") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{what} must be a JSON object")
     return payload

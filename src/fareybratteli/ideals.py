@@ -20,9 +20,14 @@ itself retained (directed).  Both take the gaps of each floor as ranges:
 the parents of a gap range(a, b) of floor n+1 are range(a // 2, b // 2 + 1)
 of floor n, none of which may be retained, and every vertex of floor n
 outside those parent ranges has all its children retained, so it must be
-retained.  Each range is counted by bisection in the floor, so time and
-memory follow what a level set stores, never the 2**n + 1 vertices of a
-floor.  Quotient sides are characterised by the admissibility automaton:
+retained.  Every floorwise operation composes two helpers on run ends:
+``_union`` lists the runs of several floors sorted by start, overlaps
+allowed, and ``_gaps`` complements such a list.  A complement is the gaps,
+a kernel the gaps of the union of the gaps, a join the union complemented
+twice, and containment and both checks ask that one composition have no
+gap.  A tuple floor enters as one run per index, so time and memory follow
+what a level set stores, never the 2**n + 1 vertices of a floor.  Quotient
+sides are characterised by the admissibility automaton:
 singletons double, pairs move to one of the two shifted pairs or collapse
 onto their middle child.
 
@@ -49,7 +54,7 @@ iterator and memoises them: a stream is not safe to share between threads
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -83,8 +88,8 @@ __all__ = [
 ]
 
 MAX_QUOTIENT_DEPTH = 60
-# an ideal side is a few runs per floor at any depth, but its labels, exports
-# and set operations visit each of the 2**n + 1 indices of a floor
+# an ideal side is a few runs per floor at any depth, but its labels and
+# exports visit each of the 2**n + 1 indices of a floor
 MAX_COMPLEMENT_DEPTH = 20
 
 
@@ -355,14 +360,26 @@ def complement(ls: LevelSet) -> LevelSet:
     with r retained indices becomes at most r + 1 ranges."""
     if ls.depth > MAX_COMPLEMENT_DEPTH:
         raise ValueError(f"complement materialisation guarded at depth {MAX_COMPLEMENT_DEPTH}")
-    return LevelSet(ls.depth, tuple(_gaps(idx, 2**n) for n, idx in enumerate(ls.retained)))
+    return LevelSet(ls.depth, tuple(_Runs(_gaps(_ends(idx), 2**n)) for n, idx in enumerate(ls.retained)))
 
 
-def _gaps(idx: Sequence[int], top: int) -> _Runs:
-    """The indices of 0..top missing from the sorted floor idx, as runs."""
-    ends = idx.ends if isinstance(idx, _Runs) else [e for k in idx for e in (k, k + 1)]
-    pairs = zip((0, *ends[1::2]), (*ends[::2], top + 1))
-    return _Runs(tuple(e for a, b in pairs if a < b for e in (a, b)))
+def _ends(idx: Sequence[int]) -> Sequence[int]:
+    """A sorted floor's run ends: a ``_Runs`` floor's own, or one run
+    (k, k + 1) per index of a tuple."""
+    return idx.ends if isinstance(idx, _Runs) else [e for k in idx for e in (k, k + 1)]
+
+
+def _union(*runs: Sequence[int]) -> list[int]:
+    """The runs of all the given ends, sorted by start; runs may overlap or touch."""
+    return list(chain.from_iterable(sorted(chain.from_iterable(zip(ends[::2], ends[1::2]) for ends in runs))))
+
+
+def _gaps(ends: Sequence[int], top: int) -> tuple[int, ...]:
+    """The maximal runs of 0..top that no run of ends covers.  The runs are
+    sorted by start and may overlap, so a gap opens only past the running
+    maximum of the earlier stops."""
+    reach = accumulate(ends[1::2], max, initial=0)
+    return tuple(e for a, b in zip(reach, (*ends[::2], top + 1)) if a < b for e in (a, b))
 
 
 def ideal_levels(spec: IdealSpec, depth: int) -> LevelSet:
@@ -378,9 +395,10 @@ def is_hereditary(ls: LevelSet) -> bool:
     """Every child (within depth) of a retained vertex is retained.
 
     Checked from below, on the gaps: no parent of a vertex omitted from
-    floor n+1 may be retained on floor n.
+    floor n+1 may be retained on floor n, so the gaps of floor n and of
+    those parents cover floor n.
     """
-    return not any(_count(ls.retained[n], run) for n in range(ls.depth) for run in _parents_of_gaps(ls, n))
+    return not any(_gaps(_union(_gaps(kept, top), _gaps(parents, top)), top) for top, kept, parents in _parents(ls))
 
 
 def is_directed(ls: LevelSet) -> bool:
@@ -390,27 +408,19 @@ def is_directed(ls: LevelSet) -> bool:
     hereditarity it makes the retained set the diagram of an ideal.  Checked
     on every floor strictly below the horizon: a vertex of floor n outside
     the parents of the gaps of floor n+1 has all its children retained, and
-    must be retained itself.
+    must be retained itself, so floor n and those parents cover floor n.
     """
+    return not any(_gaps(_union(kept, parents), top) for top, kept, parents in _parents(ls))
+
+
+def _parents(ls: LevelSet) -> Iterator[tuple]:
+    """Per floor n below the horizon: 2**n, the floor's run ends, and the run
+    ends of its vertices with a child omitted from floor n+1, one run per
+    gap: range(a, b) has the parents range(a // 2, b // 2 + 1), and each
+    stop b sits at an odd position of the ends."""
     for n in range(ls.depth):
-        runs = _parents_of_gaps(ls, n)
-        between = map(range, (0, *(run.stop for run in runs)), (*(run.start for run in runs), 2**n + 1))
-        if any(_count(ls.retained[n], run) < len(run) for run in between):
-            return False
-    return True
-
-
-def _parents_of_gaps(ls: LevelSet, n: int) -> list[range]:
-    """The vertices of floor n with a child omitted from floor n+1, one range
-    per gap: the parents of range(a, b) are range(a // 2, b // 2 + 1)."""
-    ends = _gaps(ls.retained[n + 1], 2 ** (n + 1)).ends
-    return [range(a >> 1, (b >> 1) + 1) for a, b in zip(ends[::2], ends[1::2])]
-
-
-def _count(kept: Sequence[int], run: range) -> int:
-    """How many indices of the sorted floor kept lie in run (0 if it is empty)."""
-    lo = bisect_left(kept, run.start)
-    return bisect_left(kept, run.stop, lo) - lo
+        gaps = _gaps(_ends(ls.retained[n + 1]), 2 ** (n + 1))
+        yield 2**n, _ends(ls.retained[n]), [(e >> 1) + (i & 1) for i, e in enumerate(gaps)]
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +452,6 @@ def classify_admissible(ls: LevelSet) -> AdmissibilityReport:
         if len(idx) == 1 or (len(idx) == 2 and idx[1] == idx[0] + 1):
             continue
         return AdmissibilityReport(False, n, f"floor {n} set {idx} is not a singleton or adjacent pair")
-    if not set(ls.retained[0]) <= {0, 1}:
-        return AdmissibilityReport(False, 0, "floor 0 must retain a subset of {0, 1}")
     for n in range(ls.depth):
         cur, nxt = ls.retained[n], ls.retained[n + 1]
         a = cur[0]
@@ -498,41 +506,32 @@ def parents_of(x: Fraction) -> ParentPair:
 # lattice operations on ideal sides and finite-depth topology checks
 
 
-def _require_equal_depths(sets: Sequence[LevelSet]) -> int:
-    depths = {ls.depth for ls in sets}
-    if len(depths) != 1:
-        raise ValueError(f"level sets have mismatched depths {sorted(depths)}")
-    return depths.pop()
-
-
 def ideal_contains(a: LevelSet, b: LevelSet) -> bool:
-    """Whether ideal-side a is floorwise contained in ideal-side b."""
-    _require_equal_depths((a, b))
-    return all(set(x) <= set(y) for x, y in zip(a.retained, b.retained))
+    """Whether ideal-side a is floorwise contained in ideal-side b: b and the gaps of a cover each floor."""
+    return not any(_gaps(_union(_gaps(x, top), y), top) for top, (x, y) in _floorwise((a, b))[1])
 
 
 def kernel_intersection(sets: Sequence[LevelSet]) -> LevelSet:
-    """Floorwise intersection of ideal sides: the kernel of a family of ideals."""
-    depth = _require_equal_depths(sets)
-    out = []
-    for n in range(depth + 1):
-        common = set(sets[0].retained[n])
-        for ls in sets[1:]:
-            common &= set(ls.retained[n])
-        out.append(tuple(sorted(common)))
-    return LevelSet(depth, tuple(out))
+    """Floorwise intersection of ideal sides: the kernel of a family of
+    ideals, each floor the gaps of the union of the sides' gaps."""
+    depth, floors = _floorwise(sets)
+    return LevelSet(depth, tuple(_Runs(_gaps(_union(*(_gaps(e, top) for e in ends)), top)) for top, ends in floors))
 
 
 def ideal_join(sets: Sequence[LevelSet]) -> LevelSet:
-    """Floorwise union of ideal sides: the smallest ideal containing the family."""
-    depth = _require_equal_depths(sets)
-    out = []
-    for n in range(depth + 1):
-        union: set[int] = set()
-        for ls in sets:
-            union |= set(ls.retained[n])
-        out.append(tuple(sorted(union)))
-    return LevelSet(depth, tuple(out))
+    """Floorwise union of ideal sides: the smallest ideal containing the
+    family, each floor the sides' union made maximal by two complements."""
+    depth, floors = _floorwise(sets)
+    return LevelSet(depth, tuple(_Runs(_gaps(_gaps(_union(*ends), top), top)) for top, ends in floors))
+
+
+def _floorwise(sets: Sequence[LevelSet]) -> tuple[int, list]:
+    """The depth the level sets share and, per floor n, 2**n with the run ends of every set's floor n."""
+    depths = {ls.depth for ls in sets}
+    if len(depths) != 1:
+        raise ValueError(f"level sets have mismatched depths {sorted(depths)}")
+    floors = zip(*(ls.retained for ls in sets))
+    return depths.pop(), [(2**n, list(map(_ends, idx))) for n, idx in enumerate(floors)]
 
 
 @dataclass(frozen=True)

@@ -287,7 +287,7 @@ def table_candidate(entries: dict[Vertex, Fraction], default: Fraction = Fractio
         _check_tree_vertex(v)
     table = dict(entries)
     max_floor = max((v[0] for v in table), default=-1)
-    table[STAR] = Fraction(1)  # whatever the entries say
+    table.setdefault(STAR, Fraction(1))
 
     def phi(v: Vertex) -> Fraction:
         return table.get(v, default)

@@ -1,5 +1,6 @@
 """Command-line surface: flags, formats, and exit codes."""
 
+import argparse
 import ast
 import contextlib
 import io
@@ -87,6 +88,18 @@ def test_ideal_cf_prefix_too_short_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ideal", "--theta", "cf:1,2", "--depth", "8"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "theta, message",
+    [("cf:", "bad continued-fraction prefix 'cf:'"), ("cf:0", "continued-fraction terms must be positive")],
+)
+def test_ideal_cf_prefix_that_is_empty_or_not_positive_is_usage_error(capsys, theta, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["ideal", "--theta", theta, "--depth", "3"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err == f"farey-bratteli: error: {message}\n"
 
 
 def test_ideal_invalid_variant_combination(capsys):
@@ -280,6 +293,9 @@ def test_yang_baxter_below_floor_2_is_usage_error(capsys):
         ('{"kind": "geometric", "ratio": "1/4", "entries": []}', "unknown key 'entries'"),
         ('["geometric"]', "JSON object"),
         ("{", "Expecting"),
+        ("{", "a trace candidate is not JSON: Expecting property name"),
+        # an explicit root weight is read, and refused unless it is 1
+        ('{"kind": "table", "entries": [[-1, 0, "1/2"]], "default": "0"}', "weight exactly 1 at the root"),
         pytest.param("[" * 100000, "nests too deeply", id="nested-100000"),
     ],
 )
@@ -506,6 +522,46 @@ def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
         assert len(built) == 1
     finally:
         cli._parser.cache_clear()
+
+
+# Loads the benchmark's span tracer (bench/tracing.py) by its path, checks
+# that every traced name resolves on the package, installs the tracer and
+# runs one relations command in the same process; prints what it saw.
+_TRACED_RELATIONS = """
+import contextlib, importlib.util, io, json, sys
+import fareybratteli, fareybratteli.cli
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+missing = []
+for module, attr, _ in tracing.ENTRY_POINTS:
+    owner = getattr(fareybratteli, module)
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+    if owner is None:
+        missing.append(f"{module}.{attr}")
+if missing:
+    print(json.dumps({"missing": missing}))
+    sys.exit()
+tracer = tracing.Tracer()
+tracing.install(tracer, fareybratteli)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = fareybratteli.cli.main(["relations", "--floor", "4", "--lambda", "2"])
+print(json.dumps({"missing": missing, "code": code, "spans": sorted({span[0] for span in tracer.spans})}))
+"""
+
+
+def test_the_benchmark_tracer_finds_every_entry_point_and_spans_the_suites_of_a_cli_run():
+    code, out, err, *_ = fresh_python("-c", _TRACED_RELATIONS, str(TESTS.parent / "bench" / "tracing.py"))
+    assert code == 0, err
+    seen = json.loads(out)
+    assert seen["missing"] == [] and seen["code"] == 0
+    assert {"cli.main", "path_algebra.base", "path_algebra.yb", "path_algebra.braiding"} <= set(seen["spans"])
+
+
+def test_every_subcommand_has_one_command_function():
+    (commands,) = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(cli._COMMANDS)
 
 
 def test_importing_the_cli_builds_no_parser():

@@ -561,6 +561,39 @@ def test_matrix_to_vertex_rejects_non_gamma_plus():
         matrix_to_vertex(Mat2(1, 1, 0, 1))  # det 1 but p' > q' fails 0<=p'<=q'... b<=d ok, a<=c fails
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: farey_map(F(3, 2)), ValueError, "value 3/2 outside [0, 1]"),
+        (lambda: farey_map(F(-1, 2)), ValueError, "value -1/2 outside [0, 1]"),
+        (lambda: farey_preimages(F(2)), ValueError, "value 2 outside [0, 1]"),
+        (lambda: euler_phi(0), ValueError, "q must be >= 1"),
+        (lambda: totient_fiber(1), ValueError, "q must be >= 2"),
+        (lambda: MAT_A.power(-1), ValueError, "negative powers not needed here"),
+    ],
+    ids=["map-above-1", "map-below-0", "preimages-above-1", "phi-0", "fiber-1", "negative-power"],
+)
+def test_guards_refuse_with_one_line_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_farey_map_cf_sends_zero_to_zero():
+    # 0 has no terms; the map fixes it, as farey_map does
+    assert farey_map_cf(()) == () and farey_map(F(0)) == 0
+
+
+def test_matrix_to_vertex_refuses_a_column_pair_whose_labels_disagree(monkeypatch):
+    # every Gamma+ matrix is a neighbour pair, so the check guards the
+    # dyadic location against the labels; break the labels to reach it
+    m = vertex_to_matrix(2, 1)
+    monkeypatch.setattr(core, "label", lambda n, k: F(0))
+    with pytest.raises(ValueError) as info:
+        matrix_to_vertex(m)
+    assert str(info.value) == f"{m} does not describe a neighbour pair"
+
+
 def test_parse_fraction_refuses_oversized_exponents_inexact_values_and_junk(monkeypatch):
     parse = core.parse_fraction
     assert parse("3/4") == F(3, 4) and parse(" -1.5e-3 ") == F(-3, 2000) and parse(7) == 7 and parse(F(2, 3)) == F(2, 3)

@@ -242,6 +242,7 @@ def test_level_poly_validation_and_json():
         pytest.param('{"level": false, "coeffs": [1]}', "int level", id="bool-level"),
         pytest.param('{"level": 1, "coeffs": [1]}', "2\\*\\*1 coefficients", id="short"),
         pytest.param("{", "Expecting", id="not-json"),
+        pytest.param("[1, ", "^a K0 class is not JSON: Expecting value", id="not-json-named"),
     ],
 )
 def test_level_poly_from_json_refuses_malformed_input(text, message):
@@ -249,6 +250,25 @@ def test_level_poly_from_json_refuses_malformed_input(text, message):
     with pytest.raises(ValueError, match=message) as info:
         level_poly_from_json(text)
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: LevelPoly(-1, (1,)), ValueError, "level must be >= 0"),
+        (lambda: rho_n(-1), ValueError, "n must be >= 0"),
+        (lambda: q_prime_row(-1), ValueError, "n must be >= 0"),
+        (lambda: stern_brocot_generating(0), ValueError, "count must lie in 1..2**14"),
+        (lambda: stern_brocot_generating(2**14 + 1), ValueError, "count must lie in 1..2**14"),
+        (lambda: eval_phi(1, 2, 0.0), ValueError, "(n, k) = (1, 2) out of range"),
+        (lambda: eval_phi(-1, 0, 0.0), ValueError, "(n, k) = (-1, 0) out of range"),
+    ],
+    ids=["level-negative", "rho-negative", "q-prime-negative", "count-0", "count-above", "k-above", "n-negative"],
+)
+def test_guards_refuse_with_one_line_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_symlaurent_symmetry_enforced():

@@ -287,25 +287,78 @@ def _directed_per_index(ls):
     )
 
 
+def _drawn_level_set(data, depth):
+    if data.draw(st.booleans()):  # a generic level set
+        return LevelSet(depth, _floors(data, depth))
+    # an ideal side or its quotient, perhaps with one index toggled
+    spec = IdealSpec(data.draw(st.fractions(0, 1, max_denominator=40)))
+    ls = data.draw(st.sampled_from([quotient_levels, ideal_levels]))(spec, depth)
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(0, depth))
+        floors = [tuple(floor) for floor in ls.retained]
+        floors[n] = tuple(sorted(set(floors[n]) ^ {data.draw(st.integers(0, 2**n))}))
+        ls = LevelSet(depth, tuple(floors))
+    return ls
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_hereditary_and_directed_match_the_per_index_oracle(data):
     depth = data.draw(st.integers(0, 8))
-    if data.draw(st.booleans()):  # a generic level set
-        ls = LevelSet(depth, _floors(data, depth))
-    else:  # an ideal side or its quotient, perhaps with one index toggled
-        spec = IdealSpec(data.draw(st.fractions(0, 1, max_denominator=40)))
-        ls = data.draw(st.sampled_from([quotient_levels, ideal_levels]))(spec, depth)
-        if data.draw(st.booleans()):
-            n = data.draw(st.integers(0, depth))
-            floors = [tuple(floor) for floor in ls.retained]
-            floors[n] = tuple(sorted(set(floors[n]) ^ {data.draw(st.integers(0, 2**n))}))
-            ls = LevelSet(depth, tuple(floors))
+    ls = _drawn_level_set(data, depth)
     as_runs = complement(complement(ls))
     assert as_runs == ls and all(isinstance(floor, ideals._Runs) for floor in as_runs.retained)
     hereditary, directed = _hereditary_per_index(ls), _directed_per_index(ls)
     assert is_hereditary(ls) == is_hereditary(as_runs) == hereditary
     assert is_directed(ls) == is_directed(as_runs) == directed
+
+
+def _per_index(floors):
+    """Per-floor sets as the sorted tuples the set-building lattice operations returned."""
+    return tuple(tuple(sorted(floor)) for floor in floors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_run_algebra_matches_per_index_set_oracles(data):
+    depth = data.draw(st.integers(0, 8))
+    sides = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        ls = _drawn_level_set(data, depth)
+        sides.append(complement(complement(ls)) if data.draw(st.booleans()) else ls)
+    full = [set(range(2**n + 1)) for n in range(depth + 1)]
+    floors = [[set(ls.retained[n]) for ls in sides] for n in range(depth + 1)]
+    outs = (
+        (complement(sides[0]), [top - floor[0] for top, floor in zip(full, floors)]),
+        (kernel_intersection(sides), [set.intersection(*floor) for floor in floors]),
+        (ideal_join(sides), [set().union(*floor) for floor in floors]),
+    )
+    for out, expected in outs:
+        expected = _per_index(expected)
+        assert out.retained == expected and expected == out.retained
+        assert all(isinstance(floor, ideals._Runs) for floor in out.retained)
+        assert list(map(hash, out.retained)) == list(map(hash, expected))
+    meet, join = outs[1][0], outs[2][0]
+    for a, b in ((sides[0], sides[-1]), (sides[-1], sides[0]), (meet, sides[0]), (sides[0], join), (join, meet)):
+        assert ideal_contains(a, b) == all(set(x) <= set(y) for x, y in zip(a.retained, b.retained))
+    for ls in (*sides, meet, join):
+        assert is_hereditary(ls) == _hereditary_per_index(ls)
+        assert is_directed(ls) == _directed_per_index(ls)
+
+
+def test_join_kernel_and_containment_of_ideal_sides_keep_a_few_runs():
+    plus, minus = (ideal_levels(IdealSpec(F(1, 3), variant), 18) for variant in ("plus", "minus"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        join, meet, contained = ideal_join([plus, minus]), kernel_intersection([plus, minus]), ideal_contains(plus, minus)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 64 * 1024, f"join, kernel and containment at depth 18 keep {kept} bytes"
+    assert join == ideal_levels(IdealSpec(F(1, 3)), 18) and not contained
+    quotients = [quotient_levels(IdealSpec(F(1, 3), variant), 18) for variant in ("plus", "minus")]
+    assert meet == complement(ideal_join(quotients))
 
 
 @pytest.mark.parametrize(
@@ -339,6 +392,32 @@ def test_runs_that_are_not_maximal_or_leave_the_floor_are_refused(ends):
 def test_unsorted_or_repeated_indices_are_refused(floor):
     with pytest.raises(ValueError, match="floor 2 indices must be sorted and unique"):
         LevelSet(2, ((0,), (1,), floor))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: quotient_levels(IdealSpec(CFStream(iter([1, 0, 2]))), 3),
+            ValueError,
+            "continued-fraction terms must be positive, got 0",
+        ),
+        (lambda: IdealSpec(F(3, 2)), ValueError, "theta 3/2 outside [0, 1]"),
+        (lambda: LevelSet(1, ((0,),)), ValueError, "retained must list floors 0..depth"),
+        # floor 0 holds only 0 and 1, so the admissibility automaton never sees another index there
+        (lambda: classify_admissible(LevelSet(0, ((1, 2),))), ValueError, "floor 0 index out of range"),
+    ],
+    ids=["cf-digit-0", "theta-above-1", "floor-count", "floor-0-index"],
+)
+def test_guards_refuse_with_one_line_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_every_floor_0_level_set_starts_the_automaton():
+    for floor in ((0,), (1,), (0, 1)):
+        assert classify_admissible(LevelSet(0, (floor,))).admissible
 
 
 def test_deep_stream_walk_keeps_invariants():

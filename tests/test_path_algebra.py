@@ -51,6 +51,33 @@ F = Fraction
 ONE = F(1)
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: Representation(2, F(2)).identity() * Representation(2, F(3)).identity(),
+            ValueError,
+            "operators live in different representations",
+        ),
+        (lambda: Representation(2, F(2)).tl("G", 1), ValueError, "unknown projection kind 'G'"),
+        (lambda: Representation(2, F(2)).with_sign_flip("e", 1, (99, 99)), ValueError, "e_1 has no entry at (99, 99)"),
+    ],
+    ids=["two-lambdas", "tl-kind", "flip-missing-entry"],
+)
+def test_guards_refuse_with_one_line_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_a_zero_operator_fails_the_nonzero_check():
+    rep = Representation(2, F(2))
+    zero = rep.identity() - rep.identity()
+    failed = path_algebra.Check.nonzero("eq", {"n": 1}, zero)
+    assert (failed.status, failed.witness, failed.floor) == ("fail", {"row": -1, "col": -1, "value": "0"}, 2)
+    assert path_algebra.Check.nonzero("eq", {"n": 1}, rep.identity()).status == "pass"
+
+
 # ---------------------------------------------------------------------------
 # paths
 

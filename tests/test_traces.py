@@ -495,6 +495,45 @@ def test_candidate_json_table_nonzero_default_has_no_tail():
     assert not check_trace(candidate, 5).exact
 
 
+@pytest.mark.parametrize("check", [check_trace, alpha_from_phi])
+def test_a_table_weight_at_the_root_is_read_not_overwritten(check):
+    # the spec's root weight reaches the root check; an explicit 1 checks as no entry does
+    half = candidate_from_json('{"kind": "table", "entries": [[-1, 0, "1/2"]], "default": "0"}')
+    assert half.phi(STAR) == F(1, 2)
+    with pytest.raises(ValueError, match="^a trace candidate must have weight exactly 1 at the root$"):
+        check(half, 3)
+    one, absent = table_candidate({STAR: F(1), (0, 1): F(1, 2)}), table_candidate({(0, 1): F(1, 2)})
+    assert one.phi(STAR) == 1 and check_trace(one, 3).valid and check_trace(absent, 3).valid
+    assert list(check_trace(one, 3).rows) == list(check_trace(absent, 3).rows)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: alpha_from_phi(geometric_candidate(F(1, 4)), -1), ValueError, f"depth must lie in 0..{MAX_DEPTH}"),
+        (
+            lambda: alpha_from_phi(zero_candidate(), MAX_DEPTH + 1),
+            ValueError,
+            f"depth must lie in 0..{MAX_DEPTH}",
+        ),
+        (
+            lambda: alpha_from_phi(table_candidate({STAR: F(2)}), 2),
+            ValueError,
+            "a trace candidate must have weight exactly 1 at the root",
+        ),
+        (lambda: check_trace(geometric_candidate(F(1, 4)), 0), ValueError, f"depth must lie in 1..{MAX_DEPTH}"),
+        (lambda: geometric_candidate(F(1)), ValueError, "ratio must lie in (0, 1)"),
+        (lambda: geometric_candidate(F(0)), ValueError, "ratio must lie in (0, 1)"),
+        (lambda: move_left_cf(()), ValueError, "no left move from the root"),
+    ],
+    ids=["alpha-depth-negative", "alpha-depth-above", "alpha-root", "check-depth-0", "ratio-1", "ratio-0", "cf-root"],
+)
+def test_guards_refuse_with_one_line_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_table_tail_oracle_sees_beyond_the_horizon():
     # the branch of (1,1) holds (2,1) inside depth 3 and (4,7), (4,9)
     # beyond it; the exact tail must count the deep entries
