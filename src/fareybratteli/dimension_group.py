@@ -22,13 +22,10 @@ comparison of the two-sided row u(n, |d|) with rho_n's coefficient tuple.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
-
-from .core import json_object
 
 __all__ = [
     "LevelPoly",
@@ -40,8 +37,6 @@ __all__ = [
     "eval_phi",
     "expand_to_laurent",
     "is_positive_class",
-    "level_poly_from_json",
-    "level_poly_to_json",
     "q_prime_row",
     "rho_n",
     "stern_brocot_generating",
@@ -259,25 +254,3 @@ def eval_phi(n: int, k: int, y: float) -> float:
         denominator *= 1.0 + 2.0 * math.cosh(y / 2**j)
     return numerator / denominator
 
-
-# ---------------------------------------------------------------------------
-# serialisation
-
-
-def level_poly_to_json(p: LevelPoly) -> str:
-    return json.dumps({"level": p.level, "coeffs": list(p.coeffs)})
-
-
-def level_poly_from_json(text: str) -> LevelPoly:
-    """Reads {"level": n, "coeffs": [c_0, ...]}; the level and every
-    coefficient are ints, never floats or bools."""
-    payload = json_object(text, "a K0 class")
-    try:
-        level, coeffs = payload["level"], tuple(payload["coeffs"])
-    except KeyError as exc:
-        raise ValueError(f"a K0 class needs the key {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"malformed K0 class: {exc}") from None
-    if not all(type(x) is int for x in (level, *coeffs)):
-        raise ValueError("a K0 class needs an int level and int coefficients")
-    return LevelPoly(level, coeffs)

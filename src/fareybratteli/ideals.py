@@ -38,17 +38,17 @@ vertex whose parents were not retained) walk the tree with ``core.label``.
 The dot export, which draws every vertex, reads each floor from
 ``core.row_ints``.
 
-``quotient_levels`` walks the straddling pair on the four ints a/b < c/d
-of its labels, which stay Farey neighbours, so their mediant needs no
-reduction; theta is compared with it by cross-multiplication, a rational
-directly and a stream through ``CFStream.compare_pair`` on the ints of its
-convergent interval.  No ``Fraction`` is built along the walk.
+``quotient_levels`` moves the straddling pair (j, j + 1) along the
+cutting sequence L**(a0 - 1) R**a1 L**a2 ... of the geodesic to theta =
+[a0, a1, ...]: L takes j to 2j, R to 2j + 1.  A run's first move needs no
+new digit, as every later digit is at least 1, so each digit (by Euclid
+on a rational's ints, or through ``CFStream._extend``) is pulled only when
+the walk reaches it: the cost follows the depth, never theta's height.
 
-Comparisons of an irrational stream against rationals use exact convergent
-intervals only; no floating point anywhere.  Level sets are immutable and
-every function here is pure, except that a CFStream pulls digits from its
-iterator and memoises them: a stream is not safe to share between threads
-(a generator advanced from two threads raises).
+Every digit is an int: no floating point anywhere.  Level sets are
+immutable and every function here is pure, except that a CFStream pulls
+digits from its iterator and memoises them: a stream is not safe to share
+between threads (a generator advanced from two threads raises).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, count, islice
 from operator import index, lt, sub
 
 from .core import json_object, label, mediant, row_ints
@@ -108,67 +108,29 @@ def children(n: int, k: int) -> tuple[int, ...]:
 class CFStream:
     """Continued-fraction digits of an irrational value in (0, 1), pulled lazily.
 
-    Wraps any iterable of positive integers (typically an infinite generator,
-    e.g. ``itertools.cycle((2,))`` for sqrt(2) - 1).  Supports exact
-    comparison against rationals by narrowing the open convergent interval
-    that must contain the value, on ints (``compare_pair``); raises if the
-    iterable runs dry before a comparison is decided, so a
-    silently-truncated prefix can never give a wrong answer.
+    Wraps any iterable of positive ints (typically an infinite generator,
+    e.g. ``itertools.cycle((2,))`` for sqrt(2) - 1).  ``terms`` holds the
+    digits read so far; ``_extend``, the one place a digit is pulled, appends
+    the next or returns False once the iterable has run dry.
+    ``quotient_levels`` reads the digits as the runs of theta's cutting
+    sequence and pulls each only when its walk reaches that run, raising if
+    the iterable runs dry first, so a truncated prefix never answers.
     """
 
     def __init__(self, terms: Iterable[int]):
         self._iter: Iterator[int] = iter(terms)
         self.terms: list[int] = []
-        self._p_prev, self._q_prev = 1, 0
-        self._p, self._q = 0, 1
 
     def _extend(self) -> bool:
         a = next(self._iter, None)
         if a is None:
             return False
+        if type(a) is not int:
+            raise ValueError(f"continued-fraction terms must be ints, got {a!r}")
         if a < 1:
             raise ValueError(f"continued-fraction terms must be positive, got {a}")
         self.terms.append(a)
-        self._p_prev, self._p = self._p, a * self._p + self._p_prev
-        self._q_prev, self._q = self._q, a * self._q + self._q_prev
         return True
-
-    def bounds(self) -> tuple[Fraction, Fraction]:
-        """Open interval around the value determined by the digits read so far."""
-        (a, b), (c, d) = self._ends()
-        return Fraction(a, b), Fraction(c, d)
-
-    def _ends(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """``bounds()`` as (numerator, denominator) pairs, the lower end first.
-
-        After k digits the ends are the convergent p_k/q_k and the mediant
-        (p_k + p_(k-1))/(q_k + q_(k-1)); since p_k q_(k-1) - p_(k-1) q_k =
-        (-1)**(k-1), the convergent is the upper end for odd k."""
-        if not self.terms:
-            return (0, 1), (1, 1)
-        convergent = self._p, self._q
-        mediant = self._p + self._p_prev, self._q + self._q_prev
-        return (mediant, convergent) if len(self.terms) % 2 else (convergent, mediant)
-
-    def compare(self, m: Fraction) -> int:
-        """-1 if the value is < m, +1 if > m.  Never 0 for an irrational."""
-        return self.compare_pair(m.numerator, m.denominator)
-
-    def compare_pair(self, num: int, den: int) -> int:
-        """``compare`` against num/den for a positive den, cross-multiplied
-        against the ends of the convergent interval; digits are pulled only
-        while num/den lies strictly inside it."""
-        while True:
-            (a, b), (c, d) = self._ends()
-            if num * b <= a * den:
-                return 1
-            if num * d >= c * den:
-                return -1
-            if not self._extend():
-                raise ValueError(
-                    "continued-fraction stream exhausted before a comparison was decided; "
-                    "supply more terms (term sum must exceed the requested depth)"
-                )
 
 
 @dataclass(frozen=True)
@@ -314,22 +276,24 @@ def _label_texts(ls: LevelSet) -> list[list[str]]:
 
 
 def quotient_levels(spec: IdealSpec, depth: int) -> LevelSet:
-    """Retained (quotient-side) indices per floor for the ideal named by spec."""
+    """Retained (quotient-side) indices per floor for the ideal named by spec.
+
+    Digit a_i of theta moves the straddling pair (j, j + 1) a_i - 1 floors
+    left (j -> 2j) for even i, right (j -> 2j + 1) for odd i, and then one
+    floor the other way.  A rational's last digit moves one floor fewer, and
+    theta surfaces at 2j + 1; from there its column doubles, alone or with a
+    neighbour.  theta = 0 and 1 sit on floor 0.
+    """
     if not 0 <= depth <= MAX_QUOTIENT_DEPTH:
         raise ValueError(f"depth must lie in 0..{MAX_QUOTIENT_DEPTH}")
     theta, variant = spec.theta, spec.variant
     vertex: int | None = None  # index of the theta column once it exists
-    if isinstance(theta, Fraction):
-        p, q = theta.as_integer_ratio()
-        compare = lambda num, den: p * den - num * q  # noqa: E731  (its sign is theta's side)
-        if q == 1:  # theta = 0 or 1 labels the floor-0 vertex p
-            vertex = p
-    else:
-        compare = theta.compare_pair
+    if isinstance(theta, Fraction) and theta.denominator == 1:
+        vertex = theta.numerator  # theta = 0 or 1 labels the floor-0 vertex
+    moves = _cutting_sequence(theta)
 
     retained: list[tuple[int, ...]] = []
     j = 0  # straddling pair is (j, j+1) until theta surfaces as a label
-    a, b, c, d = 0, 1, 1, 1  # their labels a/b < c/d, Farey neighbours
     for n in range(depth + 1):
         if vertex is None:
             retained.append((j, j + 1))
@@ -344,14 +308,43 @@ def quotient_levels(spec: IdealSpec, depth: int) -> LevelSet:
         if vertex is not None:
             vertex *= 2
             continue
-        side = compare(a + c, b + d)  # against the mediant, already in lowest terms
-        if side < 0:
-            j, c, d = 2 * j, a + c, b + d
-        elif side > 0:
-            j, a, b = 2 * j + 1, a + c, b + d
-        else:
+        move = next(moves)
+        if move is None:
             vertex = 2 * j + 1  # first appearance: n0 = n + 1
+        else:
+            j = 2 * j + move
     return LevelSet(depth, tuple(retained))
+
+
+def _cutting_sequence(theta: Fraction | CFStream) -> Iterator[int | None]:
+    """The moves of the straddling pair toward theta: 0 (left), 1 (right),
+    or None where theta surfaces.  A run's first move, the other way from
+    its digit's, is known before the next digit is pulled, since every
+    digit after it is at least 1."""
+    for i, (a, last) in enumerate(_digits(theta)):
+        for _ in range(a - 2 if last else a - 1):
+            yield i % 2
+        yield None if last else 1 - i % 2
+
+
+def _digits(theta: Fraction | CFStream) -> Iterator[tuple[int, bool]]:
+    """theta's continued-fraction digits, each with whether it is the last:
+    a rational's by Euclid on its ints, a stream's first those it has read,
+    then each through ``_extend``."""
+    if isinstance(theta, Fraction):
+        p, q = theta.as_integer_ratio()
+        while p:
+            a, r = divmod(q, p)
+            yield a, r == 0
+            p, q = r, p
+        return
+    for i in count():
+        if i == len(theta.terms) and not theta._extend():
+            raise ValueError(
+                "continued-fraction stream exhausted before a comparison was decided; "
+                "supply more terms (term sum must exceed the requested depth)"
+            )
+        yield theta.terms[i], False
 
 
 def complement(ls: LevelSet) -> LevelSet:

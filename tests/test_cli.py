@@ -559,6 +559,21 @@ def test_the_benchmark_tracer_finds_every_entry_point_and_spans_the_suites_of_a_
     assert {"cli.main", "path_algebra.base", "path_algebra.yb", "path_algebra.braiding"} <= set(seen["spans"])
 
 
+def test_the_benchmark_self_test_passes():
+    # bench/selftest.py runs every workload at reduced size, untraced and
+    # traced twice, in a fresh interpreter, and then a copy without the
+    # package (about 20 s); it prints one line per check that held
+    spec = json.loads((TESTS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    proc = subprocess.run(
+        [sys.executable, "bench/selftest.py"], cwd=TESTS.parent, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        *(f"{w['name']}: every metric emitted, error_ratio 0, exact counters repeat" for w in spec["workloads"]),
+        "without the package: exits 2 and prints no result",
+    ]
+
+
 def test_every_subcommand_has_one_command_function():
     (commands,) = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
     assert set(commands.choices) == set(cli._COMMANDS)

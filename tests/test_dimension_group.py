@@ -20,8 +20,6 @@ from fareybratteli.dimension_group import (
     eval_phi,
     expand_to_laurent,
     is_positive_class,
-    level_poly_from_json,
-    level_poly_to_json,
     q_prime_row,
     _rho,
     rho_n,
@@ -222,34 +220,6 @@ def test_level_poly_validation_and_json():
     # the size is checked through bit lengths, so a huge level builds no 2**level
     with pytest.raises(ValueError, match="2\\*\\*1000000000000 coefficients"):
         LevelPoly(10**12, (1,))
-    p = LevelPoly(2, (1, -2, 0, 3))
-    assert level_poly_from_json(level_poly_to_json(p)) == p
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        pytest.param("[1]", "must be a JSON object", id="list"),
-        pytest.param("3", "must be a JSON object", id="number"),
-        pytest.param("[" * 100000, "nests too deeply", id="nested-100000"),
-        pytest.param('{"level": 1}', "needs the key 'coeffs'", id="no-coeffs"),
-        pytest.param('{"coeffs": [1]}', "needs the key 'level'", id="no-level"),
-        pytest.param('{"level": 1, "coeffs": 5}', "malformed K0 class", id="coeffs-int"),
-        pytest.param('{"level": 1, "coeffs": [1.5, 2]}', "int coefficients", id="float-coeff"),
-        pytest.param('{"level": 1, "coeffs": [true, 2]}', "int coefficients", id="bool-coeff"),
-        pytest.param('{"level": 1, "coeffs": "12"}', "int coefficients", id="coeffs-string"),
-        pytest.param('{"level": 0.0, "coeffs": [1]}', "int level", id="float-level"),
-        pytest.param('{"level": false, "coeffs": [1]}', "int level", id="bool-level"),
-        pytest.param('{"level": 1, "coeffs": [1]}', "2\\*\\*1 coefficients", id="short"),
-        pytest.param("{", "Expecting", id="not-json"),
-        pytest.param("[1, ", "^a K0 class is not JSON: Expecting value", id="not-json-named"),
-    ],
-)
-def test_level_poly_from_json_refuses_malformed_input(text, message):
-    # one-line ValueError, as the level-set and trace-candidate readers give
-    with pytest.raises(ValueError, match=message) as info:
-        level_poly_from_json(text)
-    assert "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize(

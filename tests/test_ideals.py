@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import tree_reference
 from fareybratteli import ideals
-from fareybratteli.core import cf_convergents, height, label
+from fareybratteli.core import cf_convergents, height, label, row, vertex_of_label
 from fareybratteli.ideals import (
     CFStream,
     IdealSpec,
@@ -118,11 +118,16 @@ def test_stream_exhaustion_is_an_error():
 def test_irrational_straddle_property():
     theta = stream(2)  # sqrt(2) - 1
     ls = quotient_levels(IdealSpec(theta), 12)
-    lo, hi = theta.bounds()
     for n, (a, b) in enumerate(ls.retained):
         assert b == a + 1
-        # the retained labels straddle every approximant of theta
-        assert label(n, a) < lo and hi < label(n, b) or label(n, a) < hi and lo < label(n, b)
+        # the retained labels straddle theta, as the stream's own digits decide
+        assert tree_reference._stream_compare(theta, label(n, a)) == 1
+        assert tree_reference._stream_compare(theta, label(n, b)) == -1
+    # the convergents of the digits read are where the cutting sequence
+    # turns: each is an end of the pair on the floor of its height
+    for conv in cf_convergents(theta.terms):
+        if height(conv) <= 12:
+            assert conv in ls.labels()[height(conv)]
 
 
 def test_effros_shen_two_column_labels():
@@ -402,12 +407,27 @@ def test_unsorted_or_repeated_indices_are_refused(floor):
             ValueError,
             "continued-fraction terms must be positive, got 0",
         ),
+        # a digit's type is checked before its sign, bools and whole floats included
+        *(
+            (
+                lambda digit=digit: quotient_levels(IdealSpec(CFStream(iter([digit, 3, 1, 1, 1, 1]))), 4),
+                ValueError,
+                f"continued-fraction terms must be ints, got {digit!r}",
+            )
+            for digit in (2.5, 2.0, 0.0, True, False, F(5, 2))
+        ),
         (lambda: IdealSpec(F(3, 2)), ValueError, "theta 3/2 outside [0, 1]"),
         (lambda: LevelSet(1, ((0,),)), ValueError, "retained must list floors 0..depth"),
         # floor 0 holds only 0 and 1, so the admissibility automaton never sees another index there
         (lambda: classify_admissible(LevelSet(0, ((1, 2),))), ValueError, "floor 0 index out of range"),
     ],
-    ids=["cf-digit-0", "theta-above-1", "floor-count", "floor-0-index"],
+    ids=[
+        "cf-digit-0",
+        *(f"cf-digit-{name}" for name in ("2.5", "2.0", "0.0", "True", "False", "5/2")),
+        "theta-above-1",
+        "floor-count",
+        "floor-0-index",
+    ],
 )
 def test_guards_refuse_with_one_line_messages(build, error, message):
     with pytest.raises(error) as info:
@@ -429,8 +449,9 @@ def test_deep_stream_walk_keeps_invariants():
     for n, (a, b) in enumerate(ls.retained):
         assert b == a + 1 and 0 <= a and b <= 2**n
         left, right = label(n, a), label(n, b)
-        # the stream itself certifies the strict straddle at every floor
-        assert theta.compare(left) == 1 and theta.compare(right) == -1
+        # the stream's digits certify the strict straddle at every floor
+        assert tree_reference._stream_compare(theta, left) == 1
+        assert tree_reference._stream_compare(theta, right) == -1
         if previous is not None:
             assert previous[0] <= left and right <= previous[1]
         previous = (left, right)
@@ -469,14 +490,48 @@ def test_quotient_walk_on_ints_matches_the_fraction_walk_on_streams(terms):
     assert _walk(quotient_levels, spec_of) == _walk(tree_reference.quotient_levels, spec_of)
 
 
-def test_stream_bounds_and_comparisons_read_the_convergent_interval():
-    theta = CFStream(iter([2, 3, 1, 4]))  # 19/43 once every digit is read
-    assert theta.bounds() == (F(0), F(1))
-    assert theta.compare(F(1, 3)) == 1 and theta.terms == [2]
-    assert theta.bounds() == (F(1, 3), F(1, 2))  # one digit: the convergent 1/2 is the upper end
-    assert theta.compare_pair(3, 7) == 1 and theta.terms == [2, 3]
-    assert theta.bounds() == (F(3, 7), F(4, 9))  # two digits: the convergent 3/7 is the lower end
-    assert theta.compare_pair(4, 9) == -1 and theta.terms == [2, 3]
+def test_the_quotient_walk_and_vertex_of_label_locate_every_rational_alike():
+    # every rational of height 1..12 is an odd-index label of its floor n0;
+    # the plain quotient keeps the ancestors' pair above it and its column below
+    for n0 in range(1, 13):
+        for theta in row(n0)[1::2]:
+            assert vertex_of_label(theta)[0] == n0
+            k = vertex_of_label(theta)[1]
+            retained = quotient_levels(IdealSpec(theta), 14).retained
+            assert retained[:n0] == tuple((k >> (n0 - n), (k >> (n0 - n)) + 1) for n in range(n0))
+            assert retained[n0:] == tuple((k << (n - n0),) for n in range(n0, 15))
+
+
+def _fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        F(1, 2**256),
+        F(2**256 - 1, 2**256),
+        F(1, 10**4000),
+        F(_fibonacci(20571), _fibonacci(20572)),  # 4299 digits each, 20570 continued-fraction digits
+    ],
+    ids=["1/2**256", "(2**256-1)/2**256", "1/10**4000", "fibonacci-ratio"],
+)
+@pytest.mark.parametrize("variant", ["plain", "plus", "minus"])
+def test_extreme_rationals_walk_only_as_deep_as_asked(theta, variant):
+    # the digits come from Euclid one at a time, so neither a huge digit nor
+    # thousands of them are held: the walk keeps a few ints of theta's size
+    spec = IdealSpec(theta, variant)
+    tracemalloc.start()
+    try:
+        ls = quotient_levels(spec, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, f"peak {peak} bytes"
+    assert ls == tree_reference.quotient_levels(spec, 60)
 
 
 # ---------------------------------------------------------------------------
