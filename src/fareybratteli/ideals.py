@@ -122,8 +122,9 @@ class CFStream:
         self.terms: list[int] = []
 
     def _extend(self) -> bool:
-        a = next(self._iter, None)
-        if a is None:
+        try:
+            a = next(self._iter)
+        except StopIteration:
             return False
         if type(a) is not int:
             raise ValueError(f"continued-fraction terms must be ints, got {a!r}")

@@ -407,14 +407,14 @@ def test_unsorted_or_repeated_indices_are_refused(floor):
             ValueError,
             "continued-fraction terms must be positive, got 0",
         ),
-        # a digit's type is checked before its sign, bools and whole floats included
+        # a digit's type is checked before its sign: bools, whole floats and None are refused
         *(
             (
                 lambda digit=digit: quotient_levels(IdealSpec(CFStream(iter([digit, 3, 1, 1, 1, 1]))), 4),
                 ValueError,
                 f"continued-fraction terms must be ints, got {digit!r}",
             )
-            for digit in (2.5, 2.0, 0.0, True, False, F(5, 2))
+            for digit in (2.5, 2.0, 0.0, True, False, F(5, 2), None)
         ),
         (lambda: IdealSpec(F(3, 2)), ValueError, "theta 3/2 outside [0, 1]"),
         (lambda: LevelSet(1, ((0,),)), ValueError, "retained must list floors 0..depth"),
@@ -423,7 +423,7 @@ def test_unsorted_or_repeated_indices_are_refused(floor):
     ],
     ids=[
         "cf-digit-0",
-        *(f"cf-digit-{name}" for name in ("2.5", "2.0", "0.0", "True", "False", "5/2")),
+        *(f"cf-digit-{name}" for name in ("2.5", "2.0", "0.0", "True", "False", "5/2", "None")),
         "theta-above-1",
         "floor-count",
         "floor-0-index",
@@ -495,8 +495,8 @@ def test_the_quotient_walk_and_vertex_of_label_locate_every_rational_alike():
     # the plain quotient keeps the ancestors' pair above it and its column below
     for n0 in range(1, 13):
         for theta in row(n0)[1::2]:
-            assert vertex_of_label(theta)[0] == n0
-            k = vertex_of_label(theta)[1]
+            floor, k = vertex_of_label(theta)
+            assert floor == n0
             retained = quotient_levels(IdealSpec(theta), 14).retained
             assert retained[:n0] == tuple((k >> (n0 - n), (k >> (n0 - n)) + 1) for n in range(n0))
             assert retained[n0:] == tuple((k << (n - n0),) for n in range(n0, 15))
